@@ -256,8 +256,9 @@ def _cmd_sweep(cfg: RunConfig, grid, resolution: float | None) -> int:
         (cfg.to_dict(), i, list(map(float, p)), d_values, want_fitness, resolution)
         for i, p in enumerate(points)
     ]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    workers = min(cfg.workers, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, payloads))
     else:
         results = [_sweep_point(p) for p in payloads]

@@ -119,6 +119,8 @@ class RunConfig:
             )
         if not isinstance(merged["seed"], int):
             raise ValidationError("seed: must be an integer")
+        if not isinstance(merged["workers"], int) or merged["workers"] < 1:
+            raise ValidationError("workers: must be an integer of at least 1")
         return cls(
             raw=merged,
             landscape=landscape,
@@ -131,7 +133,7 @@ class RunConfig:
             eigen_potential=eigen["potential"],
             output_dir=str(merged["output_dir"]),
             seed=int(merged["seed"]),
-            workers=int(merged["workers"]),
+            workers=merged["workers"],
         )
 
     @staticmethod

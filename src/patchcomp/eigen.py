@@ -162,8 +162,9 @@ def principal_eigenpair(
         theta = 0.0
         res = np.inf
         iterations = 0
+        solve = op.factor_shifted(sigma, -1.0)
         for iterations in range(1, max_iters + 1):
-            x = op.solve_shifted(sigma, x)
+            x = solve(x)
             x /= np.linalg.norm(x)
             ax = op.matvec(x)
             theta = float(x @ ax)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import ValidationError
 from .grid import Grid, PiecewiseField
@@ -141,18 +141,33 @@ class LinearOperator:
         )
 
     def banded(self) -> np.ndarray:
-        """(3, N) banded storage for scipy.linalg.solve_banded with (1, 1)."""
+        """(3, N) band storage (upper, main, lower), as scipy's solve_banded takes."""
         ab = np.zeros((3, self.size))
         ab[0, 1:] = self.up[:-1]
         ab[1, :] = self.di
         ab[2, :-1] = self.lo[1:]
         return ab
 
+    def factor_shifted(self, alpha, beta: float = 1.0):
+        """LU-factor ``diag(alpha) + beta * A`` once (LAPACK gttrf); return the
+        O(N) solve ``rhs -> x`` (gttrs).  ``alpha`` is a scalar or a diagonal.
+
+        Non-finite input raises ValueError, a singular matrix LinAlgError.
+        """
+        bands = (beta * self.lo[1:], alpha + beta * self.di, beta * self.up[:-1])
+        dl, d, du, du2, ipiv, info = dgttrf(*map(np.asarray_chkfinite, bands))
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            x, _ = dgttrs(dl, d, du, du2, ipiv, np.asarray_chkfinite(rhs, dtype=float))
+            return x
+
+        return solve
+
     def solve_shifted(self, sigma: float, rhs: np.ndarray) -> np.ndarray:
         """Solve (sigma * I - A) x = rhs."""
-        ab = -self.banded()
-        ab[1, :] += sigma
-        return solve_banded((1, 1), ab, rhs)
+        return self.factor_shifted(sigma, -1.0)(rhs)
 
     def dense(self) -> np.ndarray:
         a = np.diag(self.di)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import SteadyConvergenceError
 from .grid import Grid, PiecewiseField, patch_derivative
@@ -77,9 +76,7 @@ def _newton(op, grid, traits, r_full, k_full, u0, config: SteadyConfig):
         norm = float(np.abs(res).max())
         if norm <= config.newton_tol + _noise_floor(op, k_full, u):
             return u, norm
-        ab = op.banded()
-        ab[1, :] += slope
-        step = solve_banded((1, 1), ab, -res)
+        step = op.factor_shifted(slope)(-res)
         alpha = 1.0
         while True:
             trial = np.maximum(u + alpha * step, floor)
@@ -123,16 +120,13 @@ def solve_resident_steady(
     if norm > config.newton_tol + _noise_floor(op, k_full, u):
         # implicit-diffusion march toward the attracting steady state
         dt = config.fallback_dt
-        ab = op.banded()
-        march = np.zeros_like(ab)
-        march[1, :] = 1.0
-        march -= dt * ab
+        march = op.factor_shifted(1.0, -dt)
         steps = int(np.ceil(config.fallback_horizon / dt))
         for step in range(1, steps + 1):
             u_full = expand_reduced(grid, traits, u)
             f = r_full * u_full * (1.0 - u_full / k_full)
             rhs = u + dt * restrict_cell_average(grid, traits, f)
-            u = np.maximum(solve_banded((1, 1), march, rhs), 1e-12 * k_full.min())
+            u = np.maximum(march(rhs), 1e-12 * k_full.min())
             if step % 20 == 0:
                 res, _ = _residual_and_slope(op, grid, traits, r_full, k_full, u)
                 if np.abs(res).max() < 1e-4:

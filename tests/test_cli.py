@@ -5,8 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import patchcomp.cli
 from patchcomp.cli import run_command
 from patchcomp.config import DEFAULTS, RunConfig
+from patchcomp.errors import ValidationError
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -42,6 +44,11 @@ class TestConfig:
     def test_mismatched_environment(self):
         with pytest.raises(Exception, match="per patch"):
             RunConfig.from_dict({"environment": {"r": [1.0], "k": [1.0]}})
+
+    @pytest.mark.parametrize("workers", [0, -2, "x", 1.5])
+    def test_workers_must_be_a_positive_integer(self, workers):
+        with pytest.raises(ValidationError, match="workers:"):
+            RunConfig.from_dict({"workers": workers})
 
 
 class TestCommands:
@@ -150,6 +157,33 @@ class TestCommands:
         assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
         verdicts = [line.split(",")[4] for line in lines[1:]]
         assert verdicts == ["MutantWins", "ResidentWins", "Coexistence"]
+
+    def test_sweep_pool_never_outnumbers_points(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Records the pool size and maps in this process; starts nothing."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(patchcomp.cli, "ProcessPoolExecutor", RecordingPool)
+        cfg = {"sweep": {"mutant_p": [[2.5], [4.0], [1.5]]}, "grid": {"per_patch": 20}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["sweep", "--config", path, "--out", tmp_path, "--workers", 500]) == 0
+        assert sizes == [3]
+        path.write_text(json.dumps({**cfg, "workers": "x"}))
+        assert run(["sweep", "--config", path, "--out", tmp_path]) == 1
 
     def test_byte_identical_reruns(self, tmp_path):
         out_a = tmp_path / "a"

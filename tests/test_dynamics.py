@@ -89,6 +89,29 @@ class TestStep:
         assert np.all(v <= box_v + 1e-12)
 
 
+class TestImplicitSolve:
+    @pytest.mark.parametrize("scheme", ["imex-euler", "cn-diffusion"])
+    @pytest.mark.parametrize("per_patch", [100, 1300])  # 201 and 2,601 reduced DOFs
+    def test_step_matches_dense_solve(self, unit_two_patch, scheme, per_patch):
+        land, env = unit_two_patch
+        resident = pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([3.0]))
+        mutant = pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([1.5]))
+        grid = pc.build_grid(land, per_patch=per_patch)
+        stepper = Stepper(land, env, resident, mutant, grid, SimConfig(scheme=scheme))
+        rng = np.random.default_rng(5)
+        u, v = (rng.uniform(0.0, 1.5, grid.num_reduced) for _ in range(2))
+        theta = 0.5 if scheme == "cn-diffusion" else 1.0
+        dt = stepper.dt
+        f_u, f_v = stepper.reaction(u, v)
+        u_new, v_new, _ = stepper.step(u, v)
+        for op, w, f, got in (
+            (stepper.op_u, u, f_u, u_new), (stepper.op_v, v, f_v, v_new)
+        ):
+            rhs = np.maximum(w + dt * f + (1.0 - theta) * dt * op.matvec(w), 0.0)
+            ref = np.linalg.solve(np.eye(op.size) - theta * dt * op.dense(), rhs)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 class TestOrderPreservation:
     def test_identical_states_stay_ordered(self, competition_pair):
         *_, grid, stepper = competition_pair

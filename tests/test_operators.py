@@ -72,6 +72,26 @@ class TestSymmetryAndKernel:
         assert np.abs(op.matvec(c)).max() <= 1e-12 * np.abs(op.di).max()
 
 
+class TestFactorShifted:
+    def test_no_flux_operator_is_singular(self):
+        # the jump-consistent constants span the bare operator's kernel
+        _, traits, grid = make([1.0, 1.0], [2.0])
+        op = assemble_diffusion(grid, traits)
+        with pytest.raises(np.linalg.LinAlgError):
+            op.factor_shifted(0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, bad):
+        _, traits, grid = make([1.0, 1.0], [2.0])
+        op = assemble_diffusion(grid, traits)
+        poisoned = np.ones(op.size)
+        poisoned[3] = bad
+        with pytest.raises(ValueError):
+            op.factor_shifted(poisoned, -0.1)
+        with pytest.raises(ValueError):
+            op.factor_shifted(1.0, -0.1)(poisoned)
+
+
 class TestReductionMaps:
     def test_expand_restrict_roundtrip(self):
         _, traits, grid = make([1.0, 2.0], [0.6])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import patchcomp as pc
-from patchcomp.operators import restrict_values
+from patchcomp.operators import LinearOperator, restrict_values
 
 
 class TestSingleSpeciesSteady:
@@ -87,6 +87,30 @@ class TestSingleSpeciesSteady:
             for i in range(2)
         )
         assert e1 / e2 == pytest.approx(4.0, rel=0.25)
+
+    def test_time_march_fallback_matches_default_solve(self, unit_two_patch, monkeypatch):
+        land, env = unit_two_patch
+        traits = pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([3.0]))
+        grid = pc.build_grid(land, per_patch=100)
+        reference = pc.solve_resident_steady(land, env, traits, grid)
+        with pytest.raises(pc.SteadyConvergenceError):
+            pc.solve_resident_steady(
+                land, env, traits, grid, pc.SteadyConfig(max_newton_iters=1)
+            )
+
+        betas = []
+        factor = LinearOperator.factor_shifted
+
+        def spy(op, alpha, beta=1.0):
+            betas.append(beta)
+            return factor(op, alpha, beta)
+
+        monkeypatch.setattr(LinearOperator, "factor_shifted", spy)
+        config = pc.SteadyConfig(max_newton_iters=2)
+        u = pc.solve_resident_steady(land, env, traits, grid, config)
+        # Newton factors A + diag(slope) (beta = 1); only the march uses -dt
+        assert betas.count(-config.fallback_dt) == 1
+        assert np.abs(u.values - reference.values).max() <= 1e-9
 
 
 class TestMonotonicityReport:
