@@ -11,7 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .analysis import PIPGrid, pip as pip_scan, predict_outcome
-from .config import DEFAULTS, RunConfig, apply_env_overrides
+from .config import DEFAULTS, RunConfig, apply_env_overrides, read_config
 from .dynamics import simulate
 from .eigen import (
     assemble_linearization,
@@ -21,6 +21,7 @@ from .eigen import (
 )
 from .errors import NumericalError, ValidationError
 from .grid import CSV_HEADER
+from .landscape import SpeciesTraits, StrategyVector
 from .steady import monotonicity_report, solve_resident_steady
 from .validate import run_validation
 
@@ -51,18 +52,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flags (and their PATCHCOMP_* variables) that override a config field
+_FLAG_FIELDS = {"out": "output_dir", "seed": "seed", "workers": "workers"}
+
+
 def _load_config(args: dict) -> RunConfig:
-    if args.get("config"):
-        cfg = RunConfig.load(args["config"])
-    else:
-        cfg = RunConfig.from_dict({})
-    if args.get("out") is not None:
-        cfg.output_dir = args["out"]
-    if args.get("seed") is not None:
-        cfg.seed = args["seed"]
-    if args.get("workers") is not None:
-        cfg.workers = args["workers"]
-    return cfg
+    data = read_config(args["config"]) if args.get("config") else {}
+    for flag, field in _FLAG_FIELDS.items():
+        if args.get(flag) is not None:
+            data[field] = args[flag]
+    # validated after the overrides, so a bad flag fails like a bad config
+    return RunConfig.from_dict(data)
 
 
 def _outdir(cfg: RunConfig) -> str:
@@ -218,11 +218,8 @@ def _cmd_classify(cfg: RunConfig, grid) -> int:
 
 
 def _sweep_point(payload) -> tuple[int, str]:
-    cfg_dict, index, p_values, d_values, want_fitness, resolution = payload
-    cfg = RunConfig.from_dict(cfg_dict)
-    grid = cfg.build_grid(resolution)
-    from .landscape import SpeciesTraits, StrategyVector
-
+    # ustar is the resident's steady state, or None when no fitness is asked
+    cfg, grid, ustar, index, p_values, d_values = payload
     mutant = SpeciesTraits(
         d_values if d_values is not None else cfg.mutant.d, StrategyVector(p_values)
     )
@@ -237,23 +234,29 @@ def _sweep_point(payload) -> tuple[int, str]:
         prediction.invade_when_rare,
         prediction.global_verdict,
     ]
-    if want_fitness:
+    if ustar is not None:
         pair = invasion_fitness(
-            cfg.landscape, cfg.environment, cfg.resident, mutant, grid, cfg.steady
+            cfg.landscape, cfg.environment, cfg.resident, mutant, grid, cfg.steady,
+            ustar=ustar,
         )
         row.append(_fmt(pair.lambda1))
     return index, ",".join(row)
 
 
-def _cmd_sweep(cfg: RunConfig, grid, resolution: float | None) -> int:
+def _cmd_sweep(cfg: RunConfig, grid) -> int:
     spec = cfg.raw["sweep"]
     points = spec.get("mutant_p") or []
     if not points:
         raise ValidationError("sweep.mutant_p: provide at least one mutant jump vector")
     want_fitness = bool(spec.get("fitness"))
     d_values = spec.get("mutant_d")
+    ustar = None
+    if want_fitness:
+        ustar = solve_resident_steady(
+            cfg.landscape, cfg.environment, cfg.resident, grid, cfg.steady
+        )
     payloads = [
-        (cfg.to_dict(), i, list(map(float, p)), d_values, want_fitness, resolution)
+        (cfg, grid, ustar, i, list(map(float, p)), d_values)
         for i, p in enumerate(points)
     ]
     workers = min(cfg.workers, len(payloads))
@@ -298,10 +301,9 @@ def run_command(argv) -> int:
     try:
         args = apply_env_overrides(vars(ns))
         cfg = _load_config(args)
-        resolution = args.get("resolution")
         if ns.command == "validate":
             return _cmd_validate(cfg)
-        grid = cfg.build_grid(resolution)
+        grid = cfg.build_grid(args.get("resolution"))
         if ns.command == "steady":
             return _cmd_steady(cfg, grid)
         if ns.command == "eigen":
@@ -315,7 +317,7 @@ def run_command(argv) -> int:
         if ns.command == "classify":
             return _cmd_classify(cfg, grid)
         if ns.command == "sweep":
-            return _cmd_sweep(cfg, grid, resolution)
+            return _cmd_sweep(cfg, grid)
         raise ValidationError(f"unknown command {ns.command}")
     except ValidationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -167,16 +167,21 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str) -> "RunConfig":
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ValidationError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ValidationError("config root must be a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(read_config(path))
+
+
+def read_config(path: str) -> dict[str, Any]:
+    """The JSON object of a config file, not yet merged or validated."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read config: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValidationError("config root must be a JSON object")
+    return data
 
 
 def apply_env_overrides(args: dict[str, Any]) -> dict[str, Any]:

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +25,25 @@ CSV_HEADER = "patch_index,x,value"
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _read_only(values) -> np.ndarray:
+    a = np.array(values, dtype=int)
+    a.flags.writeable = False
+    return a
+
+
+class _Layout(NamedTuple):
+    """A grid's index maps: read-only integer arrays and per-patch slices."""
+
+    offsets: np.ndarray
+    patch_slices: tuple[slice, ...]
+    left: np.ndarray
+    right: np.ndarray
+    reduced_trace: np.ndarray
+    reduced_patch_slices: tuple[slice, ...]
+    kept: np.ndarray
+    patch_of: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -40,6 +62,38 @@ class Grid:
         object.__setattr__(self, "landscape", landscape)
         object.__setattr__(self, "counts", counts)
 
+    def __getstate__(self):
+        # pickle the fields only: the layout cache is rebuilt on first use
+        return {"landscape": self.landscape, "counts": self.counts}
+
+    @cached_property
+    def _layout(self) -> _Layout:
+        """Index maps of this grid, built on first use and kept for its lifetime.
+
+        ``cached_property`` writes the instance ``__dict__`` directly, so it
+        works on the frozen dataclass; equality and hashing read the fields
+        only.
+        """
+        offsets = [0, *accumulate(c + 1 for c in self.counts)]
+        left = [offsets[m] + self.counts[m] for m in range(self.n - 1)]
+        right = offsets[1:-1]  # the first node of the next patch
+        kept = np.ones(offsets[-1], dtype=bool)
+        kept[right] = False
+        patch_of = [np.full(c + 1, i, dtype=int) for i, c in enumerate(self.counts)]
+        return _Layout(
+            offsets=_read_only(offsets),
+            patch_slices=tuple(slice(a, b) for a, b in zip(offsets, offsets[1:])),
+            left=_read_only(left),
+            right=_read_only(right),
+            reduced_trace=_read_only([j - m for m, j in enumerate(left)]),
+            reduced_patch_slices=tuple(
+                slice(offsets[i] - i + (1 if i > 0 else 0), offsets[i + 1] - i)
+                for i in range(self.n)
+            ),
+            kept=_read_only(np.flatnonzero(kept)),
+            patch_of=_read_only(np.concatenate(patch_of)),
+        )
+
     # --- full DOF layout -------------------------------------------------
 
     @property
@@ -55,12 +109,11 @@ class Grid:
         return self.num_dofs - (self.n - 1)
 
     def offsets(self) -> np.ndarray:
-        sizes = np.asarray([c + 1 for c in self.counts])
-        return np.concatenate(([0], np.cumsum(sizes)))
+        """Full index where each patch starts, then the total DOF count (read-only)."""
+        return self._layout.offsets
 
     def patch_slice(self, i: int) -> slice:
-        off = self.offsets()
-        return slice(int(off[i]), int(off[i + 1]))
+        return self._layout.patch_slices[i]
 
     def spacing(self, i: int) -> float:
         a, b = self.landscape.patch_bounds(i)
@@ -74,40 +127,38 @@ class Grid:
         return np.concatenate([self.patch_nodes(i) for i in range(self.n)])
 
     def patch_index_of_dofs(self) -> np.ndarray:
-        return np.concatenate(
-            [np.full(self.counts[i] + 1, i, dtype=int) for i in range(self.n)]
-        )
+        """Patch index of every full DOF (read-only)."""
+        return self._layout.patch_of
 
     def left_trace_index(self, m: int) -> int:
         """Full index of the left trace at interior interface m (0-based)."""
-        off = self.offsets()
-        return int(off[m] + self.counts[m])
+        return int(self._layout.left[m])
 
     def right_trace_index(self, m: int) -> int:
         """Full index of the right trace at interior interface m."""
-        off = self.offsets()
-        return int(off[m + 1])
+        return int(self._layout.right[m])
+
+    def right_trace_indices(self) -> np.ndarray:
+        """Full indices of the right traces, one per interface (read-only)."""
+        return self._layout.right
 
     # --- reduced layout ---------------------------------------------------
 
     def kept_indices(self) -> np.ndarray:
-        """Full indices retained in the reduced vector (right traces dropped)."""
-        mask = np.ones(self.num_dofs, dtype=bool)
-        for m in range(self.n - 1):
-            mask[self.right_trace_index(m)] = False
-        return np.flatnonzero(mask)
+        """Full indices retained in the reduced vector (right traces dropped; read-only)."""
+        return self._layout.kept
 
     def reduced_trace_index(self, m: int) -> int:
         """Reduced index of the (left) trace DOF at interface m."""
-        off = self.offsets()
-        return int(off[m] + self.counts[m] - m)
+        return int(self._layout.reduced_trace[m])
+
+    def reduced_trace_indices(self) -> np.ndarray:
+        """Reduced indices of the trace DOFs, one per interface (read-only)."""
+        return self._layout.reduced_trace
 
     def reduced_patch_slice(self, i: int) -> slice:
         """Reduced indices whose values belong to patch i (its left trace included)."""
-        off = self.offsets()
-        start = int(off[i] - i + (1 if i > 0 else 0))
-        stop = int(off[i + 1] - i)
-        return slice(start, stop)
+        return self._layout.reduced_patch_slices[i]
 
 
 def build_grid(

@@ -48,9 +48,15 @@ def full_mass(grid: Grid, traits: SpeciesTraits) -> np.ndarray:
     return mass
 
 
-def reduced_weights(grid: Grid, traits: SpeciesTraits) -> np.ndarray:
-    """Symmetrization weights on the reduced DOFs (eliminated mass folded in)."""
-    mass = full_mass(grid, traits)
+def reduced_weights(
+    grid: Grid, traits: SpeciesTraits, mass: np.ndarray | None = None
+) -> np.ndarray:
+    """Symmetrization weights on the reduced DOFs (eliminated mass folded in).
+
+    ``mass`` is ``full_mass(grid, traits)``, computed here unless passed in.
+    """
+    if mass is None:
+        mass = full_mass(grid, traits)
     p = traits.p_array
     w = mass[grid.kept_indices()]
     for m in range(grid.n - 1):
@@ -66,9 +72,7 @@ def expand_reduced(grid: Grid, traits: SpeciesTraits, reduced: np.ndarray) -> np
         raise ValidationError("reduced vector has the wrong length")
     full = np.empty(grid.num_dofs)
     full[grid.kept_indices()] = reduced
-    p = traits.p_array
-    for m in range(grid.n - 1):
-        full[grid.right_trace_index(m)] = p[m] * reduced[grid.reduced_trace_index(m)]
+    full[grid.right_trace_indices()] = traits.p_array * reduced[grid.reduced_trace_indices()]
     return full
 
 
@@ -82,7 +86,7 @@ def _restrict_weighted(
     grid: Grid, traits: SpeciesTraits, full_values: np.ndarray, trace_power: int
 ) -> np.ndarray:
     mass = full_mass(grid, traits)
-    weights = reduced_weights(grid, traits)
+    weights = reduced_weights(grid, traits, mass)
     p = traits.p_array
     num = mass * np.asarray(full_values, dtype=float)
     red = num[grid.kept_indices()]
@@ -230,10 +234,12 @@ def apply_to_field(op: LinearOperator, field: PiecewiseField) -> np.ndarray:
 
 
 class SpeciesLayout:
-    """Cached index maps and masses for one species on one grid.
+    """Masses and weights for one species on one grid, with its index maps.
 
-    The expansion / restriction helpers above rebuild their index arrays on
-    every call; inner time-stepping loops go through this cache instead.
+    The index arrays are the grid's own cached, read-only ones.  The
+    expansion / restriction helpers above recompute the species' masses and
+    weights on every call; inner time-stepping loops go through this object
+    instead.
     """
 
     def __init__(self, grid: Grid, traits: SpeciesTraits):
@@ -241,15 +247,11 @@ class SpeciesLayout:
         self.grid = grid
         self.traits = traits
         self.kept = grid.kept_indices()
-        self.right = np.array(
-            [grid.right_trace_index(m) for m in range(grid.n - 1)], dtype=int
-        )
-        self.trace = np.array(
-            [grid.reduced_trace_index(m) for m in range(grid.n - 1)], dtype=int
-        )
+        self.right = grid.right_trace_indices()
+        self.trace = grid.reduced_trace_indices()
         self.p = traits.p_array
         self.mass = full_mass(grid, traits)
-        self.weights = reduced_weights(grid, traits)
+        self.weights = reduced_weights(grid, traits, self.mass)
 
     def expand(self, reduced: np.ndarray) -> np.ndarray:
         full = np.empty(self.grid.num_dofs)

@@ -185,6 +185,49 @@ class TestCommands:
         path.write_text(json.dumps({**cfg, "workers": "x"}))
         assert run(["sweep", "--config", path, "--out", tmp_path]) == 1
 
+    @pytest.mark.parametrize("flag,env", [(["--workers", "-3"], {}),
+                                          ([], {"PATCHCOMP_WORKERS": "0"})])
+    def test_bad_workers_override_exits_one(self, tmp_path, monkeypatch, capsys, flag, env):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sweep": {"mutant_p": [[2.5]]}, "grid": {"per_patch": 20}}))
+        assert run(["sweep", "--config", path, "--out", tmp_path, *flag]) == 1
+        assert "workers:" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("fitness,solves", [(True, 1), (False, 0)])
+    def test_sweep_solves_resident_once(self, tmp_path, monkeypatch, fitness, solves):
+        calls = []
+        solve = patchcomp.cli.solve_resident_steady
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(patchcomp.cli, "solve_resident_steady", counting)
+        cfg = {"sweep": {"mutant_p": [[2.5], [4.0], [1.5]], "fitness": fitness},
+               "grid": {"per_patch": 20}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["sweep", "--config", path, "--out", tmp_path]) == 0
+        assert len(calls) == solves
+        lines = (tmp_path / "sweep.csv").read_text().strip().split("\n")
+        assert len(lines) == 4
+        assert lines[0].endswith(",lambda1") == fitness
+
+    def test_sweep_csv_independent_of_workers(self, tmp_path):
+        cfg = {"sweep": {"mutant_p": [[2.5], [4.0], [1.5], [3.2]], "fitness": True},
+               "grid": {"per_patch": 30}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        texts = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            assert run(["sweep", "--config", path, "--out", out, "--workers", workers]) == 0
+            texts.append((out / "sweep.csv").read_bytes())
+        assert texts[0] == texts[1]
+
     def test_byte_identical_reruns(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

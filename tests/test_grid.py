@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,61 @@ class TestBuildGrid:
         a = pc.build_grid(land, target_h=0.01)
         b = pc.build_grid(land, target_h=0.01)
         assert a.counts == b.counts
+
+
+def uneven_grid():
+    return pc.build_grid(pc.Landscape([0.0, 0.6, 2.1, 2.9, 4.4]), per_patch=[5, 11, 4, 8])
+
+
+class TestLayoutCache:
+    def test_cached_indices_match_formulas(self):
+        grid = uneven_grid()
+        sizes = [c + 1 for c in grid.counts]
+        off = np.concatenate(([0], np.cumsum(sizes)))
+        assert np.array_equal(grid.offsets(), off)
+        for i in range(grid.n):
+            assert grid.patch_slice(i) == slice(int(off[i]), int(off[i + 1]))
+            start = int(off[i] - i + (1 if i > 0 else 0))
+            assert grid.reduced_patch_slice(i) == slice(start, int(off[i + 1] - i))
+        rights = []
+        for m in range(grid.n - 1):
+            assert grid.left_trace_index(m) == int(off[m] + grid.counts[m])
+            assert grid.right_trace_index(m) == int(off[m + 1])
+            assert grid.reduced_trace_index(m) == int(off[m] + grid.counts[m] - m)
+            for index in (grid.left_trace_index(m), grid.right_trace_index(m),
+                          grid.reduced_trace_index(m)):
+                assert type(index) is int
+            rights.append(int(off[m + 1]))
+        assert grid.right_trace_indices().tolist() == rights
+        assert grid.reduced_trace_indices().tolist() == [
+            grid.reduced_trace_index(m) for m in range(grid.n - 1)
+        ]
+        mask = np.ones(grid.num_dofs, dtype=bool)
+        mask[rights] = False
+        assert np.array_equal(grid.kept_indices(), np.flatnonzero(mask))
+        assert grid.kept_indices().size == grid.num_reduced
+        patch_of = np.concatenate([np.full(s, i) for i, s in enumerate(sizes)])
+        assert np.array_equal(grid.patch_index_of_dofs(), patch_of)
+
+    def test_cached_arrays_are_read_only(self):
+        grid = uneven_grid()
+        for array in (grid.kept_indices(), grid.offsets(), grid.right_trace_indices(),
+                      grid.reduced_trace_indices(), grid.patch_index_of_dofs()):
+            with pytest.raises(ValueError):
+                array[0] = 99
+        assert grid.kept_indices()[0] == 0
+
+    def test_warm_cache_keeps_equality_hash_and_pickle(self):
+        warm = uneven_grid()
+        kept = warm.kept_indices().copy()
+        fresh = uneven_grid()
+        assert warm == fresh
+        assert hash(warm) == hash(fresh)
+        assert pickle.dumps(warm) == pickle.dumps(fresh)
+        back = pickle.loads(pickle.dumps(warm))
+        assert back == warm and hash(back) == hash(warm)
+        assert np.array_equal(back.kept_indices(), kept)
+        assert back.reduced_patch_slice(2) == warm.reduced_patch_slice(2)
 
 
 class TestPiecewiseField:

@@ -130,6 +130,22 @@ class TestReductionMaps:
         )
 
 
+    def test_layout_matches_plain_functions_exactly(self):
+        land = pc.Landscape([0.0, 0.6, 2.1, 2.9, 4.4])
+        grid = pc.build_grid(land, per_patch=[5, 11, 4, 8])
+        traits = pc.SpeciesTraits([0.3, 1.7, 2.4, 0.9], pc.StrategyVector([0.4, 1.3, 3.2]))
+        layout = SpeciesLayout(grid, traits)
+        red = np.linspace(0.5, 1.5, grid.num_reduced)
+        assert np.array_equal(layout.expand(red), expand_reduced(grid, traits, red))
+        g = np.cos(np.linspace(0, 3, grid.num_dofs))
+        assert np.array_equal(layout.restrict_avg(g), restrict_cell_average(grid, traits, g))
+        # the layout has no diagonal restriction; fold p**2 through its maps
+        num = layout.mass * g
+        diag = num[layout.kept]
+        for m in range(grid.n - 1):
+            diag[layout.trace[m]] += layout.p[m] ** 2 * num[layout.right[m]]
+        assert np.array_equal(diag / layout.weights, restrict_diagonal(grid, traits, g))
+
 class TestTransformConsistency:
     def test_rescaled_operator_is_exact_conjugate(self):
         # applying the physical operator to a jump-consistent field equals the
