@@ -83,10 +83,15 @@ def restrict_values(grid: Grid, full: np.ndarray) -> np.ndarray:
 
 
 def _restrict_weighted(
-    grid: Grid, traits: SpeciesTraits, full_values: np.ndarray, trace_power: int
+    grid: Grid,
+    traits: SpeciesTraits,
+    full_values: np.ndarray,
+    trace_power: int,
+    weights: np.ndarray | None = None,
 ) -> np.ndarray:
     mass = full_mass(grid, traits)
-    weights = reduced_weights(grid, traits, mass)
+    if weights is None:
+        weights = reduced_weights(grid, traits, mass)
     p = traits.p_array
     num = mass * np.asarray(full_values, dtype=float)
     red = num[grid.kept_indices()]
@@ -100,9 +105,15 @@ def restrict_cell_average(grid: Grid, traits: SpeciesTraits, full_values) -> np.
     return _restrict_weighted(grid, traits, full_values, trace_power=1)
 
 
-def restrict_diagonal(grid: Grid, traits: SpeciesTraits, full_values) -> np.ndarray:
-    """Mass-weighted restriction for multiplicative coefficients (potentials)."""
-    return _restrict_weighted(grid, traits, full_values, trace_power=2)
+def restrict_diagonal(
+    grid: Grid, traits: SpeciesTraits, full_values, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """Mass-weighted restriction for multiplicative coefficients (potentials).
+
+    ``weights`` is ``reduced_weights(grid, traits)``, computed here unless
+    passed in (an assembled operator carries them as ``op.weights``).
+    """
+    return _restrict_weighted(grid, traits, full_values, trace_power=2, weights=weights)
 
 
 def consistent_constant(grid: Grid, traits: SpeciesTraits, amplitude: float = 1.0) -> np.ndarray:
@@ -238,8 +249,9 @@ class SpeciesLayout:
 
     The index arrays are the grid's own cached, read-only ones.  The
     expansion / restriction helpers above recompute the species' masses and
-    weights on every call; inner time-stepping loops go through this object
-    instead.
+    weights on every call; the steady solve and the time stepper, which
+    restrict many times on one grid, go through this object instead.  Its
+    arithmetic is that of the helpers, so results are bit-for-bit the same.
     """
 
     def __init__(self, grid: Grid, traits: SpeciesTraits):
@@ -250,6 +262,7 @@ class SpeciesLayout:
         self.right = grid.right_trace_indices()
         self.trace = grid.reduced_trace_indices()
         self.p = traits.p_array
+        self.p2 = self.p**2
         self.mass = full_mass(grid, traits)
         self.weights = reduced_weights(grid, traits, self.mass)
 
@@ -260,9 +273,17 @@ class SpeciesLayout:
             full[self.right] = self.p * reduced[self.trace]
         return full
 
-    def restrict_avg(self, full_values: np.ndarray) -> np.ndarray:
+    def _restrict(self, full_values: np.ndarray, trace_factor: np.ndarray) -> np.ndarray:
         num = self.mass * full_values
         red = num[self.kept]
         if self.right.size:
-            red[self.trace] += self.p * num[self.right]
+            red[self.trace] += trace_factor * num[self.right]
         return red / self.weights
+
+    def restrict_avg(self, full_values: np.ndarray) -> np.ndarray:
+        """As ``restrict_cell_average`` (reaction terms)."""
+        return self._restrict(full_values, self.p)
+
+    def restrict_diag(self, full_values: np.ndarray) -> np.ndarray:
+        """As ``restrict_diagonal`` (multiplicative coefficients)."""
+        return self._restrict(full_values, self.p2)

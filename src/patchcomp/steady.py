@@ -20,14 +20,7 @@ from .landscape import (
     ifd_strategy,
     strict_dominates,
 )
-from .operators import (
-    LinearOperator,
-    assemble_diffusion,
-    env_on_dofs,
-    expand_reduced,
-    restrict_cell_average,
-    restrict_diagonal,
-)
+from .operators import SpeciesLayout, assemble_diffusion, env_on_dofs
 
 
 @dataclass(frozen=True)
@@ -46,43 +39,49 @@ class SteadyConfig:
             raise ValueError("max_newton_iters must be at least 1")
 
 
-def _residual_and_slope(
-    op: LinearOperator,
-    grid: Grid,
-    traits: SpeciesTraits,
-    r_full: np.ndarray,
-    k_full: np.ndarray,
-    u_red: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    u_full = expand_reduced(grid, traits, u_red)
-    f = r_full * u_full * (1.0 - u_full / k_full)
-    fp = r_full * (1.0 - 2.0 * u_full / k_full)
-    res = op.matvec(u_red) + restrict_cell_average(grid, traits, f)
-    slope = restrict_diagonal(grid, traits, fp)
-    return res, slope
+class _SteadyProblem:
+    """One species' steady problem on one grid, with everything that stays
+    fixed during the solve (operator, masses and weights, rates, row scale)
+    computed once."""
+
+    def __init__(self, grid: Grid, env: PatchEnvironment, traits: SpeciesTraits):
+        self.op = assemble_diffusion(grid, traits)
+        self.layout = SpeciesLayout(grid, traits)
+        self.r_full, self.k_full = env_on_dofs(grid, env)
+        op = self.op
+        self.row_scale = float((np.abs(op.di) + np.abs(op.lo) + np.abs(op.up)).max())
+
+    def growth(self, u_full: np.ndarray) -> np.ndarray:
+        """Logistic growth of a full field, restricted to the reduced DOFs."""
+        return self.layout.restrict_avg(self.r_full * u_full * (1.0 - u_full / self.k_full))
+
+    def residual_and_slope(self, u_red: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        u_full = self.layout.expand(u_red)
+        res = self.op.matvec(u_red) + self.growth(u_full)
+        fp = self.r_full * (1.0 - 2.0 * u_full / self.k_full)
+        return res, self.layout.restrict_diag(fp)
+
+    def noise_floor(self, u: np.ndarray) -> float:
+        """Rounding level of one residual evaluation; the scaled tolerance adds this."""
+        return (
+            8.0 * np.finfo(float).eps * self.row_scale
+            * max(float(np.abs(u).max()), self.k_full.max())
+        )
 
 
-def _noise_floor(op: LinearOperator, k_full: np.ndarray, u: np.ndarray) -> float:
-    """Rounding level of one residual evaluation; the scaled tolerance adds this."""
-    row_scale = float((np.abs(op.di) + np.abs(op.lo) + np.abs(op.up)).max())
-    return 8.0 * np.finfo(float).eps * row_scale * max(float(np.abs(u).max()), k_full.max())
-
-
-def _newton(op, grid, traits, r_full, k_full, u0, config: SteadyConfig):
-    floor = 1e-12 * k_full.min()
+def _newton(problem: _SteadyProblem, u0, config: SteadyConfig):
+    floor = 1e-12 * problem.k_full.min()
     u = np.maximum(np.asarray(u0, dtype=float).copy(), floor)
-    res, slope = _residual_and_slope(op, grid, traits, r_full, k_full, u)
+    res, slope = problem.residual_and_slope(u)
     for _ in range(config.max_newton_iters):
         norm = float(np.abs(res).max())
-        if norm <= config.newton_tol + _noise_floor(op, k_full, u):
+        if norm <= config.newton_tol + problem.noise_floor(u):
             return u, norm
-        step = op.factor_shifted(slope)(-res)
+        step = problem.op.factor_shifted(slope)(-res)
         alpha = 1.0
         while True:
             trial = np.maximum(u + alpha * step, floor)
-            trial_res, trial_slope = _residual_and_slope(
-                op, grid, traits, r_full, k_full, trial
-            )
+            trial_res, trial_slope = problem.residual_and_slope(trial)
             if np.abs(trial_res).max() <= (1.0 - config.armijo * alpha) * norm:
                 u, res, slope = trial, trial_res, trial_slope
                 break
@@ -106,8 +105,7 @@ def solve_resident_steady(
     explicit reduced initial guess is given.
     """
     config = config or SteadyConfig()
-    op = assemble_diffusion(grid, traits)
-    r_full, k_full = env_on_dofs(grid, env)
+    problem = _SteadyProblem(grid, env, traits)
 
     if initial is None:
         u0 = np.empty(grid.num_reduced)
@@ -116,30 +114,28 @@ def solve_resident_steady(
     else:
         u0 = np.asarray(initial, dtype=float)
 
-    u, norm = _newton(op, grid, traits, r_full, k_full, u0, config)
-    if norm > config.newton_tol + _noise_floor(op, k_full, u):
+    u, norm = _newton(problem, u0, config)
+    if norm > config.newton_tol + problem.noise_floor(u):
         # implicit-diffusion march toward the attracting steady state
         dt = config.fallback_dt
-        march = op.factor_shifted(1.0, -dt)
+        march = problem.op.factor_shifted(1.0, -dt)
         steps = int(np.ceil(config.fallback_horizon / dt))
         for step in range(1, steps + 1):
-            u_full = expand_reduced(grid, traits, u)
-            f = r_full * u_full * (1.0 - u_full / k_full)
-            rhs = u + dt * restrict_cell_average(grid, traits, f)
-            u = np.maximum(march(rhs), 1e-12 * k_full.min())
+            rhs = u + dt * problem.growth(problem.layout.expand(u))
+            u = np.maximum(march(rhs), 1e-12 * problem.k_full.min())
             if step % 20 == 0:
-                res, _ = _residual_and_slope(op, grid, traits, r_full, k_full, u)
+                res, _ = problem.residual_and_slope(u)
                 if np.abs(res).max() < 1e-4:
                     break
-        u, norm = _newton(op, grid, traits, r_full, k_full, u, config)
-        if norm > config.newton_tol + _noise_floor(op, k_full, u):
+        u, norm = _newton(problem, u, config)
+        if norm > config.newton_tol + problem.noise_floor(u):
             raise SteadyConvergenceError(
                 "steady solve failed after Newton and time-march fallback",
                 residual=norm,
             )
     if u.min() <= 0:
         raise SteadyConvergenceError("steady state lost positivity", residual=norm)
-    return PiecewiseField(grid, expand_reduced(grid, traits, u))
+    return PiecewiseField(grid, problem.layout.expand(u))
 
 
 _FLAT_FACTOR = 1e-8

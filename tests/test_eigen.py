@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 import patchcomp as pc
 from patchcomp.eigen import assemble_linearization, growth_potential
@@ -8,6 +10,15 @@ from patchcomp.identities import (
     invasion_identity_residual,
 )
 from patchcomp.operators import assemble_diffusion
+
+
+def extended_rayleigh_quotient(di, off, y):
+    """Rayleigh quotient of a symmetric tridiagonal matrix in long double."""
+    y = y.astype(np.longdouble)
+    ty = di * y
+    ty[:-1] += off * y[1:]
+    ty[1:] += off * y[:-1]
+    return float(y @ ty / (y @ y))
 
 
 def fitness(land, env, p, p_hat, d=None, d_hat=None, n_sub=100, ustar=None):
@@ -137,6 +148,95 @@ class TestPrincipalEigenpair:
         )
         assert shifted.lambda1 - base.lambda1 == pytest.approx(0.43, abs=1e-10)
         assert np.abs(shifted.phi.values - base.phi.values).max() <= 1e-9
+
+
+class TestNodaIteration:
+    @given(
+        patches=st.lists(
+            st.tuples(  # length, d, p (the last patch's p is unused), r, k
+                st.floats(0.5, 2.0), st.floats(0.1, 10.0), st.floats(0.2, 5.0),
+                st.floats(0.5, 2.0), st.floats(0.5, 2.0),
+            ),
+            min_size=2,
+            max_size=6,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_landscapes_match_dense_spectrum(self, patches, seed):
+        length, d, p, r, k = (np.array(col) for col in zip(*patches))
+        land = pc.Landscape(np.concatenate(([0.0], np.cumsum(length))))
+        traits = pc.SpeciesTraits(d, pc.StrategyVector(p[:-1]))
+        grid = pc.build_grid(land, per_patch=12)
+        rng = np.random.default_rng(seed)
+        patch_of = grid.patch_index_of_dofs()
+        potential = r[patch_of] * (1.0 - rng.uniform(0.0, 2.0, grid.num_dofs) / k[patch_of])
+        op = assemble_linearization(grid, traits, potential)
+        scale = float(np.abs(op.di).max())
+
+        pair = pc.principal_eigenpair(op)
+        di, off = op.symmetrized_bands()
+        top = np.linalg.eigvalsh(np.diag(di) + np.diag(off, 1) + np.diag(off, -1))[-1]
+        assert pair.lambda1 == pytest.approx(top, rel=1e-9, abs=1e-12 * scale)
+        assert pair.phi.min() > 0
+        assert pair.phi.is_jump_consistent(traits)
+
+        op.up = op.up * rng.uniform(1.05, 1.3, op.size)  # breaks the weighted symmetry
+        pair = pc.principal_eigenpair(op)
+        top = np.linalg.eigvals(op.dense()).real.max()
+        assert pair.lambda1 == pytest.approx(top, rel=1e-9, abs=1e-12 * scale)
+        assert pair.phi.min() > 0
+
+    @pytest.mark.parametrize("n_sub", [100, 1000, 4000])
+    def test_reference_pair_against_bisection(self, two_patch, n_sub):
+        land, env, resident, mutant = two_patch
+        grid = pc.build_grid(land, per_patch=n_sub)
+        ustar = pc.solve_resident_steady(land, env, resident, grid)
+        op = assemble_linearization(grid, mutant, growth_potential(grid, env, ustar))
+        pair = pc.principal_eigenpair(op)
+
+        di, off = op.symmetrized_bands()
+        top = op.size - 1
+        value, vector = eigh_tridiagonal(di, off, select="i", select_range=(top, top))
+        # the bisection value is itself only good to eps * ||T||_1 (LAPACK
+        # stebz at its default tolerance): 3.5e-9 at 4,000 per patch.  The
+        # Rayleigh quotient of its vector in extended precision is not.
+        norm = float(np.abs(di).max() + 2.0 * np.abs(off).max())
+        assert abs(pair.lambda1 - value[0]) <= 1e-10 + np.finfo(float).eps * norm
+        assert abs(pair.lambda1 - extended_rayleigh_quotient(di, off, vector[:, 0])) <= 1e-10
+
+        assert pair.iterations <= 8
+        # the budget of test_eigen_residual_within_budget, or the rounding
+        # floor of a max-normalized residual where that is larger (from
+        # 1,000 per patch on, as eps * |di| outgrows the h^2 term)
+        h2_scale = float(np.abs(op.di).max()) * max(
+            grid.spacing(i) ** 2 for i in range(grid.n)
+        )
+        budget = 1e-9 * (abs(pair.lambda1) + h2_scale)
+        assert pair.residual <= max(budget, 5e-15 * float(np.abs(op.di).max()))
+
+        op.up = op.up.copy()
+        op.up[op.size // 2] = 0.0
+        with pytest.raises(pc.EigenSolveError, match="refine grid"):
+            pc.principal_eigenpair(op)
+
+    def test_stops_at_the_rounding_floor(self, two_patch):
+        # at 16,000 per patch no iterate of this pair gets its residual under
+        # 5e-15 * scale; the loop must end once the residual stops falling
+        land, env, resident, mutant = two_patch
+        grid = pc.build_grid(land, per_patch=16000)
+        ustar = pc.solve_resident_steady(land, env, resident, grid)
+        op = assemble_linearization(grid, mutant, growth_potential(grid, env, ustar))
+        pair = pc.principal_eigenpair(op)
+        scale = float(np.abs(op.di).max())
+        assert pair.residual > 5e-15 * scale
+        assert pair.residual <= op.size * np.finfo(float).eps * scale
+        assert pair.iterations <= 8
+
+        di, off = op.symmetrized_bands()
+        top = op.size - 1
+        _, vector = eigh_tridiagonal(di, off, select="i", select_range=(top, top))
+        assert abs(pair.lambda1 - extended_rayleigh_quotient(di, off, vector[:, 0])) <= 1e-10
 
 
 class TestInvasionFitness:

@@ -139,12 +139,13 @@ class TestReductionMaps:
         assert np.array_equal(layout.expand(red), expand_reduced(grid, traits, red))
         g = np.cos(np.linspace(0, 3, grid.num_dofs))
         assert np.array_equal(layout.restrict_avg(g), restrict_cell_average(grid, traits, g))
-        # the layout has no diagonal restriction; fold p**2 through its maps
-        num = layout.mass * g
-        diag = num[layout.kept]
-        for m in range(grid.n - 1):
-            diag[layout.trace[m]] += layout.p[m] ** 2 * num[layout.right[m]]
-        assert np.array_equal(diag / layout.weights, restrict_diagonal(grid, traits, g))
+        assert np.array_equal(layout.restrict_diag(g), restrict_diagonal(grid, traits, g))
+        # an operator's stored weights stand in for recomputed ones
+        weights = assemble_diffusion(grid, traits).weights
+        assert np.array_equal(
+            restrict_diagonal(grid, traits, g, weights=weights),
+            restrict_diagonal(grid, traits, g),
+        )
 
 class TestTransformConsistency:
     def test_rescaled_operator_is_exact_conjugate(self):
