@@ -1,10 +1,12 @@
 """Time integration of the two-species competition system and outcome calls.
 
-Diffusion is implicit (one prefactored tridiagonal solve per species per
-step), the logistic competition term explicit.  The induced step map is
-monotone for the order "first species up, second species down", which is what
-the order-preservation harness checks, and it leaves the jump-consistent
-bounding boxes invariant.
+Diffusion is implicit: ``I - theta dt A`` is symmetric positive definite in
+the operator's weighted inner product, so it is LDLᵀ-factored once per species
+and a step makes one O(N) symmetric tridiagonal solve per species.  The
+logistic competition term is explicit and computed on the reduced DOFs.  The
+induced step map is monotone for the order "first species up, second species
+down", which is what the order-preservation harness checks, and it leaves the
+jump-consistent bounding boxes invariant.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from .errors import SimulationBlowUpError, ValidationError
 from .grid import Grid, PiecewiseField
 from .landscape import Landscape, PatchEnvironment, SpeciesTraits
 from .operators import (
-    SpeciesLayout,
     assemble_diffusion,
     consistent_constant,
     env_on_dofs,
     expand_reduced,
+    full_mass,
 )
 from .steady import SteadyConfig, solve_resident_steady
 
@@ -47,6 +49,12 @@ class SimConfig:
             raise ValidationError(f"scheme must be one of {_SCHEMES}")
         if self.t_max <= 0:
             raise ValidationError("t_max must be positive")
+        for name in ("check_interval", "snapshot_stride"):
+            value = getattr(self, name)
+            if value is None and name == "snapshot_stride":
+                continue
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValidationError(f"{name} must be an integer of at least 1")
 
 
 @dataclass
@@ -63,8 +71,10 @@ class OutcomeRecord:
 class Stepper:
     """IMEX / CN stepping for one parameter point at the fixed ``self.dt``.
 
-    ``I - theta dt A`` (theta = 1 for IMEX Euler, 1/2 for CN) is LU-factored
-    once per species here; a step is one O(N) tridiagonal solve per species.
+    ``I - theta dt A`` (theta = 1 for IMEX Euler, 1/2 for CN) is LDLᵀ-factored
+    once per species here, in its weight-symmetrized form; a step is the
+    reaction on the reduced DOFs, then one O(N) symmetric tridiagonal solve
+    per species.
     """
 
     def __init__(
@@ -84,23 +94,37 @@ class Stepper:
         self.config = config or SimConfig()
         self.op_u = assemble_diffusion(grid, resident)
         self.op_v = assemble_diffusion(grid, mutant)
-        self.layout_u = SpeciesLayout(grid, resident)
-        self.layout_v = SpeciesLayout(grid, mutant)
-        self.r_full, self.k_full = env_on_dofs(grid, env)
+        kept = grid.kept_indices()
+        self.r, self.k = (values[kept] for values in env_on_dofs(grid, env))
+        # the trace DOF of interface m restricts two one-sided values, the left
+        # patch's and the eliminated right trace's (density p * u in patch
+        # m + 1); a_left and a_right are their mass-weighted fractions
+        self.trace = grid.reduced_trace_indices()
+        self.r_right, self.k_right = env.r_array[1:], env.k_array[1:]
+        self.p_u, self.p_v = resident.p_array, mutant.p_array
+        self.a_left_u, self.a_right_u = _trace_fractions(self.op_u)
+        self.a_left_v, self.a_right_v = _trace_fractions(self.op_v)
         self.dt = self.config.dt if self.config.dt is not None else 0.01 / env.r_array.max()
         theta = 0.5 if self.config.scheme == "cn-diffusion" else 1.0
-        self._solve_u = self.op_u.factor_shifted(1.0, -theta * self.dt)
-        self._solve_v = self.op_v.factor_shifted(1.0, -theta * self.dt)
+        self._solve_u = self.op_u.factor_symmetric(1.0, -theta * self.dt)
+        self._solve_v = self.op_v.factor_symmetric(1.0, -theta * self.dt)
 
     def reaction(self, u_red: np.ndarray, v_red: np.ndarray):
-        """Explicit competition terms for both species, on reduced DOFs."""
-        u_full = self.layout_u.expand(u_red)
-        v_full = self.layout_v.expand(v_red)
-        crowd = self.r_full * (1.0 - (u_full + v_full) / self.k_full)
-        return (
-            self.layout_u.restrict_avg(u_full * crowd),
-            self.layout_v.restrict_avg(v_full * crowd),
-        )
+        """Explicit competition terms for both species, on reduced DOFs.
+
+        Away from the interfaces this is pointwise ``u * r (1 - (u + v) / k)``;
+        at each trace DOF it is the weighted restriction of that field's two
+        one-sided values, as ``restrict_cell_average`` of the expanded field.
+        """
+        crowd = self.r * (1.0 - (u_red + v_red) / self.k)
+        f_u = u_red * crowd
+        f_v = v_red * crowd
+        u_tr, v_tr = u_red[self.trace], v_red[self.trace]
+        crowd_left = crowd[self.trace]
+        crowd_right = self.r_right * (1.0 - (self.p_u * u_tr + self.p_v * v_tr) / self.k_right)
+        f_u[self.trace] = u_tr * (self.a_left_u * crowd_left + self.a_right_u * crowd_right)
+        f_v[self.trace] = v_tr * (self.a_left_v * crowd_left + self.a_right_v * crowd_right)
+        return f_u, f_v
 
     def step(
         self, u_red: np.ndarray, v_red: np.ndarray
@@ -113,9 +137,11 @@ class Stepper:
         if self.config.scheme == "cn-diffusion":
             rhs_u += 0.5 * dt * self.op_u.matvec(u_red)
             rhs_v += 0.5 * dt * self.op_v.matvec(v_red)
-        clipped = float(-np.minimum(rhs_u, 0.0).sum() - np.minimum(rhs_v, 0.0).sum())
-        np.maximum(rhs_u, 0.0, out=rhs_u)
-        np.maximum(rhs_v, 0.0, out=rhs_v)
+        clipped = 0.0
+        if rhs_u.min() < 0 or rhs_v.min() < 0:
+            clipped = float(-np.minimum(rhs_u, 0.0).sum() - np.minimum(rhs_v, 0.0).sum())
+            np.maximum(rhs_u, 0.0, out=rhs_u)
+            np.maximum(rhs_v, 0.0, out=rhs_v)
         return self._solve_u(rhs_u), self._solve_v(rhs_v), clipped
 
     def steady_residuals(self, u_red: np.ndarray, v_red: np.ndarray) -> tuple[float, float]:
@@ -123,6 +149,17 @@ class Stepper:
         res_u = self.op_u.matvec(u_red) + f_u
         res_v = self.op_v.matvec(v_red) + f_v
         return float(np.abs(res_u).max()), float(np.abs(res_v).max())
+
+
+def _trace_fractions(op) -> tuple[np.ndarray, np.ndarray]:
+    """Shares ``mass / weight`` of each trace DOF's left and right one-sided
+    values, the right one's times p² (see ``restrict_cell_average``)."""
+    grid = op.grid
+    trace = grid.reduced_trace_indices()
+    mass = full_mass(grid, op.traits)
+    w = op.weights[trace]
+    left = mass[grid.kept_indices()[trace]] / w
+    return left, op.traits.p_array**2 * mass[grid.right_trace_indices()] / w
 
 
 def default_initial(grid: Grid, env: PatchEnvironment) -> tuple[np.ndarray, np.ndarray]:
@@ -304,14 +341,19 @@ def order_preservation_check(
     tol = 1e-10 * env.k_array.max()
     ua, va = (np.asarray(w, dtype=float).copy() for w in state_a)
     ub, vb = (np.asarray(w, dtype=float).copy() for w in state_b)
-    grid = stepper.grid
+    if any(w.shape != (stepper.grid.num_reduced,) for w in (ua, va, ub, vb)):
+        raise ValidationError("reduced vector has the wrong length")
+    tr, p_u, p_v = stepper.trace, stepper.p_u, stepper.p_v
 
     def violation(ua, va, ub, vb) -> float:
-        ua_f = expand_reduced(grid, stepper.resident, ua)
-        ub_f = expand_reduced(grid, stepper.resident, ub)
-        va_f = expand_reduced(grid, stepper.mutant, va)
-        vb_f = expand_reduced(grid, stepper.mutant, vb)
-        return max(float((ub_f - ua_f).max()), float((va_f - vb_f).max()))
+        # the full fields' gaps: the reduced DOFs' and the eliminated right
+        # traces', p * value with the arithmetic of expand_reduced
+        gap_u = (ub - ua).max()
+        gap_v = (va - vb).max()
+        if tr.size:
+            gap_u = max(gap_u, (p_u * ub[tr] - p_u * ua[tr]).max())
+            gap_v = max(gap_v, (p_v * va[tr] - p_v * vb[tr]).max())
+        return max(float(gap_u), float(gap_v))
 
     start = violation(ua, va, ub, vb)
     if start > tol:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
 from .errors import ValidationError
 from .grid import Grid, PiecewiseField
@@ -180,6 +180,30 @@ class LinearOperator:
 
         return solve
 
+    def factor_symmetric(self, alpha, beta: float = 1.0):
+        """As ``factor_shifted``, by LDLᵀ (LAPACK pttrf/pttrs), for A symmetric
+        in its weights and ``diag(alpha) + beta * A`` positive definite.
+
+        The factor is of ``S (alpha + beta A) S⁻¹``, ``S = diag(sqrt(weights))``,
+        whose off-diagonal is that of ``symmetrized_bands`` (rows scaled by the
+        weights instead lose accuracy).  An asymmetric A or non-finite input
+        raises ValueError, a matrix that is not positive definite LinAlgError.
+        """
+        if self.symmetry_defect() > 1e-10:
+            raise ValueError("operator is not symmetric in its weights")
+        _, off = self.symmetrized_bands()
+        bands = (alpha + beta * self.di, beta * off)
+        d, e, info = dpttrf(*map(np.asarray_chkfinite, bands))
+        if info > 0:
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+        s = np.sqrt(self.weights)
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            x, _ = dpttrs(d, e, s * np.asarray_chkfinite(rhs, dtype=float), overwrite_b=1)
+            return x / s
+
+        return solve
+
     def solve_shifted(self, sigma: float, rhs: np.ndarray) -> np.ndarray:
         """Solve (sigma * I - A) x = rhs."""
         return self.factor_shifted(sigma, -1.0)(rhs)
@@ -249,9 +273,9 @@ class SpeciesLayout:
 
     The index arrays are the grid's own cached, read-only ones.  The
     expansion / restriction helpers above recompute the species' masses and
-    weights on every call; the steady solve and the time stepper, which
-    restrict many times on one grid, go through this object instead.  Its
-    arithmetic is that of the helpers, so results are bit-for-bit the same.
+    weights on every call; the steady solve, which restricts many times on
+    one grid, goes through this object instead.  Its arithmetic is that of
+    the helpers, so results are bit-for-bit the same.
     """
 
     def __init__(self, grid: Grid, traits: SpeciesTraits):

@@ -50,6 +50,16 @@ class TestConfig:
         with pytest.raises(ValidationError, match="workers:"):
             RunConfig.from_dict({"workers": workers})
 
+    @pytest.mark.parametrize("field", ["check_interval", "snapshot_stride"])
+    @pytest.mark.parametrize("value", [0, -1, 2.5, True])
+    def test_sim_strides_must_be_positive_integers(self, field, value):
+        with pytest.raises(ValidationError, match=f"sim: {field}"):
+            RunConfig.from_dict({"sim": {field: value}})
+
+    def test_sim_strides_accept_positive_integers(self):
+        cfg = RunConfig.from_dict({"sim": {"check_interval": 1, "snapshot_stride": None}})
+        assert cfg.sim.check_interval == 1 and cfg.sim.snapshot_stride is None
+
 
 class TestCommands:
     def test_print_defaults(self, capsys):
@@ -246,6 +256,13 @@ class TestCommands:
         path.write_text(json.dumps({"environment": {"r": [1.0], "k": [-1.0]}}))
         assert run(["steady", "--config", path, "--out", tmp_path]) == 1
         assert "environment" in capsys.readouterr().err
+
+    def test_zero_check_interval_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sim": {"check_interval": 0, "t_max": 1.0}}))
+        assert run(["simulate", "--config", path, "--out", tmp_path]) == 1
+        assert "sim: check_interval" in capsys.readouterr().err
+        assert not (tmp_path / "outcome.csv").exists()
 
     def test_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PATCHCOMP_OUT", str(tmp_path / "env_out"))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import patchcomp as pc
 from patchcomp.dynamics import (
@@ -9,7 +10,7 @@ from patchcomp.dynamics import (
     default_initial,
     order_preservation_check,
 )
-from patchcomp.operators import consistent_constant
+from patchcomp.operators import consistent_constant, expand_reduced, restrict_cell_average
 
 
 @pytest.fixture
@@ -112,6 +113,81 @@ class TestImplicitSolve:
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+class TestReducedReaction:
+    @given(
+        patches=st.lists(
+            st.tuples(  # length, d, p_u, p_v (the last patch's p unused), r, k
+                st.floats(0.5, 2.0), st.floats(0.1, 10.0), st.floats(0.2, 5.0),
+                st.floats(0.2, 5.0), st.floats(0.5, 2.0), st.floats(0.5, 2.0),
+            ),
+            min_size=2,
+            max_size=6,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_dof_restriction(self, patches, seed):
+        length, d, p_u, p_v, r, k = (np.array(col) for col in zip(*patches))
+        land = pc.Landscape(np.concatenate(([0.0], np.cumsum(length))))
+        env = pc.PatchEnvironment(r=r, k=k)
+        resident = pc.SpeciesTraits(d, pc.StrategyVector(p_u[:-1]))
+        mutant = pc.SpeciesTraits(d[::-1], pc.StrategyVector(p_v[:-1]))
+        grid = pc.build_grid(land, per_patch=9)
+        stepper = Stepper(land, env, resident, mutant, grid, SimConfig())
+        rng = np.random.default_rng(seed)
+        u, v = (rng.uniform(0.0, 2.0, grid.num_reduced) for _ in range(2))
+
+        # reference: the reaction on the full DOFs, restricted back
+        u_full = expand_reduced(grid, resident, u)
+        v_full = expand_reduced(grid, mutant, v)
+        patch_of = grid.patch_index_of_dofs()
+        r_full, k_full = r[patch_of], k[patch_of]
+        crowd = r_full * (1.0 - (u_full + v_full) / k_full)
+        ref_u = restrict_cell_average(grid, resident, u_full * crowd)
+        ref_v = restrict_cell_average(grid, mutant, v_full * crowd)
+        # the size of the summands bounds the rounding of either route
+        bound = r_full * (1.0 + (u_full + v_full) / k_full)
+        scale_u = (u_full * bound).max()
+        scale_v = (v_full * bound).max()
+
+        f_u, f_v = stepper.reaction(u, v)
+        assert np.abs(f_u - ref_u).max() <= 1e-14 * scale_u
+        assert np.abs(f_v - ref_v).max() <= 1e-14 * scale_v
+
+        res_u, res_v = stepper.steady_residuals(u, v)
+        for res, op, w, ref, scale in (
+            (res_u, stepper.op_u, u, ref_u, scale_u), (res_v, stepper.op_v, v, ref_v, scale_v)
+        ):
+            diffusion = op.matvec(w)
+            ref_res = np.abs(diffusion + ref).max()
+            assert abs(res - ref_res) <= 1e-14 * (scale + np.abs(diffusion).max())
+
+
+def expand_based_order_check(state_a, state_b, stepper, steps):
+    """The order-preservation harness on expanded full-DOF fields."""
+    grid = stepper.grid
+    tol = 1e-10 * stepper.env.k_array.max()
+    (ua, va), (ub, vb) = state_a, state_b
+
+    def violation(ua, va, ub, vb):
+        ua_f = expand_reduced(grid, stepper.resident, ua)
+        ub_f = expand_reduced(grid, stepper.resident, ub)
+        va_f = expand_reduced(grid, stepper.mutant, va)
+        vb_f = expand_reduced(grid, stepper.mutant, vb)
+        return max(float((ub_f - ua_f).max()), float((va_f - vb_f).max()))
+
+    assert violation(ua, va, ub, vb) <= tol
+    worst, first = 0.0, None
+    for s in range(1, steps + 1):
+        ua, va, _ = stepper.step(ua, va)
+        ub, vb, _ = stepper.step(ub, vb)
+        gap = violation(ua, va, ub, vb)
+        worst = max(worst, gap)
+        if gap > tol and first is None:
+            first = s
+    return first is None, worst, first
+
+
 class TestOrderPreservation:
     def test_identical_states_stay_ordered(self, competition_pair):
         *_, grid, stepper = competition_pair
@@ -130,6 +206,31 @@ class TestOrderPreservation:
             (box, np.zeros(grid.num_reduced)), (ub, vb), stepper, 300
         )
         assert ok, f"violation {worst}"
+
+    def test_matches_expand_based_check(self, competition_pair):
+        # p = 3 / 1.5: the eliminated right traces carry the largest gaps
+        *_, grid, stepper = competition_pair
+        rng = np.random.default_rng(4)
+        tr = grid.reduced_trace_indices()
+        ub = rng.uniform(0, 1.5, grid.num_reduced)
+        ua = ub + rng.uniform(0, 1.5, grid.num_reduced)
+        va = rng.uniform(0, 1.5, grid.num_reduced)
+        vb = va + rng.uniform(0, 1.5, grid.num_reduced)
+        # disordered below the tolerance, on the traces only: the gap seen
+        # is p times the reduced one
+        ud, vd = ub.copy(), vb.copy()
+        ud[tr] -= 1e-11
+        vd[tr] += 1e-11
+        for state_a, state_b in (((ua, va), (ub, vb)), ((ud, vd), (ub, vb))):
+            got = order_preservation_check(state_a, state_b, stepper, 30)
+            assert got == expand_based_order_check(state_a, state_b, stepper, 30)
+        assert got[1] > 0.0
+
+    def test_wrong_length_rejected(self, competition_pair):
+        *_, grid, stepper = competition_pair
+        short = np.zeros(grid.num_reduced - 1)
+        with pytest.raises(pc.ValidationError, match="wrong length"):
+            order_preservation_check((short, short), (short, short), stepper, 5)
 
     def test_unordered_initial_rejected(self, competition_pair):
         *_, grid, stepper = competition_pair

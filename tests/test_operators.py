@@ -92,6 +92,47 @@ class TestFactorShifted:
             op.factor_shifted(1.0, -0.1)(poisoned)
 
 
+class TestFactorSymmetric:
+    @pytest.mark.parametrize("theta", [1.0, 0.5])  # IMEX Euler, Crank-Nicolson
+    @pytest.mark.parametrize("per_patch", [100, 1300])  # 201 and 2,601 reduced DOFs
+    def test_matches_dense_solve(self, theta, per_patch):
+        land = pc.Landscape([0.0, 1.0, 2.0])
+        grid = pc.build_grid(land, per_patch=per_patch)
+        dt = 0.01
+        rng = np.random.default_rng(3)
+        for p in (3.0, 1.5):
+            op = assemble_diffusion(grid, pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([p])))
+            rhs = rng.uniform(0.0, 1.5, op.size)
+            got = op.factor_symmetric(1.0, -theta * dt)(rhs)
+            ref = np.linalg.solve(np.eye(op.size) - theta * dt * op.dense(), rhs)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_negative_definite_raises(self):
+        _, traits, grid = make([1.0, 2.0, 0.5], [2.0, 0.7])
+        op = assemble_diffusion(grid, traits)
+        with pytest.raises(np.linalg.LinAlgError):
+            op.factor_symmetric(-1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, bad):
+        _, traits, grid = make([1.0, 1.0], [2.0])
+        op = assemble_diffusion(grid, traits)
+        poisoned = np.ones(op.size)
+        poisoned[3] = bad
+        with pytest.raises(ValueError):
+            op.factor_symmetric(poisoned, -0.1)
+        with pytest.raises(ValueError):
+            op.factor_symmetric(1.0, -0.1)(poisoned)
+
+    def test_asymmetric_operator_raises(self):
+        _, traits, grid = make([1.0, 1.0], [2.0])
+        op = assemble_diffusion(grid, traits)
+        op.up = op.up.copy()
+        op.up[3] *= 1.01
+        with pytest.raises(ValueError, match="symmetric"):
+            op.factor_symmetric(1.0, -0.1)
+
+
 class TestReductionMaps:
     def test_expand_restrict_roundtrip(self):
         _, traits, grid = make([1.0, 2.0], [0.6])
