@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .dynamics import SimConfig, simulate
-from .eigen import SIGN_TOL, EigenPair, assemble_linearization, growth_potential, principal_eigenpair
+from .eigen import SIGN_TOL, MutantStack, ResidentContext, invasion_fitness
 from .grid import Grid
 from .landscape import (
     Landscape,
@@ -26,7 +26,7 @@ from .landscape import (
     classify_region,
     ifd_strategy,
 )
-from .steady import SteadyConfig, solve_resident_steady
+from .steady import SteadyConfig
 
 _REGION_MAP: dict[RegionLabel, tuple[str, str]] = {
     RegionLabel.L1: ("Yes", "OutsideTheory"),
@@ -98,21 +98,14 @@ def stability_table(
     The competition term is symmetric in the two species, so the second
     verdict is the first with the roles swapped.
     """
-    lam_res = _fitness(landscape, env, resident, mutant, grid, steady_config).lambda1
-    lam_mut = _fitness(landscape, env, mutant, resident, grid, steady_config).lambda1
+    lam_res = invasion_fitness(landscape, env, resident, mutant, grid, steady_config).lambda1
+    lam_mut = invasion_fitness(landscape, env, mutant, resident, grid, steady_config).lambda1
     return StabilityVerdicts(
         lambda_resident_state=lam_res,
         lambda_mutant_state=lam_mut,
         resident_state=_verdict(lam_res, sign_tol),
         mutant_state=_verdict(lam_mut, sign_tol),
     )
-
-
-def _fitness(landscape, env, resident, mutant, grid, steady_config, ustar=None) -> EigenPair:
-    if ustar is None:
-        ustar = solve_resident_steady(landscape, env, resident, grid, steady_config)
-    op = assemble_linearization(grid, mutant, growth_potential(grid, env, ustar))
-    return principal_eigenpair(op)
 
 
 @dataclass
@@ -161,16 +154,14 @@ def pip(
     if np.any(resident_scan <= 0) or np.any(mutant_scan <= 0):
         raise ValidationError("scans must be positive")
     base = SpeciesTraits(diffusion, StrategyVector([1.0]))
+    mutants = MutantStack.assemble(grid, [_two_patch_traits(base, pm) for pm in mutant_scan])
 
     lambdas = np.empty((resident_scan.size, mutant_scan.size))
     for i, pr in enumerate(resident_scan):
-        resident = _two_patch_traits(base, pr)
-        ustar = solve_resident_steady(landscape, env, resident, grid, steady_config)
-        potential = growth_potential(grid, env, ustar)
-        for j, pm in enumerate(mutant_scan):
-            mutant = _two_patch_traits(base, pm)
-            op = assemble_linearization(grid, mutant, potential)
-            lambdas[i, j] = principal_eigenpair(op).lambda1
+        context = ResidentContext(
+            landscape, env, _two_patch_traits(base, pr), grid, steady_config
+        )
+        lambdas[i] = [pair.lambda1 for pair in context.fitness(mutants)]
     signs = np.where(lambdas > sign_tol, 1, np.where(lambdas < -sign_tol, -1, 0))
     return PIPGrid(
         resident_values=resident_scan,
@@ -203,8 +194,9 @@ def _side_samples(center: float, delta: float, samples: int, guard: float,
     return pts[keep]
 
 
-class _FitnessCache:
-    """Caches resident steady states across a strategy scan."""
+class _Scan:
+    """Fitness of two-patch mutants at two-patch residents; mutant operators
+    are assembled once per set of strategies."""
 
     def __init__(self, landscape, env, diffusion, grid, steady_config):
         if landscape.n != 2:
@@ -214,18 +206,18 @@ class _FitnessCache:
         self.grid = grid
         self.steady_config = steady_config
         self.base = SpeciesTraits(diffusion, StrategyVector([1.0]))
-        self._potentials: dict[float, np.ndarray] = {}
 
-    def fitness(self, p_resident: float, p_mutant: float) -> float:
-        if p_resident not in self._potentials:
-            resident = _two_patch_traits(self.base, p_resident)
-            ustar = solve_resident_steady(
-                self.landscape, self.env, resident, self.grid, self.steady_config
-            )
-            self._potentials[p_resident] = growth_potential(self.grid, self.env, ustar)
-        mutant = _two_patch_traits(self.base, p_mutant)
-        op = assemble_linearization(self.grid, mutant, self._potentials[p_resident])
-        return principal_eigenpair(op).lambda1
+    def mutants(self, strategies) -> MutantStack:
+        return MutantStack.assemble(
+            self.grid, [_two_patch_traits(self.base, p) for p in strategies]
+        )
+
+    def fitness(self, p_resident: float, mutants: MutantStack) -> list[float]:
+        resident = _two_patch_traits(self.base, p_resident)
+        context = ResidentContext(
+            self.landscape, self.env, resident, self.grid, self.steady_config
+        )
+        return [pair.lambda1 for pair in context.fitness(mutants)]
 
 
 def ess_check(
@@ -243,13 +235,13 @@ def ess_check(
     """No nearby mutant invades: fitness < -tol for all sampled invaders."""
     if samples < 3:
         raise ValidationError("need at least 3 samples per side")
-    cache = _FitnessCache(landscape, env, diffusion, grid, steady_config)
+    scan = _Scan(landscape, env, diffusion, grid, steady_config)
     kbar = ifd_strategy(env).values[0]
     pts = _side_samples(p_star, delta, samples, guard, avoid=(p_star, kbar))
+    lambdas = scan.fitness(p_star, scan.mutants(pts)) if pts.size else []
     witnesses = []
     margin = np.inf
-    for pm in pts:
-        lam = cache.fitness(p_star, pm)
+    for pm, lam in zip(pts, lambdas):
         margin = min(margin, abs(lam))
         if not lam < -sign_tol:
             witnesses.append((float(pm), float(lam)))
@@ -273,13 +265,14 @@ def nis_check(
     """Invades every nearby resident: fitness > tol against all of them."""
     if samples < 3:
         raise ValidationError("need at least 3 samples per side")
-    cache = _FitnessCache(landscape, env, diffusion, grid, steady_config)
+    scan = _Scan(landscape, env, diffusion, grid, steady_config)
     kbar = ifd_strategy(env).values[0]
     pts = _side_samples(p_hat_star, delta, samples, guard, avoid=(p_hat_star, kbar))
+    mutant = scan.mutants([p_hat_star])
     witnesses = []
     margin = np.inf
     for pr in pts:
-        lam = cache.fitness(pr, p_hat_star)
+        (lam,) = scan.fitness(pr, mutant)
         margin = min(margin, abs(lam))
         if not lam > sign_tol:
             witnesses.append((float(pr), float(lam)))
@@ -307,7 +300,7 @@ def css_check(
     """
     if samples < 3:
         raise ValidationError("need at least 3 samples per side")
-    cache = _FitnessCache(landscape, env, diffusion, grid, steady_config)
+    scan = _Scan(landscape, env, diffusion, grid, steady_config)
     kbar = ifd_strategy(env).values[0]
     offsets = delta * np.arange(1, samples + 1) / samples
     witnesses = []
@@ -318,12 +311,13 @@ def css_check(
         pts = pts[pts > guard]
         pts = pts[np.abs(pts - kbar) > guard]
         pts = pts[np.abs(pts - p_star) > guard]
+        mutants = scan.mutants(pts)
         for pr in pts:
-            for pm in pts:
-                if abs(pr - pm) <= guard:
-                    continue
-                count += 1
-                lam = cache.fitness(float(pr), float(pm))
+            index = [j for j, pm in enumerate(pts) if abs(pr - pm) > guard]
+            if not index:
+                continue
+            count += len(index)
+            for pm, lam in zip(pts[index], scan.fitness(pr, mutants.take(index))):
                 margin = min(margin, abs(lam))
                 closer = abs(pm - p_star) < abs(pr - p_star)
                 ok = lam > sign_tol if closer else lam < -sign_tol

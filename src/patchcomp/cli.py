@@ -6,7 +6,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -14,6 +13,8 @@ from .analysis import PIPGrid, pip as pip_scan, predict_outcome
 from .config import DEFAULTS, RunConfig, apply_env_overrides, read_config
 from .dynamics import simulate
 from .eigen import (
+    MutantStack,
+    ResidentContext,
     assemble_linearization,
     invasion_fitness,
     principal_eigenpair,
@@ -48,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--resolution", type=float, default=None,
                          help="target grid spacing, overrides the config grid section")
         cmd.add_argument("--workers", type=int, default=None,
-                         help="worker processes for sweep")
+                         help="accepted and validated; sweeps run in one process")
     return parser
 
 
@@ -217,61 +218,47 @@ def _cmd_classify(cfg: RunConfig, grid) -> int:
     return 0
 
 
-def _sweep_point(payload) -> tuple[int, str]:
-    # ustar is the resident's steady state, or None when no fitness is asked
-    cfg, grid, ustar, index, p_values, d_values = payload
-    mutant = SpeciesTraits(
-        d_values if d_values is not None else cfg.mutant.d, StrategyVector(p_values)
-    )
-    prediction = predict_outcome(
-        cfg.resident.jump, mutant.jump, cfg.resident.d_array, mutant.d_array,
-        cfg.environment,
-    )
-    row = [
-        str(index),
-        "|".join(_fmt(v) for v in p_values),
-        prediction.region.value,
-        prediction.invade_when_rare,
-        prediction.global_verdict,
-    ]
-    if ustar is not None:
-        pair = invasion_fitness(
-            cfg.landscape, cfg.environment, cfg.resident, mutant, grid, cfg.steady,
-            ustar=ustar,
-        )
-        row.append(_fmt(pair.lambda1))
-    return index, ",".join(row)
-
-
 def _cmd_sweep(cfg: RunConfig, grid) -> int:
     spec = cfg.raw["sweep"]
     points = spec.get("mutant_p") or []
     if not points:
         raise ValidationError("sweep.mutant_p: provide at least one mutant jump vector")
-    want_fitness = bool(spec.get("fitness"))
     d_values = spec.get("mutant_d")
-    ustar = None
-    if want_fitness:
+    mutants = [
+        SpeciesTraits(d_values if d_values is not None else cfg.mutant.d, StrategyVector(p))
+        for p in points
+    ]
+    rows = []
+    for index, mutant in enumerate(mutants):
+        prediction = predict_outcome(
+            cfg.resident.jump, mutant.jump, cfg.resident.d_array, mutant.d_array,
+            cfg.environment,
+        )
+        rows.append([
+            str(index),
+            "|".join(_fmt(v) for v in mutant.jump.values),
+            prediction.region.value,
+            prediction.invade_when_rare,
+            prediction.global_verdict,
+        ])
+    header = "index,mutant_p,region,invade,verdict"
+    if spec.get("fitness"):
+        header += ",lambda1"
         ustar = solve_resident_steady(
             cfg.landscape, cfg.environment, cfg.resident, grid, cfg.steady
         )
-    payloads = [
-        (cfg, grid, ustar, i, list(map(float, p)), d_values)
-        for i, p in enumerate(points)
-    ]
-    workers = min(cfg.workers, len(payloads))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_point, payloads))
-    else:
-        results = [_sweep_point(p) for p in payloads]
-    results.sort(key=lambda pair: pair[0])
-    header = "index,mutant_p,region,invade,verdict"
-    if want_fitness:
-        header += ",lambda1"
+        context = ResidentContext(
+            cfg.landscape, cfg.environment, cfg.resident, grid, ustar=ustar
+        )
+        pairs = (
+            pair for stack in MutantStack.chunks(grid, mutants)
+            for pair in context.fitness(stack)
+        )
+        for row, pair in zip(rows, pairs):
+            row.append(_fmt(pair.lambda1))
     out = _outdir(cfg)
-    _write(os.path.join(out, "sweep.csv"), "\n".join([header] + [r for _, r in results]) + "\n")
-    print(f"swept {len(results)} points -> {out}/sweep.csv")
+    _write(os.path.join(out, "sweep.csv"), "\n".join([header] + [",".join(r) for r in rows]) + "\n")
+    print(f"swept {len(rows)} points -> {out}/sweep.csv")
     return 0
 
 

@@ -12,6 +12,7 @@ jump-consistent bounding boxes invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -72,7 +73,8 @@ class Stepper:
     """IMEX / CN stepping for one parameter point at the fixed ``self.dt``.
 
     ``I - theta dt A`` (theta = 1 for IMEX Euler, 1/2 for CN) is LDLᵀ-factored
-    once per species here, in its weight-symmetrized form; a step is the
+    once per species, in its weight-symmetrized form, on the first step (a
+    stepper that only evaluates residuals factors nothing); a step is the
     reaction on the reduced DOFs, then one O(N) symmetric tridiagonal solve
     per species.
     """
@@ -105,9 +107,14 @@ class Stepper:
         self.a_left_u, self.a_right_u = _trace_fractions(self.op_u)
         self.a_left_v, self.a_right_v = _trace_fractions(self.op_v)
         self.dt = self.config.dt if self.config.dt is not None else 0.01 / env.r_array.max()
+
+    @cached_property
+    def _solves(self):
         theta = 0.5 if self.config.scheme == "cn-diffusion" else 1.0
-        self._solve_u = self.op_u.factor_symmetric(1.0, -theta * self.dt)
-        self._solve_v = self.op_v.factor_symmetric(1.0, -theta * self.dt)
+        return (
+            self.op_u.factor_symmetric(1.0, -theta * self.dt),
+            self.op_v.factor_symmetric(1.0, -theta * self.dt),
+        )
 
     def reaction(self, u_red: np.ndarray, v_red: np.ndarray):
         """Explicit competition terms for both species, on reduced DOFs.
@@ -142,7 +149,8 @@ class Stepper:
             clipped = float(-np.minimum(rhs_u, 0.0).sum() - np.minimum(rhs_v, 0.0).sum())
             np.maximum(rhs_u, 0.0, out=rhs_u)
             np.maximum(rhs_v, 0.0, out=rhs_v)
-        return self._solve_u(rhs_u), self._solve_v(rhs_v), clipped
+        solve_u, solve_v = self._solves
+        return solve_u(rhs_u), solve_v(rhs_v), clipped
 
     def steady_residuals(self, u_red: np.ndarray, v_red: np.ndarray) -> tuple[float, float]:
         f_u, f_v = self.reaction(u_red, v_red)
@@ -381,7 +389,8 @@ def pair_steady_residual(
     u: PiecewiseField,
     v: PiecewiseField,
 ) -> float:
-    """Sup-norm residual of the coupled steady system at a given pair."""
+    """Sup-norm residual of the coupled steady system at a given pair; the
+    stepper it builds makes no step, so it factors nothing."""
     from .operators import restrict_values
 
     stepper = Stepper(landscape, env, resident, mutant, grid)

@@ -10,11 +10,25 @@ L. Elsner, Linear Algebra Appl. 15, 1976): shifts from the Collatz-Wielandt
 upper bound, one tridiagonal solve per pass, quadratic convergence.  This
 needs the operator's couplings to be positive, as the assembled linearization's
 always are; an operator without them is rejected.
+
+The iteration runs on a stack of M same-size operators at once, held as
+(M, N) bands.  Laid end to end they form one block-diagonal tridiagonal
+matrix (no band couples the last row of a block to the first of the next),
+so one LAPACK factorisation and solve per pass serve every block, and each
+block's arithmetic is bit for bit that of its operator on its own.  Every
+block keeps its own shift, stop test and iteration count, and drops out of
+the stack once it stops.  A single operator is the stack of one.
+
+``ResidentContext`` is the one route from a resident to invasion fitness: it
+solves the resident's steady state and growth potential once, and evaluates a
+``MutantStack`` (the mutants' diffusion operators, assembled once per scan)
+against it in one stacked solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,12 +40,23 @@ from .operators import (
     assemble_diffusion,
     consistent_constant,
     env_on_dofs,
-    expand_reduced,
+    factor_tridiagonal,
+    full_mass,
     restrict_diagonal,
+    symmetry_defects,
+    tridiagonal_matvec,
 )
 from .steady import SteadyConfig, solve_resident_steady
 
 SIGN_TOL = 1e-8
+
+# One stacked solve holds at most this many reduced DOFs (and at least one
+# block), so a long scan on a fine grid keeps only a few copies of its bands
+# and iterates at a time.  Past a few thousand DOFs per solve the LAPACK
+# calls dominate and a larger stack gains nothing.
+_STACK_DOFS = 1 << 14
+_EPS = np.finfo(float).eps
+_BANDS = ("lo", "di", "up", "weights")
 
 
 @dataclass(frozen=True)
@@ -71,6 +96,158 @@ def assemble_linearization(
     return op.add_diagonal(c)
 
 
+def _start_vector(grid: Grid, traits: SpeciesTraits) -> np.ndarray:
+    """The jump-consistent constant scaled to max 1: Noda's starting iterate."""
+    x = consistent_constant(grid, traits)
+    x /= x.max()
+    return x
+
+
+def _shifted_off_diagonals(lo, up):
+    """Sub- and super-diagonal of ``sigma I - A`` for the (M, N) stack laid
+    end to end, with zeros between blocks to keep them apart in the
+    factorisation."""
+    size = lo.shape[1]
+    dl, du = -lo.ravel()[1:], -up.ravel()[:-1]
+    dl[size - 1 :: size] = du[size - 1 :: size] = 0.0
+    return dl, du
+
+
+def _noda(lo, di, up, weights, scale, x, tol, max_iters):
+    """Noda's inverse iteration on the stack of (M, N) bands; see
+    ``principal_eigenpair``.  ``weights`` are the Rayleigh-quotient weights
+    and ``scale`` the largest band entry (at least 1) of each block.  Returns
+    per block the eigenvalue, the reduced max-normalized eigenvector, the
+    residual and the number of solves."""
+    size = di.shape[1]
+    # keeps the rounded Collatz-Wielandt bound above the top eigenvalue
+    margin = 8.0 * _EPS * scale
+    floor = size * _EPS * scale
+    # max(tol * max(1, |theta|), 5e-15 * scale) is max(tol * |theta|, least)
+    least = np.maximum(tol, 5e-15 * scale)
+    dl, du = _shifted_off_diagonals(lo, up)
+    rows = np.arange(len(di))
+    out = None  # (theta, x, residual, iterations) of every block, once one stops
+    iterations = 0
+    previous = np.inf
+    while True:
+        ax = tridiagonal_matvec(lo, di, up, x)
+        wx = weights * x
+        # one BLAS dot per block, as for that operator alone
+        theta = np.vecdot(wx, ax) / np.vecdot(wx, x)
+        res = np.abs(ax - theta[:, None] * x).max(axis=1)
+        # tested before any factorisation, so an exact eigenvector never
+        # factors a singular sigma I - A.  The residual of a solved iterate
+        # bottoms out at a rounding floor that grows with the size (measured
+        # up to 0.13 * size * eps * scale, above the threshold from about
+        # 2,000 DOFs on), so a pass that no longer lowers it, once under
+        # size * eps * scale, also ends the loop.
+        done = (res <= np.maximum(tol * np.abs(theta), least)) | (
+            (previous <= res) & (res <= floor)
+        )
+        stopped = np.count_nonzero(done)
+        if stopped:
+            if out is None:
+                if stopped == len(rows):  # all blocks stop on one pass
+                    return theta, x, res, np.full(len(rows), iterations)
+                out = (np.empty(len(rows)), np.empty_like(x), np.empty(len(rows)),
+                       np.empty(len(rows), dtype=int))
+            at = rows[done]
+            out[0][at], out[1][at], out[2][at] = theta[done], x[done], res[done]
+            out[3][at] = iterations
+            if stopped == len(rows):
+                return out
+            # freeze the stopped blocks: drop them from the stack
+            going = ~done
+            rows, lo, di, up, weights, x, ax, res, margin, floor, least = (
+                a[going] for a in (rows, lo, di, up, weights, x, ax, res, margin, floor, least)
+            )
+            dl, du = _shifted_off_diagonals(lo, up)
+        previous = res
+        if iterations == max_iters:
+            raise EigenSolveError(
+                "principal eigen iteration did not converge; the operator may "
+                "have a clustered leading spectrum"
+            )
+        sigma = (ax / x).max(axis=1) + margin
+        x = factor_tridiagonal(dl, (sigma[:, None] - di).ravel(), du)(x)
+        iterations += 1
+        # sigma I - A is an M-matrix, so a solve from a positive iterate
+        # stays positive unless the top eigenpair is not resolved
+        if not x.min() > 0:
+            raise EigenSolveError(
+                "principal eigenpair not isolated at this resolution; refine grid"
+            )
+        x /= x.max(axis=1, keepdims=True)
+
+
+def _stacked_eigenpairs(
+    grid: Grid, p, lo, di, up, weights, start, tol: float, max_iters: int
+) -> list[EigenPair]:
+    """Eigenpairs of the (M, N) stack, solved ``_STACK_DOFS`` at a time."""
+    defect = symmetry_defects(lo, di, up, weights)
+    scale = np.maximum(1.0, np.abs(np.concatenate((di, up, lo), axis=1)).max(axis=1))
+    # NaN or inf in a band makes its block's scale non-finite, and in the
+    # weights its symmetry defect; max carries either through
+    if not np.isfinite(scale.max() + defect.max()):
+        raise ValueError("operator bands must be finite")
+    if min(up[:, :-1].min(), lo[:, 1:].min()) <= 0:
+        raise EigenSolveError(
+            "operator couplings are not all positive, so the principal "
+            "eigenpair is not certified; refine grid"
+        )
+    # per block: the weighted Rayleigh quotient when W A is symmetric
+    symmetric = defect <= 1e-10
+    if np.count_nonzero(symmetric) < len(symmetric):
+        weights = np.where(symmetric[:, None], weights, 1.0)
+    kept, right, trace = (
+        grid.kept_indices(), grid.right_trace_indices(), grid.reduced_trace_indices()
+    )
+    step = max(1, _STACK_DOFS // grid.num_reduced)
+    pairs = []
+    for s in range(0, len(di), step):
+        b = slice(s, s + step)
+        theta, x, res, iterations = _noda(
+            lo[b], di[b], up[b], weights[b], scale[b], start[b], tol, max_iters
+        )
+        # expand_reduced and max-normalization, row by row
+        phi = np.empty((len(x), grid.num_dofs))
+        phi[:, kept] = x
+        phi[:, right] = p[b] * x[:, trace]
+        phi /= phi.max(axis=1, keepdims=True)
+        pairs += [
+            EigenPair(lambda1=float(t), phi=PiecewiseField(grid, f), residual=float(r),
+                      iterations=int(i))
+            for t, f, r, i in zip(theta, phi, res, iterations)
+        ]
+    return pairs
+
+
+def principal_eigenpairs(
+    ops: Sequence[LinearOperator],
+    tol: float = 1e-13,
+    max_iters: int = 2000,
+) -> list[EigenPair]:
+    """``principal_eigenpair`` of each operator, all in one stacked solve.
+
+    The operators must share one grid.  Each pair is bit for bit the one
+    ``principal_eigenpair`` returns for that operator alone; a non-finite
+    band raises ValueError, and an operator without positive couplings
+    raises EigenSolveError for the whole call, both before any solve.
+    """
+    grid = ops[0].grid
+    if any(op.grid != grid for op in ops):
+        raise ValidationError("stacked operators must share one grid")
+    return _stacked_eigenpairs(
+        grid,
+        np.array([op.traits.p_array for op in ops]),
+        *(np.array([getattr(op, band) for op in ops]) for band in _BANDS),
+        np.array([_start_vector(grid, op.traits) for op in ops]),
+        tol,
+        max_iters,
+    )
+
+
 def principal_eigenpair(
     op: LinearOperator,
     tol: float = 1e-13,
@@ -94,59 +271,10 @@ def principal_eigenpair(
     an operator that breaks this raises EigenSolveError before any solve.
     The eigenfunction is positivity-checked and max-normalized;
     ``iterations`` counts the shifted solves (0 when the start is already an
-    eigenvector, as for a constant potential).
+    eigenvector, as for a constant potential).  This is the one-operator
+    case of ``principal_eigenpairs``.
     """
-    if (op.up[:-1] <= 0).any() or (op.lo[1:] <= 0).any():
-        raise EigenSolveError(
-            "operator couplings are not all positive, so the principal "
-            "eigenpair is not certified; refine grid"
-        )
-    weights = op.weights if op.symmetry_defect() <= 1e-10 else np.ones(op.size)
-    scale = max(
-        1.0, float(np.abs(op.di).max()), float(np.abs(op.up).max()),
-        float(np.abs(op.lo).max()),
-    )
-    # keeps the rounded Collatz-Wielandt bound above the top eigenvalue
-    margin = 8.0 * np.finfo(float).eps * scale
-    floor = op.size * np.finfo(float).eps * scale
-    x = consistent_constant(op.grid, op.traits)
-    x /= x.max()
-    iterations = 0
-    previous = np.inf
-    while True:
-        ax = op.matvec(x)
-        wx = weights * x
-        theta = float(wx @ ax / (wx @ x))
-        res = float(np.abs(ax - theta * x).max())
-        # tested before any factorisation, so an exact eigenvector never
-        # factors a singular sigma I - A.  The residual of a solved iterate
-        # bottoms out at a rounding floor that grows with the size (measured
-        # up to 0.13 * size * eps * scale, above the threshold from about
-        # 2,000 DOFs on), so a pass that no longer lowers it, once under
-        # size * eps * scale, also ends the loop.
-        if res <= max(tol * max(1.0, abs(theta)), 5e-15 * scale) or (
-            previous <= res <= floor
-        ):
-            break
-        previous = res
-        if iterations == max_iters:
-            raise EigenSolveError(
-                "principal eigen iteration did not converge; the operator may "
-                "have a clustered leading spectrum"
-            )
-        sigma = float((ax / x).max()) + margin
-        x = op.factor_shifted(sigma, -1.0)(x)
-        x /= x[np.abs(x).argmax()]
-        iterations += 1
-        if x.min() <= 0:
-            raise EigenSolveError(
-                "principal eigenpair not isolated at this resolution; refine grid"
-            )
-
-    phi_full = expand_reduced(op.grid, op.traits, x)
-    phi_full /= phi_full.max()
-    phi = PiecewiseField(op.grid, phi_full)
-    return EigenPair(lambda1=theta, phi=phi, residual=res, iterations=iterations)
+    return principal_eigenpairs([op], tol, max_iters)[0]
 
 
 def growth_potential(
@@ -155,6 +283,99 @@ def growth_potential(
     """Potential r (1 - factor * u* / k) on the full DOFs."""
     r_full, k_full = env_on_dofs(grid, env)
     return r_full * (1.0 - factor * ustar.values / k_full)
+
+
+@dataclass(frozen=True, eq=False)
+class MutantStack:
+    """Diffusion operators of M mutants on one grid, assembled once.
+
+    Row ``b`` of every ``(M, ...)`` array belongs to mutant ``b``: its jump
+    ratios and their squares, its bands and weights, its full-DOF masses and
+    its Noda start vector.  A scan builds the stack once and evaluates it
+    against every resident it meets (``ResidentContext.fitness``).
+    """
+
+    grid: Grid
+    p: np.ndarray
+    p2: np.ndarray
+    lo: np.ndarray
+    di: np.ndarray
+    up: np.ndarray
+    weights: np.ndarray
+    mass: np.ndarray
+    start: np.ndarray
+
+    @classmethod
+    def assemble(cls, grid: Grid, mutants: Sequence[SpeciesTraits]) -> "MutantStack":
+        masses = [full_mass(grid, mutant) for mutant in mutants]
+        ops = [assemble_diffusion(grid, m, mass) for m, mass in zip(mutants, masses)]
+        p = np.array([mutant.p_array for mutant in mutants])
+        return cls(
+            grid,
+            p,
+            # squared one by one, as restrict_diagonal does
+            np.array([[v**2 for v in row] for row in p]),
+            *(np.array([getattr(op, band) for op in ops]) for band in _BANDS),
+            np.array(masses),
+            np.array([_start_vector(grid, mutant) for mutant in mutants]),
+        )
+
+    @classmethod
+    def chunks(cls, grid: Grid, mutants: Sequence[SpeciesTraits]) -> Iterator["MutantStack"]:
+        """Stacks of consecutive mutants, each one stacked solve's worth, for
+        scans too long to hold assembled at once."""
+        step = max(1, _STACK_DOFS // grid.num_reduced)
+        for s in range(0, len(mutants), step):
+            yield cls.assemble(grid, mutants[s : s + step])
+
+    def take(self, index) -> "MutantStack":
+        """The stack of the mutants at ``index``, in that order."""
+        return MutantStack(
+            self.grid,
+            *(getattr(self, f.name)[index] for f in fields(self) if f.name != "grid"),
+        )
+
+
+class ResidentContext:
+    """A resident's steady state and growth potential, solved once.
+
+    ``fitness`` gives the invasion fitness of each mutant of a stack at this
+    resident: the principal eigenpair of its diffusion operator plus the
+    potential ``r (1 - u*/k)``.  ``ustar`` skips the steady solve when the
+    resident state is known.
+    """
+
+    def __init__(
+        self,
+        landscape,
+        env: PatchEnvironment,
+        resident: SpeciesTraits,
+        grid: Grid,
+        steady_config: SteadyConfig | None = None,
+        ustar: PiecewiseField | None = None,
+    ):
+        if ustar is None:
+            ustar = solve_resident_steady(landscape, env, resident, grid, steady_config)
+        self.grid = grid
+        self.ustar = ustar
+        self.potential = growth_potential(grid, env, ustar)
+
+    def fitness(
+        self, mutants: MutantStack, tol: float = 1e-13, max_iters: int = 2000
+    ) -> list[EigenPair]:
+        """One EigenPair per mutant, in stack order; each is bit for bit
+        ``principal_eigenpair(assemble_linearization(grid, mutant, potential))``."""
+        grid = self.grid
+        if mutants.grid != grid:
+            raise ValidationError("mutant stack lives on another grid")
+        # restrict_diagonal for every mutant at once, in its order of operations
+        num = mutants.mass * self.potential
+        c = num[:, grid.kept_indices()]
+        c[:, grid.reduced_trace_indices()] += mutants.p2 * num[:, grid.right_trace_indices()]
+        return _stacked_eigenpairs(
+            grid, mutants.p, mutants.lo, mutants.di + c / mutants.weights, mutants.up,
+            mutants.weights, mutants.start, tol, max_iters,
+        )
 
 
 def invasion_fitness(
@@ -171,13 +392,10 @@ def invasion_fitness(
     Positive: the mutant invades when rare (the resident-only state is
     unstable).  Negative: it cannot.  Within the neutral band the sign is not
     called.  A precomputed resident steady state can be passed to amortize
-    scans over many mutants.
+    scans over many mutants; ``ResidentContext`` amortizes the rest.
     """
-    if ustar is None:
-        ustar = solve_resident_steady(landscape, env, resident, grid, config)
-    potential = growth_potential(grid, env, ustar)
-    op = assemble_linearization(grid, mutant, potential)
-    return principal_eigenpair(op)
+    context = ResidentContext(landscape, env, resident, grid, config, ustar)
+    return context.fitness(MutantStack.assemble(grid, [mutant]))[0]
 
 
 def resident_self_eigenpair(

@@ -127,9 +127,56 @@ def consistent_constant(grid: Grid, traits: SpeciesTraits, amplitude: float = 1.
     return out
 
 
+def tridiagonal_matvec(lo, di, up, x: np.ndarray) -> np.ndarray:
+    """``A x`` for bands ``lo``/``di``/``up`` of shape ``(N,)``, or ``(M, N)``
+    for M operators applied row by row (``lo[..., 0]``, ``up[..., -1]`` unused)."""
+    y = di * x
+    y[..., :-1] += up[..., :-1] * x[..., 1:]
+    y[..., 1:] += lo[..., 1:] * x[..., :-1]
+    return y
+
+
+def symmetry_defects(lo, di, up, weights):
+    """Max relative asymmetry of the weighted matrix W A, per row of ``(M, N)``
+    bands (a 0-d array for ``(N,)`` bands)."""
+    wu = weights[..., :-1] * up[..., :-1]
+    wl = weights[..., 1:] * lo[..., 1:]
+    scale = np.maximum(
+        np.maximum(np.abs(weights * di).max(axis=-1), np.abs(wu).max(axis=-1)), 1e-300
+    )
+    return np.abs(wu - wl).max(axis=-1) / scale
+
+
+def factor_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray):
+    """LU-factor the tridiagonal matrix with sub-, main and super-diagonals
+    ``dl``, ``d``, ``du`` once (LAPACK gttrf); return the O(N) solve
+    ``rhs -> x`` (gttrs), which keeps the shape of ``rhs`` and flattens it
+    row-major.  Neither the bands nor the right-hand side are checked:
+    callers pass finite ones.
+
+    A zero in ``dl`` and ``du`` between rows k-1 and k splits the matrix into
+    independent blocks, and each block's factor and solve are bit for bit
+    those of the block on its own: the elimination never crosses the zero.
+    A singular matrix raises LinAlgError.
+    """
+    dl, d, du, du2, ipiv, info = dgttrf(dl, d, du)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        x, _ = dgttrs(dl, d, du, du2, ipiv, rhs.ravel())
+        return x.reshape(rhs.shape)
+
+    return solve
+
+
 @dataclass
 class LinearOperator:
-    """Tridiagonal operator over reduced DOFs plus its symmetrization weights."""
+    """Tridiagonal operator over reduced DOFs plus its symmetrization weights.
+
+    The bands are checked to be finite once, here, so the factorisations
+    below check only what they are given per call.
+    """
 
     grid: Grid
     traits: SpeciesTraits
@@ -138,16 +185,16 @@ class LinearOperator:
     up: np.ndarray
     weights: np.ndarray
 
+    def __post_init__(self):
+        if not np.isfinite(np.concatenate((self.lo, self.di, self.up, self.weights))).all():
+            raise ValueError("operator bands must be finite")
+
     @property
     def size(self) -> int:
         return self.di.size
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = self.di * x
-        y[:-1] += self.up[:-1] * x[1:]
-        y[1:] += self.lo[1:] * x[:-1]
-        return y
+        return tridiagonal_matvec(self.lo, self.di, self.up, np.asarray(x, dtype=float))
 
     def add_diagonal(self, diag) -> "LinearOperator":
         return LinearOperator(
@@ -167,18 +214,14 @@ class LinearOperator:
         """LU-factor ``diag(alpha) + beta * A`` once (LAPACK gttrf); return the
         O(N) solve ``rhs -> x`` (gttrs).  ``alpha`` is a scalar or a diagonal.
 
-        Non-finite input raises ValueError, a singular matrix LinAlgError.
+        A non-finite ``alpha`` or right-hand side raises ValueError, a
+        singular matrix LinAlgError.
         """
-        bands = (beta * self.lo[1:], alpha + beta * self.di, beta * self.up[:-1])
-        dl, d, du, du2, ipiv, info = dgttrf(*map(np.asarray_chkfinite, bands))
-        if info > 0:
-            raise np.linalg.LinAlgError("singular matrix")
-
-        def solve(rhs: np.ndarray) -> np.ndarray:
-            x, _ = dgttrs(dl, d, du, du2, ipiv, np.asarray_chkfinite(rhs, dtype=float))
-            return x
-
-        return solve
+        alpha = np.asarray_chkfinite(alpha, dtype=float)
+        solve = factor_tridiagonal(
+            beta * self.lo[1:], alpha + beta * self.di, beta * self.up[:-1]
+        )
+        return lambda rhs: solve(np.asarray_chkfinite(rhs, dtype=float))
 
     def factor_symmetric(self, alpha, beta: float = 1.0):
         """As ``factor_shifted``, by LDLᵀ (LAPACK pttrf/pttrs), for A symmetric
@@ -192,8 +235,8 @@ class LinearOperator:
         if self.symmetry_defect() > 1e-10:
             raise ValueError("operator is not symmetric in its weights")
         _, off = self.symmetrized_bands()
-        bands = (alpha + beta * self.di, beta * off)
-        d, e, info = dpttrf(*map(np.asarray_chkfinite, bands))
+        alpha = np.asarray_chkfinite(alpha, dtype=float)
+        d, e, info = dpttrf(alpha + beta * self.di, beta * off)
         if info > 0:
             raise np.linalg.LinAlgError("matrix is not positive definite")
         s = np.sqrt(self.weights)
@@ -221,19 +264,19 @@ class LinearOperator:
 
     def symmetry_defect(self) -> float:
         """Max relative asymmetry of the weighted matrix W A."""
-        wu = self.weights[:-1] * self.up[:-1]
-        wl = self.weights[1:] * self.lo[1:]
-        scale = max(np.abs(self.weights * self.di).max(), np.abs(wu).max(), 1e-300)
-        return float(np.abs(wu - wl).max() / scale)
+        return float(symmetry_defects(self.lo, self.di, self.up, self.weights))
 
 
-def assemble_diffusion(grid: Grid, traits: SpeciesTraits) -> LinearOperator:
+def assemble_diffusion(
+    grid: Grid, traits: SpeciesTraits, mass: np.ndarray | None = None
+) -> LinearOperator:
     """Per-species diffusion operator on the reduced DOFs.
 
     Built from the weighted stiffness of piecewise-linear elements with the
     right traces eliminated, then divided by the lumped weighted mass.  The
     jump-consistent piecewise constant spans its kernel and the weighted
-    matrix is exactly symmetric.
+    matrix is exactly symmetric.  ``mass`` is ``full_mass(grid, traits)``,
+    computed here unless passed in.
     """
     _check_traits(grid, traits)
     scales = traits.cumulative_scales()
@@ -254,7 +297,7 @@ def assemble_diffusion(grid: Grid, traits: SpeciesTraits) -> LinearOperator:
         k_up[start] += -rho * c
         k_up[start + 1 : start + count] += -c
 
-    weights = reduced_weights(grid, traits)
+    weights = reduced_weights(grid, traits, mass)
     di = -k_di / weights
     up = np.zeros(size)
     lo = np.zeros(size)

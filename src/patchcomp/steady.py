@@ -45,8 +45,8 @@ class _SteadyProblem:
     computed once."""
 
     def __init__(self, grid: Grid, env: PatchEnvironment, traits: SpeciesTraits):
-        self.op = assemble_diffusion(grid, traits)
         self.layout = SpeciesLayout(grid, traits)
+        self.op = assemble_diffusion(grid, traits, self.layout.mass)
         self.r_full, self.k_full = env_on_dofs(grid, env)
         op = self.op
         self.row_scale = float((np.abs(op.di) + np.abs(op.lo) + np.abs(op.up)).max())

@@ -3,6 +3,7 @@ import pytest
 
 import patchcomp as pc
 from patchcomp import RegionLabel
+from patchcomp.eigen import assemble_linearization, growth_potential
 from patchcomp.landscape import StrategyVector
 
 
@@ -194,6 +195,93 @@ class TestStrategyChecks:
         grid = pc.build_grid(land, per_patch=20)
         with pytest.raises(pc.ValidationError):
             pc.ess_check(3.0, 1.0, 2, land, env, [1.0, 1.0], grid)
+
+
+class PerPairRoute:
+    """Fitness one (resident, mutant) pair at a time, each resident's steady
+    state solved once: the route the stacked scans replaced."""
+
+    def __init__(self, land, env, grid):
+        self.land, self.env, self.grid = land, env, grid
+        self.potentials = {}
+
+    def __call__(self, p_resident, p_mutant):
+        grid = self.grid
+        if p_resident not in self.potentials:
+            resident = pc.SpeciesTraits([1.0, 1.0], StrategyVector([p_resident]))
+            ustar = pc.solve_resident_steady(self.land, self.env, resident, grid)
+            self.potentials[p_resident] = growth_potential(grid, self.env, ustar)
+        mutant = pc.SpeciesTraits([1.0, 1.0], StrategyVector([p_mutant]))
+        op = assemble_linearization(grid, mutant, self.potentials[p_resident])
+        return pc.principal_eigenpair(op).lambda1
+
+
+class TestStackedScansMatchPerPairRoute:
+    def test_pip_lambdas(self, unit_two_patch):
+        land, env = unit_two_patch
+        grid = pc.build_grid(land, per_patch=50)
+        residents = np.array([1.4, 2.0, 2.6, 3.3])
+        mutants = np.array([1.0, 1.7, 2.0, 2.6, 3.1, 3.9])
+        result = pc.pip(residents, mutants, [1.0, 1.0], land, env, grid)
+        route = PerPairRoute(land, env, grid)
+        want = [[route(pr, pm) for pm in mutants] for pr in residents]
+        assert np.array_equal(result.lambdas, np.array(want))
+
+    @pytest.mark.parametrize("focal,delta", [(2.0, 0.8), (2.6, 1.0)])
+    def test_strategy_checks(self, unit_two_patch, focal, delta):
+        land, env = unit_two_patch
+        grid = pc.build_grid(land, per_patch=40)
+        route = PerPairRoute(land, env, grid)
+        guard = 1e-6
+        samples = 4
+        offsets = delta * np.arange(1, samples + 1) / samples
+        side_pts = np.concatenate((focal - offsets[::-1], focal + offsets))
+        side_pts = side_pts[(np.abs(side_pts - 2.0) > guard) & (np.abs(side_pts - focal) > guard)]
+
+        ess = pc.ess_check(focal, delta, samples, land, env, [1.0, 1.0], grid)
+        lams = [route(focal, pm) for pm in side_pts]
+        assert ess.samples == side_pts.size
+        assert ess.margin == min(abs(lam) for lam in lams)
+        assert ess.witnesses == tuple(
+            (float(pm), float(lam)) for pm, lam in zip(side_pts, lams) if not lam < -pc.SIGN_TOL
+        )
+
+        nis = pc.nis_check(focal, delta, samples, land, env, [1.0, 1.0], grid)
+        lams = [route(pr, focal) for pr in side_pts]
+        assert nis.samples == side_pts.size
+        assert nis.margin == min(abs(lam) for lam in lams)
+        assert nis.witnesses == tuple(
+            (float(pr), float(lam)) for pr, lam in zip(side_pts, lams) if not lam > pc.SIGN_TOL
+        )
+
+        css = pc.css_check(focal, delta, samples, land, env, [1.0, 1.0], grid)
+        witnesses, lams = [], []
+        for side in (+1, -1):
+            pts = focal + side * offsets
+            pts = pts[(np.abs(pts - 2.0) > guard) & (np.abs(pts - focal) > guard)]
+            for pr in pts:
+                for pm in pts:
+                    if abs(pr - pm) <= guard:
+                        continue
+                    lam = route(float(pr), float(pm))
+                    lams.append(lam)
+                    closer = abs(pm - focal) < abs(pr - focal)
+                    if not (lam > pc.SIGN_TOL if closer else lam < -pc.SIGN_TOL):
+                        witnesses.append((float(pr), float(pm), float(lam)))
+        assert css.samples == len(lams)
+        assert css.margin == min(abs(lam) for lam in lams)
+        assert css.witnesses == tuple(witnesses)
+
+    def test_stability_table(self, unit_two_patch):
+        land, env = unit_two_patch
+        grid = pc.build_grid(land, per_patch=60)
+        route = PerPairRoute(land, env, grid)
+        for p, p_hat in ((3.0, 1.5), (5.0, 3.0)):
+            resident = pc.SpeciesTraits([1.0, 1.0], StrategyVector([p]))
+            mutant = pc.SpeciesTraits([1.0, 1.0], StrategyVector([p_hat]))
+            table = pc.stability_table(land, env, resident, mutant, grid)
+            assert table.lambda_resident_state == route(p, p_hat)
+            assert table.lambda_mutant_state == route(p_hat, p)
 
 
 class TestCrossValidate:

@@ -168,30 +168,18 @@ class TestCommands:
         verdicts = [line.split(",")[4] for line in lines[1:]]
         assert verdicts == ["MutantWins", "ResidentWins", "Coexistence"]
 
-    def test_sweep_pool_never_outnumbers_points(self, tmp_path, monkeypatch):
-        sizes = []
-
-        class RecordingPool:
-            """Records the pool size and maps in this process; starts nothing."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(patchcomp.cli, "ProcessPoolExecutor", RecordingPool)
-        cfg = {"sweep": {"mutant_p": [[2.5], [4.0], [1.5]]}, "grid": {"per_patch": 20}}
+    def test_sweep_ignores_workers(self, tmp_path):
+        # sweeps run in one process: --workers is validated, then unused
+        cfg = {"sweep": {"mutant_p": [[2.5], [4.0], [1.5]], "fitness": True},
+               "grid": {"per_patch": 20}}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        assert run(["sweep", "--config", path, "--out", tmp_path, "--workers", 500]) == 0
-        assert sizes == [3]
+        texts = []
+        for workers in (1, 500):
+            out = tmp_path / f"w{workers}"
+            assert run(["sweep", "--config", path, "--out", out, "--workers", workers]) == 0
+            texts.append((out / "sweep.csv").read_bytes())
+        assert texts[0] == texts[1]
         path.write_text(json.dumps({**cfg, "workers": "x"}))
         assert run(["sweep", "--config", path, "--out", tmp_path]) == 1
 

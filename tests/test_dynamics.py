@@ -9,8 +9,15 @@ from patchcomp.dynamics import (
     bounding_level,
     default_initial,
     order_preservation_check,
+    pair_steady_residual,
 )
-from patchcomp.operators import consistent_constant, expand_reduced, restrict_cell_average
+from patchcomp.operators import (
+    LinearOperator,
+    consistent_constant,
+    expand_reduced,
+    restrict_cell_average,
+    restrict_values,
+)
 
 
 @pytest.fixture
@@ -329,3 +336,34 @@ class TestSimulateAndClassify:
             record = pc.simulate(land, env, resident, mutant, grid, SimConfig(dt=dt))
             verdicts.add(record.verdict)
         assert verdicts == {"ResidentWins"}
+
+
+class TestPairSteadyResidual:
+    def test_equals_stepper_residuals_without_factoring(self, unit_two_patch, monkeypatch):
+        # the states of the coexistence-identity tests: a semi-trivial pair,
+        # and a pair far from steady
+        land, env = unit_two_patch
+        grid = pc.build_grid(land, per_patch=40)
+        resident = pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([3.0]))
+        mutant = pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([1.5]))
+        vstar = pc.solve_resident_steady(land, env, mutant, grid)
+        zero = pc.PiecewiseField(grid, np.zeros(grid.num_dofs))
+        k_dof = env.k_array[grid.patch_index_of_dofs()]
+        states = [
+            (zero, vstar),
+            (pc.PiecewiseField(grid, 0.9 * k_dof), pc.PiecewiseField(grid, 0.8 * k_dof)),
+        ]
+        stepper = Stepper(land, env, resident, mutant, grid)
+        want = [
+            max(stepper.steady_residuals(restrict_values(grid, u.values),
+                                         restrict_values(grid, v.values)))
+            for u, v in states
+        ]
+
+        def no_factoring(*args):
+            raise AssertionError("the residual must not factor anything")
+
+        monkeypatch.setattr(LinearOperator, "factor_symmetric", no_factoring)
+        monkeypatch.setattr(LinearOperator, "factor_shifted", no_factoring)
+        got = [pair_steady_residual(land, env, resident, mutant, grid, u, v) for u, v in states]
+        assert got == want

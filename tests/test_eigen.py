@@ -4,12 +4,23 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 import patchcomp as pc
-from patchcomp.eigen import assemble_linearization, growth_potential
+import patchcomp.eigen
+from patchcomp.eigen import (
+    MutantStack,
+    ResidentContext,
+    assemble_linearization,
+    growth_potential,
+)
 from patchcomp.identities import (
     coexistence_identity_residuals,
     invasion_identity_residual,
 )
-from patchcomp.operators import assemble_diffusion
+from patchcomp.operators import (
+    LinearOperator,
+    assemble_diffusion,
+    consistent_constant,
+    expand_reduced,
+)
 
 
 def extended_rayleigh_quotient(di, off, y):
@@ -19,6 +30,49 @@ def extended_rayleigh_quotient(di, off, y):
     ty[:-1] += off * y[1:]
     ty[1:] += off * y[:-1]
     return float(y @ ty / (y @ y))
+
+
+def reference_eigenpair(op, tol=1e-13, max_iters=2000):
+    """Noda's iteration on one operator, one pass at a time: the loop that
+    the stacked solve replaced, kept as the reference it must equal."""
+    if (op.up[:-1] <= 0).any() or (op.lo[1:] <= 0).any():
+        raise pc.EigenSolveError("refine grid")
+    weights = op.weights if op.symmetry_defect() <= 1e-10 else np.ones(op.size)
+    scale = max(1.0, float(np.abs(op.di).max()), float(np.abs(op.up).max()),
+                float(np.abs(op.lo).max()))
+    margin = 8.0 * np.finfo(float).eps * scale
+    floor = op.size * np.finfo(float).eps * scale
+    x = consistent_constant(op.grid, op.traits)
+    x /= x.max()
+    iterations = 0
+    previous = np.inf
+    while True:
+        ax = op.matvec(x)
+        wx = weights * x
+        theta = float(wx @ ax / (wx @ x))
+        res = float(np.abs(ax - theta * x).max())
+        if res <= max(tol * max(1.0, abs(theta)), 5e-15 * scale) or previous <= res <= floor:
+            break
+        previous = res
+        if iterations == max_iters:
+            raise pc.EigenSolveError("did not converge")
+        sigma = float((ax / x).max()) + margin
+        x = op.factor_shifted(sigma, -1.0)(x)
+        x /= x[np.abs(x).argmax()]
+        iterations += 1
+        if x.min() <= 0:
+            raise pc.EigenSolveError("refine grid")
+    phi = expand_reduced(op.grid, op.traits, x)
+    phi /= phi.max()
+    return theta, phi, res, iterations
+
+
+def assert_same_pair(pair, ref):
+    theta, phi, res, iterations = ref
+    assert pair.lambda1 == theta
+    assert np.array_equal(pair.phi.values, phi)
+    assert pair.residual == res
+    assert pair.iterations == iterations
 
 
 def fitness(land, env, p, p_hat, d=None, d_hat=None, n_sub=100, ustar=None):
@@ -237,6 +291,136 @@ class TestNodaIteration:
         top = op.size - 1
         _, vector = eigh_tridiagonal(di, off, select="i", select_range=(top, top))
         assert abs(pair.lambda1 - extended_rayleigh_quotient(di, off, vector[:, 0])) <= 1e-10
+
+
+class TestStackedNoda:
+    @given(
+        patches=st.lists(
+            st.tuples(  # length, d, p (the last patch's p is unused), r, k
+                st.floats(0.5, 2.0), st.floats(0.1, 10.0), st.floats(0.2, 5.0),
+                st.floats(0.5, 2.0), st.floats(0.5, 2.0),
+            ),
+            min_size=2,
+            max_size=6,
+        ),
+        blocks=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_each_block_equals_its_operator_alone(self, patches, blocks, seed):
+        length, d, p, r, k = (np.array(col) for col in zip(*patches))
+        land = pc.Landscape(np.concatenate(([0.0], np.cumsum(length))))
+        grid = pc.build_grid(land, per_patch=12)
+        rng = np.random.default_rng(seed)
+        patch_of = grid.patch_index_of_dofs()
+        ops = []
+        for _ in range(blocks):
+            traits = pc.SpeciesTraits(
+                d * rng.uniform(0.5, 2.0, d.size),
+                pc.StrategyVector(p[:-1] * rng.uniform(0.5, 2.0, p.size - 1)),
+            )
+            potential = r[patch_of] * (1.0 - rng.uniform(0.0, 2.0, grid.num_dofs) / k[patch_of])
+            ops.append(assemble_linearization(grid, traits, potential))
+        asym = ops[0]
+        up = asym.up * rng.uniform(1.05, 1.3, asym.size)  # breaks the weighted symmetry
+        lo = asym.lo.copy()
+        # entries outside the matrix, which no block may pass to its neighbour
+        lo[0], up[-1] = rng.uniform(0.1, 1.0, 2)
+        ops.append(LinearOperator(grid, asym.traits, lo, asym.di, up, asym.weights))
+        # a constant potential: the start is already the eigenvector
+        ops.append(assemble_linearization(grid, asym.traits, float(rng.uniform(-1.0, 1.0))))
+        order = rng.permutation(len(ops))
+        ops = [ops[i] for i in order]
+
+        pairs = pc.principal_eigenpairs(ops)
+        for op, pair in zip(ops, pairs):
+            ref = reference_eigenpair(op)
+            assert_same_pair(pair, ref)
+            assert_same_pair(pc.principal_eigenpair(op), ref)
+        assert pairs[list(order).index(len(ops) - 1)].iterations == 0
+
+    def test_one_uncoupled_block_fails_the_call(self, two_patch):
+        land, env, resident, mutant = two_patch
+        grid = pc.build_grid(land, per_patch=40)
+        ops = [assemble_linearization(grid, t, 0.2) for t in (resident, mutant, resident)]
+        ops[1].up = ops[1].up.copy()
+        ops[1].up[ops[1].size // 2] = 0.0
+        with pytest.raises(pc.EigenSolveError, match="refine grid"):
+            pc.principal_eigenpairs(ops)
+
+    def test_non_finite_band_fails_before_any_solve(self, two_patch, monkeypatch):
+        land, env, resident, mutant = two_patch
+        grid = pc.build_grid(land, per_patch=40)
+        op = assemble_diffusion(grid, mutant)
+        poisoned = op.di.copy()
+        poisoned[5] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            LinearOperator(grid, mutant, op.lo, poisoned, op.up, op.weights)
+
+        calls = []
+        monkeypatch.setattr(
+            patchcomp.eigen, "factor_tridiagonal", lambda *a: calls.append(a)
+        )
+        ops = [assemble_linearization(grid, t, 0.2) for t in (resident, mutant, resident)]
+        ops[2].di = poisoned  # set after construction, so only the stack sees it
+        with pytest.raises(ValueError, match="finite"):
+            pc.principal_eigenpairs(ops)
+        context = ResidentContext(land, env, resident, grid)
+        context.potential = context.potential.copy()
+        context.potential[-1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            context.fitness(MutantStack.assemble(grid, [resident, mutant]))
+        assert calls == []
+
+    @pytest.mark.parametrize("per_patch", [100, 400])
+    def test_resident_context_matches_per_pair_route(self, per_patch):
+        land = pc.Landscape([0.0, 0.8, 1.9, 2.6])
+        env = pc.PatchEnvironment(r=[1.2, 0.7, 1.5], k=[1.0, 2.2, 1.4])
+        resident = pc.SpeciesTraits([1.0, 0.6, 1.4], pc.StrategyVector([2.4, 0.5]))
+        grid = pc.build_grid(land, per_patch=per_patch)
+        rng = np.random.default_rng(per_patch)
+        mutants = [
+            pc.SpeciesTraits(rng.uniform(0.3, 3.0, 3), pc.StrategyVector(rng.uniform(0.3, 4.0, 2)))
+            for _ in range(12)
+        ]
+        ustar = pc.solve_resident_steady(land, env, resident, grid)
+        potential = growth_potential(grid, env, ustar)
+        context = ResidentContext(land, env, resident, grid)
+        stack = MutantStack.assemble(grid, mutants)
+        pairs = context.fitness(stack)
+        assert len(pairs) == len(mutants)
+        for mutant, pair in zip(mutants, pairs):
+            op = assemble_linearization(grid, mutant, potential)
+            assert_same_pair(pair, reference_eigenpair(op))
+        # a sub-stack, and stacks cut into solve-sized chunks, change nothing
+        index = [7, 2, 11]
+        for j, pair in zip(index, context.fitness(stack.take(index))):
+            assert_same_pair(pair, reference_eigenpair(
+                assemble_linearization(grid, mutants[j], potential)))
+        chunked = [pair for s in MutantStack.chunks(grid, mutants) for pair in context.fitness(s)]
+        assert [p.lambda1 for p in chunked] == [p.lambda1 for p in pairs]
+
+    def test_solves_in_chunks_of_bounded_size(self, two_patch, monkeypatch):
+        land, env, resident, mutant = two_patch
+        grid = pc.build_grid(land, per_patch=40)
+        monkeypatch.setattr(patchcomp.eigen, "_STACK_DOFS", 2 * grid.num_reduced)
+        sizes = []
+        factor = patchcomp.eigen.factor_tridiagonal
+
+        def recording(dl, d, du):
+            sizes.append(d.size // grid.num_reduced)
+            return factor(dl, d, du)
+
+        monkeypatch.setattr(patchcomp.eigen, "factor_tridiagonal", recording)
+        mutants = [
+            pc.SpeciesTraits([0.6, 1.1], pc.StrategyVector([p])) for p in (1.2, 1.9, 2.6, 3.3, 4.0)
+        ]
+        context = ResidentContext(land, env, resident, grid)
+        pairs = context.fitness(MutantStack.assemble(grid, mutants))
+        assert max(sizes) == 2
+        assert [len(s.di) for s in MutantStack.chunks(grid, mutants)] == [2, 2, 1]
+        for mutant, pair in zip(mutants, pairs):
+            assert pair.lambda1 == pc.invasion_fitness(land, env, resident, mutant, grid).lambda1
 
 
 class TestInvasionFitness:
