@@ -13,6 +13,11 @@ pair (resident p = 3, mutant p = 2.5, capacity ratio 2).  The layers:
 - ``eigen``: one ``principal_eigenpair`` solve, and ``principal_eigenpairs``
   on stacks of M = 1, 10 and 16 mutants' linearizations (per stack and per
   operator);
+- ``oracle``: the resident's steady solve through the continuous-form route
+  (``solve_transformed_steady``), at 201, 2,001 and 8,001 reduced DOFs;
+- ``step``: one ``Stepper.step`` of the resident/mutant pair at the default
+  dt, at the same three sizes, timed over 100 consecutive steps from the
+  default initial data and divided by 100;
 - ``pip_7x7``: a 7 x 7 ``pip`` at 100 subintervals per patch;
 - ``sweep_256``: the CLI ``sweep`` of 256 mutants with ``fitness: true`` at
   400 subintervals per patch, run in this process through ``run_command``;
@@ -49,6 +54,7 @@ import scipy  # noqa: E402
 
 import patchcomp as pc  # noqa: E402
 import patchcomp.cli  # noqa: E402
+from patchcomp.dynamics import Stepper, default_initial  # noqa: E402
 from patchcomp.eigen import assemble_linearization, growth_potential  # noqa: E402
 from patchcomp.operators import assemble_diffusion  # noqa: E402
 
@@ -58,6 +64,8 @@ RESIDENT = pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([3.0]))
 MUTANT = pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([2.5]))
 PER_PATCH = (100, 400, 800)  # 201, 801 and 1,601 reduced DOFs
 STACKS = (1, 10, 16)
+FINE_PER_PATCH = (100, 1000, 4000)  # 201, 2,001 and 8,001 reduced DOFs
+STEPS_PER_REPEAT = 100
 
 
 def median_ms(call, repeats: int) -> float:
@@ -94,6 +102,26 @@ def layers(repeats: int) -> dict:
             row[f"stack_{m}"] = ms
             row[f"stack_{m}_per_operator"] = ms / m
         out["eigen"][dofs] = row
+    return out
+
+
+def fine_layers(repeats: int) -> dict:
+    out = {"oracle": {}, "step": {}}
+    for per_patch in FINE_PER_PATCH:
+        grid = pc.build_grid(LAND, per_patch=per_patch)
+        dofs = str(grid.num_reduced)
+        out["oracle"][dofs] = median_ms(
+            lambda: pc.solve_transformed_steady(LAND, ENV, RESIDENT, grid), repeats
+        )
+        stepper = Stepper(LAND, ENV, RESIDENT, MUTANT, grid)
+        u0, v0 = default_initial(grid, ENV)
+
+        def march() -> None:
+            u, v = u0, v0
+            for _ in range(STEPS_PER_REPEAT):
+                u, v, _ = stepper.step(u, v)
+
+        out["step"][dofs] = median_ms(march, repeats) / STEPS_PER_REPEAT
     return out
 
 
@@ -149,6 +177,7 @@ def main() -> None:
             "blas_threads": 1,
         },
         **layers(args.repeats),
+        **fine_layers(args.repeats),
         "pip_7x7": pip_7x7(args.repeats),
         "sweep_256": sweep_256(args.repeats),
         "startup": startup(args.repeats),

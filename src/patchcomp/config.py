@@ -22,21 +22,13 @@ DEFAULTS: dict[str, Any] = {
     "resident": {"d": [1.0, 1.0], "p": [3.0], "alpha": None},
     "mutant": {"d": [1.0, 1.0], "p": [2.5], "alpha": None},
     "grid": {"per_patch": 100, "target_h": None},
-    "steady": {
-        "newton_tol": 1e-10,
-        "max_newton_iters": 50,
-        "min_step": 1e-4,
-        "armijo": 1e-4,
-        "fallback_dt": 0.1,
-        "fallback_horizon": 2000.0,
-    },
+    "steady": {"newton_tol": 1e-10, "max_newton_iters": 50},
     "eigen": {"sign_tol": 1e-8, "potential": "invasion"},
     "sim": {
         "dt": None,
         "t_max": 2000.0,
         "steady_tol": 1e-8,
         "extinction_eps": None,
-        "scheme": "imex-euler",
         "check_interval": 100,
         "snapshot_stride": None,
     },

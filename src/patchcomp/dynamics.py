@@ -1,12 +1,12 @@
 """Time integration of the two-species competition system and outcome calls.
 
-Diffusion is implicit: ``I - theta dt A`` is symmetric positive definite in
-the operator's weighted inner product, so it is LDLᵀ-factored once per species
-and a step makes one O(N) symmetric tridiagonal solve per species.  The
-logistic competition term is explicit and computed on the reduced DOFs.  The
-induced step map is monotone for the order "first species up, second species
-down", which is what the order-preservation harness checks, and it leaves the
-jump-consistent bounding boxes invariant.
+The one scheme is IMEX Euler.  Diffusion is implicit: ``I - dt A`` is
+symmetric positive definite in the operator's weighted inner product, so it is
+LDLᵀ-factored once per species and a step makes one O(N) symmetric tridiagonal
+solve per species.  The logistic competition term is explicit and computed on
+the reduced DOFs.  The induced step map is monotone for the order "first
+species up, second species down", which is what the order-preservation harness
+checks, and it leaves the jump-consistent bounding boxes invariant.
 """
 
 from __future__ import annotations
@@ -28,16 +28,12 @@ from .operators import (
 )
 from .steady import SteadyConfig, solve_resident_steady
 
-_SCHEMES = ("imex-euler", "cn-diffusion")
-
-
 @dataclass(frozen=True)
 class SimConfig:
     dt: float | None = None          # default: 0.01 / max growth rate
     t_max: float = 2000.0
     steady_tol: float = 1e-8
     extinction_eps: float | None = None   # default: 1e-6 * min capacity
-    scheme: str = "imex-euler"
     check_interval: int = 100
     snapshot_stride: int | None = None
 
@@ -46,8 +42,6 @@ class SimConfig:
             raise ValidationError("dt must be positive")
         if self.extinction_eps is not None and self.extinction_eps <= 0:
             raise ValidationError("extinction_eps must be positive")
-        if self.scheme not in _SCHEMES:
-            raise ValidationError(f"scheme must be one of {_SCHEMES}")
         if self.t_max <= 0:
             raise ValidationError("t_max must be positive")
         for name in ("check_interval", "snapshot_stride"):
@@ -70,13 +64,12 @@ class OutcomeRecord:
 
 
 class Stepper:
-    """IMEX / CN stepping for one parameter point at the fixed ``self.dt``.
+    """IMEX Euler stepping for one parameter point at the fixed ``self.dt``.
 
-    ``I - theta dt A`` (theta = 1 for IMEX Euler, 1/2 for CN) is LDLᵀ-factored
-    once per species, in its weight-symmetrized form, on the first step (a
-    stepper that only evaluates residuals factors nothing); a step is the
-    reaction on the reduced DOFs, then one O(N) symmetric tridiagonal solve
-    per species.
+    ``I - dt A`` is LDLᵀ-factored once per species, in its weight-symmetrized
+    form, on the first step (a stepper that only evaluates residuals factors
+    nothing); a step is the reaction on the reduced DOFs, then one O(N)
+    symmetric tridiagonal solve per species.
     """
 
     def __init__(
@@ -110,10 +103,9 @@ class Stepper:
 
     @cached_property
     def _solves(self):
-        theta = 0.5 if self.config.scheme == "cn-diffusion" else 1.0
         return (
-            self.op_u.factor_symmetric(1.0, -theta * self.dt),
-            self.op_v.factor_symmetric(1.0, -theta * self.dt),
+            self.op_u.factor_symmetric(1.0, -self.dt),
+            self.op_v.factor_symmetric(1.0, -self.dt),
         )
 
     def reaction(self, u_red: np.ndarray, v_red: np.ndarray):
@@ -141,9 +133,6 @@ class Stepper:
         f_u, f_v = self.reaction(u_red, v_red)
         rhs_u = u_red + dt * f_u
         rhs_v = v_red + dt * f_v
-        if self.config.scheme == "cn-diffusion":
-            rhs_u += 0.5 * dt * self.op_u.matvec(u_red)
-            rhs_v += 0.5 * dt * self.op_v.matvec(v_red)
         clipped = 0.0
         if rhs_u.min() < 0 or rhs_v.min() < 0:
             clipped = float(-np.minimum(rhs_u, 0.0).sum() - np.minimum(rhs_v, 0.0).sum())
@@ -272,7 +261,6 @@ def simulate(
         "clip_total": clip_total,
         "box_violations": box_violations,
         "dt": dt,
-        "scheme": config.scheme,
         "extinction_eps": _extinction_eps(config, env),
         "steady_tol": config.steady_tol,
     }

@@ -132,6 +132,9 @@ class SpeciesTraits:
         object.__setattr__(self, "jump", jump)
         if len(jump) != len(self.d) - 1:
             raise ValidationError("jump vector must have one entry per interface")
+        scales = np.concatenate(([1.0], np.cumprod(jump.as_array())))
+        scales.flags.writeable = False
+        object.__setattr__(self, "_scales", scales)
 
     @classmethod
     def from_preferences(cls, d, alpha) -> "SpeciesTraits":
@@ -154,8 +157,9 @@ class SpeciesTraits:
         return recover_preferences(self.jump, self.d_array)
 
     def cumulative_scales(self) -> np.ndarray:
-        """Per-patch products of the jump ratios left of the patch (first = 1)."""
-        return np.concatenate(([1.0], np.cumprod(self.p_array)))
+        """Per-patch products of the jump ratios left of the patch (first = 1),
+        computed once per traits object; the array is read-only."""
+        return self._scales
 
 
 class RegionLabel(str, Enum):

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
 from .errors import ValidationError
-from .grid import Grid, PiecewiseField
+from .grid import Grid
 from .landscape import PatchEnvironment, SpeciesTraits
 
 
@@ -203,7 +203,7 @@ class LinearOperator:
         )
 
     def banded(self) -> np.ndarray:
-        """(3, N) band storage (upper, main, lower), as scipy's solve_banded takes."""
+        """(3, N) band storage (upper, main, lower), LAPACK's general band layout."""
         ab = np.zeros((3, self.size))
         ab[0, 1:] = self.up[:-1]
         ab[1, :] = self.di
@@ -304,11 +304,6 @@ def assemble_diffusion(
     up[:-1] = -k_up[:-1] / weights[:-1]
     lo[1:] = -k_up[:-1] / weights[1:]
     return LinearOperator(grid, traits, lo, di, up, weights)
-
-
-def apply_to_field(op: LinearOperator, field: PiecewiseField) -> np.ndarray:
-    """Apply the reduced operator to a full field (taken by its left traces)."""
-    return op.matvec(restrict_values(op.grid, field.values))
 
 
 class SpeciesLayout:

@@ -1,9 +1,13 @@
 """Single-species steady state: damped Newton with a time-march fallback.
 
 The steady state is the unique positive equilibrium of logistic growth plus
-diffusion under the species' interface conditions.  Newton runs on the reduced
-DOFs with a tridiagonal Jacobian; if it stalls, an implicit-diffusion time
-march pulls the iterate into the basin and Newton polishes.
+diffusion under the species' interface conditions.  ``damped_newton`` is the
+package's one Newton loop: an Armijo line search on a tridiagonal Jacobian,
+stopped at the tolerance plus the rounding level of one residual evaluation.
+Here it runs on the reduced DOFs; if it stalls, an implicit-diffusion time
+march pulls the iterate into the basin and Newton polishes.  The
+continuous-form oracle in ``transform`` drives its own discretization
+through the same loop.
 """
 
 from __future__ import annotations
@@ -20,23 +24,65 @@ from .landscape import (
     ifd_strategy,
     strict_dominates,
 )
-from .operators import SpeciesLayout, assemble_diffusion, env_on_dofs
+from .operators import SpeciesLayout, assemble_diffusion, env_on_dofs, factor_tridiagonal
+
+ARMIJO = 1e-4            # sufficient-decrease factor of the line search
+MIN_STEP = 1e-4          # a line search that needs a shorter step has stalled
+FALLBACK_DT = 0.1        # time step of the fallback march
+FALLBACK_HORIZON = 2000.0  # time after which the fallback march gives up
 
 
 @dataclass(frozen=True)
 class SteadyConfig:
     newton_tol: float = 1e-10
     max_newton_iters: int = 50
-    min_step: float = 1e-4
-    armijo: float = 1e-4
-    fallback_dt: float = 0.1
-    fallback_horizon: float = 2000.0
 
     def __post_init__(self):
         if self.newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
-        if self.max_newton_iters < 1:
-            raise ValueError("max_newton_iters must be at least 1")
+        value = self.max_newton_iters
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError("max_newton_iters must be an integer of at least 1")
+
+
+def damped_newton(residual, u0, floor: float, cap: float, row_scale: float,
+                  config: SteadyConfig):
+    """Damped Newton for ``F(u) = 0`` with a tridiagonal Jacobian.
+
+    ``residual(u)`` returns ``F(u)`` and the Jacobian's (sub, main, super)
+    bands, of lengths N-1, N, N-1.  Iterates are clipped below at ``floor``.
+    The stop is ``max|F| <= newton_tol + noise``, where the noise
+    ``8 eps row_scale max(max|u|, cap)`` is the rounding level of one residual
+    evaluation.  Each step is halved until ``max|F|`` falls by the Armijo
+    factor; a step that would have to be shorter than ``MIN_STEP`` (or a
+    non-finite residual) stalls the loop.  Returns ``(u, max|F|, converged)``;
+    a stalled or exhausted loop returns its last iterate unconverged.
+    """
+
+    def noise(u):
+        return 8.0 * np.finfo(float).eps * row_scale * max(float(np.abs(u).max()), cap)
+
+    u = np.maximum(np.asarray(u0, dtype=float).copy(), floor)
+    res, bands = residual(u)
+    for _ in range(config.max_newton_iters):
+        norm = float(np.abs(res).max())
+        if norm <= config.newton_tol + noise(u):
+            return u, norm, True
+        if not np.isfinite(norm):
+            return u, norm, False
+        step = factor_tridiagonal(*bands)(-res)
+        alpha = 1.0
+        while True:
+            trial = np.maximum(u + alpha * step, floor)
+            trial_res, trial_bands = residual(trial)
+            if np.abs(trial_res).max() <= (1.0 - ARMIJO * alpha) * norm:
+                u, res, bands = trial, trial_res, trial_bands
+                break
+            alpha *= 0.5
+            if alpha < MIN_STEP:
+                return u, norm, False
+    norm = float(np.abs(res).max())
+    return u, norm, norm <= config.newton_tol + noise(u)
 
 
 class _SteadyProblem:
@@ -50,45 +96,24 @@ class _SteadyProblem:
         self.r_full, self.k_full = env_on_dofs(grid, env)
         op = self.op
         self.row_scale = float((np.abs(op.di) + np.abs(op.lo) + np.abs(op.up)).max())
+        self.floor = 1e-12 * self.k_full.min()
 
     def growth(self, u_full: np.ndarray) -> np.ndarray:
         """Logistic growth of a full field, restricted to the reduced DOFs."""
         return self.layout.restrict_avg(self.r_full * u_full * (1.0 - u_full / self.k_full))
 
-    def residual_and_slope(self, u_red: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def residual(self, u_red: np.ndarray):
+        """``A u + growth(u)`` and the bands of its Jacobian."""
         u_full = self.layout.expand(u_red)
         res = self.op.matvec(u_red) + self.growth(u_full)
         fp = self.r_full * (1.0 - 2.0 * u_full / self.k_full)
-        return res, self.layout.restrict_diag(fp)
+        slope = self.layout.restrict_diag(fp)
+        return res, (self.op.lo[1:], slope + self.op.di, self.op.up[:-1])
 
-    def noise_floor(self, u: np.ndarray) -> float:
-        """Rounding level of one residual evaluation; the scaled tolerance adds this."""
-        return (
-            8.0 * np.finfo(float).eps * self.row_scale
-            * max(float(np.abs(u).max()), self.k_full.max())
+    def newton(self, u0, config: SteadyConfig):
+        return damped_newton(
+            self.residual, u0, self.floor, self.k_full.max(), self.row_scale, config
         )
-
-
-def _newton(problem: _SteadyProblem, u0, config: SteadyConfig):
-    floor = 1e-12 * problem.k_full.min()
-    u = np.maximum(np.asarray(u0, dtype=float).copy(), floor)
-    res, slope = problem.residual_and_slope(u)
-    for _ in range(config.max_newton_iters):
-        norm = float(np.abs(res).max())
-        if norm <= config.newton_tol + problem.noise_floor(u):
-            return u, norm
-        step = problem.op.factor_shifted(slope)(-res)
-        alpha = 1.0
-        while True:
-            trial = np.maximum(u + alpha * step, floor)
-            trial_res, trial_slope = problem.residual_and_slope(trial)
-            if np.abs(trial_res).max() <= (1.0 - config.armijo * alpha) * norm:
-                u, res, slope = trial, trial_res, trial_slope
-                break
-            alpha *= 0.5
-            if alpha < config.min_step:
-                return u, norm  # stalled; caller decides on fallback
-    return u, float(np.abs(res).max())
 
 
 def solve_resident_steady(
@@ -114,21 +139,18 @@ def solve_resident_steady(
     else:
         u0 = np.asarray(initial, dtype=float)
 
-    u, norm = _newton(problem, u0, config)
-    if norm > config.newton_tol + problem.noise_floor(u):
+    u, norm, converged = problem.newton(u0, config)
+    if not converged:
         # implicit-diffusion march toward the attracting steady state
-        dt = config.fallback_dt
-        march = problem.op.factor_shifted(1.0, -dt)
-        steps = int(np.ceil(config.fallback_horizon / dt))
+        march = problem.op.factor_shifted(1.0, -FALLBACK_DT)
+        steps = int(np.ceil(FALLBACK_HORIZON / FALLBACK_DT))
         for step in range(1, steps + 1):
-            rhs = u + dt * problem.growth(problem.layout.expand(u))
-            u = np.maximum(march(rhs), 1e-12 * problem.k_full.min())
-            if step % 20 == 0:
-                res, _ = problem.residual_and_slope(u)
-                if np.abs(res).max() < 1e-4:
-                    break
-        u, norm = _newton(problem, u, config)
-        if norm > config.newton_tol + problem.noise_floor(u):
+            rhs = u + FALLBACK_DT * problem.growth(problem.layout.expand(u))
+            u = np.maximum(march(rhs), problem.floor)
+            if step % 20 == 0 and np.abs(problem.residual(u)[0]).max() < 1e-4:
+                break
+        u, norm, converged = problem.newton(u, config)
+        if not converged:
             raise SteadyConvergenceError(
                 "steady solve failed after Newton and time-march fallback",
                 residual=norm,

@@ -5,7 +5,8 @@ dividing the density by the same product turns the jump-interface problem into
 one with continuous density and flux and piecewise-constant coefficients.
 This module implements the rescaling both ways and a finite-volume steady
 solver on the rescaled problem, used as an independent oracle for the direct
-jump-aware route.
+jump-aware route.  Only the discretization is its own: the Newton loop is
+``steady.damped_newton``, the one the direct route uses.
 """
 
 from __future__ import annotations
@@ -13,11 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import SteadyConvergenceError, ValidationError
 from .grid import Grid, PiecewiseField
 from .landscape import Landscape, PatchEnvironment, SpeciesTraits
+from .steady import SteadyConfig, damped_newton
+
+# tighter than the direct route's default: the oracle is compared against it
+ORACLE_CONFIG = SteadyConfig(newton_tol=1e-11, max_newton_iters=80)
 
 
 @dataclass(frozen=True)
@@ -149,55 +153,34 @@ def solve_transformed_steady(
     env: PatchEnvironment,
     traits: SpeciesTraits,
     grid: Grid,
-    newton_tol: float = 1e-11,
-    max_iters: int = 80,
 ) -> PiecewiseField:
-    """Steady state through the continuous-form route (the oracle path)."""
+    """Steady state through the continuous-form route (the oracle path).
+
+    Newton runs on this module's own discretization, with no fallback: a
+    stalled or exhausted Newton raises SteadyConvergenceError.
+    """
     problem = to_transformed(landscape, env, traits)
     lo, di, up, vol, h = _fv_operator(problem, grid)
-    size = shared_node_count(grid)
     kt = np.asarray(problem.ktilde)
     off = shared_node_offsets(grid)
 
-    w = np.empty(size)
+    w = np.empty(shared_node_count(grid))
     for i in range(grid.n):
         w[off[i] : off[i + 1] + 1] = kt[i]
 
     def residual(wv):
-        react, jac = _fv_reaction(problem, grid, wv, vol, h)
+        react, (jlo, jdi, jup) = _fv_reaction(problem, grid, wv, vol, h)
         y = di * wv + react
         y[:-1] += up[:-1] * wv[1:]
         y[1:] += lo[1:] * wv[:-1]
-        return y, jac
+        return y, (lo[1:] + jlo[1:], di + jdi, up[:-1] + jup[:-1])
 
-    floor = 1e-12 * kt.min()
     row_scale = float((np.abs(di) + np.abs(lo) + np.abs(up)).max())
-    res, jac = residual(w)
-    for _ in range(max_iters):
-        norm = float(np.abs(res).max())
-        noise = 8.0 * np.finfo(float).eps * row_scale * max(float(np.abs(w).max()), kt.max())
-        if norm <= newton_tol + noise:
-            break
-        jlo, jdi, jup = jac
-        ab = np.zeros((3, size))
-        ab[0, 1:] = up[:-1] + jup[:-1]
-        ab[1, :] = di + jdi
-        ab[2, :-1] = lo[1:] + jlo[1:]
-        step = solve_banded((1, 1), ab, -res)
-        alpha = 1.0
-        while alpha > 1e-4:
-            trial = np.maximum(w + alpha * step, floor)
-            trial_res, trial_jac = residual(trial)
-            if np.abs(trial_res).max() <= (1.0 - 1e-4 * alpha) * norm:
-                w, res, jac = trial, trial_res, trial_jac
-                break
-            alpha *= 0.5
-        else:
-            w = np.maximum(w + 1e-4 * step, floor)
-            res, jac = residual(w)
-    noise = 8.0 * np.finfo(float).eps * row_scale * max(float(np.abs(w).max()), kt.max())
-    if np.abs(res).max() > newton_tol + noise:
+    w, norm, converged = damped_newton(
+        residual, w, 1e-12 * kt.min(), kt.max(), row_scale, ORACLE_CONFIG
+    )
+    if not converged:
         raise SteadyConvergenceError(
-            "continuous-form Newton did not converge", residual=float(np.abs(res).max())
+            "continuous-form Newton did not converge", residual=norm
         )
     return pull_back(w, problem, grid)

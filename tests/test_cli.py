@@ -22,7 +22,6 @@ class TestConfig:
     def test_defaults_build(self):
         cfg = RunConfig.from_dict({})
         assert cfg.landscape.n == 2
-        assert cfg.sim.scheme == "imex-euler"
 
     def test_round_trip(self):
         cfg = RunConfig.from_dict({"seed": 7, "environment": {"k": [1.0, 3.0]}})
@@ -251,6 +250,27 @@ class TestCommands:
         assert run(["simulate", "--config", path, "--out", tmp_path]) == 1
         assert "sim: check_interval" in capsys.readouterr().err
         assert not (tmp_path / "outcome.csv").exists()
+
+    @pytest.mark.parametrize(
+        "section,field,value",
+        [("sim", "scheme", "cn-diffusion"), ("steady", "armijo", 1e-4),
+         ("steady", "fallback_dt", 0.1)],
+    )
+    def test_removed_solver_fields_exit_one(self, tmp_path, capsys, section, field, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({section: {field: value}}))
+        assert run(["steady", "--config", path, "--out", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert f"unknown configuration field: {section}.{field}" in err
+        assert not (tmp_path / "steady_u.csv").exists()
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_non_integer_newton_iterations_exit_one(self, tmp_path, capsys, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"steady": {"max_newton_iters": value}}))
+        assert run(["steady", "--config", path, "--out", tmp_path]) == 1
+        assert "steady: max_newton_iters" in capsys.readouterr().err
+        assert not (tmp_path / "steady_u.csv").exists()
 
     def test_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PATCHCOMP_OUT", str(tmp_path / "env_out"))

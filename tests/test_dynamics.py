@@ -66,24 +66,6 @@ class TestStep:
         assert np.abs(u - u0).max() <= 1e-12
         assert np.abs(v - v0).max() <= 1e-12
 
-    def test_crank_nicolson_shares_the_fixed_points(self, unit_two_patch):
-        # both schemes have A u + R(u) = 0 as their exact fixed-point equation
-        land, env = unit_two_patch
-        ifd = pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([2.0]))
-        ifd2 = pc.SpeciesTraits([0.7, 1.4], pc.StrategyVector([2.0]))
-        grid = pc.build_grid(land, per_patch=20)
-        stepper = Stepper(land, env, ifd, ifd2, grid, SimConfig(scheme="cn-diffusion"))
-        u0 = np.empty(grid.num_reduced)
-        for i in range(grid.n):
-            u0[grid.reduced_patch_slice(i)] = 0.4 * env.k[i]
-        v0 = u0 / 0.4 * 0.6
-        u, v = u0.copy(), v0.copy()
-        for _ in range(50):
-            u, v, _ = stepper.step(u, v)
-            assert u.min() >= 0 and v.min() >= 0
-        assert np.abs(u - u0).max() <= 1e-12
-        assert np.abs(v - v0).max() <= 1e-12
-
     def test_nonnegativity_and_box(self, competition_pair):
         land, env, resident, mutant, grid, stepper = competition_pair
         rng = np.random.default_rng(0)
@@ -98,25 +80,23 @@ class TestStep:
 
 
 class TestImplicitSolve:
-    @pytest.mark.parametrize("scheme", ["imex-euler", "cn-diffusion"])
     @pytest.mark.parametrize("per_patch", [100, 1300])  # 201 and 2,601 reduced DOFs
-    def test_step_matches_dense_solve(self, unit_two_patch, scheme, per_patch):
+    def test_step_matches_dense_solve(self, unit_two_patch, per_patch):
         land, env = unit_two_patch
         resident = pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([3.0]))
         mutant = pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([1.5]))
         grid = pc.build_grid(land, per_patch=per_patch)
-        stepper = Stepper(land, env, resident, mutant, grid, SimConfig(scheme=scheme))
+        stepper = Stepper(land, env, resident, mutant, grid, SimConfig())
         rng = np.random.default_rng(5)
         u, v = (rng.uniform(0.0, 1.5, grid.num_reduced) for _ in range(2))
-        theta = 0.5 if scheme == "cn-diffusion" else 1.0
         dt = stepper.dt
         f_u, f_v = stepper.reaction(u, v)
         u_new, v_new, _ = stepper.step(u, v)
         for op, w, f, got in (
             (stepper.op_u, u, f_u, u_new), (stepper.op_v, v, f_v, v_new)
         ):
-            rhs = np.maximum(w + dt * f + (1.0 - theta) * dt * op.matvec(w), 0.0)
-            ref = np.linalg.solve(np.eye(op.size) - theta * dt * op.dense(), rhs)
+            rhs = np.maximum(w + dt * f, 0.0)
+            ref = np.linalg.solve(np.eye(op.size) - dt * op.dense(), rhs)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 

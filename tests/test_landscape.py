@@ -40,6 +40,16 @@ class TestDomainTypes:
         with pytest.raises(pc.ValidationError):
             StrategyVector([1.0, 0.0])
 
+    def test_cumulative_scales_computed_once_read_only(self):
+        traits = pc.SpeciesTraits([1.0, 2.0, 0.5], StrategyVector([3.0, 0.7]))
+        scales = traits.cumulative_scales()
+        assert scales is traits.cumulative_scales()
+        assert not scales.flags.writeable
+        assert np.array_equal(scales, np.concatenate(([1.0], np.cumprod([3.0, 0.7]))))
+        single = pc.SpeciesTraits([1.0], StrategyVector([]))
+        assert np.array_equal(single.cumulative_scales(), [1.0])
+        assert traits == pc.SpeciesTraits([1.0, 2.0, 0.5], [3.0, 0.7])
+
 
 class TestIfdStrategy:
     def test_two_patches(self):

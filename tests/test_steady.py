@@ -1,8 +1,79 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import patchcomp as pc
-from patchcomp.operators import LinearOperator, restrict_values
+import patchcomp.steady
+import patchcomp.transform
+from patchcomp.operators import (
+    LinearOperator,
+    SpeciesLayout,
+    assemble_diffusion,
+    env_on_dofs,
+    restrict_values,
+)
+from patchcomp.steady import FALLBACK_DT, damped_newton
+
+
+def reference_steady(grid, env, traits, config, initial=None):
+    """The steady solve before the shared Newton driver: its own damped
+    Newton (a ``factor_shifted`` solve per step) and the time-march fallback.
+    Returns the full field's values or raises SteadyConvergenceError."""
+    layout = SpeciesLayout(grid, traits)
+    op = assemble_diffusion(grid, traits, layout.mass)
+    r_full, k_full = env_on_dofs(grid, env)
+    row_scale = float((np.abs(op.di) + np.abs(op.lo) + np.abs(op.up)).max())
+    floor = 1e-12 * k_full.min()
+
+    def growth(u_full):
+        return layout.restrict_avg(r_full * u_full * (1.0 - u_full / k_full))
+
+    def residual_and_slope(u):
+        u_full = layout.expand(u)
+        res = op.matvec(u) + growth(u_full)
+        return res, layout.restrict_diag(r_full * (1.0 - 2.0 * u_full / k_full))
+
+    def unconverged(u, norm):
+        noise = 8.0 * np.finfo(float).eps * row_scale * max(float(np.abs(u).max()), k_full.max())
+        return norm > config.newton_tol + noise
+
+    def newton(u0):
+        u = np.maximum(np.asarray(u0, dtype=float).copy(), floor)
+        res, slope = residual_and_slope(u)
+        for _ in range(config.max_newton_iters):
+            norm = float(np.abs(res).max())
+            if not unconverged(u, norm):
+                return u, norm
+            step = op.factor_shifted(slope)(-res)
+            alpha = 1.0
+            while True:
+                trial = np.maximum(u + alpha * step, floor)
+                trial_res, trial_slope = residual_and_slope(trial)
+                if np.abs(trial_res).max() <= (1.0 - 1e-4 * alpha) * norm:
+                    u, res, slope = trial, trial_res, trial_slope
+                    break
+                alpha *= 0.5
+                if alpha < 1e-4:
+                    return u, norm
+        return u, float(np.abs(res).max())
+
+    if initial is None:
+        initial = np.empty(grid.num_reduced)
+        for i in range(grid.n):
+            initial[grid.reduced_patch_slice(i)] = env.k[i]
+    u, norm = newton(initial)
+    if unconverged(u, norm):
+        march = op.factor_shifted(1.0, -0.1)
+        for step in range(1, int(np.ceil(2000.0 / 0.1)) + 1):
+            u = np.maximum(march(u + 0.1 * growth(layout.expand(u))), floor)
+            if step % 20 == 0 and np.abs(residual_and_slope(u)[0]).max() < 1e-4:
+                break
+        u, norm = newton(u)
+        if unconverged(u, norm):
+            raise pc.SteadyConvergenceError("reference solve failed", residual=norm)
+    if u.min() <= 0:
+        raise pc.SteadyConvergenceError("reference lost positivity", residual=norm)
+    return layout.expand(u)
 
 
 class TestSingleSpeciesSteady:
@@ -108,9 +179,97 @@ class TestSingleSpeciesSteady:
         monkeypatch.setattr(LinearOperator, "factor_shifted", spy)
         config = pc.SteadyConfig(max_newton_iters=2)
         u = pc.solve_resident_steady(land, env, traits, grid, config)
-        # Newton factors A + diag(slope) (beta = 1); only the march uses -dt
-        assert betas.count(-config.fallback_dt) == 1
+        # Newton factors its Jacobian bands through factor_tridiagonal; the
+        # march's I - dt A is the one factor_shifted call
+        assert betas == [-FALLBACK_DT]
         assert np.abs(u.values - reference.values).max() <= 1e-9
+
+    @given(
+        patches=st.lists(
+            st.tuples(  # length, d, p (the last patch's unused), r, k
+                st.floats(0.3, 3.0), st.floats(0.05, 10.0), st.floats(0.2, 5.0),
+                st.floats(0.3, 3.0), st.floats(0.3, 3.0),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        per_patch=st.sampled_from([12, 40, 100]),
+        max_iters=st.sampled_from([50, 1, 2, 3]),  # 1-3 force the fallback march
+        start=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_solve(self, patches, per_patch, max_iters, start):
+        length, d, p, r, k = (np.array(col) for col in zip(*patches))
+        land = pc.Landscape(np.concatenate(([0.0], np.cumsum(length))))
+        env = pc.PatchEnvironment(r=r, k=k)
+        traits = pc.SpeciesTraits(d, pc.StrategyVector(p[:-1]))
+        grid = pc.build_grid(land, per_patch=per_patch)
+        config = pc.SteadyConfig(max_newton_iters=max_iters)
+        initial = None
+        if start is not None:
+            rng = np.random.default_rng(start)
+            initial = rng.uniform(0.1, 2.0, grid.num_reduced) * k.max()
+        try:
+            expected = reference_steady(grid, env, traits, config, initial)
+        except pc.SteadyConvergenceError as exc:
+            with pytest.raises(pc.SteadyConvergenceError) as got:
+                pc.solve_resident_steady(land, env, traits, grid, config, initial)
+            assert got.value.residual == exc.residual
+            return
+        u = pc.solve_resident_steady(land, env, traits, grid, config, initial)
+        assert np.array_equal(u.values, expected)
+
+
+class TestDampedNewton:
+    @staticmethod
+    def shifted(sign):
+        # F(u) = u - 2 with the Jacobian's bands scaled by sign (1: exact)
+        def residual(u):
+            return u - 2.0, (np.zeros(2), np.full(3, sign), np.zeros(2))
+        return residual
+
+    def test_exact_jacobian_converges_in_one_step(self):
+        u, norm, converged = damped_newton(
+            self.shifted(1.0), np.ones(3), 0.0, 1.0, 1.0, pc.SteadyConfig()
+        )
+        assert converged and norm == 0.0 and np.array_equal(u, np.full(3, 2.0))
+
+    def test_stalled_line_search_returns_unconverged(self):
+        u, norm, converged = damped_newton(
+            self.shifted(-1.0), np.ones(3), 0.0, 1.0, 1.0, pc.SteadyConfig()
+        )
+        assert not converged and norm == 1.0 and np.array_equal(u, np.ones(3))
+
+    def test_non_finite_residual_returns_unconverged(self, monkeypatch):
+        def residual(u):
+            return np.full(3, np.nan), (np.zeros(2), np.ones(3), np.zeros(2))
+
+        def refuse(*bands):
+            raise AssertionError("a non-finite residual reached the factorisation")
+
+        monkeypatch.setattr(patchcomp.steady, "factor_tridiagonal", refuse)
+        _, norm, converged = damped_newton(
+            residual, np.ones(3), 0.0, 1.0, 1.0, pc.SteadyConfig()
+        )
+        assert not converged and np.isnan(norm)
+
+    @pytest.mark.parametrize("value", [0, 2.5, True, "50"])
+    def test_iteration_cap_must_be_a_positive_integer(self, value):
+        with pytest.raises(ValueError, match="max_newton_iters"):
+            pc.SteadyConfig(max_newton_iters=value)
+
+
+class TestTransformedOracle:
+    def test_stall_raises(self, unit_two_patch, monkeypatch):
+        land, env = unit_two_patch
+        traits = pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([3.0]))
+        grid = pc.build_grid(land, per_patch=60)
+        assert pc.solve_transformed_steady(land, env, traits, grid).min() > 0
+        monkeypatch.setattr(
+            patchcomp.transform, "ORACLE_CONFIG", pc.SteadyConfig(max_newton_iters=1)
+        )
+        with pytest.raises(pc.SteadyConvergenceError):
+            pc.solve_transformed_steady(land, env, traits, grid)
 
 
 class TestMonotonicityReport:
