@@ -21,6 +21,10 @@ pair (resident p = 3, mutant p = 2.5, capacity ratio 2).  The layers:
 - ``pip_7x7``: a 7 x 7 ``pip`` at 100 subintervals per patch;
 - ``sweep_256``: the CLI ``sweep`` of 256 mutants with ``fitness: true`` at
   400 subintervals per patch, run in this process through ``run_command``;
+- ``cli``: each CLI command (``steady``, ``eigen``, ``fitness``,
+  ``classify``, ``pip``, ``sweep``, ``validate``) on
+  ``configs/reference_two_patch.json``, run end to end as a subprocess
+  (interpreter start and import included);
 - ``startup``: a fresh interpreter that imports patchcomp and exits, timed
   from outside, reported apart because every CLI command pays it.
 
@@ -66,6 +70,8 @@ PER_PATCH = (100, 400, 800)  # 201, 801 and 1,601 reduced DOFs
 STACKS = (1, 10, 16)
 FINE_PER_PATCH = (100, 1000, 4000)  # 201, 2,001 and 8,001 reduced DOFs
 STEPS_PER_REPEAT = 100
+CLI_COMMANDS = ("steady", "eigen", "fitness", "classify", "pip", "sweep", "validate")
+CLI_CONFIG = ROOT / "configs" / "reference_two_patch.json"
 
 
 def median_ms(call, repeats: int) -> float:
@@ -153,10 +159,27 @@ def sweep_256(repeats: int) -> float:
         return median_ms(run, repeats)
 
 
-def startup(repeats: int) -> float:
+def _subprocess_ms(args: list[str], repeats: int) -> float:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    cmd = [sys.executable, "-c", "import patchcomp"]
-    return median_ms(lambda: subprocess.run(cmd, env=env, check=True), repeats)
+    cmd = [sys.executable, *args]
+    return median_ms(
+        lambda: subprocess.run(cmd, env=env, check=True, stdout=subprocess.DEVNULL), repeats
+    )
+
+
+def cli(repeats: int) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        return {
+            command: _subprocess_ms(
+                ["-m", "patchcomp.cli", command, "--config", str(CLI_CONFIG), "--out", tmp],
+                repeats,
+            )
+            for command in CLI_COMMANDS
+        }
+
+
+def startup(repeats: int) -> float:
+    return _subprocess_ms(["-c", "import patchcomp"], repeats)
 
 
 def main() -> None:
@@ -180,6 +203,7 @@ def main() -> None:
         **fine_layers(args.repeats),
         "pip_7x7": pip_7x7(args.repeats),
         "sweep_256": sweep_256(args.repeats),
+        "cli": cli(args.repeats),
         "startup": startup(args.repeats),
     }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")

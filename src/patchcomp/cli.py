@@ -23,6 +23,7 @@ from .eigen import (
 from .errors import NumericalError, ValidationError
 from .grid import CSV_HEADER
 from .landscape import SpeciesTraits, StrategyVector
+from .operators import SpeciesLayout
 from .steady import monotonicity_report, solve_resident_steady
 from .validate import run_validation
 
@@ -164,14 +165,12 @@ def _cmd_simulate(cfg: RunConfig, grid) -> int:
     record.u_final.write_csv(os.path.join(out, "final_u.csv"))
     record.v_final.write_csv(os.path.join(out, "final_v.csv"))
     if "snapshots" in diag:
-        from .operators import expand_reduced
-
+        layout_u, layout_v = SpeciesLayout(grid, cfg.resident), SpeciesLayout(grid, cfg.mutant)
         rows = ["t,patch_index,x,u,v"]
         xs = grid.full_x()
         patch_of = grid.patch_index_of_dofs()
         for t, u_red, v_red in diag["snapshots"]:
-            u_full = expand_reduced(grid, cfg.resident, u_red)
-            v_full = expand_reduced(grid, cfg.mutant, v_red)
+            u_full, v_full = layout_u.expand(u_red), layout_v.expand(v_red)
             for j in range(grid.num_dofs):
                 rows.append(
                     f"{_fmt(t)},{patch_of[j] + 1},{_fmt(xs[j])},"

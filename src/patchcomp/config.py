@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Any
@@ -47,6 +48,46 @@ DEFAULTS: dict[str, Any] = {
 }
 
 
+# Numeric fields, checked by ``checked_number`` before any object is built;
+# a field whose default is None may also be None.
+_POSITIVE = (
+    "steady.newton_tol", "sim.dt", "sim.t_max", "sim.steady_tol", "sim.extinction_eps",
+    "eigen.sign_tol", "grid.target_h", "pip.resident_min", "pip.resident_max",
+    "pip.mutant_min", "pip.mutant_max",
+)
+_COUNTS = ("pip.resident_count", "pip.mutant_count")
+
+
+def checked_number(value, path: str, *, count: bool = False, zero: bool = False):
+    """``value`` if it is a finite number above zero (an integer for a
+    ``count``, possibly zero with ``zero``); otherwise a ValidationError that
+    names ``path``.  JSON ``true``/``false`` are not numbers here."""
+    kind = "an integer" if count else "a number"
+    if isinstance(value, bool) or not isinstance(value, int if count else (int, float)):
+        raise ValidationError(f"{path}: must be {kind}, got {value!r}")
+    if not math.isfinite(value):
+        raise ValidationError(f"{path}: must be finite, got {value!r}")
+    if value < 0 or (value == 0 and not zero):
+        bound = "at least 0" if zero else "positive"
+        raise ValidationError(f"{path}: must be {bound}, got {value!r}")
+    return value
+
+
+def _check_numbers(merged: dict) -> None:
+    for path in _POSITIVE + _COUNTS:
+        section, key = path.split(".")
+        value = merged[section][key]
+        if value is not None or DEFAULTS[section][key] is not None:
+            checked_number(value, path, count=path in _COUNTS)
+    per_patch = merged["grid"]["per_patch"]
+    if isinstance(per_patch, list):
+        for i, value in enumerate(per_patch):
+            checked_number(value, f"grid.per_patch[{i}]", count=True)
+    elif per_patch is not None:
+        checked_number(per_patch, "grid.per_patch", count=True)
+    checked_number(merged["seed"], "seed", count=True, zero=True)
+
+
 def _merge(base: dict, override: dict, path: str = "") -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -80,6 +121,7 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunConfig":
         merged = _merge(DEFAULTS, data)
+        _check_numbers(merged)
         try:
             landscape = Landscape(merged["landscape"]["boundaries"])
         except (ValidationError, ValueError) as exc:
@@ -109,8 +151,6 @@ class RunConfig:
             raise ValidationError(
                 "eigen.potential: must be invasion, steady-linearization or zero"
             )
-        if not isinstance(merged["seed"], int):
-            raise ValidationError("seed: must be an integer")
         if not isinstance(merged["workers"], int) or merged["workers"] < 1:
             raise ValidationError("workers: must be an integer of at least 1")
         return cls(
@@ -149,7 +189,7 @@ class RunConfig:
     def build_grid(self, resolution: float | None = None) -> Grid:
         spec = self.raw["grid"]
         if resolution is not None:
-            return build_grid(self.landscape, target_h=resolution)
+            return build_grid(self.landscape, target_h=checked_number(resolution, "resolution"))
         if spec.get("target_h") is not None:
             return build_grid(self.landscape, target_h=spec["target_h"])
         return build_grid(self.landscape, per_patch=spec.get("per_patch", 100))

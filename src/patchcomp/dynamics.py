@@ -20,11 +20,11 @@ from .errors import SimulationBlowUpError, ValidationError
 from .grid import Grid, PiecewiseField
 from .landscape import Landscape, PatchEnvironment, SpeciesTraits
 from .operators import (
+    SpeciesLayout,
     assemble_diffusion,
     consistent_constant,
     env_on_dofs,
-    expand_reduced,
-    full_mass,
+    restrict_values,
 )
 from .steady import SteadyConfig, solve_resident_steady
 
@@ -87,18 +87,12 @@ class Stepper:
         self.mutant = mutant
         self.grid = grid
         self.config = config or SimConfig()
-        self.op_u = assemble_diffusion(grid, resident)
-        self.op_v = assemble_diffusion(grid, mutant)
-        kept = grid.kept_indices()
-        self.r, self.k = (values[kept] for values in env_on_dofs(grid, env))
-        # the trace DOF of interface m restricts two one-sided values, the left
-        # patch's and the eliminated right trace's (density p * u in patch
-        # m + 1); a_left and a_right are their mass-weighted fractions
-        self.trace = grid.reduced_trace_indices()
+        self.layout_u = SpeciesLayout(grid, resident)
+        self.layout_v = SpeciesLayout(grid, mutant)
+        self.op_u = assemble_diffusion(grid, resident, self.layout_u)
+        self.op_v = assemble_diffusion(grid, mutant, self.layout_v)
+        self.r, self.k = (self.layout_u.fill(a) for a in (env.r_array, env.k_array))
         self.r_right, self.k_right = env.r_array[1:], env.k_array[1:]
-        self.p_u, self.p_v = resident.p_array, mutant.p_array
-        self.a_left_u, self.a_right_u = _trace_fractions(self.op_u)
-        self.a_left_v, self.a_right_v = _trace_fractions(self.op_v)
         self.dt = self.config.dt if self.config.dt is not None else 0.01 / env.r_array.max()
 
     @cached_property
@@ -112,17 +106,21 @@ class Stepper:
         """Explicit competition terms for both species, on reduced DOFs.
 
         Away from the interfaces this is pointwise ``u * r (1 - (u + v) / k)``;
-        at each trace DOF it is the weighted restriction of that field's two
-        one-sided values, as ``restrict_cell_average`` of the expanded field.
+        at the trace DOF of interface m it weighs the left value and the
+        eliminated right trace's (density p * u in patch m + 1) by the
+        layout's ``a_left``/``a_right``, as ``SpeciesLayout.restrict_avg`` of
+        the expanded field does.
         """
+        lu, lv = self.layout_u, self.layout_v
+        tr = lu.trace
         crowd = self.r * (1.0 - (u_red + v_red) / self.k)
         f_u = u_red * crowd
         f_v = v_red * crowd
-        u_tr, v_tr = u_red[self.trace], v_red[self.trace]
-        crowd_left = crowd[self.trace]
-        crowd_right = self.r_right * (1.0 - (self.p_u * u_tr + self.p_v * v_tr) / self.k_right)
-        f_u[self.trace] = u_tr * (self.a_left_u * crowd_left + self.a_right_u * crowd_right)
-        f_v[self.trace] = v_tr * (self.a_left_v * crowd_left + self.a_right_v * crowd_right)
+        u_tr, v_tr = u_red[tr], v_red[tr]
+        crowd_left = crowd[tr]
+        crowd_right = self.r_right * (1.0 - (lu.p * u_tr + lv.p * v_tr) / self.k_right)
+        f_u[tr] = u_tr * (lu.a_left * crowd_left + lu.a_right * crowd_right)
+        f_v[tr] = v_tr * (lv.a_left * crowd_left + lv.a_right * crowd_right)
         return f_u, f_v
 
     def step(
@@ -148,22 +146,9 @@ class Stepper:
         return float(np.abs(res_u).max()), float(np.abs(res_v).max())
 
 
-def _trace_fractions(op) -> tuple[np.ndarray, np.ndarray]:
-    """Shares ``mass / weight`` of each trace DOF's left and right one-sided
-    values, the right one's times p² (see ``restrict_cell_average``)."""
-    grid = op.grid
-    trace = grid.reduced_trace_indices()
-    mass = full_mass(grid, op.traits)
-    w = op.weights[trace]
-    left = mass[grid.kept_indices()[trace]] / w
-    return left, op.traits.p_array**2 * mass[grid.right_trace_indices()] / w
-
-
 def default_initial(grid: Grid, env: PatchEnvironment) -> tuple[np.ndarray, np.ndarray]:
     """Half the capacity profile per patch, for both species (reduced DOFs)."""
-    u0 = np.empty(grid.num_reduced)
-    for i in range(grid.n):
-        u0[grid.reduced_patch_slice(i)] = env.k[i] / 2.0
+    u0 = restrict_values(grid, env_on_dofs(grid, env)[1] / 2.0)
     return u0, u0.copy()
 
 
@@ -197,8 +182,9 @@ def simulate(
     if u.min() < 0 or v.min() < 0:
         raise ValidationError("initial data must be nonnegative")
 
-    box_u = bounding_level(grid, resident, env, u) * consistent_constant(grid, resident)
-    box_v = bounding_level(grid, mutant, env, v) * consistent_constant(grid, mutant)
+    layout_u, layout_v = stepper.layout_u, stepper.layout_v
+    box_u = bounding_level(grid, resident, env, u) * layout_u.fill(layout_u.scales)
+    box_v = bounding_level(grid, mutant, env, v) * layout_v.fill(layout_v.scales)
     blow_up = 10.0 * max(box_u.max(), box_v.max())
 
     ustar = solve_resident_steady(landscape, env, resident, grid, steady_config)
@@ -239,8 +225,8 @@ def simulate(
             res_u, res_v = stepper.steady_residuals(u, v)
             if max(res_u, res_v) < config.steady_tol:
                 verdict_now = classify_outcome(
-                    PiecewiseField(grid, expand_reduced(grid, resident, u)),
-                    PiecewiseField(grid, expand_reduced(grid, mutant, v)),
+                    PiecewiseField(grid, layout_u.expand(u)),
+                    PiecewiseField(grid, layout_v.expand(v)),
                     ustar,
                     vstar,
                     env,
@@ -251,8 +237,8 @@ def simulate(
                     converged = True
                     break
 
-    u_field = PiecewiseField(grid, expand_reduced(grid, resident, u))
-    v_field = PiecewiseField(grid, expand_reduced(grid, mutant, v))
+    u_field = PiecewiseField(grid, layout_u.expand(u))
+    v_field = PiecewiseField(grid, layout_v.expand(v))
     res_u, res_v = stepper.steady_residuals(u, v)
     diagnostics = {
         "time_derivative_norm": td_norm,
@@ -339,17 +325,15 @@ def order_preservation_check(
     ub, vb = (np.asarray(w, dtype=float).copy() for w in state_b)
     if any(w.shape != (stepper.grid.num_reduced,) for w in (ua, va, ub, vb)):
         raise ValidationError("reduced vector has the wrong length")
-    tr, p_u, p_v = stepper.trace, stepper.p_u, stepper.p_v
+
+    def excess(over, under, layout) -> float:
+        # by how much ``over`` exceeds ``under`` anywhere on the full DOFs:
+        # the reduced ones and the eliminated right traces
+        right = layout.right_values(over) - layout.right_values(under)
+        return float(max((over - under).max(), right.max(initial=-np.inf)))
 
     def violation(ua, va, ub, vb) -> float:
-        # the full fields' gaps: the reduced DOFs' and the eliminated right
-        # traces', p * value with the arithmetic of expand_reduced
-        gap_u = (ub - ua).max()
-        gap_v = (va - vb).max()
-        if tr.size:
-            gap_u = max(gap_u, (p_u * ub[tr] - p_u * ua[tr]).max())
-            gap_v = max(gap_v, (p_v * va[tr] - p_v * vb[tr]).max())
-        return max(float(gap_u), float(gap_v))
+        return max(excess(ub, ua, stepper.layout_u), excess(va, vb, stepper.layout_v))
 
     start = violation(ua, va, ub, vb)
     if start > tol:
@@ -379,8 +363,6 @@ def pair_steady_residual(
 ) -> float:
     """Sup-norm residual of the coupled steady system at a given pair; the
     stepper it builds makes no step, so it factors nothing."""
-    from .operators import restrict_values
-
     stepper = Stepper(landscape, env, resident, mutant, grid)
     res_u, res_v = stepper.steady_residuals(
         restrict_values(grid, u.values), restrict_values(grid, v.values)

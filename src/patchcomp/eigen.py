@@ -37,12 +37,10 @@ from .grid import Grid, PiecewiseField
 from .landscape import PatchEnvironment, SpeciesTraits
 from .operators import (
     LinearOperator,
+    SpeciesLayout,
     assemble_diffusion,
-    consistent_constant,
     env_on_dofs,
     factor_tridiagonal,
-    full_mass,
-    restrict_diagonal,
     symmetry_defects,
     tridiagonal_matvec,
 )
@@ -56,7 +54,7 @@ SIGN_TOL = 1e-8
 # calls dominate and a larger stack gains nothing.
 _STACK_DOFS = 1 << 14
 _EPS = np.finfo(float).eps
-_BANDS = ("lo", "di", "up", "weights")
+_BANDS = ("lo", "di", "up")
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,8 @@ def assemble_linearization(
 
     ``potential`` may be a PiecewiseField, a full DOF vector, or a scalar.
     """
-    op = assemble_diffusion(grid, traits_hat)
+    layout = SpeciesLayout(grid, traits_hat)
+    op = assemble_diffusion(grid, traits_hat, layout)
     if np.isscalar(potential):
         c = np.full(grid.num_reduced, float(potential))
     else:
@@ -92,15 +91,14 @@ def assemble_linearization(
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.num_dofs,):
             raise ValidationError("potential must be sampled on the grid's full DOFs")
-        c = restrict_diagonal(grid, traits_hat, values, weights=op.weights)
+        c = layout.restrict_diag(values)
     return op.add_diagonal(c)
 
 
-def _start_vector(grid: Grid, traits: SpeciesTraits) -> np.ndarray:
-    """The jump-consistent constant scaled to max 1: Noda's starting iterate."""
-    x = consistent_constant(grid, traits)
-    x /= x.max()
-    return x
+def _start_vectors(layout: SpeciesLayout) -> np.ndarray:
+    """The jump-consistent constants scaled to max 1: Noda's starting iterates."""
+    x = layout.fill(layout.scales)
+    return x / x.max(axis=-1, keepdims=True)
 
 
 def _shifted_off_diagonals(lo, up):
@@ -182,9 +180,10 @@ def _noda(lo, di, up, weights, scale, x, tol, max_iters):
 
 
 def _stacked_eigenpairs(
-    grid: Grid, p, lo, di, up, weights, start, tol: float, max_iters: int
+    layout: SpeciesLayout, lo, di, up, weights, start, tol: float, max_iters: int
 ) -> list[EigenPair]:
-    """Eigenpairs of the (M, N) stack, solved ``_STACK_DOFS`` at a time."""
+    """Eigenpairs of the (M, N) stack, solved ``_STACK_DOFS`` at a time;
+    ``layout`` is the stacked layout of the operators' species."""
     defect = symmetry_defects(lo, di, up, weights)
     scale = np.maximum(1.0, np.abs(np.concatenate((di, up, lo), axis=1)).max(axis=1))
     # NaN or inf in a band makes its block's scale non-finite, and in the
@@ -200,9 +199,7 @@ def _stacked_eigenpairs(
     symmetric = defect <= 1e-10
     if np.count_nonzero(symmetric) < len(symmetric):
         weights = np.where(symmetric[:, None], weights, 1.0)
-    kept, right, trace = (
-        grid.kept_indices(), grid.right_trace_indices(), grid.reduced_trace_indices()
-    )
+    grid = layout.grid
     step = max(1, _STACK_DOFS // grid.num_reduced)
     pairs = []
     for s in range(0, len(di), step):
@@ -210,10 +207,7 @@ def _stacked_eigenpairs(
         theta, x, res, iterations = _noda(
             lo[b], di[b], up[b], weights[b], scale[b], start[b], tol, max_iters
         )
-        # expand_reduced and max-normalization, row by row
-        phi = np.empty((len(x), grid.num_dofs))
-        phi[:, kept] = x
-        phi[:, right] = p[b] * x[:, trace]
+        phi = layout[b].expand(x)
         phi /= phi.max(axis=1, keepdims=True)
         pairs += [
             EigenPair(lambda1=float(t), phi=PiecewiseField(grid, f), residual=float(r),
@@ -238,11 +232,11 @@ def principal_eigenpairs(
     grid = ops[0].grid
     if any(op.grid != grid for op in ops):
         raise ValidationError("stacked operators must share one grid")
+    layout = SpeciesLayout(grid, [op.traits for op in ops])
     return _stacked_eigenpairs(
-        grid,
-        np.array([op.traits.p_array for op in ops]),
-        *(np.array([getattr(op, band) for op in ops]) for band in _BANDS),
-        np.array([_start_vector(grid, op.traits) for op in ops]),
+        layout,
+        *(np.array([getattr(op, band) for op in ops]) for band in (*_BANDS, "weights")),
+        _start_vectors(layout),
         tol,
         max_iters,
     )
@@ -289,35 +283,26 @@ def growth_potential(
 class MutantStack:
     """Diffusion operators of M mutants on one grid, assembled once.
 
-    Row ``b`` of every ``(M, ...)`` array belongs to mutant ``b``: its jump
-    ratios and their squares, its bands and weights, its full-DOF masses and
-    its Noda start vector.  A scan builds the stack once and evaluates it
-    against every resident it meets (``ResidentContext.fitness``).
+    ``layout`` is the mutants' stacked ``SpeciesLayout`` (its weights are the
+    operators'); row ``b`` of every ``(M, N)`` array belongs to mutant ``b``:
+    its bands and its Noda start vector.  A scan builds the stack once and
+    evaluates it against every resident it meets (``ResidentContext.fitness``).
     """
 
-    grid: Grid
-    p: np.ndarray
-    p2: np.ndarray
+    layout: SpeciesLayout
     lo: np.ndarray
     di: np.ndarray
     up: np.ndarray
-    weights: np.ndarray
-    mass: np.ndarray
     start: np.ndarray
 
     @classmethod
     def assemble(cls, grid: Grid, mutants: Sequence[SpeciesTraits]) -> "MutantStack":
-        masses = [full_mass(grid, mutant) for mutant in mutants]
-        ops = [assemble_diffusion(grid, m, mass) for m, mass in zip(mutants, masses)]
-        p = np.array([mutant.p_array for mutant in mutants])
+        layout = SpeciesLayout(grid, mutants)
+        ops = [assemble_diffusion(grid, m, layout[b]) for b, m in enumerate(mutants)]
         return cls(
-            grid,
-            p,
-            # squared one by one, as restrict_diagonal does
-            np.array([[v**2 for v in row] for row in p]),
+            layout,
             *(np.array([getattr(op, band) for op in ops]) for band in _BANDS),
-            np.array(masses),
-            np.array([_start_vector(grid, mutant) for mutant in mutants]),
+            _start_vectors(layout),
         )
 
     @classmethod
@@ -330,10 +315,7 @@ class MutantStack:
 
     def take(self, index) -> "MutantStack":
         """The stack of the mutants at ``index``, in that order."""
-        return MutantStack(
-            self.grid,
-            *(getattr(self, f.name)[index] for f in fields(self) if f.name != "grid"),
-        )
+        return MutantStack(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
 class ResidentContext:
@@ -365,16 +347,12 @@ class ResidentContext:
     ) -> list[EigenPair]:
         """One EigenPair per mutant, in stack order; each is bit for bit
         ``principal_eigenpair(assemble_linearization(grid, mutant, potential))``."""
-        grid = self.grid
-        if mutants.grid != grid:
+        if mutants.layout.grid != self.grid:
             raise ValidationError("mutant stack lives on another grid")
-        # restrict_diagonal for every mutant at once, in its order of operations
-        num = mutants.mass * self.potential
-        c = num[:, grid.kept_indices()]
-        c[:, grid.reduced_trace_indices()] += mutants.p2 * num[:, grid.right_trace_indices()]
+        layout = mutants.layout
         return _stacked_eigenpairs(
-            grid, mutants.p, mutants.lo, mutants.di + c / mutants.weights, mutants.up,
-            mutants.weights, mutants.start, tol, max_iters,
+            layout, mutants.lo, mutants.di + layout.restrict_diag(self.potential),
+            mutants.up, layout.weights, mutants.start, tol, max_iters,
         )
 
 

@@ -27,8 +27,8 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _read_only(values) -> np.ndarray:
-    a = np.array(values, dtype=int)
+def _read_only(values, dtype=int) -> np.ndarray:
+    a = np.array(values, dtype=dtype)
     a.flags.writeable = False
     return a
 
@@ -44,6 +44,7 @@ class _Layout(NamedTuple):
     reduced_patch_slices: tuple[slice, ...]
     kept: np.ndarray
     patch_of: np.ndarray
+    trapezoid: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,10 @@ class Grid:
         right = offsets[1:-1]  # the first node of the next patch
         kept = np.ones(offsets[-1], dtype=bool)
         kept[right] = False
-        patch_of = [np.full(c + 1, i, dtype=int) for i, c in enumerate(self.counts)]
+        patch_of = np.concatenate([np.full(c + 1, i) for i, c in enumerate(self.counts)])
+        trapezoid = (np.diff(self.landscape.boundaries) / np.array(self.counts))[patch_of]
+        trapezoid[offsets[:-1]] /= 2.0
+        trapezoid[np.array(offsets[1:]) - 1] /= 2.0
         return _Layout(
             offsets=_read_only(offsets),
             patch_slices=tuple(slice(a, b) for a, b in zip(offsets, offsets[1:])),
@@ -91,7 +95,8 @@ class Grid:
                 for i in range(self.n)
             ),
             kept=_read_only(np.flatnonzero(kept)),
-            patch_of=_read_only(np.concatenate(patch_of)),
+            patch_of=_read_only(patch_of),
+            trapezoid=_read_only(trapezoid, float),
         )
 
     # --- full DOF layout -------------------------------------------------
@@ -102,7 +107,7 @@ class Grid:
 
     @property
     def num_dofs(self) -> int:
-        return sum(c + 1 for c in self.counts)
+        return int(self._layout.offsets[-1])
 
     @property
     def num_reduced(self) -> int:
@@ -129,6 +134,10 @@ class Grid:
     def patch_index_of_dofs(self) -> np.ndarray:
         """Patch index of every full DOF (read-only)."""
         return self._layout.patch_of
+
+    def trapezoid_weights(self) -> np.ndarray:
+        """Composite-trapezoid quadrature weight of every full DOF (read-only)."""
+        return self._layout.trapezoid
 
     def left_trace_index(self, m: int) -> int:
         """Full index of the left trace at interior interface m (0-based)."""

@@ -1,17 +1,28 @@
-"""Assembly of the per-species diffusion operator with interface jump conditions.
+"""The reduced-DOF format and the per-species diffusion operator on it.
 
-The operator acts on the reduced DOF vector (right traces eliminated through
-``value(x+) = p * value(x-)``).  Interior rows are plain central differences.
-Each interface row balances the one-sided fluxes over the dual cell around the
-interface; this closure is the two-point one-sided flux difference corrected
-through the equation itself, which keeps it second order and makes the whole
-matrix exactly symmetric under the weighted inner product whose weights are
-the per-patch reciprocal jump products times the local quadrature weight.
+Edge behaviour enters through the interface condition ``u(x+) = p * u(x-)``.
+The solvers work on the reduced DOF vector, which drops each right trace and
+rebuilds it as ``p`` times the left trace; the eliminated trace's mass is
+folded into its trace DOF, times ``p`` for cell averages and ``p²`` for
+coefficients.  ``SpeciesLayout`` is the one implementation of that format:
+per species, or per stack of species, it builds the masses and weights once
+and expands and restricts with them.  ``expand_reduced``, the ``restrict_*``
+helpers and ``consistent_constant`` are one-call conveniences that build a
+layout for a single use.
+
+The operator acts on the reduced vector.  Interior rows are plain central
+differences.  Each interface row balances the one-sided fluxes over the dual
+cell around the interface; this closure is the two-point one-sided flux
+difference corrected through the equation itself, which keeps it second order
+and makes the whole matrix exactly symmetric under the weighted inner product
+whose weights are the layout's (the per-patch reciprocal jump products times
+the local quadrature weight).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
@@ -19,11 +30,6 @@ from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 from .errors import ValidationError
 from .grid import Grid
 from .landscape import PatchEnvironment, SpeciesTraits
-
-
-def _check_traits(grid: Grid, traits: SpeciesTraits) -> None:
-    if traits.n != grid.n:
-        raise ValidationError("traits are dimensioned for a different landscape")
 
 
 def env_on_dofs(grid: Grid, env: PatchEnvironment) -> tuple[np.ndarray, np.ndarray]:
@@ -34,97 +40,32 @@ def env_on_dofs(grid: Grid, env: PatchEnvironment) -> tuple[np.ndarray, np.ndarr
     return env.r_array[patch_of], env.k_array[patch_of]
 
 
-def full_mass(grid: Grid, traits: SpeciesTraits) -> np.ndarray:
-    """Weighted trapezoid mass per full DOF: (1 / prod of jump ratios) * quad weight."""
-    _check_traits(grid, traits)
-    omega = 1.0 / traits.cumulative_scales()
-    mass = np.empty(grid.num_dofs)
-    for i in range(grid.n):
-        h = grid.spacing(i)
-        sl = grid.patch_slice(i)
-        mass[sl] = omega[i] * h
-        mass[sl.start] = omega[i] * h / 2.0
-        mass[sl.stop - 1] = omega[i] * h / 2.0
-    return mass
-
-
-def reduced_weights(
-    grid: Grid, traits: SpeciesTraits, mass: np.ndarray | None = None
-) -> np.ndarray:
-    """Symmetrization weights on the reduced DOFs (eliminated mass folded in).
-
-    ``mass`` is ``full_mass(grid, traits)``, computed here unless passed in.
-    """
-    if mass is None:
-        mass = full_mass(grid, traits)
-    p = traits.p_array
-    w = mass[grid.kept_indices()]
-    for m in range(grid.n - 1):
-        w[grid.reduced_trace_index(m)] += p[m] ** 2 * mass[grid.right_trace_index(m)]
-    return w
-
-
 def expand_reduced(grid: Grid, traits: SpeciesTraits, reduced: np.ndarray) -> np.ndarray:
     """Scatter a reduced vector to the full DOF layout (right traces filled in)."""
-    _check_traits(grid, traits)
     reduced = np.asarray(reduced, dtype=float)
     if reduced.shape != (grid.num_reduced,):
         raise ValidationError("reduced vector has the wrong length")
-    full = np.empty(grid.num_dofs)
-    full[grid.kept_indices()] = reduced
-    full[grid.right_trace_indices()] = traits.p_array * reduced[grid.reduced_trace_indices()]
-    return full
+    return SpeciesLayout(grid, traits).expand(reduced)
 
 
 def restrict_values(grid: Grid, full: np.ndarray) -> np.ndarray:
     """Keep the reduced DOFs of a full vector (left-trace convention)."""
-    full = np.asarray(full, dtype=float)
-    return full[grid.kept_indices()].copy()
-
-
-def _restrict_weighted(
-    grid: Grid,
-    traits: SpeciesTraits,
-    full_values: np.ndarray,
-    trace_power: int,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
-    mass = full_mass(grid, traits)
-    if weights is None:
-        weights = reduced_weights(grid, traits, mass)
-    p = traits.p_array
-    num = mass * np.asarray(full_values, dtype=float)
-    red = num[grid.kept_indices()]
-    for m in range(grid.n - 1):
-        red[grid.reduced_trace_index(m)] += p[m] ** trace_power * num[grid.right_trace_index(m)]
-    return red / weights
+    return np.asarray(full, dtype=float)[grid.kept_indices()]
 
 
 def restrict_cell_average(grid: Grid, traits: SpeciesTraits, full_values) -> np.ndarray:
     """Mass-weighted restriction for residual-type quantities (reaction terms)."""
-    return _restrict_weighted(grid, traits, full_values, trace_power=1)
+    return SpeciesLayout(grid, traits).restrict_avg(np.asarray(full_values, dtype=float))
 
 
-def restrict_diagonal(
-    grid: Grid, traits: SpeciesTraits, full_values, weights: np.ndarray | None = None
-) -> np.ndarray:
-    """Mass-weighted restriction for multiplicative coefficients (potentials).
-
-    ``weights`` is ``reduced_weights(grid, traits)``, computed here unless
-    passed in (an assembled operator carries them as ``op.weights``).
-    """
-    return _restrict_weighted(grid, traits, full_values, trace_power=2, weights=weights)
+def restrict_diagonal(grid: Grid, traits: SpeciesTraits, full_values) -> np.ndarray:
+    """Mass-weighted restriction for multiplicative coefficients (potentials)."""
+    return SpeciesLayout(grid, traits).restrict_diag(np.asarray(full_values, dtype=float))
 
 
 def consistent_constant(grid: Grid, traits: SpeciesTraits, amplitude: float = 1.0) -> np.ndarray:
     """Reduced vector of the jump-consistent piecewise-constant field."""
-    _check_traits(grid, traits)
-    scales = traits.cumulative_scales()
-    out = np.empty(grid.num_reduced)
-    for i in range(grid.n):
-        # the patch slice ends at its own left trace, which carries this scale
-        out[grid.reduced_patch_slice(i)] = amplitude * scales[i]
-    return out
+    return SpeciesLayout(grid, traits).fill(amplitude * traits.cumulative_scales())
 
 
 def tridiagonal_matvec(lo, di, up, x: np.ndarray) -> np.ndarray:
@@ -268,21 +209,19 @@ class LinearOperator:
 
 
 def assemble_diffusion(
-    grid: Grid, traits: SpeciesTraits, mass: np.ndarray | None = None
+    grid: Grid, traits: SpeciesTraits, layout: "SpeciesLayout | None" = None
 ) -> LinearOperator:
     """Per-species diffusion operator on the reduced DOFs.
 
     Built from the weighted stiffness of piecewise-linear elements with the
     right traces eliminated, then divided by the lumped weighted mass.  The
     jump-consistent piecewise constant spans its kernel and the weighted
-    matrix is exactly symmetric.  ``mass`` is ``full_mass(grid, traits)``,
-    computed here unless passed in.
+    matrix is exactly symmetric.  ``layout`` is the species' ``SpeciesLayout``
+    (its weights become the operator's), built here unless passed in.
     """
-    _check_traits(grid, traits)
-    scales = traits.cumulative_scales()
-    omega = 1.0 / scales
-    p = traits.p_array
-    size = grid.num_reduced
+    if layout is None:
+        layout = SpeciesLayout(grid, traits)
+    omega, p, size = 1.0 / layout.scales, layout.p, grid.num_reduced
 
     k_di = np.zeros(size)
     k_up = np.zeros(size)  # k_up[j] couples reduced DOFs j and j+1
@@ -297,7 +236,7 @@ def assemble_diffusion(
         k_up[start] += -rho * c
         k_up[start + 1 : start + count] += -c
 
-    weights = reduced_weights(grid, traits, mass)
+    weights = layout.weights
     di = -k_di / weights
     up = np.zeros(size)
     lo = np.zeros(size)
@@ -307,45 +246,98 @@ def assemble_diffusion(
 
 
 class SpeciesLayout:
-    """Masses and weights for one species on one grid, with its index maps.
+    """The reduced-DOF format of one species, or of a stack of M species, on
+    one grid; ``traits`` is one ``SpeciesTraits`` or a sequence of them.
 
-    The index arrays are the grid's own cached, read-only ones.  The
-    expansion / restriction helpers above recompute the species' masses and
-    weights on every call; the steady solve, which restricts many times on
-    one grid, goes through this object instead.  Its arithmetic is that of
-    the helpers, so results are bit-for-bit the same.
+    Built once per species: the jump ratios ``p`` and their squares ``p2``,
+    the cumulative ``scales``, the full-DOF trapezoid ``mass`` over the
+    product of the ratios left of the patch, and the reduced ``weights``
+    (each right trace's mass folded into its trace DOF times p²).  A single
+    layout holds ``(N,)`` arrays, a stack ``(M, N)`` ones (``p`` is
+    ``(M, n-1)``); every method maps either shape row by row, and
+    ``layout[b]`` is the layout of the species at ``b``.
+
+    ``p2`` squares each ratio by ``pow``, as the weights always have; an
+    array ``p**2`` differs in the last bit for about one ratio in a
+    thousand.  ``x.take(i, axis=-1)`` and ``x.T[i]`` index the last axis at
+    less cost than ``x[..., i]``; what later row reductions read comes from
+    ``take``, in C order, since a stack in F order rounds them differently.
     """
 
-    def __init__(self, grid: Grid, traits: SpeciesTraits):
-        _check_traits(grid, traits)
+    _PER_GRID = ("grid", "kept", "right", "trace", "reduced_sizes")
+    _PER_SPECIES = ("p", "p2", "scales", "mass", "weights")
+
+    def __init__(self, grid: Grid, traits):
+        single = isinstance(traits, SpeciesTraits)
+        species = [traits] if single else list(traits)
+        if any(one.n != grid.n for one in species):
+            raise ValidationError("traits are dimensioned for a different landscape")
+        rows = 0 if single else slice(None)  # a single layout's arrays are row 0
         self.grid = grid
-        self.traits = traits
         self.kept = grid.kept_indices()
         self.right = grid.right_trace_indices()
         self.trace = grid.reduced_trace_indices()
-        self.p = traits.p_array
-        self.p2 = self.p**2
-        self.mass = full_mass(grid, traits)
-        self.weights = reduced_weights(grid, traits, self.mass)
+        self.p = np.array([one.p_array for one in species])[rows]
+        self.p2 = np.array([v**2 for v in self.p.flat]).reshape(self.p.shape)
+        self.scales = np.array([one.cumulative_scales() for one in species])[rows]
+        sizes = np.add(grid.counts, 1)  # full DOFs per patch
+        # halving the end weights commutes with the rounding of the product
+        self.mass = np.repeat(1.0 / self.scales, sizes, axis=-1) * grid.trapezoid_weights()
+        sizes[1:] -= 1  # each patch but the first loses its right trace
+        self.reduced_sizes = sizes
+        self.weights = self.mass.take(self.kept, axis=-1)
+        self.weights.T[self.trace] += self.p2.T * self.mass.T[self.right]
+
+    def __getitem__(self, index) -> "SpeciesLayout":
+        """The layout of the species at ``index`` of a stack (a stack again
+        for a slice or a list of indices)."""
+        out = object.__new__(SpeciesLayout)
+        for name in self._PER_GRID:
+            setattr(out, name, getattr(self, name))
+        for name in self._PER_SPECIES:
+            setattr(out, name, getattr(self, name)[index])
+        return out
+
+    @cached_property
+    def a_left(self) -> np.ndarray:
+        """Share ``mass / weight`` of each trace DOF's own (left) value."""
+        w = self.weights.take(self.trace, axis=-1)
+        return self.mass.take(self.kept[self.trace], axis=-1) / w
+
+    @cached_property
+    def a_right(self) -> np.ndarray:
+        """Share ``p² mass / weight`` of each eliminated right trace's value."""
+        w = self.weights.take(self.trace, axis=-1)
+        return self.p2 * self.mass.take(self.right, axis=-1) / w
+
+    def fill(self, values) -> np.ndarray:
+        """Per-patch ``values`` (last axis one per patch) on the reduced DOFs."""
+        values = np.asarray(values, dtype=float)
+        if values.shape[-1] != self.grid.n:
+            raise ValidationError("per-patch values do not match the grid's landscape")
+        return np.repeat(values, self.reduced_sizes, axis=-1)
+
+    def right_values(self, reduced: np.ndarray) -> np.ndarray:
+        """The eliminated right traces of a reduced vector, ``p * (left trace)``."""
+        return (self.p.T * reduced.T[self.trace]).T
 
     def expand(self, reduced: np.ndarray) -> np.ndarray:
-        full = np.empty(self.grid.num_dofs)
-        full[self.kept] = reduced
-        if self.right.size:
-            full[self.right] = self.p * reduced[self.trace]
+        """The full-DOF vector of a reduced one (right traces filled in)."""
+        full = np.empty(reduced.shape[:-1] + (self.grid.num_dofs,))
+        full.T[self.kept] = reduced.T
+        full.T[self.right] = self.right_values(reduced).T
         return full
 
     def _restrict(self, full_values: np.ndarray, trace_factor: np.ndarray) -> np.ndarray:
         num = self.mass * full_values
-        red = num[self.kept]
-        if self.right.size:
-            red[self.trace] += trace_factor * num[self.right]
+        red = num.take(self.kept, axis=-1)
+        red.T[self.trace] += trace_factor.T * num.T[self.right]
         return red / self.weights
 
     def restrict_avg(self, full_values: np.ndarray) -> np.ndarray:
-        """As ``restrict_cell_average`` (reaction terms)."""
+        """Mass-weighted restriction of residual-type quantities (reaction terms)."""
         return self._restrict(full_values, self.p)
 
     def restrict_diag(self, full_values: np.ndarray) -> np.ndarray:
-        """As ``restrict_diagonal`` (multiplicative coefficients)."""
+        """Mass-weighted restriction of multiplicative coefficients (potentials)."""
         return self._restrict(full_values, self.p2)

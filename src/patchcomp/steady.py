@@ -92,7 +92,7 @@ class _SteadyProblem:
 
     def __init__(self, grid: Grid, env: PatchEnvironment, traits: SpeciesTraits):
         self.layout = SpeciesLayout(grid, traits)
-        self.op = assemble_diffusion(grid, traits, self.layout.mass)
+        self.op = assemble_diffusion(grid, traits, self.layout)
         self.r_full, self.k_full = env_on_dofs(grid, env)
         op = self.op
         self.row_scale = float((np.abs(op.di) + np.abs(op.lo) + np.abs(op.up)).max())
@@ -133,9 +133,7 @@ def solve_resident_steady(
     problem = _SteadyProblem(grid, env, traits)
 
     if initial is None:
-        u0 = np.empty(grid.num_reduced)
-        for i in range(grid.n):
-            u0[grid.reduced_patch_slice(i)] = env.k[i]
+        u0 = problem.layout.fill(env.k_array)
     else:
         u0 = np.asarray(initial, dtype=float)
 

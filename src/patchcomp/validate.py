@@ -20,7 +20,7 @@ from .eigen import (
 from .grid import build_grid
 from .identities import invasion_identity_residual
 from .landscape import Landscape, PatchEnvironment, SpeciesTraits, StrategyVector
-from .operators import assemble_diffusion, consistent_constant
+from .operators import assemble_diffusion, consistent_constant, env_on_dofs, restrict_values
 from .steady import solve_resident_steady
 from .transform import solve_transformed_steady
 
@@ -181,12 +181,8 @@ def _check_uniqueness_probe(seed: int) -> tuple[str, bool, str]:
     resident = _REFERENCE["resident"]
     grid = build_grid(landscape, per_patch=60)
     reference = solve_resident_steady(landscape, env, resident, grid)
-    k_red = np.empty(grid.num_reduced)
-    for i in range(grid.n):
-        k_red[grid.reduced_patch_slice(i)] = env.k[i]
+    k_red = restrict_values(grid, env_on_dofs(grid, env)[1])
     transformed = solve_transformed_steady(landscape, env, resident, grid)
-    from .operators import restrict_values
-
     starts = [
         k_red / 2.0,
         2.0 * k_red,

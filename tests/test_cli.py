@@ -272,6 +272,44 @@ class TestCommands:
         assert "steady: max_newton_iters" in capsys.readouterr().err
         assert not (tmp_path / "steady_u.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command,config,flags,env,path",
+        [
+            ("pip", {"eigen": {"sign_tol": -1}}, [], {}, "eigen.sign_tol"),
+            ("fitness", {"eigen": {"sign_tol": "x"}}, [], {}, "eigen.sign_tol"),
+            ("steady", {"grid": {"per_patch": "x"}}, [], {}, "grid.per_patch"),
+            ("steady", {"grid": {"per_patch": 20.9}}, [], {}, "grid.per_patch"),
+            ("steady", {"grid": {"per_patch": [20, 2.5]}}, [], {}, "grid.per_patch[1]"),
+            ("steady", {"grid": {"target_h": float("nan")}}, [], {}, "grid.target_h"),
+            ("pip", {"pip": {"resident_count": "x"}}, [], {}, "pip.resident_count"),
+            ("pip", {"pip": {"mutant_count": 0}}, [], {}, "pip.mutant_count"),
+            ("pip", {"pip": {"mutant_min": 0.0}}, [], {}, "pip.mutant_min"),
+            ("pip", {"pip": {"resident_max": float("inf")}}, [], {}, "pip.resident_max"),
+            ("validate", {"seed": True}, [], {}, "seed"),
+            ("validate", {"seed": -1}, [], {}, "seed"),
+            ("steady", {"steady": {"newton_tol": True}}, [], {}, "steady.newton_tol"),
+            ("steady", {"steady": {"newton_tol": float("nan")}}, [], {}, "steady.newton_tol"),
+            ("simulate", {"sim": {"dt": True}}, [], {}, "sim.dt"),
+            ("simulate", {"sim": {"dt": float("nan")}}, [], {}, "sim.dt"),
+            ("simulate", {"sim": {"t_max": None}}, [], {}, "sim.t_max"),
+            ("simulate", {"sim": {"steady_tol": True}}, [], {}, "sim.steady_tol"),
+            ("simulate", {"sim": {"extinction_eps": -1e-6}}, [], {}, "sim.extinction_eps"),
+            ("steady", {}, ["--resolution", "nan"], {}, "resolution"),
+            ("steady", {}, [], {"PATCHCOMP_RESOLUTION": "-0.1"}, "resolution"),
+        ],
+    )
+    def test_bad_numbers_exit_one_naming_the_field(
+        self, tmp_path, monkeypatch, capsys, command, config, flags, env, path
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--out", out, *flags]) == 1
+        assert f"configuration error: {path}: must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PATCHCOMP_OUT", str(tmp_path / "env_out"))
         assert run(["classify", "--config", CONFIG_DIR / "above_resident_wins.json"]) == 0

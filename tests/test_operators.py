@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import patchcomp as pc
 from patchcomp.operators import (
@@ -7,13 +8,96 @@ from patchcomp.operators import (
     assemble_diffusion,
     consistent_constant,
     expand_reduced,
-    full_mass,
-    reduced_weights,
     restrict_cell_average,
     restrict_diagonal,
     restrict_values,
 )
 from patchcomp.transform import push_forward, shared_node_offsets, to_transformed, _fv_operator
+
+# The reduced-DOF format as it was written out per patch and per interface
+# before ``SpeciesLayout`` owned it: the reference for the layout's arrays.
+
+
+def reference_full_mass(grid, traits):
+    """Weighted trapezoid mass per full DOF: (1 / prod of jump ratios) * quad weight."""
+    omega = 1.0 / traits.cumulative_scales()
+    mass = np.empty(grid.num_dofs)
+    for i in range(grid.n):
+        h = grid.spacing(i)
+        sl = grid.patch_slice(i)
+        mass[sl] = omega[i] * h
+        mass[sl.start] = omega[i] * h / 2.0
+        mass[sl.stop - 1] = omega[i] * h / 2.0
+    return mass
+
+
+def reference_reduced_weights(grid, traits, mass=None):
+    """Symmetrization weights on the reduced DOFs (eliminated mass folded in)."""
+    if mass is None:
+        mass = reference_full_mass(grid, traits)
+    p = traits.p_array
+    w = mass[grid.kept_indices()]
+    for m in range(grid.n - 1):
+        w[grid.reduced_trace_index(m)] += p[m] ** 2 * mass[grid.right_trace_index(m)]
+    return w
+
+
+def reference_restrict_weighted(grid, traits, full_values, trace_power, weights=None):
+    """Mass-weighted restriction: trace power 1 for cell averages, 2 for coefficients."""
+    mass = reference_full_mass(grid, traits)
+    if weights is None:
+        weights = reference_reduced_weights(grid, traits, mass)
+    p = traits.p_array
+    num = mass * np.asarray(full_values, dtype=float)
+    red = num[grid.kept_indices()]
+    for m in range(grid.n - 1):
+        red[grid.reduced_trace_index(m)] += p[m] ** trace_power * num[grid.right_trace_index(m)]
+    return red / weights
+
+
+def reference_expand_reduced(grid, traits, reduced):
+    """Scatter a reduced vector to the full DOF layout (right traces filled in)."""
+    full = np.empty(grid.num_dofs)
+    full[grid.kept_indices()] = reduced
+    full[grid.right_trace_indices()] = traits.p_array * reduced[grid.reduced_trace_indices()]
+    return full
+
+
+def reference_trace_fractions(grid, traits):
+    """Shares ``mass / weight`` of each trace DOF's left and right one-sided
+    values, the right one's times p².
+
+    This was the one place that squared p as an array (``p**2``, that is
+    ``p * p``); the layout squares each ratio by ``pow`` as the weights always
+    have, which rounds differently in the last bit for about one ratio in a
+    thousand (``test_jump_ratios_square_as_the_weights_do``).  So this copy
+    squares as the weights do.
+    """
+    trace = grid.reduced_trace_indices()
+    mass = reference_full_mass(grid, traits)
+    w = reference_reduced_weights(grid, traits, mass)[trace]
+    left = mass[grid.kept_indices()[trace]] / w
+    p2 = np.array([v**2 for v in traits.p_array])
+    return left, p2 * mass[grid.right_trace_indices()] / w
+
+
+@st.composite
+def layouts(draw):
+    """A grid of 1-6 patches with random lengths and counts, and 1-4 species
+    with random jump ratios on it."""
+    n = draw(st.integers(1, 6))
+    ratio = st.floats(0.05, 20.0, allow_nan=False, allow_infinity=False)
+    lengths = draw(st.lists(st.floats(0.2, 3.0), min_size=n, max_size=n))
+    counts = draw(st.lists(st.integers(2, 13), min_size=n, max_size=n))
+    land = pc.Landscape(np.concatenate(([0.0], np.cumsum(lengths))))
+    grid = pc.build_grid(land, per_patch=counts, min_subintervals=2)
+    species = [
+        pc.SpeciesTraits(np.ones(n), pc.StrategyVector(
+            draw(st.lists(ratio, min_size=n - 1, max_size=n - 1))))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return grid, species, draw(st.integers(0, 2**32 - 1))
+
 
 TRAIT_SETS = [
     ([1.0, 1.0], [2.0]),
@@ -152,8 +236,8 @@ class TestReductionMaps:
         _, traits, grid = make([1.0, 1.0], [2.0])
         g = np.arange(grid.num_dofs, dtype=float)
         red = restrict_cell_average(grid, traits, g)
-        m = full_mass(grid, traits)
-        w = reduced_weights(grid, traits)
+        m = reference_full_mass(grid, traits)
+        w = reference_reduced_weights(grid, traits)
         tr = grid.reduced_trace_index(0)
         left = grid.left_trace_index(0)
         right = grid.right_trace_index(0)
@@ -181,12 +265,59 @@ class TestReductionMaps:
         g = np.cos(np.linspace(0, 3, grid.num_dofs))
         assert np.array_equal(layout.restrict_avg(g), restrict_cell_average(grid, traits, g))
         assert np.array_equal(layout.restrict_diag(g), restrict_diagonal(grid, traits, g))
-        # an operator's stored weights stand in for recomputed ones
-        weights = assemble_diffusion(grid, traits).weights
-        assert np.array_equal(
-            restrict_diagonal(grid, traits, g, weights=weights),
-            restrict_diagonal(grid, traits, g),
-        )
+        # an assembled operator carries the layout's weights
+        assert np.array_equal(assemble_diffusion(grid, traits).weights, layout.weights)
+
+    @settings(max_examples=80, deadline=None)
+    @given(layouts())
+    def test_layout_matches_reference(self, drawn):
+        grid, species, seed = drawn
+        rng = np.random.default_rng(seed)
+        reduced = rng.uniform(0.0, 2.0, (len(species), grid.num_reduced))
+        full = rng.uniform(-1.0, 3.0, grid.num_dofs)
+
+        def arrays(layout, reduced):
+            return {
+                "mass": layout.mass, "weights": layout.weights,
+                "expand": layout.expand(reduced),
+                "avg": layout.restrict_avg(full), "diag": layout.restrict_diag(full),
+                "a_left": layout.a_left, "a_right": layout.a_right,
+            }
+
+        stacked = SpeciesLayout(grid, species)
+        whole = arrays(stacked, reduced)
+        for b, traits in enumerate(species):
+            mass = reference_full_mass(grid, traits)
+            a_left, a_right = reference_trace_fractions(grid, traits)
+            ref = {
+                "mass": mass, "weights": reference_reduced_weights(grid, traits, mass),
+                "expand": reference_expand_reduced(grid, traits, reduced[b]),
+                "avg": reference_restrict_weighted(grid, traits, full, 1),
+                "diag": reference_restrict_weighted(grid, traits, full, 2),
+                "a_left": a_left, "a_right": a_right,
+            }
+            for got in (
+                arrays(SpeciesLayout(grid, traits), reduced[b]),
+                arrays(stacked[b], reduced[b]),
+                {key: value[b] for key, value in whole.items()},
+            ):
+                for key, value in ref.items():
+                    assert np.array_equal(got[key], value), key
+            assert np.array_equal(assemble_diffusion(grid, traits).weights, ref["weights"])
+            constant = np.empty(grid.num_reduced)
+            for i in range(grid.n):
+                constant[grid.reduced_patch_slice(i)] = traits.cumulative_scales()[i]
+            assert np.array_equal(consistent_constant(grid, traits), constant)
+            assert np.array_equal(stacked.fill(stacked.scales)[b], constant)
+
+    def test_jump_ratios_square_as_the_weights_do(self):
+        # a ratio whose pow square and whose product square differ in the last bit
+        p = 0.3808171146238585
+        assert p**2 == 0.14502167479044095 and p * p == 0.14502167479044098
+        _, traits, grid = make([1.0, 1.0], [p])
+        layout = SpeciesLayout(grid, traits)
+        assert layout.p2[0] == p**2
+        assert np.array_equal(layout.weights, reference_reduced_weights(grid, traits))
 
 class TestTransformConsistency:
     def test_rescaled_operator_is_exact_conjugate(self):

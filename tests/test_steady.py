@@ -7,31 +7,43 @@ import patchcomp.steady
 import patchcomp.transform
 from patchcomp.operators import (
     LinearOperator,
-    SpeciesLayout,
     assemble_diffusion,
     env_on_dofs,
     restrict_values,
 )
 from patchcomp.steady import FALLBACK_DT, damped_newton
+from test_operators import (
+    reference_expand_reduced,
+    reference_full_mass,
+    reference_reduced_weights,
+    reference_restrict_weighted,
+)
 
 
 def reference_steady(grid, env, traits, config, initial=None):
     """The steady solve before the shared Newton driver: its own damped
     Newton (a ``factor_shifted`` solve per step) and the time-march fallback.
+    Its reduced-DOF format is the per-patch reference in ``test_operators``.
     Returns the full field's values or raises SteadyConvergenceError."""
-    layout = SpeciesLayout(grid, traits)
-    op = assemble_diffusion(grid, traits, layout.mass)
+    op = assemble_diffusion(grid, traits)
+    weights = reference_reduced_weights(grid, traits, reference_full_mass(grid, traits))
     r_full, k_full = env_on_dofs(grid, env)
     row_scale = float((np.abs(op.di) + np.abs(op.lo) + np.abs(op.up)).max())
     floor = 1e-12 * k_full.min()
 
+    def expand(u):
+        return reference_expand_reduced(grid, traits, u)
+
+    def restrict(values, trace_power):
+        return reference_restrict_weighted(grid, traits, values, trace_power, weights)
+
     def growth(u_full):
-        return layout.restrict_avg(r_full * u_full * (1.0 - u_full / k_full))
+        return restrict(r_full * u_full * (1.0 - u_full / k_full), 1)
 
     def residual_and_slope(u):
-        u_full = layout.expand(u)
+        u_full = expand(u)
         res = op.matvec(u) + growth(u_full)
-        return res, layout.restrict_diag(r_full * (1.0 - 2.0 * u_full / k_full))
+        return res, restrict(r_full * (1.0 - 2.0 * u_full / k_full), 2)
 
     def unconverged(u, norm):
         noise = 8.0 * np.finfo(float).eps * row_scale * max(float(np.abs(u).max()), k_full.max())
@@ -65,7 +77,7 @@ def reference_steady(grid, env, traits, config, initial=None):
     if unconverged(u, norm):
         march = op.factor_shifted(1.0, -0.1)
         for step in range(1, int(np.ceil(2000.0 / 0.1)) + 1):
-            u = np.maximum(march(u + 0.1 * growth(layout.expand(u))), floor)
+            u = np.maximum(march(u + 0.1 * growth(expand(u))), floor)
             if step % 20 == 0 and np.abs(residual_and_slope(u)[0]).max() < 1e-4:
                 break
         u, norm = newton(u)
@@ -73,7 +85,7 @@ def reference_steady(grid, env, traits, config, initial=None):
             raise pc.SteadyConvergenceError("reference solve failed", residual=norm)
     if u.min() <= 0:
         raise pc.SteadyConvergenceError("reference lost positivity", residual=norm)
-    return layout.expand(u)
+    return expand(u)
 
 
 class TestSingleSpeciesSteady:
