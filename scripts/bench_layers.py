@@ -19,6 +19,9 @@ pair (resident p = 3, mutant p = 2.5, capacity ratio 2).  The layers:
   dt, at the same three sizes, timed over 100 consecutive steps from the
   default initial data and divided by 100;
 - ``pip_7x7``: a 7 x 7 ``pip`` at 100 subintervals per patch;
+- ``strategy_checks``: ``css_check`` and ``nis_check`` at 2 and ``ess_check``
+  at 3, each with ``delta`` 1 and 5 samples per side at 100 subintervals per
+  patch (the benchmark's ``invasion_scan`` settings);
 - ``sweep_256``: the CLI ``sweep`` of 256 mutants with ``fitness: true`` at
   400 subintervals per patch, run in this process through ``run_command``;
 - ``cli``: each CLI command (``steady``, ``eigen``, ``fitness``,
@@ -138,6 +141,15 @@ def pip_7x7(repeats: int) -> float:
     return median_ms(lambda: pc.pip(residents, mutants, [1.0, 1.0], LAND, ENV, grid), repeats)
 
 
+def strategy_checks(repeats: int) -> dict:
+    grid = pc.build_grid(LAND, per_patch=100)
+    checks = (("css", pc.css_check, 2.0), ("nis", pc.nis_check, 2.0), ("ess", pc.ess_check, 3.0))
+    return {
+        name: median_ms(lambda: check(focal, 1.0, 5, LAND, ENV, [1.0, 1.0], grid), repeats)
+        for name, check, focal in checks
+    }
+
+
 def sweep_256(repeats: int) -> float:
     points = np.random.default_rng(1).uniform(1.0, 4.0, 256)
     config = {
@@ -202,6 +214,7 @@ def main() -> None:
         **layers(args.repeats),
         **fine_layers(args.repeats),
         "pip_7x7": pip_7x7(args.repeats),
+        "strategy_checks": strategy_checks(args.repeats),
         "sweep_256": sweep_256(args.repeats),
         "cli": cli(args.repeats),
         "startup": startup(args.repeats),

@@ -4,6 +4,11 @@ Everything here reduces to signs of the invasion fitness eigenvalue.  Signs
 inside the neutral band are never called; scans keep a guard band around the
 provably degenerate strategies (the resident's own, and the capacity-ratio
 vector where the fitness vanishes identically).
+
+Every scan evaluates its (resident, mutant) pairs as one ``fitness_table``
+and reads their signs through ``signs``: ``pip`` the whole table, the ESS
+and invader tests one row or one column of sample points around the focal
+strategy, and the convergence-stability test one table per side of it.
 """
 
 from __future__ import annotations
@@ -13,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, checked_number
 from .dynamics import SimConfig, simulate
-from .eigen import SIGN_TOL, MutantStack, ResidentContext, invasion_fitness
+from .eigen import SIGN_TOL, fitness_table, invasion_fitness, signs
 from .grid import Grid
 from .landscape import (
     Landscape,
@@ -76,12 +81,7 @@ class StabilityVerdicts:
     mutant_state: str
 
 
-def _verdict(lam: float, tol: float) -> str:
-    if lam > tol:
-        return "unstable"
-    if lam < -tol:
-        return "stable"
-    return "neutral"
+_VERDICTS = {1: "unstable", -1: "stable", 0: "neutral"}
 
 
 def stability_table(
@@ -100,12 +100,8 @@ def stability_table(
     """
     lam_res = invasion_fitness(landscape, env, resident, mutant, grid, steady_config).lambda1
     lam_mut = invasion_fitness(landscape, env, mutant, resident, grid, steady_config).lambda1
-    return StabilityVerdicts(
-        lambda_resident_state=lam_res,
-        lambda_mutant_state=lam_mut,
-        resident_state=_verdict(lam_res, sign_tol),
-        mutant_state=_verdict(lam_mut, sign_tol),
-    )
+    resident_state, mutant_state = (_VERDICTS[s] for s in signs([lam_res, lam_mut], sign_tol))
+    return StabilityVerdicts(lam_res, lam_mut, resident_state, mutant_state)
 
 
 @dataclass
@@ -128,8 +124,17 @@ class PIPGrid:
         return buf.getvalue()
 
 
-def _two_patch_traits(base: SpeciesTraits, p1: float) -> SpeciesTraits:
-    return SpeciesTraits(base.d, StrategyVector([p1]))
+def _scalar_table(landscape, env, grid, diffusion, residents, mutants, steady_config,
+                  solve=None) -> np.ndarray:
+    """``fitness_table`` over two-patch species with scalar strategies and the
+    diffusion vector ``diffusion``."""
+    if landscape.n != 2:
+        raise ValidationError("strategy scans are defined for two patches")
+    residents, mutants = (
+        [SpeciesTraits(diffusion, StrategyVector([p])) for p in scan]
+        for scan in (residents, mutants)
+    )
+    return fitness_table(landscape, env, grid, residents, mutants, steady_config, solve)
 
 
 def pip(
@@ -147,29 +152,14 @@ def pip(
     Defined for the two-patch landscape with a scalar strategy per species and
     equal diffusion vectors.
     """
-    if landscape.n != 2:
-        raise ValidationError("invasibility scans are defined for two patches")
     resident_scan = np.asarray(resident_scan, dtype=float)
     mutant_scan = np.asarray(mutant_scan, dtype=float)
     if np.any(resident_scan <= 0) or np.any(mutant_scan <= 0):
         raise ValidationError("scans must be positive")
-    base = SpeciesTraits(diffusion, StrategyVector([1.0]))
-    mutants = MutantStack.assemble(grid, [_two_patch_traits(base, pm) for pm in mutant_scan])
-
-    lambdas = np.empty((resident_scan.size, mutant_scan.size))
-    for i, pr in enumerate(resident_scan):
-        context = ResidentContext(
-            landscape, env, _two_patch_traits(base, pr), grid, steady_config
-        )
-        lambdas[i] = [pair.lambda1 for pair in context.fitness(mutants)]
-    signs = np.where(lambdas > sign_tol, 1, np.where(lambdas < -sign_tol, -1, 0))
-    return PIPGrid(
-        resident_values=resident_scan,
-        mutant_values=mutant_scan,
-        signs=signs,
-        lambdas=lambdas,
-        sign_tol=sign_tol,
+    lambdas = _scalar_table(
+        landscape, env, grid, diffusion, resident_scan, mutant_scan, steady_config
     )
+    return PIPGrid(resident_scan, mutant_scan, signs(lambdas, sign_tol), lambdas, sign_tol)
 
 
 @dataclass(frozen=True)
@@ -183,41 +173,35 @@ class StrategyTestResult:
         return self.passed
 
 
-def _side_samples(center: float, delta: float, samples: int, guard: float,
-                  *, avoid: tuple[float, ...]) -> np.ndarray:
+def _sides(focal, delta, samples, env, guard) -> tuple[np.ndarray, np.ndarray]:
+    """The upper and the lower side's sample points, nearest ``focal`` first:
+    ``samples`` steps out to ``delta``, less any point within ``guard`` of 0,
+    of ``focal`` or of the capacity ratio."""
+    checked_number(delta, "delta")
+    if checked_number(samples, "samples", count=True) < 3:
+        raise ValidationError("samples: need at least 3 samples per side")
+    kbar = ifd_strategy(env).values[0]
     offsets = delta * np.arange(1, samples + 1) / samples
-    pts = np.concatenate((center - offsets[::-1], center + offsets))
-    pts = pts[pts > guard]
-    keep = np.ones(pts.size, dtype=bool)
-    for a in avoid:
-        keep &= np.abs(pts - a) > guard
-    return pts[keep]
+    return tuple(
+        pts[(pts > guard) & (np.abs(pts - focal) > guard) & (np.abs(pts - kbar) > guard)]
+        for pts in (focal + offsets, focal - offsets)
+    )
 
 
-class _Scan:
-    """Fitness of two-patch mutants at two-patch residents; mutant operators
-    are assembled once per set of strategies."""
-
-    def __init__(self, landscape, env, diffusion, grid, steady_config):
-        if landscape.n != 2:
-            raise ValidationError("strategy tests are defined for two patches")
-        self.landscape = landscape
-        self.env = env
-        self.grid = grid
-        self.steady_config = steady_config
-        self.base = SpeciesTraits(diffusion, StrategyVector([1.0]))
-
-    def mutants(self, strategies) -> MutantStack:
-        return MutantStack.assemble(
-            self.grid, [_two_patch_traits(self.base, p) for p in strategies]
-        )
-
-    def fitness(self, p_resident: float, mutants: MutantStack) -> list[float]:
-        resident = _two_patch_traits(self.base, p_resident)
-        context = ResidentContext(
-            self.landscape, self.env, resident, self.grid, self.steady_config
-        )
-        return [pair.lambda1 for pair in context.fitness(mutants)]
+def _result(points, lambdas, want, sign_tol) -> StrategyTestResult:
+    """The test's verdict on the evaluated pairs, in witness order: each
+    ``points`` row names a pair, which fails unless its fitness sign is
+    ``want``."""
+    if lambdas.size == 0:
+        raise ValidationError("no sample point survives the guard band; widen delta")
+    bad = signs(lambdas, sign_tol) != want
+    witnesses = tuple(
+        tuple(float(v) for v in (*pair, lam)) for pair, lam in zip(points[bad], lambdas[bad])
+    )
+    return StrategyTestResult(
+        passed=not witnesses, witnesses=witnesses, samples=lambdas.size,
+        margin=float(np.abs(lambdas).min()),
+    )
 
 
 def ess_check(
@@ -233,21 +217,10 @@ def ess_check(
     guard: float = 1e-6,
 ) -> StrategyTestResult:
     """No nearby mutant invades: fitness < -tol for all sampled invaders."""
-    if samples < 3:
-        raise ValidationError("need at least 3 samples per side")
-    scan = _Scan(landscape, env, diffusion, grid, steady_config)
-    kbar = ifd_strategy(env).values[0]
-    pts = _side_samples(p_star, delta, samples, guard, avoid=(p_star, kbar))
-    lambdas = scan.fitness(p_star, scan.mutants(pts)) if pts.size else []
-    witnesses = []
-    margin = np.inf
-    for pm, lam in zip(pts, lambdas):
-        margin = min(margin, abs(lam))
-        if not lam < -sign_tol:
-            witnesses.append((float(pm), float(lam)))
-    return StrategyTestResult(
-        passed=not witnesses, witnesses=tuple(witnesses), samples=pts.size, margin=float(margin)
-    )
+    upper, lower = _sides(p_star, delta, samples, env, guard)
+    pts = np.concatenate((lower[::-1], upper))
+    (lambdas,) = _scalar_table(landscape, env, grid, diffusion, [p_star], pts, steady_config)
+    return _result(pts[:, None], lambdas, -1, sign_tol)
 
 
 def nis_check(
@@ -263,22 +236,10 @@ def nis_check(
     guard: float = 1e-6,
 ) -> StrategyTestResult:
     """Invades every nearby resident: fitness > tol against all of them."""
-    if samples < 3:
-        raise ValidationError("need at least 3 samples per side")
-    scan = _Scan(landscape, env, diffusion, grid, steady_config)
-    kbar = ifd_strategy(env).values[0]
-    pts = _side_samples(p_hat_star, delta, samples, guard, avoid=(p_hat_star, kbar))
-    mutant = scan.mutants([p_hat_star])
-    witnesses = []
-    margin = np.inf
-    for pr in pts:
-        (lam,) = scan.fitness(pr, mutant)
-        margin = min(margin, abs(lam))
-        if not lam > sign_tol:
-            witnesses.append((float(pr), float(lam)))
-    return StrategyTestResult(
-        passed=not witnesses, witnesses=tuple(witnesses), samples=pts.size, margin=float(margin)
-    )
+    upper, lower = _sides(p_hat_star, delta, samples, env, guard)
+    pts = np.concatenate((lower[::-1], upper))
+    lambdas = _scalar_table(landscape, env, grid, diffusion, pts, [p_hat_star], steady_config)
+    return _result(pts[:, None], lambdas[:, 0], 1, sign_tol)
 
 
 def css_check(
@@ -298,34 +259,15 @@ def css_check(
     Sampled sign pattern on ordered same-side pairs: moving toward the focal
     strategy succeeds (fitness > tol), moving away fails (fitness < -tol).
     """
-    if samples < 3:
-        raise ValidationError("need at least 3 samples per side")
-    scan = _Scan(landscape, env, diffusion, grid, steady_config)
-    kbar = ifd_strategy(env).values[0]
-    offsets = delta * np.arange(1, samples + 1) / samples
-    witnesses = []
-    margin = np.inf
-    count = 0
-    for side in (+1, -1):
-        pts = p_star + side * offsets
-        pts = pts[pts > guard]
-        pts = pts[np.abs(pts - kbar) > guard]
-        pts = pts[np.abs(pts - p_star) > guard]
-        mutants = scan.mutants(pts)
-        for pr in pts:
-            index = [j for j, pm in enumerate(pts) if abs(pr - pm) > guard]
-            if not index:
-                continue
-            count += len(index)
-            for pm, lam in zip(pts[index], scan.fitness(pr, mutants.take(index))):
-                margin = min(margin, abs(lam))
-                closer = abs(pm - p_star) < abs(pr - p_star)
-                ok = lam > sign_tol if closer else lam < -sign_tol
-                if not ok:
-                    witnesses.append((float(pr), float(pm), float(lam)))
-    return StrategyTestResult(
-        passed=not witnesses, witnesses=tuple(witnesses), samples=count, margin=float(margin)
-    )
+    upper, lower = _sides(p_star, delta, samples, env, guard)
+    pts = np.concatenate((upper, lower))
+    side = np.repeat([1, -1], (upper.size, lower.size))
+    pr, pm = np.meshgrid(pts, pts, indexing="ij")
+    # one table per side, less each resident's own strategy
+    solve = (side[:, None] == side) & (np.abs(pr - pm) > guard)
+    lambdas = _scalar_table(landscape, env, grid, diffusion, pts, pts, steady_config, solve)
+    want = np.where(np.abs(pm - p_star) < np.abs(pr - p_star), 1, -1)
+    return _result(np.stack((pr, pm), axis=-1)[solve], lambdas[solve], want[solve], sign_tol)
 
 
 @dataclass(frozen=True)

@@ -13,25 +13,20 @@ from .analysis import PIPGrid, pip as pip_scan, predict_outcome
 from .config import DEFAULTS, RunConfig, apply_env_overrides, read_config
 from .dynamics import simulate
 from .eigen import (
-    MutantStack,
-    ResidentContext,
     assemble_linearization,
+    fitness_table,
     invasion_fitness,
     principal_eigenpair,
     resident_self_eigenpair,
 )
 from .errors import NumericalError, ValidationError
-from .grid import CSV_HEADER
+from .grid import format_value
 from .landscape import SpeciesTraits, StrategyVector
 from .operators import SpeciesLayout
 from .steady import monotonicity_report, solve_resident_steady
 from .validate import run_validation
 
 COMMANDS = ("steady", "eigen", "fitness", "simulate", "pip", "classify", "sweep", "validate")
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,13 +72,12 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _eigen_csv(lambda1: float, phi) -> str:
-    lines = [f"lambda1,{_fmt(lambda1)}", CSV_HEADER]
-    patch_of = phi.grid.patch_index_of_dofs()
-    xs = phi.grid.full_x()
-    for j in range(phi.grid.num_dofs):
-        lines.append(f"{patch_of[j] + 1},{_fmt(xs[j])},{_fmt(phi.values[j])}")
-    return "\n".join(lines) + "\n"
+def _write_pair(cfg: RunConfig, name: str, pair) -> int:
+    """Write an eigenpair as ``lambda1`` above its eigenfunction's field CSV."""
+    out = _outdir(cfg)
+    _write(os.path.join(out, name), f"lambda1,{format_value(pair.lambda1)}\n" + pair.phi.to_csv())
+    print(f"lambda1 = {format_value(pair.lambda1)}")
+    return 0
 
 
 def _cmd_steady(cfg: RunConfig, grid) -> int:
@@ -97,10 +91,10 @@ def _cmd_steady(cfg: RunConfig, grid) -> int:
     lines.append(f"boundary_right,{report.boundary_right}")
     lines.append(
         "interface_derivatives,"
-        + "|".join(f"{_fmt(a)};{_fmt(b)}" for a, b in report.interface_derivatives)
+        + "|".join(f"{format_value(a)};{format_value(b)}" for a, b in report.interface_derivatives)
     )
     lines.append(
-        "crossovers," + "|".join(f"{i + 1}:{_fmt(x)}" for i, x in report.crossovers)
+        "crossovers," + "|".join(f"{i + 1}:{format_value(x)}" for i, x in report.crossovers)
     )
     lines.append(f"expected_pattern,{report.expected_pattern or 'Unclassified'}")
     lines.append(f"monotone,{report.monotone}")
@@ -111,30 +105,21 @@ def _cmd_steady(cfg: RunConfig, grid) -> int:
 
 def _cmd_eigen(cfg: RunConfig, grid) -> int:
     if cfg.eigen_potential == "zero":
-        op = assemble_linearization(grid, cfg.mutant, 0.0)
-        pair = principal_eigenpair(op)
+        pair = principal_eigenpair(assemble_linearization(grid, cfg.mutant, 0.0))
     elif cfg.eigen_potential == "steady-linearization":
         pair = resident_self_eigenpair(
             cfg.landscape, cfg.environment, cfg.resident, grid, cfg.steady
         )
     else:
-        pair = invasion_fitness(
-            cfg.landscape, cfg.environment, cfg.resident, cfg.mutant, grid, cfg.steady
-        )
-    out = _outdir(cfg)
-    _write(os.path.join(out, "eigen.csv"), _eigen_csv(pair.lambda1, pair.phi))
-    print(f"lambda1 = {_fmt(pair.lambda1)}")
-    return 0
+        return _cmd_fitness(cfg, grid, "eigen.csv")
+    return _write_pair(cfg, "eigen.csv", pair)
 
 
-def _cmd_fitness(cfg: RunConfig, grid) -> int:
+def _cmd_fitness(cfg: RunConfig, grid, name: str = "fitness.csv") -> int:
     pair = invasion_fitness(
         cfg.landscape, cfg.environment, cfg.resident, cfg.mutant, grid, cfg.steady
     )
-    out = _outdir(cfg)
-    _write(os.path.join(out, "fitness.csv"), _eigen_csv(pair.lambda1, pair.phi))
-    print(f"lambda1 = {_fmt(pair.lambda1)}")
-    return 0
+    return _write_pair(cfg, name, pair)
 
 
 def _cmd_simulate(cfg: RunConfig, grid) -> int:
@@ -150,13 +135,13 @@ def _cmd_simulate(cfg: RunConfig, grid) -> int:
         ",".join(
             [
                 record.verdict,
-                _fmt(record.t_final),
+                format_value(record.t_final),
                 str(record.steps),
                 str(record.converged),
-                _fmt(diag["time_derivative_norm"]),
-                _fmt(diag["steady_residual_u"]),
-                _fmt(diag["steady_residual_v"]),
-                _fmt(diag["clip_total"]),
+                format_value(diag["time_derivative_norm"]),
+                format_value(diag["steady_residual_u"]),
+                format_value(diag["steady_residual_v"]),
+                format_value(diag["clip_total"]),
                 str(diag["box_violations"]),
             ]
         ),
@@ -173,11 +158,11 @@ def _cmd_simulate(cfg: RunConfig, grid) -> int:
             u_full, v_full = layout_u.expand(u_red), layout_v.expand(v_red)
             for j in range(grid.num_dofs):
                 rows.append(
-                    f"{_fmt(t)},{patch_of[j] + 1},{_fmt(xs[j])},"
-                    f"{_fmt(u_full[j])},{_fmt(v_full[j])}"
+                    f"{format_value(t)},{patch_of[j] + 1},{format_value(xs[j])},"
+                    f"{format_value(u_full[j])},{format_value(v_full[j])}"
                 )
         _write(os.path.join(out, "trajectory.csv"), "\n".join(rows) + "\n")
-    print(f"verdict: {record.verdict} (t = {_fmt(record.t_final)})")
+    print(f"verdict: {record.verdict} (t = {format_value(record.t_final)})")
     return 0
 
 
@@ -195,9 +180,9 @@ def _cmd_pip(cfg: RunConfig, grid) -> int:
     )
     out = _outdir(cfg)
     _write(os.path.join(out, "pip.csv"), result.to_csv())
-    lam_lines = ["resident_p\\mutant_p," + ",".join(_fmt(v) for v in result.mutant_values)]
-    for i, pv in enumerate(result.resident_values):
-        lam_lines.append(_fmt(pv) + "," + ",".join(_fmt(v) for v in result.lambdas[i]))
+    lam_lines = ["resident_p\\mutant_p," + ",".join(map(format_value, result.mutant_values))]
+    for pv, lambdas in zip(result.resident_values, result.lambdas):
+        lam_lines.append(format_value(pv) + "," + ",".join(map(format_value, lambdas)))
     _write(os.path.join(out, "pip_lambda.csv"), "\n".join(lam_lines) + "\n")
     print(f"invasibility matrix written to {out}/pip.csv")
     return 0
@@ -219,44 +204,41 @@ def _cmd_classify(cfg: RunConfig, grid) -> int:
 
 def _cmd_sweep(cfg: RunConfig, grid) -> int:
     spec = cfg.raw["sweep"]
-    points = spec.get("mutant_p") or []
-    if not points:
-        raise ValidationError("sweep.mutant_p: provide at least one mutant jump vector")
-    d_values = spec.get("mutant_d")
-    mutants = [
-        SpeciesTraits(d_values if d_values is not None else cfg.mutant.d, StrategyVector(p))
-        for p in points
-    ]
-    rows = []
-    for index, mutant in enumerate(mutants):
+    points = spec["mutant_p"]
+    if not isinstance(points, list) or not points:
+        raise ValidationError(
+            f"sweep.mutant_p: must be a non-empty list of jump vectors, got {points!r}"
+        )
+    d = spec["mutant_d"] if spec["mutant_d"] is not None else cfg.mutant.d
+    mutants, rows = [], []
+    for index, p in enumerate(points):
+        try:
+            mutant = SpeciesTraits(d, StrategyVector(p))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"sweep.mutant_p[{index}]: {exc}") from exc
+        mutants.append(mutant)
         prediction = predict_outcome(
             cfg.resident.jump, mutant.jump, cfg.resident.d_array, mutant.d_array,
             cfg.environment,
         )
         rows.append([
             str(index),
-            "|".join(_fmt(v) for v in mutant.jump.values),
+            "|".join(format_value(v) for v in mutant.jump.values),
             prediction.region.value,
             prediction.invade_when_rare,
             prediction.global_verdict,
         ])
     header = "index,mutant_p,region,invade,verdict"
-    if spec.get("fitness"):
+    if spec["fitness"]:
         header += ",lambda1"
-        ustar = solve_resident_steady(
-            cfg.landscape, cfg.environment, cfg.resident, grid, cfg.steady
+        (lambdas,) = fitness_table(
+            cfg.landscape, cfg.environment, grid, [cfg.resident], mutants, cfg.steady
         )
-        context = ResidentContext(
-            cfg.landscape, cfg.environment, cfg.resident, grid, ustar=ustar
-        )
-        pairs = (
-            pair for stack in MutantStack.chunks(grid, mutants)
-            for pair in context.fitness(stack)
-        )
-        for row, pair in zip(rows, pairs):
-            row.append(_fmt(pair.lambda1))
+        for row, lam in zip(rows, lambdas):
+            row.append(format_value(lam))
     out = _outdir(cfg)
-    _write(os.path.join(out, "sweep.csv"), "\n".join([header] + [",".join(r) for r in rows]) + "\n")
+    text = "\n".join([header] + [",".join(r) for r in rows]) + "\n"
+    _write(os.path.join(out, "sweep.csv"), text)
     print(f"swept {len(rows)} points -> {out}/sweep.csv")
     return 0
 

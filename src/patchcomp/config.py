@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 import os
 from dataclasses import dataclass
 from typing import Any
 
 from .dynamics import SimConfig
-from .errors import ValidationError
+from .errors import ValidationError, checked_number
 from .grid import Grid, build_grid
 from .landscape import Landscape, PatchEnvironment, SpeciesTraits, StrategyVector
 from .steady import SteadyConfig
@@ -48,32 +47,17 @@ DEFAULTS: dict[str, Any] = {
 }
 
 
-# Numeric fields, checked by ``checked_number`` before any object is built;
-# a field whose default is None may also be None.
+# Numeric fields that no section object checks, checked by ``checked_number``
+# before any object is built (``SteadyConfig`` and ``SimConfig`` check their
+# own); a field whose default is None may also be None.
 _POSITIVE = (
-    "steady.newton_tol", "sim.dt", "sim.t_max", "sim.steady_tol", "sim.extinction_eps",
     "eigen.sign_tol", "grid.target_h", "pip.resident_min", "pip.resident_max",
     "pip.mutant_min", "pip.mutant_max",
 )
 _COUNTS = ("pip.resident_count", "pip.mutant_count")
 
 
-def checked_number(value, path: str, *, count: bool = False, zero: bool = False):
-    """``value`` if it is a finite number above zero (an integer for a
-    ``count``, possibly zero with ``zero``); otherwise a ValidationError that
-    names ``path``.  JSON ``true``/``false`` are not numbers here."""
-    kind = "an integer" if count else "a number"
-    if isinstance(value, bool) or not isinstance(value, int if count else (int, float)):
-        raise ValidationError(f"{path}: must be {kind}, got {value!r}")
-    if not math.isfinite(value):
-        raise ValidationError(f"{path}: must be finite, got {value!r}")
-    if value < 0 or (value == 0 and not zero):
-        bound = "at least 0" if zero else "positive"
-        raise ValidationError(f"{path}: must be {bound}, got {value!r}")
-    return value
-
-
-def _check_numbers(merged: dict) -> None:
+def _check_fields(merged: dict) -> None:
     for path in _POSITIVE + _COUNTS:
         section, key = path.split(".")
         value = merged[section][key]
@@ -86,6 +70,11 @@ def _check_numbers(merged: dict) -> None:
     elif per_patch is not None:
         checked_number(per_patch, "grid.per_patch", count=True)
     checked_number(merged["seed"], "seed", count=True, zero=True)
+    checked_number(merged["workers"], "workers", count=True)
+    if not isinstance(merged["sweep"]["fitness"], bool):
+        raise ValidationError(
+            f"sweep.fitness: must be true or false, got {merged['sweep']['fitness']!r}"
+        )
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
@@ -94,7 +83,9 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ValidationError(f"unknown configuration field: {where}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise ValidationError(f"{where}: must be an object, got {value!r}")
             out[key] = _merge(base[key], value, where)
         else:
             out[key] = copy.deepcopy(value)
@@ -121,7 +112,7 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunConfig":
         merged = _merge(DEFAULTS, data)
-        _check_numbers(merged)
+        _check_fields(merged)
         try:
             landscape = Landscape(merged["landscape"]["boundaries"])
         except (ValidationError, ValueError) as exc:
@@ -138,29 +129,19 @@ class RunConfig:
             )
         resident = cls._traits(merged["resident"], landscape.n, "resident")
         mutant = cls._traits(merged["mutant"], landscape.n, "mutant")
-        try:
-            steady = SteadyConfig(**merged["steady"])
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"steady: {exc}") from exc
-        try:
-            sim = SimConfig(**merged["sim"])
-        except (TypeError, ValidationError) as exc:
-            raise ValidationError(f"sim: {exc}") from exc
         eigen = merged["eigen"]
         if eigen["potential"] not in ("invasion", "steady-linearization", "zero"):
             raise ValidationError(
                 "eigen.potential: must be invasion, steady-linearization or zero"
             )
-        if not isinstance(merged["workers"], int) or merged["workers"] < 1:
-            raise ValidationError("workers: must be an integer of at least 1")
         return cls(
             raw=merged,
             landscape=landscape,
             environment=environment,
             resident=resident,
             mutant=mutant,
-            steady=steady,
-            sim=sim,
+            steady=SteadyConfig(**merged["steady"]),
+            sim=SimConfig(**merged["sim"]),
             sign_tol=float(eigen["sign_tol"]),
             eigen_potential=eigen["potential"],
             output_dir=str(merged["output_dir"]),
@@ -173,8 +154,10 @@ class RunConfig:
         if "d" not in spec:
             raise ValidationError(f"{path}.d: missing diffusion vector")
         d = spec["d"]
-        if len(d) != n:
-            raise ValidationError(f"{path}.d: need one diffusion rate per patch")
+        if not isinstance(d, (list, tuple)) or len(d) != n:
+            raise ValidationError(
+                f"{path}.d: must be a list of one diffusion rate per patch, got {d!r}"
+            )
         try:
             if spec.get("alpha") is not None:
                 return SpeciesTraits.from_preferences(d, spec["alpha"])

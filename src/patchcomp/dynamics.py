@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SimulationBlowUpError, ValidationError
+from .errors import SimulationBlowUpError, ValidationError, checked_number
 from .grid import Grid, PiecewiseField
 from .landscape import Landscape, PatchEnvironment, SpeciesTraits
 from .operators import (
@@ -38,18 +38,15 @@ class SimConfig:
     snapshot_stride: int | None = None
 
     def __post_init__(self):
-        if self.dt is not None and self.dt <= 0:
-            raise ValidationError("dt must be positive")
-        if self.extinction_eps is not None and self.extinction_eps <= 0:
-            raise ValidationError("extinction_eps must be positive")
-        if self.t_max <= 0:
-            raise ValidationError("t_max must be positive")
-        for name in ("check_interval", "snapshot_stride"):
+        # the messages name the config section, as in ``SteadyConfig``; a
+        # field whose default is None may be None
+        for name in ("dt", "t_max", "steady_tol", "extinction_eps"):
             value = getattr(self, name)
-            if value is None and name == "snapshot_stride":
-                continue
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValidationError(f"{name} must be an integer of at least 1")
+            if value is not None or name in ("t_max", "steady_tol"):
+                checked_number(value, f"sim.{name}")
+        checked_number(self.check_interval, "sim: check_interval", count=True)
+        if self.snapshot_stride is not None:
+            checked_number(self.snapshot_stride, "sim: snapshot_stride", count=True)
 
 
 @dataclass

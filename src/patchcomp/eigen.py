@@ -22,7 +22,9 @@ the stack once it stops.  A single operator is the stack of one.
 ``ResidentContext`` is the one route from a resident to invasion fitness: it
 solves the resident's steady state and growth potential once, and evaluates a
 ``MutantStack`` (the mutants' diffusion operators, assembled once per scan)
-against it in one stacked solve.
+against it in one stacked solve.  ``fitness_table`` is the one route from a
+set of (resident, mutant) pairs to their eigenvalues, and ``signs`` the one
+rule that turns eigenvalues into invasion signs.
 """
 
 from __future__ import annotations
@@ -68,11 +70,14 @@ class EigenPair:
 
     def sign(self, tol: float = SIGN_TOL) -> int:
         """-1, 0 (within the neutral band) or +1."""
-        if self.lambda1 > tol:
-            return 1
-        if self.lambda1 < -tol:
-            return -1
-        return 0
+        return int(signs(self.lambda1, tol))
+
+
+def signs(lambdas, tol: float = SIGN_TOL) -> np.ndarray:
+    """Invasion signs of eigenvalues, elementwise: +1 above ``tol``, -1 below
+    ``-tol``, 0 within the neutral band (and for NaN, an unsolved pair)."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    return (lambdas > tol).astype(int) - (lambdas < -tol)
 
 
 def assemble_linearization(
@@ -354,6 +359,42 @@ class ResidentContext:
             layout, mutants.lo, mutants.di + layout.restrict_diag(self.potential),
             mutants.up, layout.weights, mutants.start, tol, max_iters,
         )
+
+
+def fitness_table(
+    landscape,
+    env: PatchEnvironment,
+    grid: Grid,
+    residents: Sequence[SpeciesTraits],
+    mutants: Sequence[SpeciesTraits],
+    steady_config: SteadyConfig | None = None,
+    solve=None,
+) -> np.ndarray:
+    """Invasion fitness λ1 of every mutant at every resident, as an (R, M) array.
+
+    ``solve``, an (R, M) boolean mask, selects the pairs to evaluate (all by
+    default); the others read NaN.  Each resident with a pair to solve gets
+    one ``ResidentContext``, and the mutants with a pair to solve are
+    assembled once, one stacked solve's worth at a time.  Every entry is bit
+    for bit ``invasion_fitness(..., resident, mutant, ...).lambda1``.
+    """
+    table = np.full((len(residents), len(mutants)), np.nan)
+    solve = np.ones(table.shape, bool) if solve is None else np.asarray(solve, bool)
+    if solve.shape != table.shape:
+        raise ValidationError(f"solve mask must have shape {table.shape}")
+    rows = np.flatnonzero(solve.any(axis=1))
+    cols = np.flatnonzero(solve.any(axis=0))
+    contexts = [ResidentContext(landscape, env, residents[i], grid, steady_config) for i in rows]
+    done = 0
+    for stack in MutantStack.chunks(grid, [mutants[j] for j in cols]):
+        block = cols[done : done + len(stack.di)]
+        done += block.size
+        for i, context in zip(rows, contexts):
+            pick = np.flatnonzero(solve[i, block])
+            if pick.size:
+                sub = stack if pick.size == block.size else stack.take(pick)
+                table[i, block[pick]] = [pair.lambda1 for pair in context.fitness(sub)]
+    return table
 
 
 def invasion_fitness(

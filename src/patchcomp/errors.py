@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of a numeric field."""
+
+import math
+from numbers import Integral, Real
 
 
 class ValidationError(ValueError):
@@ -27,3 +30,18 @@ class EigenSolveError(NumericalError):
 
 class SimulationBlowUpError(NumericalError):
     """State escaped its a-priori bounds; indicates a scheme bug."""
+
+
+def checked_number(value, path: str, *, count: bool = False, zero: bool = False):
+    """``value`` if it is a finite number above zero (an integer for a
+    ``count``, possibly zero with ``zero``); otherwise a ValidationError that
+    names ``path``.  ``True``/``False`` are not numbers here."""
+    kind = "an integer" if count else "a number"
+    if isinstance(value, bool) or not isinstance(value, Integral if count else Real):
+        raise ValidationError(f"{path}: must be {kind}, got {value!r}")
+    if not math.isfinite(value):
+        raise ValidationError(f"{path}: must be finite, got {value!r}")
+    if value < 0 or (value == 0 and not zero):
+        bound = "at least 0" if zero else "positive"
+        raise ValidationError(f"{path}: must be {bound}, got {value!r}")
+    return value

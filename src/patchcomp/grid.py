@@ -23,7 +23,8 @@ from .landscape import Landscape, SpeciesTraits
 CSV_HEADER = "patch_index,x,value"
 
 
-def _fmt(x: float) -> str:
+def format_value(x: float) -> str:
+    """A number as every CSV writes it: 17 significant digits, which round-trip."""
     return f"{x:.17g}"
 
 
@@ -253,7 +254,7 @@ class PiecewiseField:
         patch_of = self.grid.patch_index_of_dofs()
         xs = self.grid.full_x()
         for j in range(self.grid.num_dofs):
-            buf.write(f"{patch_of[j] + 1},{_fmt(xs[j])},{_fmt(self.values[j])}\n")
+            buf.write(f"{patch_of[j] + 1},{format_value(xs[j])},{format_value(self.values[j])}\n")
         return buf.getvalue()
 
     def write_csv(self, path) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SteadyConvergenceError
+from .errors import SteadyConvergenceError, checked_number
 from .grid import Grid, PiecewiseField, patch_derivative
 from .landscape import (
     PatchEnvironment,
@@ -38,11 +38,10 @@ class SteadyConfig:
     max_newton_iters: int = 50
 
     def __post_init__(self):
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
-        value = self.max_newton_iters
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValueError("max_newton_iters must be an integer of at least 1")
+        # the messages name the config section, so a JSON config's error
+        # needs no wrapper (the two forms are the ones they have always had)
+        checked_number(self.newton_tol, "steady.newton_tol")
+        checked_number(self.max_newton_iters, "steady: max_newton_iters", count=True)
 
 
 def damped_newton(residual, u0, floor: float, cap: float, row_scale: float,

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import patchcomp as pc
+import patchcomp.eigen
 from patchcomp import RegionLabel
 from patchcomp.eigen import assemble_linearization, growth_potential
 from patchcomp.landscape import StrategyVector
@@ -196,23 +199,61 @@ class TestStrategyChecks:
         with pytest.raises(pc.ValidationError):
             pc.ess_check(3.0, 1.0, 2, land, env, [1.0, 1.0], grid)
 
+    @pytest.mark.parametrize("check", [pc.ess_check, pc.nis_check, pc.css_check])
+    @pytest.mark.parametrize("samples", [3.5, True, "4", 2])
+    def test_samples_must_be_an_integer_of_at_least_three(self, unit_two_patch, check,
+                                                          samples):
+        land, env = unit_two_patch
+        grid = pc.build_grid(land, per_patch=20)
+        with pytest.raises(pc.ValidationError, match="samples"):
+            check(3.0, 1.0, samples, land, env, [1.0, 1.0], grid)
+
+    @pytest.mark.parametrize("check", [pc.ess_check, pc.nis_check, pc.css_check])
+    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan"), float("inf")])
+    def test_delta_must_be_finite_and_positive(self, unit_two_patch, check, delta):
+        land, env = unit_two_patch
+        grid = pc.build_grid(land, per_patch=20)
+        with pytest.raises(pc.ValidationError, match="delta"):
+            check(3.0, delta, 4, land, env, [1.0, 1.0], grid)
+
+    @pytest.mark.parametrize("check", [pc.ess_check, pc.nis_check, pc.css_check])
+    def test_no_surviving_sample_raises(self, unit_two_patch, check):
+        # every point lies within the guard band of the focal strategy
+        land, env = unit_two_patch
+        grid = pc.build_grid(land, per_patch=20)
+        with pytest.raises(pc.ValidationError, match="guard band"):
+            check(2.0, 1e-7, 3, land, env, [1.0, 1.0], grid)
+
+    def test_css_skips_a_side_with_no_sample(self, unit_two_patch):
+        # below 0.1 every point is negative: only the upper side is scanned
+        land, env = unit_two_patch
+        grid = pc.build_grid(land, per_patch=20)
+        css = pc.css_check(0.1, 0.5, 3, land, env, [1.0, 1.0], grid)
+        assert css.samples == 3 * 2
+        route = PerPairRoute(land, env, grid)
+        upper = 0.1 + 0.5 * np.arange(1, 4) / 3
+        lams = [route(pr, pm) for pr in upper for pm in upper if pr != pm]
+        assert css.margin == min(abs(lam) for lam in lams)
+
 
 class PerPairRoute:
     """Fitness one (resident, mutant) pair at a time, each resident's steady
-    state solved once: the route the stacked scans replaced."""
+    state solved once: the route the stacked scans replaced.  Strategies are
+    scalars (two patches) or sequences, for species with diffusion ``d``."""
 
-    def __init__(self, land, env, grid):
-        self.land, self.env, self.grid = land, env, grid
+    def __init__(self, land, env, grid, d=(1.0, 1.0)):
+        self.land, self.env, self.grid, self.d = land, env, grid, list(d)
         self.potentials = {}
 
     def __call__(self, p_resident, p_mutant):
         grid = self.grid
-        if p_resident not in self.potentials:
-            resident = pc.SpeciesTraits([1.0, 1.0], StrategyVector([p_resident]))
+        key = tuple(np.atleast_1d(p_resident))
+        if key not in self.potentials:
+            resident = pc.SpeciesTraits(self.d, StrategyVector(key))
             ustar = pc.solve_resident_steady(self.land, self.env, resident, grid)
-            self.potentials[p_resident] = growth_potential(grid, self.env, ustar)
-        mutant = pc.SpeciesTraits([1.0, 1.0], StrategyVector([p_mutant]))
-        op = assemble_linearization(grid, mutant, self.potentials[p_resident])
+            self.potentials[key] = growth_potential(grid, self.env, ustar)
+        mutant = pc.SpeciesTraits(self.d, StrategyVector(np.atleast_1d(p_mutant)))
+        op = assemble_linearization(grid, mutant, self.potentials[key])
         return pc.principal_eigenpair(op).lambda1
 
 
@@ -282,6 +323,121 @@ class TestStackedScansMatchPerPairRoute:
             table = pc.stability_table(land, env, resident, mutant, grid)
             assert table.lambda_resident_state == route(p, p_hat)
             assert table.lambda_mutant_state == route(p_hat, p)
+
+
+class TestFitnessTable:
+    @given(
+        patches=st.lists(
+            st.tuples(  # length, d, r, k
+                st.floats(0.5, 2.0), st.floats(0.2, 5.0), st.floats(0.5, 2.0),
+                st.floats(0.5, 3.0),
+            ),
+            min_size=2,
+            max_size=3,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_solved_entry_matches_the_per_pair_route(self, patches, data):
+        length, d, r, k = (np.array(col) for col in zip(*patches))
+        land = pc.Landscape(np.concatenate(([0.0], np.cumsum(length))))
+        env = pc.PatchEnvironment(r, k)
+        grid = pc.build_grid(land, per_patch=12)
+        strategy = st.lists(st.floats(0.3, 4.0), min_size=len(d) - 1, max_size=len(d) - 1)
+        residents = data.draw(st.lists(strategy, min_size=1, max_size=5))
+        mutants = data.draw(st.lists(strategy, min_size=0, max_size=6))
+        shape = (len(residents), len(mutants))
+        solve = data.draw(st.none() | arrays(bool, shape))
+
+        def traits(ps):
+            return [pc.SpeciesTraits(d, StrategyVector(p)) for p in ps]
+
+        table = pc.fitness_table(land, env, grid, traits(residents), traits(mutants),
+                                 solve=solve)
+        assert table.shape == shape
+        route = PerPairRoute(land, env, grid, d)
+        for (i, j), lam in np.ndenumerate(table):
+            if solve is None or solve[i, j]:
+                assert lam == route(residents[i], mutants[j])
+            else:
+                assert np.isnan(lam)
+
+    def test_builds_only_what_the_mask_needs(self, unit_two_patch, monkeypatch):
+        land, env = unit_two_patch
+        grid = pc.build_grid(land, per_patch=20)
+        species = [pc.SpeciesTraits([1.0, 1.0], StrategyVector([p])) for p in (1.5, 2.5, 3.5)]
+        calls = {"steady": 0, "take": 0}
+        steady, take = patchcomp.eigen.solve_resident_steady, pc.MutantStack.take
+
+        def counting_steady(*args, **kwargs):
+            calls["steady"] += 1
+            return steady(*args, **kwargs)
+
+        def counting_take(self, index):
+            calls["take"] += 1
+            return take(self, index)
+
+        monkeypatch.setattr(patchcomp.eigen, "solve_resident_steady", counting_steady)
+        monkeypatch.setattr(pc.MutantStack, "take", counting_take)
+        pc.fitness_table(land, env, grid, species, species)
+        assert calls == {"steady": 3, "take": 0}
+        solve = np.array([[False, True, True], [False, False, False], [False, True, False]])
+        table = pc.fitness_table(land, env, grid, species, species, solve=solve)
+        # no context for the empty row, the full mutant set (of used columns)
+        # for row 0, a subset only for row 2
+        assert calls == {"steady": 5, "take": 1}
+        assert np.array_equal(np.isnan(table), ~solve)
+
+    def test_mutants_cut_into_chunks(self, unit_two_patch, monkeypatch):
+        land, env = unit_two_patch
+        grid = pc.build_grid(land, per_patch=20)
+        species = [pc.SpeciesTraits([1.0, 1.0], StrategyVector([p]))
+                   for p in (1.2, 1.7, 2.4, 2.9, 3.5)]
+        solve = np.random.default_rng(4).uniform(size=(3, 5)) < 0.7
+        whole = pc.fitness_table(land, env, grid, species[:3], species, solve=solve)
+        monkeypatch.setattr(patchcomp.eigen, "_STACK_DOFS", 2 * grid.num_reduced)
+        chunked = pc.fitness_table(land, env, grid, species[:3], species, solve=solve)
+        assert np.array_equal(chunked, whole, equal_nan=True)
+        assert np.array_equal(np.isnan(whole), ~solve)
+
+    @pytest.mark.parametrize("residents,mutants", [(0, 0), (0, 3), (2, 0), (2, 3)])
+    def test_empty_tables_build_nothing(self, unit_two_patch, monkeypatch, residents,
+                                        mutants):
+        land, env = unit_two_patch
+        grid = pc.build_grid(land, per_patch=20)
+        species = pc.SpeciesTraits([1.0, 1.0], StrategyVector([2.5]))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an empty table built or solved something")
+
+        monkeypatch.setattr(patchcomp.eigen, "solve_resident_steady", refuse)
+        monkeypatch.setattr(pc.MutantStack, "assemble", refuse)
+        nothing = np.zeros((residents, mutants), bool)
+        table = pc.fitness_table(land, env, grid, [species] * residents,
+                                 [species] * mutants, solve=nothing)
+        assert table.shape == (residents, mutants) and np.isnan(table).all()
+        if not residents * mutants:
+            table = pc.fitness_table(land, env, grid, [species] * residents,
+                                     [species] * mutants)
+            assert table.shape == (residents, mutants)
+
+    def test_mask_shape_is_checked(self, unit_two_patch):
+        land, env = unit_two_patch
+        grid = pc.build_grid(land, per_patch=20)
+        species = [pc.SpeciesTraits([1.0, 1.0], StrategyVector([2.5]))]
+        with pytest.raises(pc.ValidationError, match="shape"):
+            pc.fitness_table(land, env, grid, species, species, solve=np.ones((2, 1), bool))
+
+
+class TestSigns:
+    def test_one_rule_for_pairs_tables_and_verdicts(self):
+        lambdas = np.array([[2e-8, -2e-8, 1e-8], [-1e-8, 0.0, np.nan]])
+        assert np.array_equal(pc.signs(lambdas), [[1, -1, 0], [0, 0, 0]])
+        assert np.array_equal(pc.signs(lambdas, tol=0.0), [[1, -1, 1], [-1, 0, 0]])
+        grid = pc.build_grid(pc.Landscape([0.0, 1.0]), per_patch=4)
+        phi = pc.PiecewiseField(grid, np.ones(grid.num_dofs))
+        for lam in lambdas.ravel()[:5]:
+            assert pc.EigenPair(lam, phi, 0.0, 0).sign() == pc.signs(lam)
 
 
 class TestCrossValidate:

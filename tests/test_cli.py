@@ -195,14 +195,16 @@ class TestCommands:
 
     @pytest.mark.parametrize("fitness,solves", [(True, 1), (False, 0)])
     def test_sweep_solves_resident_once(self, tmp_path, monkeypatch, fitness, solves):
+        # the sweep's fitness goes through eigen.fitness_table, whose resident
+        # context makes the steady solve
         calls = []
-        solve = patchcomp.cli.solve_resident_steady
+        solve = patchcomp.eigen.solve_resident_steady
 
         def counting(*args, **kwargs):
             calls.append(args)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(patchcomp.cli, "solve_resident_steady", counting)
+        monkeypatch.setattr(patchcomp.eigen, "solve_resident_steady", counting)
         cfg = {"sweep": {"mutant_p": [[2.5], [4.0], [1.5]], "fitness": fitness},
                "grid": {"per_patch": 20}}
         path = tmp_path / "cfg.json"
@@ -296,6 +298,14 @@ class TestCommands:
             ("simulate", {"sim": {"extinction_eps": -1e-6}}, [], {}, "sim.extinction_eps"),
             ("steady", {}, ["--resolution", "nan"], {}, "resolution"),
             ("steady", {}, [], {"PATCHCOMP_RESOLUTION": "-0.1"}, "resolution"),
+            # shapes: a section that is not an object, a field of the wrong kind
+            ("steady", {"resident": {"d": 1.0}}, [], {}, "resident.d"),
+            ("steady", {"resident": 5}, [], {}, "resident"),
+            ("steady", {"landscape": 5}, [], {}, "landscape"),
+            ("sweep", {"sweep": {"mutant_p": "ab"}}, [], {}, "sweep.mutant_p"),
+            ("sweep", {"workers": True}, [], {}, "workers"),
+            ("sweep", {"sweep": {"mutant_p": [[2.5]], "fitness": "no"}}, [], {},
+             "sweep.fitness"),
         ],
     )
     def test_bad_numbers_exit_one_naming_the_field(

@@ -254,6 +254,17 @@ class TestSimulateAndClassify:
         ustar = pc.solve_resident_steady(land, env, resident, grid)
         assert np.abs(record.u_final.values - ustar.values).max() <= 10 * 1e-8 * 2.0
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("dt", float("nan")), ("dt", True), ("dt", 0.0), ("t_max", float("inf")),
+         ("t_max", None), ("steady_tol", True), ("steady_tol", -1e-8),
+         ("extinction_eps", float("nan")), ("check_interval", 2.5),
+         ("snapshot_stride", 0)],
+    )
+    def test_config_fields_are_checked_when_built_in_python(self, field, value):
+        with pytest.raises(pc.ValidationError, match=f"sim(: |\\.){field}: must be"):
+            SimConfig(**{field: value})
+
     def test_exact_semi_trivial_states_classify(self, unit_two_patch):
         land, env = unit_two_patch
         resident = pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([3.0]))

@@ -270,6 +270,12 @@ class TestDampedNewton:
         with pytest.raises(ValueError, match="max_newton_iters"):
             pc.SteadyConfig(max_newton_iters=value)
 
+    @pytest.mark.parametrize("value", [0.0, -1e-10, float("nan"), float("inf"), True, "1e-10"])
+    def test_tolerance_must_be_a_finite_positive_number(self, value):
+        # a config built in Python is held to the JSON config's rule
+        with pytest.raises(pc.ValidationError, match="steady.newton_tol: must be"):
+            pc.SteadyConfig(newton_tol=value)
+
 
 class TestTransformedOracle:
     def test_stall_raises(self, unit_two_patch, monkeypatch):
