@@ -10,6 +10,10 @@ pair (resident p = 3, mutant p = 2.5, capacity ratio 2).  The layers:
 
 - ``assembly``: ``assemble_diffusion`` of one species;
 - ``steady``: the resident's damped-Newton steady solve;
+- ``steady_stack``: the steady states of R = 1, 10 and 32 residents
+  (strategies spread over 1.2-4) at 201 and 1,601 reduced DOFs, as one
+  stacked ``solve_resident_steady_states`` call and as a loop of single
+  ``solve_resident_steady`` calls;
 - ``eigen``: one ``principal_eigenpair`` solve, and ``principal_eigenpairs``
   on stacks of M = 1, 10 and 16 mutants' linearizations (per stack and per
   operator);
@@ -18,7 +22,8 @@ pair (resident p = 3, mutant p = 2.5, capacity ratio 2).  The layers:
 - ``step``: one ``Stepper.step`` of the resident/mutant pair at the default
   dt, at the same three sizes, timed over 100 consecutive steps from the
   default initial data and divided by 100;
-- ``pip_7x7``: a 7 x 7 ``pip`` at 100 subintervals per patch;
+- ``pip_7x7`` and ``pip_10x10``: a 7 x 7 and a 10 x 10 ``pip`` at 100
+  subintervals per patch (10 x 10 is the benchmark's ``invasion_scan`` size);
 - ``strategy_checks``: ``css_check`` and ``nis_check`` at 2 and ``ess_check``
   at 3, each with ``delta`` 1 and 5 samples per side at 100 subintervals per
   patch (the benchmark's ``invasion_scan`` settings);
@@ -71,6 +76,8 @@ RESIDENT = pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([3.0]))
 MUTANT = pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([2.5]))
 PER_PATCH = (100, 400, 800)  # 201, 801 and 1,601 reduced DOFs
 STACKS = (1, 10, 16)
+RESIDENT_STACKS = (1, 10, 32)
+STEADY_STACK_PER_PATCH = (100, 800)  # 201 and 1,601 reduced DOFs
 FINE_PER_PATCH = (100, 1000, 4000)  # 201, 2,001 and 8,001 reduced DOFs
 STEPS_PER_REPEAT = 100
 CLI_COMMANDS = ("steady", "eigen", "fitness", "classify", "pip", "sweep", "validate")
@@ -114,6 +121,26 @@ def layers(repeats: int) -> dict:
     return out
 
 
+def steady_stack(repeats: int) -> dict:
+    out = {}
+    for per_patch in STEADY_STACK_PER_PATCH:
+        grid = pc.build_grid(LAND, per_patch=per_patch)
+        row = {}
+        for r in RESIDENT_STACKS:
+            residents = [
+                pc.SpeciesTraits([1.0, 1.0], [p]) for p in np.linspace(1.2, 4.0, r)
+            ]
+            row[f"stacked_{r}"] = median_ms(
+                lambda: pc.solve_resident_steady_states(LAND, ENV, residents, grid), repeats
+            )
+            row[f"loop_{r}"] = median_ms(
+                lambda: [pc.solve_resident_steady(LAND, ENV, one, grid) for one in residents],
+                repeats,
+            )
+        out[str(grid.num_reduced)] = row
+    return out
+
+
 def fine_layers(repeats: int) -> dict:
     out = {"oracle": {}, "step": {}}
     for per_patch in FINE_PER_PATCH:
@@ -134,10 +161,10 @@ def fine_layers(repeats: int) -> dict:
     return out
 
 
-def pip_7x7(repeats: int) -> float:
+def pip_square(size: int, repeats: int) -> float:
     grid = pc.build_grid(LAND, per_patch=100)
-    residents = np.linspace(2.2, 4.0, 7)
-    mutants = np.linspace(1.0, 4.0, 7)
+    residents = np.linspace(2.2, 4.0, size)
+    mutants = np.linspace(1.0, 4.0, size)
     return median_ms(lambda: pc.pip(residents, mutants, [1.0, 1.0], LAND, ENV, grid), repeats)
 
 
@@ -212,8 +239,10 @@ def main() -> None:
             "blas_threads": 1,
         },
         **layers(args.repeats),
+        "steady_stack": steady_stack(args.repeats),
         **fine_layers(args.repeats),
-        "pip_7x7": pip_7x7(args.repeats),
+        "pip_7x7": pip_square(7, args.repeats),
+        "pip_10x10": pip_square(10, args.repeats),
         "strategy_checks": strategy_checks(args.repeats),
         "sweep_256": sweep_256(args.repeats),
         "cli": cli(args.repeats),

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ValidationError, checked_number
 from .dynamics import SimConfig, simulate
-from .eigen import SIGN_TOL, fitness_table, invasion_fitness, signs
+from .eigen import SIGN_TOL, fitness_table, signs
 from .grid import Grid
 from .landscape import (
     Landscape,
@@ -96,10 +96,13 @@ def stability_table(
     """Stability of both single-species states against the other species.
 
     The competition term is symmetric in the two species, so the second
-    verdict is the first with the roles swapped.
+    verdict is the first with the roles swapped: one 2x2 ``fitness_table``
+    over both species, less its diagonal.
     """
-    lam_res = invasion_fitness(landscape, env, resident, mutant, grid, steady_config).lambda1
-    lam_mut = invasion_fitness(landscape, env, mutant, resident, grid, steady_config).lambda1
+    species = [resident, mutant]
+    table = fitness_table(landscape, env, grid, species, species, steady_config,
+                          solve=~np.eye(2, dtype=bool))
+    lam_res, lam_mut = float(table[0, 1]), float(table[1, 0])
     resident_state, mutant_state = (_VERDICTS[s] for s in signs([lam_res, lam_mut], sign_tol))
     return StabilityVerdicts(lam_res, lam_mut, resident_state, mutant_state)
 

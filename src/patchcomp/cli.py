@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -29,7 +30,10 @@ from .validate import run_validation
 COMMANDS = ("steady", "eigen", "fitness", "simulate", "pip", "classify", "sweep", "validate")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it
+    unchanged, so in-process runs share it)."""
     parser = argparse.ArgumentParser(
         prog="patchcomp",
         description="Two-species competition on patchy landscapes with interface jumps",
@@ -209,7 +213,18 @@ def _cmd_sweep(cfg: RunConfig, grid) -> int:
         raise ValidationError(
             f"sweep.mutant_p: must be a non-empty list of jump vectors, got {points!r}"
         )
-    d = spec["mutant_d"] if spec["mutant_d"] is not None else cfg.mutant.d
+    d = spec["mutant_d"]
+    if d is None:
+        d = cfg.mutant.d
+    else:
+        if not isinstance(d, list) or len(d) != cfg.landscape.n:
+            raise ValidationError(
+                f"sweep.mutant_d: must be a list of one diffusion rate per patch, got {d!r}"
+            )
+        try:
+            d = SpeciesTraits(d, cfg.mutant.jump).d
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"sweep.mutant_d: {exc}") from exc
     mutants, rows = [], []
     for index, p in enumerate(points):
         try:

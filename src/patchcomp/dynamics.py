@@ -26,7 +26,7 @@ from .operators import (
     env_on_dofs,
     restrict_values,
 )
-from .steady import SteadyConfig, solve_resident_steady
+from .steady import SteadyConfig, solve_resident_steady_states
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -184,8 +184,9 @@ def simulate(
     box_v = bounding_level(grid, mutant, env, v) * layout_v.fill(layout_v.scales)
     blow_up = 10.0 * max(box_u.max(), box_v.max())
 
-    ustar = solve_resident_steady(landscape, env, resident, grid, steady_config)
-    vstar = solve_resident_steady(landscape, env, mutant, grid, steady_config)
+    ustar, vstar = solve_resident_steady_states(
+        landscape, env, [resident, mutant], grid, steady_config
+    )
 
     dt = stepper.dt
     max_steps = int(np.ceil(config.t_max / dt))

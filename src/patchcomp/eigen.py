@@ -19,18 +19,23 @@ block's arithmetic is bit for bit that of its operator on its own.  Every
 block keeps its own shift, stop test and iteration count, and drops out of
 the stack once it stops.  A single operator is the stack of one.
 
-``ResidentContext`` is the one route from a resident to invasion fitness: it
-solves the resident's steady state and growth potential once, and evaluates a
-``MutantStack`` (the mutants' diffusion operators, assembled once per scan)
-against it in one stacked solve.  ``fitness_table`` is the one route from a
-set of (resident, mutant) pairs to their eigenvalues, and ``signs`` the one
-rule that turns eigenvalues into invasion signs.
+``ResidentContext`` is the one route from residents to invasion fitness: it
+holds a stack of residents, solves their steady states in one stacked
+damped-Newton call and their growth potentials once, and evaluates every
+(resident, mutant) pair of a ``MutantStack`` (the mutants' diffusion
+operators, assembled once per scan) in stacked solves; ``invasion_fitness``
+is its 1x1 case.  ``fitness_table`` is the one route from a set of
+(resident, mutant) pairs to their eigenvalues: one context for its
+residents, and every masked pair, in row-major order, in one stacked Noda
+solve whose bands (``mutant.di + restrict_diag(potential)``) are built one
+``_STACK_DOFS`` chunk of pairs at a time.  ``signs`` is the one rule that
+turns eigenvalues into invasion signs.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,23 +43,21 @@ from .errors import EigenSolveError, ValidationError
 from .grid import Grid, PiecewiseField
 from .landscape import PatchEnvironment, SpeciesTraits
 from .operators import (
+    _STACK_DOFS,
     LinearOperator,
     SpeciesLayout,
     assemble_diffusion,
+    block_off_diagonals,
+    diffusion_bands,
     env_on_dofs,
     factor_tridiagonal,
     symmetry_defects,
     tridiagonal_matvec,
 )
-from .steady import SteadyConfig, solve_resident_steady
+from .steady import SteadyConfig, solve_resident_steady, solve_resident_steady_states
 
 SIGN_TOL = 1e-8
 
-# One stacked solve holds at most this many reduced DOFs (and at least one
-# block), so a long scan on a fine grid keeps only a few copies of its bands
-# and iterates at a time.  Past a few thousand DOFs per solve the LAPACK
-# calls dominate and a larger stack gains nothing.
-_STACK_DOFS = 1 << 14
 _EPS = np.finfo(float).eps
 _BANDS = ("lo", "di", "up")
 
@@ -106,16 +109,6 @@ def _start_vectors(layout: SpeciesLayout) -> np.ndarray:
     return x / x.max(axis=-1, keepdims=True)
 
 
-def _shifted_off_diagonals(lo, up):
-    """Sub- and super-diagonal of ``sigma I - A`` for the (M, N) stack laid
-    end to end, with zeros between blocks to keep them apart in the
-    factorisation."""
-    size = lo.shape[1]
-    dl, du = -lo.ravel()[1:], -up.ravel()[:-1]
-    dl[size - 1 :: size] = du[size - 1 :: size] = 0.0
-    return dl, du
-
-
 def _noda(lo, di, up, weights, scale, x, tol, max_iters):
     """Noda's inverse iteration on the stack of (M, N) bands; see
     ``principal_eigenpair``.  ``weights`` are the Rayleigh-quotient weights
@@ -128,7 +121,7 @@ def _noda(lo, di, up, weights, scale, x, tol, max_iters):
     floor = size * _EPS * scale
     # max(tol * max(1, |theta|), 5e-15 * scale) is max(tol * |theta|, least)
     least = np.maximum(tol, 5e-15 * scale)
-    dl, du = _shifted_off_diagonals(lo, up)
+    dl, du = block_off_diagonals(-lo, -up)
     rows = np.arange(len(di))
     out = None  # (theta, x, residual, iterations) of every block, once one stops
     iterations = 0
@@ -165,7 +158,7 @@ def _noda(lo, di, up, weights, scale, x, tol, max_iters):
             rows, lo, di, up, weights, x, ax, res, margin, floor, least = (
                 a[going] for a in (rows, lo, di, up, weights, x, ax, res, margin, floor, least)
             )
-            dl, du = _shifted_off_diagonals(lo, up)
+            dl, du = block_off_diagonals(-lo, -up)
         previous = res
         if iterations == max_iters:
             raise EigenSolveError(
@@ -184,11 +177,11 @@ def _noda(lo, di, up, weights, scale, x, tol, max_iters):
         x /= x.max(axis=1, keepdims=True)
 
 
-def _stacked_eigenpairs(
-    layout: SpeciesLayout, lo, di, up, weights, start, tol: float, max_iters: int
-) -> list[EigenPair]:
-    """Eigenpairs of the (M, N) stack, solved ``_STACK_DOFS`` at a time;
-    ``layout`` is the stacked layout of the operators' species."""
+def _stacked_solve(lo, di, up, weights, start, tol: float, max_iters: int):
+    """Noda's iteration on the (M, N) stack, ``_STACK_DOFS`` at a time, after
+    the checks every block must pass: finite bands and positive couplings.
+    Returns per block the eigenvalue, the reduced max-normalized eigenvector,
+    the residual and the number of solves."""
     defect = symmetry_defects(lo, di, up, weights)
     scale = np.maximum(1.0, np.abs(np.concatenate((di, up, lo), axis=1)).max(axis=1))
     # NaN or inf in a band makes its block's scale non-finite, and in the
@@ -204,22 +197,26 @@ def _stacked_eigenpairs(
     symmetric = defect <= 1e-10
     if np.count_nonzero(symmetric) < len(symmetric):
         weights = np.where(symmetric[:, None], weights, 1.0)
-    grid = layout.grid
-    step = max(1, _STACK_DOFS // grid.num_reduced)
-    pairs = []
-    for s in range(0, len(di), step):
-        b = slice(s, s + step)
-        theta, x, res, iterations = _noda(
-            lo[b], di[b], up[b], weights[b], scale[b], start[b], tol, max_iters
-        )
-        phi = layout[b].expand(x)
-        phi /= phi.max(axis=1, keepdims=True)
-        pairs += [
-            EigenPair(lambda1=float(t), phi=PiecewiseField(grid, f), residual=float(r),
-                      iterations=int(i))
-            for t, f, r, i in zip(theta, phi, res, iterations)
-        ]
-    return pairs
+    step = max(1, _STACK_DOFS // di.shape[1])
+    if len(di) <= step:
+        return _noda(lo, di, up, weights, scale, start, tol, max_iters)
+    parts = [
+        _noda(lo[b], di[b], up[b], weights[b], scale[b], start[b], tol, max_iters)
+        for b in (slice(s, s + step) for s in range(0, len(di), step))
+    ]
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _eigenpairs(layout: SpeciesLayout, theta, x, res, iterations) -> list[EigenPair]:
+    """EigenPairs of solved blocks; ``layout`` is the stacked layout of the
+    operators' species."""
+    phi = layout.expand(x)
+    phi /= phi.max(axis=1, keepdims=True)
+    return [
+        EigenPair(lambda1=float(t), phi=PiecewiseField(layout.grid, f), residual=float(r),
+                  iterations=int(i))
+        for t, f, r, i in zip(theta, phi, res, iterations)
+    ]
 
 
 def principal_eigenpairs(
@@ -238,13 +235,10 @@ def principal_eigenpairs(
     if any(op.grid != grid for op in ops):
         raise ValidationError("stacked operators must share one grid")
     layout = SpeciesLayout(grid, [op.traits for op in ops])
-    return _stacked_eigenpairs(
-        layout,
+    return _eigenpairs(layout, *_stacked_solve(
         *(np.array([getattr(op, band) for op in ops]) for band in (*_BANDS, "weights")),
-        _start_vectors(layout),
-        tol,
-        max_iters,
-    )
+        _start_vectors(layout), tol, max_iters,
+    ))
 
 
 def principal_eigenpair(
@@ -277,11 +271,13 @@ def principal_eigenpair(
 
 
 def growth_potential(
-    grid: Grid, env: PatchEnvironment, ustar: PiecewiseField, factor: float = 1.0
+    grid: Grid, env: PatchEnvironment, ustar, factor: float = 1.0
 ) -> np.ndarray:
-    """Potential r (1 - factor * u* / k) on the full DOFs."""
+    """Potential r (1 - factor * u* / k) on the full DOFs; ``ustar`` is a
+    PiecewiseField, or full-DOF values with one row per state."""
     r_full, k_full = env_on_dofs(grid, env)
-    return r_full * (1.0 - factor * ustar.values / k_full)
+    values = ustar.values if isinstance(ustar, PiecewiseField) else ustar
+    return r_full * (1.0 - factor * values / k_full)
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,13 +298,8 @@ class MutantStack:
 
     @classmethod
     def assemble(cls, grid: Grid, mutants: Sequence[SpeciesTraits]) -> "MutantStack":
-        layout = SpeciesLayout(grid, mutants)
-        ops = [assemble_diffusion(grid, m, layout[b]) for b, m in enumerate(mutants)]
-        return cls(
-            layout,
-            *(np.array([getattr(op, band) for op in ops]) for band in _BANDS),
-            _start_vectors(layout),
-        )
+        layout, lo, di, up = diffusion_bands(grid, mutants)
+        return cls(layout, lo, di, up, _start_vectors(layout))
 
     @classmethod
     def chunks(cls, grid: Grid, mutants: Sequence[SpeciesTraits]) -> Iterator["MutantStack"]:
@@ -318,47 +309,70 @@ class MutantStack:
         for s in range(0, len(mutants), step):
             yield cls.assemble(grid, mutants[s : s + step])
 
-    def take(self, index) -> "MutantStack":
-        """The stack of the mutants at ``index``, in that order."""
-        return MutantStack(*(getattr(self, f.name)[index] for f in fields(self)))
-
 
 class ResidentContext:
-    """A resident's steady state and growth potential, solved once.
+    """Steady states and growth potentials of a stack of residents, solved once.
 
-    ``fitness`` gives the invasion fitness of each mutant of a stack at this
-    resident: the principal eigenpair of its diffusion operator plus the
-    potential ``r (1 - u*/k)``.  ``ustar`` skips the steady solve when the
-    resident state is known.
+    ``residents`` is one SpeciesTraits (a stack of one) or a sequence of
+    them.  Their steady states are solved in one stacked call, unless
+    ``ustar`` gives the state of a single resident; ``potential`` holds each
+    resident's ``r (1 - u*/k)`` as a row.  ``fitness`` gives the invasion
+    fitness of every (resident, mutant) pair: the principal eigenpair of the
+    mutant's diffusion operator plus the resident's potential.
     """
 
     def __init__(
         self,
         landscape,
         env: PatchEnvironment,
-        resident: SpeciesTraits,
+        residents,
         grid: Grid,
         steady_config: SteadyConfig | None = None,
         ustar: PiecewiseField | None = None,
     ):
+        if isinstance(residents, SpeciesTraits):
+            residents = [residents]
         if ustar is None:
-            ustar = solve_resident_steady(landscape, env, resident, grid, steady_config)
+            self.ustar = solve_resident_steady_states(
+                landscape, env, residents, grid, steady_config
+            )
+        elif len(residents) == 1:
+            self.ustar = [ustar]
+        else:
+            raise ValidationError("ustar gives the steady state of a single resident")
         self.grid = grid
-        self.ustar = ustar
-        self.potential = growth_potential(grid, env, ustar)
+        self.potential = growth_potential(grid, env, np.array([u.values for u in self.ustar]))
+
+    def _solve(
+        self, mutants: MutantStack, rows, cols, tol: float = 1e-13, max_iters: int = 2000
+    ):
+        """Solve the pairs (``rows[k]``, ``cols[k]``) of resident and mutant
+        indices one stacked solve's worth at a time, in order; yields each
+        chunk's layout and ``_stacked_solve`` arrays."""
+        if mutants.layout.grid != self.grid:
+            raise ValidationError("mutant stack lives on another grid")
+        step = max(1, _STACK_DOFS // self.grid.num_reduced)
+        for s in range(0, len(rows), step):
+            i, j = rows[s : s + step], cols[s : s + step]
+            layout = mutants.layout[j]
+            lo, di, up, start = (
+                a.take(j, axis=0) for a in (mutants.lo, mutants.di, mutants.up, mutants.start)
+            )
+            di += layout.restrict_diag(self.potential.take(i, axis=0))
+            yield layout, _stacked_solve(lo, di, up, layout.weights, start, tol, max_iters)
 
     def fitness(
         self, mutants: MutantStack, tol: float = 1e-13, max_iters: int = 2000
     ) -> list[EigenPair]:
-        """One EigenPair per mutant, in stack order; each is bit for bit
+        """One EigenPair per (resident, mutant) pair, in row-major order (one
+        per mutant, in stack order, for one resident).  Each is bit for bit
         ``principal_eigenpair(assemble_linearization(grid, mutant, potential))``."""
-        if mutants.layout.grid != self.grid:
-            raise ValidationError("mutant stack lives on another grid")
-        layout = mutants.layout
-        return _stacked_eigenpairs(
-            layout, mutants.lo, mutants.di + layout.restrict_diag(self.potential),
-            mutants.up, layout.weights, mutants.start, tol, max_iters,
-        )
+        rows, cols = np.divmod(np.arange(len(self.potential) * len(mutants.di)), len(mutants.di))
+        return [
+            pair
+            for layout, solved in self._solve(mutants, rows, cols, tol, max_iters)
+            for pair in _eigenpairs(layout, *solved)
+        ]
 
 
 def fitness_table(
@@ -373,10 +387,12 @@ def fitness_table(
     """Invasion fitness λ1 of every mutant at every resident, as an (R, M) array.
 
     ``solve``, an (R, M) boolean mask, selects the pairs to evaluate (all by
-    default); the others read NaN.  Each resident with a pair to solve gets
-    one ``ResidentContext``, and the mutants with a pair to solve are
-    assembled once, one stacked solve's worth at a time.  Every entry is bit
-    for bit ``invasion_fitness(..., resident, mutant, ...).lambda1``.
+    default); the others read NaN.  The residents with a pair to solve form
+    one ``ResidentContext`` (one stacked steady solve), the mutants with a
+    pair to solve are assembled once, one stacked solve's worth at a time,
+    and each such chunk's pairs go, in row-major order, to one stacked
+    eigen solve.  Every entry is bit for bit
+    ``invasion_fitness(..., resident, mutant, ...).lambda1``.
     """
     table = np.full((len(residents), len(mutants)), np.nan)
     solve = np.ones(table.shape, bool) if solve is None else np.asarray(solve, bool)
@@ -384,16 +400,16 @@ def fitness_table(
         raise ValidationError(f"solve mask must have shape {table.shape}")
     rows = np.flatnonzero(solve.any(axis=1))
     cols = np.flatnonzero(solve.any(axis=0))
-    contexts = [ResidentContext(landscape, env, residents[i], grid, steady_config) for i in rows]
+    if not rows.size:
+        return table
+    context = ResidentContext(landscape, env, [residents[i] for i in rows], grid, steady_config)
     done = 0
     for stack in MutantStack.chunks(grid, [mutants[j] for j in cols]):
         block = cols[done : done + len(stack.di)]
         done += block.size
-        for i, context in zip(rows, contexts):
-            pick = np.flatnonzero(solve[i, block])
-            if pick.size:
-                sub = stack if pick.size == block.size else stack.take(pick)
-                table[i, block[pick]] = [pair.lambda1 for pair in context.fitness(sub)]
+        i, j = np.nonzero(solve[np.ix_(rows, block)])
+        theta = [solved[0] for _, solved in context._solve(stack, i, j)]
+        table[rows[i], block[j]] = np.concatenate(theta)
     return table
 
 

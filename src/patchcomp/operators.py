@@ -31,6 +31,12 @@ from .errors import ValidationError
 from .grid import Grid
 from .landscape import PatchEnvironment, SpeciesTraits
 
+# One stacked solve (steady states or eigenpairs) holds at most this many
+# reduced DOFs (and at least one block), so a long scan on a fine grid keeps
+# only a few copies of its bands and iterates at a time.  Past a few thousand
+# DOFs per solve the LAPACK calls dominate and a larger stack gains nothing.
+_STACK_DOFS = 1 << 14
+
 
 def env_on_dofs(grid: Grid, env: PatchEnvironment) -> tuple[np.ndarray, np.ndarray]:
     """Per-DOF growth rate and carrying capacity (constant within each patch)."""
@@ -109,6 +115,28 @@ def factor_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray):
         return x.reshape(rhs.shape)
 
     return solve
+
+
+def block_off_diagonals(lo: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sub- and super-diagonal of the block-diagonal matrix that lays a stack
+    of ``(M, N)`` bands (or one operator's ``(N,)`` bands) end to end, with
+    zeros between blocks to keep them apart in a factorisation.  For one
+    block they are views of the bands."""
+    size = lo.shape[-1]
+    dl, du = lo.ravel()[1:], up.ravel()[:-1]
+    if lo.size == size:  # one block: views of the bands
+        return dl, du
+    dl, du = dl.copy(), du.copy()
+    dl[size - 1 :: size] = du[size - 1 :: size] = 0.0
+    return dl, du
+
+
+def factor_blocks(lo: np.ndarray, di: np.ndarray, up: np.ndarray):
+    """``factor_tridiagonal`` of the stack's block-diagonal matrix; the solve
+    maps an ``(M, N)`` right-hand side (or ``(N,)`` for one operator) block
+    by block, each bit for bit as that block's own."""
+    dl, du = block_off_diagonals(lo, up)
+    return factor_tridiagonal(dl, di.ravel(), du)
 
 
 @dataclass
@@ -221,28 +249,52 @@ def assemble_diffusion(
     """
     if layout is None:
         layout = SpeciesLayout(grid, traits)
-    omega, p, size = 1.0 / layout.scales, layout.p, grid.num_reduced
+    return LinearOperator(grid, traits, *_stiffness_bands(layout, traits.d_array), layout.weights)
 
-    k_di = np.zeros(size)
-    k_up = np.zeros(size)  # k_up[j] couples reduced DOFs j and j+1
+
+def diffusion_bands(
+    grid: Grid, traits
+) -> tuple["SpeciesLayout", np.ndarray, np.ndarray, np.ndarray]:
+    """The layout and the ``assemble_diffusion`` bands (lo, di, up) of one
+    species, ``(N,)`` each, or of a stack of them, ``(M, N)``, assembled at
+    once; ``traits`` is one ``SpeciesTraits`` or a sequence, as for
+    ``SpeciesLayout``.  Each row is bit for bit its species' operator."""
+    layout = SpeciesLayout(grid, traits)
+    if isinstance(traits, SpeciesTraits):
+        d = traits.d_array
+    else:
+        d = np.array([one.d for one in traits], dtype=float).reshape(-1, grid.n)
+    return (layout, *_stiffness_bands(layout, d))
+
+
+def _stiffness_bands(layout: "SpeciesLayout", d: np.ndarray):
+    """``assemble_diffusion``'s bands for the layout's species, whose
+    diffusion rates ``d`` hold one row per species of a stack."""
+    grid = layout.grid
+    # indexed through .T, which reaches the last axis of either shape
+    omega, p, size = (1.0 / layout.scales).T, layout.p.T, grid.num_reduced
+    shape = d.shape[:-1] + (size,)
+    k_di = np.zeros(shape)
+    k_up = np.zeros(shape)  # k_up[j] couples reduced DOFs j and j+1
+    di_t, up_t = k_di.T, k_up.T
     for i in range(grid.n):
-        c = omega[i] * traits.d[i] / grid.spacing(i)
+        c = omega[i] * d.T[i] / grid.spacing(i)
         start = 0 if i == 0 else grid.reduced_trace_index(i - 1)
         count = grid.counts[i]
         rho = 1.0 if i == 0 else p[i - 1]
-        k_di[start] += rho * rho * c
-        k_di[start + 1 : start + count] += 2.0 * c
-        k_di[start + count] += c
-        k_up[start] += -rho * c
-        k_up[start + 1 : start + count] += -c
+        di_t[start] += rho * rho * c
+        di_t[start + 1 : start + count] += 2.0 * c
+        di_t[start + count] += c
+        up_t[start] += -rho * c
+        up_t[start + 1 : start + count] += -c
 
-    weights = layout.weights
-    di = -k_di / weights
-    up = np.zeros(size)
-    lo = np.zeros(size)
-    up[:-1] = -k_up[:-1] / weights[:-1]
-    lo[1:] = -k_up[:-1] / weights[1:]
-    return LinearOperator(grid, traits, lo, di, up, weights)
+    weights = layout.weights.T
+    di = -k_di / layout.weights
+    up = np.zeros(shape)
+    lo = np.zeros(shape)
+    up.T[:-1] = -up_t[:-1] / weights[:-1]
+    lo.T[1:] = -up_t[:-1] / weights[1:]
+    return lo, di, up
 
 
 class SpeciesLayout:
@@ -290,12 +342,12 @@ class SpeciesLayout:
 
     def __getitem__(self, index) -> "SpeciesLayout":
         """The layout of the species at ``index`` of a stack (a stack again
-        for a slice or a list of indices)."""
+        for an array of indices)."""
         out = object.__new__(SpeciesLayout)
         for name in self._PER_GRID:
             setattr(out, name, getattr(self, name))
         for name in self._PER_SPECIES:
-            setattr(out, name, getattr(self, name)[index])
+            setattr(out, name, getattr(self, name).take(index, axis=0))
         return out
 
     @cached_property

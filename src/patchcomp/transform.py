@@ -168,12 +168,12 @@ def solve_transformed_steady(
     for i in range(grid.n):
         w[off[i] : off[i + 1] + 1] = kt[i]
 
-    def residual(wv):
+    def residual(wv, rows):  # one iterate, so ``rows`` is always None
         react, (jlo, jdi, jup) = _fv_reaction(problem, grid, wv, vol, h)
         y = di * wv + react
         y[:-1] += up[:-1] * wv[1:]
         y[1:] += lo[1:] * wv[:-1]
-        return y, (lo[1:] + jlo[1:], di + jdi, up[:-1] + jup[:-1])
+        return y, (lo + jlo, di + jdi, up + jup)
 
     row_scale = float((np.abs(di) + np.abs(lo) + np.abs(up)).max())
     w, norm, converged = damped_newton(

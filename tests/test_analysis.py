@@ -366,26 +366,33 @@ class TestFitnessTable:
         land, env = unit_two_patch
         grid = pc.build_grid(land, per_patch=20)
         species = [pc.SpeciesTraits([1.0, 1.0], StrategyVector([p])) for p in (1.5, 2.5, 3.5)]
-        calls = {"steady": 0, "take": 0}
-        steady, take = patchcomp.eigen.solve_resident_steady, pc.MutantStack.take
+        # residents handed to the steady solve, mutants assembled, pairs solved
+        counts = {"residents": 0, "mutants": 0, "pairs": 0}
+        steady, assemble = patchcomp.eigen.solve_resident_steady_states, pc.MutantStack.assemble
+        solve_stack = patchcomp.eigen._stacked_solve
 
-        def counting_steady(*args, **kwargs):
-            calls["steady"] += 1
-            return steady(*args, **kwargs)
+        def counting_steady(landscape, env, residents, *args, **kwargs):
+            counts["residents"] += len(residents)
+            return steady(landscape, env, residents, *args, **kwargs)
 
-        def counting_take(self, index):
-            calls["take"] += 1
-            return take(self, index)
+        def counting_assemble(grid, mutants):
+            counts["mutants"] += len(mutants)
+            return assemble(grid, mutants)
 
-        monkeypatch.setattr(patchcomp.eigen, "solve_resident_steady", counting_steady)
-        monkeypatch.setattr(pc.MutantStack, "take", counting_take)
+        def counting_solve(lo, *args):
+            counts["pairs"] += len(lo)
+            return solve_stack(lo, *args)
+
+        monkeypatch.setattr(patchcomp.eigen, "solve_resident_steady_states", counting_steady)
+        monkeypatch.setattr(pc.MutantStack, "assemble", staticmethod(counting_assemble))
+        monkeypatch.setattr(patchcomp.eigen, "_stacked_solve", counting_solve)
         pc.fitness_table(land, env, grid, species, species)
-        assert calls == {"steady": 3, "take": 0}
+        assert counts == {"residents": 3, "mutants": 3, "pairs": 9}
         solve = np.array([[False, True, True], [False, False, False], [False, True, False]])
         table = pc.fitness_table(land, env, grid, species, species, solve=solve)
-        # no context for the empty row, the full mutant set (of used columns)
-        # for row 0, a subset only for row 2
-        assert calls == {"steady": 5, "take": 1}
+        # no steady state for the empty row, no operator for the empty column,
+        # and only the masked pairs solved
+        assert counts == {"residents": 5, "mutants": 5, "pairs": 12}
         assert np.array_equal(np.isnan(table), ~solve)
 
     def test_mutants_cut_into_chunks(self, unit_two_patch, monkeypatch):
@@ -400,6 +407,31 @@ class TestFitnessTable:
         assert np.array_equal(chunked, whole, equal_nan=True)
         assert np.array_equal(np.isnan(whole), ~solve)
 
+    def test_pairs_cut_into_chunks(self, unit_two_patch, monkeypatch):
+        # every mutant fits one chunk, but the pairs do not: 4 x 3 pairs
+        # through stacked solves of at most 3 blocks
+        land, env = unit_two_patch
+        grid = pc.build_grid(land, per_patch=20)
+        residents = [pc.SpeciesTraits([1.0, 1.0], StrategyVector([p]))
+                     for p in (1.3, 1.8, 2.7, 3.6)]
+        mutants = [pc.SpeciesTraits([1.0, 1.0], StrategyVector([p])) for p in (1.1, 2.4, 3.1)]
+        solve = np.ones((4, 3), bool)
+        solve[1, 2] = False
+        whole = pc.fitness_table(land, env, grid, residents, mutants, solve=solve)
+        sizes = []
+        solve_stack = patchcomp.eigen._stacked_solve
+
+        def recording(lo, *args):
+            sizes.append(len(lo))
+            return solve_stack(lo, *args)
+
+        monkeypatch.setattr(patchcomp.eigen, "_STACK_DOFS", 3 * grid.num_reduced)
+        monkeypatch.setattr(patchcomp.eigen, "_stacked_solve", recording)
+        chunked = pc.fitness_table(land, env, grid, residents, mutants, solve=solve)
+        assert sizes == [3, 3, 3, 2]
+        assert np.array_equal(chunked, whole, equal_nan=True)
+        assert np.array_equal(np.isnan(whole), ~solve)
+
     @pytest.mark.parametrize("residents,mutants", [(0, 0), (0, 3), (2, 0), (2, 3)])
     def test_empty_tables_build_nothing(self, unit_two_patch, monkeypatch, residents,
                                         mutants):
@@ -410,7 +442,7 @@ class TestFitnessTable:
         def refuse(*args, **kwargs):
             raise AssertionError("an empty table built or solved something")
 
-        monkeypatch.setattr(patchcomp.eigen, "solve_resident_steady", refuse)
+        monkeypatch.setattr(patchcomp.eigen, "solve_resident_steady_states", refuse)
         monkeypatch.setattr(pc.MutantStack, "assemble", refuse)
         nothing = np.zeros((residents, mutants), bool)
         table = pc.fitness_table(land, env, grid, [species] * residents,

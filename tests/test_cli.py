@@ -196,15 +196,15 @@ class TestCommands:
     @pytest.mark.parametrize("fitness,solves", [(True, 1), (False, 0)])
     def test_sweep_solves_resident_once(self, tmp_path, monkeypatch, fitness, solves):
         # the sweep's fitness goes through eigen.fitness_table, whose resident
-        # context makes the steady solve
+        # context makes one stacked steady solve; count the residents in it
         calls = []
-        solve = patchcomp.eigen.solve_resident_steady
+        solve = patchcomp.eigen.solve_resident_steady_states
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
+        def counting(landscape, env, residents, *args, **kwargs):
+            calls.extend(residents)
+            return solve(landscape, env, residents, *args, **kwargs)
 
-        monkeypatch.setattr(patchcomp.eigen, "solve_resident_steady", counting)
+        monkeypatch.setattr(patchcomp.eigen, "solve_resident_steady_states", counting)
         cfg = {"sweep": {"mutant_p": [[2.5], [4.0], [1.5]], "fitness": fitness},
                "grid": {"per_patch": 20}}
         path = tmp_path / "cfg.json"
@@ -214,6 +214,39 @@ class TestCommands:
         lines = (tmp_path / "sweep.csv").read_text().strip().split("\n")
         assert len(lines) == 4
         assert lines[0].endswith(",lambda1") == fitness
+
+    @pytest.mark.parametrize("mutant_d", ["ab", [1.0], [1.0, 1.0, 1.0], [1.0, "x"],
+                                          [1.0, -2.0], [1.0, None]])
+    def test_bad_mutant_d_is_named_on_its_own(self, tmp_path, capsys, mutant_d):
+        # the mutant diffusion vector is checked once, before any point uses it
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "sweep": {"mutant_p": [[2.5], [4.0]], "mutant_d": mutant_d},
+            "grid": {"per_patch": 20},
+        }))
+        assert run(["sweep", "--config", path, "--out", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error: sweep.mutant_d: " in err
+        assert "mutant_p" not in err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_in_process_runs_share_one_parser(self, tmp_path, capsys):
+        # the parser is built once per process; a failed run between two
+        # sweeps changes neither their exit codes nor their CSVs
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"sweep": {"mutant_p": [[2.5], [4.0], [1.5]], "fitness": True},
+             "grid": {"per_patch": 20}}
+        ))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"sweep": {"mutant_p": "ab"}}))
+        first = run(["sweep", "--config", path, "--out", tmp_path / "a"])
+        failed = run(["sweep", "--config", bad, "--out", tmp_path / "bad", "--seed", 5])
+        second = run(["sweep", "--config", path, "--out", tmp_path / "b"])
+        assert (first, failed, second) == (0, 1, 0)
+        assert patchcomp.cli._build_parser() is patchcomp.cli._build_parser()
+        texts = [(tmp_path / out / "sweep.csv").read_bytes() for out in ("a", "b")]
+        assert texts[0] == texts[1]
 
     def test_sweep_csv_independent_of_workers(self, tmp_path):
         cfg = {"sweep": {"mutant_p": [[2.5], [4.0], [1.5], [3.2]], "fitness": True},
@@ -306,6 +339,10 @@ class TestCommands:
             ("sweep", {"workers": True}, [], {}, "workers"),
             ("sweep", {"sweep": {"mutant_p": [[2.5]], "fitness": "no"}}, [], {},
              "sweep.fitness"),
+            ("sweep", {"sweep": {"mutant_p": [[2.5]], "mutant_d": "ab"}}, [], {},
+             "sweep.mutant_d"),
+            ("sweep", {"sweep": {"mutant_p": [[2.5]], "mutant_d": [1.0]}}, [], {},
+             "sweep.mutant_d"),
         ],
     )
     def test_bad_numbers_exit_one_naming_the_field(

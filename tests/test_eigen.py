@@ -367,7 +367,7 @@ class TestStackedNoda:
             pc.principal_eigenpairs(ops)
         context = ResidentContext(land, env, resident, grid)
         context.potential = context.potential.copy()
-        context.potential[-1] = np.inf
+        context.potential[0, -1] = np.inf  # one DOF of the one resident's row
         with pytest.raises(ValueError, match="finite"):
             context.fitness(MutantStack.assemble(grid, [resident, mutant]))
         assert calls == []
@@ -392,13 +392,56 @@ class TestStackedNoda:
         for mutant, pair in zip(mutants, pairs):
             op = assemble_linearization(grid, mutant, potential)
             assert_same_pair(pair, reference_eigenpair(op))
-        # a sub-stack, and stacks cut into solve-sized chunks, change nothing
+        # sub-stacks, and stacks cut into solve-sized chunks, change nothing
         index = [7, 2, 11]
-        for j, pair in zip(index, context.fitness(stack.take(index))):
+        chosen = MutantStack.assemble(grid, [mutants[j] for j in index])
+        for j, pair in zip(index, context.fitness(chosen)):
             assert_same_pair(pair, reference_eigenpair(
                 assemble_linearization(grid, mutants[j], potential)))
         chunked = [pair for s in MutantStack.chunks(grid, mutants) for pair in context.fitness(s)]
         assert [p.lambda1 for p in chunked] == [p.lambda1 for p in pairs]
+
+    def test_resident_stack_matches_per_pair_route(self):
+        land = pc.Landscape([0.0, 0.8, 1.9, 2.6])
+        env = pc.PatchEnvironment(r=[1.2, 0.7, 1.5], k=[1.0, 2.2, 1.4])
+        grid = pc.build_grid(land, per_patch=60)
+        rng = np.random.default_rng(7)
+
+        def draw(count):
+            return [
+                pc.SpeciesTraits(rng.uniform(0.3, 3.0, 3),
+                                 pc.StrategyVector(rng.uniform(0.3, 4.0, 2)))
+                for _ in range(count)
+            ]
+
+        residents, mutants = draw(3), draw(4)
+        context = ResidentContext(land, env, residents, grid)
+        stack = MutantStack.assemble(grid, mutants)
+        potentials = [
+            growth_potential(grid, env, pc.solve_resident_steady(land, env, r, grid))
+            for r in residents
+        ]
+        assert np.array_equal(context.potential, np.array(potentials))
+        # every pair, row-major; a masked table reads the same eigenvalues
+        pairs = context.fitness(stack)
+        assert len(pairs) == 12
+        for (i, j), pair in zip(np.ndindex(3, 4), pairs):
+            op = assemble_linearization(grid, mutants[j], potentials[i])
+            assert_same_pair(pair, reference_eigenpair(op))
+        mask = np.zeros((3, 4), bool)
+        mask[[2, 0, 2], [1, 3, 0]] = True
+        table = pc.fitness_table(land, env, grid, residents, mutants, solve=mask)
+        expected = np.where(mask, np.reshape([p.lambda1 for p in pairs], (3, 4)), np.nan)
+        assert np.array_equal(table, expected, equal_nan=True)
+
+    def test_given_state_is_for_a_single_resident(self, two_patch):
+        land, env, resident, mutant = two_patch
+        grid = pc.build_grid(land, per_patch=20)
+        ustar = pc.solve_resident_steady(land, env, resident, grid)
+        context = ResidentContext(land, env, resident, grid, ustar=ustar)
+        assert np.array_equal(context.potential, [growth_potential(grid, env, ustar)])
+        with pytest.raises(pc.ValidationError, match="single resident"):
+            ResidentContext(land, env, [resident, mutant], grid, ustar=ustar)
 
     def test_solves_in_chunks_of_bounded_size(self, two_patch, monkeypatch):
         land, env, resident, mutant = two_patch

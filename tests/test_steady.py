@@ -6,7 +6,6 @@ import patchcomp as pc
 import patchcomp.steady
 import patchcomp.transform
 from patchcomp.operators import (
-    LinearOperator,
     assemble_diffusion,
     env_on_dofs,
     restrict_values,
@@ -181,19 +180,19 @@ class TestSingleSpeciesSteady:
                 land, env, traits, grid, pc.SteadyConfig(max_newton_iters=1)
             )
 
-        betas = []
-        factor = LinearOperator.factor_shifted
+        mains = []
+        factor = patchcomp.steady.factor_blocks
 
-        def spy(op, alpha, beta=1.0):
-            betas.append(beta)
-            return factor(op, alpha, beta)
+        def spy(lo, di, up):
+            mains.append(di)
+            return factor(lo, di, up)
 
-        monkeypatch.setattr(LinearOperator, "factor_shifted", spy)
+        monkeypatch.setattr(patchcomp.steady, "factor_blocks", spy)
         config = pc.SteadyConfig(max_newton_iters=2)
         u = pc.solve_resident_steady(land, env, traits, grid, config)
-        # Newton factors its Jacobian bands through factor_tridiagonal; the
-        # march's I - dt A is the one factor_shifted call
-        assert betas == [-FALLBACK_DT]
+        # Newton factors a Jacobian per step; the march factors I - dt A once
+        march = 1.0 - FALLBACK_DT * assemble_diffusion(grid, traits).di
+        assert sum(np.array_equal(np.ravel(di), march) for di in mains) == 1
         assert np.abs(u.values - reference.values).max() <= 1e-9
 
     @given(
@@ -232,12 +231,164 @@ class TestSingleSpeciesSteady:
         assert np.array_equal(u.values, expected)
 
 
+class TestStackedSteady:
+    @given(
+        patches=st.lists(
+            st.tuples(  # length, r, k
+                st.floats(0.3, 3.0), st.floats(0.3, 3.0), st.floats(0.3, 3.0),
+            ),
+            min_size=2,
+            max_size=4,
+        ),
+        per_patch=st.sampled_from([12, 40]),
+        data=st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_stack_equals_a_loop_of_single_solves(self, patches, per_patch, data):
+        length, r, k = (np.array(col) for col in zip(*patches))
+        n = len(length)
+        land = pc.Landscape(np.concatenate(([0.0], np.cumsum(length))))
+        env = pc.PatchEnvironment(r=r, k=k)
+        grid = pc.build_grid(land, per_patch=per_patch)
+        species = st.tuples(
+            st.lists(st.floats(0.05, 10.0), min_size=n, max_size=n),
+            st.lists(st.floats(0.2, 5.0), min_size=n - 1, max_size=n - 1),
+        )
+        residents = [
+            pc.SpeciesTraits(d, pc.StrategyVector(p))
+            for d, p in data.draw(st.lists(species, min_size=1, max_size=6))
+        ]
+        # 1 and 2 force some blocks through the fallback march
+        config = pc.SteadyConfig(max_newton_iters=data.draw(st.sampled_from([50, 2, 1])))
+        # starts far below the state make the line search halve some steps
+        seed = data.draw(st.none() | st.integers(0, 2**32 - 1))
+        starts = [None] * len(residents)
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+            starts = k.max() * np.exp(rng.uniform(np.log(1e-6), np.log(2.0),
+                                                  (len(residents), grid.num_reduced)))
+        singles = []
+        for resident, start in zip(residents, starts):
+            try:
+                singles.append(
+                    pc.solve_resident_steady(land, env, resident, grid, config, start)
+                )
+            except pc.SteadyConvergenceError as exc:
+                singles.append(exc)
+        starts = None if seed is None else starts
+        failed = [one for one in singles if isinstance(one, Exception)]
+        if failed:
+            with pytest.raises(pc.SteadyConvergenceError) as got:
+                pc.solve_resident_steady_states(land, env, residents, grid, config, starts)
+            assert got.value.residual == failed[0].residual
+            return
+        stack = pc.solve_resident_steady_states(land, env, residents, grid, config, starts)
+        assert len(stack) == len(residents)
+        for one, field in zip(singles, stack):
+            assert np.array_equal(field.values, one.values)
+
+    def test_mixed_stack_stops_and_marches_block_by_block(self, unit_two_patch, monkeypatch):
+        land, env = unit_two_patch
+        grid = pc.build_grid(land, per_patch=100)
+        kbar = float(pc.ifd_strategy(env).values[0])
+        # the capacity profile is p = kbar's exact steady state; p = 3 needs
+        # more than two Newton steps from it
+        residents = [pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([p])) for p in (kbar, 3.0)]
+        config = pc.SteadyConfig(max_newton_iters=2)
+        problem = patchcomp.steady._SteadyProblem
+        rows, marched = [], []
+        residual, march = problem.residual, problem.march
+
+        def spy_residual(self, u, index=None):
+            rows.append(None if index is None else list(index))
+            return residual(self, u, index)
+
+        def spy_march(self, u):
+            marched.append(len(u))
+            return march(self, u)
+
+        monkeypatch.setattr(problem, "residual", spy_residual)
+        monkeypatch.setattr(problem, "march", spy_march)
+        stack = pc.solve_resident_steady_states(land, env, residents, grid, config)
+        # p = kbar stops at iteration 0, so Newton goes on with p = 3 alone,
+        # and only p = 3 marches
+        assert rows[:2] == [None, [1]]
+        assert marched == [1]
+        monkeypatch.undo()
+        for resident, field in zip(residents, stack):
+            single = pc.solve_resident_steady(land, env, resident, grid, config)
+            assert np.array_equal(field.values, single.values)
+        assert np.abs(stack[0].values - env.k_array[grid.patch_index_of_dofs()]).max() == 0.0
+
+    def test_line_search_halves_block_by_block(self, unit_two_patch, monkeypatch):
+        # from far below its state a block halves its first steps, while a
+        # block that starts from the capacity profile takes full ones
+        land, env = unit_two_patch
+        grid = pc.build_grid(land, per_patch=40)
+        residents = [pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([p])) for p in (3.0, 1.5)]
+        starts = np.array([np.full(grid.num_reduced, 1e-5),
+                           np.repeat(env.k_array, [grid.counts[0] + 1, grid.counts[1]])])
+        calls = {"residual": 0, "factor": 0}
+        residual, factor = patchcomp.steady._SteadyProblem.residual, patchcomp.steady.factor_blocks
+
+        def count_residual(self, u, rows=None):
+            calls["residual"] += 1
+            return residual(self, u, rows)
+
+        def count_factor(*bands):
+            calls["factor"] += 1
+            return factor(*bands)
+
+        monkeypatch.setattr(patchcomp.steady._SteadyProblem, "residual", count_residual)
+        monkeypatch.setattr(patchcomp.steady, "factor_blocks", count_factor)
+        stack = pc.solve_resident_steady_states(land, env, residents, grid, initial=starts)
+        # one residual per start and per full step; a halving adds one more
+        assert calls["residual"] > calls["factor"] + 1
+        monkeypatch.undo()
+        for resident, start, field in zip(residents, starts, stack):
+            single = pc.solve_resident_steady(land, env, resident, grid, initial=start)
+            assert np.array_equal(field.values, single.values)
+
+    def test_residents_cut_into_chunks(self, unit_two_patch, monkeypatch):
+        # at most two residents' DOFs per stack: stacks of 2, 2 and 1, with a
+        # start per resident, equal to the one stack of 5
+        land, env = unit_two_patch
+        grid = pc.build_grid(land, per_patch=40)
+        residents = [
+            pc.SpeciesTraits([0.6, 1.1], pc.StrategyVector([p])) for p in (1.2, 1.9, 2.6, 3.3, 4.0)
+        ]
+        starts = np.linspace(0.5, 1.5, 5)[:, None] * np.ones(grid.num_reduced)
+        config = pc.SteadyConfig(max_newton_iters=3)
+        whole = pc.solve_resident_steady_states(land, env, residents, grid, config, starts)
+        sizes = []
+        problem = patchcomp.steady._SteadyProblem
+        newton = problem.newton
+
+        def spy_newton(self, u0, config):
+            sizes.append(u0.shape[:-1])
+            return newton(self, u0, config)
+
+        monkeypatch.setattr(problem, "newton", spy_newton)
+        monkeypatch.setattr(patchcomp.steady, "_STACK_DOFS", 2 * grid.num_reduced)
+        chunked = pc.solve_resident_steady_states(land, env, residents, grid, config, starts)
+        # per stack, Newton and then the polish after the march (three steps
+        # from these starts leave every block unconverged); the last resident
+        # is solved on its own (N,) arrays
+        assert sizes == [(2,), (2,), (2,), (2,), (), ()]
+        assert [a.values.tolist() for a in chunked] == [b.values.tolist() for b in whole]
+
+    def test_empty_stack_solves_nothing(self, unit_two_patch):
+        land, env = unit_two_patch
+        grid = pc.build_grid(land, per_patch=20)
+        assert pc.solve_resident_steady_states(land, env, [], grid) == []
+
+
 class TestDampedNewton:
     @staticmethod
     def shifted(sign):
         # F(u) = u - 2 with the Jacobian's bands scaled by sign (1: exact)
-        def residual(u):
-            return u - 2.0, (np.zeros(2), np.full(3, sign), np.zeros(2))
+        def residual(u, rows):
+            return u - 2.0, (np.zeros_like(u), np.full_like(u, sign), np.zeros_like(u))
         return residual
 
     def test_exact_jacobian_converges_in_one_step(self):
@@ -252,14 +403,33 @@ class TestDampedNewton:
         )
         assert not converged and norm == 1.0 and np.array_equal(u, np.ones(3))
 
+    def test_stack_stops_each_block_on_its_own(self):
+        # block 0 has the exact Jacobian, block 1 one of the wrong sign: the
+        # first converges after one step, the second stalls in its first line
+        # search, and both stop on that pass
+        signs, calls = np.array([1.0, -1.0]), []
+
+        def residual(u, rows):
+            calls.append(rows)
+            sign = signs if rows is None else signs[rows]
+            return u - 2.0, (np.zeros_like(u), sign[:, None] * np.ones_like(u),
+                             np.zeros_like(u))
+
+        u, norm, converged = damped_newton(
+            residual, np.ones((2, 3)), 0.0, 1.0, np.ones(2), pc.SteadyConfig()
+        )
+        assert np.array_equal(u, [[2.0, 2.0, 2.0], [1.0, 1.0, 1.0]])
+        assert norm.tolist() == [0.0, 1.0] and converged.tolist() == [True, False]
+        assert all(rows is None for rows in calls)
+
     def test_non_finite_residual_returns_unconverged(self, monkeypatch):
-        def residual(u):
-            return np.full(3, np.nan), (np.zeros(2), np.ones(3), np.zeros(2))
+        def residual(u, rows):
+            return np.full(3, np.nan), (np.zeros(3), np.ones(3), np.zeros(3))
 
         def refuse(*bands):
             raise AssertionError("a non-finite residual reached the factorisation")
 
-        monkeypatch.setattr(patchcomp.steady, "factor_tridiagonal", refuse)
+        monkeypatch.setattr(patchcomp.steady, "factor_blocks", refuse)
         _, norm, converged = damped_newton(
             residual, np.ones(3), 0.0, 1.0, 1.0, pc.SteadyConfig()
         )
