@@ -17,6 +17,10 @@ pair (resident p = 3, mutant p = 2.5, capacity ratio 2).  The layers:
 - ``eigen``: one ``principal_eigenpair`` solve, and ``principal_eigenpairs``
   on stacks of M = 1, 10 and 16 mutants' linearizations (per stack and per
   operator);
+- ``eigen_stack``: ``principal_eigenpairs`` on the stacks the scans make,
+  M = 81 linearizations at 201 reduced DOFs (one ``pip`` chunk, about
+  ``_STACK_DOFS`` DOFs) and M = 16 at 801 (the benchmark's ``sweep``), per
+  stack and per operator;
 - ``oracle``: the resident's steady solve through the continuous-form route
   (``solve_transformed_steady``), at 201, 2,001 and 8,001 reduced DOFs;
 - ``step``: one ``Stepper.step`` of the resident/mutant pair at the default
@@ -76,6 +80,7 @@ RESIDENT = pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([3.0]))
 MUTANT = pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([2.5]))
 PER_PATCH = (100, 400, 800)  # 201, 801 and 1,601 reduced DOFs
 STACKS = (1, 10, 16)
+SCAN_STACKS = ((100, 81), (400, 16))  # (per patch, M): 201 and 801 reduced DOFs
 RESIDENT_STACKS = (1, 10, 32)
 STEADY_STACK_PER_PATCH = (100, 800)  # 201 and 1,601 reduced DOFs
 FINE_PER_PATCH = (100, 1000, 4000)  # 201, 2,001 and 8,001 reduced DOFs
@@ -103,14 +108,7 @@ def layers(repeats: int) -> dict:
         out["steady"][dofs] = median_ms(
             lambda: pc.solve_resident_steady(LAND, ENV, RESIDENT, grid), repeats
         )
-        potential = growth_potential(
-            grid, ENV, pc.solve_resident_steady(LAND, ENV, RESIDENT, grid)
-        )
-        strategies = np.linspace(1.2, 4.0, max(STACKS))
-        ops = [
-            assemble_linearization(grid, pc.SpeciesTraits([1.0, 1.0], [p]), potential)
-            for p in strategies
-        ]
+        ops = _linearizations(grid, max(STACKS))
         row = {"single": median_ms(lambda: pc.principal_eigenpair(ops[0]), repeats)}
         for m in STACKS:
             stack = ops[:m]
@@ -118,6 +116,25 @@ def layers(repeats: int) -> dict:
             row[f"stack_{m}"] = ms
             row[f"stack_{m}_per_operator"] = ms / m
         out["eigen"][dofs] = row
+    return out
+
+
+def _linearizations(grid, count: int) -> list:
+    """``count`` mutants' linearizations at the resident's steady state."""
+    potential = growth_potential(grid, ENV, pc.solve_resident_steady(LAND, ENV, RESIDENT, grid))
+    return [
+        assemble_linearization(grid, pc.SpeciesTraits([1.0, 1.0], [p]), potential)
+        for p in np.linspace(1.2, 4.0, count)
+    ]
+
+
+def eigen_stack(repeats: int) -> dict:
+    out = {}
+    for per_patch, m in SCAN_STACKS:
+        grid = pc.build_grid(LAND, per_patch=per_patch)
+        ops = _linearizations(grid, m)
+        ms = median_ms(lambda: pc.principal_eigenpairs(ops), repeats)
+        out[str(grid.num_reduced)] = {f"stack_{m}": ms, f"stack_{m}_per_operator": ms / m}
     return out
 
 
@@ -239,6 +256,7 @@ def main() -> None:
             "blas_threads": 1,
         },
         **layers(args.repeats),
+        "eigen_stack": eigen_stack(args.repeats),
         "steady_stack": steady_stack(args.repeats),
         **fine_layers(args.repeats),
         "pip_7x7": pip_square(7, args.repeats),

@@ -38,15 +38,15 @@ class SimConfig:
     snapshot_stride: int | None = None
 
     def __post_init__(self):
-        # the messages name the config section, as in ``SteadyConfig``; a
-        # field whose default is None may be None
+        # the messages name the field as ``section.field``, as in
+        # ``SteadyConfig``; a field whose default is None may be None
         for name in ("dt", "t_max", "steady_tol", "extinction_eps"):
             value = getattr(self, name)
             if value is not None or name in ("t_max", "steady_tol"):
                 checked_number(value, f"sim.{name}")
-        checked_number(self.check_interval, "sim: check_interval", count=True)
+        checked_number(self.check_interval, "sim.check_interval", count=True)
         if self.snapshot_stride is not None:
-            checked_number(self.snapshot_stride, "sim: snapshot_stride", count=True)
+            checked_number(self.snapshot_stride, "sim.snapshot_stride", count=True)
 
 
 @dataclass
@@ -229,7 +229,7 @@ def simulate(
                     vstar,
                     env,
                     config,
-                    max(res_u, res_v),
+                    _relative_residual(res_u, u, res_v, v),
                 )
                 if verdict_now != "Undetermined":
                     converged = True
@@ -249,7 +249,7 @@ def simulate(
         "steady_tol": config.steady_tol,
     }
     verdict = classify_outcome(
-        u_field, v_field, ustar, vstar, env, config, max(res_u, res_v)
+        u_field, v_field, ustar, vstar, env, config, _relative_residual(res_u, u, res_v, v)
     )
     if verdict == "Coexistence":
         source = "default" if initial is None else "supplied"
@@ -271,6 +271,15 @@ def simulate(
     return record
 
 
+def _relative_residual(res_u: float, u: np.ndarray, res_v: float, v: np.ndarray) -> float:
+    """The larger of the two species' steady residuals, each over that
+    species' own sup norm.  A species that decays at rate |λ| has a residual
+    of about |λ| times its size, which an absolute test passes while the
+    species is still above the extinction threshold; relative to its size
+    the residual stays at |λ|."""
+    return max(res / top if top > 0 else np.inf for res, top in ((res_u, u.max()), (res_v, v.max())))
+
+
 def _extinction_eps(config: SimConfig, env: PatchEnvironment) -> float:
     return (
         config.extinction_eps
@@ -288,7 +297,13 @@ def classify_outcome(
     config: SimConfig,
     steady_residual: float,
 ) -> str:
-    """Map a final state to a verdict; near-miss states stay Undetermined."""
+    """Map a final state to a verdict; near-miss states stay Undetermined.
+
+    Coexistence needs both species above the extinction threshold and
+    ``steady_residual`` below ``steady_tol``; ``simulate`` passes the larger
+    of the two species' residuals each relative to its own sup norm, so a
+    species still decaying toward extinction does not count as coexisting.
+    """
     eps = _extinction_eps(config, env)
     scale = env.k_array.max()
     close = 10.0 * config.steady_tol * scale

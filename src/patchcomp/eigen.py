@@ -9,15 +9,23 @@ It is computed by Noda's inverse iteration (T. Noda, Numer. Math. 17, 1971;
 L. Elsner, Linear Algebra Appl. 15, 1976): shifts from the Collatz-Wielandt
 upper bound, one tridiagonal solve per pass, quadratic convergence.  This
 needs the operator's couplings to be positive, as the assembled linearization's
-always are; an operator without them is rejected.
+always are; an operator without them is rejected.  Positive couplings also
+make ``A`` diagonally similar to a symmetric tridiagonal ``S A S⁻¹``
+(``operators.symmetrizing_similarity``), and above the spectrum
+``sigma I - S A S⁻¹`` is positive definite (B. Parlett, *The Symmetric
+Eigenvalue Problem*, ch. 7).  So every shifted solve is one LDLᵀ
+factorisation and solve (LAPACK pttrf/pttrs) of that matrix, and the
+Rayleigh quotient is weighted by ``s²``, for operators symmetric in their
+weights or not alike.
 
 The iteration runs on a stack of M same-size operators at once, held as
 (M, N) bands.  Laid end to end they form one block-diagonal tridiagonal
-matrix (no band couples the last row of a block to the first of the next),
-so one LAPACK factorisation and solve per pass serve every block, and each
-block's arithmetic is bit for bit that of its operator on its own.  Every
-block keeps its own shift, stop test and iteration count, and drops out of
-the stack once it stops.  A single operator is the stack of one.
+matrix (a zero off-diagonal parts the last row of a block from the first
+of the next), so one LAPACK factorisation and solve per pass serve every
+block, and each block's arithmetic is bit for bit that of its operator on
+its own.  Every block keeps its own shift, stop test and iteration count,
+and drops out of the stack once it stops.  A single operator is the stack
+of one.
 
 ``ResidentContext`` is the one route from residents to invasion fitness: it
 holds a stack of residents, solves their steady states in one stacked
@@ -38,6 +46,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import EigenSolveError, ValidationError
 from .grid import Grid, PiecewiseField
@@ -47,11 +56,9 @@ from .operators import (
     LinearOperator,
     SpeciesLayout,
     assemble_diffusion,
-    block_off_diagonals,
     diffusion_bands,
     env_on_dofs,
-    factor_tridiagonal,
-    symmetry_defects,
+    symmetrizing_similarity,
     tridiagonal_matvec,
 )
 from .steady import SteadyConfig, solve_resident_steady, solve_resident_steady_states
@@ -109,35 +116,39 @@ def _start_vectors(layout: SpeciesLayout) -> np.ndarray:
     return x / x.max(axis=-1, keepdims=True)
 
 
-def _noda(lo, di, up, weights, scale, x, tol, max_iters):
+def _noda(lo, di, up, s, weights, off, scale, x, tol, max_iters):
     """Noda's inverse iteration on the stack of (M, N) bands; see
-    ``principal_eigenpair``.  ``weights`` are the Rayleigh-quotient weights
-    and ``scale`` the largest band entry (at least 1) of each block.  Returns
-    per block the eigenvalue, the reduced max-normalized eigenvector, the
-    residual and the number of solves."""
+    ``principal_eigenpair``.  ``s`` and ``off`` are the bands'
+    ``symmetrizing_similarity``, ``weights`` is ``s²`` (the Rayleigh
+    quotient of ``S x`` for the symmetric ``S A S⁻¹``) and ``scale`` the
+    largest band entry (at least 1) of each block.  Returns per block the
+    eigenvalue, the reduced max-normalized eigenvector, the residual and the
+    number of solves."""
     size = di.shape[1]
     # keeps the rounded Collatz-Wielandt bound above the top eigenvalue
     margin = 8.0 * _EPS * scale
     floor = size * _EPS * scale
     # max(tol * max(1, |theta|), 5e-15 * scale) is max(tol * |theta|, least)
     least = np.maximum(tol, 5e-15 * scale)
-    dl, du = block_off_diagonals(-lo, -up)
+    coupling = -off  # the off-diagonal of sigma I - S A S⁻¹
     rows = np.arange(len(di))
     out = None  # (theta, x, residual, iterations) of every block, once one stops
     iterations = 0
     previous = np.inf
     while True:
-        ax = tridiagonal_matvec(lo, di, up, x)
+        # the stack laid end to end: its bands' corners are zero
+        ax = tridiagonal_matvec(lo.ravel(), di.ravel(), up.ravel(), x.ravel()).reshape(x.shape)
         wx = weights * x
         # one BLAS dot per block, as for that operator alone
         theta = np.vecdot(wx, ax) / np.vecdot(wx, x)
         res = np.abs(ax - theta[:, None] * x).max(axis=1)
         # tested before any factorisation, so an exact eigenvector never
-        # factors a singular sigma I - A.  The residual of a solved iterate
-        # bottoms out at a rounding floor that grows with the size (measured
-        # up to 0.13 * size * eps * scale, above the threshold from about
-        # 2,000 DOFs on), so a pass that no longer lowers it, once under
-        # size * eps * scale, also ends the loop.
+        # factors a singular sigma I - A.  A pass that no longer lowers the
+        # residual, once under size * eps * scale, also ends the loop.  (The
+        # LDLᵀ solves take a solved iterate's residual to about 2 eps * scale
+        # at any size, under the tolerance; on grids fine enough, what this
+        # rule ends is a loop whose residual rose on an early pass, before
+        # it converged: ROADMAP's known weak spot.)
         done = (res <= np.maximum(tol * np.abs(theta), least)) | (
             (previous <= res) & (res <= floor)
         )
@@ -155,10 +166,10 @@ def _noda(lo, di, up, weights, scale, x, tol, max_iters):
                 return out
             # freeze the stopped blocks: drop them from the stack
             going = ~done
-            rows, lo, di, up, weights, x, ax, res, margin, floor, least = (
-                a[going] for a in (rows, lo, di, up, weights, x, ax, res, margin, floor, least)
+            rows, lo, di, up, s, coupling, weights, x, ax, res, margin, floor, least = (
+                a[going]
+                for a in (rows, lo, di, up, s, coupling, weights, x, ax, res, margin, floor, least)
             )
-            dl, du = block_off_diagonals(-lo, -up)
         previous = res
         if iterations == max_iters:
             raise EigenSolveError(
@@ -166,7 +177,19 @@ def _noda(lo, di, up, weights, scale, x, tol, max_iters):
                 "have a clustered leading spectrum"
             )
         sigma = (ax / x).max(axis=1) + margin
-        x = factor_tridiagonal(dl, (sigma[:, None] - di).ravel(), du)(x)
+        # sigma I - A is similar to sigma I - S A S⁻¹, positive definite
+        # above the spectrum: one LDLᵀ factorisation and solve for the stack
+        d, e, info = dpttrf(
+            (sigma[:, None] - di).ravel(), coupling.ravel()[:-1], overwrite_d=1
+        )
+        if info > 0:
+            raise EigenSolveError(
+                "shifted operator is not positive definite; the principal "
+                "eigenpair is not isolated at this resolution; refine grid"
+            )
+        x, _ = dpttrs(d, e, (s * x).ravel(), overwrite_b=1)
+        x = x.reshape(s.shape)
+        x /= s
         iterations += 1
         # sigma I - A is an M-matrix, so a solve from a positive iterate
         # stays positive unless the top eigenpair is not resolved
@@ -177,32 +200,40 @@ def _noda(lo, di, up, weights, scale, x, tol, max_iters):
         x /= x.max(axis=1, keepdims=True)
 
 
-def _stacked_solve(lo, di, up, weights, start, tol: float, max_iters: int):
+def _stacked_solve(lo, di, up, start, tol: float, max_iters: int):
     """Noda's iteration on the (M, N) stack, ``_STACK_DOFS`` at a time, after
-    the checks every block must pass: finite bands and positive couplings.
-    Returns per block the eigenvalue, the reduced max-normalized eigenvector,
-    the residual and the number of solves."""
-    defect = symmetry_defects(lo, di, up, weights)
-    scale = np.maximum(1.0, np.abs(np.concatenate((di, up, lo), axis=1)).max(axis=1))
-    # NaN or inf in a band makes its block's scale non-finite, and in the
-    # weights its symmetry defect; max carries either through
-    if not np.isfinite(scale.max() + defect.max()):
+    the checks every block must pass: finite bands, positive couplings and a
+    finite symmetrizing similarity.  Returns per block the eigenvalue, the
+    reduced max-normalized eigenvector, the residual and the number of
+    solves."""
+    scale = np.maximum(1.0, np.max([np.abs(band).max(axis=1) for band in (di, up, lo)], axis=0))
+    # NaN or inf in a band makes its block's scale non-finite
+    if not np.isfinite(scale.max()):
         raise ValueError("operator bands must be finite")
     if min(up[:, :-1].min(), lo[:, 1:].min()) <= 0:
         raise EigenSolveError(
             "operator couplings are not all positive, so the principal "
             "eigenpair is not certified; refine grid"
         )
-    # per block: the weighted Rayleigh quotient when W A is symmetric
-    symmetric = defect <= 1e-10
-    if np.count_nonzero(symmetric) < len(symmetric):
-        weights = np.where(symmetric[:, None], weights, 1.0)
+    with np.errstate(over="ignore"):  # checked below
+        s, off = symmetrizing_similarity(lo, up)
+        weights = s * s
+    if not (np.isfinite(weights.max()) and weights.min() > 0):
+        raise EigenSolveError(
+            "operator couplings are too far from symmetric for a symmetric "
+            "similarity in floating point"
+        )
+    # zero the entries outside each matrix, so that the stack's matrix-vector
+    # product can run on the blocks laid end to end
+    lo, up = lo.copy(), up.copy()
+    lo[:, 0] = up[:, -1] = 0.0
     step = max(1, _STACK_DOFS // di.shape[1])
     if len(di) <= step:
-        return _noda(lo, di, up, weights, scale, start, tol, max_iters)
+        return _noda(lo, di, up, s, weights, off, scale, start, tol, max_iters)
     parts = [
-        _noda(lo[b], di[b], up[b], weights[b], scale[b], start[b], tol, max_iters)
-        for b in (slice(s, s + step) for s in range(0, len(di), step))
+        _noda(lo[b], di[b], up[b], s[b], weights[b], off[b], scale[b], start[b], tol,
+              max_iters)
+        for b in (slice(j, j + step) for j in range(0, len(di), step))
     ]
     return tuple(np.concatenate(part) for part in zip(*parts))
 
@@ -236,7 +267,7 @@ def principal_eigenpairs(
         raise ValidationError("stacked operators must share one grid")
     layout = SpeciesLayout(grid, [op.traits for op in ops])
     return _eigenpairs(layout, *_stacked_solve(
-        *(np.array([getattr(op, band) for op in ops]) for band in (*_BANDS, "weights")),
+        *(np.array([getattr(op, band) for op in ops]) for band in _BANDS),
         _start_vectors(layout), tol, max_iters,
     ))
 
@@ -250,18 +281,24 @@ def principal_eigenpair(
 
     Route: Noda's inverse iteration on ``A`` itself.  Starting from the
     jump-consistent constant (the kernel of the diffusion part), each pass
-    takes the Rayleigh quotient of the iterate (weighted by ``op.weights``
-    when the weighted matrix is symmetric, plain otherwise) and stops once the
-    residual ``|A x - theta x|`` is at the tolerance, or has stopped falling
-    at its rounding floor.  Otherwise it shifts to the Collatz-Wielandt bound
-    ``max_i (A x)_i / x_i`` and solves once with ``sigma I - A``.  The shift
-    is never below the top eigenvalue and closes on it quadratically, so a
-    few O(N) tridiagonal solves suffice.
+    takes the Rayleigh quotient of the iterate weighted by ``s²``, where
+    ``S = diag(s)`` makes ``S A S⁻¹`` symmetric (``s[0] = 1``,
+    ``s[i+1] = s[i] sqrt(up[i] / lo[i+1])``), and stops once the residual
+    ``|A x - theta x|`` is at the tolerance, or has stopped falling under
+    ``size * eps * scale``.  Otherwise it shifts to the Collatz-Wielandt
+    bound ``max_i (A x)_i / x_i`` and solves once with ``sigma I - A``, as
+    ``S⁻¹ (sigma I - S A S⁻¹)⁻¹ S``: one LDLᵀ factorisation (LAPACK pttrf)
+    and solve (pttrs) of the symmetric positive definite shifted matrix.
+    The shift is never below the top eigenvalue and closes on it
+    quadratically, so a few O(N) tridiagonal solves suffice.
 
     Precondition: every coupling (off-diagonal entry) of ``A`` is positive.
     Then ``sigma I - A`` is an M-matrix, every iterate stays positive, and by
     Perron-Frobenius the positive eigenvector belongs to the top eigenvalue;
-    an operator that breaks this raises EigenSolveError before any solve.
+    an operator that breaks this raises EigenSolveError before any solve, as
+    does one whose ``s²`` leaves the floating-point range (couplings far
+    from symmetric over many rows), and a shifted matrix that LDLᵀ finds
+    not positive definite raises it during the solve.
     The eigenfunction is positivity-checked and max-normalized;
     ``iterations`` counts the shifted solves (0 when the start is already an
     eigenvector, as for a constant potential).  This is the one-operator
@@ -359,7 +396,7 @@ class ResidentContext:
                 a.take(j, axis=0) for a in (mutants.lo, mutants.di, mutants.up, mutants.start)
             )
             di += layout.restrict_diag(self.potential.take(i, axis=0))
-            yield layout, _stacked_solve(lo, di, up, layout.weights, start, tol, max_iters)
+            yield layout, _stacked_solve(lo, di, up, start, tol, max_iters)
 
     def fitness(
         self, mutants: MutantStack, tol: float = 1e-13, max_iters: int = 2000

@@ -83,15 +83,25 @@ def tridiagonal_matvec(lo, di, up, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def symmetry_defects(lo, di, up, weights):
-    """Max relative asymmetry of the weighted matrix W A, per row of ``(M, N)``
-    bands (a 0-d array for ``(N,)`` bands)."""
-    wu = weights[..., :-1] * up[..., :-1]
-    wl = weights[..., 1:] * lo[..., 1:]
-    scale = np.maximum(
-        np.maximum(np.abs(weights * di).max(axis=-1), np.abs(wu).max(axis=-1)), 1e-300
-    )
-    return np.abs(wu - wl).max(axis=-1) / scale
+def symmetrizing_similarity(lo: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal similarity that makes tridiagonal operators with positive
+    couplings symmetric, for ``(M, N)`` bands block by block (or ``(N,)``).
+
+    Returns ``s`` with ``s[0] = 1`` and ``s[i+1] = s[i] sqrt(up[i] / lo[i+1])``,
+    so that ``diag(s) A diag(s)⁻¹`` is symmetric, and that matrix's
+    off-diagonal ``sqrt(lo[i+1] up[i])`` with a 0 in each block's last
+    column.  Laid end to end, ``off.ravel()[:-1]`` is the off-diagonal of
+    the stack's block-diagonal matrix: the zeros keep the blocks apart in an
+    LDLᵀ factorisation, so each block's factor and solve are bit for bit its
+    own.  ``s`` overflows (or underflows) when the couplings are far from
+    symmetric over many rows; callers check it.  For an operator symmetric
+    in its weights, ``s²`` is proportional to the weights.
+    """
+    s = np.ones(lo.shape)
+    s[..., 1:] = np.cumprod(np.sqrt(up[..., :-1] / lo[..., 1:]), axis=-1)
+    off = np.zeros(lo.shape)
+    off[..., :-1] = np.sqrt(lo[..., 1:] * up[..., :-1])
+    return s, off
 
 
 def factor_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray):
@@ -233,7 +243,10 @@ class LinearOperator:
 
     def symmetry_defect(self) -> float:
         """Max relative asymmetry of the weighted matrix W A."""
-        return float(symmetry_defects(self.lo, self.di, self.up, self.weights))
+        wu = self.weights[:-1] * self.up[:-1]
+        wl = self.weights[1:] * self.lo[1:]
+        scale = max(float(np.abs(self.weights * self.di).max()), float(np.abs(wu).max()), 1e-300)
+        return float(np.abs(wu - wl).max()) / scale
 
 
 def assemble_diffusion(

@@ -52,10 +52,10 @@ class SteadyConfig:
     max_newton_iters: int = 50
 
     def __post_init__(self):
-        # the messages name the config section, so a JSON config's error
-        # needs no wrapper (the two forms are the ones they have always had)
+        # the messages name the field as ``section.field``, so a JSON
+        # config's error needs no wrapper
         checked_number(self.newton_tol, "steady.newton_tol")
-        checked_number(self.max_newton_iters, "steady: max_newton_iters", count=True)
+        checked_number(self.max_newton_iters, "steady.max_newton_iters", count=True)
 
 
 def _block_max(a: np.ndarray, initial=None):

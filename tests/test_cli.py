@@ -52,7 +52,7 @@ class TestConfig:
     @pytest.mark.parametrize("field", ["check_interval", "snapshot_stride"])
     @pytest.mark.parametrize("value", [0, -1, 2.5, True])
     def test_sim_strides_must_be_positive_integers(self, field, value):
-        with pytest.raises(ValidationError, match=f"sim: {field}"):
+        with pytest.raises(ValidationError, match=f"sim.{field}"):
             RunConfig.from_dict({"sim": {field: value}})
 
     def test_sim_strides_accept_positive_integers(self):
@@ -283,7 +283,7 @@ class TestCommands:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"sim": {"check_interval": 0, "t_max": 1.0}}))
         assert run(["simulate", "--config", path, "--out", tmp_path]) == 1
-        assert "sim: check_interval" in capsys.readouterr().err
+        assert "sim.check_interval" in capsys.readouterr().err
         assert not (tmp_path / "outcome.csv").exists()
 
     @pytest.mark.parametrize(
@@ -304,7 +304,7 @@ class TestCommands:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"steady": {"max_newton_iters": value}}))
         assert run(["steady", "--config", path, "--out", tmp_path]) == 1
-        assert "steady: max_newton_iters" in capsys.readouterr().err
+        assert "steady.max_newton_iters" in capsys.readouterr().err
         assert not (tmp_path / "steady_u.csv").exists()
 
     @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 import patchcomp as pc
 import patchcomp.eigen
@@ -33,11 +34,14 @@ def extended_rayleigh_quotient(di, off, y):
 
 
 def reference_eigenpair(op, tol=1e-13, max_iters=2000):
-    """Noda's iteration on one operator, one pass at a time: the loop that
-    the stacked solve replaced, kept as the reference it must equal."""
+    """Noda's iteration on one operator, one pass at a time, each shifted
+    solve by LDLᵀ on the symmetric similarity S A S⁻¹: the loop the stacked
+    solve must equal, built here on its own."""
     if (op.up[:-1] <= 0).any() or (op.lo[1:] <= 0).any():
         raise pc.EigenSolveError("refine grid")
-    weights = op.weights if op.symmetry_defect() <= 1e-10 else np.ones(op.size)
+    s = np.concatenate(([1.0], np.cumprod(np.sqrt(op.up[:-1] / op.lo[1:]))))
+    off = np.sqrt(op.lo[1:] * op.up[:-1])
+    weights = s * s
     scale = max(1.0, float(np.abs(op.di).max()), float(np.abs(op.up).max()),
                 float(np.abs(op.lo).max()))
     margin = 8.0 * np.finfo(float).eps * scale
@@ -57,7 +61,10 @@ def reference_eigenpair(op, tol=1e-13, max_iters=2000):
         if iterations == max_iters:
             raise pc.EigenSolveError("did not converge")
         sigma = float((ax / x).max()) + margin
-        x = op.factor_shifted(sigma, -1.0)(x)
+        d, e, info = dpttrf(sigma - op.di, -off)
+        if info:
+            raise pc.EigenSolveError("refine grid")
+        x = dpttrs(d, e, s * x)[0] / s
         x /= x[np.abs(x).argmax()]
         iterations += 1
         if x.min() <= 0:
@@ -178,7 +185,8 @@ class TestPrincipalEigenpair:
 
     def test_nonsymmetric_fallback_route(self):
         # an externally modified operator that breaks the weight structure
-        # still resolves through the inverse-power fallback
+        # still resolves: its own couplings, not its weights, give the
+        # symmetric similarity the shifted solves factor
         land = pc.Landscape([0.0, 1.0])
         traits = pc.SpeciesTraits([1.0], pc.StrategyVector([]))
         grid = pc.build_grid(land, per_patch=24)
@@ -275,22 +283,41 @@ class TestNodaIteration:
             pc.principal_eigenpair(op)
 
     def test_stops_at_the_rounding_floor(self, two_patch):
-        # at 16,000 per patch no iterate of this pair gets its residual under
-        # 5e-15 * scale; the loop must end once the residual stops falling
+        # at 16,000 per patch the LDLᵀ solves take this pair's residual to
+        # 1.4e-7 (about 2 eps * scale), under 5e-15 * scale = 1.7e-6, so the
+        # ordinary stop ends the loop
         land, env, resident, mutant = two_patch
         grid = pc.build_grid(land, per_patch=16000)
         ustar = pc.solve_resident_steady(land, env, resident, grid)
         op = assemble_linearization(grid, mutant, growth_potential(grid, env, ustar))
         pair = pc.principal_eigenpair(op)
-        scale = float(np.abs(op.di).max())
-        assert pair.residual > 5e-15 * scale
-        assert pair.residual <= op.size * np.finfo(float).eps * scale
+        scale = max(1.0, float(np.abs(np.concatenate((op.di, op.up, op.lo))).max()))
+        assert pair.residual <= 5e-15 * scale
         assert pair.iterations <= 8
 
         di, off = op.symmetrized_bands()
         top = op.size - 1
         _, vector = eigh_tridiagonal(di, off, select="i", select_range=(top, top))
         assert abs(pair.lambda1 - extended_rayleigh_quotient(di, off, vector[:, 0])) <= 1e-10
+
+    def test_floor_rule_ends_a_loop_whose_residual_rises(self):
+        # on this four-patch landscape at 16,000 per patch the first solve
+        # raises the residual (5.55e4 to 5.97e4 eps * scale) while it is under
+        # size * eps * scale, so the floor rule, not the tolerance, ends the
+        # loop after one solve.  That iterate is not converged: its lambda is
+        # 0.618 where bisection gives 0.670 (ROADMAP's known weak spot).
+        land = pc.Landscape(np.concatenate(([0.0], np.cumsum([1.82, 0.865, 0.813, 1.769]))))
+        traits = pc.SpeciesTraits([1.492, 3.123, 1.471, 5.313],
+                                  pc.StrategyVector([4.64, 2.765, 1.496]))
+        r = np.array([1.926, 1.133, 0.891, 1.34])
+        k = np.array([1.914, 1.827, 1.175, 0.81])
+        grid = pc.build_grid(land, per_patch=16000)
+        op = assemble_linearization(grid, traits, (r * (1.0 - 0.5 / k))[grid.patch_index_of_dofs()])
+        pair = pc.principal_eigenpair(op)
+        scale = max(1.0, float(np.abs(np.concatenate((op.di, op.up, op.lo))).max()))
+        assert pair.residual > max(1e-13 * abs(pair.lambda1), 5e-15 * scale)
+        assert pair.residual <= op.size * np.finfo(float).eps * scale
+        assert pair.iterations <= 8
 
 
 class TestStackedNoda:
@@ -339,6 +366,65 @@ class TestStackedNoda:
             assert_same_pair(pc.principal_eigenpair(op), ref)
         assert pairs[list(order).index(len(ops) - 1)].iterations == 0
 
+    @given(
+        patches=st.lists(
+            st.tuples(  # length, d, p (the last patch's p is unused), r, k
+                st.floats(0.5, 2.0), st.floats(0.1, 10.0), st.floats(0.2, 5.0),
+                st.floats(0.5, 2.0), st.floats(0.5, 2.0),
+            ),
+            min_size=2,
+            max_size=6,
+        ),
+        asymmetric=st.lists(st.booleans(), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_asymmetric_blocks_match_dense_spectrum(self, patches, asymmetric, seed):
+        # blocks that are not symmetric in their weights are scaled to a
+        # symmetric matrix by their own couplings, not by the weights
+        length, d, p, r, k = (np.array(col) for col in zip(*patches))
+        land = pc.Landscape(np.concatenate(([0.0], np.cumsum(length))))
+        grid = pc.build_grid(land, per_patch=12)
+        rng = np.random.default_rng(seed)
+        patch_of = grid.patch_index_of_dofs()
+        ops = []
+        for skewed in asymmetric:
+            traits = pc.SpeciesTraits(
+                d * rng.uniform(0.5, 2.0, d.size),
+                pc.StrategyVector(p[:-1] * rng.uniform(0.5, 2.0, p.size - 1)),
+            )
+            potential = r[patch_of] * (1.0 - rng.uniform(0.0, 2.0, grid.num_dofs) / k[patch_of])
+            op = assemble_linearization(grid, traits, potential)
+            if skewed:
+                op.up = op.up * 1.08
+                assert op.symmetry_defect() > 1e-10
+            ops.append(op)
+
+        for op, pair in zip(ops, pc.principal_eigenpairs(ops)):
+            scale = float(np.abs(op.di).max())
+            top = np.linalg.eigvals(op.dense()).real.max()
+            assert pair.lambda1 == pytest.approx(top, rel=1e-8, abs=1e-12 * scale)
+            assert pair.phi.min() > 0
+            alone = pc.principal_eigenpair(op)
+            assert_same_pair(pair, (alone.lambda1, alone.phi.values, alone.residual,
+                                    alone.iterations))
+
+    @pytest.mark.parametrize("band", ["up", "lo"])
+    def test_similarity_out_of_range_fails_before_any_solve(self, band, monkeypatch):
+        # couplings 10 times apart on every row: the diagonal similarity
+        # grows (or shrinks) by sqrt(10) a row and leaves the floating-point
+        # range within 700 rows
+        land = pc.Landscape([0.0, 1.0])
+        traits = pc.SpeciesTraits([1.0], pc.StrategyVector([]))
+        grid = pc.build_grid(land, per_patch=800)
+        op = assemble_linearization(grid, traits, 0.3)
+        setattr(op, band, getattr(op, band) * 10.0)
+        calls = []
+        monkeypatch.setattr(patchcomp.eigen, "dpttrf", lambda *a, **kw: calls.append(a))
+        with pytest.raises(pc.EigenSolveError, match="symmetric"):
+            pc.principal_eigenpairs([assemble_linearization(grid, traits, 0.1), op])
+        assert calls == []
+
     def test_one_uncoupled_block_fails_the_call(self, two_patch):
         land, env, resident, mutant = two_patch
         grid = pc.build_grid(land, per_patch=40)
@@ -358,9 +444,7 @@ class TestStackedNoda:
             LinearOperator(grid, mutant, op.lo, poisoned, op.up, op.weights)
 
         calls = []
-        monkeypatch.setattr(
-            patchcomp.eigen, "factor_tridiagonal", lambda *a: calls.append(a)
-        )
+        monkeypatch.setattr(patchcomp.eigen, "dpttrf", lambda *a, **kw: calls.append(a))
         ops = [assemble_linearization(grid, t, 0.2) for t in (resident, mutant, resident)]
         ops[2].di = poisoned  # set after construction, so only the stack sees it
         with pytest.raises(ValueError, match="finite"):
@@ -448,13 +532,13 @@ class TestStackedNoda:
         grid = pc.build_grid(land, per_patch=40)
         monkeypatch.setattr(patchcomp.eigen, "_STACK_DOFS", 2 * grid.num_reduced)
         sizes = []
-        factor = patchcomp.eigen.factor_tridiagonal
+        factor = patchcomp.eigen.dpttrf
 
-        def recording(dl, d, du):
+        def recording(d, e, **kwargs):
             sizes.append(d.size // grid.num_reduced)
-            return factor(dl, d, du)
+            return factor(d, e, **kwargs)
 
-        monkeypatch.setattr(patchcomp.eigen, "factor_tridiagonal", recording)
+        monkeypatch.setattr(patchcomp.eigen, "dpttrf", recording)
         mutants = [
             pc.SpeciesTraits([0.6, 1.1], pc.StrategyVector([p])) for p in (1.2, 1.9, 2.6, 3.3, 4.0)
         ]
