@@ -24,8 +24,14 @@ pair (resident p = 3, mutant p = 2.5, capacity ratio 2).  The layers:
 - ``oracle``: the resident's steady solve through the continuous-form route
   (``solve_transformed_steady``), at 201, 2,001 and 8,001 reduced DOFs;
 - ``step``: one ``Stepper.step`` of the resident/mutant pair at the default
-  dt, at the same three sizes, timed over 100 consecutive steps from the
-  default initial data and divided by 100;
+  dt, at the same three sizes, on M = 1 and M = 2 rows per species
+  (``rows_1``, ``rows_2``; M = 2 is the order-preservation harness's stack),
+  timed over 100 consecutive steps from the default initial data and
+  divided by 100;
+- ``simulate_rows``: ``simulate`` to a verdict on each of the six table rows,
+  ``configs/{above,below}_{resident_wins,mutant_wins,coexistence}.json``
+  (201 reduced DOFs, default dt), with the verdict, the steps taken and the
+  median wall time in milliseconds;
 - ``pip_7x7`` and ``pip_10x10``: a 7 x 7 and a 10 x 10 ``pip`` at 100
   subintervals per patch (10 x 10 is the benchmark's ``invasion_scan`` size);
 - ``strategy_checks``: ``css_check`` and ``nis_check`` at 2 and ``ess_check``
@@ -70,6 +76,7 @@ import scipy  # noqa: E402
 
 import patchcomp as pc  # noqa: E402
 import patchcomp.cli  # noqa: E402
+from patchcomp.config import RunConfig  # noqa: E402
 from patchcomp.dynamics import Stepper, default_initial  # noqa: E402
 from patchcomp.eigen import assemble_linearization, growth_potential  # noqa: E402
 from patchcomp.operators import assemble_diffusion  # noqa: E402
@@ -85,6 +92,12 @@ RESIDENT_STACKS = (1, 10, 32)
 STEADY_STACK_PER_PATCH = (100, 800)  # 201 and 1,601 reduced DOFs
 FINE_PER_PATCH = (100, 1000, 4000)  # 201, 2,001 and 8,001 reduced DOFs
 STEPS_PER_REPEAT = 100
+STEP_ROWS = (1, 2)
+TABLE_ROWS = tuple(
+    f"{side}_{verdict}"
+    for side in ("above", "below")
+    for verdict in ("resident_wins", "mutant_wins", "coexistence")
+)
 CLI_COMMANDS = ("steady", "eigen", "fitness", "classify", "pip", "sweep", "validate")
 CLI_CONFIG = ROOT / "configs" / "reference_two_patch.json"
 
@@ -168,13 +181,38 @@ def fine_layers(repeats: int) -> dict:
         )
         stepper = Stepper(LAND, ENV, RESIDENT, MUTANT, grid)
         u0, v0 = default_initial(grid, ENV)
+        row = {}
+        for m in STEP_ROWS:
+            # M = 1: the (N,) states simulate steps; else an (M, N) stack
+            start = (u0, v0) if m == 1 else (np.tile(u0, (m, 1)), np.tile(v0, (m, 1)))
 
-        def march() -> None:
-            u, v = u0, v0
-            for _ in range(STEPS_PER_REPEAT):
-                u, v, _ = stepper.step(u, v)
+            def march() -> None:
+                u, v = start
+                for _ in range(STEPS_PER_REPEAT):
+                    u, v, _ = stepper.step(u, v)
 
-        out["step"][dofs] = median_ms(march, repeats) / STEPS_PER_REPEAT
+            row[f"rows_{m}"] = median_ms(march, repeats) / STEPS_PER_REPEAT
+        out["step"][dofs] = row
+    return out
+
+
+def simulate_rows(repeats: int) -> dict:
+    out = {}
+    for name in TABLE_ROWS:
+        cfg = RunConfig.load(str(ROOT / "configs" / f"{name}.json"))
+        grid = cfg.build_grid()
+        records = []
+
+        def run() -> None:
+            records.append(pc.simulate(
+                cfg.landscape, cfg.environment, cfg.resident, cfg.mutant, grid,
+                cfg.sim, steady_config=cfg.steady,
+            ))
+
+        ms = median_ms(run, repeats)
+        if len({(r.verdict, r.steps) for r in records}) != 1:
+            raise SystemExit(f"bench_layers: {name} is not repeatable")
+        out[name] = {"verdict": records[0].verdict, "steps": records[0].steps, "ms": ms}
     return out
 
 
@@ -259,6 +297,7 @@ def main() -> None:
         "eigen_stack": eigen_stack(args.repeats),
         "steady_stack": steady_stack(args.repeats),
         **fine_layers(args.repeats),
+        "simulate_rows": simulate_rows(args.repeats),
         "pip_7x7": pip_square(7, args.repeats),
         "pip_10x10": pip_square(10, args.repeats),
         "strategy_checks": strategy_checks(args.repeats),

@@ -1,12 +1,17 @@
 """Time integration of the two-species competition system and outcome calls.
 
-The one scheme is IMEX Euler.  Diffusion is implicit: ``I - dt A`` is
-symmetric positive definite in the operator's weighted inner product, so it is
-LDLᵀ-factored once per species and a step makes one O(N) symmetric tridiagonal
-solve per species.  The logistic competition term is explicit and computed on
-the reduced DOFs.  The induced step map is monotone for the order "first
-species up, second species down", which is what the order-preservation harness
-checks, and it leaves the jump-consistent bounding boxes invariant.
+The one scheme is IMEX Euler.  The logistic competition term is explicit and
+computed on the reduced DOFs in coefficient form, ``w (a - b w - c x)`` for
+species ``w`` against its competitor ``x``, the eliminated right traces folded
+into the trace DOFs' coefficients once per stepper.  Diffusion is implicit:
+``I - dt A`` is symmetric positive definite in the operator's weighted inner
+product, so it is LDLᵀ-factored once per species on its symmetric similarity,
+and the coefficients take in ``dt`` and that similarity.  A step maps
+``(N,)`` states, or ``(M, N)`` stacks of rows, with one expression and one
+O(N) symmetric tridiagonal solve (one pttrs call for all rows) per species.
+The induced step map is monotone for the order "first species up, second
+species down", which is what the order-preservation harness checks, and it
+leaves the jump-consistent bounding boxes invariant.
 """
 
 from __future__ import annotations
@@ -63,10 +68,21 @@ class OutcomeRecord:
 class Stepper:
     """IMEX Euler stepping for one parameter point at the fixed ``self.dt``.
 
-    ``I - dt A`` is LDLᵀ-factored once per species, in its weight-symmetrized
-    form, on the first step (a stepper that only evaluates residuals factors
-    nothing); a step is the reaction on the reduced DOFs, then one O(N)
-    symmetric tridiagonal solve per species.
+    The competition term of each species ``w`` against its competitor ``x``,
+    restricted to the reduced DOFs, is ``w (a - b w - c x)`` row by row.  Off
+    the traces ``a = r`` and ``b = c = r / k``; at the trace DOF of interface
+    m the eliminated right trace is ``p w`` in patch m + 1, so, with the
+    layout's shares ``a_left``/``a_right``,
+    ``a = a_left r_m + a_right r_{m+1}``,
+    ``b = a_left r_m / k_m + a_right r_{m+1} p_w / k_{m+1}`` and ``c`` is
+    ``b`` with the competitor's ``p_x``.  The coefficients are built once.
+
+    On the first step (a stepper that only evaluates residuals factors
+    nothing) ``I - dt A`` is LDLᵀ-factored once per species in its
+    symmetrized form ``S (I - dt A) S⁻¹``, ``S = diag(s)``, ``s = sqrt(weights)``,
+    and the coefficients take in ``dt`` and ``s``: the step's right-hand side
+    ``S (w + dt f)`` is then ``w (sa - sb w - sc x)``, one expression per
+    species, and one pttrs call per species solves it for every row.
     """
 
     def __init__(
@@ -88,59 +104,90 @@ class Stepper:
         self.layout_v = SpeciesLayout(grid, mutant)
         self.op_u = assemble_diffusion(grid, resident, self.layout_u)
         self.op_v = assemble_diffusion(grid, mutant, self.layout_v)
-        self.r, self.k = (self.layout_u.fill(a) for a in (env.r_array, env.k_array))
-        self.r_right, self.k_right = env.r_array[1:], env.k_array[1:]
         self.dt = self.config.dt if self.config.dt is not None else 0.01 / env.r_array.max()
+        self._coefficients = self._competition_coefficients()
 
-    @cached_property
-    def _solves(self):
-        return (
-            self.op_u.factor_symmetric(1.0, -self.dt),
-            self.op_v.factor_symmetric(1.0, -self.dt),
-        )
-
-    def reaction(self, u_red: np.ndarray, v_red: np.ndarray):
-        """Explicit competition terms for both species, on reduced DOFs.
-
-        Away from the interfaces this is pointwise ``u * r (1 - (u + v) / k)``;
-        at the trace DOF of interface m it weighs the left value and the
-        eliminated right trace's (density p * u in patch m + 1) by the
-        layout's ``a_left``/``a_right``, as ``SpeciesLayout.restrict_avg`` of
-        the expanded field does.
-        """
+    def _competition_coefficients(self):
+        """``(a, b, c)`` of the reaction ``w (a - b w - c x)`` of each species."""
         lu, lv = self.layout_u, self.layout_v
         tr = lu.trace
-        crowd = self.r * (1.0 - (u_red + v_red) / self.k)
-        f_u = u_red * crowd
-        f_v = v_red * crowd
-        u_tr, v_tr = u_red[tr], v_red[tr]
-        crowd_left = crowd[tr]
-        crowd_right = self.r_right * (1.0 - (lu.p * u_tr + lv.p * v_tr) / self.k_right)
-        f_u[tr] = u_tr * (lu.a_left * crowd_left + lu.a_right * crowd_right)
-        f_v[tr] = v_tr * (lv.a_left * crowd_left + lv.a_right * crowd_right)
-        return f_u, f_v
+        r, k = (lu.fill(values) for values in (self.env.r_array, self.env.k_array))
+        r_right, k_right = self.env.r_array[1:], self.env.k_array[1:]
+        r_k = r / k
+        out = []
+        for own, other in ((lu, lv), (lv, lu)):
+            left = own.a_left * r[tr]
+            right = own.a_right * r_right
+            a, b, c = r.copy(), r_k.copy(), r_k.copy()
+            a[tr] = left + right
+            b[tr] = left / k[tr] + right * own.p / k_right
+            c[tr] = left / k[tr] + right * other.p / k_right
+            out.append((a, b, c))
+        return tuple(out)
+
+    @cached_property
+    def _plan(self):
+        """Per species ``(sa, sb, sc, factor)``: the coefficients times ``s``
+        (``sa`` with the identity), ``sb`` and ``sc`` times ``dt`` too, and the
+        LDLᵀ factor of ``I - dt A``."""
+        plan = []
+        for op, (a, b, c) in zip((self.op_u, self.op_v), self._coefficients):
+            factor = op.factor_symmetric(1.0, -self.dt)
+            s_dt = factor.s * self.dt
+            plan.append((factor.s + s_dt * a, s_dt * b, s_dt * c, factor))
+        return tuple(plan)
+
+    def reaction(self, u_red: np.ndarray, v_red: np.ndarray):
+        """Explicit competition terms for both species, on reduced DOFs:
+        ``w (a - b w - c x)`` (see the class docstring), which is the
+        ``SpeciesLayout.restrict_avg`` of the pointwise ``w r (1 - (u + v) / k)``
+        on the expanded fields."""
+        (au, bu, cu), (av, bv, cv) = self._coefficients
+        return (
+            _coefficient_form(u_red, v_red, au, bu, cu),
+            _coefficient_form(v_red, u_red, av, bv, cv),
+        )
 
     def step(
         self, u_red: np.ndarray, v_red: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, float]:
-        """One time step; returns the new state and the clipped negative mass."""
-        dt = self.dt
-        f_u, f_v = self.reaction(u_red, v_red)
-        rhs_u = u_red + dt * f_u
-        rhs_v = v_red + dt * f_v
+        """One time step of ``(N,)`` states or ``(M, N)`` stacks of rows;
+        returns the new states and the clipped negative mass (summed over the
+        rows).  Each row is bit for bit its own single step.  A non-finite
+        right-hand side raises ValueError."""
+        (sa_u, sb_u, sc_u, solve_u), (sa_v, sb_v, sc_v, solve_v) = self._plan
+        rhs_u = _coefficient_form(u_red, v_red, sa_u, sb_u, sc_u)
+        rhs_v = _coefficient_form(v_red, u_red, sa_v, sb_v, sc_v)
         clipped = 0.0
-        if rhs_u.min() < 0 or rhs_v.min() < 0:
-            clipped = float(-np.minimum(rhs_u, 0.0).sum() - np.minimum(rhs_v, 0.0).sum())
-            np.maximum(rhs_u, 0.0, out=rhs_u)
-            np.maximum(rhs_v, 0.0, out=rhs_v)
-        solve_u, solve_v = self._solves
-        return solve_u(rhs_u), solve_v(rhs_v), clipped
+        for rhs, solve in ((rhs_u, solve_u), (rhs_v, solve_v)):
+            low = rhs.min()
+            if not low >= 0:  # negative, or NaN
+                if not np.isfinite(low):
+                    raise ValueError("time step right-hand side is not finite")
+                clipped -= float((np.minimum(rhs, 0.0) / solve.s).sum())
+                np.maximum(rhs, 0.0, out=rhs)
+            if not rhs.max() < np.inf:
+                raise ValueError("time step right-hand side is not finite")
+        u_new = solve_u.solve_scaled(rhs_u)
+        u_new /= solve_u.s
+        v_new = solve_v.solve_scaled(rhs_v)
+        v_new /= solve_v.s
+        return u_new, v_new, clipped
 
     def steady_residuals(self, u_red: np.ndarray, v_red: np.ndarray) -> tuple[float, float]:
         f_u, f_v = self.reaction(u_red, v_red)
         res_u = self.op_u.matvec(u_red) + f_u
         res_v = self.op_v.matvec(v_red) + f_v
         return float(np.abs(res_u).max()), float(np.abs(res_v).max())
+
+
+def _coefficient_form(w, x, a, b, c) -> np.ndarray:
+    """``w (a - (b w + c x))`` in one fresh array, updated in place."""
+    out = c * x
+    out += b * w
+    np.subtract(a, out, out=out)
+    out *= w
+    return out
 
 
 def default_initial(grid: Grid, env: PatchEnvironment) -> tuple[np.ndarray, np.ndarray]:
@@ -200,9 +247,12 @@ def simulate(
     for step_count in range(1, max_steps + 1):
         u_new, v_new, clipped = stepper.step(u, v)
         clip_total += clipped
-        td_norm = max(
-            float(np.abs(u_new - u).max()), float(np.abs(v_new - v).max())
-        ) / dt
+        # read by the convergence test every 50th step and by the diagnostics
+        # after the last
+        if step_count % 50 == 0 or step_count == max_steps:
+            td_norm = max(
+                float(np.abs(u_new - u).max()), float(np.abs(v_new - v).max())
+            ) / dt
         u, v = u_new, v_new
 
         if step_count % config.check_interval == 0 or step_count == max_steps:
@@ -329,15 +379,18 @@ def order_preservation_check(
     """March two ordered states and watch for order violations.
 
     State A must start above state B in the competitive order (first species
-    componentwise larger, second smaller).  Returns (preserved, worst
-    violation, first violating step).
+    componentwise larger, second smaller).  The two states march as one
+    ``(2, N)`` stack, one ``Stepper.step`` per step, each row bit for bit its
+    own march.  Returns (preserved, worst violation, first violating step).
     """
     env = stepper.env
     tol = 1e-10 * env.k_array.max()
-    ua, va = (np.asarray(w, dtype=float).copy() for w in state_a)
-    ub, vb = (np.asarray(w, dtype=float).copy() for w in state_b)
-    if any(w.shape != (stepper.grid.num_reduced,) for w in (ua, va, ub, vb)):
+    size = stepper.grid.num_reduced
+    if any(np.shape(w) != (size,) for w in (*state_a, *state_b)):
         raise ValidationError("reduced vector has the wrong length")
+    # row 0 is state A, row 1 state B: both march as one stack
+    u = np.array([state_a[0], state_b[0]], dtype=float)
+    v = np.array([state_a[1], state_b[1]], dtype=float)
 
     def excess(over, under, layout) -> float:
         # by how much ``over`` exceeds ``under`` anywhere on the full DOFs:
@@ -345,19 +398,18 @@ def order_preservation_check(
         right = layout.right_values(over) - layout.right_values(under)
         return float(max((over - under).max(), right.max(initial=-np.inf)))
 
-    def violation(ua, va, ub, vb) -> float:
-        return max(excess(ub, ua, stepper.layout_u), excess(va, vb, stepper.layout_v))
+    def violation(u, v) -> float:
+        return max(excess(u[1], u[0], stepper.layout_u), excess(v[0], v[1], stepper.layout_v))
 
-    start = violation(ua, va, ub, vb)
+    start = violation(u, v)
     if start > tol:
         raise ValidationError("states are not ordered at t = 0")
 
     worst = 0.0
     first: int | None = None
     for s in range(1, steps + 1):
-        ua, va, _ = stepper.step(ua, va)
-        ub, vb, _ = stepper.step(ub, vb)
-        gap = violation(ua, va, ub, vb)
+        u, v, _ = stepper.step(u, v)
+        gap = violation(u, v)
         if gap > worst:
             worst = gap
         if gap > tol and first is None:

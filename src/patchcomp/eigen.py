@@ -124,17 +124,14 @@ def _noda(lo, di, up, s, weights, off, scale, x, tol, max_iters):
     largest band entry (at least 1) of each block.  Returns per block the
     eigenvalue, the reduced max-normalized eigenvector, the residual and the
     number of solves."""
-    size = di.shape[1]
     # keeps the rounded Collatz-Wielandt bound above the top eigenvalue
     margin = 8.0 * _EPS * scale
-    floor = size * _EPS * scale
     # max(tol * max(1, |theta|), 5e-15 * scale) is max(tol * |theta|, least)
     least = np.maximum(tol, 5e-15 * scale)
     coupling = -off  # the off-diagonal of sigma I - S A S⁻¹
     rows = np.arange(len(di))
     out = None  # (theta, x, residual, iterations) of every block, once one stops
     iterations = 0
-    previous = np.inf
     while True:
         # the stack laid end to end: its bands' corners are zero
         ax = tridiagonal_matvec(lo.ravel(), di.ravel(), up.ravel(), x.ravel()).reshape(x.shape)
@@ -143,15 +140,11 @@ def _noda(lo, di, up, s, weights, off, scale, x, tol, max_iters):
         theta = np.vecdot(wx, ax) / np.vecdot(wx, x)
         res = np.abs(ax - theta[:, None] * x).max(axis=1)
         # tested before any factorisation, so an exact eigenvector never
-        # factors a singular sigma I - A.  A pass that no longer lowers the
-        # residual, once under size * eps * scale, also ends the loop.  (The
-        # LDLᵀ solves take a solved iterate's residual to about 2 eps * scale
-        # at any size, under the tolerance; on grids fine enough, what this
-        # rule ends is a loop whose residual rose on an early pass, before
-        # it converged: ROADMAP's known weak spot.)
-        done = (res <= np.maximum(tol * np.abs(theta), least)) | (
-            (previous <= res) & (res <= floor)
-        )
+        # factors a singular sigma I - A.  The LDLᵀ solves take a solved
+        # iterate's residual to a few eps * scale at any size, under
+        # ``least``, so there is no separate rounding-floor stop: a loop that
+        # stalls above ``least`` ends at ``max_iters``.
+        done = res <= np.maximum(tol * np.abs(theta), least)
         stopped = np.count_nonzero(done)
         if stopped:
             if out is None:
@@ -166,11 +159,9 @@ def _noda(lo, di, up, s, weights, off, scale, x, tol, max_iters):
                 return out
             # freeze the stopped blocks: drop them from the stack
             going = ~done
-            rows, lo, di, up, s, coupling, weights, x, ax, res, margin, floor, least = (
-                a[going]
-                for a in (rows, lo, di, up, s, coupling, weights, x, ax, res, margin, floor, least)
+            rows, lo, di, up, s, coupling, weights, x, ax, margin, least = (
+                a[going] for a in (rows, lo, di, up, s, coupling, weights, x, ax, margin, least)
             )
-        previous = res
         if iterations == max_iters:
             raise EigenSolveError(
                 "principal eigen iteration did not converge; the operator may "
@@ -284,8 +275,11 @@ def principal_eigenpair(
     takes the Rayleigh quotient of the iterate weighted by ``s²``, where
     ``S = diag(s)`` makes ``S A S⁻¹`` symmetric (``s[0] = 1``,
     ``s[i+1] = s[i] sqrt(up[i] / lo[i+1])``), and stops once the residual
-    ``|A x - theta x|`` is at the tolerance, or has stopped falling under
-    ``size * eps * scale``.  Otherwise it shifts to the Collatz-Wielandt
+    ``|A x - theta x|`` is at most ``max(tol max(1, |theta|), 5e-15 scale)``,
+    ``scale`` the largest band entry (at least 1); the LDLᵀ solves bring a
+    solved iterate's residual to a few ``eps * scale`` at every size, under
+    that, and a loop that stalls above it raises EigenSolveError at
+    ``max_iters``.  Otherwise it shifts to the Collatz-Wielandt
     bound ``max_i (A x)_i / x_i`` and solves once with ``sigma I - A``, as
     ``S⁻¹ (sigma I - S A S⁻¹)⁻¹ S``: one LDLᵀ factorisation (LAPACK pttrf)
     and solve (pttrs) of the symmetric positive definite shifted matrix.

@@ -149,6 +149,35 @@ def factor_blocks(lo: np.ndarray, di: np.ndarray, up: np.ndarray):
     return factor_tridiagonal(dl, di.ravel(), du)
 
 
+class SymmetricFactor:
+    """The LDLᵀ factor ``d``, ``e`` of ``S B S⁻¹`` for a tridiagonal ``B``
+    symmetric in the weights ``s²`` (``LinearOperator.factor_symmetric``),
+    ``S = diag(s)``.
+
+    Called on a right-hand side it solves ``B x = rhs`` (a non-finite
+    ``rhs`` raises ValueError).  ``solve_scaled`` is the bare solve of
+    ``S B S⁻¹ y = b`` for a ``b`` already scaled by ``s``: one pttrs call
+    for ``(N,)`` or ``(M, N)`` rows, each row solved bit for bit as on its
+    own (the C-order rows are the Fortran-order columns of their transpose).
+    """
+
+    __slots__ = ("s", "d", "e")
+
+    def __init__(self, s: np.ndarray, d: np.ndarray, e: np.ndarray):
+        self.s, self.d, self.e = s, d, e
+
+    def __call__(self, rhs: np.ndarray) -> np.ndarray:
+        y = self.solve_scaled(self.s * np.asarray_chkfinite(rhs, dtype=float))
+        y /= self.s
+        return y
+
+    def solve_scaled(self, b: np.ndarray) -> np.ndarray:
+        """``y`` with ``S B S⁻¹ y = b``, row by row; ``b`` is unchecked and,
+        when C-contiguous, overwritten (``y`` is then ``b``)."""
+        y, _ = dpttrs(self.d, self.e, b.T, overwrite_b=1)
+        return y.T
+
+
 @dataclass
 class LinearOperator:
     """Tridiagonal operator over reduced DOFs plus its symmetrization weights.
@@ -202,7 +231,7 @@ class LinearOperator:
         )
         return lambda rhs: solve(np.asarray_chkfinite(rhs, dtype=float))
 
-    def factor_symmetric(self, alpha, beta: float = 1.0):
+    def factor_symmetric(self, alpha, beta: float = 1.0) -> SymmetricFactor:
         """As ``factor_shifted``, by LDLᵀ (LAPACK pttrf/pttrs), for A symmetric
         in its weights and ``diag(alpha) + beta * A`` positive definite.
 
@@ -218,13 +247,7 @@ class LinearOperator:
         d, e, info = dpttrf(alpha + beta * self.di, beta * off)
         if info > 0:
             raise np.linalg.LinAlgError("matrix is not positive definite")
-        s = np.sqrt(self.weights)
-
-        def solve(rhs: np.ndarray) -> np.ndarray:
-            x, _ = dpttrs(d, e, s * np.asarray_chkfinite(rhs, dtype=float), overwrite_b=1)
-            return x / s
-
-        return solve
+        return SymmetricFactor(np.sqrt(self.weights), d, e)
 
     def solve_shifted(self, sigma: float, rhs: np.ndarray) -> np.ndarray:
         """Solve (sigma * I - A) x = rhs."""

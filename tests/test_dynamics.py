@@ -100,27 +100,130 @@ class TestImplicitSolve:
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-class TestReducedReaction:
+# 2-6 patches: length, d, p_u, p_v (the last patch's p unused), r, k
+PATCHES = st.lists(
+    st.tuples(
+        st.floats(0.5, 2.0), st.floats(0.1, 10.0), st.floats(0.2, 5.0),
+        st.floats(0.2, 5.0), st.floats(0.5, 2.0), st.floats(0.5, 2.0),
+    ),
+    min_size=2,
+    max_size=6,
+)
+
+
+def random_stepper(patches, per_patch: int = 9) -> Stepper:
+    """The stepper of a ``PATCHES`` draw at the default dt."""
+    length, d, p_u, p_v, r, k = (np.array(col) for col in zip(*patches))
+    land = pc.Landscape(np.concatenate(([0.0], np.cumsum(length))))
+    env = pc.PatchEnvironment(r=r, k=k)
+    resident = pc.SpeciesTraits(d, pc.StrategyVector(p_u[:-1]))
+    mutant = pc.SpeciesTraits(d[::-1], pc.StrategyVector(p_v[:-1]))
+    grid = pc.build_grid(land, per_patch=per_patch)
+    return Stepper(land, env, resident, mutant, grid, SimConfig())
+
+
+class TestCoefficientStep:
     @given(
-        patches=st.lists(
-            st.tuples(  # length, d, p_u, p_v (the last patch's p unused), r, k
-                st.floats(0.5, 2.0), st.floats(0.1, 10.0), st.floats(0.2, 5.0),
-                st.floats(0.2, 5.0), st.floats(0.5, 2.0), st.floats(0.5, 2.0),
-            ),
-            min_size=2,
-            max_size=6,
-        ),
+        patches=PATCHES,
+        rows=st.integers(1, 4),
+        top=st.sampled_from([2.0, 500.0]),  # 500: the crowding clips
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
+    def test_stacked_rows_equal_single_steps(self, patches, rows, top, seed):
+        stepper = random_stepper(patches)
+        rng = np.random.default_rng(seed)
+        u, v = (rng.uniform(0.0, top, (rows, stepper.grid.num_reduced)) for _ in range(2))
+        got_u, got_v, clipped = stepper.step(u, v)
+        assert got_u.shape == got_v.shape == u.shape
+        singles = [stepper.step(u[b], v[b]) for b in range(rows)]
+        for b, (one_u, one_v, _) in enumerate(singles):
+            assert np.array_equal(got_u[b], one_u) and np.array_equal(got_v[b], one_v)
+        assert clipped == pytest.approx(sum(one[2] for one in singles), rel=1e-12, abs=0.0)
+
+    @given(patches=PATCHES, top=st.sampled_from([2.0, 500.0]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_solve_of_clipped_rhs(self, patches, top, seed):
+        stepper = random_stepper(patches)
+        rng = np.random.default_rng(seed)
+        u, v = (rng.uniform(0.0, top, stepper.grid.num_reduced) for _ in range(2))
+        dt = stepper.dt
+        f_u, f_v = stepper.reaction(u, v)
+        u_new, v_new, clipped = stepper.step(u, v)
+        want_clipped = 0.0
+        for op, w, f, got in (
+            (stepper.op_u, u, f_u, u_new), (stepper.op_v, v, f_v, v_new)
+        ):
+            rhs = w + dt * f
+            want_clipped -= np.minimum(rhs, 0.0).sum()
+            ref = np.linalg.solve(np.eye(op.size) - dt * op.dense(), np.maximum(rhs, 0.0))
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert clipped == pytest.approx(want_clipped, rel=1e-12, abs=1e-12 * top)
+
+    def test_negative_rhs_is_clipped_and_counted(self, competition_pair):
+        *_, grid, stepper = competition_pair
+        u = np.full(grid.num_reduced, 0.5)
+        v = np.full(grid.num_reduced, 0.5)
+        v[10:20] = 500.0  # crowds u's right-hand side below zero there
+        f_u, f_v = stepper.reaction(u, v)
+        rhs_u, rhs_v = u + stepper.dt * f_u, v + stepper.dt * f_v
+        assert rhs_u.min() < 0
+        want = -np.minimum(rhs_u, 0.0).sum() - np.minimum(rhs_v, 0.0).sum()
+        u_new, v_new, clipped = stepper.step(u, v)
+        assert clipped == pytest.approx(want, rel=1e-13)
+        assert u_new.min() >= 0 and v_new.min() >= 0
+
+    @pytest.mark.parametrize("species", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_state_raises(self, competition_pair, species, bad):
+        *_, grid, stepper = competition_pair
+        state = [np.full((2, grid.num_reduced), 0.5) for _ in range(2)]
+        state[species][1, 7] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            stepper.step(*state)
+
+    def test_infinite_rhs_from_finite_state_raises(self, competition_pair):
+        # in patch 2, off the traces, v's similarity scale s is sqrt(2) times
+        # u's (p = 1.5 vs 3).  With u = -1.05 x and v = x there, v's scaled
+        # right-hand side is about 0.05 s_v dt (r / k) x² = 2e308, +inf, while
+        # u's is about -1.05 / sqrt(2) of that and finite: no entry is NaN or
+        # -inf, so only the test on the maximum sees it
+        *_, grid, stepper = competition_pair
+        u = np.full(grid.num_reduced, 0.5)
+        v = np.full(grid.num_reduced, 0.5)
+        i = grid.num_reduced - 10
+        x = 1e154 * np.sqrt(2.0 / (0.05 * np.sqrt(stepper.op_v.weights[i]) * stepper.dt * 0.5))
+        u[i], v[i] = -1.05 * x, x
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+            stepper.step(u, v)
+
+    def test_factors_once_on_first_step(self, competition_pair, monkeypatch):
+        *_, grid, stepper = competition_pair
+        calls = []
+        factor = LinearOperator.factor_symmetric
+
+        def counted(op, *args):
+            calls.append(op)
+            return factor(op, *args)
+
+        monkeypatch.setattr(LinearOperator, "factor_symmetric", counted)
+        u, v = default_initial(grid, stepper.env)
+        stepper.reaction(u, v)
+        stepper.steady_residuals(u, v)
+        assert calls == []
+        for _ in range(3):
+            u, v, _ = stepper.step(u, v)
+        assert [id(op) for op in calls] == [id(stepper.op_u), id(stepper.op_v)]
+
+
+class TestReducedReaction:
+    @given(patches=PATCHES, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
     def test_matches_full_dof_restriction(self, patches, seed):
-        length, d, p_u, p_v, r, k = (np.array(col) for col in zip(*patches))
-        land = pc.Landscape(np.concatenate(([0.0], np.cumsum(length))))
-        env = pc.PatchEnvironment(r=r, k=k)
-        resident = pc.SpeciesTraits(d, pc.StrategyVector(p_u[:-1]))
-        mutant = pc.SpeciesTraits(d[::-1], pc.StrategyVector(p_v[:-1]))
-        grid = pc.build_grid(land, per_patch=9)
-        stepper = Stepper(land, env, resident, mutant, grid, SimConfig())
+        stepper = random_stepper(patches)
+        env, grid = stepper.env, stepper.grid
+        resident, mutant = stepper.resident, stepper.mutant
+        r, k = env.r_array, env.k_array
         rng = np.random.default_rng(seed)
         u, v = (rng.uniform(0.0, 2.0, grid.num_reduced) for _ in range(2))
 

@@ -191,6 +191,18 @@ class TestFactorSymmetric:
             ref = np.linalg.solve(np.eye(op.size) - theta * dt * op.dense(), rhs)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    def test_scaled_solve_maps_rows_as_their_own_solves(self):
+        _, traits, grid = make([1.0, 2.0, 0.5], [2.0, 0.7])
+        op = assemble_diffusion(grid, traits)
+        factor = op.factor_symmetric(1.0, -0.1)
+        assert np.array_equal(factor.s, np.sqrt(op.weights))
+        rows = np.random.default_rng(8).uniform(0.0, 1.5, (3, op.size))
+        got = factor.solve_scaled(factor.s * rows)
+        assert got.shape == rows.shape
+        for row, one in zip(rows, got):
+            assert np.array_equal(one, factor.solve_scaled(factor.s * row))
+            assert np.array_equal(one / factor.s, factor(row))
+
     def test_negative_definite_raises(self):
         _, traits, grid = make([1.0, 2.0, 0.5], [2.0, 0.7])
         op = assemble_diffusion(grid, traits)
