@@ -28,6 +28,10 @@ pair (resident p = 3, mutant p = 2.5, capacity ratio 2).  The layers:
   (``rows_1``, ``rows_2``; M = 2 is the order-preservation harness's stack),
   timed over 100 consecutive steps from the default initial data and
   divided by 100;
+- ``first_step``: the first ``Stepper.step`` of a fresh stepper at the same
+  three sizes, from the default initial data: the lazy LDLᵀ factorisation of
+  ``I - dt A`` per species (its similarity and coefficients included) and
+  one step; the stepper is built outside the timed call;
 - ``simulate_rows``: ``simulate`` to a verdict on each of the six table rows,
   ``configs/{above,below}_{resident_wins,mutant_wins,coexistence}.json``
   (201 reduced DOFs, default dt), with the verdict, the steps taken and the
@@ -171,8 +175,20 @@ def steady_stack(repeats: int) -> dict:
     return out
 
 
+def first_step_ms(grid, start, repeats: int) -> float:
+    """Median first ``step`` of a fresh stepper, built before the clock
+    starts, after one untimed warm-up."""
+    times = []
+    for _ in range(repeats + 1):
+        stepper = Stepper(LAND, ENV, RESIDENT, MUTANT, grid)
+        t0 = perf_counter()
+        stepper.step(*start)
+        times.append(perf_counter() - t0)
+    return 1e3 * statistics.median(times[1:])
+
+
 def fine_layers(repeats: int) -> dict:
-    out = {"oracle": {}, "step": {}}
+    out = {"oracle": {}, "step": {}, "first_step": {}}
     for per_patch in FINE_PER_PATCH:
         grid = pc.build_grid(LAND, per_patch=per_patch)
         dofs = str(grid.num_reduced)
@@ -193,6 +209,7 @@ def fine_layers(repeats: int) -> dict:
 
             row[f"rows_{m}"] = median_ms(march, repeats) / STEPS_PER_REPEAT
         out["step"][dofs] = row
+        out["first_step"][dofs] = first_step_ms(grid, (u0, v0), repeats)
     return out
 
 

@@ -5,10 +5,12 @@ computed on the reduced DOFs in coefficient form, ``w (a - b w - c x)`` for
 species ``w`` against its competitor ``x``, the eliminated right traces folded
 into the trace DOFs' coefficients once per stepper.  Diffusion is implicit:
 ``I - dt A`` is symmetric positive definite in the operator's weighted inner
-product, so it is LDLᵀ-factored once per species on its symmetric similarity,
+product, so it is LDLᵀ-factored once per species by the package's one LDLᵀ
+(``operators.factor_symmetrized``, on the similarity its couplings give),
 and the coefficients take in ``dt`` and that similarity.  A step maps
 ``(N,)`` states, or ``(M, N)`` stacks of rows, with one expression and one
-O(N) symmetric tridiagonal solve (one pttrs call for all rows) per species.
+O(N) symmetric tridiagonal solve (one pttrs call for all rows) per species;
+the steady residuals use the package's one matrix-vector product.
 The induced step map is monotone for the order "first species up, second
 species down", which is what the order-preservation harness checks, and it
 leaves the jump-consistent bounding boxes invariant.
@@ -29,7 +31,9 @@ from .operators import (
     assemble_diffusion,
     consistent_constant,
     env_on_dofs,
+    factor_symmetrized,
     restrict_values,
+    symmetrizing_similarity,
 )
 from .steady import SteadyConfig, solve_resident_steady_states
 
@@ -79,7 +83,8 @@ class Stepper:
 
     On the first step (a stepper that only evaluates residuals factors
     nothing) ``I - dt A`` is LDLᵀ-factored once per species in its
-    symmetrized form ``S (I - dt A) S⁻¹``, ``S = diag(s)``, ``s = sqrt(weights)``,
+    symmetrized form ``S (I - dt A) S⁻¹``, ``S = diag(s)`` the operator's
+    ``symmetrizing_similarity`` (``s`` is proportional to ``sqrt(weights)``),
     and the coefficients take in ``dt`` and ``s``: the step's right-hand side
     ``S (w + dt f)`` is then ``w (sa - sb w - sc x)``, one expression per
     species, and one pttrs call per species solves it for every row.
@@ -127,14 +132,15 @@ class Stepper:
 
     @cached_property
     def _plan(self):
-        """Per species ``(sa, sb, sc, factor)``: the coefficients times ``s``
-        (``sa`` with the identity), ``sb`` and ``sc`` times ``dt`` too, and the
-        LDLᵀ factor of ``I - dt A``."""
+        """Per species ``(sa, sb, sc, s, solve)``: the coefficients times ``s``
+        (``sa`` with the identity), ``sb`` and ``sc`` times ``dt`` too, ``s``,
+        and the LDLᵀ solve of ``S (I - dt A) S⁻¹``."""
         plan = []
         for op, (a, b, c) in zip((self.op_u, self.op_v), self._coefficients):
-            factor = op.factor_symmetric(1.0, -self.dt)
-            s_dt = factor.s * self.dt
-            plan.append((factor.s + s_dt * a, s_dt * b, s_dt * c, factor))
+            s, _, off = symmetrizing_similarity(op.lo, op.up)
+            s_dt = s * self.dt
+            plan.append((s + s_dt * a, s_dt * b, s_dt * c, s,
+                         factor_symmetrized(op.di, off, 1.0, self.dt)))
         return tuple(plan)
 
     def reaction(self, u_red: np.ndarray, v_red: np.ndarray):
@@ -155,23 +161,23 @@ class Stepper:
         returns the new states and the clipped negative mass (summed over the
         rows).  Each row is bit for bit its own single step.  A non-finite
         right-hand side raises ValueError."""
-        (sa_u, sb_u, sc_u, solve_u), (sa_v, sb_v, sc_v, solve_v) = self._plan
+        (sa_u, sb_u, sc_u, s_u, solve_u), (sa_v, sb_v, sc_v, s_v, solve_v) = self._plan
         rhs_u = _coefficient_form(u_red, v_red, sa_u, sb_u, sc_u)
         rhs_v = _coefficient_form(v_red, u_red, sa_v, sb_v, sc_v)
         clipped = 0.0
-        for rhs, solve in ((rhs_u, solve_u), (rhs_v, solve_v)):
+        for rhs, s in ((rhs_u, s_u), (rhs_v, s_v)):
             low = rhs.min()
             if not low >= 0:  # negative, or NaN
                 if not np.isfinite(low):
                     raise ValueError("time step right-hand side is not finite")
-                clipped -= float((np.minimum(rhs, 0.0) / solve.s).sum())
+                clipped -= float((np.minimum(rhs, 0.0) / s).sum())
                 np.maximum(rhs, 0.0, out=rhs)
             if not rhs.max() < np.inf:
                 raise ValueError("time step right-hand side is not finite")
-        u_new = solve_u.solve_scaled(rhs_u)
-        u_new /= solve_u.s
-        v_new = solve_v.solve_scaled(rhs_v)
-        v_new /= solve_v.s
+        u_new = solve_u(rhs_u)
+        u_new /= s_u
+        v_new = solve_v(rhs_v)
+        v_new /= s_v
         return u_new, v_new, clipped
 
     def steady_residuals(self, u_red: np.ndarray, v_red: np.ndarray) -> tuple[float, float]:

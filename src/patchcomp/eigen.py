@@ -13,19 +13,20 @@ always are; an operator without them is rejected.  Positive couplings also
 make ``A`` diagonally similar to a symmetric tridiagonal ``S A S⁻¹``
 (``operators.symmetrizing_similarity``), and above the spectrum
 ``sigma I - S A S⁻¹`` is positive definite (B. Parlett, *The Symmetric
-Eigenvalue Problem*, ch. 7).  So every shifted solve is one LDLᵀ
-factorisation and solve (LAPACK pttrf/pttrs) of that matrix, and the
-Rayleigh quotient is weighted by ``s²``, for operators symmetric in their
-weights or not alike.
+Eigenvalue Problem*, ch. 7).  So every shifted solve is one factorisation
+and solve of that matrix by the package's one LDLᵀ
+(``operators.factor_symmetrized``), and the Rayleigh quotient is weighted by
+``s²``, for operators symmetric in their weights or not alike.
 
 The iteration runs on a stack of M same-size operators at once, held as
-(M, N) bands.  Laid end to end they form one block-diagonal tridiagonal
-matrix (a zero off-diagonal parts the last row of a block from the first
-of the next), so one LAPACK factorisation and solve per pass serve every
-block, and each block's arithmetic is bit for bit that of its operator on
-its own.  Every block keeps its own shift, stop test and iteration count,
-and drops out of the stack once it stops.  A single operator is the stack
-of one.
+(M, N) bands in the stack convention of ``operators``: laid end to end they
+form one block-diagonal tridiagonal matrix (zero corners part the last row
+of a block from the first of the next; ``principal_eigenpairs`` zeroes those
+of operators built by hand), so one matrix-vector product, one LDLᵀ
+factorisation and one solve per pass serve every block, and each block's
+arithmetic is bit for bit that of its operator on its own.  Every block
+keeps its own shift, stop test and iteration count, and drops out of the
+stack once it stops.  A single operator is the stack of one.
 
 ``ResidentContext`` is the one route from residents to invasion fitness: it
 holds a stack of residents, solves their steady states in one stacked
@@ -46,7 +47,6 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import EigenSolveError, ValidationError
 from .grid import Grid, PiecewiseField
@@ -58,6 +58,7 @@ from .operators import (
     assemble_diffusion,
     diffusion_bands,
     env_on_dofs,
+    factor_symmetrized,
     symmetrizing_similarity,
     tridiagonal_matvec,
 )
@@ -128,13 +129,11 @@ def _noda(lo, di, up, s, weights, off, scale, x, tol, max_iters):
     margin = 8.0 * _EPS * scale
     # max(tol * max(1, |theta|), 5e-15 * scale) is max(tol * |theta|, least)
     least = np.maximum(tol, 5e-15 * scale)
-    coupling = -off  # the off-diagonal of sigma I - S A S⁻¹
     rows = np.arange(len(di))
     out = None  # (theta, x, residual, iterations) of every block, once one stops
     iterations = 0
     while True:
-        # the stack laid end to end: its bands' corners are zero
-        ax = tridiagonal_matvec(lo.ravel(), di.ravel(), up.ravel(), x.ravel()).reshape(x.shape)
+        ax = tridiagonal_matvec(lo, di, up, x)
         wx = weights * x
         # one BLAS dot per block, as for that operator alone
         theta = np.vecdot(wx, ax) / np.vecdot(wx, x)
@@ -159,8 +158,8 @@ def _noda(lo, di, up, s, weights, off, scale, x, tol, max_iters):
                 return out
             # freeze the stopped blocks: drop them from the stack
             going = ~done
-            rows, lo, di, up, s, coupling, weights, x, ax, margin, least = (
-                a[going] for a in (rows, lo, di, up, s, coupling, weights, x, ax, margin, least)
+            rows, lo, di, up, s, off, weights, x, ax, margin, least = (
+                a[going] for a in (rows, lo, di, up, s, off, weights, x, ax, margin, least)
             )
         if iterations == max_iters:
             raise EigenSolveError(
@@ -170,16 +169,14 @@ def _noda(lo, di, up, s, weights, off, scale, x, tol, max_iters):
         sigma = (ax / x).max(axis=1) + margin
         # sigma I - A is similar to sigma I - S A S⁻¹, positive definite
         # above the spectrum: one LDLᵀ factorisation and solve for the stack
-        d, e, info = dpttrf(
-            (sigma[:, None] - di).ravel(), coupling.ravel()[:-1], overwrite_d=1
-        )
-        if info > 0:
+        try:
+            solve = factor_symmetrized(di, off, sigma[:, None])
+        except np.linalg.LinAlgError:
             raise EigenSolveError(
                 "shifted operator is not positive definite; the principal "
                 "eigenpair is not isolated at this resolution; refine grid"
-            )
-        x, _ = dpttrs(d, e, (s * x).ravel(), overwrite_b=1)
-        x = x.reshape(s.shape)
+            ) from None
+        x = solve(s * x)
         x /= s
         iterations += 1
         # sigma I - A is an M-matrix, so a solve from a positive iterate
@@ -192,11 +189,11 @@ def _noda(lo, di, up, s, weights, off, scale, x, tol, max_iters):
 
 
 def _stacked_solve(lo, di, up, start, tol: float, max_iters: int):
-    """Noda's iteration on the (M, N) stack, ``_STACK_DOFS`` at a time, after
-    the checks every block must pass: finite bands, positive couplings and a
-    finite symmetrizing similarity.  Returns per block the eigenvalue, the
-    reduced max-normalized eigenvector, the residual and the number of
-    solves."""
+    """Noda's iteration on the (M, N) stack (zero corners), ``_STACK_DOFS``
+    at a time, after the checks every block must pass: finite bands,
+    positive couplings and a finite symmetrizing similarity.  Returns per
+    block the eigenvalue, the reduced max-normalized eigenvector, the
+    residual and the number of solves."""
     scale = np.maximum(1.0, np.max([np.abs(band).max(axis=1) for band in (di, up, lo)], axis=0))
     # NaN or inf in a band makes its block's scale non-finite
     if not np.isfinite(scale.max()):
@@ -206,18 +203,10 @@ def _stacked_solve(lo, di, up, start, tol: float, max_iters: int):
             "operator couplings are not all positive, so the principal "
             "eigenpair is not certified; refine grid"
         )
-    with np.errstate(over="ignore"):  # checked below
-        s, off = symmetrizing_similarity(lo, up)
-        weights = s * s
-    if not (np.isfinite(weights.max()) and weights.min() > 0):
-        raise EigenSolveError(
-            "operator couplings are too far from symmetric for a symmetric "
-            "similarity in floating point"
-        )
-    # zero the entries outside each matrix, so that the stack's matrix-vector
-    # product can run on the blocks laid end to end
-    lo, up = lo.copy(), up.copy()
-    lo[:, 0] = up[:, -1] = 0.0
+    try:
+        s, weights, off = symmetrizing_similarity(lo, up)
+    except ValueError as err:
+        raise EigenSolveError(str(err)) from None
     step = max(1, _STACK_DOFS // di.shape[1])
     if len(di) <= step:
         return _noda(lo, di, up, s, weights, off, scale, start, tol, max_iters)
@@ -257,10 +246,13 @@ def principal_eigenpairs(
     if any(op.grid != grid for op in ops):
         raise ValidationError("stacked operators must share one grid")
     layout = SpeciesLayout(grid, [op.traits for op in ops])
-    return _eigenpairs(layout, *_stacked_solve(
-        *(np.array([getattr(op, band) for op in ops]) for band in _BANDS),
-        _start_vectors(layout), tol, max_iters,
-    ))
+    lo, di, up = (np.array([getattr(op, band) for op in ops]) for band in _BANDS)
+    # the entries outside each matrix are zeroed once, here, where operators
+    # built by hand enter: the stack is then one block-diagonal matrix
+    lo[:, 0] = up[:, -1] = 0.0
+    return _eigenpairs(
+        layout, *_stacked_solve(lo, di, up, _start_vectors(layout), tol, max_iters)
+    )
 
 
 def principal_eigenpair(

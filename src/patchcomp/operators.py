@@ -17,6 +17,20 @@ difference corrected through the equation itself, which keeps it second order
 and makes the whole matrix exactly symmetric under the weighted inner product
 whose weights are the layout's (the per-patch reciprocal jump products times
 the local quadrature weight).
+
+Every solver reaches its tridiagonal operators through one convention, owned
+here: bands ``lo``/``di``/``up`` of shape ``(N,)`` for one operator, or
+``(M, N)`` for a stack of M, whose unused corners (``lo[..., 0]`` and
+``up[..., -1]``) are zero, so that the stack laid end to end is one
+block-diagonal tridiagonal matrix (``diffusion_bands`` assembles them so).
+Three operations on it serve the package: ``tridiagonal_matvec``, the
+product; ``factor_blocks``, the one LU (LAPACK gttrf/gttrs), for damped
+Newton, its fallback march and ``solve_shifted``; and ``factor_symmetrized``,
+the one LDLᵀ (pttrf/pttrs) of ``alpha - beta S A S⁻¹`` on the
+``symmetrizing_similarity`` of the couplings, for Noda's shifted solves and
+the IMEX step.  The zero corners keep the blocks apart: each block's
+arithmetic is bit for bit that of its operator on its own, and the solves
+take M right-hand-side rows of one operator as M single solves.
 """
 
 from __future__ import annotations
@@ -75,115 +89,103 @@ def consistent_constant(grid: Grid, traits: SpeciesTraits, amplitude: float = 1.
 
 
 def tridiagonal_matvec(lo, di, up, x: np.ndarray) -> np.ndarray:
-    """``A x`` for bands ``lo``/``di``/``up`` of shape ``(N,)``, or ``(M, N)``
-    for M operators applied row by row (``lo[..., 0]``, ``up[..., -1]`` unused)."""
-    y = di * x
-    y[..., :-1] += up[..., :-1] * x[..., 1:]
-    y[..., 1:] += lo[..., 1:] * x[..., :-1]
-    return y
+    """``A x`` for a stack in the one convention (see the module docstring):
+    bands and ``x`` of shape ``(N,)``, or ``(M, N)`` for M operators applied
+    row by row, computed on the stack laid end to end (so a non-finite entry
+    of ``x`` reaches the next block through its zero corner, as in the
+    solves)."""
+    xs = x.reshape(-1)
+    y = di.reshape(-1) * xs
+    y[:-1] += up.reshape(-1)[:-1] * xs[1:]
+    y[1:] += lo.reshape(-1)[1:] * xs[:-1]
+    return y.reshape(x.shape)
 
 
-def symmetrizing_similarity(lo: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonal similarity that makes tridiagonal operators with positive
-    couplings symmetric, for ``(M, N)`` bands block by block (or ``(N,)``).
+def _columns(rhs: np.ndarray, size: int) -> np.ndarray:
+    """``rhs`` as LAPACK right-hand-side columns of length ``size``: a stack
+    laid end to end is one column, M rows of one operator are M columns (the
+    C-order rows are the Fortran-order columns of the transpose, no copy)."""
+    return rhs.reshape(-1, size).T
 
-    Returns ``s`` with ``s[0] = 1`` and ``s[i+1] = s[i] sqrt(up[i] / lo[i+1])``,
-    so that ``diag(s) A diag(s)⁻¹`` is symmetric, and that matrix's
-    off-diagonal ``sqrt(lo[i+1] up[i])`` with a 0 in each block's last
-    column.  Laid end to end, ``off.ravel()[:-1]`` is the off-diagonal of
-    the stack's block-diagonal matrix: the zeros keep the blocks apart in an
-    LDLᵀ factorisation, so each block's factor and solve are bit for bit its
-    own.  ``s`` overflows (or underflows) when the couplings are far from
-    symmetric over many rows; callers check it.  For an operator symmetric
-    in its weights, ``s²`` is proportional to the weights.
+
+def factor_blocks(lo: np.ndarray, di: np.ndarray, up: np.ndarray):
+    """LU-factor the stack's block-diagonal matrix once (LAPACK gttrf) and
+    return the O(N) solve ``rhs -> x`` (gttrs), which keeps the shape of
+    ``rhs``.  ``rhs`` is the stack's ``(M, N)`` rows (or ``(N,)`` for one
+    operator), each block solved bit for bit as on its own, or M rows of a
+    single operator, each solved as its own solve.  Neither the bands nor the
+    right-hand side are checked: callers pass finite ones.  A singular
+    matrix raises LinAlgError.
     """
-    s = np.ones(lo.shape)
-    s[..., 1:] = np.cumprod(np.sqrt(up[..., :-1] / lo[..., 1:]), axis=-1)
-    off = np.zeros(lo.shape)
-    off[..., :-1] = np.sqrt(lo[..., 1:] * up[..., :-1])
-    return s, off
-
-
-def factor_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray):
-    """LU-factor the tridiagonal matrix with sub-, main and super-diagonals
-    ``dl``, ``d``, ``du`` once (LAPACK gttrf); return the O(N) solve
-    ``rhs -> x`` (gttrs), which keeps the shape of ``rhs`` and flattens it
-    row-major.  Neither the bands nor the right-hand side are checked:
-    callers pass finite ones.
-
-    A zero in ``dl`` and ``du`` between rows k-1 and k splits the matrix into
-    independent blocks, and each block's factor and solve are bit for bit
-    those of the block on its own: the elimination never crosses the zero.
-    A singular matrix raises LinAlgError.
-    """
-    dl, d, du, du2, ipiv, info = dgttrf(dl, d, du)
+    dl, d, du, du2, ipiv, info = dgttrf(lo.ravel()[1:], di.ravel(), up.ravel()[:-1])
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        x, _ = dgttrs(dl, d, du, du2, ipiv, rhs.ravel())
-        return x.reshape(rhs.shape)
+        x, _ = dgttrs(dl, d, du, du2, ipiv, _columns(rhs, d.size))
+        return x.T.reshape(rhs.shape)
 
     return solve
 
 
-def block_off_diagonals(lo: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sub- and super-diagonal of the block-diagonal matrix that lays a stack
-    of ``(M, N)`` bands (or one operator's ``(N,)`` bands) end to end, with
-    zeros between blocks to keep them apart in a factorisation.  For one
-    block they are views of the bands."""
-    size = lo.shape[-1]
-    dl, du = lo.ravel()[1:], up.ravel()[:-1]
-    if lo.size == size:  # one block: views of the bands
-        return dl, du
-    dl, du = dl.copy(), du.copy()
-    dl[size - 1 :: size] = du[size - 1 :: size] = 0.0
-    return dl, du
+def symmetrizing_similarity(lo: np.ndarray, up: np.ndarray):
+    """The diagonal similarity ``S = diag(s)`` that makes a stack with
+    positive couplings symmetric, block by block: ``(s, s², off)``.
 
-
-def factor_blocks(lo: np.ndarray, di: np.ndarray, up: np.ndarray):
-    """``factor_tridiagonal`` of the stack's block-diagonal matrix; the solve
-    maps an ``(M, N)`` right-hand side (or ``(N,)`` for one operator) block
-    by block, each bit for bit as that block's own."""
-    dl, du = block_off_diagonals(lo, up)
-    return factor_tridiagonal(dl, di.ravel(), du)
-
-
-class SymmetricFactor:
-    """The LDLᵀ factor ``d``, ``e`` of ``S B S⁻¹`` for a tridiagonal ``B``
-    symmetric in the weights ``s²`` (``LinearOperator.factor_symmetric``),
-    ``S = diag(s)``.
-
-    Called on a right-hand side it solves ``B x = rhs`` (a non-finite
-    ``rhs`` raises ValueError).  ``solve_scaled`` is the bare solve of
-    ``S B S⁻¹ y = b`` for a ``b`` already scaled by ``s``: one pttrs call
-    for ``(N,)`` or ``(M, N)`` rows, each row solved bit for bit as on its
-    own (the C-order rows are the Fortran-order columns of their transpose).
+    ``s[0] = 1`` and ``s[i+1] = s[i] sqrt(up[i] / lo[i+1])`` in each block,
+    so ``S A S⁻¹`` is symmetric with off-diagonal ``off``,
+    ``sqrt(lo[i+1] up[i])`` and a 0 in each block's last column; for an
+    operator symmetric in its weights ``s²`` is proportional to them.  When
+    the couplings are far from symmetric over many rows ``s²`` leaves the
+    floating-point range, which raises ValueError.
     """
+    s = np.ones(lo.shape)
+    with np.errstate(over="ignore"):  # checked below
+        s[..., 1:] = np.cumprod(np.sqrt(up[..., :-1] / lo[..., 1:]), axis=-1)
+        weights = s * s
+    if not (np.isfinite(weights.max()) and weights.min() > 0):
+        raise ValueError(
+            "operator couplings are too far from symmetric for a symmetric "
+            "similarity in floating point"
+        )
+    off = np.zeros(lo.shape)
+    off[..., :-1] = np.sqrt(lo[..., 1:] * up[..., :-1])
+    return s, weights, off
 
-    __slots__ = ("s", "d", "e")
 
-    def __init__(self, s: np.ndarray, d: np.ndarray, e: np.ndarray):
-        self.s, self.d, self.e = s, d, e
+def factor_symmetrized(di: np.ndarray, off: np.ndarray, alpha, beta: float = 1.0):
+    """LDLᵀ-factor ``alpha - beta S A S⁻¹`` once (LAPACK pttrf), from the
+    stack's main diagonal ``di`` and the ``off`` of its
+    ``symmetrizing_similarity``; ``alpha`` is a scalar, a diagonal, or one
+    value per block (an ``(M, 1)`` column).  Returns the solve ``b -> y``
+    of ``(alpha - beta S A S⁻¹) y = b`` (pttrs) for a ``b`` already scaled
+    by ``s``, shaped as ``factor_blocks`` takes it; ``b`` is unchecked and,
+    when C-contiguous, overwritten (``y`` is then ``b``).
 
-    def __call__(self, rhs: np.ndarray) -> np.ndarray:
-        y = self.solve_scaled(self.s * np.asarray_chkfinite(rhs, dtype=float))
-        y /= self.s
-        return y
+    A non-finite ``alpha`` or ``beta`` raises ValueError, a matrix that is
+    not positive definite LinAlgError.
+    """
+    if not (np.isfinite(alpha).all() and np.isfinite(beta)):
+        raise ValueError("shift must be finite")
+    d, e, info = dpttrf(
+        (alpha - beta * di).ravel(), (-beta * off).ravel()[:-1], overwrite_d=1, overwrite_e=1
+    )
+    if info > 0:
+        raise np.linalg.LinAlgError("matrix is not positive definite")
 
-    def solve_scaled(self, b: np.ndarray) -> np.ndarray:
-        """``y`` with ``S B S⁻¹ y = b``, row by row; ``b`` is unchecked and,
-        when C-contiguous, overwritten (``y`` is then ``b``)."""
-        y, _ = dpttrs(self.d, self.e, b.T, overwrite_b=1)
-        return y.T
+    def solve(b: np.ndarray) -> np.ndarray:
+        y, _ = dpttrs(d, e, _columns(b, d.size), overwrite_b=1)
+        return y.T.reshape(b.shape)
+
+    return solve
 
 
 @dataclass
 class LinearOperator:
     """Tridiagonal operator over reduced DOFs plus its symmetrization weights.
 
-    The bands are checked to be finite once, here, so the factorisations
-    below check only what they are given per call.
+    The bands are checked to be finite once, here, so the solves on them
+    check only what they are given per call.
     """
 
     grid: Grid
@@ -218,40 +220,11 @@ class LinearOperator:
         ab[2, :-1] = self.lo[1:]
         return ab
 
-    def factor_shifted(self, alpha, beta: float = 1.0):
-        """LU-factor ``diag(alpha) + beta * A`` once (LAPACK gttrf); return the
-        O(N) solve ``rhs -> x`` (gttrs).  ``alpha`` is a scalar or a diagonal.
-
-        A non-finite ``alpha`` or right-hand side raises ValueError, a
-        singular matrix LinAlgError.
-        """
-        alpha = np.asarray_chkfinite(alpha, dtype=float)
-        solve = factor_tridiagonal(
-            beta * self.lo[1:], alpha + beta * self.di, beta * self.up[:-1]
-        )
-        return lambda rhs: solve(np.asarray_chkfinite(rhs, dtype=float))
-
-    def factor_symmetric(self, alpha, beta: float = 1.0) -> SymmetricFactor:
-        """As ``factor_shifted``, by LDLᵀ (LAPACK pttrf/pttrs), for A symmetric
-        in its weights and ``diag(alpha) + beta * A`` positive definite.
-
-        The factor is of ``S (alpha + beta A) S⁻¹``, ``S = diag(sqrt(weights))``,
-        whose off-diagonal is that of ``symmetrized_bands`` (rows scaled by the
-        weights instead lose accuracy).  An asymmetric A or non-finite input
-        raises ValueError, a matrix that is not positive definite LinAlgError.
-        """
-        if self.symmetry_defect() > 1e-10:
-            raise ValueError("operator is not symmetric in its weights")
-        _, off = self.symmetrized_bands()
-        alpha = np.asarray_chkfinite(alpha, dtype=float)
-        d, e, info = dpttrf(alpha + beta * self.di, beta * off)
-        if info > 0:
-            raise np.linalg.LinAlgError("matrix is not positive definite")
-        return SymmetricFactor(np.sqrt(self.weights), d, e)
-
     def solve_shifted(self, sigma: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (sigma * I - A) x = rhs."""
-        return self.factor_shifted(sigma, -1.0)(rhs)
+        """Solve (sigma * I - A) x = rhs by the one LU; a non-finite ``sigma``
+        or ``rhs`` raises ValueError."""
+        shifted = np.asarray_chkfinite(sigma, dtype=float) - self.di
+        return factor_blocks(-self.lo, shifted, -self.up)(np.asarray_chkfinite(rhs, dtype=float))
 
     def dense(self) -> np.ndarray:
         a = np.diag(self.di)
@@ -294,7 +267,8 @@ def diffusion_bands(
     """The layout and the ``assemble_diffusion`` bands (lo, di, up) of one
     species, ``(N,)`` each, or of a stack of them, ``(M, N)``, assembled at
     once; ``traits`` is one ``SpeciesTraits`` or a sequence, as for
-    ``SpeciesLayout``.  Each row is bit for bit its species' operator."""
+    ``SpeciesLayout``.  Each row is bit for bit its species' operator, and
+    the unused corners are zero, as the stack convention wants."""
     layout = SpeciesLayout(grid, traits)
     if isinstance(traits, SpeciesTraits):
         d = traits.d_array
@@ -407,7 +381,7 @@ class SpeciesLayout:
 
     def right_values(self, reduced: np.ndarray) -> np.ndarray:
         """The eliminated right traces of a reduced vector, ``p * (left trace)``."""
-        return (self.p.T * reduced.T[self.trace]).T
+        return self.p * reduced.take(self.trace, axis=-1)
 
     def expand(self, reduced: np.ndarray) -> np.ndarray:
         """The full-DOF vector of a reduced one (right traces filled in)."""
@@ -419,7 +393,7 @@ class SpeciesLayout:
     def _restrict(self, full_values: np.ndarray, trace_factor: np.ndarray) -> np.ndarray:
         num = self.mass * full_values
         red = num.take(self.kept, axis=-1)
-        red.T[self.trace] += trace_factor.T * num.T[self.right]
+        red.T[self.trace] += (trace_factor * num.take(self.right, axis=-1)).T
         return red / self.weights
 
     def restrict_avg(self, full_values: np.ndarray) -> np.ndarray:

@@ -68,12 +68,12 @@ def damped_newton(residual, u0, floor: float, cap: float, row_scale, config: Ste
     iterate ``u0`` of shape (N,) or on a stack of R independent ones, (R, N).
 
     ``residual(u, rows)`` returns ``F(u)`` and the Jacobian's (lo, di, up)
-    bands in the operator convention (each shaped as ``u``; ``lo[..., 0]``
-    and ``up[..., -1]`` are unused) for the blocks ``rows`` of the stack, whose
-    iterates ``u`` holds: ``rows`` is None while every block goes on, and the
-    index array of the blocks still going once some have stopped.  The going
-    blocks' Jacobians are factored together (``factor_blocks``), each bit for
-    bit as on its own.
+    bands in the stack convention of ``operators`` (each shaped as ``u``,
+    ``lo[..., 0]`` and ``up[..., -1]`` zero) for the blocks ``rows`` of the
+    stack, whose iterates ``u`` holds: ``rows`` is None while every block
+    goes on, and the index array of the blocks still going once some have
+    stopped.  The going blocks' Jacobians are factored together
+    (``factor_blocks``), each bit for bit as on its own.
 
     Every block keeps its own stop, step and stall.  Iterates are clipped
     below at ``floor``.  The stop is ``max|F| <= newton_tol + noise``, where

@@ -6,7 +6,8 @@ one with continuous density and flux and piecewise-constant coefficients.
 This module implements the rescaling both ways and a finite-volume steady
 solver on the rescaled problem, used as an independent oracle for the direct
 jump-aware route.  Only the discretization is its own: the Newton loop is
-``steady.damped_newton``, the one the direct route uses.
+``steady.damped_newton`` and the product ``operators.tridiagonal_matvec``,
+the ones the direct route uses.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from .errors import SteadyConvergenceError, ValidationError
 from .grid import Grid, PiecewiseField
 from .landscape import Landscape, PatchEnvironment, SpeciesTraits
+from .operators import tridiagonal_matvec
 from .steady import SteadyConfig, damped_newton
 
 # tighter than the direct route's default: the oracle is compared against it
@@ -170,9 +172,8 @@ def solve_transformed_steady(
 
     def residual(wv, rows):  # one iterate, so ``rows`` is always None
         react, (jlo, jdi, jup) = _fv_reaction(problem, grid, wv, vol, h)
-        y = di * wv + react
-        y[:-1] += up[:-1] * wv[1:]
-        y[1:] += lo[1:] * wv[:-1]
+        y = tridiagonal_matvec(lo, di, up, wv)
+        y += react
         return y, (lo + jlo, di + jdi, up + jup)
 
     row_scale = float((np.abs(di) + np.abs(lo) + np.abs(up)).max())

@@ -482,6 +482,17 @@ class TestCrossValidate:
         assert report.status == "match"
         assert report.ok
 
+    def test_undetermined_simulation_is_not_ok(self, unit_two_patch):
+        # the matching exclusion row, stopped long before it settles
+        land, env = unit_two_patch
+        grid = pc.build_grid(land, per_patch=50)
+        resident = pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([1.3]))
+        mutant = pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([0.7]))
+        report = pc.cross_validate(land, env, resident, mutant, grid, pc.SimConfig(t_max=1.0))
+        assert report.simulated_verdict == "Undetermined"
+        assert report.status == "inconclusive"
+        assert not report.ok
+
     def test_outside_theory_skipped(self, unit_two_patch):
         land, env = unit_two_patch
         grid = pc.build_grid(land, per_patch=30)

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import patchcomp as pc
+import patchcomp.dynamics
+import patchcomp.steady
 from patchcomp.dynamics import (
     SimConfig,
     Stepper,
@@ -12,11 +14,11 @@ from patchcomp.dynamics import (
     pair_steady_residual,
 )
 from patchcomp.operators import (
-    LinearOperator,
     consistent_constant,
     expand_reduced,
     restrict_cell_average,
     restrict_values,
+    symmetrizing_similarity,
 )
 
 
@@ -184,7 +186,8 @@ class TestCoefficientStep:
 
     def test_infinite_rhs_from_finite_state_raises(self, competition_pair):
         # in patch 2, off the traces, v's similarity scale s is sqrt(2) times
-        # u's (p = 1.5 vs 3).  With u = -1.05 x and v = x there, v's scaled
+        # u's (p = 1.5 vs 3; s is proportional to sqrt(weights) and s[0] = 1
+        # for both species).  With u = -1.05 x and v = x there, v's scaled
         # right-hand side is about 0.05 s_v dt (r / k) x² = 2e308, +inf, while
         # u's is about -1.05 / sqrt(2) of that and finite: no entry is NaN or
         # -inf, so only the test on the maximum sees it
@@ -192,7 +195,8 @@ class TestCoefficientStep:
         u = np.full(grid.num_reduced, 0.5)
         v = np.full(grid.num_reduced, 0.5)
         i = grid.num_reduced - 10
-        x = 1e154 * np.sqrt(2.0 / (0.05 * np.sqrt(stepper.op_v.weights[i]) * stepper.dt * 0.5))
+        s_v = symmetrizing_similarity(stepper.op_v.lo, stepper.op_v.up)[0][i]
+        x = 1e154 * np.sqrt(2.0 / (0.05 * s_v * stepper.dt * 0.5))
         u[i], v[i] = -1.05 * x, x
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
             stepper.step(u, v)
@@ -200,20 +204,20 @@ class TestCoefficientStep:
     def test_factors_once_on_first_step(self, competition_pair, monkeypatch):
         *_, grid, stepper = competition_pair
         calls = []
-        factor = LinearOperator.factor_symmetric
+        factor = patchcomp.dynamics.factor_symmetrized
 
-        def counted(op, *args):
-            calls.append(op)
-            return factor(op, *args)
+        def counted(di, *args):
+            calls.append(di)
+            return factor(di, *args)
 
-        monkeypatch.setattr(LinearOperator, "factor_symmetric", counted)
+        monkeypatch.setattr(patchcomp.dynamics, "factor_symmetrized", counted)
         u, v = default_initial(grid, stepper.env)
         stepper.reaction(u, v)
         stepper.steady_residuals(u, v)
         assert calls == []
         for _ in range(3):
             u, v, _ = stepper.step(u, v)
-        assert [id(op) for op in calls] == [id(stepper.op_u), id(stepper.op_v)]
+        assert [id(di) for di in calls] == [id(stepper.op_u.di), id(stepper.op_v.di)]
 
 
 class TestReducedReaction:
@@ -478,7 +482,7 @@ class TestPairSteadyResidual:
         def no_factoring(*args):
             raise AssertionError("the residual must not factor anything")
 
-        monkeypatch.setattr(LinearOperator, "factor_symmetric", no_factoring)
-        monkeypatch.setattr(LinearOperator, "factor_shifted", no_factoring)
+        monkeypatch.setattr(patchcomp.dynamics, "factor_symmetrized", no_factoring)
+        monkeypatch.setattr(patchcomp.steady, "factor_blocks", no_factoring)
         got = [pair_steady_residual(land, env, resident, mutant, grid, u, v) for u, v in states]
         assert got == want

@@ -422,7 +422,8 @@ class TestStackedNoda:
         op = assemble_linearization(grid, traits, 0.3)
         setattr(op, band, getattr(op, band) * 10.0)
         calls = []
-        monkeypatch.setattr(patchcomp.eigen, "dpttrf", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(patchcomp.eigen, "factor_symmetrized",
+                            lambda *a, **kw: calls.append(a))
         with pytest.raises(pc.EigenSolveError, match="symmetric"):
             pc.principal_eigenpairs([assemble_linearization(grid, traits, 0.1), op])
         assert calls == []
@@ -446,7 +447,8 @@ class TestStackedNoda:
             LinearOperator(grid, mutant, op.lo, poisoned, op.up, op.weights)
 
         calls = []
-        monkeypatch.setattr(patchcomp.eigen, "dpttrf", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(patchcomp.eigen, "factor_symmetrized",
+                            lambda *a, **kw: calls.append(a))
         ops = [assemble_linearization(grid, t, 0.2) for t in (resident, mutant, resident)]
         ops[2].di = poisoned  # set after construction, so only the stack sees it
         with pytest.raises(ValueError, match="finite"):
@@ -534,13 +536,13 @@ class TestStackedNoda:
         grid = pc.build_grid(land, per_patch=40)
         monkeypatch.setattr(patchcomp.eigen, "_STACK_DOFS", 2 * grid.num_reduced)
         sizes = []
-        factor = patchcomp.eigen.dpttrf
+        factor = patchcomp.eigen.factor_symmetrized
 
-        def recording(d, e, **kwargs):
-            sizes.append(d.size // grid.num_reduced)
-            return factor(d, e, **kwargs)
+        def recording(di, *args):
+            sizes.append(di.size // grid.num_reduced)
+            return factor(di, *args)
 
-        monkeypatch.setattr(patchcomp.eigen, "dpttrf", recording)
+        monkeypatch.setattr(patchcomp.eigen, "factor_symmetrized", recording)
         mutants = [
             pc.SpeciesTraits([0.6, 1.1], pc.StrategyVector([p])) for p in (1.2, 1.9, 2.6, 3.3, 4.0)
         ]

@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 import patchcomp as pc
 from patchcomp.operators import (
     SpeciesLayout,
     assemble_diffusion,
     consistent_constant,
+    diffusion_bands,
     expand_reduced,
+    factor_blocks,
+    factor_symmetrized,
     restrict_cell_average,
     restrict_diagonal,
     restrict_values,
+    symmetrizing_similarity,
+    tridiagonal_matvec,
 )
 from patchcomp.transform import push_forward, shared_node_offsets, to_transformed, _fv_operator
 
@@ -79,6 +85,18 @@ def reference_trace_fractions(grid, traits):
     left = mass[grid.kept_indices()[trace]] / w
     p2 = np.array([v**2 for v in traits.p_array])
     return left, p2 * mass[grid.right_trace_indices()] / w
+
+
+def reference_factor_shifted(op, alpha, beta: float = 1.0):
+    """LU-factor ``diag(alpha) + beta * A`` of one operator (LAPACK gttrf) and
+    return its O(N) solve (gttrs), checking ``alpha`` and every right-hand
+    side for finite values: the shifted solve the steady references use,
+    written out apart from the package's stacked LU."""
+    alpha = np.asarray_chkfinite(alpha, dtype=float)
+    dl, d, du, du2, ipiv, info = dgttrf(beta * op.lo[1:], alpha + beta * op.di, beta * op.up[:-1])
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return lambda rhs: dgttrs(dl, d, du, du2, ipiv, np.asarray_chkfinite(rhs, dtype=float))[0]
 
 
 @st.composite
@@ -157,12 +175,15 @@ class TestSymmetryAndKernel:
 
 
 class TestFactorShifted:
+    # the package's one LU (``factor_blocks``) on shifted operators
     def test_no_flux_operator_is_singular(self):
         # the jump-consistent constants span the bare operator's kernel
         _, traits, grid = make([1.0, 1.0], [2.0])
         op = assemble_diffusion(grid, traits)
         with pytest.raises(np.linalg.LinAlgError):
-            op.factor_shifted(0.0)
+            factor_blocks(op.lo, op.di, op.up)
+        with pytest.raises(np.linalg.LinAlgError):
+            op.solve_shifted(0.0, np.ones(op.size))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_raises(self, bad):
@@ -171,12 +192,22 @@ class TestFactorShifted:
         poisoned = np.ones(op.size)
         poisoned[3] = bad
         with pytest.raises(ValueError):
-            op.factor_shifted(poisoned, -0.1)
+            op.solve_shifted(poisoned, np.ones(op.size))
         with pytest.raises(ValueError):
-            op.factor_shifted(1.0, -0.1)(poisoned)
+            op.solve_shifted(10.0, poisoned)
+
+
+def symmetric_solve(op, alpha, beta):
+    """The solve ``rhs -> (alpha - beta A)⁻¹ rhs`` by the package's one
+    LDLᵀ, on the similarity that the operator's couplings give."""
+    s, _, off = symmetrizing_similarity(op.lo, op.up)
+    solve = factor_symmetrized(op.di, off, alpha, beta)
+    return lambda rhs: solve(s * rhs) / s
 
 
 class TestFactorSymmetric:
+    # the package's one LDLᵀ (``factor_symmetrized`` on the
+    # ``symmetrizing_similarity`` of the couplings)
     @pytest.mark.parametrize("theta", [1.0, 0.5])  # IMEX Euler, Crank-Nicolson
     @pytest.mark.parametrize("per_patch", [100, 1300])  # 201 and 2,601 reduced DOFs
     def test_matches_dense_solve(self, theta, per_patch):
@@ -187,27 +218,29 @@ class TestFactorSymmetric:
         for p in (3.0, 1.5):
             op = assemble_diffusion(grid, pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([p])))
             rhs = rng.uniform(0.0, 1.5, op.size)
-            got = op.factor_symmetric(1.0, -theta * dt)(rhs)
+            got = symmetric_solve(op, 1.0, theta * dt)(rhs)
             ref = np.linalg.solve(np.eye(op.size) - theta * dt * op.dense(), rhs)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_scaled_solve_maps_rows_as_their_own_solves(self):
         _, traits, grid = make([1.0, 2.0, 0.5], [2.0, 0.7])
         op = assemble_diffusion(grid, traits)
-        factor = op.factor_symmetric(1.0, -0.1)
-        assert np.array_equal(factor.s, np.sqrt(op.weights))
+        s, _, off = symmetrizing_similarity(op.lo, op.up)
+        # for an operator symmetric in its weights, s² is proportional to them
+        ratio = s / np.sqrt(op.weights)
+        assert (ratio.max() - ratio.min()) / ratio.min() <= 4.0 * np.finfo(float).eps
+        solve = factor_symmetrized(op.di, off, 1.0, 0.1)
         rows = np.random.default_rng(8).uniform(0.0, 1.5, (3, op.size))
-        got = factor.solve_scaled(factor.s * rows)
+        got = solve(s * rows)
         assert got.shape == rows.shape
         for row, one in zip(rows, got):
-            assert np.array_equal(one, factor.solve_scaled(factor.s * row))
-            assert np.array_equal(one / factor.s, factor(row))
+            assert np.array_equal(one, solve(s * row))
 
     def test_negative_definite_raises(self):
         _, traits, grid = make([1.0, 2.0, 0.5], [2.0, 0.7])
         op = assemble_diffusion(grid, traits)
         with pytest.raises(np.linalg.LinAlgError):
-            op.factor_symmetric(-1.0, 1.0)
+            symmetric_solve(op, -1.0, -1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_raises(self, bad):
@@ -216,17 +249,94 @@ class TestFactorSymmetric:
         poisoned = np.ones(op.size)
         poisoned[3] = bad
         with pytest.raises(ValueError):
-            op.factor_symmetric(poisoned, -0.1)
+            symmetric_solve(op, poisoned, 0.1)
         with pytest.raises(ValueError):
-            op.factor_symmetric(1.0, -0.1)(poisoned)
+            symmetric_solve(op, 1.0, bad)
+        with pytest.raises(ValueError):
+            symmetrizing_similarity(op.lo, op.up * poisoned)
 
     def test_asymmetric_operator_raises(self):
-        _, traits, grid = make([1.0, 1.0], [2.0])
-        op = assemble_diffusion(grid, traits)
-        op.up = op.up.copy()
-        op.up[3] *= 1.01
+        # couplings 10 times apart on every row: the similarity grows by
+        # sqrt(10) a row and leaves the floating-point range within 700 rows
+        land = pc.Landscape([0.0, 1.0])
+        grid = pc.build_grid(land, per_patch=800)
+        op = assemble_diffusion(grid, pc.SpeciesTraits([1.0], pc.StrategyVector([])))
         with pytest.raises(ValueError, match="symmetric"):
-            op.factor_symmetric(1.0, -0.1)
+            symmetrizing_similarity(op.lo, 10.0 * op.up)
+
+
+def stack_of_operators(grid, count: int = 4):
+    """The diffusion bands of ``count`` different species on ``grid``,
+    shifted by a different potential each: an ``(M, N)`` stack in the one
+    convention, and its operators one by one."""
+    rng = np.random.default_rng(11)
+    n = grid.n
+    species = [
+        pc.SpeciesTraits(rng.uniform(0.5, 2.0, n), pc.StrategyVector(rng.uniform(0.3, 3.0, n - 1)))
+        for _ in range(count)
+    ]
+    _, lo, di, up = diffusion_bands(grid, species)
+    di = di + rng.uniform(-1.0, 1.0, di.shape)
+    return lo, di, up
+
+
+class TestOneConvention:
+    """A stack of ``(M, N)`` bands with zero unused corners is one
+    block-diagonal matrix laid end to end: its product, its LU and its LDLᵀ
+    treat every block bit for bit as that operator on its own, and an
+    operator with M right-hand-side rows as M single solves."""
+
+    GRID = pc.build_grid(pc.Landscape([0.0, 0.7, 1.9, 2.6]), per_patch=[6, 11, 5])
+
+    def test_stack_has_zero_corners(self):
+        lo, _, up = stack_of_operators(self.GRID)
+        assert not lo[:, 0].any() and not up[:, -1].any()
+
+    def test_raveled_matvec_equals_per_row_product(self):
+        lo, di, up = stack_of_operators(self.GRID)
+        x = np.random.default_rng(2).uniform(-1.0, 2.0, di.shape)
+        got = tridiagonal_matvec(lo, di, up, x)
+        assert got.shape == x.shape
+        for b in range(len(di)):
+            one = tridiagonal_matvec(lo[b], di[b], up[b], x[b])
+            assert np.array_equal(got[b], one)
+            row = di[b] * x[b]
+            row[:-1] += up[b, :-1] * x[b, 1:]
+            row[1:] += lo[b, 1:] * x[b, :-1]
+            assert np.array_equal(one, row)
+
+    def test_lu_stack_solves_each_operator_on_its_own(self):
+        lo, di, up = stack_of_operators(self.GRID)
+        dt = 0.3
+        rhs = np.random.default_rng(4).uniform(0.0, 1.5, di.shape)
+        got = factor_blocks(-dt * lo, 1.0 - dt * di, -dt * up)(rhs)
+        for b in range(len(di)):
+            one = factor_blocks(-dt * lo[b], 1.0 - dt * di[b], -dt * up[b])(rhs[b])
+            assert np.array_equal(got[b], one)
+
+    def test_ldlt_stack_solves_each_operator_on_its_own(self):
+        lo, di, up = stack_of_operators(self.GRID)
+        s, _, off = symmetrizing_similarity(lo, up)
+        # a shift per block, above each block's spectrum
+        alpha = 1.0 + (np.abs(di) + np.abs(lo) + np.abs(up)).max(axis=1, keepdims=True)
+        rhs = np.random.default_rng(5).uniform(0.0, 1.5, di.shape)
+        got = factor_symmetrized(di, off, alpha)(s * rhs)
+        for b in range(len(di)):
+            s_b, _, off_b = symmetrizing_similarity(lo[b], up[b])
+            assert np.array_equal(s_b, s[b])
+            one = factor_symmetrized(di[b], off_b, alpha[b])(s_b * rhs[b])
+            assert np.array_equal(got[b], one)
+
+    def test_rows_of_one_operator_are_single_solves(self):
+        lo, di, up = (band[1] for band in stack_of_operators(self.GRID))
+        rows = np.random.default_rng(6).uniform(0.0, 1.5, (5, di.size))
+        lu = factor_blocks(-0.3 * lo, 1.0 - 0.3 * di, -0.3 * up)
+        s, _, off = symmetrizing_similarity(lo, up)
+        ldlt = factor_symmetrized(di, off, 1.0, 0.3)
+        got_lu, got_ldlt = lu(rows), ldlt(s * rows)
+        for row, one_lu, one_ldlt in zip(rows, got_lu, got_ldlt):
+            assert np.array_equal(one_lu, lu(row))
+            assert np.array_equal(one_ldlt, ldlt(s * row))
 
 
 class TestReductionMaps:
@@ -321,6 +431,20 @@ class TestReductionMaps:
                 constant[grid.reduced_patch_slice(i)] = traits.cumulative_scales()[i]
             assert np.array_equal(consistent_constant(grid, traits), constant)
             assert np.array_equal(stacked.fill(stacked.scales)[b], constant)
+
+    @pytest.mark.parametrize("rows", [2, 5])  # 2 = n - 1 interfaces
+    def test_single_layout_maps_stacked_rows(self, rows):
+        _, traits, grid = make([1.0, 2.0, 0.5], [2.0, 0.7])
+        layout = SpeciesLayout(grid, traits)
+        rng = np.random.default_rng(rows)
+        reduced = rng.uniform(0.0, 2.0, (rows, grid.num_reduced))
+        full = rng.uniform(-1.0, 3.0, (rows, grid.num_dofs))
+        for method, stack in (
+            (layout.right_values, reduced), (layout.expand, reduced),
+            (layout.restrict_avg, full), (layout.restrict_diag, full),
+        ):
+            got = method(stack)
+            assert np.array_equal(got, np.array([method(row) for row in stack]))
 
     def test_jump_ratios_square_as_the_weights_do(self):
         # a ratio whose pow square and whose product square differ in the last bit

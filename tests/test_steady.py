@@ -13,6 +13,7 @@ from patchcomp.operators import (
 from patchcomp.steady import FALLBACK_DT, damped_newton
 from test_operators import (
     reference_expand_reduced,
+    reference_factor_shifted,
     reference_full_mass,
     reference_reduced_weights,
     reference_restrict_weighted,
@@ -21,7 +22,8 @@ from test_operators import (
 
 def reference_steady(grid, env, traits, config, initial=None):
     """The steady solve before the shared Newton driver: its own damped
-    Newton (a ``factor_shifted`` solve per step) and the time-march fallback.
+    Newton (a ``reference_factor_shifted`` LU solve per step) and the
+    time-march fallback.
     Its reduced-DOF format is the per-patch reference in ``test_operators``.
     Returns the full field's values or raises SteadyConvergenceError."""
     op = assemble_diffusion(grid, traits)
@@ -55,7 +57,7 @@ def reference_steady(grid, env, traits, config, initial=None):
             norm = float(np.abs(res).max())
             if not unconverged(u, norm):
                 return u, norm
-            step = op.factor_shifted(slope)(-res)
+            step = reference_factor_shifted(op, slope)(-res)
             alpha = 1.0
             while True:
                 trial = np.maximum(u + alpha * step, floor)
@@ -74,7 +76,7 @@ def reference_steady(grid, env, traits, config, initial=None):
             initial[grid.reduced_patch_slice(i)] = env.k[i]
     u, norm = newton(initial)
     if unconverged(u, norm):
-        march = op.factor_shifted(1.0, -0.1)
+        march = reference_factor_shifted(op, 1.0, -0.1)
         for step in range(1, int(np.ceil(2000.0 / 0.1)) + 1):
             u = np.maximum(march(u + 0.1 * growth(expand(u))), floor)
             if step % 20 == 0 and np.abs(residual_and_slope(u)[0]).max() < 1e-4:
