@@ -10,6 +10,11 @@ pair (resident p = 3, mutant p = 2.5, capacity ratio 2).  The layers:
 
 - ``assembly``: ``assemble_diffusion`` of one species;
 - ``steady``: the resident's damped-Newton steady solve;
+- ``fitness``: on a grid built inside each timed call (its index arrays
+  are built lazily, so their cost lands in the solves), as for a new
+  landscape, at 201, 801 and 1,601 reduced DOFs: the resident's steady
+  solve alone (``steady``) and ``invasion_fitness`` of the mutant against
+  the resident (``fitness``, that steady solve included);
 - ``steady_stack``: the steady states of R = 1, 10 and 32 residents
   (strategies spread over 1.2-4) at 201 and 1,601 reduced DOFs, as one
   stacked ``solve_resident_steady_states`` call and as a loop of single
@@ -133,6 +138,23 @@ def layers(repeats: int) -> dict:
             row[f"stack_{m}"] = ms
             row[f"stack_{m}_per_operator"] = ms / m
         out["eigen"][dofs] = row
+    return out
+
+
+def fitness(repeats: int) -> dict:
+    out = {}
+    for per_patch in PER_PATCH:
+        def fresh():
+            return pc.build_grid(LAND, per_patch=per_patch)
+
+        out[str(fresh().num_reduced)] = {
+            "steady": median_ms(
+                lambda: pc.solve_resident_steady(LAND, ENV, RESIDENT, fresh()), repeats
+            ),
+            "fitness": median_ms(
+                lambda: pc.invasion_fitness(LAND, ENV, RESIDENT, MUTANT, fresh()), repeats
+            ),
+        }
     return out
 
 
@@ -311,6 +333,7 @@ def main() -> None:
             "blas_threads": 1,
         },
         **layers(args.repeats),
+        "fitness": fitness(args.repeats),
         "eigen_stack": eigen_stack(args.repeats),
         "steady_stack": steady_stack(args.repeats),
         **fine_layers(args.repeats),

@@ -73,13 +73,11 @@ class Stepper:
     """IMEX Euler stepping for one parameter point at the fixed ``self.dt``.
 
     The competition term of each species ``w`` against its competitor ``x``,
-    restricted to the reduced DOFs, is ``w (a - b w - c x)`` row by row.  Off
-    the traces ``a = r`` and ``b = c = r / k``; at the trace DOF of interface
-    m the eliminated right trace is ``p w`` in patch m + 1, so, with the
-    layout's shares ``a_left``/``a_right``,
-    ``a = a_left r_m + a_right r_{m+1}``,
-    ``b = a_left r_m / k_m + a_right r_{m+1} p_w / k_{m+1}`` and ``c`` is
-    ``b`` with the competitor's ``p_x``.  The coefficients are built once.
+    restricted to the reduced DOFs, is ``w (a - b w - c x)`` row by row, with
+    the coefficients of ``SpeciesLayout.logistic_coefficients``: ``b`` with
+    the species' own jump ratios ``p_w``, ``c`` with the competitor's
+    ``p_x``.  Off the traces ``a = r`` and ``b = c = r / k``.  The
+    coefficients are built once.
 
     On the first step (a stepper that only evaluates residuals factors
     nothing) ``I - dt A`` is LDLᵀ-factored once per species in its
@@ -115,19 +113,10 @@ class Stepper:
     def _competition_coefficients(self):
         """``(a, b, c)`` of the reaction ``w (a - b w - c x)`` of each species."""
         lu, lv = self.layout_u, self.layout_v
-        tr = lu.trace
-        r, k = (lu.fill(values) for values in (self.env.r_array, self.env.k_array))
-        r_right, k_right = self.env.r_array[1:], self.env.k_array[1:]
-        r_k = r / k
         out = []
         for own, other in ((lu, lv), (lv, lu)):
-            left = own.a_left * r[tr]
-            right = own.a_right * r_right
-            a, b, c = r.copy(), r_k.copy(), r_k.copy()
-            a[tr] = left + right
-            b[tr] = left / k[tr] + right * own.p / k_right
-            c[tr] = left / k[tr] + right * other.p / k_right
-            out.append((a, b, c))
+            a, b = own.logistic_coefficients(self.env, own.p)
+            out.append((a, b, own.logistic_coefficients(self.env, other.p)[1]))
         return tuple(out)
 
     @cached_property

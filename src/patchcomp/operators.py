@@ -6,7 +6,9 @@ rebuilds it as ``p`` times the left trace; the eliminated trace's mass is
 folded into its trace DOF, times ``p`` for cell averages and ``p²`` for
 coefficients.  ``SpeciesLayout`` is the one implementation of that format:
 per species, or per stack of species, it builds the masses and weights once
-and expands and restricts with them.  ``expand_reduced``, the ``restrict_*``
+and expands and restricts with them, and it folds the eliminated traces into
+the logistic reaction's coefficients (``logistic_coefficients``), which the
+steady solve and the time step share.  ``expand_reduced``, the ``restrict_*``
 helpers and ``consistent_constant`` are one-call conveniences that build a
 layout for a single use.
 
@@ -371,6 +373,27 @@ class SpeciesLayout:
         """Share ``p² mass / weight`` of each eliminated right trace's value."""
         w = self.weights.take(self.trace, axis=-1)
         return self.p2 * self.mass.take(self.right, axis=-1) / w
+
+    def logistic_coefficients(
+        self, env: PatchEnvironment, p_crowd
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(a, b)`` of the logistic reaction ``w (a - b x)`` on the reduced
+        DOFs, shaped as the weights, for the species' own ``w`` crowded by a
+        field ``x`` whose eliminated right traces are ``p_crowd`` times its
+        left ones (``self.p`` for self-crowding).  It is the
+        ``restrict_avg`` of ``w r (1 - x / k)`` on the expanded fields: off
+        the traces ``a = r`` and ``b = r / k``; at the trace DOF of
+        interface m, ``a = a_left r_m + a_right r_{m+1}`` and
+        ``b = a_left r_m / k_m + a_right r_{m+1} p_crowd / k_{m+1}``."""
+        r, k = env.r_array, env.k_array
+        a, b = np.empty(self.weights.shape), np.empty(self.weights.shape)
+        a[...] = self.fill(r)
+        b[...] = self.fill(r / k)
+        left = self.a_left * r[:-1]
+        right = self.a_right * r[1:]
+        a.T[self.trace] = (left + right).T
+        b.T[self.trace] = (left / k[:-1] + right * p_crowd / k[1:]).T
+        return a, b
 
     def fill(self, values) -> np.ndarray:
         """Per-patch ``values`` (last axis one per patch) on the reduced DOFs."""

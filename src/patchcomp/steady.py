@@ -1,19 +1,27 @@
 """Single-species steady states: damped Newton with a time-march fallback.
 
 The steady state is the unique positive equilibrium of logistic growth plus
-diffusion under the species' interface conditions.  ``damped_newton`` is the
-package's one Newton loop: an Armijo line search on a tridiagonal Jacobian,
-stopped at the tolerance plus the rounding level of one residual evaluation.
-It runs on one iterate or on a stack of R independent ones: each block keeps
-its own norm, noise floor, halving, stop and stall, and the going blocks'
-Jacobians are factored together as one block-diagonal matrix, each bit for
-bit as on its own; the stack is re-indexed only when some blocks stop and
-others go on.  ``solve_resident_steady_states`` solves R residents that share
-a grid and an environment as stacks of at most ``_STACK_DOFS`` reduced DOFs;
-the blocks Newton leaves stalled march into the basin as a sub-stack
-(implicit diffusion), and Newton polishes them.  ``solve_resident_steady`` is
-its R = 1 case, and a stack of one runs on its own (N,) arrays, where it
-costs what a single solve does.  The continuous-form oracle in ``transform``
+diffusion under the species' interface conditions.  It is solved on the
+reduced DOFs in coefficient form, ``A u + u (a - b u) = 0``, with the
+eliminated right traces folded into the trace DOFs' logistic coefficients
+once per solve (``SpeciesLayout.logistic_coefficients``, which the time
+stepper's competition term shares); the Jacobian's diagonal is
+``di + a - 2 b u``, and only the final state is expanded to the full DOFs.
+
+``damped_newton`` is the package's one Newton loop: an Armijo line search on
+a tridiagonal Jacobian, stopped at the tolerance plus the rounding level of
+one residual evaluation.  It runs on one iterate or on a stack of R
+independent ones: each block keeps its own norm, noise floor, halving, stop
+and stall, and the going blocks' Jacobians are factored together as one
+block-diagonal matrix, each bit for bit as on its own; the stack is
+re-indexed only when some blocks stop and others go on.
+
+``solve_resident_steady_states`` solves R residents that share a grid and an
+environment as stacks of at most ``_STACK_DOFS`` reduced DOFs; the blocks
+Newton leaves stalled march into the basin as a sub-stack (implicit
+diffusion), and Newton polishes them.  ``solve_resident_steady`` is its
+R = 1 case, and a stack of one runs on its own (N,) arrays, where it costs
+what a single solve does.  The continuous-form oracle in ``transform``
 drives its own discretization through the same loop.
 """
 
@@ -35,7 +43,6 @@ from .landscape import (
 from .operators import (
     _STACK_DOFS,
     diffusion_bands,
-    env_on_dofs,
     factor_blocks,
     tridiagonal_matvec,
 )
@@ -147,52 +154,57 @@ def damped_newton(residual, u0, floor: float, cap: float, row_scale, config: Ste
 
 
 class _SteadyProblem:
-    """The steady problem of one species, on (N,) arrays, or of a stack of R
-    species, on (R, N) ones, on one grid and environment, with everything
-    that stays fixed during the solve (operators, masses and weights, rates,
-    row scales) computed once.  ``problem[rows]`` is a stack's sub-stack."""
+    """The steady problem ``A u + u (a - b u) = 0`` of one species, on (N,)
+    arrays, or of a stack of R species, on (R, N) ones, on one grid and
+    environment.  What stays fixed during the solve is built once: the
+    diffusion bands and the logistic coefficients ``(a, b)`` of
+    ``SpeciesLayout.logistic_coefficients`` (the eliminated right traces
+    folded into the trace DOFs), so Newton and the march never leave the
+    reduced DOFs.  The capacities ``k`` give the floor and the cap.
+    ``problem[rows]`` is a stack's sub-stack, with what Newton and the march
+    read (the ``layout`` stays with the whole stack)."""
+
+    _ROWS = ("lo", "di", "up", "a", "b")
 
     def __init__(self, grid: Grid, env: PatchEnvironment, traits):
         self.layout, self.lo, self.di, self.up = diffusion_bands(grid, traits)
-        self.r_full, self.k_full = env_on_dofs(grid, env)
+        self.a, self.b = self.layout.logistic_coefficients(env, self.layout.p)
+        self.k = env.k_array
 
     def __getitem__(self, rows) -> "_SteadyProblem":
         sub = object.__new__(_SteadyProblem)
-        sub.layout = self.layout[rows]
-        sub.lo, sub.di, sub.up = self.lo[rows], self.di[rows], self.up[rows]
-        sub.r_full, sub.k_full = self.r_full, self.k_full
+        for name in self._ROWS:
+            setattr(sub, name, getattr(self, name)[rows])
+        sub.k = self.k
         return sub
 
-    def growth(self, u_full: np.ndarray) -> np.ndarray:
-        """Logistic growth of a full field, restricted to the reduced DOFs."""
-        return self.layout.restrict_avg(self.r_full * u_full * (1.0 - u_full / self.k_full))
-
-    def residual(self, u_red: np.ndarray, rows=None):
-        """``A u + growth(u)`` and the bands of its Jacobian, for the blocks
-        ``rows`` of a stack (all of them when None)."""
+    def residual(self, u: np.ndarray, rows=None):
+        """``A u + u (a - b u)`` and the bands of its Jacobian, whose
+        diagonal is ``di + a - 2 b u``, for the blocks ``rows`` of a stack
+        (all of them when None)."""
         problem = self if rows is None else self[rows]
-        u_full = problem.layout.expand(u_red)
-        res = tridiagonal_matvec(problem.lo, problem.di, problem.up, u_red)
-        res += problem.growth(u_full)
-        fp = self.r_full * (1.0 - 2.0 * u_full / self.k_full)
-        slope = problem.layout.restrict_diag(fp)
-        return res, (problem.lo, slope + problem.di, problem.up)
+        bu = problem.b * u
+        res = tridiagonal_matvec(problem.lo, problem.di, problem.up, u)
+        res += u * (problem.a - bu)
+        slope = problem.a - 2.0 * bu
+        slope += problem.di
+        return res, (problem.lo, slope, problem.up)
 
     def newton(self, u0, config: SteadyConfig):
         row_scale = (np.abs(self.di) + np.abs(self.lo) + np.abs(self.up)).max(axis=-1)
         return damped_newton(
-            self.residual, u0, 1e-12 * self.k_full.min(), self.k_full.max(), row_scale, config
+            self.residual, u0, 1e-12 * self.k.min(), self.k.max(), row_scale, config
         )
 
     def march(self, u: np.ndarray) -> np.ndarray:
         """Implicit-diffusion march toward the attracting steady state: each
         block stops once its residual is below 1e-4 (checked every 20 steps),
         and every block at ``FALLBACK_HORIZON``."""
-        dt, floor = FALLBACK_DT, 1e-12 * self.k_full.min()
+        dt, floor = FALLBACK_DT, 1e-12 * self.k.min()
         solve = factor_blocks(-dt * self.lo, 1.0 + -dt * self.di, -dt * self.up)
         going = np.ones(u.shape[:-1], bool)
         for step in range(1, int(np.ceil(FALLBACK_HORIZON / dt)) + 1):
-            rhs = u + dt * self.growth(self.layout.expand(u))
+            rhs = u + dt * (u * (self.a - self.b * u))
             u = np.where(going[..., None], np.maximum(solve(rhs), floor), u)
             if step % 20 == 0:
                 going &= ~(np.abs(self.residual(u)[0]).max(axis=-1) < 1e-4)

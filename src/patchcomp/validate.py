@@ -20,7 +20,13 @@ from .eigen import (
 from .grid import build_grid
 from .identities import invasion_identity_residual
 from .landscape import Landscape, PatchEnvironment, SpeciesTraits, StrategyVector
-from .operators import assemble_diffusion, consistent_constant, env_on_dofs, restrict_values
+from .operators import (
+    assemble_diffusion,
+    consistent_constant,
+    env_on_dofs,
+    restrict_values,
+    tridiagonal_matvec,
+)
 from .steady import solve_resident_steady
 from .transform import solve_transformed_steady
 
@@ -48,7 +54,10 @@ def _check_kernel() -> tuple[str, bool, str]:
     c = consistent_constant(grid, traits)
     scale = np.abs(op.di).max()
     right = np.abs(op.matvec(c)).max() / scale
-    left = np.abs((op.weights * c) @ op.dense()).max() / scale
+    # cᵀ W A is Aᵀ (W c): the transposed bands, whose zero corners the
+    # rolls carry to the other ends
+    transposed = tridiagonal_matvec(np.roll(op.up, 1), op.di, np.roll(op.lo, -1), op.weights * c)
+    left = np.abs(transposed).max() / scale
     ok = right <= 1e-12 and left <= 1e-12
     return "kernel-and-conservation", ok, f"right={right:.2e} left={left:.2e}"
 

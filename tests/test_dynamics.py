@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import patchcomp as pc
 import patchcomp.dynamics
 import patchcomp.steady
+from patchcomp.config import RunConfig
 from patchcomp.dynamics import (
     SimConfig,
     Stepper,
@@ -20,6 +23,8 @@ from patchcomp.operators import (
     restrict_values,
     symmetrizing_similarity,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture
@@ -455,6 +460,32 @@ class TestSimulateAndClassify:
             record = pc.simulate(land, env, resident, mutant, grid, SimConfig(dt=dt))
             verdicts.add(record.verdict)
         assert verdicts == {"ResidentWins"}
+
+    @pytest.mark.parametrize("row", [
+        "below_resident_wins", "above_resident_wins", "below_mutant_wins", "above_mutant_wins",
+    ])
+    def test_loser_decays_at_its_invasion_rate(self, row):
+        # near the winner's steady state the loser's equation is linear, so
+        # the stepper's tail rate is the principal eigenvalue of the loser's
+        # linearization there: the march and the eigen solver agree
+        cfg = RunConfig.load(str(CONFIG_DIR / f"{row}.json"))
+        land, env = cfg.landscape, cfg.environment
+        grid = pc.build_grid(land, per_patch=20)
+        record = pc.simulate(land, env, cfg.resident, cfg.mutant, grid,
+                             SimConfig(dt=0.1, snapshot_stride=10))
+        resident_wins = row.endswith("resident_wins")
+        assert record.verdict == ("ResidentWins" if resident_wins else "MutantWins")
+        winner, loser = (cfg.resident, cfg.mutant) if resident_wins else (cfg.mutant, cfg.resident)
+        snapshots = record.diagnostics["snapshots"]
+        times = np.array([t for t, *_ in snapshots])
+        sup = np.array([(v if resident_wins else u).max() for _, u, v in snapshots])
+        # the tail: the loser between 1e-3 and 1e-5 of the capacity
+        tail = (sup <= 1e-3 * env.k_array.max()) & (sup >= 1e-5 * env.k_array.max())
+        assert np.count_nonzero(tail) >= 20
+        rate = np.polyfit(times[tail], np.log(sup[tail]), 1)[0]
+        lam = pc.invasion_fitness(land, env, winner, loser, grid).lambda1
+        assert lam < 0
+        assert rate == pytest.approx(lam, rel=0.05)
 
 
 class TestPairSteadyResidual:

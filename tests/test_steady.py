@@ -8,46 +8,59 @@ import patchcomp.transform
 from patchcomp.operators import (
     assemble_diffusion,
     env_on_dofs,
+    restrict_cell_average,
+    restrict_diagonal,
     restrict_values,
 )
 from patchcomp.steady import FALLBACK_DT, damped_newton
 from test_operators import (
     reference_expand_reduced,
     reference_factor_shifted,
-    reference_full_mass,
-    reference_reduced_weights,
-    reference_restrict_weighted,
+    reference_trace_fractions,
 )
+
+
+def reference_logistic(grid, env, traits):
+    """The coefficients ``(a, b)`` of the reduced logistic growth
+    ``u (a - b u)``, written out per interface from the shares of the
+    reference layout (``reference_trace_fractions``): the
+    ``restrict_avg`` of ``r u (1 - u / k)`` on the expanded field, whose
+    eliminated right trace is ``p`` times its left one."""
+    r_full, k_full = env_on_dofs(grid, env)
+    r = restrict_values(grid, r_full)
+    k = restrict_values(grid, k_full)
+    a, b = r.copy(), r / k
+    left_share, right_share = reference_trace_fractions(grid, traits)
+    p = traits.p_array
+    for m in range(grid.n - 1):
+        t = grid.reduced_trace_index(m)
+        left = left_share[m] * env.r_array[m]
+        right = right_share[m] * env.r_array[m + 1]
+        a[t] = left + right
+        b[t] = left / env.k_array[m] + right * p[m] / env.k_array[m + 1]
+    return a, b
 
 
 def reference_steady(grid, env, traits, config, initial=None):
     """The steady solve before the shared Newton driver: its own damped
     Newton (a ``reference_factor_shifted`` LU solve per step) and the
-    time-march fallback.
-    Its reduced-DOF format is the per-patch reference in ``test_operators``.
+    time-march fallback, with the growth ``u (a - b u)`` and its slope
+    ``a - 2 b u`` in coefficient form (``reference_logistic``).
     Returns the full field's values or raises SteadyConvergenceError."""
     op = assemble_diffusion(grid, traits)
-    weights = reference_reduced_weights(grid, traits, reference_full_mass(grid, traits))
-    r_full, k_full = env_on_dofs(grid, env)
+    a, b = reference_logistic(grid, env, traits)
+    k = env.k_array
     row_scale = float((np.abs(op.di) + np.abs(op.lo) + np.abs(op.up)).max())
-    floor = 1e-12 * k_full.min()
+    floor = 1e-12 * k.min()
 
-    def expand(u):
-        return reference_expand_reduced(grid, traits, u)
-
-    def restrict(values, trace_power):
-        return reference_restrict_weighted(grid, traits, values, trace_power, weights)
-
-    def growth(u_full):
-        return restrict(r_full * u_full * (1.0 - u_full / k_full), 1)
+    def growth(u):
+        return u * (a - b * u)
 
     def residual_and_slope(u):
-        u_full = expand(u)
-        res = op.matvec(u) + growth(u_full)
-        return res, restrict(r_full * (1.0 - 2.0 * u_full / k_full), 2)
+        return op.matvec(u) + growth(u), a - 2.0 * b * u
 
     def unconverged(u, norm):
-        noise = 8.0 * np.finfo(float).eps * row_scale * max(float(np.abs(u).max()), k_full.max())
+        noise = 8.0 * np.finfo(float).eps * row_scale * max(float(np.abs(u).max()), k.max())
         return norm > config.newton_tol + noise
 
     def newton(u0):
@@ -78,7 +91,7 @@ def reference_steady(grid, env, traits, config, initial=None):
     if unconverged(u, norm):
         march = reference_factor_shifted(op, 1.0, -0.1)
         for step in range(1, int(np.ceil(2000.0 / 0.1)) + 1):
-            u = np.maximum(march(u + 0.1 * growth(expand(u))), floor)
+            u = np.maximum(march(u + 0.1 * growth(u)), floor)
             if step % 20 == 0 and np.abs(residual_and_slope(u)[0]).max() < 1e-4:
                 break
         u, norm = newton(u)
@@ -86,7 +99,7 @@ def reference_steady(grid, env, traits, config, initial=None):
             raise pc.SteadyConvergenceError("reference solve failed", residual=norm)
     if u.min() <= 0:
         raise pc.SteadyConvergenceError("reference lost positivity", residual=norm)
-    return expand(u)
+    return reference_expand_reduced(grid, traits, u)
 
 
 class TestSingleSpeciesSteady:
@@ -231,6 +244,64 @@ class TestSingleSpeciesSteady:
             return
         u = pc.solve_resident_steady(land, env, traits, grid, config, initial)
         assert np.array_equal(u.values, expected)
+
+
+class TestCoefficientForm:
+    @given(
+        patches=st.lists(
+            st.tuples(  # length, r, k
+                st.floats(0.3, 3.0), st.floats(0.3, 3.0), st.floats(0.3, 3.0),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        per_patch=st.sampled_from([12, 40]),
+        species=st.one_of(st.none(), st.integers(1, 4)),  # None: one (N,) problem
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_dof_restriction(self, patches, per_patch, species, seed):
+        length, r, k = (np.array(col) for col in zip(*patches))
+        n = len(length)
+        land = pc.Landscape(np.concatenate(([0.0], np.cumsum(length))))
+        env = pc.PatchEnvironment(r=r, k=k)
+        grid = pc.build_grid(land, per_patch=per_patch)
+        rng = np.random.default_rng(seed)
+        residents = [
+            pc.SpeciesTraits(rng.uniform(0.05, 10.0, n),
+                             pc.StrategyVector(rng.uniform(0.2, 5.0, n - 1)))
+            for _ in range(species or 1)
+        ]
+        problem = patchcomp.steady._SteadyProblem(
+            grid, env, residents[0] if species is None else residents
+        )
+        u = rng.uniform(0.0, 2.0, problem.di.shape) * k.max()
+        res, (_, slope, _) = problem.residual(u)
+        a, b = problem.a.reshape(-1, grid.num_reduced), problem.b.reshape(-1, grid.num_reduced)
+        rows = zip(residents, u.reshape(a.shape), res.reshape(a.shape),
+                   slope.reshape(a.shape), a, b)
+        r_full, k_full = env_on_dofs(grid, env)
+        for traits, w, res_w, slope_w, a_w, b_w in rows:
+            # the coefficients are the reference's, bit for bit
+            ref_a, ref_b = reference_logistic(grid, env, traits)
+            assert np.array_equal(a_w, ref_a) and np.array_equal(b_w, ref_b)
+            # reference: the reaction and its slope on the full DOFs, restricted back
+            w_full = reference_expand_reduced(grid, traits, w)
+            ref_growth = restrict_cell_average(
+                grid, traits, r_full * w_full * (1.0 - w_full / k_full))
+            ref_slope = restrict_diagonal(grid, traits, r_full * (1.0 - 2.0 * w_full / k_full))
+            # the size of the summands bounds the rounding of either route
+            growth_scale = (r_full * w_full * (1.0 + w_full / k_full)).max()
+            slope_scale = (r_full * (1.0 + 2.0 * w_full / k_full)).max()
+            assert np.abs(w * (a_w - b_w * w) - ref_growth).max() <= 1e-14 * growth_scale
+            assert np.abs(a_w - 2.0 * b_w * w - ref_slope).max() <= 1e-14 * slope_scale
+            # the residual and the Jacobian's diagonal add the diffusion
+            op = assemble_diffusion(grid, traits)
+            diffusion = op.matvec(w)
+            assert np.abs(res_w - (diffusion + ref_growth)).max() <= 1e-14 * (
+                growth_scale + np.abs(diffusion).max())
+            assert np.abs(slope_w - (op.di + ref_slope)).max() <= 1e-14 * (
+                slope_scale + np.abs(op.di).max())
 
 
 class TestStackedSteady:
