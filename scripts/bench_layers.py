@@ -29,14 +29,14 @@ pair (resident p = 3, mutant p = 2.5, capacity ratio 2).  The layers:
 - ``oracle``: the resident's steady solve through the continuous-form route
   (``solve_transformed_steady``), at 201, 2,001 and 8,001 reduced DOFs;
 - ``step``: one ``Stepper.step`` of the resident/mutant pair at the default
-  dt, at the same three sizes, on M = 1 and M = 2 rows per species
-  (``rows_1``, ``rows_2``; M = 2 is the order-preservation harness's stack),
-  timed over 100 consecutive steps from the default initial data and
-  divided by 100;
+  dt, at the same three sizes, on one ``(2, N)`` state and on an
+  ``(M, 2, N)`` stack of M = 2 runs (``rows_1``, ``rows_2``; M = 2 is the
+  order-preservation harness's stack), timed over 100 consecutive steps from
+  the default initial data and divided by 100;
 - ``first_step``: the first ``Stepper.step`` of a fresh stepper at the same
   three sizes, from the default initial data: the lazy LDLᵀ factorisation of
-  ``I - dt A`` per species (its similarity and coefficients included) and
-  one step; the stepper is built outside the timed call;
+  the two species' stacked ``I - dt A`` (its similarity and coefficients
+  included) and one step; the stepper is built outside the timed call;
 - ``simulate_rows``: ``simulate`` to a verdict on each of the six table rows,
   ``configs/{above,below}_{resident_wins,mutant_wins,coexistence}.json``
   (201 reduced DOFs, default dt), with the verdict, the steps taken and the
@@ -204,7 +204,7 @@ def first_step_ms(grid, start, repeats: int) -> float:
     for _ in range(repeats + 1):
         stepper = Stepper(LAND, ENV, RESIDENT, MUTANT, grid)
         t0 = perf_counter()
-        stepper.step(*start)
+        stepper.step(start)
         times.append(perf_counter() - t0)
     return 1e3 * statistics.median(times[1:])
 
@@ -218,20 +218,20 @@ def fine_layers(repeats: int) -> dict:
             lambda: pc.solve_transformed_steady(LAND, ENV, RESIDENT, grid), repeats
         )
         stepper = Stepper(LAND, ENV, RESIDENT, MUTANT, grid)
-        u0, v0 = default_initial(grid, ENV)
+        w0 = np.array(default_initial(grid, ENV))
         row = {}
         for m in STEP_ROWS:
-            # M = 1: the (N,) states simulate steps; else an (M, N) stack
-            start = (u0, v0) if m == 1 else (np.tile(u0, (m, 1)), np.tile(v0, (m, 1)))
+            # M = 1: the (2, N) state simulate steps; else an (M, 2, N) stack
+            start = w0 if m == 1 else np.tile(w0, (m, 1, 1))
 
             def march() -> None:
-                u, v = start
+                w = start
                 for _ in range(STEPS_PER_REPEAT):
-                    u, v, _ = stepper.step(u, v)
+                    w, _ = stepper.step(w)
 
             row[f"rows_{m}"] = median_ms(march, repeats) / STEPS_PER_REPEAT
         out["step"][dofs] = row
-        out["first_step"][dofs] = first_step_ms(grid, (u0, v0), repeats)
+        out["first_step"][dofs] = first_step_ms(grid, w0, repeats)
     return out
 
 

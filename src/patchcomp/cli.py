@@ -154,12 +154,12 @@ def _cmd_simulate(cfg: RunConfig, grid) -> int:
     record.u_final.write_csv(os.path.join(out, "final_u.csv"))
     record.v_final.write_csv(os.path.join(out, "final_v.csv"))
     if "snapshots" in diag:
-        layout_u, layout_v = SpeciesLayout(grid, cfg.resident), SpeciesLayout(grid, cfg.mutant)
+        layout = SpeciesLayout(grid, [cfg.resident, cfg.mutant])
         rows = ["t,patch_index,x,u,v"]
         xs = grid.full_x()
         patch_of = grid.patch_index_of_dofs()
-        for t, u_red, v_red in diag["snapshots"]:
-            u_full, v_full = layout_u.expand(u_red), layout_v.expand(v_red)
+        for t, *state in diag["snapshots"]:
+            u_full, v_full = layout.expand(np.array(state))
             for j in range(grid.num_dofs):
                 rows.append(
                     f"{format_value(t)},{patch_of[j] + 1},{format_value(xs[j])},"

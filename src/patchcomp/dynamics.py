@@ -1,19 +1,20 @@
 """Time integration of the two-species competition system and outcome calls.
 
-The one scheme is IMEX Euler.  The logistic competition term is explicit and
-computed on the reduced DOFs in coefficient form, ``w (a - b w - c x)`` for
-species ``w`` against its competitor ``x``, the eliminated right traces folded
-into the trace DOFs' coefficients once per stepper.  Diffusion is implicit:
-``I - dt A`` is symmetric positive definite in the operator's weighted inner
-product, so it is LDLᵀ-factored once per species by the package's one LDLᵀ
-(``operators.factor_symmetrized``, on the similarity its couplings give),
-and the coefficients take in ``dt`` and that similarity.  A step maps
-``(N,)`` states, or ``(M, N)`` stacks of rows, with one expression and one
-O(N) symmetric tridiagonal solve (one pttrs call for all rows) per species;
-the steady residuals use the package's one matrix-vector product.
-The induced step map is monotone for the order "first species up, second
-species down", which is what the order-preservation harness checks, and it
-leaves the jump-consistent bounding boxes invariant.
+The resident ``u`` and the mutant ``v`` are one two-species stack in the
+``operators`` convention: a state is ``(2, N)`` (row 0 ``u``, row 1 ``v``),
+or ``(M, 2, N)`` for M runs.  The one scheme is IMEX Euler.  The logistic
+competition term is explicit, in coefficient form on the reduced DOFs,
+``w (a - b w - c x)`` for species ``w`` against its competitor ``x`` (the
+other row), the eliminated right traces folded into the trace DOFs'
+coefficients once per stepper.  Diffusion is implicit: the stack's
+``I - dt A``, symmetric positive definite in the weighted inner product, is
+LDLᵀ-factored once (``operators.factor_symmetrized``, on the similarity its
+couplings give), and the coefficients take in ``dt`` and that similarity, so
+a step is one expression and one pttrs call for both species and every run;
+the steady residuals use the package's one matrix-vector product.  The step
+map is monotone for the order "first species up, second species down",
+which the order-preservation harness checks, and it leaves the
+jump-consistent bounding boxes invariant.
 """
 
 from __future__ import annotations
@@ -28,12 +29,13 @@ from .grid import Grid, PiecewiseField
 from .landscape import Landscape, PatchEnvironment, SpeciesTraits
 from .operators import (
     SpeciesLayout,
-    assemble_diffusion,
     consistent_constant,
+    diffusion_bands,
     env_on_dofs,
     factor_symmetrized,
     restrict_values,
     symmetrizing_similarity,
+    tridiagonal_matvec,
 )
 from .steady import SteadyConfig, solve_resident_steady_states
 
@@ -70,22 +72,23 @@ class OutcomeRecord:
 
 
 class Stepper:
-    """IMEX Euler stepping for one parameter point at the fixed ``self.dt``.
+    """IMEX Euler stepping for one parameter point at the fixed ``self.dt``,
+    on the pair as one stack (see the module docstring); ``layout`` is the
+    stack's ``SpeciesLayout``, ``layout_u``/``layout_v`` its rows.
 
-    The competition term of each species ``w`` against its competitor ``x``,
-    restricted to the reduced DOFs, is ``w (a - b w - c x)`` row by row, with
-    the coefficients of ``SpeciesLayout.logistic_coefficients``: ``b`` with
-    the species' own jump ratios ``p_w``, ``c`` with the competitor's
-    ``p_x``.  Off the traces ``a = r`` and ``b = c = r / k``.  The
-    coefficients are built once.
+    The competition term ``w (a - b w - c x)`` takes the coefficients of
+    ``SpeciesLayout.logistic_coefficients``: ``b`` with the species' own jump
+    ratios ``p_w``, ``c`` with the competitor's ``p_x``.  Off the traces
+    ``a = r`` and ``b = c = r / k``.  The coefficients are built once.
 
     On the first step (a stepper that only evaluates residuals factors
-    nothing) ``I - dt A`` is LDLᵀ-factored once per species in its
-    symmetrized form ``S (I - dt A) S⁻¹``, ``S = diag(s)`` the operator's
-    ``symmetrizing_similarity`` (``s`` is proportional to ``sqrt(weights)``),
-    and the coefficients take in ``dt`` and ``s``: the step's right-hand side
-    ``S (w + dt f)`` is then ``w (sa - sb w - sc x)``, one expression per
-    species, and one pttrs call per species solves it for every row.
+    nothing) the stack's ``I - dt A`` is LDLᵀ-factored once in its
+    symmetrized form ``S (I - dt A) S⁻¹``, ``S = diag(s)`` the
+    ``symmetrizing_similarity`` (``s`` is proportional to ``sqrt(weights)``
+    per species), and the coefficients take in ``dt`` and ``s``: the step's
+    right-hand side ``S (w + dt f)`` is then ``w (sa - sb w - sc x)``.  The
+    stack's zero corners keep the species apart, so each species of each run
+    is bit for bit its own single solve.
     """
 
     def __init__(
@@ -103,82 +106,68 @@ class Stepper:
         self.mutant = mutant
         self.grid = grid
         self.config = config or SimConfig()
-        self.layout_u = SpeciesLayout(grid, resident)
-        self.layout_v = SpeciesLayout(grid, mutant)
-        self.op_u = assemble_diffusion(grid, resident, self.layout_u)
-        self.op_v = assemble_diffusion(grid, mutant, self.layout_v)
+        self.layout, *self._bands = diffusion_bands(grid, [resident, mutant])
+        self.layout_u, self.layout_v = self.layout[0], self.layout[1]
         self.dt = self.config.dt if self.config.dt is not None else 0.01 / env.r_array.max()
-        self._coefficients = self._competition_coefficients()
-
-    def _competition_coefficients(self):
-        """``(a, b, c)`` of the reaction ``w (a - b w - c x)`` of each species."""
-        lu, lv = self.layout_u, self.layout_v
-        out = []
-        for own, other in ((lu, lv), (lv, lu)):
-            a, b = own.logistic_coefficients(self.env, own.p)
-            out.append((a, b, own.logistic_coefficients(self.env, other.p)[1]))
-        return tuple(out)
+        # (a, b, c) of the reaction w (a - b w - c x): b crowded by the
+        # species' own p, c by the competitor's
+        p = self.layout.p
+        a, b = self.layout.logistic_coefficients(env, p)
+        self._coefficients = (a, b, self.layout.logistic_coefficients(env, p[::-1])[1])
 
     @cached_property
     def _plan(self):
-        """Per species ``(sa, sb, sc, s, solve)``: the coefficients times ``s``
-        (``sa`` with the identity), ``sb`` and ``sc`` times ``dt`` too, ``s``,
-        and the LDLᵀ solve of ``S (I - dt A) S⁻¹``."""
-        plan = []
-        for op, (a, b, c) in zip((self.op_u, self.op_v), self._coefficients):
-            s, _, off = symmetrizing_similarity(op.lo, op.up)
-            s_dt = s * self.dt
-            plan.append((s + s_dt * a, s_dt * b, s_dt * c, s,
-                         factor_symmetrized(op.di, off, 1.0, self.dt)))
-        return tuple(plan)
+        """``(sa, sb, sc, s, solve)``: the coefficients times ``s`` (``sa``
+        with the identity), ``sb`` and ``sc`` times ``dt`` too, ``s``, and
+        the LDLᵀ solve of the stack's ``S (I - dt A) S⁻¹``."""
+        lo, di, up = self._bands
+        a, b, c = self._coefficients
+        s, _, off = symmetrizing_similarity(lo, up)
+        s_dt = s * self.dt
+        return (s + s_dt * a, s_dt * b, s_dt * c, s,
+                factor_symmetrized(di, off, 1.0, self.dt))
 
-    def reaction(self, u_red: np.ndarray, v_red: np.ndarray):
-        """Explicit competition terms for both species, on reduced DOFs:
-        ``w (a - b w - c x)`` (see the class docstring), which is the
+    def reaction(self, w: np.ndarray) -> np.ndarray:
+        """Explicit competition terms of a ``(..., 2, N)`` state, on reduced
+        DOFs: ``w (a - b w - c x)`` (see the class docstring), which is the
         ``SpeciesLayout.restrict_avg`` of the pointwise ``w r (1 - (u + v) / k)``
         on the expanded fields."""
-        (au, bu, cu), (av, bv, cv) = self._coefficients
-        return (
-            _coefficient_form(u_red, v_red, au, bu, cu),
-            _coefficient_form(v_red, u_red, av, bv, cv),
-        )
+        return _coefficient_form(w, *self._coefficients)
 
-    def step(
-        self, u_red: np.ndarray, v_red: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        """One time step of ``(N,)`` states or ``(M, N)`` stacks of rows;
-        returns the new states and the clipped negative mass (summed over the
-        rows).  Each row is bit for bit its own single step.  A non-finite
-        right-hand side raises ValueError."""
-        (sa_u, sb_u, sc_u, s_u, solve_u), (sa_v, sb_v, sc_v, s_v, solve_v) = self._plan
-        rhs_u = _coefficient_form(u_red, v_red, sa_u, sb_u, sc_u)
-        rhs_v = _coefficient_form(v_red, u_red, sa_v, sb_v, sc_v)
+    def step(self, w: np.ndarray) -> tuple[np.ndarray, float]:
+        """One time step of a ``(2, N)`` state or an ``(M, 2, N)`` stack of
+        runs; returns the new state and the clipped negative mass (summed
+        over the runs of species 0, then of species 1).  Each species of each
+        run is bit for bit its own single step.  A non-finite right-hand side
+        raises ValueError."""
+        sa, sb, sc, s, solve = self._plan
+        rhs = _coefficient_form(w, sa, sb, sc)
         clipped = 0.0
-        for rhs, s in ((rhs_u, s_u), (rhs_v, s_v)):
-            low = rhs.min()
-            if not low >= 0:  # negative, or NaN
-                if not np.isfinite(low):
-                    raise ValueError("time step right-hand side is not finite")
-                clipped -= float((np.minimum(rhs, 0.0) / s).sum())
-                np.maximum(rhs, 0.0, out=rhs)
-            if not rhs.max() < np.inf:
+        low = rhs.min()
+        if not low >= 0:  # negative, or NaN
+            if not np.isfinite(low):
                 raise ValueError("time step right-hand side is not finite")
-        u_new = solve_u(rhs_u)
-        u_new /= s_u
-        v_new = solve_v(rhs_v)
-        v_new /= s_v
-        return u_new, v_new, clipped
+            lost = np.minimum(rhs, 0.0) / s
+            clipped = -float(lost[..., 0, :].sum()) - float(lost[..., 1, :].sum())
+            np.maximum(rhs, 0.0, out=rhs)
+        if not rhs.max() < np.inf:
+            raise ValueError("time step right-hand side is not finite")
+        w_new = solve(rhs)
+        w_new /= s
+        return w_new, clipped
 
-    def steady_residuals(self, u_red: np.ndarray, v_red: np.ndarray) -> tuple[float, float]:
-        f_u, f_v = self.reaction(u_red, v_red)
-        res_u = self.op_u.matvec(u_red) + f_u
-        res_v = self.op_v.matvec(v_red) + f_v
-        return float(np.abs(res_u).max()), float(np.abs(res_v).max())
+    def steady_residuals(self, w: np.ndarray) -> tuple[float, float]:
+        """Sup norms of ``A w + f(w)`` per species (over all runs of a stack)."""
+        bands = np.broadcast_arrays(*self._bands, w)
+        res = np.abs(tridiagonal_matvec(*bands) + self.reaction(w))
+        res_u, res_v = res.max(axis=-1).reshape(-1, 2).max(axis=0)
+        return float(res_u), float(res_v)
 
 
-def _coefficient_form(w, x, a, b, c) -> np.ndarray:
-    """``w (a - (b w + c x))`` in one fresh array, updated in place."""
-    out = c * x
+def _coefficient_form(w, a, b, c) -> np.ndarray:
+    """``w (a - (b w + c x))``, ``x`` the competitor row of each species, in
+    one fresh array, updated in place."""
+    out = c * w[..., ::-1, :]
     out += b * w
     np.subtract(a, out, out=out)
     out *= w
@@ -212,19 +201,19 @@ def simulate(
     initial: tuple[np.ndarray, np.ndarray] | None = None,
     steady_config: SteadyConfig | None = None,
 ) -> OutcomeRecord:
-    """Integrate until the state stops moving or the horizon is hit, then classify."""
+    """Integrate until the state stops moving or the horizon is hit, then
+    classify.  ``initial`` is ``(u, v)`` on the reduced DOFs, two finite,
+    nonnegative ``(grid.num_reduced,)`` arrays; the march holds them as one
+    ``(2, N)`` state."""
     config = config or SimConfig()
     stepper = Stepper(landscape, env, resident, mutant, grid, config)
-    u, v = initial if initial is not None else default_initial(grid, env)
-    u = np.asarray(u, dtype=float).copy()
-    v = np.asarray(v, dtype=float).copy()
-    if u.min() < 0 or v.min() < 0:
-        raise ValidationError("initial data must be nonnegative")
+    w = _initial_state(grid, env, initial)
 
-    layout_u, layout_v = stepper.layout_u, stepper.layout_v
-    box_u = bounding_level(grid, resident, env, u) * layout_u.fill(layout_u.scales)
-    box_v = bounding_level(grid, mutant, env, v) * layout_v.fill(layout_v.scales)
-    blow_up = 10.0 * max(box_u.max(), box_v.max())
+    layout = stepper.layout
+    levels = [bounding_level(grid, one, env, x) for one, x in zip((resident, mutant), w)]
+    box = np.array(levels)[:, None] * layout.fill(layout.scales)
+    blow_up = 10.0 * box.max()
+    tol_box = 1e-12 * box.max()
 
     ustar, vstar = solve_resident_steady_states(
         landscape, env, [resident, mutant], grid, steady_config
@@ -240,49 +229,40 @@ def simulate(
     step_count = 0
 
     for step_count in range(1, max_steps + 1):
-        u_new, v_new, clipped = stepper.step(u, v)
+        w_new, clipped = stepper.step(w)
         clip_total += clipped
         # read by the convergence test every 50th step and by the diagnostics
         # after the last
         if step_count % 50 == 0 or step_count == max_steps:
-            td_norm = max(
-                float(np.abs(u_new - u).max()), float(np.abs(v_new - v).max())
-            ) / dt
-        u, v = u_new, v_new
+            td_norm = float(np.abs(w_new - w).max()) / dt
+        w = w_new
 
         if step_count % config.check_interval == 0 or step_count == max_steps:
-            top = max(u.max(), v.max())
+            top = w.max()
             if top > blow_up:
                 raise SimulationBlowUpError(
                     f"state reached {top:.3g}, beyond the a-priori bound {blow_up:.3g}"
                 )
-            tol_box = 1e-12 * max(box_u.max(), box_v.max())
-            if (u > box_u + tol_box).any() or (v > box_v + tol_box).any():
+            if (w > box + tol_box).any():
                 box_violations += 1
         if config.snapshot_stride and step_count % config.snapshot_stride == 0:
-            snapshots.append((step_count * dt, u.copy(), v.copy()))
+            snapshots.append((step_count * dt, *w.copy()))
 
         # a run only counts as resolved once the state both stops moving and
         # classifies; otherwise keep integrating toward the attractor
         if td_norm < config.steady_tol and step_count % 50 == 0:
-            res_u, res_v = stepper.steady_residuals(u, v)
-            if max(res_u, res_v) < config.steady_tol:
+            res = stepper.steady_residuals(w)
+            if max(res) < config.steady_tol:
                 verdict_now = classify_outcome(
-                    PiecewiseField(grid, layout_u.expand(u)),
-                    PiecewiseField(grid, layout_v.expand(v)),
-                    ustar,
-                    vstar,
-                    env,
-                    config,
-                    _relative_residual(res_u, u, res_v, v),
+                    *_fields(grid, layout, w), ustar, vstar, env, config,
+                    _relative_residual(res, w),
                 )
                 if verdict_now != "Undetermined":
                     converged = True
                     break
 
-    u_field = PiecewiseField(grid, layout_u.expand(u))
-    v_field = PiecewiseField(grid, layout_v.expand(v))
-    res_u, res_v = stepper.steady_residuals(u, v)
+    u_field, v_field = _fields(grid, layout, w)
+    res_u, res_v = res = stepper.steady_residuals(w)
     diagnostics = {
         "time_derivative_norm": td_norm,
         "steady_residual_u": res_u,
@@ -294,7 +274,7 @@ def simulate(
         "steady_tol": config.steady_tol,
     }
     verdict = classify_outcome(
-        u_field, v_field, ustar, vstar, env, config, _relative_residual(res_u, u, res_v, v)
+        u_field, v_field, ustar, vstar, env, config, _relative_residual(res, w)
     )
     if verdict == "Coexistence":
         source = "default" if initial is None else "supplied"
@@ -316,13 +296,34 @@ def simulate(
     return record
 
 
-def _relative_residual(res_u: float, u: np.ndarray, res_v: float, v: np.ndarray) -> float:
+def _initial_state(grid: Grid, env: PatchEnvironment, initial) -> np.ndarray:
+    """``initial`` (default: ``default_initial``) as a ``(2, N)`` state,
+    checked to be two finite, nonnegative reduced vectors."""
+    if initial is None:
+        initial = default_initial(grid, env)
+    try:
+        w = np.array(initial, dtype=float)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        w = np.empty(0)
+    if w.shape != (2, grid.num_reduced):
+        raise ValidationError(f"initial data must be two vectors of length {grid.num_reduced}")
+    if not (np.isfinite(w).all() and w.min() >= 0):
+        raise ValidationError("initial data must be finite and nonnegative")
+    return w
+
+
+def _fields(grid: Grid, layout: SpeciesLayout, w: np.ndarray) -> list[PiecewiseField]:
+    """The ``PiecewiseField`` of each species of a ``(2, N)`` state."""
+    return [PiecewiseField(grid, full) for full in layout.expand(w)]
+
+
+def _relative_residual(res: tuple[float, float], w: np.ndarray) -> float:
     """The larger of the two species' steady residuals, each over that
     species' own sup norm.  A species that decays at rate |λ| has a residual
     of about |λ| times its size, which an absolute test passes while the
     species is still above the extinction threshold; relative to its size
     the residual stays at |λ|."""
-    return max(res / top if top > 0 else np.inf for res, top in ((res_u, u.max()), (res_v, v.max())))
+    return max(r / top if top > 0 else np.inf for r, top in zip(res, w.max(axis=-1)))
 
 
 def _extinction_eps(config: SimConfig, env: PatchEnvironment) -> float:
@@ -375,38 +376,35 @@ def order_preservation_check(
 
     State A must start above state B in the competitive order (first species
     componentwise larger, second smaller).  The two states march as one
-    ``(2, N)`` stack, one ``Stepper.step`` per step, each row bit for bit its
-    own march.  Returns (preserved, worst violation, first violating step).
+    ``(2, 2, N)`` stack (state, species, DOF), one ``Stepper.step`` per step,
+    each state bit for bit its own march.  Returns (preserved, worst
+    violation, first violating step).
     """
-    env = stepper.env
-    tol = 1e-10 * env.k_array.max()
+    tol = 1e-10 * stepper.env.k_array.max()
     size = stepper.grid.num_reduced
-    if any(np.shape(w) != (size,) for w in (*state_a, *state_b)):
+    if any(np.shape(x) != (size,) for x in (*state_a, *state_b)):
         raise ValidationError("reduced vector has the wrong length")
-    # row 0 is state A, row 1 state B: both march as one stack
-    u = np.array([state_a[0], state_b[0]], dtype=float)
-    v = np.array([state_a[1], state_b[1]], dtype=float)
+    w = np.array([state_a, state_b], dtype=float)
+    layout = stepper.layout
+    # the order, per species: B may not exceed A in u, nor A exceed B in v
+    sign = np.array([[1.0], [-1.0]])
 
-    def excess(over, under, layout) -> float:
-        # by how much ``over`` exceeds ``under`` anywhere on the full DOFs:
-        # the reduced ones and the eliminated right traces
-        right = layout.right_values(over) - layout.right_values(under)
-        return float(max((over - under).max(), right.max(initial=-np.inf)))
+    def violation(w) -> float:
+        # by how much state B exceeds state A in the order anywhere on the
+        # full DOFs: the reduced ones and the eliminated right traces
+        right = layout.right_values(w)
+        return float(max((sign * (w[1] - w[0])).max(),
+                         (sign * (right[1] - right[0])).max(initial=-np.inf)))
 
-    def violation(u, v) -> float:
-        return max(excess(u[1], u[0], stepper.layout_u), excess(v[0], v[1], stepper.layout_v))
-
-    start = violation(u, v)
-    if start > tol:
+    if violation(w) > tol:
         raise ValidationError("states are not ordered at t = 0")
 
     worst = 0.0
     first: int | None = None
     for s in range(1, steps + 1):
-        u, v, _ = stepper.step(u, v)
-        gap = violation(u, v)
-        if gap > worst:
-            worst = gap
+        w, _ = stepper.step(w)
+        gap = violation(w)
+        worst = max(worst, gap)
         if gap > tol and first is None:
             first = s
     return first is None, worst, first
@@ -424,7 +422,5 @@ def pair_steady_residual(
     """Sup-norm residual of the coupled steady system at a given pair; the
     stepper it builds makes no step, so it factors nothing."""
     stepper = Stepper(landscape, env, resident, mutant, grid)
-    res_u, res_v = stepper.steady_residuals(
-        restrict_values(grid, u.values), restrict_values(grid, v.values)
-    )
-    return max(res_u, res_v)
+    w = np.array([restrict_values(grid, field.values) for field in (u, v)])
+    return max(stepper.steady_residuals(w))

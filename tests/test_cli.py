@@ -5,10 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import patchcomp as pc
 import patchcomp.cli
 from patchcomp.cli import run_command
 from patchcomp.config import DEFAULTS, RunConfig
 from patchcomp.errors import ValidationError
+from patchcomp.grid import format_value
+from patchcomp.operators import expand_reduced
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -135,6 +138,32 @@ class TestCommands:
         assert outcome[1].split(",")[0] == "Undetermined"
         assert (tmp_path / "trajectory.csv").exists()
         assert (tmp_path / "final_u.csv").exists()
+
+    def test_trajectory_rows_are_expanded_snapshots(self, tmp_path):
+        cfg = json.loads((CONFIG_DIR / "above_coexistence.json").read_text())
+        cfg["sim"] = {"t_max": 1.0, "snapshot_stride": 50}
+        cfg["grid"] = {"per_patch": 30}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["simulate", "--config", path, "--out", tmp_path]) == 0
+        loaded = RunConfig.load(str(path))
+        grid = loaded.build_grid()
+        record = pc.simulate(
+            loaded.landscape, loaded.environment, loaded.resident, loaded.mutant, grid,
+            loaded.sim, steady_config=loaded.steady,
+        )
+        xs, patch_of = grid.full_x(), grid.patch_index_of_dofs()
+        want = ["t,patch_index,x,u,v"]
+        for t, u_red, v_red in record.diagnostics["snapshots"]:
+            u = expand_reduced(grid, loaded.resident, u_red)
+            v = expand_reduced(grid, loaded.mutant, v_red)
+            want += [
+                ",".join([format_value(t), str(patch_of[j] + 1),
+                          *(format_value(x) for x in (xs[j], u[j], v[j]))])
+                for j in range(grid.num_dofs)
+            ]
+        assert len(want) == 2 * grid.num_dofs + 1
+        assert (tmp_path / "trajectory.csv").read_text().splitlines() == want
 
     def test_pip_command(self, tmp_path):
         cfg = {

@@ -17,8 +17,11 @@ from patchcomp.dynamics import (
     pair_steady_residual,
 )
 from patchcomp.operators import (
+    SpeciesLayout,
+    assemble_diffusion,
     consistent_constant,
     expand_reduced,
+    factor_symmetrized,
     restrict_cell_average,
     restrict_values,
     symmetrizing_similarity,
@@ -37,12 +40,16 @@ def competition_pair(unit_two_patch):
     return land, env, resident, mutant, grid, stepper
 
 
+def species_operators(stepper) -> list:
+    """Each species' own diffusion operator, assembled apart from the stepper."""
+    return [assemble_diffusion(stepper.grid, one) for one in (stepper.resident, stepper.mutant)]
+
+
 class TestStep:
     def test_extinction_state_invariant(self, competition_pair):
         *_, grid, stepper = competition_pair
-        z = np.zeros(grid.num_reduced)
-        u, v, clipped = stepper.step(z, z)
-        assert np.all(u == 0) and np.all(v == 0) and clipped == 0
+        w, clipped = stepper.step(np.zeros((2, grid.num_reduced)))
+        assert np.all(w == 0) and clipped == 0
 
     def test_single_species_capacity_fixed_point(self):
         land = pc.Landscape([0.0, 1.0])
@@ -50,11 +57,11 @@ class TestStep:
         traits = pc.SpeciesTraits([1.0], pc.StrategyVector([]))
         grid = pc.build_grid(land, per_patch=20)
         stepper = Stepper(land, env, traits, traits, grid, SimConfig())
-        u = np.full(grid.num_reduced, 2.0)
-        v = np.zeros(grid.num_reduced)
+        w = np.zeros((2, grid.num_reduced))
+        w[0] = 2.0
         for _ in range(10):
-            u, v, _ = stepper.step(u, v)
-        assert np.abs(u - 2.0).max() <= 1e-13
+            w, _ = stepper.step(w)
+        assert np.abs(w[0] - 2.0).max() <= 1e-13
 
     def test_shared_capacity_split_fixed_point(self, unit_two_patch):
         # both species on capacity-ratio jumps, densities summing to capacity
@@ -66,24 +73,24 @@ class TestStep:
         u0 = np.empty(grid.num_reduced)
         for i in range(grid.n):
             u0[grid.reduced_patch_slice(i)] = 0.4 * env.k[i]
-        v0 = u0 / 0.4 * 0.6
-        u, v = u0.copy(), v0.copy()
+        w0 = np.array([u0, u0 / 0.4 * 0.6])
+        w = w0.copy()
         for _ in range(20):
-            u, v, _ = stepper.step(u, v)
-        assert np.abs(u - u0).max() <= 1e-12
-        assert np.abs(v - v0).max() <= 1e-12
+            w, _ = stepper.step(w)
+        assert np.abs(w - w0).max() <= 1e-12
 
     def test_nonnegativity_and_box(self, competition_pair):
         land, env, resident, mutant, grid, stepper = competition_pair
         rng = np.random.default_rng(0)
-        u, v = (rng.uniform(0, 2.0, grid.num_reduced) for _ in range(2))
-        box_u = bounding_level(grid, resident, env, u) * consistent_constant(grid, resident)
-        box_v = bounding_level(grid, mutant, env, v) * consistent_constant(grid, mutant)
+        w = rng.uniform(0, 2.0, (2, grid.num_reduced))
+        box = np.array([
+            bounding_level(grid, one, env, x) * consistent_constant(grid, one)
+            for one, x in zip((resident, mutant), w)
+        ])
         for _ in range(500):
-            u, v, _ = stepper.step(u, v)
-            assert u.min() >= 0 and v.min() >= 0
-        assert np.all(u <= box_u + 1e-12)
-        assert np.all(v <= box_v + 1e-12)
+            w, _ = stepper.step(w)
+            assert w.min() >= 0
+        assert np.all(w <= box + 1e-12)
 
 
 class TestImplicitSolve:
@@ -95,14 +102,12 @@ class TestImplicitSolve:
         grid = pc.build_grid(land, per_patch=per_patch)
         stepper = Stepper(land, env, resident, mutant, grid, SimConfig())
         rng = np.random.default_rng(5)
-        u, v = (rng.uniform(0.0, 1.5, grid.num_reduced) for _ in range(2))
+        w = rng.uniform(0.0, 1.5, (2, grid.num_reduced))
         dt = stepper.dt
-        f_u, f_v = stepper.reaction(u, v)
-        u_new, v_new, _ = stepper.step(u, v)
-        for op, w, f, got in (
-            (stepper.op_u, u, f_u, u_new), (stepper.op_v, v, f_v, v_new)
-        ):
-            rhs = np.maximum(w + dt * f, 0.0)
+        f = stepper.reaction(w)
+        w_new, _ = stepper.step(w)
+        for op, x, fx, got in zip(species_operators(stepper), w, f, w_new):
+            rhs = np.maximum(x + dt * fx, 0.0)
             ref = np.linalg.solve(np.eye(op.size) - dt * op.dense(), rhs)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -140,28 +145,70 @@ class TestCoefficientStep:
     def test_stacked_rows_equal_single_steps(self, patches, rows, top, seed):
         stepper = random_stepper(patches)
         rng = np.random.default_rng(seed)
-        u, v = (rng.uniform(0.0, top, (rows, stepper.grid.num_reduced)) for _ in range(2))
-        got_u, got_v, clipped = stepper.step(u, v)
-        assert got_u.shape == got_v.shape == u.shape
-        singles = [stepper.step(u[b], v[b]) for b in range(rows)]
-        for b, (one_u, one_v, _) in enumerate(singles):
-            assert np.array_equal(got_u[b], one_u) and np.array_equal(got_v[b], one_v)
-        assert clipped == pytest.approx(sum(one[2] for one in singles), rel=1e-12, abs=0.0)
+        w = rng.uniform(0.0, top, (rows, 2, stepper.grid.num_reduced))
+        got, clipped = stepper.step(w)
+        assert got.shape == w.shape
+        singles = [stepper.step(w[b]) for b in range(rows)]
+        for b, (one, _) in enumerate(singles):
+            assert np.array_equal(got[b], one)
+        assert clipped == pytest.approx(sum(one[1] for one in singles), rel=1e-12, abs=0.0)
+
+    @given(
+        patches=PATCHES,
+        rows=st.sampled_from([None, 1, 3]),  # None: one (2, N) state
+        top=st.sampled_from([2.0, 500.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stack_equals_per_species_route(self, patches, rows, top, seed):
+        # the reference builds each species on its own: its operator, its
+        # layout's coefficients, similarity and LDLᵀ, one solve per species
+        # of its rows; the stack must match it bit for bit
+        stepper = random_stepper(patches)
+        grid, env, dt = stepper.grid, stepper.env, stepper.dt
+        rng = np.random.default_rng(seed)
+        shape = (2, grid.num_reduced) if rows is None else (rows, 2, grid.num_reduced)
+        w = rng.uniform(0.0, top, shape)
+        species = (stepper.resident, stepper.mutant)
+        layouts = [SpeciesLayout(grid, one) for one in species]
+        want, want_res, want_clipped = [], [], 0.0
+        for k, (one, layout) in enumerate(zip(species, layouts)):
+            op = assemble_diffusion(grid, one, layout)
+            a, b = layout.logistic_coefficients(env, layout.p)
+            c = layout.logistic_coefficients(env, layouts[1 - k].p)[1]
+            own, other = w[..., k, :], w[..., 1 - k, :]
+            diffusion = np.array([op.matvec(x) for x in own.reshape(-1, grid.num_reduced)])
+            reaction = own * (a - (b * own + c * other))
+            want_res.append(float(np.abs(diffusion.reshape(own.shape) + reaction).max()))
+            s, _, off = symmetrizing_similarity(op.lo, op.up)
+            s_dt = s * dt
+            rhs = own * ((s + s_dt * a) - ((s_dt * b) * own + (s_dt * c) * other))
+            if rhs.min() < 0:
+                want_clipped -= float((np.minimum(rhs, 0.0) / s).sum())
+                rhs = np.maximum(rhs, 0.0)
+            want.append(factor_symmetrized(op.di, off, 1.0, dt)(rhs) / s)
+
+        assert stepper.steady_residuals(w) == tuple(want_res)
+        got, clipped = stepper.step(w)
+        for k in range(2):
+            assert np.array_equal(got[..., k, :], want[k])
+        if rows is None:
+            assert clipped == want_clipped
+        else:  # the stack sums each species' rows in another order
+            assert clipped == pytest.approx(want_clipped, rel=1e-12, abs=0.0)
 
     @given(patches=PATCHES, top=st.sampled_from([2.0, 500.0]), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_matches_dense_solve_of_clipped_rhs(self, patches, top, seed):
         stepper = random_stepper(patches)
         rng = np.random.default_rng(seed)
-        u, v = (rng.uniform(0.0, top, stepper.grid.num_reduced) for _ in range(2))
+        w = rng.uniform(0.0, top, (2, stepper.grid.num_reduced))
         dt = stepper.dt
-        f_u, f_v = stepper.reaction(u, v)
-        u_new, v_new, clipped = stepper.step(u, v)
+        f = stepper.reaction(w)
+        w_new, clipped = stepper.step(w)
         want_clipped = 0.0
-        for op, w, f, got in (
-            (stepper.op_u, u, f_u, u_new), (stepper.op_v, v, f_v, v_new)
-        ):
-            rhs = w + dt * f
+        for op, x, fx, got in zip(species_operators(stepper), w, f, w_new):
+            rhs = x + dt * fx
             want_clipped -= np.minimum(rhs, 0.0).sum()
             ref = np.linalg.solve(np.eye(op.size) - dt * op.dense(), np.maximum(rhs, 0.0))
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -169,25 +216,23 @@ class TestCoefficientStep:
 
     def test_negative_rhs_is_clipped_and_counted(self, competition_pair):
         *_, grid, stepper = competition_pair
-        u = np.full(grid.num_reduced, 0.5)
-        v = np.full(grid.num_reduced, 0.5)
-        v[10:20] = 500.0  # crowds u's right-hand side below zero there
-        f_u, f_v = stepper.reaction(u, v)
-        rhs_u, rhs_v = u + stepper.dt * f_u, v + stepper.dt * f_v
-        assert rhs_u.min() < 0
-        want = -np.minimum(rhs_u, 0.0).sum() - np.minimum(rhs_v, 0.0).sum()
-        u_new, v_new, clipped = stepper.step(u, v)
+        w = np.full((2, grid.num_reduced), 0.5)
+        w[1, 10:20] = 500.0  # crowds u's right-hand side below zero there
+        rhs = w + stepper.dt * stepper.reaction(w)
+        assert rhs[0].min() < 0
+        want = -np.minimum(rhs[0], 0.0).sum() - np.minimum(rhs[1], 0.0).sum()
+        w_new, clipped = stepper.step(w)
         assert clipped == pytest.approx(want, rel=1e-13)
-        assert u_new.min() >= 0 and v_new.min() >= 0
+        assert w_new.min() >= 0
 
     @pytest.mark.parametrize("species", [0, 1])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_state_raises(self, competition_pair, species, bad):
         *_, grid, stepper = competition_pair
-        state = [np.full((2, grid.num_reduced), 0.5) for _ in range(2)]
-        state[species][1, 7] = bad
+        state = np.full((2, 2, grid.num_reduced), 0.5)
+        state[1, species, 7] = bad
         with pytest.raises(ValueError, match="not finite"):
-            stepper.step(*state)
+            stepper.step(state)
 
     def test_infinite_rhs_from_finite_state_raises(self, competition_pair):
         # in patch 2, off the traces, v's similarity scale s is sqrt(2) times
@@ -197,14 +242,14 @@ class TestCoefficientStep:
         # u's is about -1.05 / sqrt(2) of that and finite: no entry is NaN or
         # -inf, so only the test on the maximum sees it
         *_, grid, stepper = competition_pair
-        u = np.full(grid.num_reduced, 0.5)
-        v = np.full(grid.num_reduced, 0.5)
+        w = np.full((2, grid.num_reduced), 0.5)
         i = grid.num_reduced - 10
-        s_v = symmetrizing_similarity(stepper.op_v.lo, stepper.op_v.up)[0][i]
+        op_v = species_operators(stepper)[1]
+        s_v = symmetrizing_similarity(op_v.lo, op_v.up)[0][i]
         x = 1e154 * np.sqrt(2.0 / (0.05 * s_v * stepper.dt * 0.5))
-        u[i], v[i] = -1.05 * x, x
+        w[:, i] = -1.05 * x, x
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
-            stepper.step(u, v)
+            stepper.step(w)
 
     def test_factors_once_on_first_step(self, competition_pair, monkeypatch):
         *_, grid, stepper = competition_pair
@@ -216,13 +261,15 @@ class TestCoefficientStep:
             return factor(di, *args)
 
         monkeypatch.setattr(patchcomp.dynamics, "factor_symmetrized", counted)
-        u, v = default_initial(grid, stepper.env)
-        stepper.reaction(u, v)
-        stepper.steady_residuals(u, v)
+        w = np.array(default_initial(grid, stepper.env))
+        stepper.reaction(w)
+        stepper.steady_residuals(w)
         assert calls == []
         for _ in range(3):
-            u, v, _ = stepper.step(u, v)
-        assert [id(di) for di in calls] == [id(stepper.op_u.di), id(stepper.op_v.di)]
+            w, _ = stepper.step(w)
+        # one factorisation, of the two species' stack
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], [op.di for op in species_operators(stepper)])
 
 
 class TestReducedReaction:
@@ -234,11 +281,11 @@ class TestReducedReaction:
         resident, mutant = stepper.resident, stepper.mutant
         r, k = env.r_array, env.k_array
         rng = np.random.default_rng(seed)
-        u, v = (rng.uniform(0.0, 2.0, grid.num_reduced) for _ in range(2))
+        w = rng.uniform(0.0, 2.0, (2, grid.num_reduced))
 
         # reference: the reaction on the full DOFs, restricted back
-        u_full = expand_reduced(grid, resident, u)
-        v_full = expand_reduced(grid, mutant, v)
+        u_full = expand_reduced(grid, resident, w[0])
+        v_full = expand_reduced(grid, mutant, w[1])
         patch_of = grid.patch_index_of_dofs()
         r_full, k_full = r[patch_of], k[patch_of]
         crowd = r_full * (1.0 - (u_full + v_full) / k_full)
@@ -249,38 +296,39 @@ class TestReducedReaction:
         scale_u = (u_full * bound).max()
         scale_v = (v_full * bound).max()
 
-        f_u, f_v = stepper.reaction(u, v)
+        f_u, f_v = stepper.reaction(w)
         assert np.abs(f_u - ref_u).max() <= 1e-14 * scale_u
         assert np.abs(f_v - ref_v).max() <= 1e-14 * scale_v
 
-        res_u, res_v = stepper.steady_residuals(u, v)
-        for res, op, w, ref, scale in (
-            (res_u, stepper.op_u, u, ref_u, scale_u), (res_v, stepper.op_v, v, ref_v, scale_v)
+        residuals = stepper.steady_residuals(w)
+        for res, op, x, ref, scale in zip(
+            residuals, species_operators(stepper), w, (ref_u, ref_v), (scale_u, scale_v)
         ):
-            diffusion = op.matvec(w)
+            diffusion = op.matvec(x)
             ref_res = np.abs(diffusion + ref).max()
             assert abs(res - ref_res) <= 1e-14 * (scale + np.abs(diffusion).max())
 
 
 def expand_based_order_check(state_a, state_b, stepper, steps):
-    """The order-preservation harness on expanded full-DOF fields."""
+    """The order-preservation harness on expanded full-DOF fields, each state
+    marched on its own."""
     grid = stepper.grid
     tol = 1e-10 * stepper.env.k_array.max()
-    (ua, va), (ub, vb) = state_a, state_b
+    wa, wb = np.array(state_a, dtype=float), np.array(state_b, dtype=float)
 
-    def violation(ua, va, ub, vb):
-        ua_f = expand_reduced(grid, stepper.resident, ua)
-        ub_f = expand_reduced(grid, stepper.resident, ub)
-        va_f = expand_reduced(grid, stepper.mutant, va)
-        vb_f = expand_reduced(grid, stepper.mutant, vb)
+    def violation(wa, wb):
+        ua_f = expand_reduced(grid, stepper.resident, wa[0])
+        ub_f = expand_reduced(grid, stepper.resident, wb[0])
+        va_f = expand_reduced(grid, stepper.mutant, wa[1])
+        vb_f = expand_reduced(grid, stepper.mutant, wb[1])
         return max(float((ub_f - ua_f).max()), float((va_f - vb_f).max()))
 
-    assert violation(ua, va, ub, vb) <= tol
+    assert violation(wa, wb) <= tol
     worst, first = 0.0, None
     for s in range(1, steps + 1):
-        ua, va, _ = stepper.step(ua, va)
-        ub, vb, _ = stepper.step(ub, vb)
-        gap = violation(ua, va, ub, vb)
+        wa, _ = stepper.step(wa)
+        wb, _ = stepper.step(wb)
+        gap = violation(wa, wb)
         worst = max(worst, gap)
         if gap > tol and first is None:
             first = s
@@ -439,6 +487,29 @@ class TestSimulateAndClassify:
         with pytest.raises(pc.ValidationError):
             pc.simulate(land, env, resident, mutant, grid, initial=(bad, bad))
 
+    @pytest.mark.parametrize("species", [0, 1])
+    def test_wrong_length_initial_rejected(self, unit_two_patch, species):
+        land, env = unit_two_patch
+        resident = pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([3.0]))
+        mutant = pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([1.5]))
+        grid = pc.build_grid(land, per_patch=20)
+        initial = [np.ones(grid.num_reduced), np.ones(grid.num_reduced)]
+        initial[species] = np.ones(grid.num_reduced + 1)
+        with pytest.raises(pc.ValidationError, match="length"):
+            pc.simulate(land, env, resident, mutant, grid, initial=tuple(initial))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_initial_rejected(self, unit_two_patch, bad):
+        land, env = unit_two_patch
+        resident = pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([3.0]))
+        mutant = pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([1.5]))
+        grid = pc.build_grid(land, per_patch=20)
+        u = np.ones(grid.num_reduced)
+        v = np.ones(grid.num_reduced)
+        v[3] = bad
+        with pytest.raises(pc.ValidationError, match="finite"):
+            pc.simulate(land, env, resident, mutant, grid, initial=(u, v))
+
     def test_snapshots_recorded(self, unit_two_patch):
         land, env = unit_two_patch
         resident = pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([3.0]))
@@ -505,8 +576,9 @@ class TestPairSteadyResidual:
         ]
         stepper = Stepper(land, env, resident, mutant, grid)
         want = [
-            max(stepper.steady_residuals(restrict_values(grid, u.values),
-                                         restrict_values(grid, v.values)))
+            max(stepper.steady_residuals(
+                np.array([restrict_values(grid, u.values), restrict_values(grid, v.values)])
+            ))
             for u, v in states
         ]
 
