@@ -31,14 +31,22 @@ stack once it stops.  A single operator is the stack of one.
 ``ResidentContext`` is the one route from residents to invasion fitness: it
 holds a stack of residents, solves their steady states in one stacked
 damped-Newton call and their growth potentials once, and evaluates every
-(resident, mutant) pair of a ``MutantStack`` (the mutants' diffusion
-operators, assembled once per scan) in stacked solves; ``invasion_fitness``
-is its 1x1 case.  ``fitness_table`` is the one route from a set of
-(resident, mutant) pairs to their eigenvalues: one context for its
-residents, and every masked pair, in row-major order, in one stacked Noda
-solve whose bands (``mutant.di + restrict_diag(potential)``) are built one
-``_STACK_DOFS`` chunk of pairs at a time.  ``signs`` is the one rule that
-turns eigenvalues into invasion signs.
+(resident, mutant) pair of a ``MutantStack`` in stacked solves;
+``invasion_fitness`` is its 1x1 case.  A scan pays per mutant for what
+depends on the mutant alone, once: its diffusion operator, its Noda start
+vector and what Noda needs of its couplings (``_couplings``: the positivity
+check, the symmetrizing similarity and the couplings' part of the band
+scale), since a pair's couplings are its mutant's.  Per pair it pays only
+for restricting the resident's potential onto the mutant's diagonal and for
+Noda's passes.  ``principal_eigenpairs`` takes operators built by hand
+through the same ``_couplings``.
+
+``fitness_table`` is the one route from a set of (resident, mutant) pairs to
+their eigenvalues: one context for its residents, and every masked pair, in
+row-major order, in one stacked Noda solve whose bands
+(``mutant.di + restrict_diag(potential)``) are built one ``_STACK_DOFS``
+chunk of pairs at a time.  ``signs`` is the one rule that turns eigenvalues
+into invasion signs.
 """
 
 from __future__ import annotations
@@ -188,15 +196,17 @@ def _noda(lo, di, up, s, weights, off, scale, x, tol, max_iters):
         x /= x.max(axis=1, keepdims=True)
 
 
-def _stacked_solve(lo, di, up, start, tol: float, max_iters: int):
-    """Noda's iteration on the (M, N) stack (zero corners), ``_STACK_DOFS``
-    at a time, after the checks every block must pass: finite bands,
-    positive couplings and a finite symmetrizing similarity.  Returns per
-    block the eigenvalue, the reduced max-normalized eigenvector, the
-    residual and the number of solves."""
-    scale = np.maximum(1.0, np.max([np.abs(band).max(axis=1) for band in (di, up, lo)], axis=0))
+def _couplings(lo, di, up):
+    """What Noda needs of a stack's couplings, after the checks every block
+    must pass: finite bands, positive couplings and a finite symmetrizing
+    similarity.  Returns per block ``(s, s², off)`` of
+    ``symmetrizing_similarity`` and the couplings' part of the band
+    ``scale`` (their largest entry, at least 1).  They depend on the
+    couplings alone, so a scan computes them once per mutant; ``di`` is only
+    checked, so that a non-finite band fails before a coupling check."""
+    scale = np.maximum(1.0, np.maximum(np.abs(up).max(axis=1), np.abs(lo).max(axis=1)))
     # NaN or inf in a band makes its block's scale non-finite
-    if not np.isfinite(scale.max()):
+    if not (np.isfinite(scale.max()) and np.isfinite(di).all()):
         raise ValueError("operator bands must be finite")
     if min(up[:, :-1].min(), lo[:, 1:].min()) <= 0:
         raise EigenSolveError(
@@ -207,6 +217,20 @@ def _stacked_solve(lo, di, up, start, tol: float, max_iters: int):
         s, weights, off = symmetrizing_similarity(lo, up)
     except ValueError as err:
         raise EigenSolveError(str(err)) from None
+    return s, weights, off, scale
+
+
+def _stacked_solve(lo, di, up, couplings, start, tol: float, max_iters: int):
+    """Noda's iteration on the (M, N) stack (zero corners), ``_STACK_DOFS``
+    at a time; ``couplings`` are the blocks' rows of ``_couplings``, and a
+    non-finite ``di`` raises ValueError before any solve.  Returns per block
+    the eigenvalue, the reduced max-normalized eigenvector, the residual and
+    the number of solves."""
+    s, weights, off, scale = couplings
+    # max is exact, so this is the largest entry of all three bands
+    scale = np.maximum(np.abs(di).max(axis=1), scale)
+    if not np.isfinite(scale.max()):
+        raise ValueError("operator bands must be finite")
     step = max(1, _STACK_DOFS // di.shape[1])
     if len(di) <= step:
         return _noda(lo, di, up, s, weights, off, scale, start, tol, max_iters)
@@ -250,8 +274,9 @@ def principal_eigenpairs(
     # the entries outside each matrix are zeroed once, here, where operators
     # built by hand enter: the stack is then one block-diagonal matrix
     lo[:, 0] = up[:, -1] = 0.0
+    couplings = _couplings(lo, di, up)
     return _eigenpairs(
-        layout, *_stacked_solve(lo, di, up, _start_vectors(layout), tol, max_iters)
+        layout, *_stacked_solve(lo, di, up, couplings, _start_vectors(layout), tol, max_iters)
     )
 
 
@@ -308,9 +333,12 @@ class MutantStack:
     """Diffusion operators of M mutants on one grid, assembled once.
 
     ``layout`` is the mutants' stacked ``SpeciesLayout`` (its weights are the
-    operators'); row ``b`` of every ``(M, N)`` array belongs to mutant ``b``:
-    its bands and its Noda start vector.  A scan builds the stack once and
-    evaluates it against every resident it meets (``ResidentContext.fitness``).
+    operators'); row ``b`` of every array belongs to mutant ``b``: its bands,
+    its Noda start vector and what Noda needs of its couplings
+    (``couplings``: the ``(s, s², off)`` of ``symmetrizing_similarity`` and
+    the couplings' part of the band scale, checked once here, since a pair's
+    couplings are its mutant's).  A scan builds the stack once and evaluates
+    it against every resident it meets (``ResidentContext.fitness``).
     """
 
     layout: SpeciesLayout
@@ -318,11 +346,12 @@ class MutantStack:
     di: np.ndarray
     up: np.ndarray
     start: np.ndarray
+    couplings: tuple[np.ndarray, ...]
 
     @classmethod
     def assemble(cls, grid: Grid, mutants: Sequence[SpeciesTraits]) -> "MutantStack":
         layout, lo, di, up = diffusion_bands(grid, mutants)
-        return cls(layout, lo, di, up, _start_vectors(layout))
+        return cls(layout, lo, di, up, _start_vectors(layout), _couplings(lo, di, up))
 
     @classmethod
     def chunks(cls, grid: Grid, mutants: Sequence[SpeciesTraits]) -> Iterator["MutantStack"]:
@@ -381,8 +410,9 @@ class ResidentContext:
             lo, di, up, start = (
                 a.take(j, axis=0) for a in (mutants.lo, mutants.di, mutants.up, mutants.start)
             )
+            couplings = tuple(a.take(j, axis=0) for a in mutants.couplings)
             di += layout.restrict_diag(self.potential.take(i, axis=0))
-            yield layout, _stacked_solve(lo, di, up, start, tol, max_iters)
+            yield layout, _stacked_solve(lo, di, up, couplings, start, tol, max_iters)
 
     def fitness(
         self, mutants: MutantStack, tol: float = 1e-13, max_iters: int = 2000

@@ -10,21 +10,38 @@ patch).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
 from .errors import ValidationError
 
 
+def _refuse_non_numbers(values, name: str) -> None:
+    """A ValidationError naming ``name`` and the index for a bool or string
+    entry of the one-dimensional ``values``, which numpy would read as a
+    number (``True`` as 1.0, ``"1"`` as 1.0)."""
+    for i, v in enumerate(values):
+        if isinstance(v, (bool, np.bool_, str, bytes)):
+            raise ValidationError(f"{name}[{i}] must be a number, got {v!r}")
+
+
 def _float_tuple(values, name: str) -> tuple[float, ...]:
+    """``values`` as a tuple of finite floats: one conversion, with a
+    ValidationError naming ``name`` for anything but a one-dimensional
+    sequence of finite numbers."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional")
-    if not np.all(np.isfinite(arr)):
+    _refuse_non_numbers(values, name)
+    out = tuple(arr.tolist())
+    if not all(map(math.isfinite, out)):
         raise ValidationError(f"{name} must contain only finite values")
-    return tuple(float(v) for v in arr)
+    return out
 
 
 @dataclass(frozen=True)
@@ -132,7 +149,8 @@ class SpeciesTraits:
         object.__setattr__(self, "jump", jump)
         if len(jump) != len(self.d) - 1:
             raise ValidationError("jump vector must have one entry per interface")
-        scales = np.concatenate(([1.0], np.cumprod(jump.as_array())))
+        # left to right, as np.cumprod multiplies
+        scales = np.array(list(accumulate(jump.values, mul, initial=1.0)))
         scales.flags.writeable = False
         object.__setattr__(self, "_scales", scales)
 
@@ -183,16 +201,17 @@ def ifd_strategy(env: PatchEnvironment) -> StrategyVector:
     """
     if env.n < 2:
         raise ValidationError("no interfaces: the landscape has a single patch")
-    k = env.k_array
-    return StrategyVector(k[1:] / k[:-1])
+    k = env.k
+    return StrategyVector([right / left for left, right in zip(k, k[1:])])
 
 
 def derive_jump_ratios(alpha, d) -> StrategyVector:
     """Jump ratios from interface preferences: p_i = alpha_i/(1-alpha_i) * d_i/d_{i+1}."""
-    alpha = np.asarray(alpha, dtype=float)
+    given, alpha = alpha, np.asarray(alpha, dtype=float)
     d = np.asarray(d, dtype=float)
     if alpha.ndim != 1 or d.ndim != 1 or alpha.size != d.size - 1:
         raise ValidationError("need one preference per interface (len(alpha) == len(d) - 1)")
+    _refuse_non_numbers(given, "alpha")
     if np.any(alpha <= 0) or np.any(alpha >= 1):
         raise ValidationError("preferences must lie strictly inside (0, 1)")
     if np.any(d <= 0):
@@ -209,23 +228,24 @@ def recover_preferences(p: StrategyVector, d) -> np.ndarray:
     return pv * d[1:] / (d[:-1] + pv * d[1:])
 
 
-def _pair(a: StrategyVector, b: StrategyVector) -> tuple[np.ndarray, np.ndarray]:
-    av, bv = a.as_array(), b.as_array()
-    if av.size != bv.size:
+def _pair(a: StrategyVector, b: StrategyVector) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    if len(a.values) != len(b.values):
         raise ValidationError("strategy vectors must have equal length")
-    return av, bv
+    return a.values, b.values
 
 
+# The orderings compare the value tuples: Python floats order exactly as
+# float64 arrays do, without an array round trip per comparison.
 def strict_dominates(a: StrategyVector, b: StrategyVector) -> bool:
     """Componentwise strict order: a_i > b_i for every i.  Exact, no tolerance."""
     av, bv = _pair(a, b)
-    return bool(np.all(av > bv))
+    return all(x > y for x, y in zip(av, bv))
 
 
 def weakly_dominates(a: StrategyVector, b: StrategyVector) -> bool:
     """Componentwise order: a_i >= b_i for every i."""
     av, bv = _pair(a, b)
-    return bool(np.all(av >= bv))
+    return all(x >= y for x, y in zip(av, bv))
 
 
 def opposite_sides(a: StrategyVector, b: StrategyVector, ref: StrategyVector) -> bool:
@@ -236,11 +256,10 @@ def opposite_sides(a: StrategyVector, b: StrategyVector, ref: StrategyVector) ->
 
 
 def _weak_d(a, b) -> bool:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size != b.size:
+    a, b = (np.asarray(v, dtype=float).ravel().tolist() for v in (a, b))
+    if len(a) != len(b):
         raise ValidationError("diffusion vectors must have equal length")
-    return bool(np.all(a >= b))
+    return all(x >= y for x, y in zip(a, b))
 
 
 def classify_region(
@@ -259,9 +278,9 @@ def classify_region(
     stronger (diffusion-free) conclusion.
     """
     pv, kv = _pair(p, kbar)
-    if pv.size == 0:
+    if not pv:
         raise ValidationError("region classification needs at least two patches")
-    if np.array_equal(pv, kv):
+    if pv == kv:
         return RegionLabel.IFD_RESIDENT
 
     p_gg_phat = strict_dominates(p, p_hat)

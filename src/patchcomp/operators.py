@@ -30,7 +30,9 @@ product; ``factor_blocks``, the one LU (LAPACK gttrf/gttrs), for damped
 Newton, its fallback march and ``solve_shifted``; and ``factor_symmetrized``,
 the one LDLᵀ (pttrf/pttrs) of ``alpha - beta S A S⁻¹`` on the
 ``symmetrizing_similarity`` of the couplings, for Noda's shifted solves and
-the IMEX step.  The zero corners keep the blocks apart: each block's
+the IMEX step.  The similarity depends on the couplings alone, so its
+callers build it once per operator they hold: once per mutant of a scan,
+once per stepper.  The zero corners keep the blocks apart: each block's
 arithmetic is bit for bit that of its operator on its own, and the solves
 take M right-hand-side rows of one operator as M single solves.
 """

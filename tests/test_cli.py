@@ -58,6 +58,12 @@ class TestConfig:
         with pytest.raises(ValidationError, match=f"sim.{field}"):
             RunConfig.from_dict({"sim": {field: value}})
 
+    @pytest.mark.parametrize("resident", [{"d": [True, 1.0], "p": [3.0]}, {"d": ["1", 1.0]}])
+    def test_vector_entries_must_be_numbers(self, resident):
+        # numpy would read them as 1.0, as checked_number never does
+        with pytest.raises(ValidationError, match=r"resident: d\[0\] must be a number"):
+            RunConfig.from_dict({"resident": resident})
+
     def test_sim_strides_accept_positive_integers(self):
         cfg = RunConfig.from_dict({"sim": {"check_interval": 1, "snapshot_stride": None}})
         assert cfg.sim.check_interval == 1 and cfg.sim.snapshot_stride is None
@@ -384,6 +390,28 @@ class TestCommands:
         out = tmp_path / "out"
         assert run([command, "--config", cfg, "--out", out, *flags]) == 1
         assert f"configuration error: {path}: must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config,named",
+        [
+            ({"resident": {"d": [True, 1.0]}}, "resident: d[0]"),
+            ({"mutant": {"d": [1.0, "2"]}}, "mutant: d[1]"),
+            ({"environment": {"r": [1.0, True]}}, "environment: r[1]"),
+            ({"environment": {"k": ["1", 2.0]}}, "environment: k[0]"),
+            ({"landscape": {"boundaries": [0.0, True, 2.0]}},
+             "landscape.boundaries: boundaries[1]"),
+            ({"mutant": {"p": [True]}}, "mutant: strategy values[0]"),
+            ({"resident": {"p": None, "alpha": ["0.5"]}}, "resident: alpha[0]"),
+            ({"sweep": {"mutant_p": [[2.5], [True]]}}, "sweep.mutant_p[1]: strategy values[0]"),
+        ],
+    )
+    def test_bool_and_string_vector_entries_exit_one(self, tmp_path, capsys, config, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": {"per_patch": 20}, **config}))
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", cfg, "--out", out]) == 1
+        assert f"configuration error: {named} must be a number" in capsys.readouterr().err
         assert not out.exists()
 
     def test_env_override(self, tmp_path, monkeypatch):

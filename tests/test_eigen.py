@@ -21,7 +21,31 @@ from patchcomp.operators import (
     assemble_diffusion,
     consistent_constant,
     expand_reduced,
+    symmetrizing_similarity,
 )
+
+# 2-6 patches: length, d, p (the last patch's p is unused), r, k
+PATCHES = st.lists(
+    st.tuples(
+        st.floats(0.5, 2.0), st.floats(0.1, 10.0), st.floats(0.2, 5.0),
+        st.floats(0.5, 2.0), st.floats(0.5, 2.0),
+    ),
+    min_size=2,
+    max_size=6,
+)
+
+
+def drawn_species(patches, rng, count):
+    """The landscape, environment and ``count`` species drawn around the
+    patches' ``d`` and ``p``."""
+    length, d, p, r, k = (np.array(col) for col in zip(*patches))
+    land = pc.Landscape(np.concatenate(([0.0], np.cumsum(length))))
+    species = [
+        pc.SpeciesTraits(d * rng.uniform(0.5, 2.0, d.size),
+                         pc.StrategyVector(p[:-1] * rng.uniform(0.5, 2.0, p.size - 1)))
+        for _ in range(count)
+    ]
+    return land, pc.PatchEnvironment(r, k), species
 
 
 def extended_rayleigh_quotient(di, off, y):
@@ -211,14 +235,7 @@ class TestPrincipalEigenpair:
 
 class TestNodaIteration:
     @given(
-        patches=st.lists(
-            st.tuples(  # length, d, p (the last patch's p is unused), r, k
-                st.floats(0.5, 2.0), st.floats(0.1, 10.0), st.floats(0.2, 5.0),
-                st.floats(0.5, 2.0), st.floats(0.5, 2.0),
-            ),
-            min_size=2,
-            max_size=6,
-        ),
+        patches=PATCHES,
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
@@ -324,14 +341,7 @@ class TestNodaIteration:
 
 class TestStackedNoda:
     @given(
-        patches=st.lists(
-            st.tuples(  # length, d, p (the last patch's p is unused), r, k
-                st.floats(0.5, 2.0), st.floats(0.1, 10.0), st.floats(0.2, 5.0),
-                st.floats(0.5, 2.0), st.floats(0.5, 2.0),
-            ),
-            min_size=2,
-            max_size=6,
-        ),
+        patches=PATCHES,
         blocks=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -369,14 +379,7 @@ class TestStackedNoda:
         assert pairs[list(order).index(len(ops) - 1)].iterations == 0
 
     @given(
-        patches=st.lists(
-            st.tuples(  # length, d, p (the last patch's p is unused), r, k
-                st.floats(0.5, 2.0), st.floats(0.1, 10.0), st.floats(0.2, 5.0),
-                st.floats(0.5, 2.0), st.floats(0.5, 2.0),
-            ),
-            min_size=2,
-            max_size=6,
-        ),
+        patches=PATCHES,
         asymmetric=st.lists(st.booleans(), min_size=1, max_size=5),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -552,6 +555,40 @@ class TestStackedNoda:
         assert [len(s.di) for s in MutantStack.chunks(grid, mutants)] == [2, 2, 1]
         for mutant, pair in zip(mutants, pairs):
             assert pair.lambda1 == pc.invasion_fitness(land, env, resident, mutant, grid).lambda1
+
+
+    @given(patches=PATCHES, shape=st.tuples(st.integers(1, 3), st.integers(1, 4)),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_fitness_table_equals_per_pair_route(self, patches, shape, seed):
+        rng = np.random.default_rng(seed)
+        land, env, species = drawn_species(patches, rng, sum(shape))
+        residents, mutants = species[: shape[0]], species[shape[0] :]
+        grid = pc.build_grid(land, per_patch=12)
+        solve = rng.uniform(size=shape) < 0.7
+        table = pc.fitness_table(land, env, grid, residents, mutants, solve=solve)
+        for i, resident in enumerate(residents):
+            potential = growth_potential(
+                grid, env, pc.solve_resident_steady(land, env, resident, grid)
+            )
+            for j, mutant in enumerate(mutants):
+                if solve[i, j]:
+                    op = assemble_linearization(grid, mutant, potential)
+                    assert table[i, j] == pc.principal_eigenpair(op).lambda1
+                else:
+                    assert np.isnan(table[i, j])
+
+    @given(patches=PATCHES, count=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_stack_couplings_are_each_mutants_own(self, patches, count, seed):
+        land, env, mutants = drawn_species(patches, np.random.default_rng(seed), count)
+        grid = pc.build_grid(land, per_patch=12)
+        s, weights, off, scale = MutantStack.assemble(grid, mutants).couplings
+        for b, mutant in enumerate(mutants):
+            op = assemble_diffusion(grid, mutant)
+            for row, alone in zip((s, weights, off), symmetrizing_similarity(op.lo, op.up)):
+                assert np.array_equal(row[b], alone)
+            assert scale[b] == max(1.0, np.abs(op.lo).max(), np.abs(op.up).max())
 
 
 class TestInvasionFitness:

@@ -1,9 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import patchcomp as pc
+import patchcomp.landscape
 from patchcomp import RegionLabel, StrategyVector
+from patchcomp.landscape import _float_tuple
 
 
 def vec(*values):
@@ -49,6 +53,63 @@ class TestDomainTypes:
         single = pc.SpeciesTraits([1.0], StrategyVector([]))
         assert np.array_equal(single.cumulative_scales(), [1.0])
         assert traits == pc.SpeciesTraits([1.0, 2.0, 0.5], [3.0, 0.7])
+
+
+class TestFloatTuple:
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.integers(-10**6, 10**6),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(-1e6, 1e6).map(np.float64),
+                st.floats(-1e6, 1e6, width=32).map(np.float32),
+                st.integers(-1000, 1000).map(np.int64),
+            ),
+            max_size=6,
+        ),
+        kind=st.sampled_from([list, tuple, np.array]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_array_conversion(self, values, kind):
+        given_values = kind(values)
+        expected = tuple(float(v) for v in np.asarray(given_values, dtype=float))
+        got = _float_tuple(given_values, "x")
+        assert got == expected
+        assert all(type(v) is float for v in got)
+
+    @pytest.mark.parametrize(
+        "values,match",
+        [
+            ([[1.0, 2.0]], "one-dimensional"),
+            (np.ones((2, 2)), "one-dimensional"),
+            (1.0, "one-dimensional"),
+            ([1.0, float("nan")], "finite"),
+            ((float("inf"),), "finite"),
+            (np.array([1.0, -np.inf]), "finite"),
+            ([True, 1.0], r"x\[0\] must be a number, got True"),
+            ([1.0, np.True_], r"x\[1\] must be a number"),
+            (np.array([False, True]), r"x\[0\] must be a number"),
+            (["1", 1.0], r"x\[0\] must be a number, got '1'"),
+            ((2.0, "3"), r"x\[1\] must be a number"),
+        ],
+    )
+    def test_refuses(self, values, match):
+        with pytest.raises(pc.ValidationError, match=match):
+            _float_tuple(values, "x")
+
+    @pytest.mark.parametrize("bad", [True, "1", "2.5"])
+    def test_vectors_refuse_bool_and_string_entries(self, bad):
+        # numpy reads True as 1.0 and "1" as 1.0; no vector takes either
+        with pytest.raises(pc.ValidationError, match="d\\[0\\] must be a number"):
+            pc.SpeciesTraits([bad, 1.0], [2.0])
+        with pytest.raises(pc.ValidationError, match="must be a number"):
+            StrategyVector([bad])
+        with pytest.raises(pc.ValidationError, match="boundaries\\[1\\] must be a number"):
+            pc.Landscape([0.0, bad, 3.0])
+        with pytest.raises(pc.ValidationError, match="r\\[1\\] must be a number"):
+            pc.PatchEnvironment(r=[1.0, bad], k=[1.0, 2.0])
+        with pytest.raises(pc.ValidationError, match="alpha\\[0\\] must be a number"):
+            pc.derive_jump_ratios([bad], [1.0, 1.0])
 
 
 class TestIfdStrategy:
@@ -137,6 +198,38 @@ class TestOrderings:
     def test_length_mismatch(self):
         with pytest.raises(pc.ValidationError):
             pc.strict_dominates(vec(1, 2), vec(1, 2, 3))
+
+    @given(
+        n=st.integers(1, 4),
+        entries=st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0]), min_size=20, max_size=20),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_match_the_array_orderings(self, n, entries):
+        # entries from four values, so ties are common in every comparison
+        p, p_hat, kbar = (vec(*entries[i * n : (i + 1) * n]) for i in range(3))
+        d, d_hat = np.array(entries[15 : 15 + n]), entries[16 : 16 + n]
+
+        def np_strict(a, b):
+            return bool(np.all(a.as_array() > b.as_array()))
+
+        def np_weak_d(a, b):
+            return bool(np.all(np.asarray(a, dtype=float) >= np.asarray(b, dtype=float)))
+
+        for a, b in ((p, p_hat), (p_hat, p), (p, kbar), (kbar, p_hat), (p, p)):
+            assert pc.strict_dominates(a, b) is np_strict(a, b)
+            assert pc.weakly_dominates(a, b) is bool(np.all(a.as_array() >= b.as_array()))
+            assert pc.opposite_sides(a, b, kbar) is (
+                (np_strict(a, kbar) and np_strict(kbar, b))
+                or (np_strict(b, kbar) and np_strict(kbar, a))
+            )
+        assert patchcomp.landscape._weak_d(d, d_hat) is np_weak_d(d, d_hat)
+        label = pc.classify_region(p, p_hat, d, d_hat, kbar)
+        assert (label is RegionLabel.IFD_RESIDENT) == np.array_equal(
+            p.as_array(), kbar.as_array()
+        )
+        with mock.patch.object(patchcomp.landscape, "strict_dominates", np_strict), \
+                mock.patch.object(patchcomp.landscape, "_weak_d", np_weak_d):
+            assert pc.classify_region(p, p_hat, d, d_hat, kbar) is label
 
 
 class TestClassifyRegion:
