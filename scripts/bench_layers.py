@@ -4,9 +4,14 @@
     python3 scripts/bench_layers.py [--out BENCH.json] [--repeats 7]
 
 Run from the root of a source checkout; the package is imported from its
-``src/``.  Each figure is the median of ``--repeats`` timed repeats (at least
-5) after one untimed warm-up call, in milliseconds, on the reference two-patch
-pair (resident p = 3, mutant p = 2.5, capacity ratio 2).  The layers:
+``src/``.  Each timed figure is ``{"ms": ..., "minflt": ...}``: the median of
+``--repeats`` timed repeats (at least 5) after one untimed warm-up call, in
+milliseconds, and the minor page faults per timed call (the change in
+``ru_minflt`` over the timed repeats divided by their number; for the
+subprocess figures, ``cli`` and ``startup``, the faults of the children).  A
+``*_per_operator`` figure is its stack's ``ms`` divided by M.  All figures are
+for the reference two-patch pair (resident p = 3, mutant p = 2.5, capacity
+ratio 2).  The layers:
 
 - ``assembly``: ``assemble_diffusion`` of one species;
 - ``steady``: the resident's damped-Newton steady solve;
@@ -32,11 +37,15 @@ pair (resident p = 3, mutant p = 2.5, capacity ratio 2).  The layers:
   dt, at the same three sizes, on one ``(2, N)`` state and on an
   ``(M, 2, N)`` stack of M = 2 runs (``rows_1``, ``rows_2``; M = 2 is the
   order-preservation harness's stack), timed over 100 consecutive steps from
-  the default initial data and divided by 100;
+  the default initial data and divided by 100 (the faults too);
 - ``first_step``: the first ``Stepper.step`` of a fresh stepper at the same
   three sizes, from the default initial data: the lazy LDLᵀ factorisation of
   the two species' stacked ``I - dt A`` (its similarity and coefficients
   included) and one step; the stepper is built outside the timed call;
+- ``harness``: one op of the order-preservation harness at the same three
+  sizes, as the benchmark's ``fine_march`` times it: a fresh stepper and
+  ``order_preservation_check`` over 20 steps of two ordered states (from the
+  default initial data, each species halved in one of them);
 - ``simulate_rows``: ``simulate`` to a verdict on each of the six table rows,
   ``configs/{above,below}_{resident_wins,mutant_wins,coexistence}.json``
   (201 reduced DOFs, default dt), with the verdict, the steps taken and the
@@ -67,6 +76,7 @@ import io
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -101,6 +111,7 @@ RESIDENT_STACKS = (1, 10, 32)
 STEADY_STACK_PER_PATCH = (100, 800)  # 201 and 1,601 reduced DOFs
 FINE_PER_PATCH = (100, 1000, 4000)  # 201, 2,001 and 8,001 reduced DOFs
 STEPS_PER_REPEAT = 100
+HARNESS_STEPS = 20
 STEP_ROWS = (1, 2)
 TABLE_ROWS = tuple(
     f"{side}_{verdict}"
@@ -111,14 +122,18 @@ CLI_COMMANDS = ("steady", "eigen", "fitness", "classify", "pip", "sweep", "valid
 CLI_CONFIG = ROOT / "configs" / "reference_two_patch.json"
 
 
-def median_ms(call, repeats: int) -> float:
+def timed(call, repeats: int, who: int = resource.RUSAGE_SELF) -> dict:
+    """Median milliseconds of ``repeats`` timed calls after one untimed
+    warm-up, and the minor page faults of ``who`` per timed call."""
     call()
     times = []
+    faults = resource.getrusage(who).ru_minflt
     for _ in range(repeats):
         t0 = perf_counter()
         call()
         times.append(perf_counter() - t0)
-    return 1e3 * statistics.median(times)
+    faults = resource.getrusage(who).ru_minflt - faults
+    return {"ms": 1e3 * statistics.median(times), "minflt": faults / repeats}
 
 
 def layers(repeats: int) -> dict:
@@ -126,17 +141,16 @@ def layers(repeats: int) -> dict:
     for per_patch in PER_PATCH:
         grid = pc.build_grid(LAND, per_patch=per_patch)
         dofs = str(grid.num_reduced)
-        out["assembly"][dofs] = median_ms(lambda: assemble_diffusion(grid, MUTANT), repeats)
-        out["steady"][dofs] = median_ms(
+        out["assembly"][dofs] = timed(lambda: assemble_diffusion(grid, MUTANT), repeats)
+        out["steady"][dofs] = timed(
             lambda: pc.solve_resident_steady(LAND, ENV, RESIDENT, grid), repeats
         )
         ops = _linearizations(grid, max(STACKS))
-        row = {"single": median_ms(lambda: pc.principal_eigenpair(ops[0]), repeats)}
+        row = {"single": timed(lambda: pc.principal_eigenpair(ops[0]), repeats)}
         for m in STACKS:
             stack = ops[:m]
-            ms = median_ms(lambda: pc.principal_eigenpairs(stack), repeats)
-            row[f"stack_{m}"] = ms
-            row[f"stack_{m}_per_operator"] = ms / m
+            row[f"stack_{m}"] = timed(lambda: pc.principal_eigenpairs(stack), repeats)
+            row[f"stack_{m}_per_operator"] = row[f"stack_{m}"]["ms"] / m
         out["eigen"][dofs] = row
     return out
 
@@ -148,10 +162,10 @@ def fitness(repeats: int) -> dict:
             return pc.build_grid(LAND, per_patch=per_patch)
 
         out[str(fresh().num_reduced)] = {
-            "steady": median_ms(
+            "steady": timed(
                 lambda: pc.solve_resident_steady(LAND, ENV, RESIDENT, fresh()), repeats
             ),
-            "fitness": median_ms(
+            "fitness": timed(
                 lambda: pc.invasion_fitness(LAND, ENV, RESIDENT, MUTANT, fresh()), repeats
             ),
         }
@@ -172,8 +186,10 @@ def eigen_stack(repeats: int) -> dict:
     for per_patch, m in SCAN_STACKS:
         grid = pc.build_grid(LAND, per_patch=per_patch)
         ops = _linearizations(grid, m)
-        ms = median_ms(lambda: pc.principal_eigenpairs(ops), repeats)
-        out[str(grid.num_reduced)] = {f"stack_{m}": ms, f"stack_{m}_per_operator": ms / m}
+        stack = timed(lambda: pc.principal_eigenpairs(ops), repeats)
+        out[str(grid.num_reduced)] = {
+            f"stack_{m}": stack, f"stack_{m}_per_operator": stack["ms"] / m,
+        }
     return out
 
 
@@ -186,10 +202,10 @@ def steady_stack(repeats: int) -> dict:
             residents = [
                 pc.SpeciesTraits([1.0, 1.0], [p]) for p in np.linspace(1.2, 4.0, r)
             ]
-            row[f"stacked_{r}"] = median_ms(
+            row[f"stacked_{r}"] = timed(
                 lambda: pc.solve_resident_steady_states(LAND, ENV, residents, grid), repeats
             )
-            row[f"loop_{r}"] = median_ms(
+            row[f"loop_{r}"] = timed(
                 lambda: [pc.solve_resident_steady(LAND, ENV, one, grid) for one in residents],
                 repeats,
             )
@@ -197,24 +213,28 @@ def steady_stack(repeats: int) -> dict:
     return out
 
 
-def first_step_ms(grid, start, repeats: int) -> float:
-    """Median first ``step`` of a fresh stepper, built before the clock
-    starts, after one untimed warm-up."""
-    times = []
-    for _ in range(repeats + 1):
+def first_step(grid, start, repeats: int) -> dict:
+    """``timed`` for the first ``step`` of a fresh stepper, built before the
+    clock starts (its faults are not counted)."""
+    times, faults = [], 0
+    for i in range(repeats + 1):
         stepper = Stepper(LAND, ENV, RESIDENT, MUTANT, grid)
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = perf_counter()
         stepper.step(start)
-        times.append(perf_counter() - t0)
-    return 1e3 * statistics.median(times[1:])
+        t1 = perf_counter()
+        if i:  # the first call is the warm-up
+            times.append(t1 - t0)
+            faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
+    return {"ms": 1e3 * statistics.median(times), "minflt": faults / repeats}
 
 
 def fine_layers(repeats: int) -> dict:
-    out = {"oracle": {}, "step": {}, "first_step": {}}
+    out = {"oracle": {}, "step": {}, "first_step": {}, "harness": {}}
     for per_patch in FINE_PER_PATCH:
         grid = pc.build_grid(LAND, per_patch=per_patch)
         dofs = str(grid.num_reduced)
-        out["oracle"][dofs] = median_ms(
+        out["oracle"][dofs] = timed(
             lambda: pc.solve_transformed_steady(LAND, ENV, RESIDENT, grid), repeats
         )
         stepper = Stepper(LAND, ENV, RESIDENT, MUTANT, grid)
@@ -229,9 +249,15 @@ def fine_layers(repeats: int) -> dict:
                 for _ in range(STEPS_PER_REPEAT):
                     w, _ = stepper.step(w)
 
-            row[f"rows_{m}"] = median_ms(march, repeats) / STEPS_PER_REPEAT
+            per_step = timed(march, repeats)
+            row[f"rows_{m}"] = {k: v / STEPS_PER_REPEAT for k, v in per_step.items()}
         out["step"][dofs] = row
-        out["first_step"][dofs] = first_step_ms(grid, w0, repeats)
+        out["first_step"][dofs] = first_step(grid, w0, repeats)
+        u, v = w0
+        out["harness"][dofs] = timed(lambda: pc.order_preservation_check(
+            (u, 0.5 * v), (0.5 * u, v), Stepper(LAND, ENV, RESIDENT, MUTANT, grid),
+            HARNESS_STEPS,
+        ), repeats)
     return out
 
 
@@ -248,30 +274,30 @@ def simulate_rows(repeats: int) -> dict:
                 cfg.sim, steady_config=cfg.steady,
             ))
 
-        ms = median_ms(run, repeats)
+        timing = timed(run, repeats)
         if len({(r.verdict, r.steps) for r in records}) != 1:
             raise SystemExit(f"bench_layers: {name} is not repeatable")
-        out[name] = {"verdict": records[0].verdict, "steps": records[0].steps, "ms": ms}
+        out[name] = {"verdict": records[0].verdict, "steps": records[0].steps, **timing}
     return out
 
 
-def pip_square(size: int, repeats: int) -> float:
+def pip_square(size: int, repeats: int) -> dict:
     grid = pc.build_grid(LAND, per_patch=100)
     residents = np.linspace(2.2, 4.0, size)
     mutants = np.linspace(1.0, 4.0, size)
-    return median_ms(lambda: pc.pip(residents, mutants, [1.0, 1.0], LAND, ENV, grid), repeats)
+    return timed(lambda: pc.pip(residents, mutants, [1.0, 1.0], LAND, ENV, grid), repeats)
 
 
 def strategy_checks(repeats: int) -> dict:
     grid = pc.build_grid(LAND, per_patch=100)
     checks = (("css", pc.css_check, 2.0), ("nis", pc.nis_check, 2.0), ("ess", pc.ess_check, 3.0))
     return {
-        name: median_ms(lambda: check(focal, 1.0, 5, LAND, ENV, [1.0, 1.0], grid), repeats)
+        name: timed(lambda: check(focal, 1.0, 5, LAND, ENV, [1.0, 1.0], grid), repeats)
         for name, check, focal in checks
     }
 
 
-def sweep_256(repeats: int) -> float:
+def sweep_256(repeats: int) -> dict:
     points = np.random.default_rng(1).uniform(1.0, 4.0, 256)
     config = {
         "resident": {"d": [1.0, 1.0], "p": [3.0]},
@@ -289,21 +315,22 @@ def sweep_256(repeats: int) -> float:
                 if patchcomp.cli.run_command(argv) != 0:
                     raise SystemExit("bench_layers: sweep failed")
 
-        return median_ms(run, repeats)
+        return timed(run, repeats)
 
 
-def _subprocess_ms(args: list[str], repeats: int) -> float:
+def _subprocess(args: list[str], repeats: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     cmd = [sys.executable, *args]
-    return median_ms(
-        lambda: subprocess.run(cmd, env=env, check=True, stdout=subprocess.DEVNULL), repeats
+    return timed(
+        lambda: subprocess.run(cmd, env=env, check=True, stdout=subprocess.DEVNULL), repeats,
+        resource.RUSAGE_CHILDREN,
     )
 
 
 def cli(repeats: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         return {
-            command: _subprocess_ms(
+            command: _subprocess(
                 ["-m", "patchcomp.cli", command, "--config", str(CLI_CONFIG), "--out", tmp],
                 repeats,
             )
@@ -311,8 +338,8 @@ def cli(repeats: int) -> dict:
         }
 
 
-def startup(repeats: int) -> float:
-    return _subprocess_ms(["-c", "import patchcomp"], repeats)
+def startup(repeats: int) -> dict:
+    return _subprocess(["-c", "import patchcomp"], repeats)
 
 
 def main() -> None:
@@ -324,7 +351,7 @@ def main() -> None:
         parser.error("--repeats must be at least 5")
     result = {
         "unit": "ms",
-        "statistic": f"median of {args.repeats} repeats",
+        "statistic": f"median of {args.repeats} repeats; minflt per timed call",
         "machine": {
             "nproc": os.cpu_count(),
             "python": platform.python_version(),

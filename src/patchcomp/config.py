@@ -11,7 +11,9 @@ from typing import Any
 from .dynamics import SimConfig
 from .errors import ValidationError, checked_number
 from .grid import Grid, build_grid
-from .landscape import Landscape, PatchEnvironment, SpeciesTraits, StrategyVector
+from .landscape import (
+    Landscape, PatchEnvironment, SpeciesTraits, StrategyVector, _float_tuple,
+)
 from .steady import SteadyConfig
 
 ENV_PREFIX = "PATCHCOMP_"
@@ -162,7 +164,8 @@ class RunConfig:
             if spec.get("alpha") is not None:
                 return SpeciesTraits.from_preferences(d, spec["alpha"])
             if spec.get("p") is not None:
-                return SpeciesTraits(d, StrategyVector(spec["p"]))
+                # checked here so that its errors name ``p``
+                return SpeciesTraits(d, StrategyVector(_float_tuple(spec["p"], "p")))
         except (ValidationError, ValueError) as exc:
             raise ValidationError(f"{path}: {exc}") from exc
         if n == 1:

@@ -74,7 +74,7 @@ class OutcomeRecord:
 class Stepper:
     """IMEX Euler stepping for one parameter point at the fixed ``self.dt``,
     on the pair as one stack (see the module docstring); ``layout`` is the
-    stack's ``SpeciesLayout``, ``layout_u``/``layout_v`` its rows.
+    stack's ``SpeciesLayout``.
 
     The competition term ``w (a - b w - c x)`` takes the coefficients of
     ``SpeciesLayout.logistic_coefficients``: ``b`` with the species' own jump
@@ -107,7 +107,6 @@ class Stepper:
         self.grid = grid
         self.config = config or SimConfig()
         self.layout, *self._bands = diffusion_bands(grid, [resident, mutant])
-        self.layout_u, self.layout_v = self.layout[0], self.layout[1]
         self.dt = self.config.dt if self.config.dt is not None else 0.01 / env.r_array.max()
         # (a, b, c) of the reaction w (a - b w - c x): b crowded by the
         # species' own p, c by the competitor's

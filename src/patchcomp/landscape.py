@@ -212,6 +212,8 @@ def derive_jump_ratios(alpha, d) -> StrategyVector:
     if alpha.ndim != 1 or d.ndim != 1 or alpha.size != d.size - 1:
         raise ValidationError("need one preference per interface (len(alpha) == len(d) - 1)")
     _refuse_non_numbers(given, "alpha")
+    if not np.isfinite(alpha).all():  # NaN passes the range test below
+        raise ValidationError("alpha must contain only finite values")
     if np.any(alpha <= 0) or np.any(alpha >= 1):
         raise ValidationError("preferences must lie strictly inside (0, 1)")
     if np.any(d <= 0):

@@ -401,9 +401,10 @@ class TestCommands:
             ({"environment": {"k": ["1", 2.0]}}, "environment: k[0]"),
             ({"landscape": {"boundaries": [0.0, True, 2.0]}},
              "landscape.boundaries: boundaries[1]"),
-            ({"mutant": {"p": [True]}}, "mutant: strategy values[0]"),
+            ({"mutant": {"p": [True]}}, "mutant: p[0]"),
             ({"resident": {"p": None, "alpha": ["0.5"]}}, "resident: alpha[0]"),
             ({"sweep": {"mutant_p": [[2.5], [True]]}}, "sweep.mutant_p[1]: strategy values[0]"),
+            ({"mutant": {"p": None, "alpha": [True]}}, "mutant: alpha[0]"),
         ],
     )
     def test_bool_and_string_vector_entries_exit_one(self, tmp_path, capsys, config, named):
@@ -412,6 +413,25 @@ class TestCommands:
         out = tmp_path / "out"
         assert run(["sweep", "--config", cfg, "--out", out]) == 1
         assert f"configuration error: {named} must be a number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config,named",
+        [
+            ({"resident": {"p": [float("nan")]}}, "resident: p"),
+            ({"mutant": {"p": None, "alpha": [float("nan")]}}, "mutant: alpha"),
+            ({"resident": {"d": [1.0, float("nan")]}}, "resident: d"),
+        ],
+    )
+    def test_non_finite_vector_entries_exit_one_naming_the_field(
+        self, tmp_path, capsys, config, named
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": {"per_patch": 20}, **config}))
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert f"configuration error: {named} must contain only finite values" in err
         assert not out.exists()
 
     def test_env_override(self, tmp_path, monkeypatch):
