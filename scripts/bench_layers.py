@@ -62,10 +62,20 @@ ratio 2).  The layers:
   ``configs/reference_two_patch.json``, run end to end as a subprocess
   (interpreter start and import included);
 - ``startup``: a fresh interpreter that imports patchcomp and exits, timed
-  from outside, reported apart because every CLI command pays it.
+  from outside, reported apart because every CLI command pays it;
+- ``ldlt``: ``factor_symmetrized``, one factorisation and one solve (of a
+  fresh copy of the right-hand side), on the stacks its callers make: the
+  stepper's two species, ``I - dt A`` at 201, 2,001 and 8,001 reduced DOFs
+  with a ``(2, N)`` and a ``(2, 2, N)`` right-hand side (``rows_1``,
+  ``rows_2``), and Noda's shifted solves on 81 linearizations at 201 reduced
+  DOFs and 16 at 801 (``noda_81x201``, ``noda_16x801``); timed over 20 calls
+  and divided by 20, once per route: the interleaved kernel (``kernel``,
+  where it loaded) and LAPACK (``lapack``, the kernel handle set to None in
+  this process for the time of the call).
 
-BLAS runs on one thread.  The machine record holds ``nproc`` and the Python,
-numpy and scipy versions.
+BLAS runs on one thread.  The machine record holds ``nproc``, the Python,
+numpy and scipy versions, whether the LDLᵀ kernel loaded and the first line
+of the C compiler's ``--version``.
 """
 
 from __future__ import annotations
@@ -80,6 +90,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import sysconfig
 import tempfile
 from pathlib import Path
 from time import perf_counter
@@ -97,8 +108,13 @@ import patchcomp as pc  # noqa: E402
 import patchcomp.cli  # noqa: E402
 from patchcomp.config import RunConfig  # noqa: E402
 from patchcomp.dynamics import Stepper, default_initial  # noqa: E402
+from patchcomp import operators  # noqa: E402
 from patchcomp.eigen import assemble_linearization, growth_potential  # noqa: E402
-from patchcomp.operators import assemble_diffusion  # noqa: E402
+from patchcomp.operators import (  # noqa: E402
+    assemble_diffusion,
+    factor_symmetrized,
+    symmetrizing_similarity,
+)
 
 LAND = pc.Landscape([0.0, 1.0, 2.0])
 ENV = pc.PatchEnvironment(r=[1.0, 1.0], k=[1.0, 2.0])
@@ -113,6 +129,7 @@ FINE_PER_PATCH = (100, 1000, 4000)  # 201, 2,001 and 8,001 reduced DOFs
 STEPS_PER_REPEAT = 100
 HARNESS_STEPS = 20
 STEP_ROWS = (1, 2)
+LDLT_CALLS = 20
 TABLE_ROWS = tuple(
     f"{side}_{verdict}"
     for side in ("above", "below")
@@ -261,6 +278,51 @@ def fine_layers(repeats: int) -> dict:
     return out
 
 
+def _ldlt_routes(di, off, alpha, beta, rhs, repeats: int) -> dict:
+    """``timed`` per route for ``LDLT_CALLS`` factor-and-solve calls, per call."""
+    kernel = getattr(operators, "_ldlt", None)  # absent before the kernel existed
+    routes = {"kernel": kernel} if kernel is not None else {}
+    routes["lapack"] = None
+    out = {}
+
+    def calls() -> None:
+        for _ in range(LDLT_CALLS):
+            factor_symmetrized(di, off, alpha, beta)(rhs.copy())
+
+    try:
+        for name, handle in routes.items():
+            operators._ldlt = handle
+            out[name] = {k: v / LDLT_CALLS for k, v in timed(calls, repeats).items()}
+    finally:
+        operators._ldlt = kernel
+    return out
+
+
+def ldlt(repeats: int) -> dict:
+    out = {}
+    for per_patch in FINE_PER_PATCH:
+        grid = pc.build_grid(LAND, per_patch=per_patch)
+        stepper = Stepper(LAND, ENV, RESIDENT, MUTANT, grid)
+        lo, di, up = stepper._bands
+        s, _, off = symmetrizing_similarity(lo, up)
+        w0 = s * np.array(default_initial(grid, ENV))
+        out[f"step_{grid.num_reduced}"] = {
+            f"rows_{m}": _ldlt_routes(
+                di, off, 1.0, stepper.dt, w0 if m == 1 else np.tile(w0, (m, 1, 1)), repeats
+            )
+            for m in STEP_ROWS
+        }
+    for per_patch, m in SCAN_STACKS:
+        grid = pc.build_grid(LAND, per_patch=per_patch)
+        ops = _linearizations(grid, m)
+        lo, di, up = (np.array([getattr(op, band) for op in ops]) for band in ("lo", "di", "up"))
+        s, _, off = symmetrizing_similarity(lo, up)
+        # a shift per block above its spectrum (its largest Gershgorin bound)
+        sigma = (di + np.abs(lo) + np.abs(up)).max(axis=1, keepdims=True) + 1e-3
+        out[f"noda_{m}x{grid.num_reduced}"] = _ldlt_routes(di, off, sigma, 1.0, s.copy(), repeats)
+    return out
+
+
 def simulate_rows(repeats: int) -> dict:
     out = {}
     for name in TABLE_ROWS:
@@ -342,6 +404,19 @@ def startup(repeats: int) -> dict:
     return _subprocess(["-c", "import patchcomp"], repeats)
 
 
+def compiler_version() -> str:
+    """The first line of the C compiler's ``--version`` (``sysconfig``'s
+    ``CC``, the one the kernel is built with), or ``"none"``."""
+    command = (sysconfig.get_config_var("CC") or "").split()[:1]
+    try:
+        done = subprocess.run([*command, "--version"], capture_output=True, text=True,
+                              timeout=30)
+    except (OSError, subprocess.SubprocessError):
+        return "none"
+    lines = done.stdout.splitlines()
+    return lines[0] if done.returncode == 0 and lines else "none"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default="BENCH.json", help="JSON file to write")
@@ -358,6 +433,8 @@ def main() -> None:
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "blas_threads": 1,
+            "ldlt_kernel": bool(getattr(pc, "_LDLT_KERNEL", False)),
+            "compiler": compiler_version(),
         },
         **layers(args.repeats),
         "fitness": fitness(args.repeats),
@@ -371,6 +448,7 @@ def main() -> None:
         "sweep_256": sweep_256(args.repeats),
         "cli": cli(args.repeats),
         "startup": startup(args.repeats),
+        "ldlt": ldlt(args.repeats),
     }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))

@@ -10,7 +10,8 @@ coefficients once per stepper.  Diffusion is implicit: the stack's
 ``I - dt A``, symmetric positive definite in the weighted inner product, is
 LDLᵀ-factored once (``operators.factor_symmetrized``, on the similarity its
 couplings give), and the coefficients take in ``dt`` and that similarity, so
-a step is one expression and one pttrs call for both species and every run;
+a step is one expression and one LDLᵀ solve for both species and every run
+(the two species, times the runs, side by side in the interleaved kernel);
 the steady residuals use the package's one matrix-vector product.  The step
 map is monotone for the order "first species up, second species down",
 which the order-preservation harness checks, and it leaves the
@@ -377,8 +378,10 @@ def order_preservation_check(
     componentwise larger, second smaller).  The two states march as one
     ``(2, 2, N)`` stack (state, species, DOF), one ``Stepper.step`` per step,
     each state bit for bit its own march.  Returns (preserved, worst
-    violation, first violating step).
+    violation, first violating step); ``steps`` must be a positive integer,
+    since no steps show nothing about the order (ValidationError).
     """
+    checked_number(steps, "steps", count=True)
     tol = 1e-10 * stepper.env.k_array.max()
     size = stepper.grid.num_reduced
     if any(np.shape(x) != (size,) for x in (*state_a, *state_b)):

@@ -264,8 +264,11 @@ def principal_eigenpairs(
     The operators must share one grid.  Each pair is bit for bit the one
     ``principal_eigenpair`` returns for that operator alone; a non-finite
     band raises ValueError, and an operator without positive couplings
-    raises EigenSolveError for the whole call, both before any solve.
+    raises EigenSolveError for the whole call, both before any solve.  An
+    empty ``ops`` raises ValidationError.
     """
+    if not len(ops):
+        raise ValidationError("ops: must hold at least one operator")
     grid = ops[0].grid
     if any(op.grid != grid for op in ops):
         raise ValidationError("stacked operators must share one grid")
@@ -298,8 +301,9 @@ def principal_eigenpair(
     that, and a loop that stalls above it raises EigenSolveError at
     ``max_iters``.  Otherwise it shifts to the Collatz-Wielandt
     bound ``max_i (A x)_i / x_i`` and solves once with ``sigma I - A``, as
-    ``S⁻¹ (sigma I - S A S⁻¹)⁻¹ S``: one LDLᵀ factorisation (LAPACK pttrf)
-    and solve (pttrs) of the symmetric positive definite shifted matrix.
+    ``S⁻¹ (sigma I - S A S⁻¹)⁻¹ S``: one LDLᵀ factorisation and solve of
+    the symmetric positive definite shifted matrix (LAPACK's pttrf/pttrs
+    arithmetic; a stack's blocks side by side in the interleaved kernel).
     The shift is never below the top eigenvalue and closes on it
     quadratically, so a few O(N) tridiagonal solves suffice.
 
@@ -350,6 +354,8 @@ class MutantStack:
 
     @classmethod
     def assemble(cls, grid: Grid, mutants: Sequence[SpeciesTraits]) -> "MutantStack":
+        if not len(mutants):
+            raise ValidationError("mutants: must hold at least one mutant")
         layout, lo, di, up = diffusion_bands(grid, mutants)
         return cls(layout, lo, di, up, _start_vectors(layout), _couplings(lo, di, up))
 
@@ -365,12 +371,13 @@ class MutantStack:
 class ResidentContext:
     """Steady states and growth potentials of a stack of residents, solved once.
 
-    ``residents`` is one SpeciesTraits (a stack of one) or a sequence of
-    them.  Their steady states are solved in one stacked call, unless
-    ``ustar`` gives the state of a single resident; ``potential`` holds each
-    resident's ``r (1 - u*/k)`` as a row.  ``fitness`` gives the invasion
-    fitness of every (resident, mutant) pair: the principal eigenpair of the
-    mutant's diffusion operator plus the resident's potential.
+    ``residents`` is one SpeciesTraits (a stack of one) or a nonempty
+    sequence of them.  Their steady states are solved in one stacked call,
+    unless ``ustar`` gives the state of a single resident; ``potential``
+    holds each resident's ``r (1 - u*/k)`` as a row.  ``fitness`` gives the
+    invasion fitness of every (resident, mutant) pair: the principal
+    eigenpair of the mutant's diffusion operator plus the resident's
+    potential.
     """
 
     def __init__(
@@ -384,6 +391,8 @@ class ResidentContext:
     ):
         if isinstance(residents, SpeciesTraits):
             residents = [residents]
+        if not len(residents):
+            raise ValidationError("residents: must hold at least one resident")
         if ustar is None:
             self.ustar = solve_resident_steady_states(
                 landscape, env, residents, grid, steady_config

@@ -28,13 +28,22 @@ block-diagonal tridiagonal matrix (``diffusion_bands`` assembles them so).
 Three operations on it serve the package: ``tridiagonal_matvec``, the
 product; ``factor_blocks``, the one LU (LAPACK gttrf/gttrs), for damped
 Newton, its fallback march and ``solve_shifted``; and ``factor_symmetrized``,
-the one LDLᵀ (pttrf/pttrs) of ``alpha - beta S A S⁻¹`` on the
-``symmetrizing_similarity`` of the couplings, for Noda's shifted solves and
-the IMEX step.  The similarity depends on the couplings alone, so its
-callers build it once per operator they hold: once per mutant of a scan,
-once per stepper.  The zero corners keep the blocks apart: each block's
-arithmetic is bit for bit that of its operator on its own, and the solves
-take M right-hand-side rows of one operator as M single solves.
+the one LDLᵀ of ``alpha - beta S A S⁻¹`` on the ``symmetrizing_similarity``
+of the couplings, for Noda's shifted solves and the IMEX step.  The
+similarity depends on the couplings alone, so its callers build it once per
+operator they hold: once per mutant of a scan, once per stepper.  The zero
+corners keep the blocks apart: each block's arithmetic is bit for bit that
+of its operator on its own, and the solves take M right-hand-side rows of
+one operator as M single solves.
+
+The LDLᵀ has two routes with the same arithmetic.  A single block runs
+LAPACK's pttrf/pttrs.  A stack of two or more runs the interleaved kernel
+``_ldlt.c``, which does pttrf's and pttrs's operations on every element but
+walks the rows in its outer loop and the blocks (times the right-hand sides)
+in its inner one, so the blocks' recurrences overlap instead of running end
+to end as one chain; ``_native`` builds it on first import.  Where it cannot
+be built or loaded (``_ldlt`` is then None) stacks run LAPACK too.  Both
+routes give the same numbers, bit for bit.
 """
 
 from __future__ import annotations
@@ -45,9 +54,13 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
+from ._native import load_ldlt
 from .errors import ValidationError
 from .grid import Grid
 from .landscape import PatchEnvironment, SpeciesTraits
+
+# The interleaved LDLᵀ kernel for stacks of blocks, or None (LAPACK instead).
+_ldlt = load_ldlt()
 
 # One stacked solve (steady states or eigenpairs) holds at most this many
 # reduced DOFs (and at least one block), so a long scan on a fine grid keeps
@@ -96,8 +109,9 @@ def tridiagonal_matvec(lo, di, up, x: np.ndarray) -> np.ndarray:
     """``A x`` for a stack in the one convention (see the module docstring):
     bands and ``x`` of shape ``(N,)``, or ``(M, N)`` for M operators applied
     row by row, computed on the stack laid end to end (so a non-finite entry
-    of ``x`` reaches the next block through its zero corner, as in the
-    solves)."""
+    of ``x`` reaches the next block through its zero corner, which LAPACK's
+    solves share but the interleaved LDLᵀ kernel's do not; no caller solves
+    a non-finite right-hand side)."""
     xs = x.reshape(-1)
     y = di.reshape(-1) * xs
     y[:-1] += up.reshape(-1)[:-1] * xs[1:]
@@ -158,30 +172,48 @@ def symmetrizing_similarity(lo: np.ndarray, up: np.ndarray):
 
 
 def factor_symmetrized(di: np.ndarray, off: np.ndarray, alpha, beta: float = 1.0):
-    """LDLᵀ-factor ``alpha - beta S A S⁻¹`` once (LAPACK pttrf), from the
-    stack's main diagonal ``di`` and the ``off`` of its
-    ``symmetrizing_similarity``; ``alpha`` is a scalar, a diagonal, or one
-    value per block (an ``(M, 1)`` column).  Returns the solve ``b -> y``
-    of ``(alpha - beta S A S⁻¹) y = b`` (pttrs) for a ``b`` already scaled
-    by ``s``, shaped as ``factor_blocks`` takes it; ``b`` is unchecked and,
-    when C-contiguous, overwritten (``y`` is then ``b``).
+    """LDLᵀ-factor ``alpha - beta S A S⁻¹`` once, from the stack's main
+    diagonal ``di`` and the ``off`` of its ``symmetrizing_similarity``;
+    ``alpha`` is a scalar, a diagonal, or one value per block (an ``(M, 1)``
+    column).  Returns the solve ``b -> y`` of ``(alpha - beta S A S⁻¹) y = b``
+    for a ``b`` already scaled by ``s``, shaped as ``factor_blocks`` takes it;
+    ``b`` is unchecked and, when C-contiguous, overwritten (``y`` is then
+    ``b``; any other ``b`` is solved on a copy).
 
-    A non-finite ``alpha`` or ``beta`` raises ValueError, a matrix that is
-    not positive definite LinAlgError.
+    A single block is factored by LAPACK's pttrf and solved by pttrs; a stack
+    of two or more by the interleaved kernel (see the module docstring),
+    which does the same arithmetic with the blocks side by side, or by LAPACK
+    where the kernel did not load.  The factor and the solve of finite
+    right-hand sides are bit for bit the same on both routes, and both
+    refuse the same shifts.  A non-finite ``alpha`` or ``beta`` raises
+    ValueError, a matrix that is not positive definite LinAlgError.
     """
     if not (np.isfinite(alpha).all() and np.isfinite(beta)):
         raise ValueError("shift must be finite")
-    d, e, info = dpttrf(
-        (alpha - beta * di).ravel(), (-beta * off).ravel()[:-1], overwrite_d=1, overwrite_e=1
-    )
-    if info > 0:
+    d = (alpha - beta * di).ravel()
+    e = (-beta * off).ravel()
+    n = di.shape[-1]
+    kernel = _ldlt
+    if kernel is None or d.size == n:
+        d, e, info = dpttrf(d, e[:-1], overwrite_d=1, overwrite_e=1)
+        if info > 0:
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            y, _ = dpttrs(d, e, _columns(b, d.size), overwrite_b=1)
+            return y.T.reshape(b.shape)
+
+        return solve
+
+    if not kernel.factor(d, e, n):
         raise np.linalg.LinAlgError("matrix is not positive definite")
 
-    def solve(b: np.ndarray) -> np.ndarray:
-        y, _ = dpttrs(d, e, _columns(b, d.size), overwrite_b=1)
-        return y.T.reshape(b.shape)
+    def solve_stack(b: np.ndarray) -> np.ndarray:
+        y = b if b.flags.c_contiguous else np.ascontiguousarray(b)
+        kernel.solve(d, e, n, y)
+        return y
 
-    return solve
+    return solve_stack
 
 
 @dataclass

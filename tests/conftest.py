@@ -1,7 +1,11 @@
+import shutil
+import sysconfig
+
 import numpy as np
 import pytest
 
 import patchcomp as pc
+from patchcomp import operators
 
 
 @pytest.fixture
@@ -33,3 +37,20 @@ def rand_env(rng, n):
     land = pc.Landscape(bounds)
     env = pc.PatchEnvironment(r=rng.uniform(0.5, 2.0, n), k=rng.uniform(0.5, 2.0, n))
     return land, env
+
+
+def c_compiler() -> bool:
+    """Whether the interpreter's C compiler (``sysconfig``'s ``CC``) is on PATH."""
+    command = (sysconfig.get_config_var("CC") or "").split()
+    return bool(command) and shutil.which(command[0]) is not None
+
+
+@pytest.fixture(scope="session")
+def ldlt_kernel():
+    """The loaded interleaved LDLᵀ kernel.  Skips where there is no compiler
+    to build it; where there is one, a kernel that did not load fails."""
+    kernel = operators._ldlt
+    if kernel is None and not c_compiler():
+        pytest.skip("no C compiler to build the LDLᵀ kernel")
+    assert kernel is not None, "a C compiler is on PATH but the LDLᵀ kernel did not load"
+    return kernel

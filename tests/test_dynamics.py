@@ -379,6 +379,14 @@ class TestOrderPreservation:
         with pytest.raises(pc.ValidationError, match="wrong length"):
             order_preservation_check((short, short), (short, short), stepper, 5)
 
+    @pytest.mark.parametrize("steps", [-1, 0])
+    def test_no_steps_rejected(self, competition_pair, steps):
+        # a march of no steps is no evidence that the order is preserved
+        *_, grid, stepper = competition_pair
+        state = (np.full(grid.num_reduced, 0.5), np.full(grid.num_reduced, 0.25))
+        with pytest.raises(pc.ValidationError, match="steps"):
+            order_preservation_check(state, state, stepper, steps)
+
     def test_unordered_initial_rejected(self, competition_pair):
         *_, grid, stepper = competition_pair
         a = (np.zeros(grid.num_reduced), np.zeros(grid.num_reduced))

@@ -591,6 +591,35 @@ class TestStackedNoda:
             assert scale[b] == max(1.0, np.abs(op.lo).max(), np.abs(op.up).max())
 
 
+class TestEmptyInputs:
+    """An empty stack of operators, mutants or residents is refused by name;
+    the table and steady-state routes answer an empty scan with an empty
+    result."""
+
+    def test_no_operators(self):
+        with pytest.raises(pc.ValidationError, match="ops"):
+            pc.principal_eigenpairs([])
+
+    def test_no_mutants(self, unit_two_patch):
+        grid = pc.build_grid(unit_two_patch[0], per_patch=10)
+        with pytest.raises(pc.ValidationError, match="mutants"):
+            MutantStack.assemble(grid, [])
+
+    def test_no_residents(self, unit_two_patch):
+        land, env = unit_two_patch
+        grid = pc.build_grid(land, per_patch=10)
+        with pytest.raises(pc.ValidationError, match="residents"):
+            ResidentContext(land, env, [], grid)
+
+    def test_empty_scans_give_empty_results(self, unit_two_patch):
+        land, env = unit_two_patch
+        grid = pc.build_grid(land, per_patch=10)
+        one = [pc.SpeciesTraits([1.0, 1.0], [2.5])]
+        assert pc.fitness_table(land, env, grid, [], one).shape == (0, 1)
+        assert pc.fitness_table(land, env, grid, one, []).shape == (1, 0)
+        assert pc.solve_resident_steady_states(land, env, [], grid) == []
+
+
 class TestInvasionFitness:
     def test_same_side_sign_pattern(self, unit_two_patch):
         land, env = unit_two_patch

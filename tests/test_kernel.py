@@ -1,0 +1,182 @@
+"""The LDLᵀ's two routes, the interleaved kernel and LAPACK, give the same
+numbers to every caller, and the kernel is built once, cached, and never
+needed: without a compiler the package runs LAPACK."""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import sysconfig
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import patchcomp as pc
+from conftest import c_compiler
+from patchcomp import _native, operators
+from patchcomp.dynamics import default_initial
+from patchcomp.eigen import assemble_linearization, growth_potential
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+LAND = pc.Landscape([0.0, 1.0, 2.0])
+ENV = pc.PatchEnvironment(r=[1.0, 1.2], k=[1.0, 2.0])
+RESIDENT = pc.SpeciesTraits([1.0, 0.8], [3.0])
+MUTANT = pc.SpeciesTraits([0.7, 1.0], [1.5])
+
+# Imports the package (and its submodules) under an audit hook that counts
+# the processes started, then prints whether the kernel loaded and the count.
+POPEN_REPORT = """
+import sys
+started = []
+sys.addaudithook(
+    lambda event, args: started.append(args) if event == "subprocess.Popen" else None
+)
+import patchcomp, patchcomp.cli, patchcomp.config, patchcomp.validate
+print(patchcomp._LDLT_KERNEL, len(started))
+"""
+
+# Prints whether the kernel loaded, where the package came from and
+# ``figures_hex`` of this module.
+FIGURES_REPORT = f"""
+import json, sys
+sys.path.append({str(TESTS)!r})
+import patchcomp, test_kernel
+print(patchcomp._LDLT_KERNEL, patchcomp.__file__)
+print(json.dumps(test_kernel.figures_hex()))
+"""
+
+
+def figures() -> dict:
+    """What every caller of ``factor_symmetrized`` computes, on fresh
+    steppers and stacks: steps of a ``(2, N)`` state and a ``(3, 2, N)``
+    stack of runs, the order-preservation harness, stacked eigenpairs and a
+    fitness table."""
+    grid = pc.build_grid(LAND, per_patch=60)
+    stepper = pc.Stepper(LAND, ENV, RESIDENT, MUTANT, grid)
+    w = np.array(default_initial(grid, ENV))
+    one, clipped_one = stepper.step(w)
+    runs, clipped_runs = stepper.step(np.stack([w, 0.5 * w, 2.0 * w]))
+    u, v = w
+    preserved, worst, first = pc.order_preservation_check(
+        (u, 0.5 * v), (0.5 * u, v), pc.Stepper(LAND, ENV, RESIDENT, MUTANT, grid), 30
+    )
+    potential = growth_potential(grid, ENV, pc.solve_resident_steady(LAND, ENV, RESIDENT, grid))
+    ops = [
+        assemble_linearization(grid, pc.SpeciesTraits([1.0, 1.0], [p]), potential)
+        for p in (1.2, 2.0, 2.9, 3.7)
+    ]
+    pairs = pc.principal_eigenpairs(ops)
+    species = [pc.SpeciesTraits([1.0, 1.0], [p]) for p in (1.5, 2.5, 3.5)]
+    table = pc.fitness_table(LAND, ENV, grid, species, species)
+    return {
+        "step": one,
+        "step_clipped": np.array(clipped_one),
+        "runs": runs,
+        "runs_clipped": np.array(clipped_runs),
+        "harness": np.array([preserved, worst, -1 if first is None else first], float),
+        "lambda1": np.array([pair.lambda1 for pair in pairs]),
+        "phi": np.array([pair.phi.values for pair in pairs]),
+        "residual": np.array([pair.residual for pair in pairs]),
+        "iterations": np.array([pair.iterations for pair in pairs], float),
+        "table": table,
+    }
+
+
+def figures_hex() -> dict:
+    """``figures`` with every number written exactly."""
+    return {name: [float(x).hex() for x in a.ravel()] for name, a in figures().items()}
+
+
+def test_both_routes_give_the_same_numbers(monkeypatch):
+    kernel = figures()
+    monkeypatch.setattr(operators, "_ldlt", None)
+    lapack = figures()
+    for name, got in kernel.items():
+        assert np.array_equal(got, lapack[name], equal_nan=True), name
+
+
+def _copy_of_the_package(tmp_path: Path) -> Path:
+    """A copy of ``src/patchcomp`` without its caches; returns its root."""
+    root = tmp_path / "site"
+    shutil.copytree(SRC / "patchcomp", root / "patchcomp",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return root
+
+
+def _run(code: str, **env) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, **env), capture_output=True,
+        text=True, timeout=300,
+    )
+
+
+def _cached(root: Path) -> list[str]:
+    return sorted(p.name for p in (root / "patchcomp" / "__pycache__").glob("_ldlt-*"))
+
+
+def test_without_a_compiler_the_package_runs_lapack_with_the_same_numbers(tmp_path):
+    root = _copy_of_the_package(tmp_path)
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    done = _run(FIGURES_REPORT, PATH=str(empty), PYTHONPATH=str(root))
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    status, numbers = done.stdout.splitlines()
+    kernel, where = status.split()
+    assert kernel == "False"
+    assert Path(where).is_relative_to(root)
+    assert json.loads(numbers) == figures_hex()
+    assert _cached(root) == []
+
+
+def test_the_kernel_is_built_once_and_then_loaded_without_a_process(tmp_path):
+    root = _copy_of_the_package(tmp_path)
+    built = c_compiler()
+    first = _run(POPEN_REPORT, PYTHONPATH=str(root))
+    assert first.returncode == 0 and first.stderr == "", first.stderr
+    # the build is the one process an import starts, and only the first
+    assert first.stdout.split() == [str(built), "1" if built else "0"]
+    cached = _cached(root)
+    assert len(cached) == built and not [name for name in cached if name.endswith(".tmp")]
+    second = _run(POPEN_REPORT, PYTHONPATH=str(root))
+    assert second.stdout.split() == [str(built), "0"]
+    assert _cached(root) == cached
+
+
+def _gone(pid: int) -> bool:
+    """Whether process ``pid`` has exited (a zombie waiting to be reaped
+    counts), waiting up to 10 s."""
+    stat = Path(f"/proc/{pid}/stat")
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline:
+        try:
+            if stat.read_text().rsplit(")", 1)[1].split()[0] == "Z":
+                return True
+        except (FileNotFoundError, ProcessLookupError):
+            return True
+        time.sleep(0.05)
+    return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+@pytest.mark.parametrize("script", ["exit 1", 'sleep 60 &\necho $! > "$0.child"\nwait'],
+                         ids=["fails", "times_out"])
+def test_a_failed_build_is_silent_and_leaves_nothing_behind(tmp_path, monkeypatch, script):
+    # a compiler that fails, and one that outlasts the build's timeout with a
+    # child of its own: both leave the LAPACK route, no file and no process
+    compiler = tmp_path / "cc"
+    compiler.write_text(f"#!/bin/sh\n{script}\n")
+    compiler.chmod(0o755)
+    monkeypatch.setitem(sysconfig.get_config_vars(), "CC", str(compiler))
+    monkeypatch.setattr(_native, "CACHE", tmp_path / "cache")
+    monkeypatch.setattr(_native, "BUILD_TIMEOUT_S", 1.0)
+    assert _native.load_ldlt() is None
+    assert list((tmp_path / "cache").iterdir()) == []
+    child = tmp_path / "cc.child"
+    assert child.exists() == ("sleep" in script)
+    if child.exists():
+        assert _gone(int(child.read_text()))

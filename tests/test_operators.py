@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
 import patchcomp as pc
+from patchcomp import operators
 from patchcomp.operators import (
     SpeciesLayout,
     assemble_diffusion,
@@ -337,6 +339,136 @@ class TestOneConvention:
         for row, one_lu, one_ldlt in zip(rows, got_lu, got_ldlt):
             assert np.array_equal(one_lu, lu(row))
             assert np.array_equal(one_ldlt, ldlt(s * row))
+
+
+def symmetric_stack(rng, blocks: int, rows: int):
+    """``(di, off)`` of a random stack of symmetrized operators in the one
+    convention (positive couplings, zero corners) and each block's top
+    eigenvalue."""
+    di = rng.uniform(-4.0, 1.0, (blocks, rows))
+    off = rng.uniform(0.05, 2.0, (blocks, rows))
+    off[:, -1] = 0.0
+    top = np.array([
+        eigh_tridiagonal(d, e[:-1], eigvals_only=True, select="i",
+                         select_range=(rows - 1, rows - 1))[0]
+        for d, e in zip(di, off)
+    ])
+    return di, off, top
+
+
+class TestInterleavedKernel:
+    """The interleaved LDLᵀ kernel (``_ldlt.c``) that ``factor_symmetrized``
+    runs on stacks of two or more blocks does LAPACK pttrf's and pttrs's
+    arithmetic: the same factor, the same solves and the same refusals."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        blocks=st.integers(2, 6),
+        rows=st.integers(2, 400),
+        rhs=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_factor_and_solve_are_lapacks(self, ldlt_kernel, blocks, rows, rhs, seed, data):
+        rng = np.random.default_rng(seed)
+        di, off, top = symmetric_stack(rng, blocks, rows)
+        # each block's shift within 1e-14 relative of its top eigenvalue,
+        # above or below, so pivots near zero decide refusals
+        rel = data.draw(st.lists(st.floats(-1e-14, 1e-14), min_size=blocks, max_size=blocks))
+        alpha = (top + np.abs(top) * np.array(rel))[:, None]
+        d = (alpha - di).ravel()
+        e = (-off).ravel()
+        d_ref, e_ref, info = dpttrf(d, e[:-1])
+        positive = ldlt_kernel.factor(d, e, rows)
+        assert positive == (info == 0)
+        b = rng.normal(size=(rhs, blocks * rows))
+        lapack_b = b.reshape(rhs, blocks, rows) if rhs > 1 else b.reshape(blocks, rows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "_ldlt", None)
+            try:
+                want = factor_symmetrized(di, off, alpha)(lapack_b.copy())
+            except np.linalg.LinAlgError:
+                want = None
+        if not positive:
+            assert want is None
+            with pytest.raises(np.linalg.LinAlgError):
+                factor_symmetrized(di, off, alpha)
+            return
+        assert np.array_equal(d, d_ref) and np.array_equal(e[:-1], e_ref)
+        x = b.copy()
+        ldlt_kernel.solve(d, e, rows, x)
+        assert np.array_equal(x, dpttrs(d_ref, e_ref, b.T)[0].T)
+        got = factor_symmetrized(di, off, alpha)(lapack_b.copy())
+        assert np.array_equal(got, want) and np.array_equal(got.reshape(x.shape), x)
+
+    def test_the_pivot_test_is_pttrfs(self, ldlt_kernel):
+        # d <= 0 refuses; a NaN pivot passes, as in pttrf
+        for pivot, positive in ((0.0, False), (-1.0, False), (np.nan, True), (1e-300, True)):
+            d = np.array([2.0, 3.0, pivot, 2.0])
+            e = np.array([0.5, 0.0, 0.0, 0.0])
+            _, _, info = dpttrf(d.copy(), e[:-1].copy())
+            assert (info == 0) == positive
+            assert ldlt_kernel.factor(d, e, 2) is positive
+
+    def test_wrapper_refuses_wrong_buffers(self, ldlt_kernel):
+        d, e = np.full(6, 2.0), np.full(6, 0.5)
+        e[2::3] = 0.0
+        assert ldlt_kernel.factor(d, e, 3)
+        b = np.ones(12)
+        bad_factors = [
+            (d[:5], e[:5], 3),              # not whole blocks
+            (d, e[:5], 3),                  # lengths differ
+            (d.astype(np.float32), e, 3),   # dtype
+            (d.astype(np.int64), e, 3),
+            (np.repeat(d, 2)[::2], e, 3),   # layout
+            (d, e, 0),                      # block size
+        ]
+        for args in bad_factors:
+            with pytest.raises(ValueError):
+                ldlt_kernel.factor(*args)
+            with pytest.raises(ValueError):
+                ldlt_kernel.solve(*args, b.copy())
+        read_only = b.copy()
+        read_only.flags.writeable = False
+        for bad_b in (b[:11].copy(), b.astype(np.float32), np.repeat(b, 2)[::2], read_only):
+            with pytest.raises(ValueError):
+                ldlt_kernel.solve(d, e, 3, bad_b)
+        # a view one right-hand side long of a longer array: nothing past it
+        # is read or written
+        longer = np.arange(1.0, 19.0)
+        ldlt_kernel.solve(d, e, 3, longer[:6])
+        assert np.array_equal(longer[6:], np.arange(7.0, 19.0))
+
+    def test_non_contiguous_rhs_is_solved_on_a_copy(self, ldlt_kernel):
+        rng = np.random.default_rng(8)
+        di, off, top = symmetric_stack(rng, 3, 40)
+        solve = factor_symmetrized(di, off, (top + 1.0)[:, None])
+        b = np.asfortranarray(rng.normal(size=(3, 40)))
+        kept = b.copy()
+        got = solve(b)
+        assert np.array_equal(b, kept)
+        assert np.array_equal(got, solve(np.ascontiguousarray(b)))
+
+    def test_a_single_block_stays_on_lapack(self, ldlt_kernel, monkeypatch):
+        calls = []
+
+        class Spy:
+            def factor(self, *args):
+                calls.append("factor")
+                return ldlt_kernel.factor(*args)
+
+            def solve(self, *args):
+                calls.append("solve")
+                return ldlt_kernel.solve(*args)
+
+        monkeypatch.setattr(operators, "_ldlt", Spy())
+        rng = np.random.default_rng(9)
+        di, off, top = symmetric_stack(rng, 2, 30)
+        for one_di, one_off in ((di[0], off[0]), (di[:1], off[:1])):
+            factor_symmetrized(one_di, one_off, top[0] + 1.0)(np.ones(one_di.shape))
+        assert calls == []
+        factor_symmetrized(di, off, (top + 1.0)[:, None])(np.ones(di.shape))
+        assert calls == ["factor", "solve"]
 
 
 class TestReductionMaps:
