@@ -37,7 +37,10 @@ ratio 2).  The layers:
   dt, at the same three sizes, on one ``(2, N)`` state and on an
   ``(M, 2, N)`` stack of M = 2 runs (``rows_1``, ``rows_2``; M = 2 is the
   order-preservation harness's stack), timed over 100 consecutive steps from
-  the default initial data and divided by 100 (the faults too);
+  the default initial data and divided by 100 (the faults too), once per
+  route on a stepper built for it: the kernel's one call per step
+  (``kernel``, where it loaded) and numpy's right-hand side with LAPACK's
+  solve (``lapack``), routes as for ``ldlt``;
 - ``first_step``: the first ``Stepper.step`` of a fresh stepper at the same
   three sizes, from the default initial data: the lazy LDLᵀ factorisation of
   the two species' stacked ``I - dt A`` (its similarity and coefficients
@@ -254,20 +257,23 @@ def fine_layers(repeats: int) -> dict:
         out["oracle"][dofs] = timed(
             lambda: pc.solve_transformed_steady(LAND, ENV, RESIDENT, grid), repeats
         )
-        stepper = Stepper(LAND, ENV, RESIDENT, MUTANT, grid)
         w0 = np.array(default_initial(grid, ENV))
         row = {}
         for m in STEP_ROWS:
             # M = 1: the (2, N) state simulate steps; else an (M, 2, N) stack
             start = w0 if m == 1 else np.tile(w0, (m, 1, 1))
 
-            def march() -> None:
-                w = start
-                for _ in range(STEPS_PER_REPEAT):
-                    w, _ = stepper.step(w)
+            def per_step() -> dict:
+                stepper = Stepper(LAND, ENV, RESIDENT, MUTANT, grid)
 
-            per_step = timed(march, repeats)
-            row[f"rows_{m}"] = {k: v / STEPS_PER_REPEAT for k, v in per_step.items()}
+                def march() -> None:
+                    w = start
+                    for _ in range(STEPS_PER_REPEAT):
+                        w, _ = stepper.step(w)
+
+                return {k: v / STEPS_PER_REPEAT for k, v in timed(march, repeats).items()}
+
+            row[f"rows_{m}"] = _routes(per_step)
         out["step"][dofs] = row
         out["first_step"][dofs] = first_step(grid, w0, repeats)
         u, v = w0
@@ -278,24 +284,33 @@ def fine_layers(repeats: int) -> dict:
     return out
 
 
-def _ldlt_routes(di, off, alpha, beta, rhs, repeats: int) -> dict:
-    """``timed`` per route for ``LDLT_CALLS`` factor-and-solve calls, per call."""
+def _routes(measure) -> dict:
+    """``measure()`` once per LDLᵀ route: the interleaved kernel
+    (``kernel``, where it loaded) and LAPACK (``lapack``, the kernel handle
+    set to None in this process for the time of the call)."""
     kernel = getattr(operators, "_ldlt", None)  # absent before the kernel existed
     routes = {"kernel": kernel} if kernel is not None else {}
     routes["lapack"] = None
     out = {}
+    try:
+        for name, handle in routes.items():
+            operators._ldlt = handle
+            out[name] = measure()
+    finally:
+        operators._ldlt = kernel
+    return out
+
+
+def _ldlt_routes(di, off, alpha, beta, rhs, repeats: int) -> dict:
+    """``timed`` per route for ``LDLT_CALLS`` factor-and-solve calls, per call."""
 
     def calls() -> None:
         for _ in range(LDLT_CALLS):
             factor_symmetrized(di, off, alpha, beta)(rhs.copy())
 
-    try:
-        for name, handle in routes.items():
-            operators._ldlt = handle
-            out[name] = {k: v / LDLT_CALLS for k, v in timed(calls, repeats).items()}
-    finally:
-        operators._ldlt = kernel
-    return out
+    return _routes(
+        lambda: {k: v / LDLT_CALLS for k, v in timed(calls, repeats).items()}
+    )
 
 
 def ldlt(repeats: int) -> dict:

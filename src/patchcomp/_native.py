@@ -6,7 +6,11 @@ keyed by a hash of the source, the compile command and the extension suffix,
 and loads it from there on every later import.  The build writes to a
 temporary name and renames it into place, so a concurrent import sees a
 whole file or none; it runs with a timeout, in its own process group, which
-is killed if the timeout passes.  Without a compiler on ``PATH``, a writable
+is killed if the timeout passes.  A successful build deletes the other
+builds of the same extension suffix, ``_ldlt-<16 hex digits><suffix>``, so an
+edited source leaves one file behind, not one per edit; the builds of other
+interpreters, with other suffixes, and a concurrent build's temporary file
+stay.  Without a compiler on ``PATH``, a writable
 cache or the source, or when the build or the load fails, ``load_ldlt``
 returns None, silently, and the package runs LAPACK's pttrf/pttrs instead.
 """
@@ -17,6 +21,7 @@ import hashlib
 import importlib.machinery
 import importlib.util
 import os
+import re
 import shutil
 import sysconfig
 from pathlib import Path
@@ -41,7 +46,7 @@ def load_ldlt():
             b"\0".join((source, " ".join(command).encode(), suffix.encode()))
         ).hexdigest()[:16]
         path = CACHE / f"_ldlt-{key}{suffix}"
-        if not path.exists() and not _build(command, path):
+        if not path.exists() and not _build(command, path, suffix):
             return None
         spec = importlib.util.spec_from_file_location("patchcomp._ldlt", path)
         module = importlib.util.module_from_spec(spec)
@@ -51,9 +56,10 @@ def load_ldlt():
         return None
 
 
-def _build(command: list[str], path: Path) -> bool:
-    """Compile ``SOURCE`` to ``path``; True if it did.  Starts
-    no process without a compiler on ``PATH`` or a writable cache."""
+def _build(command: list[str], path: Path, suffix: str) -> bool:
+    """Compile ``SOURCE`` to ``path``, then delete the cache's other builds
+    with the extension ``suffix``; True if it compiled.  Starts no process
+    without a compiler on ``PATH`` or a writable cache."""
     import signal  # only a build needs these
     import subprocess
 
@@ -77,6 +83,20 @@ def _build(command: list[str], path: Path) -> bool:
                 built = False
         if built:
             os.replace(partial, path)
+            _remove_other_builds(path, suffix)
         return built
     finally:
         partial.unlink(missing_ok=True)
+
+
+def _remove_other_builds(path: Path, suffix: str) -> None:
+    """Delete every ``_ldlt-<16 hex digits><suffix>`` in ``path``'s
+    directory but ``path``; one that cannot be deleted (a process may hold
+    it open where that locks it) stays."""
+    other = re.compile(r"_ldlt-[0-9a-f]{16}" + re.escape(suffix))
+    for old in path.parent.iterdir():
+        if old != path and other.fullmatch(old.name):
+            try:
+                old.unlink()
+            except OSError:
+                pass

@@ -10,12 +10,15 @@ coefficients once per stepper.  Diffusion is implicit: the stack's
 ``I - dt A``, symmetric positive definite in the weighted inner product, is
 LDLᵀ-factored once (``operators.factor_symmetrized``, on the similarity its
 couplings give), and the coefficients take in ``dt`` and that similarity, so
-a step is one expression and one LDLᵀ solve for both species and every run
-(the two species, times the runs, side by side in the interleaved kernel);
-the steady residuals use the package's one matrix-vector product.  The step
-map is monotone for the order "first species up, second species down",
-which the order-preservation harness checks, and it leaves the
-jump-consistent bounding boxes invariant.
+a step is one expression and one LDLᵀ solve for both species and every run.
+Where the interleaved kernel loaded, that whole step is one native call
+(``SymmetrizedFactor.pair_step``), the two species side by side; a
+right-hand side to be clipped or not finite, a state that is not a
+C-contiguous float64 array, or a missing kernel sends the step through numpy
+and the same solve, with the same numbers.  The steady residuals use the
+package's one matrix-vector product.  The step map is monotone for the order
+"first species up, second species down", which the order-preservation
+harness checks, and it leaves the jump-consistent bounding boxes invariant.
 """
 
 from __future__ import annotations
@@ -89,7 +92,8 @@ class Stepper:
     per species), and the coefficients take in ``dt`` and ``s``: the step's
     right-hand side ``S (w + dt f)`` is then ``w (sa - sb w - sc x)``.  The
     stack's zero corners keep the species apart, so each species of each run
-    is bit for bit its own single solve.
+    is bit for bit its own single solve.  A step is one call of the kernel
+    where it can be (see ``step``), and numpy and the solve otherwise.
     """
 
     def __init__(
@@ -117,15 +121,16 @@ class Stepper:
 
     @cached_property
     def _plan(self):
-        """``(sa, sb, sc, s, solve)``: the coefficients times ``s`` (``sa``
-        with the identity), ``sb`` and ``sc`` times ``dt`` too, ``s``, and
-        the LDLᵀ solve of the stack's ``S (I - dt A) S⁻¹``."""
+        """``(coefficients, factor)``: the ``(4, 2, N)`` rows ``sa, sb, sc,
+        s``, the coefficients times ``s`` (``sa`` with the identity), ``sb``
+        and ``sc`` times ``dt`` too, and ``s``; and the LDLᵀ factor of the
+        stack's ``S (I - dt A) S⁻¹``."""
         lo, di, up = self._bands
         a, b, c = self._coefficients
         s, _, off = symmetrizing_similarity(lo, up)
         s_dt = s * self.dt
-        return (s + s_dt * a, s_dt * b, s_dt * c, s,
-                factor_symmetrized(di, off, 1.0, self.dt))
+        coefficients = np.array([s + s_dt * a, s_dt * b, s_dt * c, s])
+        return coefficients, factor_symmetrized(di, off, 1.0, self.dt)
 
     def reaction(self, w: np.ndarray) -> np.ndarray:
         """Explicit competition terms of a ``(..., 2, N)`` state, on reduced
@@ -139,8 +144,19 @@ class Stepper:
         runs; returns the new state and the clipped negative mass (summed
         over the runs of species 0, then of species 1).  Each species of each
         run is bit for bit its own single step.  A non-finite right-hand side
-        raises ValueError."""
-        sa, sb, sc, s, solve = self._plan
+        raises ValueError.
+
+        The step is one kernel call (``SymmetrizedFactor.pair_step``) where
+        the kernel loaded and the state is a C-contiguous float64 array.
+        Where the kernel declines, because an entry of the right-hand side is
+        negative (to be clipped), infinite or NaN, and where it is absent,
+        the step forms the right-hand side with numpy from the untouched
+        ``w``, clips it and solves it; the numbers are the same."""
+        coefficients, factor = self._plan
+        w_new = factor.pair_step(coefficients, w)
+        if w_new is not None:
+            return w_new, 0.0
+        sa, sb, sc, s = coefficients
         rhs = _coefficient_form(w, sa, sb, sc)
         clipped = 0.0
         low = rhs.min()
@@ -152,7 +168,7 @@ class Stepper:
             np.maximum(rhs, 0.0, out=rhs)
         if not rhs.max() < np.inf:
             raise ValueError("time step right-hand side is not finite")
-        w_new = solve(rhs)
+        w_new = factor(rhs)
         w_new /= s
         return w_new, clipped
 

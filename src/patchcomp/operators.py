@@ -43,7 +43,13 @@ walks the rows in its outer loop and the blocks (times the right-hand sides)
 in its inner one, so the blocks' recurrences overlap instead of running end
 to end as one chain; ``_native`` builds it on first import.  Where it cannot
 be built or loaded (``_ldlt`` is then None) stacks run LAPACK too.  Both
-routes give the same numbers, bit for bit.
+routes give the same numbers, bit for bit.  ``factor_symmetrized`` returns a
+``SymmetrizedFactor``, whose call is the solve; on the kernel's factor of a
+two-species stack its ``pair_step`` is the whole IMEX step of
+``dynamics.Stepper`` in one kernel call: the competition right-hand side,
+both sweeps of the solve and the division by the similarity's scale, with
+the two species as the two lanes of one vector.  This module is the only
+one that calls LAPACK or the kernel.
 """
 
 from __future__ import annotations
@@ -175,10 +181,9 @@ def factor_symmetrized(di: np.ndarray, off: np.ndarray, alpha, beta: float = 1.0
     """LDLᵀ-factor ``alpha - beta S A S⁻¹`` once, from the stack's main
     diagonal ``di`` and the ``off`` of its ``symmetrizing_similarity``;
     ``alpha`` is a scalar, a diagonal, or one value per block (an ``(M, 1)``
-    column).  Returns the solve ``b -> y`` of ``(alpha - beta S A S⁻¹) y = b``
-    for a ``b`` already scaled by ``s``, shaped as ``factor_blocks`` takes it;
-    ``b`` is unchecked and, when C-contiguous, overwritten (``y`` is then
-    ``b``; any other ``b`` is solved on a copy).
+    column).  Returns the ``SymmetrizedFactor``, whose call is the solve
+    ``b -> y`` of ``(alpha - beta S A S⁻¹) y = b`` for a ``b`` already
+    scaled by ``s``.
 
     A single block is factored by LAPACK's pttrf and solved by pttrs; a stack
     of two or more by the interleaved kernel (see the module docstring),
@@ -193,27 +198,54 @@ def factor_symmetrized(di: np.ndarray, off: np.ndarray, alpha, beta: float = 1.0
     d = (alpha - beta * di).ravel()
     e = (-beta * off).ravel()
     n = di.shape[-1]
-    kernel = _ldlt
-    if kernel is None or d.size == n:
+    kernel = _ldlt if d.size > n else None
+    if kernel is None:
         d, e, info = dpttrf(d, e[:-1], overwrite_d=1, overwrite_e=1)
-        if info > 0:
-            raise np.linalg.LinAlgError("matrix is not positive definite")
-
-        def solve(b: np.ndarray) -> np.ndarray:
-            y, _ = dpttrs(d, e, _columns(b, d.size), overwrite_b=1)
-            return y.T.reshape(b.shape)
-
-        return solve
-
-    if not kernel.factor(d, e, n):
+        positive = info == 0
+    else:
+        positive = kernel.factor(d, e, n)
+    if not positive:
         raise np.linalg.LinAlgError("matrix is not positive definite")
+    return SymmetrizedFactor(d, e, n, kernel)
 
-    def solve_stack(b: np.ndarray) -> np.ndarray:
+
+class SymmetrizedFactor:
+    """The LDLᵀ factor ``factor_symmetrized`` returns: ``d`` and ``e`` of the
+    stack laid end to end, its block size ``n`` and the kernel that made it
+    (None for LAPACK, whose ``e`` drops the last corner)."""
+
+    __slots__ = ("d", "e", "n", "kernel")
+
+    def __init__(self, d: np.ndarray, e: np.ndarray, n: int, kernel):
+        self.d, self.e, self.n, self.kernel = d, e, n, kernel
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        """The solve ``y`` of a ``b`` shaped as ``factor_blocks`` takes it;
+        ``b`` is unchecked and, when C-contiguous, overwritten (``y`` is then
+        ``b``; any other ``b`` is solved on a copy)."""
+        if self.kernel is None:
+            y, _ = dpttrs(self.d, self.e, _columns(b, self.d.size), overwrite_b=1)
+            return y.T.reshape(b.shape)
         y = b if b.flags.c_contiguous else np.ascontiguousarray(b)
-        kernel.solve(d, e, n, y)
+        self.kernel.solve(self.d, self.e, self.n, y)
         return y
 
-    return solve_stack
+    def pair_step(self, coefficients: np.ndarray, w: np.ndarray) -> np.ndarray | None:
+        """The IMEX step of a two-species pair in one kernel call, for a
+        factor of two blocks of ``n`` rows, one per species:
+        ``solve(w (sa - (sc x + sb w))) / s`` in a fresh array, ``x`` the
+        other species, ``w`` a ``(2, n)`` state or an ``(M, 2, n)`` stack of
+        runs and ``coefficients`` the C-contiguous ``(4, 2, n)`` rows
+        ``sa, sb, sc, s``; bit for bit the same arithmetic as forming the
+        right-hand side with numpy and solving it.  ``w`` is not written.
+        None, having done nothing a caller sees, where the factor is
+        LAPACK's, ``w`` is not a C-contiguous float64 stack of pairs, or an
+        entry of the right-hand side is negative, infinite or NaN."""
+        if (self.kernel is None or w.shape[-2:] != (2, self.n) or w.dtype != np.float64
+                or not w.flags.c_contiguous):
+            return None
+        out = np.empty(w.shape)
+        return out if self.kernel.step(self.d, self.e, self.n, coefficients, w, out) else None
 
 
 @dataclass

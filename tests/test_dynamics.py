@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import patchcomp as pc
 import patchcomp.dynamics
 import patchcomp.steady
+from patchcomp import operators
 from patchcomp.config import RunConfig
 from patchcomp.dynamics import (
     SimConfig,
@@ -18,6 +19,7 @@ from patchcomp.dynamics import (
 )
 from patchcomp.operators import (
     SpeciesLayout,
+    SymmetrizedFactor,
     assemble_diffusion,
     consistent_constant,
     expand_reduced,
@@ -112,15 +114,12 @@ class TestImplicitSolve:
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-# 2-6 patches: length, d, p_u, p_v (the last patch's p unused), r, k
-PATCHES = st.lists(
-    st.tuples(
-        st.floats(0.5, 2.0), st.floats(0.1, 10.0), st.floats(0.2, 5.0),
-        st.floats(0.2, 5.0), st.floats(0.5, 2.0), st.floats(0.5, 2.0),
-    ),
-    min_size=2,
-    max_size=6,
+# one patch: length, d, p_u, p_v (the last patch's p unused), r, k
+PATCH = st.tuples(
+    st.floats(0.5, 2.0), st.floats(0.1, 10.0), st.floats(0.2, 5.0),
+    st.floats(0.2, 5.0), st.floats(0.5, 2.0), st.floats(0.5, 2.0),
 )
+PATCHES = st.lists(PATCH, min_size=2, max_size=6)
 
 
 def random_stepper(patches, per_patch: int = 9) -> Stepper:
@@ -270,6 +269,71 @@ class TestCoefficientStep:
         # one factorisation, of the two species' stack
         assert len(calls) == 1
         assert np.array_equal(calls[0], [op.di for op in species_operators(stepper)])
+
+
+class TestFusedStep:
+    """``Stepper.step`` in one kernel call (``SymmetrizedFactor.pair_step``)
+    gives the numbers, the clipped mass and the errors of the numpy route,
+    which forms the right-hand side with numpy and solves it on LAPACK
+    (``operators._ldlt`` None); where the right-hand side must be clipped or
+    is not finite, or the state is not C-contiguous, the kernel declines and
+    the step runs the numpy route itself."""
+
+    @given(
+        patches=st.lists(PATCH, min_size=1, max_size=6),
+        runs=st.sampled_from([None, 1, 2, 3, 5]),  # None: one (2, N) state
+        top=st.sampled_from([2.0, 500.0]),  # 500: the crowding clips
+        bad=st.sampled_from([None, np.nan, np.inf]),
+        layout=st.sampled_from(["C", "F", "strided"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_numpy_route(self, ldlt_kernel, patches, runs, top, bad, layout, seed):
+        fused = random_stepper(patches)
+        size = fused.grid.num_reduced
+        rng = np.random.default_rng(seed)
+        shape = (2, size) if runs is None else (runs, 2, size)
+        w = rng.uniform(0.0, top, shape)
+        if bad is not None:
+            w.flat[rng.integers(w.size)] = bad
+        if layout == "F":
+            w = np.asfortranarray(w)
+        elif layout == "strided":
+            w = np.repeat(w, 2, axis=-1)[..., ::2]
+        kept = w.copy()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "_ldlt", None)
+            numpy_route = random_stepper(patches)
+            want = _step_or_error(numpy_route, w)
+        taken = []
+        pair_step = SymmetrizedFactor.pair_step
+
+        def spy(self, coefficients, state):
+            out = pair_step(self, coefficients, state)
+            taken.append(out is not None)
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SymmetrizedFactor, "pair_step", spy)
+            got = _step_or_error(fused, w)
+        assert np.array_equal(w, kept, equal_nan=True)
+        if isinstance(want, str):
+            assert got == want
+            assert taken == [False]
+            return
+        (got_w, got_clipped), (want_w, want_clipped) = got, want
+        assert got_w.shape == shape
+        assert np.array_equal(got_w, want_w)
+        assert got_clipped == want_clipped
+        assert taken == [layout == "C" and want_clipped == 0.0]
+
+
+def _step_or_error(stepper, w):
+    """``stepper.step(w)``, or the message of the ValueError it raises."""
+    try:
+        return stepper.step(w)
+    except ValueError as error:
+        return str(error)
 
 
 class TestReducedReaction:

@@ -17,11 +17,13 @@ import pytest
 import patchcomp as pc
 from conftest import c_compiler
 from patchcomp import _native, operators
+from patchcomp.config import RunConfig
 from patchcomp.dynamics import default_initial
 from patchcomp.eigen import assemble_linearization, growth_potential
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
+CONFIGS = TESTS.parent / "configs"
 LAND = pc.Landscape([0.0, 1.0, 2.0])
 ENV = pc.PatchEnvironment(r=[1.0, 1.2], k=[1.0, 2.0])
 RESIDENT = pc.SpeciesTraits([1.0, 0.8], [3.0])
@@ -53,8 +55,9 @@ print(json.dumps(test_kernel.figures_hex()))
 def figures() -> dict:
     """What every caller of ``factor_symmetrized`` computes, on fresh
     steppers and stacks: steps of a ``(2, N)`` state and a ``(3, 2, N)``
-    stack of runs, the order-preservation harness, stacked eigenpairs and a
-    fitness table."""
+    stack of runs, the order-preservation harness, ``simulate`` to a verdict
+    on a table row at 201 reduced DOFs, stacked eigenpairs and a fitness
+    table."""
     grid = pc.build_grid(LAND, per_patch=60)
     stepper = pc.Stepper(LAND, ENV, RESIDENT, MUTANT, grid)
     w = np.array(default_initial(grid, ENV))
@@ -64,6 +67,9 @@ def figures() -> dict:
     preserved, worst, first = pc.order_preservation_check(
         (u, 0.5 * v), (0.5 * u, v), pc.Stepper(LAND, ENV, RESIDENT, MUTANT, grid), 30
     )
+    row = RunConfig.load(str(CONFIGS / "below_resident_wins.json"))
+    record = pc.simulate(row.landscape, row.environment, row.resident, row.mutant,
+                         row.build_grid(), row.sim, steady_config=row.steady)
     potential = growth_potential(grid, ENV, pc.solve_resident_steady(LAND, ENV, RESIDENT, grid))
     ops = [
         assemble_linearization(grid, pc.SpeciesTraits([1.0, 1.0], [p]), potential)
@@ -78,6 +84,10 @@ def figures() -> dict:
         "runs": runs,
         "runs_clipped": np.array(clipped_runs),
         "harness": np.array([preserved, worst, -1 if first is None else first], float),
+        "simulate": np.array([record.u_final.values, record.v_final.values]),
+        "simulate_record": np.array(
+            [record.steps, record.t_final, record.diagnostics["clip_total"]]
+        ),
         "lambda1": np.array([pair.lambda1 for pair in pairs]),
         "phi": np.array([pair.phi.values for pair in pairs]),
         "residual": np.array([pair.residual for pair in pairs]),
@@ -145,6 +155,26 @@ def test_the_kernel_is_built_once_and_then_loaded_without_a_process(tmp_path):
     second = _run(POPEN_REPORT, PYTHONPATH=str(root))
     assert second.stdout.split() == [str(built), "0"]
     assert _cached(root) == cached
+
+
+@pytest.mark.skipif(not c_compiler(), reason="no C compiler to build the LDLᵀ kernel")
+def test_a_new_build_removes_the_old_one(tmp_path):
+    root = _copy_of_the_package(tmp_path)
+    first = _run(POPEN_REPORT, PYTHONPATH=str(root))
+    assert first.stdout.split() == ["True", "1"], first.stderr
+    (old,) = _cached(root)
+    # another interpreter's build and a concurrent build's temporary file
+    cache = root / "patchcomp" / "__pycache__"
+    kept = ["_ldlt-0123456789abcdef.cpython-399-other.so", f"{old}.4242.tmp"]
+    for name in kept:
+        (cache / name).write_bytes(b"")
+    source = root / "patchcomp" / "_ldlt.c"
+    source.write_text(source.read_text() + "/* another source */\n")
+    second = _run(POPEN_REPORT, PYTHONPATH=str(root))
+    assert second.stdout.split() == ["True", "1"], second.stderr
+    (new,) = set(_cached(root)) - set(kept)
+    assert new != old
+    assert _cached(root) == sorted([new, *kept])
 
 
 def _gone(pid: int) -> bool:

@@ -439,6 +439,40 @@ class TestInterleavedKernel:
         ldlt_kernel.solve(d, e, 3, longer[:6])
         assert np.array_equal(longer[6:], np.arange(7.0, 19.0))
 
+    def test_step_wrapper_refuses_wrong_buffers(self, ldlt_kernel):
+        # two blocks of 3 rows: d, e, coef (sa, sb, sc, s) and two runs
+        d, e = np.full(6, 2.0), np.full(6, 0.5)
+        e[2::3] = 0.0
+        assert ldlt_kernel.factor(d, e, 3)
+        coef = np.ones(24)
+        w = np.full(12, 0.25)
+        assert ldlt_kernel.step(d, e, 3, coef, w, np.empty(12))
+        read_only = np.empty(12)
+        read_only.flags.writeable = False
+        bad_calls = [
+            (d, e, 3, coef, w[:11].copy(), np.empty(11)),   # not whole runs
+            (d, e, 3, coef, w, np.empty(6)),                # out's length
+            (d, e, 3, coef[:18], w, np.empty(12)),          # coef's length
+            (d, e[:5], 3, coef, w, np.empty(12)),           # lengths differ
+            (d, e, 2, coef, w, np.empty(12)),               # three blocks
+            (d, e, 6, coef, w, np.empty(12)),               # one block
+            (d, e, 3, coef, w.astype(np.float32), np.empty(12)),  # dtype
+            (d, e, 3, coef.astype(np.int64), w, np.empty(12)),
+            (d, e, 3, coef, np.repeat(w, 2)[::2], np.empty(12)),  # layout
+            (d, e, 3, coef, w, read_only),
+            (d, e, 3, coef, w, w),                          # out overlaps w
+        ]
+        for args in bad_calls:
+            with pytest.raises(ValueError):
+                ldlt_kernel.step(*args)
+        with pytest.raises(TypeError):
+            ldlt_kernel.step(d, e, 3, coef, w)
+        # a right-hand side that fails the check: False, w untouched
+        negative = w.copy()
+        negative[4] = -1.0
+        assert not ldlt_kernel.step(d, e, 3, coef, negative, np.empty(12))
+        assert negative[4] == -1.0 and np.all(np.delete(negative, 4) == 0.25)
+
     def test_non_contiguous_rhs_is_solved_on_a_copy(self, ldlt_kernel):
         rng = np.random.default_rng(8)
         di, off, top = symmetric_stack(rng, 3, 40)
