@@ -27,17 +27,20 @@
  * needs no allocation.
  *
  * Build: cc -O2 -fPIC -shared -ffp-contract=off -I<Python include>
- * (-ffp-contract=off keeps a*b - c from becoming a fused multiply-add).
+ * (-ffp-contract=off keeps a*b - c from becoming a fused multiply-add), with
+ * GCC or Clang: the two lanes are their vector extensions, and any other
+ * compiler fails the build, so that patchcomp runs LAPACK's pttrf/pttrs.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <string.h>
 
-/* The two species at one row, lane 0 the first.  GCC and Clang do each
- * operation on both lanes in one instruction; other compilers get the same
- * arithmetic as paired scalars. */
-#if defined(__GNUC__) || defined(__clang__)
+/* The two species at one row, lane 0 the first: each operation on both
+ * lanes is one instruction. */
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "the LDLT kernel needs the vector extensions of GCC or Clang"
+#endif
 typedef double pair __attribute__((vector_size(16)));
 typedef long long lanes __attribute__((vector_size(16)));
 
@@ -63,31 +66,6 @@ passed(pair nan, lanes neg)
 {
     return nan[0] == 0 && nan[1] == 0 && neg[0] >= 0 && neg[1] >= 0;
 }
-#define ALWAYS_INLINE inline __attribute__((always_inline))
-#else
-typedef struct { double v[2]; } pair;
-typedef int lanes;
-
-static pair pair_of(double a, double b) { pair x; x.v[0] = a; x.v[1] = b; return x; }
-static double lane(pair x, int k) { return x.v[k]; }
-static pair add(pair a, pair b) { return pair_of(a.v[0] + b.v[0], a.v[1] + b.v[1]); }
-static pair sub(pair a, pair b) { return pair_of(a.v[0] - b.v[0], a.v[1] - b.v[1]); }
-static pair mul(pair a, pair b) { return pair_of(a.v[0] * b.v[0], a.v[1] * b.v[1]); }
-static pair quo(pair a, pair b) { return pair_of(a.v[0] / b.v[0], a.v[1] / b.v[1]); }
-static void
-check(pair t, pair *nan, lanes *neg)
-{
-    nan->v[0] += t.v[0] - t.v[0];
-    nan->v[1] += t.v[1] - t.v[1];
-    *neg |= !(t.v[0] >= 0.0) || !(t.v[1] >= 0.0);
-}
-static int
-passed(pair nan, lanes neg)
-{
-    return nan.v[0] == 0 && nan.v[1] == 0 && !neg;
-}
-#define ALWAYS_INLINE
-#endif
 
 /* A C-contiguous float64 buffer of obj in view, or -1 with ValueError. */
 static int
@@ -252,7 +230,7 @@ solve(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
  * side by side.  Always inlined where RUNS is a constant, so that each run's
  * sweep carry, the row last swept, stays in a register.  0, with out partly
  * written, when an entry of the right-hand side fails the check. */
-static ALWAYS_INLINE int
+static inline __attribute__((always_inline)) int
 pair_runs(const double *restrict d, const double *restrict e, Py_ssize_t n,
           const double *restrict coef, const double *restrict w, double *restrict out,
           const int RUNS)

@@ -173,12 +173,19 @@ class RunConfig:
         raise ValidationError(f"{path}: provide jump ratios 'p' or preferences 'alpha'")
 
     def build_grid(self, resolution: float | None = None) -> Grid:
+        """The grid of ``resolution``, else of ``grid.target_h``, else of
+        ``grid.per_patch``; a grid error names the field it came from."""
         spec = self.raw["grid"]
         if resolution is not None:
-            return build_grid(self.landscape, target_h=checked_number(resolution, "resolution"))
-        if spec.get("target_h") is not None:
-            return build_grid(self.landscape, target_h=spec["target_h"])
-        return build_grid(self.landscape, per_patch=spec.get("per_patch", 100))
+            path, source = "resolution", {"target_h": checked_number(resolution, "resolution")}
+        elif spec.get("target_h") is not None:
+            path, source = "grid.target_h", {"target_h": spec["target_h"]}
+        else:
+            path, source = "grid.per_patch", {"per_patch": spec.get("per_patch", 100)}
+        try:
+            return build_grid(self.landscape, **source)
+        except ValidationError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
 
     def to_dict(self) -> dict[str, Any]:
         return copy.deepcopy(self.raw)

@@ -43,10 +43,10 @@ through the same ``_couplings``.
 
 ``fitness_table`` is the one route from a set of (resident, mutant) pairs to
 their eigenvalues: one context for its residents, and every masked pair, in
-row-major order, in one stacked Noda solve whose bands
-(``mutant.di + restrict_diag(potential)``) are built one ``_STACK_DOFS``
-chunk of pairs at a time.  ``signs`` is the one rule that turns eigenvalues
-into invasion signs.
+row-major order, in stacked Noda solves whose bands
+(``mutant.di + restrict_diag(potential)``) are built one chunk of pairs
+(``operators.stack_chunks``) at a time.  ``signs`` is the one rule that
+turns eigenvalues into invasion signs.
 """
 
 from __future__ import annotations
@@ -60,19 +60,21 @@ from .errors import EigenSolveError, ValidationError
 from .grid import Grid, PiecewiseField
 from .landscape import PatchEnvironment, SpeciesTraits
 from .operators import (
-    _STACK_DOFS,
     LinearOperator,
     SpeciesLayout,
     assemble_diffusion,
     diffusion_bands,
     env_on_dofs,
     factor_symmetrized,
+    stack_chunks,
     symmetrizing_similarity,
     tridiagonal_matvec,
 )
 from .steady import SteadyConfig, solve_resident_steady, solve_resident_steady_states
 
 SIGN_TOL = 1e-8
+RESIDUAL_TOL = 1e-13  # relative residual at which Noda's iteration stops
+MAX_ITERS = 2000      # shifted solves after which it gives up
 
 _EPS = np.finfo(float).eps
 _BANDS = ("lo", "di", "up")
@@ -87,9 +89,9 @@ class EigenPair:
     residual: float
     iterations: int
 
-    def sign(self, tol: float = SIGN_TOL) -> int:
-        """-1, 0 (within the neutral band) or +1."""
-        return int(signs(self.lambda1, tol))
+    def sign(self) -> int:
+        """-1, 0 (within the neutral band of ``SIGN_TOL``) or +1."""
+        return int(signs(self.lambda1))
 
 
 def signs(lambdas, tol: float = SIGN_TOL) -> np.ndarray:
@@ -125,7 +127,7 @@ def _start_vectors(layout: SpeciesLayout) -> np.ndarray:
     return x / x.max(axis=-1, keepdims=True)
 
 
-def _noda(lo, di, up, s, weights, off, scale, x, tol, max_iters):
+def _noda(lo, di, up, s, weights, off, scale, x):
     """Noda's inverse iteration on the stack of (M, N) bands; see
     ``principal_eigenpair``.  ``s`` and ``off`` are the bands'
     ``symmetrizing_similarity``, ``weights`` is ``s²`` (the Rayleigh
@@ -135,8 +137,9 @@ def _noda(lo, di, up, s, weights, off, scale, x, tol, max_iters):
     number of solves."""
     # keeps the rounded Collatz-Wielandt bound above the top eigenvalue
     margin = 8.0 * _EPS * scale
-    # max(tol * max(1, |theta|), 5e-15 * scale) is max(tol * |theta|, least)
-    least = np.maximum(tol, 5e-15 * scale)
+    # max(RESIDUAL_TOL * max(1, |theta|), 5e-15 * scale) is
+    # max(RESIDUAL_TOL * |theta|, least)
+    least = np.maximum(RESIDUAL_TOL, 5e-15 * scale)
     rows = np.arange(len(di))
     out = None  # (theta, x, residual, iterations) of every block, once one stops
     iterations = 0
@@ -150,8 +153,8 @@ def _noda(lo, di, up, s, weights, off, scale, x, tol, max_iters):
         # factors a singular sigma I - A.  The LDLᵀ solves take a solved
         # iterate's residual to a few eps * scale at any size, under
         # ``least``, so there is no separate rounding-floor stop: a loop that
-        # stalls above ``least`` ends at ``max_iters``.
-        done = res <= np.maximum(tol * np.abs(theta), least)
+        # stalls above ``least`` ends at ``MAX_ITERS``.
+        done = res <= np.maximum(RESIDUAL_TOL * np.abs(theta), least)
         stopped = np.count_nonzero(done)
         if stopped:
             if out is None:
@@ -169,7 +172,7 @@ def _noda(lo, di, up, s, weights, off, scale, x, tol, max_iters):
             rows, lo, di, up, s, off, weights, x, ax, margin, least = (
                 a[going] for a in (rows, lo, di, up, s, off, weights, x, ax, margin, least)
             )
-        if iterations == max_iters:
+        if iterations == MAX_ITERS:
             raise EigenSolveError(
                 "principal eigen iteration did not converge; the operator may "
                 "have a clustered leading spectrum"
@@ -220,26 +223,18 @@ def _couplings(lo, di, up):
     return s, weights, off, scale
 
 
-def _stacked_solve(lo, di, up, couplings, start, tol: float, max_iters: int):
-    """Noda's iteration on the (M, N) stack (zero corners), ``_STACK_DOFS``
-    at a time; ``couplings`` are the blocks' rows of ``_couplings``, and a
-    non-finite ``di`` raises ValueError before any solve.  Returns per block
-    the eigenvalue, the reduced max-normalized eigenvector, the residual and
-    the number of solves."""
+def _stacked_solve(lo, di, up, couplings, start):
+    """Noda's iteration on the whole (M, N) stack (zero corners) at once;
+    ``couplings`` are the blocks' rows of ``_couplings``, and a non-finite
+    ``di`` raises ValueError before any solve.  Returns per block the
+    eigenvalue, the reduced max-normalized eigenvector, the residual and the
+    number of solves."""
     s, weights, off, scale = couplings
     # max is exact, so this is the largest entry of all three bands
     scale = np.maximum(np.abs(di).max(axis=1), scale)
     if not np.isfinite(scale.max()):
         raise ValueError("operator bands must be finite")
-    step = max(1, _STACK_DOFS // di.shape[1])
-    if len(di) <= step:
-        return _noda(lo, di, up, s, weights, off, scale, start, tol, max_iters)
-    parts = [
-        _noda(lo[b], di[b], up[b], s[b], weights[b], off[b], scale[b], start[b], tol,
-              max_iters)
-        for b in (slice(j, j + step) for j in range(0, len(di), step))
-    ]
-    return tuple(np.concatenate(part) for part in zip(*parts))
+    return _noda(lo, di, up, s, weights, off, scale, start)
 
 
 def _eigenpairs(layout: SpeciesLayout, theta, x, res, iterations) -> list[EigenPair]:
@@ -254,11 +249,7 @@ def _eigenpairs(layout: SpeciesLayout, theta, x, res, iterations) -> list[EigenP
     ]
 
 
-def principal_eigenpairs(
-    ops: Sequence[LinearOperator],
-    tol: float = 1e-13,
-    max_iters: int = 2000,
-) -> list[EigenPair]:
+def principal_eigenpairs(ops: Sequence[LinearOperator]) -> list[EigenPair]:
     """``principal_eigenpair`` of each operator, all in one stacked solve.
 
     The operators must share one grid.  Each pair is bit for bit the one
@@ -278,16 +269,10 @@ def principal_eigenpairs(
     # built by hand enter: the stack is then one block-diagonal matrix
     lo[:, 0] = up[:, -1] = 0.0
     couplings = _couplings(lo, di, up)
-    return _eigenpairs(
-        layout, *_stacked_solve(lo, di, up, couplings, _start_vectors(layout), tol, max_iters)
-    )
+    return _eigenpairs(layout, *_stacked_solve(lo, di, up, couplings, _start_vectors(layout)))
 
 
-def principal_eigenpair(
-    op: LinearOperator,
-    tol: float = 1e-13,
-    max_iters: int = 2000,
-) -> EigenPair:
+def principal_eigenpair(op: LinearOperator) -> EigenPair:
     """Top eigenvalue and positive eigenfunction of a reduced operator.
 
     Route: Noda's inverse iteration on ``A`` itself.  Starting from the
@@ -295,11 +280,12 @@ def principal_eigenpair(
     takes the Rayleigh quotient of the iterate weighted by ``s²``, where
     ``S = diag(s)`` makes ``S A S⁻¹`` symmetric (``s[0] = 1``,
     ``s[i+1] = s[i] sqrt(up[i] / lo[i+1])``), and stops once the residual
-    ``|A x - theta x|`` is at most ``max(tol max(1, |theta|), 5e-15 scale)``,
-    ``scale`` the largest band entry (at least 1); the LDLᵀ solves bring a
-    solved iterate's residual to a few ``eps * scale`` at every size, under
-    that, and a loop that stalls above it raises EigenSolveError at
-    ``max_iters``.  Otherwise it shifts to the Collatz-Wielandt
+    ``|A x - theta x|`` is at most
+    ``max(RESIDUAL_TOL max(1, |theta|), 5e-15 scale)``, ``scale`` the
+    largest band entry (at least 1); the LDLᵀ solves bring a solved
+    iterate's residual to a few ``eps * scale`` at every size, under that,
+    and a loop that stalls above it raises EigenSolveError after
+    ``MAX_ITERS`` solves.  Otherwise it shifts to the Collatz-Wielandt
     bound ``max_i (A x)_i / x_i`` and solves once with ``sigma I - A``, as
     ``S⁻¹ (sigma I - S A S⁻¹)⁻¹ S``: one LDLᵀ factorisation and solve of
     the symmetric positive definite shifted matrix (LAPACK's pttrf/pttrs
@@ -319,7 +305,7 @@ def principal_eigenpair(
     eigenvector, as for a constant potential).  This is the one-operator
     case of ``principal_eigenpairs``.
     """
-    return principal_eigenpairs([op], tol, max_iters)[0]
+    return principal_eigenpairs([op])[0]
 
 
 def growth_potential(
@@ -363,9 +349,8 @@ class MutantStack:
     def chunks(cls, grid: Grid, mutants: Sequence[SpeciesTraits]) -> Iterator["MutantStack"]:
         """Stacks of consecutive mutants, each one stacked solve's worth, for
         scans too long to hold assembled at once."""
-        step = max(1, _STACK_DOFS // grid.num_reduced)
-        for s in range(0, len(mutants), step):
-            yield cls.assemble(grid, mutants[s : s + step])
+        for part in stack_chunks(len(mutants), grid.num_reduced):
+            yield cls.assemble(grid, mutants[part])
 
 
 class ResidentContext:
@@ -404,35 +389,30 @@ class ResidentContext:
         self.grid = grid
         self.potential = growth_potential(grid, env, np.array([u.values for u in self.ustar]))
 
-    def _solve(
-        self, mutants: MutantStack, rows, cols, tol: float = 1e-13, max_iters: int = 2000
-    ):
+    def _solve(self, mutants: MutantStack, rows, cols):
         """Solve the pairs (``rows[k]``, ``cols[k]``) of resident and mutant
-        indices one stacked solve's worth at a time, in order; yields each
-        chunk's layout and ``_stacked_solve`` arrays."""
+        indices one stacked solve's worth (``stack_chunks``) at a time, in
+        order; yields each chunk's layout and ``_stacked_solve`` arrays."""
         if mutants.layout.grid != self.grid:
             raise ValidationError("mutant stack lives on another grid")
-        step = max(1, _STACK_DOFS // self.grid.num_reduced)
-        for s in range(0, len(rows), step):
-            i, j = rows[s : s + step], cols[s : s + step]
+        for part in stack_chunks(len(rows), self.grid.num_reduced):
+            i, j = rows[part], cols[part]
             layout = mutants.layout[j]
             lo, di, up, start = (
                 a.take(j, axis=0) for a in (mutants.lo, mutants.di, mutants.up, mutants.start)
             )
             couplings = tuple(a.take(j, axis=0) for a in mutants.couplings)
             di += layout.restrict_diag(self.potential.take(i, axis=0))
-            yield layout, _stacked_solve(lo, di, up, couplings, start, tol, max_iters)
+            yield layout, _stacked_solve(lo, di, up, couplings, start)
 
-    def fitness(
-        self, mutants: MutantStack, tol: float = 1e-13, max_iters: int = 2000
-    ) -> list[EigenPair]:
+    def fitness(self, mutants: MutantStack) -> list[EigenPair]:
         """One EigenPair per (resident, mutant) pair, in row-major order (one
         per mutant, in stack order, for one resident).  Each is bit for bit
         ``principal_eigenpair(assemble_linearization(grid, mutant, potential))``."""
         rows, cols = np.divmod(np.arange(len(self.potential) * len(mutants.di)), len(mutants.di))
         return [
             pair
-            for layout, solved in self._solve(mutants, rows, cols, tol, max_iters)
+            for layout, solved in self._solve(mutants, rows, cols)
             for pair in _eigenpairs(layout, *solved)
         ]
 

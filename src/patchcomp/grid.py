@@ -245,8 +245,9 @@ class PiecewiseField:
             worst = max(worst, abs(right - p[m] * left) / scale)
         return worst
 
-    def is_jump_consistent(self, traits: SpeciesTraits, rtol: float = 1e-12) -> bool:
-        return self.grid.n == 1 or self.jump_consistency_error(traits) <= rtol
+    def is_jump_consistent(self, traits: SpeciesTraits) -> bool:
+        """Whether every right trace is its ratio times the left one, to 1e-12."""
+        return self.grid.n == 1 or self.jump_consistency_error(traits) <= 1e-12
 
     def to_csv(self) -> str:
         buf = io.StringIO()

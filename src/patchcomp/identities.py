@@ -26,6 +26,7 @@ from .landscape import PatchEnvironment, SpeciesTraits
 from .eigen import EigenPair
 
 _EPS = 1e-30
+_STEADY_TOL = 1e-5  # largest pair residual a near-steady state may have
 
 
 def _suffix_products(p: np.ndarray, n: int) -> np.ndarray:
@@ -43,7 +44,6 @@ def invasion_identity_residual(
     resident: SpeciesTraits,
     mutant: SpeciesTraits,
     grid: Grid,
-    eps: float = _EPS,
 ) -> float:
     """Relative defect of the fitness balance identity.
 
@@ -87,7 +87,7 @@ def invasion_identity_residual(
 
     # the overlap mass anchors the denominator, so identities whose two sides
     # both vanish (identical traits, capacity-ratio resident) read as zero
-    return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + abs(overlap) + eps)
+    return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + abs(overlap) + _EPS)
 
 
 @dataclass(frozen=True)
@@ -128,26 +128,24 @@ def coexistence_identity_residuals(
     grid: Grid,
     a: float,
     b: float,
-    steady_check: float | None = 1e-5,
-    eps: float = _EPS,
 ) -> CoexistenceResiduals:
     """Identity defects over a window [a, b] of node-aligned positions.
 
     Within one patch the growth deficit of the pair is checked against both
     species' flux/gradient forms.  Across patches the telescoped interface
-    identity is checked instead.  The state must be near-steady; otherwise the
-    measured residual norm is reported in the raised error.
+    identity is checked instead.  The state must be near-steady (pair
+    residual at most ``_STEADY_TOL``); otherwise the measured residual norm
+    is reported in the raised error.
     """
     if b < a:
         raise ValidationError("window must satisfy a <= b")
-    if steady_check is not None:
-        from .dynamics import pair_steady_residual
+    from .dynamics import pair_steady_residual
 
-        res = pair_steady_residual(grid.landscape, env, resident, mutant, grid, u, v)
-        if res > steady_check:
-            raise ValidationError(
-                f"state is not near-steady: residual {res:.3e} > {steady_check:.3e}"
-            )
+    res = pair_steady_residual(grid.landscape, env, resident, mutant, grid, u, v)
+    if res > _STEADY_TOL:
+        raise ValidationError(
+            f"state is not near-steady: residual {res:.3e} > {_STEADY_TOL:.3e}"
+        )
 
     if abs(b - a) <= 1e-12 * max(1.0, grid.landscape.length):
         return CoexistenceResiduals(kind="within-patch", first=0.0, second=0.0)
@@ -177,7 +175,7 @@ def coexistence_identity_residuals(
                 + diffusion * k_i * one_sided_from_right(values, h) / values[0]
                 - diffusion * k_i * np.trapezoid(dv**2 / values**2, dx=h)
             )
-            return abs(e0 - e) / (abs(e0) + abs(e) + mass + eps)
+            return abs(e0 - e) / (abs(e0) + abs(e) + mass + _EPS)
 
         return CoexistenceResiduals(
             kind="within-patch",
@@ -236,5 +234,5 @@ def coexistence_identity_residuals(
     k_max = env.k_array.max()
     d_all = max(resident.d_array.max(), mutant.d_array.max())
     mass = d_all * k_max**2 / grid.landscape.length
-    defect = abs(total) / (magnitude + mass + eps)
+    defect = abs(total) / (magnitude + mass + _EPS)
     return CoexistenceResiduals(kind="cross-patch", first=defect, second=defect)

@@ -34,7 +34,9 @@ similarity depends on the couplings alone, so its callers build it once per
 operator they hold: once per mutant of a scan, once per stepper.  The zero
 corners keep the blocks apart: each block's arithmetic is bit for bit that
 of its operator on its own, and the solves take M right-hand-side rows of
-one operator as M single solves.
+one operator as M single solves.  ``stack_chunks`` is the one cut of a long
+stack into stacked solves of at most ``_STACK_DOFS`` reduced DOFs, for the
+steady states, the mutant stacks and the eigen pairs of a scan.
 
 The LDLᵀ has two routes with the same arithmetic.  A single block runs
 LAPACK's pttrf/pttrs.  A stack of two or more runs the interleaved kernel
@@ -54,6 +56,7 @@ one that calls LAPACK or the kernel.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -73,6 +76,15 @@ _ldlt = load_ldlt()
 # only a few copies of its bands and iterates at a time.  Past a few thousand
 # DOFs per solve the LAPACK calls dominate and a larger stack gains nothing.
 _STACK_DOFS = 1 << 14
+
+
+def stack_chunks(count: int, size: int) -> Iterator[slice]:
+    """Consecutive slices of ``count`` blocks of ``size`` reduced DOFs, each
+    one stacked solve's worth: at most ``_STACK_DOFS`` DOFs, and at least
+    one block."""
+    step = max(1, _STACK_DOFS // size)
+    for start in range(0, count, step):
+        yield slice(start, start + step)
 
 
 def env_on_dofs(grid: Grid, env: PatchEnvironment) -> tuple[np.ndarray, np.ndarray]:
@@ -106,9 +118,9 @@ def restrict_diagonal(grid: Grid, traits: SpeciesTraits, full_values) -> np.ndar
     return SpeciesLayout(grid, traits).restrict_diag(np.asarray(full_values, dtype=float))
 
 
-def consistent_constant(grid: Grid, traits: SpeciesTraits, amplitude: float = 1.0) -> np.ndarray:
+def consistent_constant(grid: Grid, traits: SpeciesTraits) -> np.ndarray:
     """Reduced vector of the jump-consistent piecewise-constant field."""
-    return SpeciesLayout(grid, traits).fill(amplitude * traits.cumulative_scales())
+    return SpeciesLayout(grid, traits).fill(traits.cumulative_scales())
 
 
 def tridiagonal_matvec(lo, di, up, x: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ block-diagonal matrix, each bit for bit as on its own; the stack is
 re-indexed only when some blocks stop and others go on.
 
 ``solve_resident_steady_states`` solves R residents that share a grid and an
-environment as stacks of at most ``_STACK_DOFS`` reduced DOFs; the blocks
+environment as the stacks of ``operators.stack_chunks``; the blocks
 Newton leaves stalled march into the basin as a sub-stack (implicit
 diffusion), and Newton polishes them.  ``solve_resident_steady`` is its
 R = 1 case, and a stack of one runs on its own (N,) arrays, where it costs
@@ -41,9 +41,9 @@ from .landscape import (
     strict_dominates,
 )
 from .operators import (
-    _STACK_DOFS,
     diffusion_bands,
     factor_blocks,
+    stack_chunks,
     tridiagonal_matvec,
 )
 
@@ -250,7 +250,7 @@ def solve_resident_steady_states(
     initial: np.ndarray | None = None,
 ) -> list[PiecewiseField]:
     """Positive steady states of R single-species problems on one grid and
-    environment, solved as stacks of at most ``_STACK_DOFS`` reduced DOFs.
+    environment, solved as the stacks of ``operators.stack_chunks``.
 
     Each state is bit for bit the one ``solve_resident_steady`` returns for
     that resident alone.  Damped Newton runs on each stack, from the
@@ -264,13 +264,12 @@ def solve_resident_steady_states(
     config = config or SteadyConfig()
     if initial is not None:
         initial = np.asarray(initial, dtype=float).reshape(len(residents), grid.num_reduced)
-    step = max(1, _STACK_DOFS // grid.num_reduced)
     states = []
-    for s in range(0, len(residents), step):
-        chunk = residents[s : s + step]
+    for part in stack_chunks(len(residents), grid.num_reduced):
+        chunk = residents[part]
         problem = _SteadyProblem(grid, env, chunk[0] if len(chunk) == 1 else chunk)
         u0 = np.empty(problem.di.shape)
-        u0[...] = problem.layout.fill(env.k_array) if initial is None else initial[s : s + step]
+        u0[...] = problem.layout.fill(env.k_array) if initial is None else initial[part]
         u = problem.solve(u0, config)
         full = problem.layout.expand(u).reshape(-1, grid.num_dofs)
         states.extend(PiecewiseField(grid, values) for values in full)

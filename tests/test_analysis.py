@@ -402,7 +402,7 @@ class TestFitnessTable:
                    for p in (1.2, 1.7, 2.4, 2.9, 3.5)]
         solve = np.random.default_rng(4).uniform(size=(3, 5)) < 0.7
         whole = pc.fitness_table(land, env, grid, species[:3], species, solve=solve)
-        monkeypatch.setattr(patchcomp.eigen, "_STACK_DOFS", 2 * grid.num_reduced)
+        monkeypatch.setattr(patchcomp.operators, "_STACK_DOFS", 2 * grid.num_reduced)
         chunked = pc.fitness_table(land, env, grid, species[:3], species, solve=solve)
         assert np.array_equal(chunked, whole, equal_nan=True)
         assert np.array_equal(np.isnan(whole), ~solve)
@@ -425,7 +425,7 @@ class TestFitnessTable:
             sizes.append(len(lo))
             return solve_stack(lo, *args)
 
-        monkeypatch.setattr(patchcomp.eigen, "_STACK_DOFS", 3 * grid.num_reduced)
+        monkeypatch.setattr(patchcomp.operators, "_STACK_DOFS", 3 * grid.num_reduced)
         monkeypatch.setattr(patchcomp.eigen, "_stacked_solve", recording)
         chunked = pc.fitness_table(land, env, grid, residents, mutants, solve=solve)
         assert sizes == [3, 3, 3, 2]

@@ -434,6 +434,37 @@ class TestCommands:
         assert f"configuration error: {named} must contain only finite values" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "config,flags,env,message,kind",
+        [
+            ({"grid": {"per_patch": [10, 20, 30]}}, [], {},
+             "grid.per_patch: need one subinterval count per patch", ValidationError),
+            ({"grid": {"per_patch": 3}}, [], {},
+             "grid.per_patch: patch 1 receives only 3 subintervals", pc.GridResolutionError),
+            ({"grid": {"target_h": 0.5}}, [], {},
+             "grid.target_h: patch 1 receives only 2 subintervals", pc.GridResolutionError),
+            ({"grid": {"target_h": 0.01}}, ["--resolution", "0.5"], {},
+             "resolution: patch 1 receives only 2 subintervals", pc.GridResolutionError),
+            ({}, [], {"PATCHCOMP_RESOLUTION": "0.5"},
+             "resolution: patch 1 receives only 2 subintervals", pc.GridResolutionError),
+        ],
+    )
+    def test_grid_errors_name_their_field(
+        self, tmp_path, monkeypatch, capsys, config, flags, env, message, kind
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        out = tmp_path / "out"
+        assert run(["steady", "--config", cfg, "--out", out, *flags]) == 1
+        assert f"configuration error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+        resolution = 0.5 if flags or env else None
+        with pytest.raises(ValidationError, match=message) as raised:
+            RunConfig.from_dict(config).build_grid(resolution)
+        assert type(raised.value) is kind
+
     def test_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PATCHCOMP_OUT", str(tmp_path / "env_out"))
         assert run(["classify", "--config", CONFIG_DIR / "above_resident_wins.json"]) == 0

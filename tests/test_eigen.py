@@ -537,7 +537,7 @@ class TestStackedNoda:
     def test_solves_in_chunks_of_bounded_size(self, two_patch, monkeypatch):
         land, env, resident, mutant = two_patch
         grid = pc.build_grid(land, per_patch=40)
-        monkeypatch.setattr(patchcomp.eigen, "_STACK_DOFS", 2 * grid.num_reduced)
+        monkeypatch.setattr(patchcomp.operators, "_STACK_DOFS", 2 * grid.num_reduced)
         sizes = []
         factor = patchcomp.eigen.factor_symmetrized
 

@@ -158,6 +158,18 @@ def test_the_kernel_is_built_once_and_then_loaded_without_a_process(tmp_path):
 
 
 @pytest.mark.skipif(not c_compiler(), reason="no C compiler to build the LDLᵀ kernel")
+def test_the_kernel_compiles_without_a_warning(tmp_path):
+    # the CPython method signatures leave ``module`` unused, hence the one -Wno
+    command = [*sysconfig.get_config_var("CC").split(), *_native.FLAGS, "-Wall", "-Wextra",
+               "-Wno-unused-parameter", "-Werror", "-I" + sysconfig.get_path("include"),
+               str(_native.SOURCE), "-o", str(tmp_path / "_ldlt.so")]
+    done = subprocess.run(command, stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+
+
+@pytest.mark.skipif(not c_compiler(), reason="no C compiler to build the LDLᵀ kernel")
 def test_a_new_build_removes_the_old_one(tmp_path):
     root = _copy_of_the_package(tmp_path)
     first = _run(POPEN_REPORT, PYTHONPATH=str(root))

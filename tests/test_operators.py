@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +20,7 @@ from patchcomp.operators import (
     restrict_cell_average,
     restrict_diagonal,
     restrict_values,
+    stack_chunks,
     symmetrizing_similarity,
     tridiagonal_matvec,
 )
@@ -339,6 +343,50 @@ class TestOneConvention:
         for row, one_lu, one_ldlt in zip(rows, got_lu, got_ldlt):
             assert np.array_equal(one_lu, lu(row))
             assert np.array_equal(one_ldlt, ldlt(s * row))
+
+
+    def test_stack_chunks_cut_at_the_stack_cap(self, monkeypatch):
+        monkeypatch.setattr(operators, "_STACK_DOFS", 2 * 50 + 1)
+        assert list(stack_chunks(5, 50)) == [slice(0, 2), slice(2, 4), slice(4, 6)]
+        assert list(stack_chunks(4, 50)) == [slice(0, 2), slice(2, 4)]
+        # a block larger than the cap is a solve of its own
+        assert list(stack_chunks(2, 200)) == [slice(0, 1), slice(1, 2)]
+        assert list(stack_chunks(0, 50)) == []
+
+
+def _reaches_lapack_or_kernel(path: Path) -> set[str]:
+    """What a module reaches of LAPACK and the LDLᵀ kernel: ``"scipy.linalg"``
+    for an import from it, ``"_native"`` for an import of the kernel's
+    builder, and ``"_ldlt"`` for an import, a name or an attribute
+    ``_ldlt``."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            modules = [base] + [f"{base.rstrip('.')}.{alias.name}" for alias in node.names]
+        else:
+            modules = []
+        for module in modules:
+            if module.lstrip(".").startswith("scipy.linalg"):
+                found.add("scipy.linalg")
+            if module.rsplit(".", 1)[-1] in ("_native", "_ldlt"):
+                found.add(module.rsplit(".", 1)[-1])
+        if isinstance(node, ast.Name) and node.id == "_ldlt" or (
+            isinstance(node, ast.Attribute) and node.attr == "_ldlt"
+        ):
+            found.add("_ldlt")
+    return found
+
+
+def test_only_operators_calls_lapack_or_the_kernel():
+    # ``__init__`` reads ``operators._ldlt`` for ``_LDLT_KERNEL`` only
+    package = Path(operators.__file__).parent
+    reached = {path.stem: _reaches_lapack_or_kernel(path) for path in package.glob("*.py")}
+    assert reached.pop("operators") == {"scipy.linalg", "_native", "_ldlt"}
+    assert reached.pop("__init__") == {"_ldlt"}
+    assert {name: uses for name, uses in reached.items() if uses} == {}
 
 
 def symmetric_stack(rng, blocks: int, rows: int):

@@ -442,7 +442,7 @@ class TestStackedSteady:
             return newton(self, u0, config)
 
         monkeypatch.setattr(problem, "newton", spy_newton)
-        monkeypatch.setattr(patchcomp.steady, "_STACK_DOFS", 2 * grid.num_reduced)
+        monkeypatch.setattr(patchcomp.operators, "_STACK_DOFS", 2 * grid.num_reduced)
         chunked = pc.solve_resident_steady_states(land, env, residents, grid, config, starts)
         # per stack, Newton and then the polish after the march (three steps
         # from these starts leave every block unconverged); the last resident
