@@ -24,6 +24,10 @@ ratio 2).  The layers:
   (strategies spread over 1.2-4) at 201 and 1,601 reduced DOFs, as one
   stacked ``solve_resident_steady_states`` call and as a loop of single
   ``solve_resident_steady`` calls;
+- ``steady_fallback``: ``solve_resident_steady`` at 9 subintervals per
+  patch on three landscapes (three, four and six patches) on which Newton
+  from the capacity profile does not converge, so each solve also runs the
+  steady solve's second path (the restart from the super-solution);
 - ``eigen``: one ``principal_eigenpair`` solve, and ``principal_eigenpairs``
   on stacks of M = 1, 10 and 16 mutants' linearizations (per stack and per
   operator);
@@ -128,6 +132,21 @@ STACKS = (1, 10, 16)
 SCAN_STACKS = ((100, 81), (400, 16))  # (per patch, M): 201 and 801 reduced DOFs
 RESIDENT_STACKS = (1, 10, 32)
 STEADY_STACK_PER_PATCH = (100, 800)  # 201 and 1,601 reduced DOFs
+# (lengths, d, r, k, p) of landscapes whose steady solve leaves Newton from
+# the capacity profile unconverged at FALLBACK_PER_PATCH
+FALLBACK_LANDSCAPES = {
+    "three_patches": ([1.519, 1.308, 0.898], [0.388, 0.026, 15.799],
+                      [0.116, 7.261, 2.038], [0.123, 3.786, 0.166], [2.331, 3.051]),
+    "four_patches": ([1.286, 1.525, 1.644, 1.886], [0.655, 0.029, 0.037, 10.269],
+                     [0.967, 0.684, 6.905, 8.53], [5.57, 0.255, 6.56, 1.965],
+                     [0.282, 0.856, 0.649]),
+    "six_patches": ([1.997, 1.489, 1.533, 1.645, 1.1, 0.591],
+                    [2.643, 0.091, 0.037, 0.019, 0.197, 1.47],
+                    [3.863, 0.608, 0.125, 4.46, 0.164, 5.572],
+                    [0.17, 0.505, 0.128, 5.303, 8.899, 0.405],
+                    [0.507, 0.237, 2.022, 0.063, 0.21]),
+}
+FALLBACK_PER_PATCH = 9
 FINE_PER_PATCH = (100, 1000, 4000)  # 201, 2,001 and 8,001 reduced DOFs
 STEPS_PER_REPEAT = 100
 HARNESS_STEPS = 20
@@ -230,6 +249,17 @@ def steady_stack(repeats: int) -> dict:
                 repeats,
             )
         out[str(grid.num_reduced)] = row
+    return out
+
+
+def steady_fallback(repeats: int) -> dict:
+    out = {}
+    for name, (length, d, r, k, p) in FALLBACK_LANDSCAPES.items():
+        land = pc.Landscape(np.concatenate(([0.0], np.cumsum(length))))
+        env = pc.PatchEnvironment(r=r, k=k)
+        traits = pc.SpeciesTraits(d, pc.StrategyVector(p))
+        grid = pc.build_grid(land, per_patch=FALLBACK_PER_PATCH)
+        out[name] = timed(lambda: pc.solve_resident_steady(land, env, traits, grid), repeats)
     return out
 
 
@@ -455,6 +485,7 @@ def main() -> None:
         "fitness": fitness(args.repeats),
         "eigen_stack": eigen_stack(args.repeats),
         "steady_stack": steady_stack(args.repeats),
+        "steady_fallback": steady_fallback(args.repeats),
         **fine_layers(args.repeats),
         "simulate_rows": simulate_rows(args.repeats),
         "pip_7x7": pip_square(7, args.repeats),

@@ -91,7 +91,6 @@ def stability_table(
     mutant: SpeciesTraits,
     grid: Grid,
     steady_config: SteadyConfig | None = None,
-    sign_tol: float = SIGN_TOL,
 ) -> StabilityVerdicts:
     """Stability of both single-species states against the other species.
 
@@ -103,7 +102,7 @@ def stability_table(
     table = fitness_table(landscape, env, grid, species, species, steady_config,
                           solve=~np.eye(2, dtype=bool))
     lam_res, lam_mut = float(table[0, 1]), float(table[1, 0])
-    resident_state, mutant_state = (_VERDICTS[s] for s in signs([lam_res, lam_mut], sign_tol))
+    resident_state, mutant_state = (_VERDICTS[s] for s in signs([lam_res, lam_mut]))
     return StabilityVerdicts(lam_res, lam_mut, resident_state, mutant_state)
 
 
@@ -191,13 +190,13 @@ def _sides(focal, delta, samples, env, guard) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _result(points, lambdas, want, sign_tol) -> StrategyTestResult:
+def _result(points, lambdas, want) -> StrategyTestResult:
     """The test's verdict on the evaluated pairs, in witness order: each
     ``points`` row names a pair, which fails unless its fitness sign is
     ``want``."""
     if lambdas.size == 0:
         raise ValidationError("no sample point survives the guard band; widen delta")
-    bad = signs(lambdas, sign_tol) != want
+    bad = signs(lambdas) != want
     witnesses = tuple(
         tuple(float(v) for v in (*pair, lam)) for pair, lam in zip(points[bad], lambdas[bad])
     )
@@ -216,14 +215,13 @@ def ess_check(
     diffusion,
     grid: Grid,
     steady_config: SteadyConfig | None = None,
-    sign_tol: float = SIGN_TOL,
     guard: float = 1e-6,
 ) -> StrategyTestResult:
-    """No nearby mutant invades: fitness < -tol for all sampled invaders."""
+    """No nearby mutant invades: fitness < -SIGN_TOL for all sampled invaders."""
     upper, lower = _sides(p_star, delta, samples, env, guard)
     pts = np.concatenate((lower[::-1], upper))
     (lambdas,) = _scalar_table(landscape, env, grid, diffusion, [p_star], pts, steady_config)
-    return _result(pts[:, None], lambdas, -1, sign_tol)
+    return _result(pts[:, None], lambdas, -1)
 
 
 def nis_check(
@@ -235,14 +233,13 @@ def nis_check(
     diffusion,
     grid: Grid,
     steady_config: SteadyConfig | None = None,
-    sign_tol: float = SIGN_TOL,
     guard: float = 1e-6,
 ) -> StrategyTestResult:
-    """Invades every nearby resident: fitness > tol against all of them."""
+    """Invades every nearby resident: fitness > SIGN_TOL against all of them."""
     upper, lower = _sides(p_hat_star, delta, samples, env, guard)
     pts = np.concatenate((lower[::-1], upper))
     lambdas = _scalar_table(landscape, env, grid, diffusion, pts, [p_hat_star], steady_config)
-    return _result(pts[:, None], lambdas[:, 0], 1, sign_tol)
+    return _result(pts[:, None], lambdas[:, 0], 1)
 
 
 def css_check(
@@ -254,13 +251,12 @@ def css_check(
     diffusion,
     grid: Grid,
     steady_config: SteadyConfig | None = None,
-    sign_tol: float = SIGN_TOL,
     guard: float = 1e-6,
 ) -> StrategyTestResult:
     """Strategies between the resident and the focal point always invade.
 
     Sampled sign pattern on ordered same-side pairs: moving toward the focal
-    strategy succeeds (fitness > tol), moving away fails (fitness < -tol).
+    strategy succeeds (fitness > SIGN_TOL), moving away fails (fitness < -SIGN_TOL).
     """
     upper, lower = _sides(p_star, delta, samples, env, guard)
     pts = np.concatenate((upper, lower))
@@ -270,7 +266,7 @@ def css_check(
     solve = (side[:, None] == side) & (np.abs(pr - pm) > guard)
     lambdas = _scalar_table(landscape, env, grid, diffusion, pts, pts, steady_config, solve)
     want = np.where(np.abs(pm - p_star) < np.abs(pr - p_star), 1, -1)
-    return _result(np.stack((pr, pm), axis=-1)[solve], lambdas[solve], want[solve], sign_tol)
+    return _result(np.stack((pr, pm), axis=-1)[solve], lambdas[solve], want[solve])
 
 
 @dataclass(frozen=True)

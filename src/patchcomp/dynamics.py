@@ -41,7 +41,7 @@ from .operators import (
     symmetrizing_similarity,
     tridiagonal_matvec,
 )
-from .steady import SteadyConfig, solve_resident_steady_states
+from .steady import SteadyConfig, solve_resident_steady_states, super_level
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -203,7 +203,7 @@ def bounding_level(grid: Grid, traits: SpeciesTraits, env: PatchEnvironment,
     c_red = consistent_constant(grid, traits)
     scales = traits.cumulative_scales()
     m_data = float((np.asarray(w_red) / c_red).max())
-    m_super = float((env.k_array / scales).max())
+    m_super = float(super_level(env.k_array, scales))
     return max(m_data, m_super)
 
 

@@ -17,7 +17,8 @@ class NumericalError(RuntimeError):
 
 
 class SteadyConvergenceError(NumericalError):
-    """Newton and the time-march fallback both failed; carries the last residual."""
+    """Newton failed from its start and from the super-solution, or the
+    state lost positivity; carries the last residual."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)

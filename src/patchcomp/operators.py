@@ -27,7 +27,7 @@ here: bands ``lo``/``di``/``up`` of shape ``(N,)`` for one operator, or
 block-diagonal tridiagonal matrix (``diffusion_bands`` assembles them so).
 Three operations on it serve the package: ``tridiagonal_matvec``, the
 product; ``factor_blocks``, the one LU (LAPACK gttrf/gttrs), for damped
-Newton, its fallback march and ``solve_shifted``; and ``factor_symmetrized``,
+Newton and ``solve_shifted``; and ``factor_symmetrized``,
 the one LDLᵀ of ``alpha - beta S A S⁻¹`` on the ``symmetrizing_similarity``
 of the couplings, for Noda's shifted solves and the IMEX step.  The
 similarity depends on the couplings alone, so its callers build it once per

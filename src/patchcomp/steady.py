@@ -1,4 +1,4 @@
-"""Single-species steady states: damped Newton with a time-march fallback.
+"""Single-species steady states: damped Newton, restarted from a super-solution.
 
 The steady state is the unique positive equilibrium of logistic growth plus
 diffusion under the species' interface conditions.  It is solved on the
@@ -17,12 +17,17 @@ block-diagonal matrix, each bit for bit as on its own; the stack is
 re-indexed only when some blocks stop and others go on.
 
 ``solve_resident_steady_states`` solves R residents that share a grid and an
-environment as the stacks of ``operators.stack_chunks``; the blocks
-Newton leaves stalled march into the basin as a sub-stack (implicit
-diffusion), and Newton polishes them.  ``solve_resident_steady`` is its
-R = 1 case, and a stack of one runs on its own (N,) arrays, where it costs
-what a single solve does.  The continuous-form oracle in ``transform``
-drives its own discretization through the same loop.
+environment as the stacks of ``operators.stack_chunks``; the blocks Newton
+leaves unconverged start again, as a sub-stack, from the super-solution
+``M c`` (``c`` the jump-consistent constant, ``M = super_level``).  The
+steady state is the one positive equilibrium of a cooperative system with a
+concave residual, so every Newton iterate from a super-solution, full or
+damped, stays a super-solution at or above it, where minus the Jacobian is
+a nonsingular M-matrix: the restart needs no further fallback.
+``solve_resident_steady`` is its R = 1 case, and a stack of one runs on its
+own (N,) arrays, where it costs what a single solve does.  The
+continuous-form oracle in ``transform`` drives its own discretization
+through the same loop.
 """
 
 from __future__ import annotations
@@ -49,12 +54,13 @@ from .operators import (
 
 ARMIJO = 1e-4            # sufficient-decrease factor of the line search
 MIN_STEP = 1e-4          # a line search that needs a shorter step has stalled
-FALLBACK_DT = 0.1        # time step of the fallback march
-FALLBACK_HORIZON = 2000.0  # time after which the fallback march gives up
 
 
 @dataclass(frozen=True)
 class SteadyConfig:
+    """Newton's stop tolerance and its iteration cap, which bounds each Newton
+    run: the first one and the restart from the super-solution alike."""
+
     newton_tol: float = 1e-10
     max_newton_iters: int = 50
 
@@ -63,6 +69,14 @@ class SteadyConfig:
         # config's error needs no wrapper
         checked_number(self.newton_tol, "steady.newton_tol")
         checked_number(self.max_newton_iters, "steady.max_newton_iters", count=True)
+
+
+def super_level(k, scales):
+    """``max_i k_i / s_i``, per species of a stack (``scales`` (n,) or
+    (R, n)): the least ``M`` for which ``M`` times the jump-consistent
+    constant, ``s_i`` on patch i, is a super-solution of the logistic steady
+    problem with capacities ``k``."""
+    return (k / scales).max(axis=-1)
 
 
 def _block_max(a: np.ndarray, initial=None):
@@ -88,9 +102,11 @@ def damped_newton(residual, u0, floor: float, cap: float, row_scale, config: Ste
     residual evaluation (``row_scale`` is one value, or one per block of a
     stack).  Each step is halved until ``max|F|`` falls by the Armijo factor;
     a step that would have to be shorter than ``MIN_STEP`` (or a non-finite
-    residual) stalls the block.  Returns ``(u, max|F|, converged)``, one norm
-    and flag per block (scalars for one iterate); a stalled or exhausted
-    block returns its last iterate unconverged.
+    residual) stalls the block, and ``max_newton_iters`` caps the run (each
+    run: a caller that starts Newton again gets the cap again).  Returns
+    ``(u, max|F|, converged)``, one norm and flag per block (scalars for one
+    iterate); a stalled or exhausted block returns its last iterate
+    unconverged.
     """
     u = np.maximum(np.asarray(u0, dtype=float), floor)
     noise = 8.0 * np.finfo(float).eps * np.asarray(row_scale, dtype=float)
@@ -159,10 +175,10 @@ class _SteadyProblem:
     environment.  What stays fixed during the solve is built once: the
     diffusion bands and the logistic coefficients ``(a, b)`` of
     ``SpeciesLayout.logistic_coefficients`` (the eliminated right traces
-    folded into the trace DOFs), so Newton and the march never leave the
-    reduced DOFs.  The capacities ``k`` give the floor and the cap.
-    ``problem[rows]`` is a stack's sub-stack, with what Newton and the march
-    read (the ``layout`` stays with the whole stack)."""
+    folded into the trace DOFs), so Newton never leaves the reduced DOFs.
+    The capacities ``k`` give the floor and the cap.  ``problem[rows]`` is a
+    stack's sub-stack, with what Newton reads (the ``layout`` stays with the
+    whole stack)."""
 
     _ROWS = ("lo", "di", "up", "a", "b")
 
@@ -196,41 +212,24 @@ class _SteadyProblem:
             self.residual, u0, 1e-12 * self.k.min(), self.k.max(), row_scale, config
         )
 
-    def march(self, u: np.ndarray) -> np.ndarray:
-        """Implicit-diffusion march toward the attracting steady state: each
-        block stops once its residual is below 1e-4 (checked every 20 steps),
-        and every block at ``FALLBACK_HORIZON``."""
-        dt, floor = FALLBACK_DT, 1e-12 * self.k.min()
-        solve = factor_blocks(-dt * self.lo, 1.0 + -dt * self.di, -dt * self.up)
-        going = np.ones(u.shape[:-1], bool)
-        for step in range(1, int(np.ceil(FALLBACK_HORIZON / dt)) + 1):
-            rhs = u + dt * (u * (self.a - self.b * u))
-            u = np.where(going[..., None], np.maximum(solve(rhs), floor), u)
-            if step % 20 == 0:
-                going &= ~(np.abs(self.residual(u)[0]).max(axis=-1) < 1e-4)
-                if not going.any():
-                    break
-        return u
-
     def solve(self, u0: np.ndarray, config: SteadyConfig) -> np.ndarray:
         """The reduced states: Newton from ``u0``; the blocks it leaves
-        unconverged march (as a sub-stack, unless every block is one of
-        them, as a single (N,) problem's one block always is) and Newton
-        polishes them."""
+        unconverged start again from the super-solution ``M c`` (as a
+        sub-stack, unless every block is one of them, as a single (N,)
+        problem's one block always is)."""
         u, norm, converged = self.newton(u0, config)
         count = np.count_nonzero(converged)
         if count < converged.size:
+            scales = self.layout.scales
+            top = self.layout.fill(super_level(self.k, scales)[..., None] * scales)
             if count:
                 rows = np.flatnonzero(~converged)
-                stalled = self[rows]
-                u[rows], norm[rows], converged[rows] = stalled.newton(
-                    stalled.march(u[rows]), config
-                )
+                u[rows], norm[rows], converged[rows] = self[rows].newton(top[rows], config)
             else:
-                u, norm, converged = self.newton(self.march(u), config)
+                u, norm, converged = self.newton(top, config)
             if np.count_nonzero(converged) < converged.size:
                 raise SteadyConvergenceError(
-                    "steady solve failed after Newton and time-march fallback",
+                    "steady solve failed after Newton and its restart from a super-solution",
                     residual=float(np.ravel(norm)[~np.ravel(converged)][0]),
                 )
         if u.min() <= 0:
@@ -255,8 +254,8 @@ def solve_resident_steady_states(
     Each state is bit for bit the one ``solve_resident_steady`` returns for
     that resident alone.  Damped Newton runs on each stack, from the
     per-patch capacity profiles or from ``initial`` (one reduced row per
-    resident); the blocks it leaves unconverged march into the basin, and
-    Newton polishes them.  A block that still fails, or a state that is not
+    resident); the blocks it leaves unconverged start again from the
+    super-solution ``M c``.  A block that still fails, or a state that is not
     positive, raises SteadyConvergenceError for the call.  A stack of one is
     solved on its own (N,) arrays, where it costs what a single solve does.
     """

@@ -7,12 +7,13 @@ import patchcomp.steady
 import patchcomp.transform
 from patchcomp.operators import (
     assemble_diffusion,
+    consistent_constant,
     env_on_dofs,
     restrict_cell_average,
     restrict_diagonal,
     restrict_values,
 )
-from patchcomp.steady import FALLBACK_DT, damped_newton
+from patchcomp.steady import damped_newton
 from test_operators import (
     reference_expand_reduced,
     reference_factor_shifted,
@@ -43,10 +44,13 @@ def reference_logistic(grid, env, traits):
 
 def reference_steady(grid, env, traits, config, initial=None):
     """The steady solve before the shared Newton driver: its own damped
-    Newton (a ``reference_factor_shifted`` LU solve per step) and the
-    time-march fallback, with the growth ``u (a - b u)`` and its slope
-    ``a - 2 b u`` in coefficient form (``reference_logistic``).
-    Returns the full field's values or raises SteadyConvergenceError."""
+    Newton (a ``reference_factor_shifted`` LU solve per step), started again
+    from the super-solution ``M c`` when it does not converge, with the
+    growth ``u (a - b u)`` and its slope ``a - 2 b u`` in coefficient form
+    (``reference_logistic``).  ``c`` is the jump-consistent constant, the
+    products of the jump ratios left of each patch, and ``M`` the largest
+    ``k / c`` over the patches.  Returns the full field's values or raises
+    SteadyConvergenceError."""
     op = assemble_diffusion(grid, traits)
     a, b = reference_logistic(grid, env, traits)
     k = env.k_array
@@ -89,12 +93,12 @@ def reference_steady(grid, env, traits, config, initial=None):
             initial[grid.reduced_patch_slice(i)] = env.k[i]
     u, norm = newton(initial)
     if unconverged(u, norm):
-        march = reference_factor_shifted(op, 1.0, -0.1)
-        for step in range(1, int(np.ceil(2000.0 / 0.1)) + 1):
-            u = np.maximum(march(u + 0.1 * growth(u)), floor)
-            if step % 20 == 0 and np.abs(residual_and_slope(u)[0]).max() < 1e-4:
-                break
-        u, norm = newton(u)
+        scales = np.cumprod(np.concatenate(([1.0], traits.p_array)))
+        level = (k / scales).max()
+        top = np.empty(grid.num_reduced)
+        for i in range(grid.n):
+            top[grid.reduced_patch_slice(i)] = level * scales[i]
+        u, norm = newton(top)
         if unconverged(u, norm):
             raise pc.SteadyConvergenceError("reference solve failed", residual=norm)
     if u.min() <= 0:
@@ -185,29 +189,37 @@ class TestSingleSpeciesSteady:
         )
         assert e1 / e2 == pytest.approx(4.0, rel=0.25)
 
-    def test_time_march_fallback_matches_default_solve(self, unit_two_patch, monkeypatch):
+    def test_super_solution_restart_matches_default_solve(self, unit_two_patch, monkeypatch):
         land, env = unit_two_patch
         traits = pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([3.0]))
         grid = pc.build_grid(land, per_patch=100)
         reference = pc.solve_resident_steady(land, env, traits, grid)
+        level = (env.k_array / traits.cumulative_scales()).max()
+        super_solution = level * consistent_constant(grid, traits)
+
+        runs = []
+        newton = patchcomp.steady._SteadyProblem.newton
+
+        def spy(self, u0, config):
+            out = newton(self, u0, config)
+            runs.append((u0, bool(out[2])))
+            return out
+
+        monkeypatch.setattr(patchcomp.steady._SteadyProblem, "newton", spy)
+        # the cap bounds each Newton run: one step is too few from either start
         with pytest.raises(pc.SteadyConvergenceError):
             pc.solve_resident_steady(
                 land, env, traits, grid, pc.SteadyConfig(max_newton_iters=1)
             )
-
-        mains = []
-        factor = patchcomp.steady.factor_blocks
-
-        def spy(lo, di, up):
-            mains.append(di)
-            return factor(lo, di, up)
-
-        monkeypatch.setattr(patchcomp.steady, "factor_blocks", spy)
-        config = pc.SteadyConfig(max_newton_iters=2)
-        u = pc.solve_resident_steady(land, env, traits, grid, config)
-        # Newton factors a Jacobian per step; the march factors I - dt A once
-        march = 1.0 - FALLBACK_DT * assemble_diffusion(grid, traits).di
-        assert sum(np.array_equal(np.ravel(di), march) for di in mains) == 1
+        assert len(runs) == 2 and np.array_equal(runs[1][0], super_solution)
+        # from a flat start far below the state the line search stalls, and
+        # Newton starts again from M c
+        runs.clear()
+        start = np.full(grid.num_reduced, 0.05)
+        u = pc.solve_resident_steady(land, env, traits, grid, initial=start)
+        assert [converged for _, converged in runs] == [False, True]
+        assert np.array_equal(runs[0][0], start)
+        assert np.array_equal(runs[1][0], super_solution)
         assert np.abs(u.values - reference.values).max() <= 1e-9
 
     @given(
@@ -220,7 +232,7 @@ class TestSingleSpeciesSteady:
             max_size=6,
         ),
         per_patch=st.sampled_from([12, 40, 100]),
-        max_iters=st.sampled_from([50, 1, 2, 3]),  # 1-3 force the fallback march
+        max_iters=st.sampled_from([50, 1, 2, 3]),  # 1-3 force the restart from M c
         start=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
     )
     @settings(max_examples=40, deadline=None)
@@ -331,7 +343,7 @@ class TestStackedSteady:
             pc.SpeciesTraits(d, pc.StrategyVector(p))
             for d, p in data.draw(st.lists(species, min_size=1, max_size=6))
         ]
-        # 1 and 2 force some blocks through the fallback march
+        # 1 and 2 force some blocks through the restart from M c
         config = pc.SteadyConfig(max_newton_iters=data.draw(st.sampled_from([50, 2, 1])))
         # starts far below the state make the line search halve some steps
         seed = data.draw(st.none() | st.integers(0, 2**32 - 1))
@@ -360,36 +372,39 @@ class TestStackedSteady:
         for one, field in zip(singles, stack):
             assert np.array_equal(field.values, one.values)
 
-    def test_mixed_stack_stops_and_marches_block_by_block(self, unit_two_patch, monkeypatch):
+    def test_mixed_stack_stops_and_restarts_block_by_block(self, unit_two_patch, monkeypatch):
         land, env = unit_two_patch
         grid = pc.build_grid(land, per_patch=100)
         kbar = float(pc.ifd_strategy(env).values[0])
-        # the capacity profile is p = kbar's exact steady state; p = 3 needs
-        # more than two Newton steps from it
+        # the capacity profile is p = kbar's exact steady state; from a flat
+        # start far below its state, p = 3's line search stalls
         residents = [pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([p])) for p in (kbar, 3.0)]
-        config = pc.SteadyConfig(max_newton_iters=2)
+        starts = np.array([np.repeat(env.k_array, [grid.counts[0] + 1, grid.counts[1]]),
+                           np.full(grid.num_reduced, 0.05)])
         problem = patchcomp.steady._SteadyProblem
-        rows, marched = [], []
-        residual, march = problem.residual, problem.march
+        rows, started = [], []
+        residual, newton = problem.residual, problem.newton
 
         def spy_residual(self, u, index=None):
             rows.append(None if index is None else list(index))
             return residual(self, u, index)
 
-        def spy_march(self, u):
-            marched.append(len(u))
-            return march(self, u)
+        def spy_newton(self, u0, config):
+            started.append(u0)
+            return newton(self, u0, config)
 
         monkeypatch.setattr(problem, "residual", spy_residual)
-        monkeypatch.setattr(problem, "march", spy_march)
-        stack = pc.solve_resident_steady_states(land, env, residents, grid, config)
+        monkeypatch.setattr(problem, "newton", spy_newton)
+        stack = pc.solve_resident_steady_states(land, env, residents, grid, initial=starts)
         # p = kbar stops at iteration 0, so Newton goes on with p = 3 alone,
-        # and only p = 3 marches
+        # and only p = 3 starts again, from its M c
         assert rows[:2] == [None, [1]]
-        assert marched == [1]
+        level = (env.k_array / residents[1].cumulative_scales()).max()
+        assert len(started) == 2 and np.array_equal(started[0], starts)
+        assert np.array_equal(started[1], [level * consistent_constant(grid, residents[1])])
         monkeypatch.undo()
-        for resident, field in zip(residents, stack):
-            single = pc.solve_resident_steady(land, env, resident, grid, config)
+        for resident, start, field in zip(residents, starts, stack):
+            single = pc.solve_resident_steady(land, env, resident, grid, initial=start)
             assert np.array_equal(field.values, single.values)
         assert np.abs(stack[0].values - env.k_array[grid.patch_index_of_dofs()]).max() == 0.0
 
@@ -430,8 +445,8 @@ class TestStackedSteady:
         residents = [
             pc.SpeciesTraits([0.6, 1.1], pc.StrategyVector([p])) for p in (1.2, 1.9, 2.6, 3.3, 4.0)
         ]
-        starts = np.linspace(0.5, 1.5, 5)[:, None] * np.ones(grid.num_reduced)
-        config = pc.SteadyConfig(max_newton_iters=3)
+        starts = np.linspace(0.1, 0.5, 5)[:, None] * np.ones(grid.num_reduced)
+        config = pc.SteadyConfig()
         whole = pc.solve_resident_steady_states(land, env, residents, grid, config, starts)
         sizes = []
         problem = patchcomp.steady._SteadyProblem
@@ -444,9 +459,9 @@ class TestStackedSteady:
         monkeypatch.setattr(problem, "newton", spy_newton)
         monkeypatch.setattr(patchcomp.operators, "_STACK_DOFS", 2 * grid.num_reduced)
         chunked = pc.solve_resident_steady_states(land, env, residents, grid, config, starts)
-        # per stack, Newton and then the polish after the march (three steps
-        # from these starts leave every block unconverged); the last resident
-        # is solved on its own (N,) arrays
+        # per stack, Newton and then its restart from M c (the line search
+        # stalls every block from these flat starts); the last resident is
+        # solved on its own (N,) arrays
         assert sizes == [(2,), (2,), (2,), (2,), (), ()]
         assert [a.values.tolist() for a in chunked] == [b.values.tolist() for b in whole]
 
@@ -454,6 +469,79 @@ class TestStackedSteady:
         land, env = unit_two_patch
         grid = pc.build_grid(land, per_patch=20)
         assert pc.solve_resident_steady_states(land, env, [], grid) == []
+
+
+# Landscapes on which Newton from the capacity profile does not converge at
+# 9 subintervals per patch: (lengths, d, r, k, p), drawn log-uniformly over
+# d 0.01-30, r and k 0.1-10 and p 0.05-20
+STALLING_LANDSCAPES = {
+    "three_patches": ([1.519, 1.308, 0.898], [0.388, 0.026, 15.799],
+                      [0.116, 7.261, 2.038], [0.123, 3.786, 0.166], [2.331, 3.051]),
+    "four_patches": ([1.286, 1.525, 1.644, 1.886], [0.655, 0.029, 0.037, 10.269],
+                     [0.967, 0.684, 6.905, 8.53], [5.57, 0.255, 6.56, 1.965],
+                     [0.282, 0.856, 0.649]),
+    "six_patches": ([1.997, 1.489, 1.533, 1.645, 1.1, 0.591],
+                    [2.643, 0.091, 0.037, 0.019, 0.197, 1.47],
+                    [3.863, 0.608, 0.125, 4.46, 0.164, 5.572],
+                    [0.17, 0.505, 0.128, 5.303, 8.899, 0.405],
+                    [0.507, 0.237, 2.022, 0.063, 0.21]),
+}
+
+
+def stalling_landscape(name):
+    length, d, r, k, p = STALLING_LANDSCAPES[name]
+    land = pc.Landscape(np.concatenate(([0.0], np.cumsum(length))))
+    return land, pc.PatchEnvironment(r=r, k=k), pc.SpeciesTraits(d, pc.StrategyVector(p))
+
+
+class TestSuperSolutionRestart:
+    @pytest.mark.parametrize("name", sorted(STALLING_LANDSCAPES))
+    def test_natural_stall_restarts_from_the_super_solution(self, name, monkeypatch):
+        land, env, traits = stalling_landscape(name)
+        grid = pc.build_grid(land, per_patch=9)
+        runs = []
+        newton = patchcomp.steady.damped_newton
+
+        def spy(residual, u0, floor, cap, row_scale, config):
+            # every point Newton evaluates, with its residual
+            points = []
+
+            def record(u, rows):
+                out = residual(u, rows)
+                points.append((u.copy(), out[0].copy()))
+                return out
+
+            out = newton(record, u0, floor, cap, row_scale, config)
+            runs.append((u0, points, row_scale, out[2]))
+            return out
+
+        monkeypatch.setattr(patchcomp.steady, "damped_newton", spy)
+        u = pc.solve_resident_steady(land, env, traits, grid)
+        monkeypatch.undo()
+        (_, _, _, first), (start, points, row_scale, restart) = runs
+        assert not first and restart
+        level = (env.k_array / traits.cumulative_scales()).max()
+        assert np.array_equal(start, level * consistent_constant(grid, traits))
+        assert u.min() > 0
+        # every point of the restart, trial steps included, is a
+        # super-solution (F <= 0) at or above the state, up to rounding
+        ustar = restrict_values(grid, u.values)
+        eps = np.finfo(float).eps
+        noise = 8.0 * eps * row_scale * max(ustar.max(), env.k_array.max())
+        for x, res in points:
+            assert res.max() <= noise
+            assert (x - ustar).min() >= -64.0 * eps * ustar.max()
+        # stacked behind a resident that converges from the capacity
+        # profile, the stalled block restarts as a sub-stack of one
+        easy = pc.SpeciesTraits(np.ones(grid.n), pc.StrategyVector(np.ones(grid.n - 1)))
+        runs.clear()
+        monkeypatch.setattr(patchcomp.steady, "damped_newton", spy)
+        stack = pc.solve_resident_steady_states(land, env, [easy, traits], grid)
+        monkeypatch.undo()
+        assert [np.shape(converged) for *_, converged in runs] == [(2,), (1,)]
+        assert np.array_equal(stack[1].values, u.values)
+        single = pc.solve_resident_steady(land, env, easy, grid)
+        assert np.array_equal(stack[0].values, single.values)
 
 
 class TestDampedNewton:
