@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time patchcomp layer by layer and write the results as JSON.
 
-    python3 scripts/bench_layers.py [--out BENCH.json] [--repeats 7]
+    python3 scripts/bench_layers.py [LAYER ...] [--out BENCH.json] [--repeats 7]
 
 Run from the root of a source checkout; the package is imported from its
 ``src/``.  Each timed figure is ``{"ms": ..., "minflt": ...}``: the median of
@@ -9,7 +9,10 @@ Run from the root of a source checkout; the package is imported from its
 milliseconds, and the minor page faults per timed call (the change in
 ``ru_minflt`` over the timed repeats divided by their number; for the
 subprocess figures, ``cli`` and ``startup``, the faults of the children).  A
-``*_per_operator`` figure is its stack's ``ms`` divided by M.  All figures are
+``*_per_operator`` figure is its stack's ``ms`` divided by M.  The LAYER
+arguments, if any, name the layers to time (a layer timed together with
+others in one loop runs that loop, and only the named ones are written);
+without them every layer is timed.  All figures are
 for the reference two-patch pair (resident p = 3, mutant p = 2.5, capacity
 ratio 2).  The layers:
 
@@ -35,6 +38,14 @@ ratio 2).  The layers:
   M = 81 linearizations at 201 reduced DOFs (one ``pip`` chunk, about
   ``_STACK_DOFS`` DOFs) and M = 16 at 801 (the benchmark's ``sweep``), per
   stack and per operator;
+- ``noda``: Noda's iteration alone (``eigen._stacked_solve``, from the
+  start vectors, the bands and their couplings built outside the timed
+  call) on one mutant's linearization and on a stack of 16, at 201, 1,601
+  and 8,001 reduced DOFs, once per route as for ``step``;
+- ``newton``: the capacity-start damped Newton alone
+  (``_SteadyProblem.newton``, the problem built outside the timed call) of
+  the resident, on its own ``(N,)`` arrays, and of a stack of 16 residents
+  (strategies spread over 1.2-4), at the same three sizes, once per route;
 - ``oracle``: the resident's steady solve through the continuous-form route
   (``solve_transformed_steady``), at 201, 2,001 and 8,001 reduced DOFs;
 - ``step``: one ``Stepper.step`` of the resident/mutant pair at the default
@@ -115,9 +126,10 @@ import patchcomp as pc  # noqa: E402
 import patchcomp.cli  # noqa: E402
 from patchcomp.config import RunConfig  # noqa: E402
 from patchcomp.dynamics import Stepper, default_initial  # noqa: E402
-from patchcomp import operators  # noqa: E402
+from patchcomp import eigen, operators, steady  # noqa: E402
 from patchcomp.eigen import assemble_linearization, growth_potential  # noqa: E402
 from patchcomp.operators import (  # noqa: E402
+    SpeciesLayout,
     assemble_diffusion,
     factor_symmetrized,
     symmetrizing_similarity,
@@ -148,6 +160,9 @@ FALLBACK_LANDSCAPES = {
 }
 FALLBACK_PER_PATCH = 9
 FINE_PER_PATCH = (100, 1000, 4000)  # 201, 2,001 and 8,001 reduced DOFs
+INNER_PER_PATCH = (100, 800, 4000)  # 201, 1,601 and 8,001 reduced DOFs
+INNER_STACKS = (1, 16)
+_BANDS = ("lo", "di", "up")
 STEPS_PER_REPEAT = 100
 HARNESS_STEPS = 20
 STEP_ROWS = (1, 2)
@@ -249,6 +264,33 @@ def steady_stack(repeats: int) -> dict:
                 repeats,
             )
         out[str(grid.num_reduced)] = row
+    return out
+
+
+def inner_loops(repeats: int) -> dict:
+    """The ``noda`` and ``newton`` layers."""
+    out = {"noda": {}, "newton": {}}
+    config = pc.SteadyConfig()
+    for per_patch in INNER_PER_PATCH:
+        grid = pc.build_grid(LAND, per_patch=per_patch)
+        ops = _linearizations(grid, max(INNER_STACKS))
+        residents = [pc.SpeciesTraits([1.0, 1.0], [p]) for p in np.linspace(1.2, 4.0, 16)]
+        noda, newton = {}, {}
+        for m in INNER_STACKS:
+            lo, di, up = (np.array([getattr(op, band) for op in ops[:m]]) for band in _BANDS)
+            couplings = eigen._couplings(lo, di, up)
+            start = eigen._start_vectors(SpeciesLayout(grid, [op.traits for op in ops[:m]]))
+            noda[f"stack_{m}"] = _routes(lambda: timed(
+                lambda: eigen._stacked_solve(lo, di, up, couplings, start.copy()), repeats
+            ))
+            problem = steady._SteadyProblem(grid, ENV, RESIDENT if m == 1 else residents[:m])
+            u0 = np.empty(problem.di.shape)
+            u0[...] = problem.layout.fill(ENV.k_array)
+            newton[f"stack_{m}"] = _routes(
+                lambda: timed(lambda: problem.newton(u0, config), repeats)
+            )
+        out["noda"][str(grid.num_reduced)] = noda
+        out["newton"][str(grid.num_reduced)] = newton
     return out
 
 
@@ -462,13 +504,38 @@ def compiler_version() -> str:
     return lines[0] if done.returncode == 0 and lines else "none"
 
 
+# Each group's layers, and the function of the repeats that times them.
+GROUPS = (
+    (("assembly", "steady", "eigen"), layers),
+    (("fitness",), lambda r: {"fitness": fitness(r)}),
+    (("eigen_stack",), lambda r: {"eigen_stack": eigen_stack(r)}),
+    (("steady_stack",), lambda r: {"steady_stack": steady_stack(r)}),
+    (("steady_fallback",), lambda r: {"steady_fallback": steady_fallback(r)}),
+    (("noda", "newton"), inner_loops),
+    (("oracle", "step", "first_step", "harness"), fine_layers),
+    (("simulate_rows",), lambda r: {"simulate_rows": simulate_rows(r)}),
+    (("pip_7x7", "pip_10x10"),
+     lambda r: {"pip_7x7": pip_square(7, r), "pip_10x10": pip_square(10, r)}),
+    (("strategy_checks",), lambda r: {"strategy_checks": strategy_checks(r)}),
+    (("sweep_256",), lambda r: {"sweep_256": sweep_256(r)}),
+    (("cli",), lambda r: {"cli": cli(r)}),
+    (("startup",), lambda r: {"startup": startup(r)}),
+    (("ldlt",), lambda r: {"ldlt": ldlt(r)}),
+)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("layers", nargs="*", help="layers to time (default: all)")
     parser.add_argument("--out", default="BENCH.json", help="JSON file to write")
     parser.add_argument("--repeats", type=int, default=7, help="timed repeats (>= 5)")
     args = parser.parse_args()
     if args.repeats < 5:
         parser.error("--repeats must be at least 5")
+    names = [name for group, _ in GROUPS for name in group]
+    unknown = sorted(set(args.layers) - set(names))
+    if unknown:
+        parser.error(f"unknown layers {unknown}; the layers are {names}")
     result = {
         "unit": "ms",
         "statistic": f"median of {args.repeats} repeats; minflt per timed call",
@@ -481,21 +548,12 @@ def main() -> None:
             "ldlt_kernel": bool(getattr(pc, "_LDLT_KERNEL", False)),
             "compiler": compiler_version(),
         },
-        **layers(args.repeats),
-        "fitness": fitness(args.repeats),
-        "eigen_stack": eigen_stack(args.repeats),
-        "steady_stack": steady_stack(args.repeats),
-        "steady_fallback": steady_fallback(args.repeats),
-        **fine_layers(args.repeats),
-        "simulate_rows": simulate_rows(args.repeats),
-        "pip_7x7": pip_square(7, args.repeats),
-        "pip_10x10": pip_square(10, args.repeats),
-        "strategy_checks": strategy_checks(args.repeats),
-        "sweep_256": sweep_256(args.repeats),
-        "cli": cli(args.repeats),
-        "startup": startup(args.repeats),
-        "ldlt": ldlt(args.repeats),
     }
+    for group, measure in GROUPS:
+        wanted = [name for name in group if not args.layers or name in args.layers]
+        if wanted:
+            figures = measure(args.repeats)
+            result.update((name, figures[name]) for name in wanted)
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))
 

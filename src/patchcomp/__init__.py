@@ -151,5 +151,5 @@ __version__ = "0.1.0"
 
 # once per process: freed arrays stay in the heap (see ``_allocator``)
 _ALLOCATOR_TUNED = _keep_freed_memory()
-# whether stacks of LDLᵀ blocks run the interleaved kernel (see ``operators``)
+# whether the native kernel loaded (see ``operators``)
 _LDLT_KERNEL = operators._ldlt is not None

@@ -1,4 +1,6 @@
-"""Build and load the interleaved LDLᵀ kernel, ``_ldlt.c``.
+"""Build and load the native kernel, ``_ldlt.c``: the interleaved LDLᵀ,
+the IMEX step, Noda's pass, the steady residual and the LU of
+``operators``.
 
 ``load_ldlt`` compiles the kernel once with the interpreter's own C compiler
 (``sysconfig``'s ``CC``) into the package's ``__pycache__``, under a name
@@ -12,7 +14,8 @@ edited source leaves one file behind, not one per edit; the builds of other
 interpreters, with other suffixes, and a concurrent build's temporary file
 stay.  Without a compiler on ``PATH``, a writable
 cache or the source, or when the build or the load fails, ``load_ldlt``
-returns None, silently, and the package runs LAPACK's pttrf/pttrs instead.
+returns None, silently, and the package runs LAPACK (imported from scipy
+on first use) and numpy instead, with the same numbers.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from pathlib import Path
 SOURCE = Path(__file__).with_name("_ldlt.c")
 CACHE = Path(__file__).with_name("__pycache__")
 # no -march and no fast-math: the kernel must round as LAPACK's reference
-# pttrf/pttrs do, and -ffp-contract=off keeps GCC from fusing a*b - c
+# pttrf/pttrs/gttrf/gttrs and numpy do, and -ffp-contract=off keeps GCC from
+# fusing a*b - c
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 BUILD_TIMEOUT_S = 60.0
 

@@ -14,19 +14,22 @@ make ``A`` diagonally similar to a symmetric tridiagonal ``S A S⁻¹``
 (``operators.symmetrizing_similarity``), and above the spectrum
 ``sigma I - S A S⁻¹`` is positive definite (B. Parlett, *The Symmetric
 Eigenvalue Problem*, ch. 7).  So every shifted solve is one factorisation
-and solve of that matrix by the package's one LDLᵀ
-(``operators.factor_symmetrized``), and the Rayleigh quotient is weighted by
-``s²``, for operators symmetric in their weights or not alike.
+and solve of that matrix by pttrf's and pttrs's arithmetic, and the Rayleigh
+quotient is weighted by ``s²``, for operators symmetric in their weights or
+not alike.  Its two sums run in numpy's pairwise order (``np.add.reduce``
+along a row), on both routes of ``operators.noda_pass``.
 
 The iteration runs on a stack of M same-size operators at once, held as
 (M, N) bands in the stack convention of ``operators``: laid end to end they
 form one block-diagonal tridiagonal matrix (zero corners part the last row
 of a block from the first of the next; ``principal_eigenpairs`` zeroes those
-of operators built by hand), so one matrix-vector product, one LDLᵀ
-factorisation and one solve per pass serve every block, and each block's
-arithmetic is bit for bit that of its operator on its own.  Every block
-keeps its own shift, stop test and iteration count, and drops out of the
-stack once it stops.  A single operator is the stack of one.
+of operators built by hand), so one ``operators.noda_pass`` per pass serves
+every block: one kernel call that takes the product, the quotients, the
+residuals and stop tests, and the shifted LDLᵀ factor and solve of every
+block still going, side by side.  Each block's arithmetic is bit for bit
+that of its operator on its own.  Every block keeps its own shift, stop test
+and iteration count, and drops out of the stack once it stops.  A single
+operator is the stack of one.
 
 ``ResidentContext`` is the one route from residents to invasion fitness: it
 holds a stack of residents, solves their steady states in one stacked
@@ -65,10 +68,9 @@ from .operators import (
     assemble_diffusion,
     diffusion_bands,
     env_on_dofs,
-    factor_symmetrized,
+    noda_pass,
     stack_chunks,
     symmetrizing_similarity,
-    tridiagonal_matvec,
 )
 from .steady import SteadyConfig, solve_resident_steady, solve_resident_steady_states
 
@@ -132,9 +134,10 @@ def _noda(lo, di, up, s, weights, off, scale, x):
     ``principal_eigenpair``.  ``s`` and ``off`` are the bands'
     ``symmetrizing_similarity``, ``weights`` is ``s²`` (the Rayleigh
     quotient of ``S x`` for the symmetric ``S A S⁻¹``) and ``scale`` the
-    largest band entry (at least 1) of each block.  Returns per block the
-    eigenvalue, the reduced max-normalized eigenvector, the residual and the
-    number of solves."""
+    largest band entry (at least 1) of each block; ``x``, the start, is
+    overwritten.  Each pass is one ``operators.noda_pass``, one kernel call.
+    Returns per block the eigenvalue, the reduced max-normalized
+    eigenvector, the residual and the number of solves."""
     # keeps the rounded Collatz-Wielandt bound above the top eigenvalue
     margin = 8.0 * _EPS * scale
     # max(RESIDUAL_TOL * max(1, |theta|), 5e-15 * scale) is
@@ -144,17 +147,16 @@ def _noda(lo, di, up, s, weights, off, scale, x):
     out = None  # (theta, x, residual, iterations) of every block, once one stops
     iterations = 0
     while True:
-        ax = tridiagonal_matvec(lo, di, up, x)
-        wx = weights * x
-        # one BLAS dot per block, as for that operator alone
-        theta = np.vecdot(wx, ax) / np.vecdot(wx, x)
-        res = np.abs(ax - theta[:, None] * x).max(axis=1)
-        # tested before any factorisation, so an exact eigenvector never
-        # factors a singular sigma I - A.  The LDLᵀ solves take a solved
-        # iterate's residual to a few eps * scale at any size, under
-        # ``least``, so there is no separate rounding-floor stop: a loop that
-        # stalls above ``least`` ends at ``MAX_ITERS``.
-        done = res <= np.maximum(RESIDUAL_TOL * np.abs(theta), least)
+        # the stop test comes before any factorisation, so an exact
+        # eigenvector never factors a singular sigma I - A.  The LDLᵀ solves
+        # take a solved iterate's residual to a few eps * scale at any size,
+        # under ``least``, so there is no separate rounding-floor stop: a
+        # loop that stalls above ``least`` ends at ``MAX_ITERS``.  The pass
+        # leaves the blocks that stop as they were.
+        last = iterations == MAX_ITERS
+        theta, res, done = noda_pass(
+            (lo, di, up), (s, weights, off), margin, least, RESIDUAL_TOL, x, not last
+        )
         stopped = np.count_nonzero(done)
         if stopped:
             if out is None:
@@ -169,34 +171,15 @@ def _noda(lo, di, up, s, weights, off, scale, x):
                 return out
             # freeze the stopped blocks: drop them from the stack
             going = ~done
-            rows, lo, di, up, s, off, weights, x, ax, margin, least = (
-                a[going] for a in (rows, lo, di, up, s, off, weights, x, ax, margin, least)
+            rows, lo, di, up, s, off, weights, x, margin, least = (
+                a[going] for a in (rows, lo, di, up, s, off, weights, x, margin, least)
             )
-        if iterations == MAX_ITERS:
+        if last:
             raise EigenSolveError(
                 "principal eigen iteration did not converge; the operator may "
                 "have a clustered leading spectrum"
             )
-        sigma = (ax / x).max(axis=1) + margin
-        # sigma I - A is similar to sigma I - S A S⁻¹, positive definite
-        # above the spectrum: one LDLᵀ factorisation and solve for the stack
-        try:
-            solve = factor_symmetrized(di, off, sigma[:, None])
-        except np.linalg.LinAlgError:
-            raise EigenSolveError(
-                "shifted operator is not positive definite; the principal "
-                "eigenpair is not isolated at this resolution; refine grid"
-            ) from None
-        x = solve(s * x)
-        x /= s
         iterations += 1
-        # sigma I - A is an M-matrix, so a solve from a positive iterate
-        # stays positive unless the top eigenpair is not resolved
-        if not x.min() > 0:
-            raise EigenSolveError(
-                "principal eigenpair not isolated at this resolution; refine grid"
-            )
-        x /= x.max(axis=1, keepdims=True)
 
 
 def _couplings(lo, di, up):
@@ -264,7 +247,7 @@ def principal_eigenpairs(ops: Sequence[LinearOperator]) -> list[EigenPair]:
     if any(op.grid != grid for op in ops):
         raise ValidationError("stacked operators must share one grid")
     layout = SpeciesLayout(grid, [op.traits for op in ops])
-    lo, di, up = (np.array([getattr(op, band) for op in ops]) for band in _BANDS)
+    lo, di, up = (np.array([getattr(op, band) for op in ops], dtype=float) for band in _BANDS)
     # the entries outside each matrix are zeroed once, here, where operators
     # built by hand enter: the stack is then one block-diagonal matrix
     lo[:, 0] = up[:, -1] = 0.0
@@ -289,7 +272,7 @@ def principal_eigenpair(op: LinearOperator) -> EigenPair:
     bound ``max_i (A x)_i / x_i`` and solves once with ``sigma I - A``, as
     ``S⁻¹ (sigma I - S A S⁻¹)⁻¹ S``: one LDLᵀ factorisation and solve of
     the symmetric positive definite shifted matrix (LAPACK's pttrf/pttrs
-    arithmetic; a stack's blocks side by side in the interleaved kernel).
+    arithmetic; a stack's blocks side by side in the kernel's pass).
     The shift is never below the top eigenvalue and closes on it
     quadratically, so a few O(N) tridiagonal solves suffice.
 

@@ -25,27 +25,33 @@ here: bands ``lo``/``di``/``up`` of shape ``(N,)`` for one operator, or
 ``(M, N)`` for a stack of M, whose unused corners (``lo[..., 0]`` and
 ``up[..., -1]``) are zero, so that the stack laid end to end is one
 block-diagonal tridiagonal matrix (``diffusion_bands`` assembles them so).
-Three operations on it serve the package: ``tridiagonal_matvec``, the
-product; ``factor_blocks``, the one LU (LAPACK gttrf/gttrs), for damped
-Newton and ``solve_shifted``; and ``factor_symmetrized``,
-the one LDLᵀ of ``alpha - beta S A S⁻¹`` on the ``symmetrizing_similarity``
-of the couplings, for Noda's shifted solves and the IMEX step.  The
-similarity depends on the couplings alone, so its callers build it once per
-operator they hold: once per mutant of a scan, once per stepper.  The zero
-corners keep the blocks apart: each block's arithmetic is bit for bit that
-of its operator on its own, and the solves take M right-hand-side rows of
-one operator as M single solves.  ``stack_chunks`` is the one cut of a long
-stack into stacked solves of at most ``_STACK_DOFS`` reduced DOFs, for the
-steady states, the mutant stacks and the eigen pairs of a scan.
+These operations on it serve the package: ``tridiagonal_matvec``, the
+product; ``factor_blocks``, the one LU and its solve (LAPACK
+gttrf/gttrs), for damped Newton and ``solve_shifted``; ``factor_symmetrized``, the one LDLᵀ of
+``alpha - beta S A S⁻¹`` on the ``symmetrizing_similarity`` of the
+couplings, for the IMEX step; and the solvers' inner loops,
+``noda_pass``, one pass of Noda's shifted inverse iteration (on the same
+LDLᵀ), and ``logistic_residual``, the steady residual and its Jacobian's
+diagonal.  The similarity depends on the couplings alone, so its callers
+build it once per operator they hold: once per mutant of a scan, once per
+stepper.  The zero corners keep the blocks apart: each block's arithmetic is
+bit for bit that of its operator on its own, and the solves take M
+right-hand-side rows of one operator as M single solves.  ``stack_chunks``
+is the one cut of a long stack into stacked solves of at most
+``_STACK_DOFS`` reduced DOFs, for the steady states, the mutant stacks and
+the eigen pairs of a scan.
 
-The LDLᵀ has two routes with the same arithmetic.  A single block runs
-LAPACK's pttrf/pttrs.  A stack of two or more runs the interleaved kernel
-``_ldlt.c``, which does pttrf's and pttrs's operations on every element but
-walks the rows in its outer loop and the blocks (times the right-hand sides)
-in its inner one, so the blocks' recurrences overlap instead of running end
-to end as one chain; ``_native`` builds it on first import.  Where it cannot
-be built or loaded (``_ldlt`` is then None) stacks run LAPACK too.  Both
-routes give the same numbers, bit for bit.  ``factor_symmetrized`` returns a
+Each operation has two routes with the same arithmetic, bit for bit.  The
+native kernel ``_ldlt.c``, which ``_native`` builds on first import, runs
+each in one call: the LDLᵀ does pttrf's and pttrs's operations on every
+element but walks the rows in its outer loop and the blocks (times the
+right-hand sides) in its inner one, so the blocks' recurrences overlap
+instead of running end to end as one chain; the LU is reference dgttrf and
+dgtts2, the same operations and pivots as scipy's; ``noda_pass`` and
+``logistic_residual`` share its one band product, and the pass sums its
+Rayleigh quotient in numpy's pairwise order.  Where the kernel cannot be
+built or loaded (``_ldlt`` is then None), LAPACK, imported from scipy on
+first use, and numpy run instead.  ``factor_symmetrized`` returns a
 ``SymmetrizedFactor``, whose call is the solve; on the kernel's factor of a
 two-species stack its ``pair_step`` is the whole IMEX step of
 ``dynamics.Stepper`` in one kernel call: the competition right-hand side,
@@ -58,18 +64,27 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
 from ._native import load_ldlt
-from .errors import ValidationError
+from .errors import EigenSolveError, ValidationError
 from .grid import Grid
 from .landscape import PatchEnvironment, SpeciesTraits
 
-# The interleaved LDLᵀ kernel for stacks of blocks, or None (LAPACK instead).
+# The native kernel, or None (LAPACK and numpy instead).
 _ldlt = load_ldlt()
+
+
+@cache
+def _lapack():
+    """scipy's LAPACK wrappers, imported on first use: only the route without
+    the kernel calls them, so a package with the kernel never imports scipy."""
+    from scipy.linalg import lapack
+
+    return lapack
+
 
 # One stacked solve (steady states or eigenpairs) holds at most this many
 # reduced DOFs (and at least one block), so a long scan on a fine grid keeps
@@ -144,24 +159,48 @@ def _columns(rhs: np.ndarray, size: int) -> np.ndarray:
     return rhs.reshape(-1, size).T
 
 
-def factor_blocks(lo: np.ndarray, di: np.ndarray, up: np.ndarray):
-    """LU-factor the stack's block-diagonal matrix once (LAPACK gttrf) and
-    return the O(N) solve ``rhs -> x`` (gttrs), which keeps the shape of
-    ``rhs``.  ``rhs`` is the stack's ``(M, N)`` rows (or ``(N,)`` for one
-    operator), each block solved bit for bit as on its own, or M rows of a
-    single operator, each solved as its own solve.  Neither the bands nor the
-    right-hand side are checked: callers pass finite ones.  A singular
-    matrix raises LinAlgError.
+def factor_blocks(lo: np.ndarray, di: np.ndarray, up: np.ndarray, rhs: np.ndarray):
+    """LU-factor the stack's block-diagonal matrix (LAPACK gttrf) and return
+    the solve ``x`` of ``rhs`` (gttrs), shaped as ``rhs``: the stack's
+    ``(M, N)`` rows (or ``(N,)`` for one operator), each block solved bit for
+    bit as on its own, or M rows of a single operator, each solved as its
+    own solve.  Neither the bands nor the right-hand side are checked:
+    callers pass finite ones.  A singular matrix raises LinAlgError.
+
+    The kernel factors and solves in one call, with a C copy of reference
+    LAPACK's dgttrf and dgtts2 (the same operations and pivots), so both
+    routes give scipy's numbers bit for bit.
     """
-    dl, d, du, du2, ipiv, info = dgttrf(lo.ravel()[1:], di.ravel(), up.ravel()[:-1])
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        x, _ = dgttrs(dl, d, du, du2, ipiv, _columns(rhs, d.size))
+    if _ldlt is None:
+        lapack = _lapack()
+        dl, d, du, du2, ipiv, info = lapack.dgttrf(lo.ravel()[1:], di.ravel(), up.ravel()[:-1])
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        x, _ = lapack.dgttrs(dl, d, du, du2, ipiv, _columns(rhs, d.size))
         return x.T.reshape(rhs.shape)
+    bands = [np.ascontiguousarray(band, dtype=float) for band in (lo, di, up)]
+    x = np.array(rhs, dtype=float, order="C")
+    if not _ldlt.gttrf(*bands, np.empty(4 * di.size), np.empty(di.size, np.intc), x):
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
 
-    return solve
+
+def logistic_residual(lo, di, up, a, b, u):
+    """The steady residual ``A u + u (a - b u)`` of a stack in the one
+    convention and its Jacobian's diagonal ``di + a - 2 b u``: one kernel
+    call, or numpy's with the same operations, bit for bit.  Every argument
+    has ``u``'s shape; ``u`` is unchecked."""
+    if _ldlt is None:
+        bu = b * u
+        res = tridiagonal_matvec(lo, di, up, u)
+        res += u * (a - bu)
+        slope = a - 2.0 * bu
+        slope += di
+        return res, slope
+    u = np.ascontiguousarray(u, dtype=float)
+    res, slope = np.empty(u.shape), np.empty(u.shape)
+    _ldlt.residual(lo, di, up, a, b, u, res, slope)
+    return res, slope
 
 
 def symmetrizing_similarity(lo: np.ndarray, up: np.ndarray):
@@ -197,12 +236,11 @@ def factor_symmetrized(di: np.ndarray, off: np.ndarray, alpha, beta: float = 1.0
     ``b -> y`` of ``(alpha - beta S A S⁻¹) y = b`` for a ``b`` already
     scaled by ``s``.
 
-    A single block is factored by LAPACK's pttrf and solved by pttrs; a stack
-    of two or more by the interleaved kernel (see the module docstring),
-    which does the same arithmetic with the blocks side by side, or by LAPACK
-    where the kernel did not load.  The factor and the solve of finite
-    right-hand sides are bit for bit the same on both routes, and both
-    refuse the same shifts.  A non-finite ``alpha`` or ``beta`` raises
+    The interleaved kernel (see the module docstring) factors it, with a
+    stack's blocks side by side, or LAPACK's pttrf where the kernel did not
+    load; the solve is the kernel's or pttrs.  The factor and the solve of
+    finite right-hand sides are bit for bit the same on both routes, and
+    both refuse the same shifts.  A non-finite ``alpha`` or ``beta`` raises
     ValueError, a matrix that is not positive definite LinAlgError.
     """
     if not (np.isfinite(alpha).all() and np.isfinite(beta)):
@@ -210,15 +248,14 @@ def factor_symmetrized(di: np.ndarray, off: np.ndarray, alpha, beta: float = 1.0
     d = (alpha - beta * di).ravel()
     e = (-beta * off).ravel()
     n = di.shape[-1]
-    kernel = _ldlt if d.size > n else None
-    if kernel is None:
-        d, e, info = dpttrf(d, e[:-1], overwrite_d=1, overwrite_e=1)
+    if _ldlt is None:
+        d, e, info = _lapack().dpttrf(d, e[:-1], overwrite_d=1, overwrite_e=1)
         positive = info == 0
     else:
-        positive = kernel.factor(d, e, n)
+        positive = _ldlt.factor(d, e, n)
     if not positive:
         raise np.linalg.LinAlgError("matrix is not positive definite")
-    return SymmetrizedFactor(d, e, n, kernel)
+    return SymmetrizedFactor(d, e, n, _ldlt)
 
 
 class SymmetrizedFactor:
@@ -236,7 +273,7 @@ class SymmetrizedFactor:
         ``b`` is unchecked and, when C-contiguous, overwritten (``y`` is then
         ``b``; any other ``b`` is solved on a copy)."""
         if self.kernel is None:
-            y, _ = dpttrs(self.d, self.e, _columns(b, self.d.size), overwrite_b=1)
+            y, _ = _lapack().dpttrs(self.d, self.e, _columns(b, self.d.size), overwrite_b=1)
             return y.T.reshape(b.shape)
         y = b if b.flags.c_contiguous else np.ascontiguousarray(b)
         self.kernel.solve(self.d, self.e, self.n, y)
@@ -258,6 +295,71 @@ class SymmetrizedFactor:
             return None
         out = np.empty(w.shape)
         return out if self.kernel.step(self.d, self.e, self.n, coefficients, w, out) else None
+
+
+# noda_pass's kernel outcomes that are not a count of stopped blocks
+_NODA_FAILURES = {
+    -1: "shifted operator is not positive definite; the principal eigenpair is "
+        "not isolated at this resolution; refine grid",
+    -2: "principal eigenpair not isolated at this resolution; refine grid",
+}
+
+
+def noda_pass(bands, similarity, margin, least, tol: float, x: np.ndarray, solve: bool = True):
+    """One pass of Noda's shifted inverse iteration on an ``(M, N)`` stack
+    (``eigen`` runs the loop): returns per block the Rayleigh quotient
+    ``theta`` of ``x`` weighted by ``s²``, the residual ``max|A x - theta x|``
+    and whether it stopped, ``residual <= max(tol |theta|, least)``.  When
+    ``solve`` holds, each block that did not stop has its row of ``x``
+    replaced, in place, by the next iterate: the solve ``y`` of
+    ``(sigma - A) y = x`` as ``S⁻¹ (sigma - S A S⁻¹)⁻¹ S x`` by the one
+    LDLᵀ, ``sigma`` the Collatz-Wielandt bound ``max (A x) / x`` plus the
+    block's ``margin``, checked positive and divided by its max
+    (``sigma - A`` is an M-matrix, so the solve of a positive iterate stays
+    positive unless the top eigenpair is not resolved).
+
+    ``bands`` are ``(lo, di, up)``, ``similarity`` their
+    ``symmetrizing_similarity`` ``(s, s², off)``, and ``x`` is C-contiguous.
+    One kernel call, or numpy's and LAPACK's with the same operations, bit
+    for bit: both sum the quotient's two dots in numpy's pairwise order
+    (``np.add.reduce`` along a row).  A non-finite shift raises ValueError;
+    a shifted matrix that is not positive definite, or a next iterate that
+    is not positive, EigenSolveError.
+    """
+    lo, di, up = bands
+    s, weights, off = similarity
+    if _ldlt is not None:
+        theta, res, done = np.empty(len(x)), np.empty(len(x)), np.empty(len(x), bool)
+        outcome = _ldlt.noda(lo, di, up, s, weights, off, x, x.shape[-1], margin, least,
+                             theta, res, done, tol, solve)
+        if outcome == -3:
+            raise ValueError("shift must be finite")
+        if outcome < 0:
+            raise EigenSolveError(_NODA_FAILURES[outcome])
+        return theta, res, done
+    ax = tridiagonal_matvec(lo, di, up, x)
+    wx = weights * x
+    theta = np.add.reduce(wx * ax, axis=-1) / np.add.reduce(wx * x, axis=-1)
+    res = np.abs(ax - theta[:, None] * x).max(axis=-1)
+    done = res <= np.maximum(tol * np.abs(theta), least)
+    stopped = np.count_nonzero(done)
+    if solve and stopped < done.size:
+        going, xs = slice(None), x
+        if stopped:  # only the blocks still going are solved
+            going = ~done
+            ax, xs, s, di, off, margin = (a[going] for a in (ax, x, s, di, off, margin))
+        sigma = (ax / xs).max(axis=-1) + margin
+        try:
+            factor = factor_symmetrized(di, off, sigma[:, None])
+        except np.linalg.LinAlgError:
+            raise EigenSolveError(_NODA_FAILURES[-1]) from None
+        y = factor(s * xs)
+        y /= s
+        if not y.min() > 0:
+            raise EigenSolveError(_NODA_FAILURES[-2])
+        y /= y.max(axis=-1, keepdims=True)
+        x[going] = y
+    return theta, res, done
 
 
 @dataclass
@@ -304,7 +406,7 @@ class LinearOperator:
         """Solve (sigma * I - A) x = rhs by the one LU; a non-finite ``sigma``
         or ``rhs`` raises ValueError."""
         shifted = np.asarray_chkfinite(sigma, dtype=float) - self.di
-        return factor_blocks(-self.lo, shifted, -self.up)(np.asarray_chkfinite(rhs, dtype=float))
+        return factor_blocks(-self.lo, shifted, -self.up, np.asarray_chkfinite(rhs, dtype=float))
 
     def dense(self) -> np.ndarray:
         a = np.diag(self.di)

@@ -48,8 +48,8 @@ from .landscape import (
 from .operators import (
     diffusion_bands,
     factor_blocks,
+    logistic_residual,
     stack_chunks,
-    tridiagonal_matvec,
 )
 
 ARMIJO = 1e-4            # sufficient-decrease factor of the line search
@@ -140,7 +140,7 @@ def damped_newton(residual, u0, floor: float, cap: float, row_scale, config: Ste
             # drop the stopped blocks from the stack
             rows, u, res, norm, noise = (a[going] for a in (rows, u, res, norm, noise))
             bands = tuple(band[going] for band in bands)
-        step = factor_blocks(*bands)(-res)
+        step = factor_blocks(*bands, -res)
         trial = np.maximum(u + step, floor)
         trial_res, trial_bands = residual(trial, rows)
         accept = _block_max(trial_res) <= (1.0 - ARMIJO) * norm
@@ -199,11 +199,7 @@ class _SteadyProblem:
         diagonal is ``di + a - 2 b u``, for the blocks ``rows`` of a stack
         (all of them when None)."""
         problem = self if rows is None else self[rows]
-        bu = problem.b * u
-        res = tridiagonal_matvec(problem.lo, problem.di, problem.up, u)
-        res += u * (problem.a - bu)
-        slope = problem.a - 2.0 * bu
-        slope += problem.di
+        res, slope = logistic_residual(problem.lo, problem.di, problem.up, problem.a, problem.b, u)
         return res, (problem.lo, slope, problem.up)
 
     def newton(self, u0, config: SteadyConfig):

@@ -75,7 +75,8 @@ def reference_eigenpair(op, tol=1e-13, max_iters=2000):
     while True:
         ax = op.matvec(x)
         wx = weights * x
-        theta = float(wx @ ax / (wx @ x))
+        # the two sums in numpy's pairwise order, as both routes take them
+        theta = float(np.add.reduce(wx * ax) / np.add.reduce(wx * x))
         res = float(np.abs(ax - theta * x).max())
         if res <= max(tol * max(1.0, abs(theta)), 5e-15 * scale):
             break
@@ -425,11 +426,22 @@ class TestStackedNoda:
         op = assemble_linearization(grid, traits, 0.3)
         setattr(op, band, getattr(op, band) * 10.0)
         calls = []
-        monkeypatch.setattr(patchcomp.eigen, "factor_symmetrized",
-                            lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(patchcomp.eigen, "noda_pass", lambda *a, **kw: calls.append(a))
         with pytest.raises(pc.EigenSolveError, match="symmetric"):
             pc.principal_eigenpairs([assemble_linearization(grid, traits, 0.1), op])
         assert calls == []
+
+    def test_integer_bands_solve_as_float_ones(self):
+        # operators built by hand may hold integer bands; the kernel takes
+        # float64 only, so the stack is built as float64
+        grid = pc.build_grid(pc.Landscape([0.0, 1.0]), per_patch=6)
+        traits = pc.SpeciesTraits([1.0], pc.StrategyVector([]))
+        n = grid.num_reduced
+        bands = (np.r_[0, np.ones(n - 1, int)], np.full(n, -2), np.r_[np.ones(n - 1, int), 0])
+        whole = LinearOperator(grid, traits, *bands, np.ones(n))
+        real = LinearOperator(grid, traits, *(band.astype(float) for band in bands), np.ones(n))
+        got, want = pc.principal_eigenpair(whole), pc.principal_eigenpair(real)
+        assert_same_pair(got, (want.lambda1, want.phi.values, want.residual, want.iterations))
 
     def test_one_uncoupled_block_fails_the_call(self, two_patch):
         land, env, resident, mutant = two_patch
@@ -450,8 +462,7 @@ class TestStackedNoda:
             LinearOperator(grid, mutant, op.lo, poisoned, op.up, op.weights)
 
         calls = []
-        monkeypatch.setattr(patchcomp.eigen, "factor_symmetrized",
-                            lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(patchcomp.eigen, "noda_pass", lambda *a, **kw: calls.append(a))
         ops = [assemble_linearization(grid, t, 0.2) for t in (resident, mutant, resident)]
         ops[2].di = poisoned  # set after construction, so only the stack sees it
         with pytest.raises(ValueError, match="finite"):
@@ -539,13 +550,13 @@ class TestStackedNoda:
         grid = pc.build_grid(land, per_patch=40)
         monkeypatch.setattr(patchcomp.operators, "_STACK_DOFS", 2 * grid.num_reduced)
         sizes = []
-        factor = patchcomp.eigen.factor_symmetrized
+        one_pass = patchcomp.eigen.noda_pass
 
-        def recording(di, *args):
-            sizes.append(di.size // grid.num_reduced)
-            return factor(di, *args)
+        def recording(bands, *args):
+            sizes.append(bands[1].size // grid.num_reduced)
+            return one_pass(bands, *args)
 
-        monkeypatch.setattr(patchcomp.eigen, "factor_symmetrized", recording)
+        monkeypatch.setattr(patchcomp.eigen, "noda_pass", recording)
         mutants = [
             pc.SpeciesTraits([0.6, 1.1], pc.StrategyVector([p])) for p in (1.2, 1.9, 2.6, 3.3, 4.0)
         ]

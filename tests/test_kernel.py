@@ -9,6 +9,7 @@ import subprocess
 import sys
 import sysconfig
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 
 import patchcomp as pc
 from conftest import c_compiler
-from patchcomp import _native, operators
+from patchcomp import _native, operators, steady
 from patchcomp.config import RunConfig
 from patchcomp.dynamics import default_initial
 from patchcomp.eigen import assemble_linearization, growth_potential
@@ -41,6 +42,20 @@ import patchcomp, patchcomp.cli, patchcomp.config, patchcomp.validate
 print(patchcomp._LDLT_KERNEL, len(started))
 """
 
+# Prints whether the kernel loaded, whether importing the package and its CLI
+# imported scipy, and whether a steady solve and a fitness evaluation did.
+SCIPY_REPORT = """
+import sys
+import patchcomp, patchcomp.cli
+imported = "scipy" in sys.modules
+land = patchcomp.Landscape([0.0, 1.0, 2.0])
+env = patchcomp.PatchEnvironment(r=[1.0, 1.2], k=[1.0, 2.0])
+resident = patchcomp.SpeciesTraits([1.0, 0.8], [3.0])
+grid = patchcomp.build_grid(land, per_patch=20)
+patchcomp.invasion_fitness(land, env, resident, resident, grid)
+print(patchcomp._LDLT_KERNEL, imported, "scipy" in sys.modules)
+"""
+
 # Prints whether the kernel loaded, where the package came from and
 # ``figures_hex`` of this module.
 FIGURES_REPORT = f"""
@@ -52,12 +67,28 @@ print(json.dumps(test_kernel.figures_hex()))
 """
 
 
+# One of tests/test_steady.py's landscapes on which Newton from the capacity
+# profile stalls at 9 subintervals per patch: the steady solve restarts from
+# the super-solution M c, and both Newton runs pivot in their LU.
+STALLING = pc.Landscape(np.concatenate(([0.0], np.cumsum([1.519, 1.308, 0.898]))))
+STALLING_ENV = pc.PatchEnvironment(r=[0.116, 7.261, 2.038], k=[0.123, 3.786, 0.166])
+STALLING_TRAITS = pc.SpeciesTraits([0.388, 0.026, 15.799], [2.331, 3.051])
+# Residents whose stacked capacity-start Newton runs stop on three different
+# iterations; the last one's LU pivots.
+STAGGERED = [pc.SpeciesTraits([1.0, 0.8], [p]) for p in (1.2, 2.0, 3.7)] + [
+    pc.SpeciesTraits([0.05, 5.0], [0.3])
+]
+
+
 def figures() -> dict:
-    """What every caller of ``factor_symmetrized`` computes, on fresh
-    steppers and stacks: steps of a ``(2, N)`` state and a ``(3, 2, N)``
-    stack of runs, the order-preservation harness, ``simulate`` to a verdict
-    on a table row at 201 reduced DOFs, stacked eigenpairs and a fitness
-    table."""
+    """What every caller of the kernel computes, on fresh steppers and
+    stacks: steps of a ``(2, N)`` state and a ``(3, 2, N)`` stack of runs,
+    the order-preservation harness, ``simulate`` to a verdict on a table row
+    at 201 reduced DOFs, stacked and single-block eigenpairs, a fitness
+    table, ``invasion_fitness`` on a draw like the benchmark's
+    ``sign_draws`` at 800 subintervals per patch, a stack of steady states
+    that stop on different Newton iterations, and a steady state restarted
+    from the super-solution."""
     grid = pc.build_grid(LAND, per_patch=60)
     stepper = pc.Stepper(LAND, ENV, RESIDENT, MUTANT, grid)
     w = np.array(default_initial(grid, ENV))
@@ -78,6 +109,17 @@ def figures() -> dict:
     pairs = pc.principal_eigenpairs(ops)
     species = [pc.SpeciesTraits([1.0, 1.0], [p]) for p in (1.5, 2.5, 3.5)]
     table = pc.fitness_table(LAND, ENV, grid, species, species)
+    single = pc.principal_eigenpair(ops[1])
+    draw_land = pc.Landscape([0.0, 0.93, 2.04])
+    draw_env = pc.PatchEnvironment(r=[1.37, 0.71], k=[0.82, 1.91])
+    draw = pc.invasion_fitness(
+        draw_land, draw_env, pc.SpeciesTraits([0.7, 1.2], [3.1]),
+        pc.SpeciesTraits([1.1, 0.9], [1.7]), pc.build_grid(draw_land, per_patch=800),
+    )
+    staggered = pc.solve_resident_steady_states(LAND, ENV, STAGGERED, grid)
+    restarted = pc.solve_resident_steady(
+        STALLING, STALLING_ENV, STALLING_TRAITS, pc.build_grid(STALLING, per_patch=9)
+    )
     return {
         "step": one,
         "step_clipped": np.array(clipped_one),
@@ -93,12 +135,91 @@ def figures() -> dict:
         "residual": np.array([pair.residual for pair in pairs]),
         "iterations": np.array([pair.iterations for pair in pairs], float),
         "table": table,
+        "single": np.array([single.lambda1, single.residual, single.iterations,
+                            *single.phi.values]),
+        "draw": np.array([draw.lambda1, draw.residual, draw.iterations, *draw.phi.values]),
+        "staggered": np.array([u.values for u in staggered]),
+        "restarted": restarted.values,
     }
 
 
 def figures_hex() -> dict:
     """``figures`` with every number written exactly."""
     return {name: [float(x).hex() for x in a.ravel()] for name, a in figures().items()}
+
+
+class CountingKernel:
+    """The loaded kernel, counting its calls by entry point; ``pivots``
+    counts the interchanged rows of every ``gttrf``."""
+
+    def __init__(self, kernel):
+        self.kernel, self.calls, self.pivots = kernel, Counter(), 0
+
+    def __getattr__(self, name):
+        entry = getattr(self.kernel, name)
+
+        def call(*args):
+            self.calls[name] += 1
+            out = entry(*args)
+            if name == "gttrf":
+                self.pivots += np.count_nonzero(args[4] != np.arange(1, args[4].size + 1))
+            return out
+
+        return call
+
+
+def test_a_noda_pass_is_one_call_and_a_newton_step_two(ldlt_kernel, monkeypatch):
+    counting = CountingKernel(ldlt_kernel)
+    monkeypatch.setattr(operators, "_ldlt", counting)
+    grid = pc.build_grid(LAND, per_patch=60)
+    ustar = pc.solve_resident_steady(LAND, ENV, RESIDENT, grid)
+    # one residual before the first step, then one residual and one LU
+    # (factor and solve) per full Newton step
+    assert set(counting.calls) == {"residual", "gttrf"}
+    assert counting.calls["residual"] == counting.calls["gttrf"] + 1 >= 3
+    counting.calls.clear()
+    pair = pc.invasion_fitness(LAND, ENV, RESIDENT, MUTANT, grid, ustar=ustar)
+    # every pass is one call, the last one only tests the stop
+    assert pair.iterations >= 2 and counting.calls == {"noda": pair.iterations + 1}
+
+
+def test_the_figures_pivot_restart_and_stop_on_different_iterations(ldlt_kernel, monkeypatch):
+    counting = CountingKernel(ldlt_kernel)
+    monkeypatch.setattr(operators, "_ldlt", counting)
+    runs = []
+    newton = steady.damped_newton
+
+    def spy(residual, u0, *args):
+        out = newton(residual, u0, *args)
+        runs.append(np.ravel(out[2]).tolist())
+        return out
+
+    monkeypatch.setattr(steady, "damped_newton", spy)
+    grid = pc.build_grid(LAND, per_patch=60)
+    stops = []
+    residual = steady._SteadyProblem.residual
+
+    def rows_going(self, u, rows=None):
+        stops.append(len(u) if rows is None else len(rows))
+        return residual(self, u, rows)
+
+    monkeypatch.setattr(steady._SteadyProblem, "residual", rows_going)
+    pc.solve_resident_steady_states(LAND, ENV, STAGGERED, grid)
+    assert len(set(stops)) == 3 and counting.pivots > 0 and runs == [[True] * 4]
+    counting.pivots, runs[:] = 0, []
+    pc.solve_resident_steady(STALLING, STALLING_ENV, STALLING_TRAITS,
+                             pc.build_grid(STALLING, per_patch=9))
+    assert counting.pivots > 0 and runs == [[False], [True]]
+
+
+def test_the_kernel_keeps_scipy_off_the_import_path():
+    # with the kernel, importing the package and the CLI, and solving, leave
+    # scipy unimported; without it only a solve imports scipy
+    done = _run(SCIPY_REPORT, PYTHONPATH=str(SRC))
+    assert done.returncode == 0, done.stderr
+    kernel, imported, solved = done.stdout.split()
+    assert imported == "False"
+    assert solved == str(kernel == "False")
 
 
 def test_both_routes_give_the_same_numbers(monkeypatch):

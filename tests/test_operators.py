@@ -187,7 +187,7 @@ class TestFactorShifted:
         _, traits, grid = make([1.0, 1.0], [2.0])
         op = assemble_diffusion(grid, traits)
         with pytest.raises(np.linalg.LinAlgError):
-            factor_blocks(op.lo, op.di, op.up)
+            factor_blocks(op.lo, op.di, op.up, np.ones(op.size))
         with pytest.raises(np.linalg.LinAlgError):
             op.solve_shifted(0.0, np.ones(op.size))
 
@@ -315,9 +315,9 @@ class TestOneConvention:
         lo, di, up = stack_of_operators(self.GRID)
         dt = 0.3
         rhs = np.random.default_rng(4).uniform(0.0, 1.5, di.shape)
-        got = factor_blocks(-dt * lo, 1.0 - dt * di, -dt * up)(rhs)
+        got = factor_blocks(-dt * lo, 1.0 - dt * di, -dt * up, rhs)
         for b in range(len(di)):
-            one = factor_blocks(-dt * lo[b], 1.0 - dt * di[b], -dt * up[b])(rhs[b])
+            one = factor_blocks(-dt * lo[b], 1.0 - dt * di[b], -dt * up[b], rhs[b])
             assert np.array_equal(got[b], one)
 
     def test_ldlt_stack_solves_each_operator_on_its_own(self):
@@ -336,7 +336,9 @@ class TestOneConvention:
     def test_rows_of_one_operator_are_single_solves(self):
         lo, di, up = (band[1] for band in stack_of_operators(self.GRID))
         rows = np.random.default_rng(6).uniform(0.0, 1.5, (5, di.size))
-        lu = factor_blocks(-0.3 * lo, 1.0 - 0.3 * di, -0.3 * up)
+        def lu(rhs):
+            return factor_blocks(-0.3 * lo, 1.0 - 0.3 * di, -0.3 * up, rhs)
+
         s, _, off = symmetrizing_similarity(lo, up)
         ldlt = factor_symmetrized(di, off, 1.0, 0.3)
         got_lu, got_ldlt = lu(rows), ldlt(s * rows)
@@ -531,7 +533,7 @@ class TestInterleavedKernel:
         assert np.array_equal(b, kept)
         assert np.array_equal(got, solve(np.ascontiguousarray(b)))
 
-    def test_a_single_block_stays_on_lapack(self, ldlt_kernel, monkeypatch):
+    def test_a_single_block_runs_on_the_kernel(self, ldlt_kernel, monkeypatch):
         calls = []
 
         class Spy:
@@ -543,14 +545,176 @@ class TestInterleavedKernel:
                 calls.append("solve")
                 return ldlt_kernel.solve(*args)
 
-        monkeypatch.setattr(operators, "_ldlt", Spy())
         rng = np.random.default_rng(9)
         di, off, top = symmetric_stack(rng, 2, 30)
+        b = rng.normal(size=30)
+        d_ref, e_ref, _ = dpttrf(top[0] + 1.0 - di[0], -off[0, :-1])
+        want = dpttrs(d_ref, e_ref, b)[0]
+        monkeypatch.setattr(operators, "_ldlt", Spy())
         for one_di, one_off in ((di[0], off[0]), (di[:1], off[:1])):
-            factor_symmetrized(one_di, one_off, top[0] + 1.0)(np.ones(one_di.shape))
-        assert calls == []
+            factor = factor_symmetrized(one_di, one_off, top[0] + 1.0)
+            assert np.array_equal(factor.d, d_ref) and np.array_equal(factor.e[:-1], e_ref)
+            assert np.array_equal(factor(b.reshape(one_di.shape).copy()).ravel(), want)
+        assert calls == ["factor", "solve"] * 2
         factor_symmetrized(di, off, (top + 1.0)[:, None])(np.ones(di.shape))
-        assert calls == ["factor", "solve"]
+        assert calls == ["factor", "solve"] * 3
+
+
+def lu_stack(rng, blocks: int, rows: int):
+    """Bands ``(lo, di, up)`` of a random ``(blocks, rows)`` stack in the one
+    convention (zero corners) whose LU pivots on most rows: the diagonal is
+    drawn smaller than the couplings."""
+    lo, up = (rng.uniform(-2.0, 2.0, (blocks, rows)) for _ in range(2))
+    di = rng.uniform(-1.0, 1.0, (blocks, rows)) * rng.choice([0.1, 1.0, 3.0], (blocks, 1))
+    lo[:, 0] = up[:, -1] = 0.0
+    return lo, di, up
+
+
+class TestKernelLU:
+    """The kernel's LU (``gttrf``) is reference LAPACK dgttrf and dgtts2:
+    scipy's factor, pivots and solves, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        blocks=st.integers(1, 3),
+        rows=st.integers(3, 600),
+        rhs=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_factor_pivots_and_solves_are_scipys(self, ldlt_kernel, blocks, rows, rhs, seed):
+        rng = np.random.default_rng(seed)
+        lo, di, up = lu_stack(rng, blocks, rows)
+        size = di.size
+        dl, d, du, du2, ipiv, info = dgttrf(lo.ravel()[1:], di.ravel(), up.ravel()[:-1])
+        factor, pivots = np.empty(4 * size), np.empty(size, np.intc)
+        b = rng.normal(size=(rhs, size))
+        x = b.copy()
+        regular = ldlt_kernel.gttrf(lo.ravel(), di.ravel(), up.ravel(), factor, pivots, x)
+        assert regular == (info == 0)
+        f = factor.reshape(4, size)
+        for got, want in ((f[0, :-1], dl), (f[1], d), (f[2, :-1], du), (f[3, :-2], du2),
+                          (pivots, ipiv)):
+            assert np.array_equal(got, want, equal_nan=True)
+        if not regular:
+            return
+        want = dgttrs(dl, d, du, du2, ipiv, b.T)[0].T
+        assert np.array_equal(x, want, equal_nan=True)
+        # and through factor_blocks, on both routes, as a stack and as rows
+        rows_rhs = b.reshape(rhs, blocks, rows)
+        got = factor_blocks(lo, di, up, rows_rhs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "_ldlt", None)
+            lapack = factor_blocks(lo, di, up, rows_rhs)
+        assert np.array_equal(got, lapack, equal_nan=True)
+        assert np.array_equal(got.reshape(x.shape), x, equal_nan=True)
+
+    def test_the_draws_pivot(self, ldlt_kernel):
+        rng = np.random.default_rng(5)
+        lo, di, up = lu_stack(rng, 2, 300)
+        _, _, _, _, ipiv, _ = dgttrf(lo.ravel()[1:], di.ravel(), up.ravel()[:-1])
+        assert np.count_nonzero(ipiv != np.arange(1, ipiv.size + 1)) > ipiv.size // 4
+
+    def test_a_singular_matrix_raises_on_both_routes(self, ldlt_kernel, monkeypatch):
+        lo, up = np.zeros(3), np.zeros(3)
+        di = np.array([1.0, 0.0, 2.0])
+        for kernel in (ldlt_kernel, None):
+            monkeypatch.setattr(operators, "_ldlt", kernel)
+            with pytest.raises(np.linalg.LinAlgError):
+                factor_blocks(lo, di, up, np.ones(3))
+
+
+def noda_buffers(rng, blocks: int, rows: int):
+    """The arguments of the kernel's ``noda`` for a random stack, up to
+    ``n`` and its outputs: bands, similarity and a positive iterate."""
+    lo, up = (rng.uniform(0.5, 2.0, (blocks, rows)) for _ in range(2))
+    lo[:, 0] = up[:, -1] = 0.0
+    di = rng.uniform(-4.0, 0.0, (blocks, rows))
+    s, weights, off = symmetrizing_similarity(lo, up)
+    x = rng.uniform(0.1, 1.0, (blocks, rows))
+    return lo, di, up, s, weights, off, x
+
+
+class TestKernelNodaAndResidual:
+    def test_theta_sums_in_numpys_pairwise_order(self, ldlt_kernel):
+        rng = np.random.default_rng(11)
+        for rows in [*range(1, 301), 1601, 2001, 8001]:
+            lo, di, up, s, weights, off, x = noda_buffers(rng, 1, rows)
+            weights = rng.uniform(0.5, 2.0, x.shape) * 10.0 ** rng.integers(-3, 3, x.shape)
+            theta, res, done = np.empty(1), np.empty(1), np.empty(1, bool)
+            kept = x.copy()
+            stopped = ldlt_kernel.noda(lo, di, up, s, weights, off, x, rows, np.zeros(1),
+                                       np.zeros(1), theta, res, done, 1e-13, False)
+            ax = tridiagonal_matvec(lo, di, up, x)
+            wx = weights * x
+            want = np.add.reduce(wx * ax, axis=-1) / np.add.reduce(wx * x, axis=-1)
+            assert theta[0] == want[0], rows
+            assert res[0] == np.abs(ax - want[:, None] * x).max()
+            assert stopped == int(done[0]) and np.array_equal(x, kept)
+
+    def test_noda_refuses_wrong_buffers(self, ldlt_kernel):
+        rng = np.random.default_rng(12)
+        arrays = [a.ravel() for a in noda_buffers(rng, 2, 5)]  # lo, di, up, s, w, off, x
+        blockwise = [np.zeros(2), np.zeros(2), np.empty(2), np.empty(2), np.empty(2, bool)]
+
+        def call(at=None, bad=None, n=5):
+            args = [*arrays[:7], n, *blockwise, 1e-13, True]
+            if at is not None:
+                args[at] = bad
+            return ldlt_kernel.noda(*args)
+
+        assert call() >= 0
+        read_only = arrays[6].copy()
+        read_only.flags.writeable = False
+        for at in (0, 6, 8, 10, 12):
+            good = arrays[at] if at < 7 else blockwise[at - 8]
+            for bad in (good[:-1].copy(), np.repeat(good, 2)[::2]):
+                with pytest.raises(ValueError):
+                    call(at, bad)
+            with pytest.raises(ValueError):
+                call(at, good.astype(np.float32 if good.dtype != bool else np.int8))
+        for at in (6, 10, 12):
+            frozen = (arrays[at] if at < 7 else blockwise[at - 8]).copy()
+            frozen.flags.writeable = False
+            with pytest.raises(ValueError):
+                call(at, frozen)
+        for n in (0, 3):  # no block size, not whole blocks
+            with pytest.raises(ValueError):
+                call(n=n)
+        with pytest.raises(TypeError):
+            ldlt_kernel.noda(*arrays)
+
+    def test_residual_and_lu_refuse_wrong_buffers(self, ldlt_kernel):
+        rng = np.random.default_rng(13)
+        lo, di, up = (a.ravel() for a in lu_stack(rng, 2, 4))
+        a, b, u = (rng.uniform(0.5, 1.0, 8) for _ in range(3))
+        res, slope = np.empty(8), np.empty(8)
+        ldlt_kernel.residual(lo, di, up, a, b, u, res, slope)
+        factor, pivots, x = np.empty(32), np.empty(8, np.intc), np.ones(8)
+        assert ldlt_kernel.gttrf(lo, di, up, factor, pivots, x)
+        read_only = np.empty(8)
+        read_only.flags.writeable = False
+        bad_residuals = [
+            (lo[:7], di, up, a, b, u, res, slope),                      # lengths differ
+            (lo, di, up, a, b, u.astype(np.float32), res, slope),       # dtype
+            (lo, di, up, a, b, np.repeat(u, 2)[::2], res, slope),       # layout
+            (lo, di, up, a, b, u, read_only, slope),                    # writability
+        ]
+        bad_factors = [
+            (lo, di[:7], up, factor, pivots, x),
+            (lo, di, up, factor[:31], pivots, x),
+            (lo, di, up, factor, pivots[:7], x),
+            (lo, di, up, factor, pivots.astype(np.int64), x),
+            (lo, di, up, factor, pivots, np.ones(7)),                   # not whole rows
+            (lo, di, up, np.repeat(factor, 2)[::2], pivots, x),
+            (lo, di, up, factor, pivots, read_only),
+        ]
+        for entry, calls in ((ldlt_kernel.residual, bad_residuals),
+                             (ldlt_kernel.gttrf, bad_factors)):
+            for args in calls:
+                with pytest.raises(ValueError):
+                    entry(*args)
+            with pytest.raises(TypeError):
+                entry(*calls[0][:-1])
 
 
 class TestReductionMaps:
