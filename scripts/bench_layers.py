@@ -41,7 +41,10 @@ ratio 2).  The layers:
 - ``noda``: Noda's iteration alone (``eigen._stacked_solve``, from the
   start vectors, the bands and their couplings built outside the timed
   call) on one mutant's linearization and on a stack of 16, at 201, 1,601
-  and 8,001 reduced DOFs, once per route as for ``step``;
+  and 8,001 reduced DOFs, and at 201 on the 100 pairs of ``pip_10x10``
+  (``pip_pairs_100``), whose blocks stop on different passes (21 after 3
+  solves, 79 after 4; the 16 all stop after 4), once per route as for
+  ``step``;
 - ``newton``: the capacity-start damped Newton alone
   (``_SteadyProblem.newton``, the problem built outside the timed call) of
   the resident, on its own ``(N,)`` arrays, and of a stack of 16 residents
@@ -162,6 +165,7 @@ FALLBACK_PER_PATCH = 9
 FINE_PER_PATCH = (100, 1000, 4000)  # 201, 2,001 and 8,001 reduced DOFs
 INNER_PER_PATCH = (100, 800, 4000)  # 201, 1,601 and 8,001 reduced DOFs
 INNER_STACKS = (1, 16)
+PIP_PER_PATCH = 100
 _BANDS = ("lo", "di", "up")
 STEPS_PER_REPEAT = 100
 HARNESS_STEPS = 20
@@ -289,9 +293,30 @@ def inner_loops(repeats: int) -> dict:
             newton[f"stack_{m}"] = _routes(
                 lambda: timed(lambda: problem.newton(u0, config), repeats)
             )
+        if per_patch == PIP_PER_PATCH:
+            lo, di, up, couplings, start = _pip_pairs(grid)
+            noda[f"pip_pairs_{len(di)}"] = _routes(lambda: timed(
+                lambda: eigen._stacked_solve(lo, di, up, couplings, start.copy()), repeats
+            ))
         out["noda"][str(grid.num_reduced)] = noda
         out["newton"][str(grid.num_reduced)] = newton
     return out
+
+
+def _pip_pairs(grid):
+    """The bands, couplings and start vectors of every (resident, mutant)
+    pair of ``pip_square(10)``, in its order, as ``fitness_table`` builds
+    them."""
+    residents, mutants = (
+        [pc.SpeciesTraits([1.0, 1.0], [p]) for p in scan] for scan in _pip_scans(10)
+    )
+    context = eigen.ResidentContext(LAND, ENV, residents, grid)
+    stack = eigen.MutantStack.assemble(grid, mutants)
+    rows, cols = np.divmod(np.arange(len(residents) * len(mutants)), len(mutants))
+    lo, di, up, start = (a.take(cols, axis=0) for a in (stack.lo, stack.di, stack.up, stack.start))
+    couplings = tuple(a.take(cols, axis=0) for a in stack.couplings)
+    di += stack.layout[cols].restrict_diag(context.potential.take(rows, axis=0))
+    return lo, di, up, couplings, start
 
 
 def steady_fallback(repeats: int) -> dict:
@@ -430,10 +455,14 @@ def simulate_rows(repeats: int) -> dict:
     return out
 
 
+def _pip_scans(size: int):
+    """The resident and the mutant scan of a ``size`` x ``size`` ``pip``."""
+    return np.linspace(2.2, 4.0, size), np.linspace(1.0, 4.0, size)
+
+
 def pip_square(size: int, repeats: int) -> dict:
-    grid = pc.build_grid(LAND, per_patch=100)
-    residents = np.linspace(2.2, 4.0, size)
-    mutants = np.linspace(1.0, 4.0, size)
+    grid = pc.build_grid(LAND, per_patch=PIP_PER_PATCH)
+    residents, mutants = _pip_scans(size)
     return timed(lambda: pc.pip(residents, mutants, [1.0, 1.0], LAND, ENV, grid), repeats)
 
 

@@ -28,8 +28,9 @@ every block: one kernel call that takes the product, the quotients, the
 residuals and stop tests, and the shifted LDLᵀ factor and solve of every
 block still going, side by side.  Each block's arithmetic is bit for bit
 that of its operator on its own.  Every block keeps its own shift, stop test
-and iteration count, and drops out of the stack once it stops.  A single
-operator is the stack of one.
+and iteration count; a block that stops stays in the stack, unsolved, so it
+reads the same stop on every later pass.  A single operator is the stack of
+one.
 
 ``ResidentContext`` is the one route from residents to invasion fitness: it
 holds a stack of residents, solves their steady states in one stacked
@@ -143,37 +144,27 @@ def _noda(lo, di, up, s, weights, off, scale, x):
     # max(RESIDUAL_TOL * max(1, |theta|), 5e-15 * scale) is
     # max(RESIDUAL_TOL * |theta|, least)
     least = np.maximum(RESIDUAL_TOL, 5e-15 * scale)
-    rows = np.arange(len(di))
-    out = None  # (theta, x, residual, iterations) of every block, once one stops
-    iterations = 0
+    iterations, stopped_before = 0, 0
+    counts = np.full(len(x), MAX_ITERS)  # each block's solves, once it has stopped
     while True:
         # the stop test comes before any factorisation, so an exact
         # eigenvector never factors a singular sigma I - A.  The LDLᵀ solves
         # take a solved iterate's residual to a few eps * scale at any size,
         # under ``least``, so there is no separate rounding-floor stop: a
         # loop that stalls above ``least`` ends at ``MAX_ITERS``.  The pass
-        # leaves the blocks that stop as they were.
+        # solves only the blocks still going and leaves the others' rows as
+        # they were, so a stopped block reads the same theta, residual and
+        # stop on every later pass.
         last = iterations == MAX_ITERS
         theta, res, done = noda_pass(
             (lo, di, up), (s, weights, off), margin, least, RESIDUAL_TOL, x, not last
         )
         stopped = np.count_nonzero(done)
-        if stopped:
-            if out is None:
-                if stopped == len(rows):  # all blocks stop on one pass
-                    return theta, x, res, np.full(len(rows), iterations)
-                out = (np.empty(len(rows)), np.empty_like(x), np.empty(len(rows)),
-                       np.empty(len(rows), dtype=int))
-            at = rows[done]
-            out[0][at], out[1][at], out[2][at] = theta[done], x[done], res[done]
-            out[3][at] = iterations
-            if stopped == len(rows):
-                return out
-            # freeze the stopped blocks: drop them from the stack
-            going = ~done
-            rows, lo, di, up, s, off, weights, x, margin, least = (
-                a[going] for a in (rows, lo, di, up, s, off, weights, x, margin, least)
-            )
+        if stopped > stopped_before:
+            np.minimum(counts, iterations, out=counts, where=done)
+            if stopped == len(x):
+                return theta, x, res, counts
+            stopped_before = stopped
         if last:
             raise EigenSolveError(
                 "principal eigen iteration did not converge; the operator may "

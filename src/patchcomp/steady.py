@@ -13,17 +13,20 @@ a tridiagonal Jacobian, stopped at the tolerance plus the rounding level of
 one residual evaluation.  It runs on one iterate or on a stack of R
 independent ones: each block keeps its own norm, noise floor, halving, stop
 and stall, and the going blocks' Jacobians are factored together as one
-block-diagonal matrix, each bit for bit as on its own; the stack is
-re-indexed only when some blocks stop and others go on.
+block-diagonal matrix, each bit for bit as on its own.  A block that stops
+stays in the stack with a zero step, so its iterate and residual stay as
+they were.
 
 ``solve_resident_steady_states`` solves R residents that share a grid and an
-environment as the stacks of ``operators.stack_chunks``; the blocks Newton
-leaves unconverged start again, as a sub-stack, from the super-solution
-``M c`` (``c`` the jump-consistent constant, ``M = super_level``).  The
-steady state is the one positive equilibrium of a cooperative system with a
-concave residual, so every Newton iterate from a super-solution, full or
-damped, stays a super-solution at or above it, where minus the Jacobian is
-a nonsingular M-matrix: the restart needs no further fallback.
+environment as the stacks of ``operators.stack_chunks``; when Newton leaves
+blocks unconverged, the whole stack starts again, those blocks from the
+super-solution ``M c`` (``c`` the jump-consistent constant,
+``M = super_level``) and the others from their states, where they stop at
+once.  The steady state is the one positive equilibrium of a cooperative
+system with a concave residual, so every Newton iterate from a
+super-solution, full or damped, stays a super-solution at or above it, where
+minus the Jacobian is a nonsingular M-matrix: the restart needs no further
+fallback.
 ``solve_resident_steady`` is its R = 1 case, and a stack of one runs on its
 own (N,) arrays, where it costs what a single solve does.  The
 continuous-form oracle in ``transform`` drives its own discretization
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SteadyConvergenceError, checked_number
+from .errors import SteadyConvergenceError, ValidationError, checked_number
 from .grid import Grid, PiecewiseField, patch_derivative
 from .landscape import (
     PatchEnvironment,
@@ -88,13 +91,13 @@ def damped_newton(residual, u0, floor: float, cap: float, row_scale, config: Ste
     """Damped Newton for ``F(u) = 0`` with a tridiagonal Jacobian, on one
     iterate ``u0`` of shape (N,) or on a stack of R independent ones, (R, N).
 
-    ``residual(u, rows)`` returns ``F(u)`` and the Jacobian's (lo, di, up)
-    bands in the stack convention of ``operators`` (each shaped as ``u``,
-    ``lo[..., 0]`` and ``up[..., -1]`` zero) for the blocks ``rows`` of the
-    stack, whose iterates ``u`` holds: ``rows`` is None while every block
-    goes on, and the index array of the blocks still going once some have
-    stopped.  The going blocks' Jacobians are factored together
-    (``factor_blocks``), each bit for bit as on its own.
+    ``residual(u)`` returns ``F(u)`` and the Jacobian's (lo, di, up) bands in
+    the stack convention of ``operators`` (each shaped as ``u``, ``lo[..., 0]``
+    and ``up[..., -1]`` zero), so each block's rows depend on that block's
+    iterate alone.  The going blocks' Jacobians are factored together
+    (``factor_blocks``), each bit for bit as on its own; the blocks that have
+    stopped stay in the stack with a zero step, and their bands, which may be
+    singular or non-finite, are never factored.
 
     Every block keeps its own stop, step and stall.  Iterates are clipped
     below at ``floor``.  The stop is ``max|F| <= newton_tol + noise``, where
@@ -102,51 +105,41 @@ def damped_newton(residual, u0, floor: float, cap: float, row_scale, config: Ste
     residual evaluation (``row_scale`` is one value, or one per block of a
     stack).  Each step is halved until ``max|F|`` falls by the Armijo factor;
     a step that would have to be shorter than ``MIN_STEP`` (or a non-finite
-    residual) stalls the block, and ``max_newton_iters`` caps the run (each
-    run: a caller that starts Newton again gets the cap again).  Returns
-    ``(u, max|F|, converged)``, one norm and flag per block (scalars for one
-    iterate); a stalled or exhausted block returns its last iterate
-    unconverged.
+    residual) stalls the block for the rest of the run, and
+    ``max_newton_iters`` caps the run (each run: a caller that starts Newton
+    again gets the cap again).  Returns ``(u, max|F|, converged)``, one norm
+    and flag per block (scalars for one iterate); a stalled or exhausted
+    block returns its last iterate unconverged.
     """
     u = np.maximum(np.asarray(u0, dtype=float), floor)
     noise = 8.0 * np.finfo(float).eps * np.asarray(row_scale, dtype=float)
-    res, bands = residual(u, None)
-    rows = None  # the going blocks' indices into the stack, once some have stopped
-    out = None  # (u, norm, converged) of every block, once one has stopped
-    stalled = None  # the blocks whose last line search stalled
+    res, bands = residual(u)
+    stalled = None  # the blocks whose line search has stalled
     for iteration in range(config.max_newton_iters + 1):
         norm = _block_max(res)
         bound = config.newton_tol + noise * _block_max(u, cap)
-        # NaN fails both tests, so a non-finite residual stops its block
+        # NaN fails both tests, so a non-finite residual stops its block; a
+        # stopped block's iterate and residual stay as they are, so it stops
+        # again on every later pass
         going = (norm > bound) & (norm < np.inf)
         if stalled is not None:
             going &= ~stalled
-        if iteration == config.max_newton_iters:
-            going = np.zeros_like(going)
         count = np.count_nonzero(going)
-        if count < going.size:
-            converged = norm <= bound
-            if out is None:
-                if not count:  # every block stops on one pass (always, for one iterate)
-                    return u, norm, converged
-                out = (np.empty_like(u), np.empty_like(norm), np.empty_like(converged))
-                rows = np.arange(len(u))
-                noise = np.broadcast_to(noise, norm.shape)
-            done = ~going
-            at = rows[done]
-            out[0][at], out[1][at], out[2][at] = u[done], norm[done], converged[done]
-            if not count:
-                return out
-            # drop the stopped blocks from the stack
-            rows, u, res, norm, noise = (a[going] for a in (rows, u, res, norm, noise))
-            bands = tuple(band[going] for band in bands)
-        step = factor_blocks(*bands, -res)
+        if not count or iteration == config.max_newton_iters:
+            return u, norm, norm <= bound
+        if count == going.size:
+            step = factor_blocks(*bands, -res)
+        else:
+            step = np.zeros_like(u)
+            step[going] = factor_blocks(*(band[going] for band in bands), -res[going])
         trial = np.maximum(u + step, floor)
-        trial_res, trial_bands = residual(trial, rows)
+        trial_res, trial_bands = residual(trial)
         accept = _block_max(trial_res) <= (1.0 - ARMIJO) * norm
-        stalled = None
+        if count < going.size:
+            accept |= ~going  # a stopped block keeps its iterate
         if np.count_nonzero(accept) < accept.size:
-            alpha, stalled = np.ones_like(norm), np.zeros_like(accept)
+            alpha = np.ones_like(norm)
+            stalled = np.zeros_like(accept) if stalled is None else stalled
             while not np.all(accept):
                 # the blocks still searching halve their steps; the others
                 # keep their accepted trial, and a stalled block its last iterate
@@ -155,7 +148,7 @@ def damped_newton(residual, u0, floor: float, cap: float, row_scale, config: Ste
                 stalled = stalled | (search & (alpha < MIN_STEP))
                 search &= ~stalled
                 again = np.maximum(u + alpha[..., None] * step, floor)
-                again_res, again_bands = residual(again, rows)
+                again_res, again_bands = residual(again)
                 now = search & (_block_max(again_res) <= (1.0 - ARMIJO * alpha) * norm)
                 keep, now = (now | stalled)[..., None], now[..., None]
                 trial = np.where(keep, np.where(now, again, u), trial)
@@ -176,31 +169,18 @@ class _SteadyProblem:
     diffusion bands and the logistic coefficients ``(a, b)`` of
     ``SpeciesLayout.logistic_coefficients`` (the eliminated right traces
     folded into the trace DOFs), so Newton never leaves the reduced DOFs.
-    The capacities ``k`` give the floor and the cap.  ``problem[rows]`` is a
-    stack's sub-stack, with what Newton reads (the ``layout`` stays with the
-    whole stack)."""
-
-    _ROWS = ("lo", "di", "up", "a", "b")
+    The capacities ``k`` give the floor and the cap."""
 
     def __init__(self, grid: Grid, env: PatchEnvironment, traits):
         self.layout, self.lo, self.di, self.up = diffusion_bands(grid, traits)
         self.a, self.b = self.layout.logistic_coefficients(env, self.layout.p)
         self.k = env.k_array
 
-    def __getitem__(self, rows) -> "_SteadyProblem":
-        sub = object.__new__(_SteadyProblem)
-        for name in self._ROWS:
-            setattr(sub, name, getattr(self, name)[rows])
-        sub.k = self.k
-        return sub
-
-    def residual(self, u: np.ndarray, rows=None):
+    def residual(self, u: np.ndarray):
         """``A u + u (a - b u)`` and the bands of its Jacobian, whose
-        diagonal is ``di + a - 2 b u``, for the blocks ``rows`` of a stack
-        (all of them when None)."""
-        problem = self if rows is None else self[rows]
-        res, slope = logistic_residual(problem.lo, problem.di, problem.up, problem.a, problem.b, u)
-        return res, (problem.lo, slope, problem.up)
+        diagonal is ``di + a - 2 b u``."""
+        res, slope = logistic_residual(self.lo, self.di, self.up, self.a, self.b, u)
+        return res, (self.lo, slope, self.up)
 
     def newton(self, u0, config: SteadyConfig):
         row_scale = (np.abs(self.di) + np.abs(self.lo) + np.abs(self.up)).max(axis=-1)
@@ -209,20 +189,15 @@ class _SteadyProblem:
         )
 
     def solve(self, u0: np.ndarray, config: SteadyConfig) -> np.ndarray:
-        """The reduced states: Newton from ``u0``; the blocks it leaves
-        unconverged start again from the super-solution ``M c`` (as a
-        sub-stack, unless every block is one of them, as a single (N,)
-        problem's one block always is)."""
+        """The reduced states: Newton from ``u0``; when it leaves blocks
+        unconverged, Newton again on the whole stack, from the super-solution
+        ``M c`` in those blocks and from their own iterates in the others,
+        which stop again at once."""
         u, norm, converged = self.newton(u0, config)
-        count = np.count_nonzero(converged)
-        if count < converged.size:
+        if np.count_nonzero(converged) < converged.size:
             scales = self.layout.scales
             top = self.layout.fill(super_level(self.k, scales)[..., None] * scales)
-            if count:
-                rows = np.flatnonzero(~converged)
-                u[rows], norm[rows], converged[rows] = self[rows].newton(top[rows], config)
-            else:
-                u, norm, converged = self.newton(top, config)
+            u, norm, converged = self.newton(np.where(converged[..., None], u, top), config)
             if np.count_nonzero(converged) < converged.size:
                 raise SteadyConvergenceError(
                     "steady solve failed after Newton and its restart from a super-solution",
@@ -249,16 +224,20 @@ def solve_resident_steady_states(
 
     Each state is bit for bit the one ``solve_resident_steady`` returns for
     that resident alone.  Damped Newton runs on each stack, from the
-    per-patch capacity profiles or from ``initial`` (one reduced row per
-    resident); the blocks it leaves unconverged start again from the
-    super-solution ``M c``.  A block that still fails, or a state that is not
-    positive, raises SteadyConvergenceError for the call.  A stack of one is
-    solved on its own (N,) arrays, where it costs what a single solve does.
+    per-patch capacity profiles or from ``initial`` (one finite reduced row
+    per resident, shaped (R, N), else ValidationError); the blocks it leaves
+    unconverged start again from the super-solution ``M c``.  A block that
+    still fails, or a state that is not positive, raises
+    SteadyConvergenceError for the call.  A stack of one is solved on its own
+    (N,) arrays, where it costs what a single solve does.
     """
     residents = list(residents)
     config = config or SteadyConfig()
     if initial is not None:
-        initial = np.asarray(initial, dtype=float).reshape(len(residents), grid.num_reduced)
+        initial = np.asarray(initial, dtype=float)
+        shape = (len(residents), grid.num_reduced)
+        if initial.shape != shape or not np.isfinite(initial).all():
+            raise ValidationError(f"initial: must be finite and shaped {shape}")
     states = []
     for part in stack_chunks(len(residents), grid.num_reduced):
         chunk = residents[part]
@@ -282,9 +261,11 @@ def solve_resident_steady(
     """Positive steady state of the single-species problem on this grid.
 
     Deterministic: starts from the per-patch capacity profile unless an
-    explicit reduced initial guess is given.  The R = 1 case of
+    explicit reduced initial guess, shaped (N,), is given.  The R = 1 case of
     ``solve_resident_steady_states``.
     """
+    if initial is not None:
+        initial = np.asarray(initial, dtype=float)[None]
     return solve_resident_steady_states(landscape, env, [traits], grid, config, initial)[0]
 
 

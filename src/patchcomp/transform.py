@@ -170,7 +170,7 @@ def solve_transformed_steady(
     for i in range(grid.n):
         w[off[i] : off[i + 1] + 1] = kt[i]
 
-    def residual(wv, rows):  # one iterate, so ``rows`` is always None
+    def residual(wv):
         react, (jlo, jdi, jup) = _fv_reaction(problem, grid, wv, vol, h)
         y = tridiagonal_matvec(lo, di, up, wv)
         y += react

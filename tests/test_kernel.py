@@ -196,16 +196,19 @@ def test_the_figures_pivot_restart_and_stop_on_different_iterations(ldlt_kernel,
 
     monkeypatch.setattr(steady, "damped_newton", spy)
     grid = pc.build_grid(LAND, per_patch=60)
-    stops = []
-    residual = steady._SteadyProblem.residual
+    going = []  # the blocks of each stack that reaches the LU
+    factor = steady.factor_blocks
 
-    def rows_going(self, u, rows=None):
-        stops.append(len(u) if rows is None else len(rows))
-        return residual(self, u, rows)
+    def factor_going(lo, di, up, rhs):
+        going.append(len(rhs))
+        return factor(lo, di, up, rhs)
 
-    monkeypatch.setattr(steady._SteadyProblem, "residual", rows_going)
+    monkeypatch.setattr(steady, "factor_blocks", factor_going)
     pc.solve_resident_steady_states(LAND, ENV, STAGGERED, grid)
-    assert len(set(stops)) == 3 and counting.pivots > 0 and runs == [[True] * 4]
+    # the four blocks stop on three different iterations: the stack of going
+    # blocks shrinks twice from the whole stack
+    assert len({len(STAGGERED), *going}) == 3
+    assert counting.pivots > 0 and runs == [[True] * 4]
     counting.pivots, runs[:] = 0, []
     pc.solve_resident_steady(STALLING, STALLING_ENV, STALLING_TRAITS,
                              pc.build_grid(STALLING, per_patch=9))

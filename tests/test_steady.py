@@ -382,26 +382,29 @@ class TestStackedSteady:
         starts = np.array([np.repeat(env.k_array, [grid.counts[0] + 1, grid.counts[1]]),
                            np.full(grid.num_reduced, 0.05)])
         problem = patchcomp.steady._SteadyProblem
-        rows, started = [], []
-        residual, newton = problem.residual, problem.newton
+        factored, started = [], []
+        factor, newton = patchcomp.steady.factor_blocks, problem.newton
 
-        def spy_residual(self, u, index=None):
-            rows.append(None if index is None else list(index))
-            return residual(self, u, index)
+        def spy_factor(lo, di, up, rhs):
+            factored.append(up.copy())
+            return factor(lo, di, up, rhs)
 
         def spy_newton(self, u0, config):
             started.append(u0)
             return newton(self, u0, config)
 
-        monkeypatch.setattr(problem, "residual", spy_residual)
+        monkeypatch.setattr(patchcomp.steady, "factor_blocks", spy_factor)
         monkeypatch.setattr(problem, "newton", spy_newton)
         stack = pc.solve_resident_steady_states(land, env, residents, grid, initial=starts)
-        # p = kbar stops at iteration 0, so Newton goes on with p = 3 alone,
-        # and only p = 3 starts again, from its M c
-        assert rows[:2] == [None, [1]]
+        # p = kbar stops at iteration 0, so only p = 3's Jacobian is ever
+        # factored, and only p = 3 starts again, from its M c, while p = kbar
+        # starts the restart from the state it stopped at
+        whole = problem(grid, env, residents)
+        assert factored and all(np.array_equal(up, whole.up[1:]) for up in factored)
         level = (env.k_array / residents[1].cumulative_scales()).max()
         assert len(started) == 2 and np.array_equal(started[0], starts)
-        assert np.array_equal(started[1], [level * consistent_constant(grid, residents[1])])
+        assert np.array_equal(started[1][0], starts[0])
+        assert np.array_equal(started[1][1], level * consistent_constant(grid, residents[1]))
         monkeypatch.undo()
         for resident, start, field in zip(residents, starts, stack):
             single = pc.solve_resident_steady(land, env, resident, grid, initial=start)
@@ -419,9 +422,9 @@ class TestStackedSteady:
         calls = {"residual": 0, "factor": 0}
         residual, factor = patchcomp.steady._SteadyProblem.residual, patchcomp.steady.factor_blocks
 
-        def count_residual(self, u, rows=None):
+        def count_residual(self, u):
             calls["residual"] += 1
-            return residual(self, u, rows)
+            return residual(self, u)
 
         def count_factor(*bands):
             calls["factor"] += 1
@@ -465,6 +468,23 @@ class TestStackedSteady:
         assert sizes == [(2,), (2,), (2,), (2,), (), ()]
         assert [a.values.tolist() for a in chunked] == [b.values.tolist() for b in whole]
 
+    def test_initial_must_be_finite_and_one_row_per_resident(self, unit_two_patch):
+        # a NaN at a block's ends would cross the zero corners of the band
+        # product into its neighbours' residuals; a flat array of the right
+        # size is not one row per resident
+        land, env = unit_two_patch
+        grid = pc.build_grid(land, per_patch=40)
+        residents = [pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([p])) for p in (1.5, 2.5, 3.5)]
+        starts = np.ones((3, grid.num_reduced))
+        starts[1, [0, -1]] = np.nan
+        for initial in (starts, np.ones(3 * grid.num_reduced), np.ones((3, grid.num_reduced + 1))):
+            with pytest.raises(pc.ValidationError, match="initial"):
+                pc.solve_resident_steady_states(land, env, residents, grid, initial=initial)
+        with pytest.raises(pc.ValidationError, match="initial"):
+            pc.solve_resident_steady(land, env, residents[0], grid, initial=starts[1])
+        with pytest.raises(pc.ValidationError, match="initial"):
+            pc.solve_resident_steady(land, env, residents[0], grid, initial=starts[:1, :-1])
+
     def test_empty_stack_solves_nothing(self, unit_two_patch):
         land, env = unit_two_patch
         grid = pc.build_grid(land, per_patch=20)
@@ -499,26 +519,31 @@ class TestSuperSolutionRestart:
     def test_natural_stall_restarts_from_the_super_solution(self, name, monkeypatch):
         land, env, traits = stalling_landscape(name)
         grid = pc.build_grid(land, per_patch=9)
-        runs = []
-        newton = patchcomp.steady.damped_newton
+        runs, factored = [], []
+        newton, factor = patchcomp.steady.damped_newton, patchcomp.steady.factor_blocks
 
         def spy(residual, u0, floor, cap, row_scale, config):
             # every point Newton evaluates, with its residual
             points = []
 
-            def record(u, rows):
-                out = residual(u, rows)
+            def record(u):
+                out = residual(u)
                 points.append((u.copy(), out[0].copy()))
                 return out
 
+            factored.append([])
             out = newton(record, u0, floor, cap, row_scale, config)
-            runs.append((u0, points, row_scale, out[2]))
+            runs.append((u0, points, row_scale, out))
             return out
+
+        def spy_factor(lo, di, up, rhs):
+            factored[-1].append(len(rhs))
+            return factor(lo, di, up, rhs)
 
         monkeypatch.setattr(patchcomp.steady, "damped_newton", spy)
         u = pc.solve_resident_steady(land, env, traits, grid)
         monkeypatch.undo()
-        (_, _, _, first), (start, points, row_scale, restart) = runs
+        (_, _, _, (_, _, first)), (start, points, row_scale, (_, _, restart)) = runs
         assert not first and restart
         level = (env.k_array / traits.cumulative_scales()).max()
         assert np.array_equal(start, level * consistent_constant(grid, traits))
@@ -532,13 +557,20 @@ class TestSuperSolutionRestart:
             assert res.max() <= noise
             assert (x - ustar).min() >= -64.0 * eps * ustar.max()
         # stacked behind a resident that converges from the capacity
-        # profile, the stalled block restarts as a sub-stack of one
+        # profile, only the stalled block starts again from M c and reaches
+        # the restart's factorisations; the other starts from its state
         easy = pc.SpeciesTraits(np.ones(grid.n), pc.StrategyVector(np.ones(grid.n - 1)))
         runs.clear()
+        factored.clear()
         monkeypatch.setattr(patchcomp.steady, "damped_newton", spy)
+        monkeypatch.setattr(patchcomp.steady, "factor_blocks", spy_factor)
         stack = pc.solve_resident_steady_states(land, env, [easy, traits], grid)
         monkeypatch.undo()
-        assert [np.shape(converged) for *_, converged in runs] == [(2,), (1,)]
+        (_, _, _, (first_u, _, first)), (start, _, _, (_, _, restart)) = runs
+        assert first.tolist() == [True, False] and restart.tolist() == [True, True]
+        assert np.array_equal(start[0], first_u[0])
+        assert np.array_equal(start[1], level * consistent_constant(grid, traits))
+        assert factored[1] and set(factored[1]) == {1}
         assert np.array_equal(stack[1].values, u.values)
         single = pc.solve_resident_steady(land, env, easy, grid)
         assert np.array_equal(stack[0].values, single.values)
@@ -548,7 +580,7 @@ class TestDampedNewton:
     @staticmethod
     def shifted(sign):
         # F(u) = u - 2 with the Jacobian's bands scaled by sign (1: exact)
-        def residual(u, rows):
+        def residual(u):
             return u - 2.0, (np.zeros_like(u), np.full_like(u, sign), np.zeros_like(u))
         return residual
 
@@ -570,10 +602,9 @@ class TestDampedNewton:
         # search, and both stop on that pass
         signs, calls = np.array([1.0, -1.0]), []
 
-        def residual(u, rows):
-            calls.append(rows)
-            sign = signs if rows is None else signs[rows]
-            return u - 2.0, (np.zeros_like(u), sign[:, None] * np.ones_like(u),
+        def residual(u):
+            calls.append(u.shape)
+            return u - 2.0, (np.zeros_like(u), signs[:, None] * np.ones_like(u),
                              np.zeros_like(u))
 
         u, norm, converged = damped_newton(
@@ -581,10 +612,10 @@ class TestDampedNewton:
         )
         assert np.array_equal(u, [[2.0, 2.0, 2.0], [1.0, 1.0, 1.0]])
         assert norm.tolist() == [0.0, 1.0] and converged.tolist() == [True, False]
-        assert all(rows is None for rows in calls)
+        assert set(calls) == {(2, 3)}
 
     def test_non_finite_residual_returns_unconverged(self, monkeypatch):
-        def residual(u, rows):
+        def residual(u):
             return np.full(3, np.nan), (np.zeros(3), np.ones(3), np.zeros(3))
 
         def refuse(*bands):
@@ -595,6 +626,44 @@ class TestDampedNewton:
             residual, np.ones(3), 0.0, 1.0, 1.0, pc.SteadyConfig()
         )
         assert not converged and np.isnan(norm)
+
+    def test_non_finite_block_is_never_factored(self, monkeypatch):
+        # F(u) = u^2 - t per block, from u = 1: the middle block's residual
+        # and Jacobian turn NaN from the second evaluation on, so its first
+        # line search stalls and it stops, unconverged, while its neighbours
+        # go on to their roots with the bits of their own solves
+        def squares(targets, poisoned=None):
+            evaluated = []
+
+            def residual(u):
+                res, slope = u * u - targets, 2.0 * u
+                if evaluated and poisoned is not None:
+                    res[poisoned] = slope[poisoned] = np.nan
+                evaluated.append(u)
+                return res, (np.zeros_like(u), slope, np.zeros_like(u))
+            return residual
+
+        factored, factor = [], patchcomp.steady.factor_blocks
+
+        def spy_factor(lo, di, up, rhs):
+            factored.append(len(rhs))
+            assert np.isfinite(di).all() and np.isfinite(rhs).all()
+            return factor(lo, di, up, rhs)
+
+        monkeypatch.setattr(patchcomp.steady, "factor_blocks", spy_factor)
+        targets = np.array([2.0, 3.0, 5.0])
+        u, norm, converged = damped_newton(
+            squares(targets[:, None], poisoned=1), np.ones((3, 4)), 0.0, 1.0, np.ones(3),
+            pc.SteadyConfig(),
+        )
+        monkeypatch.undo()
+        assert factored[0] == 3 and max(factored[1:]) == 2
+        assert converged.tolist() == [True, False, True] and np.isnan(norm[1])
+        for block in (0, 2):
+            w, w_norm, w_converged = damped_newton(
+                squares(targets[block]), np.ones(4), 0.0, 1.0, 1.0, pc.SteadyConfig()
+            )
+            assert w_converged and np.array_equal(u[block], w) and norm[block] == w_norm
 
     @pytest.mark.parametrize("value", [0, 2.5, True, "50"])
     def test_iteration_cap_must_be_a_positive_integer(self, value):
