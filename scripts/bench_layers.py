@@ -17,7 +17,7 @@ for the reference two-patch pair (resident p = 3, mutant p = 2.5, capacity
 ratio 2).  The layers:
 
 - ``assembly``: ``assemble_diffusion`` of one species;
-- ``steady``: the resident's damped-Newton steady solve;
+- ``steady``: the resident's Newton steady solve;
 - ``fitness``: on a grid built inside each timed call (its index arrays
   are built lazily, so their cost lands in the solves), as for a new
   landscape, at 201, 801 and 1,601 reduced DOFs: the resident's steady
@@ -45,10 +45,14 @@ ratio 2).  The layers:
   (``pip_pairs_100``), whose blocks stop on different passes (21 after 3
   solves, 79 after 4; the 16 all stop after 4), once per route as for
   ``step``;
-- ``newton``: the capacity-start damped Newton alone
-  (``_SteadyProblem.newton``, the problem built outside the timed call) of
-  the resident, on its own ``(N,)`` arrays, and of a stack of 16 residents
-  (strategies spread over 1.2-4), at the same three sizes, once per route;
+- ``newton``: the capacity-start Newton alone (``_SteadyProblem.newton``,
+  the problem built outside the timed call) of the resident, on its own
+  ``(N,)`` arrays, and of a stack of 16 residents (strategies spread over
+  1.2-4), at the same three sizes, and the resident's steady solve from a
+  flat start of 0.05, below its state (``flat_start``:
+  ``_SteadyProblem.solve``, Newton and its restart from ``M c``), at 201 and
+  1,601 reduced DOFs, with the residual evaluations of one solve
+  (``residuals``), once per route;
 - ``oracle``: the resident's steady solve through the continuous-form route
   (``solve_transformed_steady``), at 201, 2,001 and 8,001 reduced DOFs;
 - ``step``: one ``Stepper.step`` of the resident/mutant pair at the default
@@ -165,6 +169,8 @@ FALLBACK_PER_PATCH = 9
 FINE_PER_PATCH = (100, 1000, 4000)  # 201, 2,001 and 8,001 reduced DOFs
 INNER_PER_PATCH = (100, 800, 4000)  # 201, 1,601 and 8,001 reduced DOFs
 INNER_STACKS = (1, 16)
+FLAT_START = 0.05
+FLAT_PER_PATCH = (100, 800)  # 201 and 1,601 reduced DOFs
 PIP_PER_PATCH = 100
 _BANDS = ("lo", "di", "up")
 STEPS_PER_REPEAT = 100
@@ -293,6 +299,8 @@ def inner_loops(repeats: int) -> dict:
             newton[f"stack_{m}"] = _routes(
                 lambda: timed(lambda: problem.newton(u0, config), repeats)
             )
+        if per_patch in FLAT_PER_PATCH:
+            newton["flat_start"] = _routes(lambda: _flat_start(grid, config, repeats))
         if per_patch == PIP_PER_PATCH:
             lo, di, up, couplings, start = _pip_pairs(grid)
             noda[f"pip_pairs_{len(di)}"] = _routes(lambda: timed(
@@ -300,6 +308,26 @@ def inner_loops(repeats: int) -> dict:
             ))
         out["noda"][str(grid.num_reduced)] = noda
         out["newton"][str(grid.num_reduced)] = newton
+    return out
+
+
+def _flat_start(grid, config, repeats: int) -> dict:
+    """``timed`` for the resident's steady solve from a flat start of
+    ``FLAT_START`` (the problem built outside the timed call), with the
+    residual evaluations of one solve."""
+    problem = steady._SteadyProblem(grid, ENV, RESIDENT)
+    start = np.full(grid.num_reduced, FLAT_START)
+    residual, evaluations = problem.residual, []
+
+    def counted(u):
+        evaluations.append(None)
+        return residual(u)
+
+    problem.residual = counted
+    problem.solve(start, config)
+    del problem.residual
+    out = timed(lambda: problem.solve(start, config), repeats)
+    out["residuals"] = len(evaluations)
     return out
 
 

@@ -33,7 +33,7 @@
  * the positivity check and the max-normalisation.  residual is the steady
  * problem's A u + u (a - b u) and its Jacobian's diagonal, through the same
  * band product.  gttrf is reference LAPACK dgttrf and dgtts2's solve, the LU
- * with partial pivoting of damped Newton, on the stack laid end to end as one
+ * with partial pivoting of Newton, on the stack laid end to end as one
  * matrix, as scipy's calls run it.
  *
  * Build: cc -O2 -fPIC -shared -ffp-contract=off -I<Python include>

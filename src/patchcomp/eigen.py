@@ -34,7 +34,7 @@ one.
 
 ``ResidentContext`` is the one route from residents to invasion fitness: it
 holds a stack of residents, solves their steady states in one stacked
-damped-Newton call and their growth potentials once, and evaluates every
+Newton call and their growth potentials once, and evaluates every
 (resident, mutant) pair of a ``MutantStack`` in stacked solves;
 ``invasion_fitness`` is its 1x1 case.  A scan pays per mutant for what
 depends on the mutant alone, once: its diffusion operator, its Noda start

@@ -52,7 +52,7 @@ def invasion_identity_residual(
     the gradient integrals carrying the diffusion contrast.  One-sided
     derivatives use three-point stencils, integrals the composite trapezoid.
     """
-    if ustar.grid is not grid or eig.phi.grid is not grid:
+    if ustar.grid != grid or eig.phi.grid != grid:
         raise ValidationError("fields must live on the provided grid")
     n = grid.n
     p = resident.p_array
@@ -137,6 +137,8 @@ def coexistence_identity_residuals(
     residual at most ``_STEADY_TOL``); otherwise the measured residual norm
     is reported in the raised error.
     """
+    if u.grid != grid or v.grid != grid:
+        raise ValidationError("fields must live on the provided grid")
     if b < a:
         raise ValidationError("window must satisfy a <= b")
     from .dynamics import pair_steady_residual

@@ -27,7 +27,7 @@ here: bands ``lo``/``di``/``up`` of shape ``(N,)`` for one operator, or
 block-diagonal tridiagonal matrix (``diffusion_bands`` assembles them so).
 These operations on it serve the package: ``tridiagonal_matvec``, the
 product; ``factor_blocks``, the one LU and its solve (LAPACK
-gttrf/gttrs), for damped Newton and ``solve_shifted``; ``factor_symmetrized``, the one LDLᵀ of
+gttrf/gttrs), for Newton and ``solve_shifted``; ``factor_symmetrized``, the one LDLᵀ of
 ``alpha - beta S A S⁻¹`` on the ``symmetrizing_similarity`` of the
 couplings, for the IMEX step; and the solvers' inner loops,
 ``noda_pass``, one pass of Noda's shifted inverse iteration (on the same

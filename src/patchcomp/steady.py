@@ -1,4 +1,4 @@
-"""Single-species steady states: damped Newton, restarted from a super-solution.
+"""Single-species steady states: Newton, restarted from a super-solution.
 
 The steady state is the unique positive equilibrium of logistic growth plus
 diffusion under the species' interface conditions.  It is solved on the
@@ -8,25 +8,25 @@ once per solve (``SpeciesLayout.logistic_coefficients``, which the time
 stepper's competition term shares); the Jacobian's diagonal is
 ``di + a - 2 b u``, and only the final state is expanded to the full DOFs.
 
-``damped_newton`` is the package's one Newton loop: an Armijo line search on
-a tridiagonal Jacobian, stopped at the tolerance plus the rounding level of
-one residual evaluation.  It runs on one iterate or on a stack of R
-independent ones: each block keeps its own norm, noise floor, halving, stop
-and stall, and the going blocks' Jacobians are factored together as one
-block-diagonal matrix, each bit for bit as on its own.  A block that stops
-stays in the stack with a zero step, so its iterate and residual stay as
-they were.
+``newton`` is the package's one Newton loop: full steps on a tridiagonal
+Jacobian, stopped at the tolerance plus the rounding level of one residual
+evaluation, and stalled by a step that does not lower the residual.  It runs
+on one iterate or on a stack of R independent ones: each block keeps its own
+norm, noise floor, stop and stall, and the going blocks' Jacobians are
+factored together as one block-diagonal matrix, each bit for bit as on its
+own.  A block that stops stays in the stack with a zero step, so its
+iterate and residual stay as they were.
 
 ``solve_resident_steady_states`` solves R residents that share a grid and an
 environment as the stacks of ``operators.stack_chunks``; when Newton leaves
-blocks unconverged, the whole stack starts again, those blocks from the
-super-solution ``M c`` (``c`` the jump-consistent constant,
-``M = super_level``) and the others from their states, where they stop at
-once.  The steady state is the one positive equilibrium of a cooperative
-system with a concave residual, so every Newton iterate from a
-super-solution, full or damped, stays a super-solution at or above it, where
-minus the Jacobian is a nonsingular M-matrix: the restart needs no further
-fallback.
+blocks unconverged (stalled, exhausted, or at the trivial root), the whole
+stack starts again, those blocks from the super-solution ``M c`` (``c`` the
+jump-consistent constant, ``M = super_level``) and the others from their
+states, where they stop at once.  The steady state is the one positive
+equilibrium of a cooperative system with a concave residual, so every full
+Newton iterate from a super-solution stays a super-solution at or above it,
+where minus the Jacobian is a nonsingular M-matrix: the restart needs no
+further fallback.
 ``solve_resident_steady`` is its R = 1 case, and a stack of one runs on its
 own (N,) arrays, where it costs what a single solve does.  The
 continuous-form oracle in ``transform`` drives its own discretization
@@ -55,8 +55,7 @@ from .operators import (
     stack_chunks,
 )
 
-ARMIJO = 1e-4            # sufficient-decrease factor of the line search
-MIN_STEP = 1e-4          # a line search that needs a shorter step has stalled
+ARMIJO = 1e-4            # the decrease factor a full Newton step must reach
 
 
 @dataclass(frozen=True)
@@ -87,9 +86,9 @@ def _block_max(a: np.ndarray, initial=None):
     return np.maximum.reduce(np.abs(a), axis=-1, initial=initial)
 
 
-def damped_newton(residual, u0, floor: float, cap: float, row_scale, config: SteadyConfig):
-    """Damped Newton for ``F(u) = 0`` with a tridiagonal Jacobian, on one
-    iterate ``u0`` of shape (N,) or on a stack of R independent ones, (R, N).
+def newton(residual, u0, floor: float, cap: float, row_scale, config: SteadyConfig):
+    """Newton for ``F(u) = 0`` with a tridiagonal Jacobian, on one iterate
+    ``u0`` of shape (N,) or on a stack of R independent ones, (R, N).
 
     ``residual(u)`` returns ``F(u)`` and the Jacobian's (lo, di, up) bands in
     the stack convention of ``operators`` (each shaped as ``u``, ``lo[..., 0]``
@@ -103,20 +102,20 @@ def damped_newton(residual, u0, floor: float, cap: float, row_scale, config: Ste
     below at ``floor``.  The stop is ``max|F| <= newton_tol + noise``, where
     the noise ``8 eps row_scale max(max|u|, cap)`` is the rounding level of one
     residual evaluation (``row_scale`` is one value, or one per block of a
-    stack).  Each step is halved until ``max|F|`` falls by the Armijo factor;
-    a step that would have to be shorter than ``MIN_STEP`` (or a non-finite
-    residual) stalls the block for the rest of the run, and
-    ``max_newton_iters`` caps the run (each run: a caller that starts Newton
-    again gets the cap again).  Returns ``(u, max|F|, converged)``, one norm
-    and flag per block (scalars for one iterate); a stalled or exhausted
-    block returns its last iterate unconverged.
+    stack).  Each step is the full one; a step that does not lower ``max|F|``
+    by the Armijo factor (or leaves it non-finite) stalls its block for the
+    rest of the run, at its last iterate, and ``max_newton_iters`` caps the
+    run (each run: a caller that starts Newton again gets the cap again).
+    Returns ``(u, max|F|, converged)``, one norm and flag per block (scalars
+    for one iterate); a stalled or exhausted block returns its last iterate
+    unconverged.
     """
     u = np.maximum(np.asarray(u0, dtype=float), floor)
     noise = 8.0 * np.finfo(float).eps * np.asarray(row_scale, dtype=float)
     res, bands = residual(u)
-    stalled = None  # the blocks whose line search has stalled
+    norm = _block_max(res)
+    stalled = None  # the blocks whose full step has failed
     for iteration in range(config.max_newton_iters + 1):
-        norm = _block_max(res)
         bound = config.newton_tol + noise * _block_max(u, cap)
         # NaN fails both tests, so a non-finite residual stops its block; a
         # stopped block's iterate and residual stay as they are, so it stops
@@ -133,32 +132,18 @@ def damped_newton(residual, u0, floor: float, cap: float, row_scale, config: Ste
             step = np.zeros_like(u)
             step[going] = factor_blocks(*(band[going] for band in bands), -res[going])
         trial = np.maximum(u + step, floor)
-        trial_res, trial_bands = residual(trial)
-        accept = _block_max(trial_res) <= (1.0 - ARMIJO) * norm
+        res, bands = residual(trial)
+        trial_norm = _block_max(res)
+        accept = trial_norm <= (1.0 - ARMIJO) * norm
         if count < going.size:
             accept |= ~going  # a stopped block keeps its iterate
         if np.count_nonzero(accept) < accept.size:
-            alpha = np.ones_like(norm)
-            stalled = np.zeros_like(accept) if stalled is None else stalled
-            while not np.all(accept):
-                # the blocks still searching halve their steps; the others
-                # keep their accepted trial, and a stalled block its last iterate
-                search = ~(accept | stalled)
-                alpha = np.where(search, 0.5 * alpha, alpha)
-                stalled = stalled | (search & (alpha < MIN_STEP))
-                search &= ~stalled
-                again = np.maximum(u + alpha[..., None] * step, floor)
-                again_res, again_bands = residual(again)
-                now = search & (_block_max(again_res) <= (1.0 - ARMIJO * alpha) * norm)
-                keep, now = (now | stalled)[..., None], now[..., None]
-                trial = np.where(keep, np.where(now, again, u), trial)
-                trial_res = np.where(keep, np.where(now, again_res, res), trial_res)
-                trial_bands = tuple(
-                    np.where(keep, np.where(now, a, b), t)
-                    for a, b, t in zip(again_bands, bands, trial_bands)
-                )
-                accept = accept | keep[..., 0]
-        u, res, bands = trial, trial_res, trial_bands
+            # a failed block keeps its last iterate and norm; its residual
+            # and bands are never read again, since it never goes again
+            stalled = ~accept if stalled is None else stalled | ~accept
+            trial = np.where(accept[..., None], trial, u)
+            trial_norm = np.where(accept, trial_norm, norm)
+        u, norm = trial, trial_norm
     raise AssertionError("unreachable: the last pass stops every block")
 
 
@@ -183,10 +168,15 @@ class _SteadyProblem:
         return res, (self.lo, slope, self.up)
 
     def newton(self, u0, config: SteadyConfig):
+        """One Newton run.  A root with ``b u < a / 2`` everywhere counts as
+        unconverged: it is the trivial one, since ``W A`` is symmetric and
+        ``A c = 0``, so ``sum(c w u (a - b u)) = 0`` at a positive state,
+        which therefore has ``b u >= a`` somewhere."""
         row_scale = (np.abs(self.di) + np.abs(self.lo) + np.abs(self.up)).max(axis=-1)
-        return damped_newton(
+        u, norm, converged = newton(
             self.residual, u0, 1e-12 * self.k.min(), self.k.max(), row_scale, config
         )
+        return u, norm, converged & np.any(self.b * u >= 0.5 * self.a, axis=-1)
 
     def solve(self, u0: np.ndarray, config: SteadyConfig) -> np.ndarray:
         """The reduced states: Newton from ``u0``; when it leaves blocks
@@ -223,7 +213,7 @@ def solve_resident_steady_states(
     environment, solved as the stacks of ``operators.stack_chunks``.
 
     Each state is bit for bit the one ``solve_resident_steady`` returns for
-    that resident alone.  Damped Newton runs on each stack, from the
+    that resident alone.  Newton runs on each stack, from the
     per-patch capacity profiles or from ``initial`` (one finite reduced row
     per resident, shaped (R, N), else ValidationError); the blocks it leaves
     unconverged start again from the super-solution ``M c``.  A block that

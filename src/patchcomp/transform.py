@@ -6,7 +6,7 @@ one with continuous density and flux and piecewise-constant coefficients.
 This module implements the rescaling both ways and a finite-volume steady
 solver on the rescaled problem, used as an independent oracle for the direct
 jump-aware route.  Only the discretization is its own: the Newton loop is
-``steady.damped_newton`` and the product ``operators.tridiagonal_matvec``,
+``steady.newton`` and the product ``operators.tridiagonal_matvec``,
 the ones the direct route uses.
 """
 
@@ -20,7 +20,7 @@ from .errors import SteadyConvergenceError, ValidationError
 from .grid import Grid, PiecewiseField
 from .landscape import Landscape, PatchEnvironment, SpeciesTraits
 from .operators import tridiagonal_matvec
-from .steady import SteadyConfig, damped_newton
+from .steady import SteadyConfig, newton
 
 # tighter than the direct route's default: the oracle is compared against it
 ORACLE_CONFIG = SteadyConfig(newton_tol=1e-11, max_newton_iters=80)
@@ -177,7 +177,7 @@ def solve_transformed_steady(
         return y, (lo + jlo, di + jdi, up + jup)
 
     row_scale = float((np.abs(di) + np.abs(lo) + np.abs(up)).max())
-    w, norm, converged = damped_newton(
+    w, norm, converged = newton(
         residual, w, 1e-12 * kt.min(), kt.max(), row_scale, ORACLE_CONFIG
     )
     if not converged:

@@ -689,6 +689,21 @@ class TestInvasionIdentity:
         res = invasion_identity_residual(ustar, pair, env, resident, mutant, grid)
         assert res <= 1e-11
 
+    def test_grids_compare_by_value(self, two_patch):
+        # an equal grid built again is the same grid; another resolution is not
+        land, env, resident, mutant = two_patch
+        grid = pc.build_grid(land, per_patch=40)
+        ustar = pc.solve_resident_steady(land, env, resident, grid)
+        pair = pc.invasion_fitness(land, env, resident, mutant, grid, ustar=ustar)
+        res = invasion_identity_residual(ustar, pair, env, resident, mutant, grid)
+        again = pc.build_grid(land, per_patch=40)
+        assert again is not grid
+        assert invasion_identity_residual(ustar, pair, env, resident, mutant, again) == res
+        with pytest.raises(pc.ValidationError, match="provided grid"):
+            invasion_identity_residual(
+                ustar, pair, env, resident, mutant, pc.build_grid(land, per_patch=50)
+            )
+
     def test_residual_converges_second_order(self, two_patch):
         land, env, resident, mutant = two_patch
         residuals = []
@@ -730,6 +745,18 @@ class TestCoexistenceIdentity:
             assert np.isnan(out.first)  # vanished-species form is undefined
             residuals.append(out.second)
         assert residuals[0] / residuals[1] == pytest.approx(4.0, rel=0.3)
+
+    def test_rejects_fields_of_another_grid(self, unit_two_patch):
+        land, env = unit_two_patch
+        resident = pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([3.0]))
+        mutant = pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([1.5]))
+        grid = pc.build_grid(land, per_patch=30)
+        vstar = pc.solve_resident_steady(land, env, mutant, grid)
+        zero = pc.PiecewiseField(grid, np.zeros(grid.num_dofs))
+        with pytest.raises(pc.ValidationError, match="provided grid"):
+            coexistence_identity_residuals(
+                zero, vstar, env, resident, mutant, pc.build_grid(land, per_patch=40), 1.0, 2.0
+            )
 
     def test_rejects_non_steady_state(self, unit_two_patch):
         land, env = unit_two_patch

@@ -187,14 +187,14 @@ def test_the_figures_pivot_restart_and_stop_on_different_iterations(ldlt_kernel,
     counting = CountingKernel(ldlt_kernel)
     monkeypatch.setattr(operators, "_ldlt", counting)
     runs = []
-    newton = steady.damped_newton
+    newton = steady.newton
 
     def spy(residual, u0, *args):
         out = newton(residual, u0, *args)
         runs.append(np.ravel(out[2]).tolist())
         return out
 
-    monkeypatch.setattr(steady, "damped_newton", spy)
+    monkeypatch.setattr(steady, "newton", spy)
     grid = pc.build_grid(LAND, per_patch=60)
     going = []  # the blocks of each stack that reaches the LU
     factor = steady.factor_blocks

@@ -13,7 +13,7 @@ from patchcomp.operators import (
     restrict_diagonal,
     restrict_values,
 )
-from patchcomp.steady import damped_newton
+from patchcomp.steady import newton
 from test_operators import (
     reference_expand_reduced,
     reference_factor_shifted,
@@ -43,14 +43,15 @@ def reference_logistic(grid, env, traits):
 
 
 def reference_steady(grid, env, traits, config, initial=None):
-    """The steady solve before the shared Newton driver: its own damped
-    Newton (a ``reference_factor_shifted`` LU solve per step), started again
-    from the super-solution ``M c`` when it does not converge, with the
-    growth ``u (a - b u)`` and its slope ``a - 2 b u`` in coefficient form
-    (``reference_logistic``).  ``c`` is the jump-consistent constant, the
-    products of the jump ratios left of each patch, and ``M`` the largest
-    ``k / c`` over the patches.  Returns the full field's values or raises
-    SteadyConvergenceError."""
+    """The steady solve before the shared Newton driver: its own Newton (a
+    ``reference_factor_shifted`` LU solve per full step, stalled by a step
+    that does not lower ``max|F|`` by 1e-4 of it), started again from the
+    super-solution ``M c`` when it does not converge or ends at the trivial
+    root (``b u < a / 2`` everywhere), with the growth ``u (a - b u)`` and
+    its slope ``a - 2 b u`` in coefficient form (``reference_logistic``).
+    ``c`` is the jump-consistent constant, the products of the jump ratios
+    left of each patch, and ``M`` the largest ``k / c`` over the patches.
+    Returns the full field's values or raises SteadyConvergenceError."""
     op = assemble_diffusion(grid, traits)
     a, b = reference_logistic(grid, env, traits)
     k = env.k_array
@@ -67,6 +68,9 @@ def reference_steady(grid, env, traits, config, initial=None):
         noise = 8.0 * np.finfo(float).eps * row_scale * max(float(np.abs(u).max()), k.max())
         return norm > config.newton_tol + noise
 
+    def failed(u, norm):
+        return unconverged(u, norm) or not np.any(b * u >= 0.5 * a)
+
     def newton(u0):
         u = np.maximum(np.asarray(u0, dtype=float).copy(), floor)
         res, slope = residual_and_slope(u)
@@ -75,16 +79,11 @@ def reference_steady(grid, env, traits, config, initial=None):
             if not unconverged(u, norm):
                 return u, norm
             step = reference_factor_shifted(op, slope)(-res)
-            alpha = 1.0
-            while True:
-                trial = np.maximum(u + alpha * step, floor)
-                trial_res, trial_slope = residual_and_slope(trial)
-                if np.abs(trial_res).max() <= (1.0 - 1e-4 * alpha) * norm:
-                    u, res, slope = trial, trial_res, trial_slope
-                    break
-                alpha *= 0.5
-                if alpha < 1e-4:
-                    return u, norm
+            trial = np.maximum(u + step, floor)
+            trial_res, trial_slope = residual_and_slope(trial)
+            if not np.abs(trial_res).max() <= (1.0 - 1e-4) * norm:
+                return u, norm
+            u, res, slope = trial, trial_res, trial_slope
         return u, float(np.abs(res).max())
 
     if initial is None:
@@ -92,14 +91,14 @@ def reference_steady(grid, env, traits, config, initial=None):
         for i in range(grid.n):
             initial[grid.reduced_patch_slice(i)] = env.k[i]
     u, norm = newton(initial)
-    if unconverged(u, norm):
+    if failed(u, norm):
         scales = np.cumprod(np.concatenate(([1.0], traits.p_array)))
         level = (k / scales).max()
         top = np.empty(grid.num_reduced)
         for i in range(grid.n):
             top[grid.reduced_patch_slice(i)] = level * scales[i]
         u, norm = newton(top)
-        if unconverged(u, norm):
+        if failed(u, norm):
             raise pc.SteadyConvergenceError("reference solve failed", residual=norm)
     if u.min() <= 0:
         raise pc.SteadyConvergenceError("reference lost positivity", residual=norm)
@@ -212,8 +211,8 @@ class TestSingleSpeciesSteady:
                 land, env, traits, grid, pc.SteadyConfig(max_newton_iters=1)
             )
         assert len(runs) == 2 and np.array_equal(runs[1][0], super_solution)
-        # from a flat start far below the state the line search stalls, and
-        # Newton starts again from M c
+        # from a flat start far below the state Newton falls to the floor,
+        # beside the trivial root, and stalls there; it starts again from M c
         runs.clear()
         start = np.full(grid.num_reduced, 0.05)
         u = pc.solve_resident_steady(land, env, traits, grid, initial=start)
@@ -345,7 +344,7 @@ class TestStackedSteady:
         ]
         # 1 and 2 force some blocks through the restart from M c
         config = pc.SteadyConfig(max_newton_iters=data.draw(st.sampled_from([50, 2, 1])))
-        # starts far below the state make the line search halve some steps
+        # from starts far below the state some blocks stall at the floor
         seed = data.draw(st.none() | st.integers(0, 2**32 - 1))
         starts = [None] * len(residents)
         if seed is not None:
@@ -377,7 +376,7 @@ class TestStackedSteady:
         grid = pc.build_grid(land, per_patch=100)
         kbar = float(pc.ifd_strategy(env).values[0])
         # the capacity profile is p = kbar's exact steady state; from a flat
-        # start far below its state, p = 3's line search stalls
+        # start far below its state, p = 3 falls to the floor and stalls there
         residents = [pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([p])) for p in (kbar, 3.0)]
         starts = np.array([np.repeat(env.k_array, [grid.counts[0] + 1, grid.counts[1]]),
                            np.full(grid.num_reduced, 0.05)])
@@ -411,16 +410,20 @@ class TestStackedSteady:
             assert np.array_equal(field.values, single.values)
         assert np.abs(stack[0].values - env.k_array[grid.patch_index_of_dofs()]).max() == 0.0
 
-    def test_line_search_halves_block_by_block(self, unit_two_patch, monkeypatch):
-        # from far below its state a block halves its first steps, while a
-        # block that starts from the capacity profile takes full ones
+    def test_far_below_block_stalls_and_restarts(self, unit_two_patch, monkeypatch):
+        # from far below its state a block's first full step falls to the
+        # floor, beside the trivial root, where the next one fails: the block
+        # stalls there and restarts from M c, while a block that starts from
+        # the capacity profile converges in the first run; no step is halved
         land, env = unit_two_patch
         grid = pc.build_grid(land, per_patch=40)
         residents = [pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([p])) for p in (3.0, 1.5)]
         starts = np.array([np.full(grid.num_reduced, 1e-5),
                            np.repeat(env.k_array, [grid.counts[0] + 1, grid.counts[1]])])
-        calls = {"residual": 0, "factor": 0}
-        residual, factor = patchcomp.steady._SteadyProblem.residual, patchcomp.steady.factor_blocks
+        calls, runs = {"residual": 0, "factor": 0}, []
+        problem = patchcomp.steady._SteadyProblem
+        residual, newton_run = problem.residual, problem.newton
+        factor = patchcomp.steady.factor_blocks
 
         def count_residual(self, u):
             calls["residual"] += 1
@@ -430,12 +433,24 @@ class TestStackedSteady:
             calls["factor"] += 1
             return factor(*bands)
 
-        monkeypatch.setattr(patchcomp.steady._SteadyProblem, "residual", count_residual)
+        def spy_newton(self, u0, config):
+            out = newton_run(self, u0, config)
+            runs.append((u0, out))
+            return out
+
+        monkeypatch.setattr(problem, "residual", count_residual)
+        monkeypatch.setattr(problem, "newton", spy_newton)
         monkeypatch.setattr(patchcomp.steady, "factor_blocks", count_factor)
         stack = pc.solve_resident_steady_states(land, env, residents, grid, initial=starts)
-        # one residual per start and per full step; a halving adds one more
-        assert calls["residual"] > calls["factor"] + 1
         monkeypatch.undo()
+        # one residual per run's start and per full step, and no other
+        assert calls["residual"] == calls["factor"] + len(runs)
+        (_, (first_u, _, first)), (restart, (_, _, again)) = runs
+        assert first.tolist() == [False, True] and again.tolist() == [True, True]
+        assert first_u[0].max() < 1e-10
+        level = (env.k_array / residents[0].cumulative_scales()).max()
+        assert np.array_equal(restart[0], level * consistent_constant(grid, residents[0]))
+        assert np.array_equal(restart[1], first_u[1])
         for resident, start, field in zip(residents, starts, stack):
             single = pc.solve_resident_steady(land, env, resident, grid, initial=start)
             assert np.array_equal(field.values, single.values)
@@ -462,9 +477,9 @@ class TestStackedSteady:
         monkeypatch.setattr(problem, "newton", spy_newton)
         monkeypatch.setattr(patchcomp.operators, "_STACK_DOFS", 2 * grid.num_reduced)
         chunked = pc.solve_resident_steady_states(land, env, residents, grid, config, starts)
-        # per stack, Newton and then its restart from M c (the line search
-        # stalls every block from these flat starts); the last resident is
-        # solved on its own (N,) arrays
+        # per stack, Newton and then its restart from M c (from these flat
+        # starts every block falls to the floor and stalls there); the last
+        # resident is solved on its own (N,) arrays
         assert sizes == [(2,), (2,), (2,), (2,), (), ()]
         assert [a.values.tolist() for a in chunked] == [b.values.tolist() for b in whole]
 
@@ -508,6 +523,17 @@ STALLING_LANDSCAPES = {
 }
 
 
+# A wide draw on which Newton from a flat start of 0.0103, far below the
+# state (max 22.28), ended at the trivial root: (boundaries, r, k, d, p)
+TRIVIAL_ROOT_DRAW = (
+    [0.0, 1.2477832752595082, 2.118012189372427, 3.2297652815886098, 4.690126856152936],
+    [1.804698743869697, 16.209538008670044, 0.1106406343801893, 1.2778213796728894],
+    [0.81729146875496, 7.849986611241803, 0.1318994888516424, 0.3455724374123231],
+    [0.019571744540581165, 2.9876180222135673, 0.10454175734382103, 13.489529781338385],
+    [10.574323344007286, 13.661684577037663, 0.23196995769544596],
+)
+
+
 def stalling_landscape(name):
     length, d, r, k, p = STALLING_LANDSCAPES[name]
     land = pc.Landscape(np.concatenate(([0.0], np.cumsum(length))))
@@ -520,7 +546,7 @@ class TestSuperSolutionRestart:
         land, env, traits = stalling_landscape(name)
         grid = pc.build_grid(land, per_patch=9)
         runs, factored = [], []
-        newton, factor = patchcomp.steady.damped_newton, patchcomp.steady.factor_blocks
+        run, factor = patchcomp.steady.newton, patchcomp.steady.factor_blocks
 
         def spy(residual, u0, floor, cap, row_scale, config):
             # every point Newton evaluates, with its residual
@@ -532,7 +558,7 @@ class TestSuperSolutionRestart:
                 return out
 
             factored.append([])
-            out = newton(record, u0, floor, cap, row_scale, config)
+            out = run(record, u0, floor, cap, row_scale, config)
             runs.append((u0, points, row_scale, out))
             return out
 
@@ -540,7 +566,7 @@ class TestSuperSolutionRestart:
             factored[-1].append(len(rhs))
             return factor(lo, di, up, rhs)
 
-        monkeypatch.setattr(patchcomp.steady, "damped_newton", spy)
+        monkeypatch.setattr(patchcomp.steady, "newton", spy)
         u = pc.solve_resident_steady(land, env, traits, grid)
         monkeypatch.undo()
         (_, _, _, (_, _, first)), (start, points, row_scale, (_, _, restart)) = runs
@@ -562,7 +588,7 @@ class TestSuperSolutionRestart:
         easy = pc.SpeciesTraits(np.ones(grid.n), pc.StrategyVector(np.ones(grid.n - 1)))
         runs.clear()
         factored.clear()
-        monkeypatch.setattr(patchcomp.steady, "damped_newton", spy)
+        monkeypatch.setattr(patchcomp.steady, "newton", spy)
         monkeypatch.setattr(patchcomp.steady, "factor_blocks", spy_factor)
         stack = pc.solve_resident_steady_states(land, env, [easy, traits], grid)
         monkeypatch.undo()
@@ -576,6 +602,39 @@ class TestSuperSolutionRestart:
         assert np.array_equal(stack[0].values, single.values)
 
 
+    # W A is symmetric and A c = 0, so a positive steady state has b u >= a
+    # somewhere: a Newton run that ends with b u < a / 2 everywhere has found
+    # the trivial root, and the block starts again from M c
+    @pytest.mark.parametrize("level", [1e-12, 1e-9])
+    def test_one_patch_flat_start_at_the_trivial_root_restarts(self, level):
+        land = pc.Landscape([0.0, 1.0])
+        env = pc.PatchEnvironment(r=[1.0], k=[1.0])
+        traits = pc.SpeciesTraits([1.0], pc.StrategyVector([]))
+        grid = pc.build_grid(land, per_patch=50)
+        start = np.full(grid.num_reduced, level)
+        u = pc.solve_resident_steady(land, env, traits, grid, initial=start)
+        assert np.abs(u.values - 1.0).max() <= 1e-10
+
+    def test_two_patch_start_at_the_trivial_root_restarts(self, unit_two_patch):
+        land, env = unit_two_patch
+        traits = pc.SpeciesTraits([1.0, 1.0], pc.ifd_strategy(env))
+        grid = pc.build_grid(land, per_patch=100)
+        start = 1e-11 * consistent_constant(grid, traits)
+        u = pc.solve_resident_steady(land, env, traits, grid, initial=start)
+        assert np.abs(u.values - env.k_array[grid.patch_index_of_dofs()]).max() <= 1e-10
+
+    def test_wide_draw_flat_start_reaches_the_capacity_start_state(self):
+        boundaries, r, k, d, p = TRIVIAL_ROOT_DRAW
+        land = pc.Landscape(boundaries)
+        env = pc.PatchEnvironment(r=r, k=k)
+        traits = pc.SpeciesTraits(d, pc.StrategyVector(p))
+        grid = pc.build_grid(land, per_patch=100)
+        start = np.full(grid.num_reduced, 0.010318933431418275)
+        u = pc.solve_resident_steady(land, env, traits, grid, initial=start)
+        reference = pc.solve_resident_steady(land, env, traits, grid)
+        assert np.abs(u.values - reference.values).max() <= 1e-9 * reference.values.max()
+
+
 class TestDampedNewton:
     @staticmethod
     def shifted(sign):
@@ -585,21 +644,22 @@ class TestDampedNewton:
         return residual
 
     def test_exact_jacobian_converges_in_one_step(self):
-        u, norm, converged = damped_newton(
+        u, norm, converged = newton(
             self.shifted(1.0), np.ones(3), 0.0, 1.0, 1.0, pc.SteadyConfig()
         )
         assert converged and norm == 0.0 and np.array_equal(u, np.full(3, 2.0))
 
-    def test_stalled_line_search_returns_unconverged(self):
-        u, norm, converged = damped_newton(
+    def test_failed_full_step_stalls_unconverged(self):
+        # the wrong-sign step doubles |F|, so the block keeps its start
+        u, norm, converged = newton(
             self.shifted(-1.0), np.ones(3), 0.0, 1.0, 1.0, pc.SteadyConfig()
         )
         assert not converged and norm == 1.0 and np.array_equal(u, np.ones(3))
 
     def test_stack_stops_each_block_on_its_own(self):
         # block 0 has the exact Jacobian, block 1 one of the wrong sign: the
-        # first converges after one step, the second stalls in its first line
-        # search, and both stop on that pass
+        # first converges after one step, the second's first full step
+        # fails, so it stalls, and both stop on that pass
         signs, calls = np.array([1.0, -1.0]), []
 
         def residual(u):
@@ -607,7 +667,7 @@ class TestDampedNewton:
             return u - 2.0, (np.zeros_like(u), signs[:, None] * np.ones_like(u),
                              np.zeros_like(u))
 
-        u, norm, converged = damped_newton(
+        u, norm, converged = newton(
             residual, np.ones((2, 3)), 0.0, 1.0, np.ones(2), pc.SteadyConfig()
         )
         assert np.array_equal(u, [[2.0, 2.0, 2.0], [1.0, 1.0, 1.0]])
@@ -622,16 +682,17 @@ class TestDampedNewton:
             raise AssertionError("a non-finite residual reached the factorisation")
 
         monkeypatch.setattr(patchcomp.steady, "factor_blocks", refuse)
-        _, norm, converged = damped_newton(
+        _, norm, converged = newton(
             residual, np.ones(3), 0.0, 1.0, 1.0, pc.SteadyConfig()
         )
         assert not converged and np.isnan(norm)
 
     def test_non_finite_block_is_never_factored(self, monkeypatch):
-        # F(u) = u^2 - t per block, from u = 1: the middle block's residual
-        # and Jacobian turn NaN from the second evaluation on, so its first
-        # line search stalls and it stops, unconverged, while its neighbours
-        # go on to their roots with the bits of their own solves
+        # F(u) = u^2 - t per block, from u = 1 (where every full step lowers
+        # |F|): the middle block's residual and Jacobian turn NaN from the
+        # second evaluation on, so its first full step stalls and it stops,
+        # unconverged, while its neighbours go on to their roots with the
+        # bits of their own solves
         def squares(targets, poisoned=None):
             evaluated = []
 
@@ -651,8 +712,8 @@ class TestDampedNewton:
             return factor(lo, di, up, rhs)
 
         monkeypatch.setattr(patchcomp.steady, "factor_blocks", spy_factor)
-        targets = np.array([2.0, 3.0, 5.0])
-        u, norm, converged = damped_newton(
+        targets = np.array([2.0, 3.0, 4.0])
+        u, norm, converged = newton(
             squares(targets[:, None], poisoned=1), np.ones((3, 4)), 0.0, 1.0, np.ones(3),
             pc.SteadyConfig(),
         )
@@ -660,7 +721,7 @@ class TestDampedNewton:
         assert factored[0] == 3 and max(factored[1:]) == 2
         assert converged.tolist() == [True, False, True] and np.isnan(norm[1])
         for block in (0, 2):
-            w, w_norm, w_converged = damped_newton(
+            w, w_norm, w_converged = newton(
                 squares(targets[block]), np.ones(4), 0.0, 1.0, 1.0, pc.SteadyConfig()
             )
             assert w_converged and np.array_equal(u[block], w) and norm[block] == w_norm
