@@ -41,8 +41,8 @@ ratio 2).  The layers:
   ``solve_resident_steady`` calls;
 - ``steady_fallback``: ``solve_resident_steady`` at 9 subintervals per
   patch on three landscapes (three, four and six patches) on which Newton
-  from the capacity profile does not converge, so each solve also runs the
-  steady solve's second path (the restart from the super-solution);
+  from the capacity profile, unlifted, stalls (in trees with a restart from
+  the super-solution, each solve also runs that second path);
 - ``eigen``: one ``principal_eigenpair`` solve, and ``principal_eigenpairs``
   on stacks of M = 1, 10 and 16 mutants' linearizations (per stack and per
   operator);
@@ -57,14 +57,15 @@ ratio 2).  The layers:
   (``pip_pairs_100``), whose blocks stop on different passes (21 after 3
   solves, 79 after 4; the 16 all stop after 4), once per route as for
   ``step``;
-- ``newton``: the capacity-start Newton alone (``_SteadyProblem.newton``,
-  the problem built outside the timed call) of the resident, on its own
-  ``(N,)`` arrays, and of a stack of 16 residents (strategies spread over
-  1.2-4), at the same three sizes, and the resident's steady solve from a
-  flat start of 0.05, below its state (``flat_start``:
-  ``_SteadyProblem.solve``, Newton and its restart from ``M c``), at 201 and
-  1,601 reduced DOFs, with the residual evaluations of one solve
-  (``residuals``), once per route;
+- ``newton``: the steady Newton alone, ``_SteadyProblem.solve`` with the
+  problem built outside the timed call (in trees with a restart from
+  ``M c`` the restart is part of it), with the residual evaluations of one
+  solve (``residuals``), once per route: from the capacity start, of the
+  resident on its own ``(N,)`` arrays and of a stack of 16 residents
+  (strategies spread over 1.2-4), at the same three sizes; the resident's
+  from a flat start of 0.05, below its state (``flat_start``), at 201 and
+  1,601 reduced DOFs; and from the capacity start on the ``steady_fallback``
+  landscapes at 9 subintervals per patch (``stalling``, by landscape);
 - ``oracle``: the resident's steady solve through the continuous-form route
   (``solve_transformed_steady``), at 201, 2,001 and 8,001 reduced DOFs;
 - ``step``: one ``Stepper.step`` of the resident/mutant pair at the default
@@ -169,8 +170,8 @@ STACKS = (1, 10, 16)
 SCAN_STACKS = ((100, 81), (400, 16))  # (per patch, M): 201 and 801 reduced DOFs
 RESIDENT_STACKS = (1, 10, 32)
 STEADY_STACK_PER_PATCH = (100, 800)  # 201 and 1,601 reduced DOFs
-# (lengths, d, r, k, p) of landscapes whose steady solve leaves Newton from
-# the capacity profile unconverged at FALLBACK_PER_PATCH
+# (lengths, d, r, k, p) of landscapes on which Newton from the capacity
+# profile, unlifted, stalls at FALLBACK_PER_PATCH
 FALLBACK_LANDSCAPES = {
     "three_patches": ([1.519, 1.308, 0.898], [0.388, 0.026, 15.799],
                       [0.116, 7.261, 2.038], [0.123, 3.786, 0.166], [2.331, 3.051]),
@@ -347,13 +348,13 @@ def inner_loops(repeats: int) -> dict:
                 lambda: eigen._stacked_solve(lo, di, up, couplings, start.copy()), repeats
             ))
             problem = steady._SteadyProblem(grid, ENV, RESIDENT if m == 1 else residents[:m])
-            u0 = np.empty(problem.di.shape)
+            u0 = np.empty(problem.a.shape)
             u0[...] = problem.layout.fill(ENV.k_array)
-            newton[f"stack_{m}"] = _routes(
-                lambda: timed(lambda: problem.newton(u0, config), repeats)
-            )
+            newton[f"stack_{m}"] = _routes(lambda: _counted_solve(problem, u0, config, repeats))
         if per_patch in FLAT_PER_PATCH:
-            newton["flat_start"] = _routes(lambda: _flat_start(grid, config, repeats))
+            problem = steady._SteadyProblem(grid, ENV, RESIDENT)
+            flat = np.full(grid.num_reduced, FLAT_START)
+            newton["flat_start"] = _routes(lambda: _counted_solve(problem, flat, config, repeats))
         if per_patch == PIP_PER_PATCH:
             lo, di, up, couplings, start = _pip_pairs(grid)
             noda[f"pip_pairs_{len(di)}"] = _routes(lambda: timed(
@@ -361,15 +362,20 @@ def inner_loops(repeats: int) -> dict:
             ))
         out["noda"][str(grid.num_reduced)] = noda
         out["newton"][str(grid.num_reduced)] = newton
+    out["newton"]["stalling"] = {}
+    for name, (land, env, traits) in _fallback_problems().items():
+        grid = pc.build_grid(land, per_patch=FALLBACK_PER_PATCH)
+        problem = steady._SteadyProblem(grid, env, traits)
+        u0 = problem.layout.fill(env.k_array)
+        out["newton"]["stalling"][name] = _routes(
+            lambda: _counted_solve(problem, u0, config, repeats)
+        )
     return out
 
 
-def _flat_start(grid, config, repeats: int) -> dict:
-    """``timed`` for the resident's steady solve from a flat start of
-    ``FLAT_START`` (the problem built outside the timed call), with the
-    residual evaluations of one solve."""
-    problem = steady._SteadyProblem(grid, ENV, RESIDENT)
-    start = np.full(grid.num_reduced, FLAT_START)
+def _counted_solve(problem, start, config, repeats: int) -> dict:
+    """``timed`` for ``problem.solve`` from ``start``, with the residual
+    evaluations of one solve."""
     residual, evaluations = problem.residual, []
 
     def counted(u):
@@ -402,12 +408,19 @@ def _pip_pairs(grid):
     return lo, di, up, couplings, start
 
 
-def steady_fallback(repeats: int) -> dict:
+def _fallback_problems() -> dict:
+    """``(landscape, environment, traits)`` of each ``FALLBACK_LANDSCAPES``."""
     out = {}
     for name, (length, d, r, k, p) in FALLBACK_LANDSCAPES.items():
         land = pc.Landscape(np.concatenate(([0.0], np.cumsum(length))))
-        env = pc.PatchEnvironment(r=r, k=k)
         traits = pc.SpeciesTraits(d, pc.StrategyVector(p))
+        out[name] = (land, pc.PatchEnvironment(r=r, k=k), traits)
+    return out
+
+
+def steady_fallback(repeats: int) -> dict:
+    out = {}
+    for name, (land, env, traits) in _fallback_problems().items():
         grid = pc.build_grid(land, per_patch=FALLBACK_PER_PATCH)
         out[name] = timed(lambda: pc.solve_resident_steady(land, env, traits, grid), repeats)
     return out

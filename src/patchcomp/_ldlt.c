@@ -1,5 +1,6 @@
-/* The native kernel of patchcomp.operators: LAPACK's tridiagonal solves and
- * the inner loops of the solvers that run them, each in one call.
+/* The native kernel of patchcomp.operators: LAPACK's symmetric tridiagonal
+ * factor and solve and the inner loops of the solvers that run them, each in
+ * one call.
  *
  * A stack of B blocks of n rows is laid end to end: d holds the B*n main
  * diagonal entries, e the B*n off-diagonal entries, e[j] coupling rows j and
@@ -32,9 +33,8 @@
  * shift, factor's and solve's forward sweeps fused into one, the back sweep,
  * the positivity check and the max-normalisation.  residual is the steady
  * problem's A u + u (a - b u) and its Jacobian's diagonal, through the same
- * band product.  gttrf is reference LAPACK dgttrf and dgtts2's solve, the LU
- * with partial pivoting of Newton, on the stack laid end to end as one
- * matrix, as scipy's calls run it.
+ * band product; Newton solves its steps with factor and solve, on the
+ * similarity that symmetrizes its Jacobian's couplings.
  *
  * species and similarity are the assembly of a stack of species
  * (patchcomp.operators.SpeciesLayout and checked_similarity): one pass
@@ -91,15 +91,15 @@ passed(pair nan, lanes neg)
     return nan[0] == 0 && nan[1] == 0 && neg[0] >= 0 && neg[1] >= 0;
 }
 
-/* Whether view's items are of kind: float64 ('d'), C int ('i'), bool ('?')
- * or Py_ssize_t ('n'), which numpy's format names by the C integer type of
- * its size ('l' or 'q'). */
+/* Whether view's items are of kind: float64 ('d'), bool ('?') or
+ * Py_ssize_t ('n'), which numpy's format names by the C integer type of its
+ * size ('l' or 'q'). */
 static int
 holds(const Py_buffer *view, char kind)
 {
     const char *f = view->format;
-    Py_ssize_t itemsize = kind == 'd' ? sizeof(double) : kind == 'i' ? sizeof(int)
-                        : kind == 'n' ? sizeof(Py_ssize_t) : 1;
+    Py_ssize_t itemsize = kind == 'd' ? sizeof(double) : kind == 'n' ? sizeof(Py_ssize_t)
+                        : 1;
 
     if (view->itemsize != itemsize || f == NULL || f[0] == '\0' || f[1] != '\0')
         return 0;
@@ -123,8 +123,7 @@ get_buffer(PyObject *obj, Py_buffer *view, int writable, const char *name, char 
     }
     if (!holds(view, kind)) {
         PyErr_Format(PyExc_ValueError, "%s must hold %s", name,
-                     kind == 'd' ? "float64" : kind == 'i' ? "C ints"
-                     : kind == 'n' ? "array indices" : "bools");
+                     kind == 'd' ? "float64" : kind == 'n' ? "array indices" : "bools");
         PyBuffer_Release(view);
         return -1;
     }
@@ -144,9 +143,9 @@ release(Py_buffer *views, Py_ssize_t count)
 }
 
 /* The buffers of args[0], args[1], ..., one per character of kinds: 'd' for
- * float64, 'i' for C int, '?' for bool and 'n' for Py_ssize_t, read-only,
- * or 'D', 'I', 'B' for the first three writable; names[k] names args[k] in
- * errors.  -1 with an exception, and no buffer held, otherwise. */
+ * float64, '?' for bool and 'n' for Py_ssize_t, read-only, or 'D', 'B' for
+ * the first two writable; names[k] names args[k] in errors.  -1 with an
+ * exception, and no buffer held, otherwise. */
 static int
 get_buffers(PyObject *const *args, Py_buffer *views, const char *kinds,
             const char *const *names)
@@ -155,8 +154,8 @@ get_buffers(PyObject *const *args, Py_buffer *views, const char *kinds,
 
     for (k = 0; kinds[k]; k++) {
         char kind = kinds[k];
-        int writable = kind == 'D' || kind == 'I' || kind == 'B';
-        char base = kind == 'D' ? 'd' : kind == 'I' ? 'i' : kind == 'B' ? '?' : kind;
+        int writable = kind == 'D' || kind == 'B';
+        char base = kind == 'D' ? 'd' : kind == 'B' ? '?' : kind;
         if (get_buffer(args[k], &views[k], writable, names[k], base) < 0) {
             release(views, k);
             return -1;
@@ -165,17 +164,11 @@ get_buffers(PyObject *const *args, Py_buffer *views, const char *kinds,
     return 0;
 }
 
-/* The length of a float64 (or C int) buffer in items. */
+/* The length of a float64 buffer in items. */
 static inline Py_ssize_t
 doubles(const Py_buffer *view)
 {
     return view->len / (Py_ssize_t)sizeof(double);
-}
-
-static inline Py_ssize_t
-ints(const Py_buffer *view)
-{
-    return view->len / (Py_ssize_t)sizeof(int);
 }
 
 /* The block size n of obj, at least 1; -1 with an exception otherwise. */
@@ -744,129 +737,6 @@ residual(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     Py_RETURN_NONE;
 }
 
-/* dgtts2's step i of L x = b on every right-hand side of x. */
-static inline void
-lu_forward(const double *dl, const int *ipiv, Py_ssize_t i, Py_ssize_t size, double *x,
-           Py_ssize_t total)
-{
-    for (double *b = x; b < x + total; b += size) {
-        if (ipiv[i] == i + 1)
-            b[i + 1] = b[i + 1] - dl[i] * b[i];
-        else {
-            double temp = b[i];
-            b[i] = b[i + 1];
-            b[i + 1] = temp - dl[i] * b[i];
-        }
-    }
-}
-
-/* dgtts2's U x = b on every right-hand side of x. */
-static void
-lu_back(const double *d, const double *du, const double *du2, Py_ssize_t size, double *x,
-        Py_ssize_t total)
-{
-    Py_ssize_t i;
-
-    for (double *b = x; b < x + total; b += size) {
-        b[size - 1] = b[size - 1] / d[size - 1];
-        if (size > 1)
-            b[size - 2] = (b[size - 2] - du[size - 2] * b[size - 1]) / d[size - 2];
-        for (i = size - 3; i >= 0; i--)
-            b[i] = (b[i] - du[i] * b[i + 1] - du2[i] * b[i + 2]) / d[i];
-    }
-}
-
-/* Reference LAPACK dgttrf on the size rows of lo, di, up (lo[0] and
- * up[size - 1] unused) into dl, d, du, du2, each size long, and ipiv, one
- * based, with dgtts2's L x = b on the right-hand sides of x (total entries
- * in all) fused in: its step i needs only the factor's step i.  0 when U
- * has a zero on its diagonal, and x is then partly solved. */
-static int
-lu_factor(const double *lo, const double *di, const double *up, Py_ssize_t size,
-          double *restrict dl, double *restrict d, double *restrict du, double *restrict du2,
-          int *restrict ipiv, double *restrict x, Py_ssize_t total)
-{
-    Py_ssize_t i;
-
-    for (i = 0; i < size; i++) {
-        dl[i] = i + 1 < size ? lo[i + 1] : 0.0;
-        d[i] = di[i];
-        du[i] = i + 1 < size ? up[i] : 0.0;
-        du2[i] = 0.0;
-        ipiv[i] = (int)(i + 1);
-    }
-    for (i = 0; i + 1 < size; i++) {
-        if (fabs(d[i]) >= fabs(dl[i])) {
-            /* no row interchange */
-            if (d[i] != 0.0) {
-                double fact = dl[i] / d[i];
-                dl[i] = fact;
-                d[i + 1] = d[i + 1] - fact * du[i];
-            }
-        }
-        else {
-            /* interchange rows i and i + 1 */
-            double fact = d[i] / dl[i], temp = du[i];
-            d[i] = dl[i];
-            dl[i] = fact;
-            du[i] = d[i + 1];
-            d[i + 1] = temp - fact * d[i + 1];
-            if (i + 2 < size) {
-                du2[i] = du[i + 1];
-                du[i + 1] = -fact * du[i + 1];
-            }
-            ipiv[i] = (int)(i + 2);
-        }
-        lu_forward(dl, ipiv, i, size, x, total);
-    }
-    for (i = 0; i < size; i++) {
-        if (d[i] == 0.0)
-            return 0;
-    }
-    return 1;
-}
-
-PyDoc_STRVAR(gttrf_doc,
-"gttrf(lo, di, up, factor, ipiv, b) -> bool\n\n"
-"LAPACK dgttrf on the matrix of the bands lo, di and up laid end to end\n"
-"(lo[0] and up[-1] unused), into factor, four rows dl, d, du and du2 the\n"
-"length of di, and ipiv (C ints, one based), and dgttrs in place on every\n"
-"right-hand side of b, each the length of di.  False, with b partly\n"
-"solved, when U has a zero on its diagonal.");
-
-static PyObject *
-gttrf(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    static const char *const names[] = {"lo", "di", "up", "factor", "ipiv", "b"};
-    Py_buffer v[6];
-    Py_ssize_t size;
-    PyObject *result = NULL;
-
-    if (nargs != 6) {
-        PyErr_SetString(PyExc_TypeError, "gttrf takes lo, di, up, factor, ipiv and b");
-        return NULL;
-    }
-    if (get_buffers(args, v, "dddDID", names) < 0)
-        return NULL;
-    size = doubles(&v[1]);
-    if (doubles(&v[0]) != size || doubles(&v[2]) != size)
-        PyErr_SetString(PyExc_ValueError, "lo, di and up must have one length");
-    else if (doubles(&v[3]) != 4 * size || ints(&v[4]) != size)
-        PyErr_SetString(PyExc_ValueError,
-                        "factor must hold four rows and ipiv one the length of di");
-    else if (whole_rows(&v[5], size) == 0) {
-        double *f = v[3].buf;
-        int regular = lu_factor(v[0].buf, v[1].buf, v[2].buf, size, f, f + size,
-                                f + 2 * size, f + 3 * size, v[4].buf, v[5].buf,
-                                doubles(&v[5]));
-        if (regular)
-            lu_back(f + size, f + 2 * size, f + 3 * size, size, v[5].buf, doubles(&v[5]));
-        result = PyBool_FromLong(regular);
-    }
-    release(v, 6);
-    return result;
-}
-
 /* species's outcomes: which check failed, the weights' before the bands'. */
 enum { ASSEMBLED = 0, WEIGHTS_NOT_POSITIVE = 1, BANDS_NOT_FINITE = 2 };
 
@@ -1186,17 +1056,15 @@ static PyMethodDef methods[] = {
     {"step", (PyCFunction)(void (*)(void))step, METH_FASTCALL, step_doc},
     {"noda", (PyCFunction)(void (*)(void))noda, METH_FASTCALL, noda_doc},
     {"residual", (PyCFunction)(void (*)(void))residual, METH_FASTCALL, residual_doc},
-    {"gttrf", (PyCFunction)(void (*)(void))gttrf, METH_FASTCALL, gttrf_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module_def = {
     PyModuleDef_HEAD_INIT, "_ldlt",
-    "LAPACK's pttrf/pttrs (blocks interleaved) and gttrf/gttrs on a stack of\n"
-    "tridiagonal blocks, the IMEX step of a two-species pair, a pass of\n"
-    "Noda's iteration, the steady residual, and the assembly of a stack of\n"
-    "species: its layout and diffusion bands, and their symmetrizing\n"
-    "similarity.", -1, methods, NULL, NULL, NULL, NULL,
+    "LAPACK's pttrf/pttrs (blocks interleaved) on a stack of tridiagonal\n"
+    "blocks, the IMEX step of a two-species pair, a pass of Noda's\n"
+    "iteration, the steady residual, and the assembly of a stack of species:\n"
+    "its layout and diffusion bands, and their symmetrizing similarity.", -1, methods, NULL, NULL, NULL, NULL,
 };
 
 PyMODINIT_FUNC

@@ -1,7 +1,7 @@
 """Build and load the native kernel, ``_ldlt.c``: the interleaved LDLᵀ,
-the IMEX step, Noda's pass, the steady residual, the LU and the assembly
-(a stack's layout and diffusion bands, and their symmetrizing similarity)
-of ``operators``.
+the IMEX step, Noda's pass, the steady residual and the assembly (a stack's
+layout and diffusion bands, and their symmetrizing similarity) of
+``operators``.
 
 ``load_ldlt`` compiles the kernel once with the interpreter's own C compiler
 (``sysconfig``'s ``CC``) into the package's ``__pycache__``, under a name
@@ -33,8 +33,8 @@ from pathlib import Path
 SOURCE = Path(__file__).with_name("_ldlt.c")
 CACHE = Path(__file__).with_name("__pycache__")
 # no -march and no fast-math: the kernel must round as LAPACK's reference
-# pttrf/pttrs/gttrf/gttrs and numpy do, and -ffp-contract=off keeps GCC from
-# fusing a*b - c
+# pttrf/pttrs and numpy do, and -ffp-contract=off keeps GCC from fusing
+# a*b - c
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 BUILD_TIMEOUT_S = 60.0
 

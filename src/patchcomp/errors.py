@@ -17,8 +17,9 @@ class NumericalError(RuntimeError):
 
 
 class SteadyConvergenceError(NumericalError):
-    """Newton failed from its start and from the super-solution, or the
-    state lost positivity; carries the last residual."""
+    """Newton did not converge or met a Jacobian that is not negative
+    definite, the similarity that symmetrizes it is out of range, or the
+    state lost positivity; carries the last residual (NaN before any)."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)

@@ -29,18 +29,18 @@ here: bands ``lo``/``di``/``up`` of shape ``(N,)`` for one operator, or
 ``up[..., -1]``) are zero, so that the stack laid end to end is one
 block-diagonal tridiagonal matrix (``SpeciesLayout`` assembles them so).
 These operations on it serve the package: ``tridiagonal_matvec``, the
-product; ``factor_blocks``, the one LU and its solve (LAPACK gttrf/gttrs),
-for Newton and ``solve_shifted``; ``factor_symmetrized``, the one LDLᵀ of
+product; ``factor_symmetrized``, the one factorisation, an LDLᵀ of
 ``alpha - beta S A S⁻¹`` on the ``symmetrizing_similarity`` of the
-couplings, for the IMEX step; and the solvers' inner loops, ``noda_pass``,
-one pass of Noda's shifted inverse iteration (on the same LDLᵀ), and
-``logistic_residual``, the steady residual and its Jacobian's diagonal.  The
-similarity depends on the couplings alone, so its callers build it once per
-operator they hold: once per mutant of a scan (``checked_similarity``, with
-the checks Noda needs and the couplings' part of the band scale), once per
-stepper.  The zero corners keep the blocks apart: each block's arithmetic is
-bit for bit that of its operator on its own, and the solves take M
-right-hand-side rows of one operator as M single solves.  ``stack_chunks``
+couplings, for the IMEX step, Newton's steps and ``solve_shifted``; and the
+solvers' inner loops, ``noda_pass``, one pass of Noda's shifted inverse
+iteration (on the same LDLᵀ), and ``logistic_residual``, the steady residual
+and its Jacobian's diagonal.  The similarity depends on the couplings alone,
+so its callers build it once per operator they hold: once per mutant of a
+scan (``checked_similarity``, with the checks Noda needs and the couplings'
+part of the band scale), once per stepper, once per steady problem.  The
+zero corners keep the blocks apart: each block's arithmetic is bit for bit
+that of its operator on its own, and the solves take M right-hand-side rows
+of one operator as M single solves.  ``stack_chunks``
 is the one cut of a long stack into stacked solves of at most
 ``_STACK_DOFS`` reduced DOFs, for the steady states, the mutant stacks and
 the eigen pairs of a scan.
@@ -55,8 +55,7 @@ the serial ``cumprod`` and the ~60 small numpy calls of a species' numpy
 assembly are one call each.  The LDLᵀ does pttrf's and pttrs's operations on
 every element but walks the rows in its outer loop and the blocks (times the
 right-hand sides) in its inner one, so the blocks' recurrences overlap
-instead of running end to end as one chain; the LU is reference dgttrf and
-dgtts2, the same operations and pivots as scipy's; ``noda_pass`` and
+instead of running end to end as one chain; ``noda_pass`` and
 ``logistic_residual`` share its one band product, and the pass sums its
 Rayleigh quotient in numpy's pairwise order.  Where the kernel cannot be
 built or loaded (``_ldlt`` is then None), LAPACK, imported from scipy on
@@ -166,32 +165,6 @@ def _columns(rhs: np.ndarray, size: int) -> np.ndarray:
     laid end to end is one column, M rows of one operator are M columns (the
     C-order rows are the Fortran-order columns of the transpose, no copy)."""
     return rhs.reshape(-1, size).T
-
-
-def factor_blocks(lo: np.ndarray, di: np.ndarray, up: np.ndarray, rhs: np.ndarray):
-    """LU-factor the stack's block-diagonal matrix (LAPACK gttrf) and return
-    the solve ``x`` of ``rhs`` (gttrs), shaped as ``rhs``: the stack's
-    ``(M, N)`` rows (or ``(N,)`` for one operator), each block solved bit for
-    bit as on its own, or M rows of a single operator, each solved as its
-    own solve.  Neither the bands nor the right-hand side are checked:
-    callers pass finite ones.  A singular matrix raises LinAlgError.
-
-    The kernel factors and solves in one call, with a C copy of reference
-    LAPACK's dgttrf and dgtts2 (the same operations and pivots), so both
-    routes give scipy's numbers bit for bit.
-    """
-    if _ldlt is None:
-        lapack = _lapack()
-        dl, d, du, du2, ipiv, info = lapack.dgttrf(lo.ravel()[1:], di.ravel(), up.ravel()[:-1])
-        if info > 0:
-            raise np.linalg.LinAlgError("singular matrix")
-        x, _ = lapack.dgttrs(dl, d, du, du2, ipiv, _columns(rhs, d.size))
-        return x.T.reshape(rhs.shape)
-    bands = [np.ascontiguousarray(band, dtype=float) for band in (lo, di, up)]
-    x = np.array(rhs, dtype=float, order="C")
-    if not _ldlt.gttrf(*bands, np.empty(4 * di.size), np.empty(di.size, np.intc), x):
-        raise np.linalg.LinAlgError("singular matrix")
-    return x
 
 
 def logistic_residual(lo, di, up, a, b, u):
@@ -324,7 +297,9 @@ class SymmetrizedFactor:
         self.d, self.e, self.n, self.kernel = d, e, n, kernel
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
-        """The solve ``y`` of a ``b`` shaped as ``factor_blocks`` takes it;
+        """The solve ``y`` of ``b``: the stack's ``(M, N)`` rows (or
+        ``(N,)`` for one operator), each block solved bit for bit as on its
+        own, or M rows of a single operator, each solved as its own solve.
         ``b`` is unchecked and, when C-contiguous, overwritten (``y`` is then
         ``b``; any other ``b`` is solved on a copy)."""
         if self.kernel is None:
@@ -458,10 +433,15 @@ class LinearOperator:
         return ab
 
     def solve_shifted(self, sigma: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (sigma * I - A) x = rhs by the one LU; a non-finite ``sigma``
-        or ``rhs`` raises ValueError."""
-        shifted = np.asarray_chkfinite(sigma, dtype=float) - self.di
-        return factor_blocks(-self.lo, shifted, -self.up, np.asarray_chkfinite(rhs, dtype=float))
+        """Solve (sigma * I - A) x = rhs by the one LDLᵀ, on the couplings'
+        ``symmetrizing_similarity``: ``sigma`` must lie above A's spectrum,
+        else the matrix is not positive definite and LinAlgError is raised.
+        ``rhs`` is one right-hand side or rows of them; a non-finite
+        ``sigma`` or ``rhs`` raises ValueError."""
+        sigma = np.asarray_chkfinite(sigma, dtype=float)
+        rhs = np.asarray_chkfinite(rhs, dtype=float)
+        s, _, off = symmetrizing_similarity(self.lo, self.up)
+        return factor_symmetrized(self.di, off, sigma)(s * rhs) / s
 
     def dense(self) -> np.ndarray:
         a = np.diag(self.di)

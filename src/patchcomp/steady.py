@@ -1,36 +1,32 @@
-"""Single-species steady states: Newton, restarted from a super-solution.
+"""Single-species steady states: monotone Newton from above.
 
 The steady state is the unique positive equilibrium of logistic growth plus
 diffusion under the species' interface conditions.  It is solved on the
-reduced DOFs in coefficient form, ``A u + u (a - b u) = 0``, with the
+reduced DOFs in coefficient form, ``F(u) = A u + u (a - b u) = 0``, with the
 eliminated right traces folded into the trace DOFs' logistic coefficients
 once per solve (``SpeciesLayout.logistic_coefficients``, which the time
-stepper's competition term shares); the Jacobian's diagonal is
-``di + a - 2 b u``, and only the final state is expanded to the full DOFs.
+stepper's competition term shares); only the final state is expanded to the
+full DOFs.
 
-``newton`` is the package's one Newton loop: full steps on a tridiagonal
-Jacobian, stopped at the tolerance plus the rounding level of one residual
-evaluation, and stalled by a step that does not lower the residual.  It runs
-on one iterate or on a stack of R independent ones: each block keeps its own
-norm, noise floor, stop and stall, and the going blocks' Jacobians are
-factored together as one block-diagonal matrix, each bit for bit as on its
-own.  A block that stops stays in the stack with a zero step, so its
-iterate and residual stay as they were.
+``F`` is concave (its Hessian is ``-2 b`` on the diagonal) and cooperative,
+so Newton from a super-solution decreases monotonically to the state
+(Ortega & Rheinboldt 1970, §13.3; Pao 1992).  Every start is lifted
+entrywise to at least ``a / b``, the folded capacity, where
+``a - 2 b u <= -a < 0``: minus the Jacobian is a positive definite M-matrix
+there, so the first iterate is a super-solution at or above the state, and
+so is every later one, where minus the Jacobian is at least its positive
+definite value at the state.  So every step is the package's one LDLᵀ,
+``factor_symmetrized`` on the couplings' ``symmetrizing_similarity``, and no
+step needs a line search, a floor, a guard against the trivial root or a
+restart.
 
-``solve_resident_steady_states`` solves R residents that share a grid and an
-environment as the stacks of ``operators.stack_chunks``; when Newton leaves
-blocks unconverged (stalled, exhausted, or at the trivial root), the whole
-stack starts again, those blocks from the super-solution ``M c`` (``c`` the
-jump-consistent constant, ``M = super_level``) and the others from their
-states, where they stop at once.  The steady state is the one positive
-equilibrium of a cooperative system with a concave residual, so every full
-Newton iterate from a super-solution stays a super-solution at or above it,
-where minus the Jacobian is a nonsingular M-matrix: the restart needs no
-further fallback.
-``solve_resident_steady`` is its R = 1 case, and a stack of one runs on its
-own (N,) arrays, where it costs what a single solve does.  The
-continuous-form oracle in ``transform`` drives its own discretization
-through the same loop.
+``newton`` is the package's one Newton loop, on one iterate or on a stack of
+R independent ones, each block with its own stop, the going blocks factored
+together.  ``solve_resident_steady_states`` solves R residents that share a
+grid and an environment as the stacks of ``operators.stack_chunks``, in one
+Newton run per stack; ``solve_resident_steady`` is its R = 1 case, and a
+stack of one runs on its own (N,) arrays.  The continuous-form oracle in
+``transform`` drives its own discretization through the same loop.
 """
 
 from __future__ import annotations
@@ -48,15 +44,18 @@ from .landscape import (
     ifd_strategy,
     strict_dominates,
 )
-from .operators import SpeciesLayout, factor_blocks, logistic_residual, stack_chunks
-
-ARMIJO = 1e-4            # the decrease factor a full Newton step must reach
+from .operators import (
+    SpeciesLayout,
+    factor_symmetrized,
+    logistic_residual,
+    stack_chunks,
+    symmetrizing_similarity,
+)
 
 
 @dataclass(frozen=True)
 class SteadyConfig:
-    """Newton's stop tolerance and its iteration cap, which bounds each Newton
-    run: the first one and the restart from the super-solution alike."""
+    """Newton's stop tolerance and its iteration cap."""
 
     newton_tol: float = 1e-10
     max_newton_iters: int = 50
@@ -81,64 +80,63 @@ def _block_max(a: np.ndarray, initial=None):
     return np.maximum.reduce(np.abs(a), axis=-1, initial=initial)
 
 
-def newton(residual, u0, floor: float, cap: float, row_scale, config: SteadyConfig):
-    """Newton for ``F(u) = 0`` with a tridiagonal Jacobian, on one iterate
-    ``u0`` of shape (N,) or on a stack of R independent ones, (R, N).
+def newton(residual, u0, cap: float, row_scale, config: SteadyConfig):
+    """Newton for ``F(u) = 0`` on one iterate ``u0`` of shape (N,) or on a
+    stack of R independent ones, (R, N), for a tridiagonal Jacobian ``J``
+    whose negative is symmetric positive definite under a diagonal
+    similarity ``S = diag(s)``.
 
-    ``residual(u)`` returns ``F(u)`` and the Jacobian's (lo, di, up) bands in
-    the stack convention of ``operators`` (each shaped as ``u``, ``lo[..., 0]``
-    and ``up[..., -1]`` zero), so each block's rows depend on that block's
-    iterate alone.  The going blocks' Jacobians are factored together
-    (``factor_blocks``), each bit for bit as on its own; the blocks that have
-    stopped stay in the stack with a zero step, and their bands, which may be
-    singular or non-finite, are never factored.
+    ``residual(u)`` returns ``F(u)`` and ``(slope, s, off)``: ``J``'s main
+    diagonal, and ``s`` and the off-diagonal ``off`` of its couplings'
+    ``symmetrizing_similarity``, each shaped as ``u`` in the stack
+    convention of ``operators``, so each block's rows depend on that block's
+    iterate alone.  Each step solves ``-J step = F`` as
+    ``S⁻¹ (-S J S⁻¹)⁻¹ S F`` by one ``factor_symmetrized``; the going blocks
+    are factored together, each bit for bit as on its own, and the blocks
+    that have stopped stay in the stack with a zero step, their bands never
+    factored.
 
-    Every block keeps its own stop, step and stall.  Iterates are clipped
-    below at ``floor``.  The stop is ``max|F| <= newton_tol + noise``, where
-    the noise ``8 eps row_scale max(max|u|, cap)`` is the rounding level of one
+    Every block keeps its own stop and step.  The stop is
+    ``max|F| <= newton_tol + noise``, where the noise
+    ``8 eps row_scale max(max|u|, cap)`` is the rounding level of one
     residual evaluation (``row_scale`` is one value, or one per block of a
-    stack).  Each step is the full one; a step that does not lower ``max|F|``
-    by the Armijo factor (or leaves it non-finite) stalls its block for the
-    rest of the run, at its last iterate, and ``max_newton_iters`` caps the
-    run (each run: a caller that starts Newton again gets the cap again).
-    Returns ``(u, max|F|, converged)``, one norm and flag per block (scalars
-    for one iterate); a stalled or exhausted block returns its last iterate
-    unconverged.
+    stack); a non-finite residual stops its block, unconverged.  Each step is
+    the full one, and ``max_newton_iters`` caps the run.  Returns
+    ``(u, max|F|, converged)``, one norm and flag per block (scalars for one
+    iterate).  A ``-S J S⁻¹`` that is not positive definite raises
+    SteadyConvergenceError.
     """
-    u = np.maximum(np.asarray(u0, dtype=float), floor)
+    u = np.array(u0, dtype=float)
     noise = 8.0 * np.finfo(float).eps * np.asarray(row_scale, dtype=float)
-    res, bands = residual(u)
+    res, jacobian = residual(u)
     norm = _block_max(res)
-    stalled = None  # the blocks whose full step has failed
     for iteration in range(config.max_newton_iters + 1):
         bound = config.newton_tol + noise * _block_max(u, cap)
         # NaN fails both tests, so a non-finite residual stops its block; a
         # stopped block's iterate and residual stay as they are, so it stops
         # again on every later pass
         going = (norm > bound) & (norm < np.inf)
-        if stalled is not None:
-            going &= ~stalled
         count = np.count_nonzero(going)
         if not count or iteration == config.max_newton_iters:
             return u, norm, norm <= bound
-        if count == going.size:
-            step = factor_blocks(*bands, -res)
-        else:
-            step = np.zeros_like(u)
-            step[going] = factor_blocks(*(band[going] for band in bands), -res[going])
-        trial = np.maximum(u + step, floor)
-        res, bands = residual(trial)
-        trial_norm = _block_max(res)
-        accept = trial_norm <= (1.0 - ARMIJO) * norm
+        slope, s, off, f = (*jacobian, res)
         if count < going.size:
-            accept |= ~going  # a stopped block keeps its iterate
-        if np.count_nonzero(accept) < accept.size:
-            # a failed block keeps its last iterate and norm; its residual
-            # and bands are never read again, since it never goes again
-            stalled = ~accept if stalled is None else stalled | ~accept
-            trial = np.where(accept[..., None], trial, u)
-            trial_norm = np.where(accept, trial_norm, norm)
-        u, norm = trial, trial_norm
+            slope, s, off, f = (a[going] for a in (slope, s, off, f))
+        try:
+            factor = factor_symmetrized(slope, off, 0.0)
+        except np.linalg.LinAlgError:
+            raise SteadyConvergenceError(
+                "Newton's Jacobian is not negative definite",
+                residual=float(np.ravel(norm)[np.ravel(going)][0]),
+            ) from None
+        step = factor(s * f)
+        step /= s
+        if count < going.size:
+            u[going] += step
+        else:
+            u += step
+        res, jacobian = residual(u)
+        norm = _block_max(res)
     raise AssertionError("unreachable: the last pass stops every block")
 
 
@@ -146,50 +144,42 @@ class _SteadyProblem:
     """The steady problem ``A u + u (a - b u) = 0`` of one species, on (N,)
     arrays, or of a stack of R species, on (R, N) ones, on one grid and
     environment.  What stays fixed during the solve is built once: the
-    diffusion bands and the logistic coefficients ``(a, b)`` of
+    diffusion bands, the logistic coefficients ``(a, b)`` of
     ``SpeciesLayout.logistic_coefficients`` (the eliminated right traces
-    folded into the trace DOFs), so Newton never leaves the reduced DOFs.
-    The capacities ``k`` give the floor and the cap."""
+    folded into the trace DOFs), so Newton never leaves the reduced DOFs,
+    and the couplings' ``symmetrizing_similarity``, whose range failure
+    raises SteadyConvergenceError.  The capacities ``k`` give the cap."""
 
     def __init__(self, grid: Grid, env: PatchEnvironment, traits):
         self.layout = SpeciesLayout(grid, traits)
         self.a, self.b = self.layout.logistic_coefficients(env, self.layout.p)
         self.k = env.k_array
+        try:
+            self.s, _, self.off = symmetrizing_similarity(self.layout.lo, self.layout.up)
+        except ValueError as err:
+            raise SteadyConvergenceError(str(err), residual=float("nan")) from None
 
     def residual(self, u: np.ndarray):
-        """``A u + u (a - b u)`` and the bands of its Jacobian, whose
-        diagonal is ``di + a - 2 b u``."""
+        """``A u + u (a - b u)`` and its Jacobian for ``newton``: the
+        diagonal ``di + a - 2 b u`` and the couplings' similarity."""
         lo, di, up = self.layout.bands
         res, slope = logistic_residual(lo, di, up, self.a, self.b, u)
-        return res, (lo, slope, up)
+        return res, (slope, self.s, self.off)
 
-    def newton(self, u0, config: SteadyConfig):
-        """One Newton run.  A root with ``b u < a / 2`` everywhere counts as
-        unconverged: it is the trivial one, since ``W A`` is symmetric and
-        ``A c = 0``, so ``sum(c w u (a - b u)) = 0`` at a positive state,
-        which therefore has ``b u >= a`` somewhere."""
+    def solve(self, u0: np.ndarray, config: SteadyConfig) -> np.ndarray:
+        """The reduced states: one Newton run from ``u0`` lifted entrywise
+        to at least ``a / b``; a block it leaves unconverged, or a state that
+        is not positive, raises SteadyConvergenceError."""
         lo, di, up = self.layout.bands
         row_scale = (np.abs(di) + np.abs(lo) + np.abs(up)).max(axis=-1)
         u, norm, converged = newton(
-            self.residual, u0, 1e-12 * self.k.min(), self.k.max(), row_scale, config
+            self.residual, np.maximum(u0, self.a / self.b), self.k.max(), row_scale, config
         )
-        return u, norm, converged & np.any(self.b * u >= 0.5 * self.a, axis=-1)
-
-    def solve(self, u0: np.ndarray, config: SteadyConfig) -> np.ndarray:
-        """The reduced states: Newton from ``u0``; when it leaves blocks
-        unconverged, Newton again on the whole stack, from the super-solution
-        ``M c`` in those blocks and from their own iterates in the others,
-        which stop again at once."""
-        u, norm, converged = self.newton(u0, config)
         if np.count_nonzero(converged) < converged.size:
-            scales = self.layout.scales
-            top = self.layout.fill(super_level(self.k, scales)[..., None] * scales)
-            u, norm, converged = self.newton(np.where(converged[..., None], u, top), config)
-            if np.count_nonzero(converged) < converged.size:
-                raise SteadyConvergenceError(
-                    "steady solve failed after Newton and its restart from a super-solution",
-                    residual=float(np.ravel(norm)[~np.ravel(converged)][0]),
-                )
+            raise SteadyConvergenceError(
+                "steady Newton did not converge",
+                residual=float(np.ravel(norm)[~np.ravel(converged)][0]),
+            )
         if u.min() <= 0:
             lost = np.ravel(u.min(axis=-1) <= 0)
             raise SteadyConvergenceError(
@@ -210,13 +200,13 @@ def solve_resident_steady_states(
     environment, solved as the stacks of ``operators.stack_chunks``.
 
     Each state is bit for bit the one ``solve_resident_steady`` returns for
-    that resident alone.  Newton runs on each stack, from the
+    that resident alone.  Newton runs once on each stack, from the
     per-patch capacity profiles or from ``initial`` (one finite reduced row
-    per resident, shaped (R, N), else ValidationError); the blocks it leaves
-    unconverged start again from the super-solution ``M c``.  A block that
-    still fails, or a state that is not positive, raises
-    SteadyConvergenceError for the call.  A stack of one is solved on its own
-    (N,) arrays, where it costs what a single solve does.
+    per resident, shaped (R, N), else ValidationError), each lifted
+    entrywise to at least the folded capacity ``a / b``.  A block that does
+    not converge, or a state that is not positive, raises
+    SteadyConvergenceError for the call.  A stack of one is solved on its
+    own (N,) arrays, where it costs what a single solve does.
     """
     residents = list(residents)
     config = config or SteadyConfig()
@@ -229,8 +219,10 @@ def solve_resident_steady_states(
     for part in stack_chunks(len(residents), grid.num_reduced):
         chunk = residents[part]
         problem = _SteadyProblem(grid, env, chunk[0] if len(chunk) == 1 else chunk)
-        u0 = np.empty(problem.a.shape)
-        u0[...] = problem.layout.fill(env.k_array) if initial is None else initial[part]
+        if initial is None:
+            u0 = problem.layout.fill(env.k_array)
+        else:
+            u0 = initial[part].reshape(problem.a.shape)
         u = problem.solve(u0, config)
         full = problem.layout.expand(u).reshape(-1, grid.num_dofs)
         states.extend(PiecewiseField(grid, values) for values in full)
@@ -248,7 +240,8 @@ def solve_resident_steady(
     """Positive steady state of the single-species problem on this grid.
 
     Deterministic: starts from the per-patch capacity profile unless an
-    explicit reduced initial guess, shaped (N,), is given.  The R = 1 case of
+    explicit reduced initial guess, shaped (N,), is given, either lifted
+    entrywise to at least the folded capacity.  The R = 1 case of
     ``solve_resident_steady_states``.
     """
     if initial is not None:

@@ -7,7 +7,8 @@ This module implements the rescaling both ways and a finite-volume steady
 solver on the rescaled problem, used as an independent oracle for the direct
 jump-aware route.  Only the discretization is its own: the Newton loop is
 ``steady.newton`` and the product ``operators.tridiagonal_matvec``,
-the ones the direct route uses.
+the ones the direct route uses; its Jacobian's couplings move with the
+iterate, so each step builds their ``symmetrizing_similarity`` afresh.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import SteadyConvergenceError, ValidationError
 from .grid import Grid, PiecewiseField
 from .landscape import Landscape, PatchEnvironment, SpeciesTraits
-from .operators import tridiagonal_matvec
+from .operators import symmetrizing_similarity, tridiagonal_matvec
 from .steady import SteadyConfig, newton
 
 # tighter than the direct route's default: the oracle is compared against it
@@ -158,28 +159,39 @@ def solve_transformed_steady(
 ) -> PiecewiseField:
     """Steady state through the continuous-form route (the oracle path).
 
-    Newton runs on this module's own discretization, with no fallback: a
-    stalled or exhausted Newton raises SteadyConvergenceError.
+    Newton runs on this module's own discretization from the rescaled
+    capacities (its ``a / b``), with no fallback: an exhausted Newton,
+    or a Jacobian whose couplings are not positive, raises
+    SteadyConvergenceError.
     """
     problem = to_transformed(landscape, env, traits)
     lo, di, up, vol, h = _fv_operator(problem, grid)
     kt = np.asarray(problem.ktilde)
-    off = shared_node_offsets(grid)
+    offsets = shared_node_offsets(grid)
 
     w = np.empty(shared_node_count(grid))
     for i in range(grid.n):
-        w[off[i] : off[i + 1] + 1] = kt[i]
+        w[offsets[i] : offsets[i + 1] + 1] = kt[i]
 
     def residual(wv):
         react, (jlo, jdi, jup) = _fv_reaction(problem, grid, wv, vol, h)
         y = tridiagonal_matvec(lo, di, up, wv)
         y += react
-        return y, (lo + jlo, di + jdi, up + jup)
+        jlo += lo
+        jup += up
+        try:
+            # two negative couplings would pass the similarity's range check
+            if not (jlo[1:].min() > 0 and jup[:-1].min() > 0):
+                raise ValueError("Jacobian couplings are not positive")
+            s, _, off = symmetrizing_similarity(jlo, jup)
+        except ValueError as err:
+            raise SteadyConvergenceError(
+                f"continuous-form Newton: {err}", residual=float(np.abs(y).max())
+            ) from None
+        return y, (di + jdi, s, off)
 
     row_scale = float((np.abs(di) + np.abs(lo) + np.abs(up)).max())
-    w, norm, converged = newton(
-        residual, w, 1e-12 * kt.min(), kt.max(), row_scale, ORACLE_CONFIG
-    )
+    w, norm, converged = newton(residual, w, kt.max(), row_scale, ORACLE_CONFIG)
     if not converged:
         raise SteadyConvergenceError(
             "continuous-form Newton did not converge", residual=norm

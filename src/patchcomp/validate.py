@@ -27,7 +27,7 @@ from .operators import (
     restrict_values,
     tridiagonal_matvec,
 )
-from .steady import solve_resident_steady
+from .steady import solve_resident_steady, super_level
 from .transform import solve_transformed_steady
 
 _REFERENCE = {
@@ -192,11 +192,15 @@ def _check_uniqueness_probe(seed: int) -> tuple[str, bool, str]:
     reference = solve_resident_steady(landscape, env, resident, grid)
     k_red = restrict_values(grid, env_on_dofs(grid, env)[1])
     transformed = solve_transformed_steady(landscape, env, resident, grid)
+    # every start is lifted to the folded capacity, where k / 2 meets the
+    # default start; 2 M c keeps a second super-solution above the state
+    level = super_level(env.k_array, resident.cumulative_scales())
     starts = [
         k_red / 2.0,
         2.0 * k_red,
         restrict_values(grid, transformed.values),
         k_red * rng.uniform(0.5, 1.5, grid.num_reduced),
+        2.0 * level * consistent_constant(grid, resident),
     ]
     worst = 0.0
     for start in starts:

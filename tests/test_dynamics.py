@@ -658,6 +658,6 @@ class TestPairSteadyResidual:
             raise AssertionError("the residual must not factor anything")
 
         monkeypatch.setattr(patchcomp.dynamics, "factor_symmetrized", no_factoring)
-        monkeypatch.setattr(patchcomp.steady, "factor_blocks", no_factoring)
+        monkeypatch.setattr(patchcomp.steady, "factor_symmetrized", no_factoring)
         got = [pair_steady_residual(land, env, resident, mutant, grid, u, v) for u, v in states]
         assert got == want

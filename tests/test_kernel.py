@@ -68,13 +68,13 @@ print(json.dumps(test_kernel.figures_hex()))
 
 
 # One of tests/test_steady.py's landscapes on which Newton from the capacity
-# profile stalls at 9 subintervals per patch: the steady solve restarts from
-# the super-solution M c, and both Newton runs pivot in their LU.
+# profile, unlifted, stalls at 9 subintervals per patch; lifted to the folded
+# capacity, it converges in one run.
 STALLING = pc.Landscape(np.concatenate(([0.0], np.cumsum([1.519, 1.308, 0.898]))))
 STALLING_ENV = pc.PatchEnvironment(r=[0.116, 7.261, 2.038], k=[0.123, 3.786, 0.166])
 STALLING_TRAITS = pc.SpeciesTraits([0.388, 0.026, 15.799], [2.331, 3.051])
 # Residents whose stacked capacity-start Newton runs stop on three different
-# iterations; the last one's LU pivots.
+# iterations.
 STAGGERED = [pc.SpeciesTraits([1.0, 0.8], [p]) for p in (1.2, 2.0, 3.7)] + [
     pc.SpeciesTraits([0.05, 5.0], [0.3])
 ]
@@ -87,8 +87,8 @@ def figures() -> dict:
     at 201 reduced DOFs, stacked and single-block eigenpairs, a fitness
     table, ``invasion_fitness`` on a draw like the benchmark's
     ``sign_draws`` at 800 subintervals per patch, a stack of steady states
-    that stop on different Newton iterations, and a steady state restarted
-    from the super-solution."""
+    that stop on different Newton iterations, and the steady state of a
+    landscape on which Newton from the unlifted capacity profile stalls."""
     grid = pc.build_grid(LAND, per_patch=60)
     stepper = pc.Stepper(LAND, ENV, RESIDENT, MUTANT, grid)
     w = np.array(default_initial(grid, ENV))
@@ -117,7 +117,7 @@ def figures() -> dict:
         pc.SpeciesTraits([1.1, 0.9], [1.7]), pc.build_grid(draw_land, per_patch=800),
     )
     staggered = pc.solve_resident_steady_states(LAND, ENV, STAGGERED, grid)
-    restarted = pc.solve_resident_steady(
+    stalling = pc.solve_resident_steady(
         STALLING, STALLING_ENV, STALLING_TRAITS, pc.build_grid(STALLING, per_patch=9)
     )
     return {
@@ -139,7 +139,7 @@ def figures() -> dict:
                             *single.phi.values]),
         "draw": np.array([draw.lambda1, draw.residual, draw.iterations, *draw.phi.values]),
         "staggered": np.array([u.values for u in staggered]),
-        "restarted": restarted.values,
+        "stalling": stalling.values,
     }
 
 
@@ -149,35 +149,33 @@ def figures_hex() -> dict:
 
 
 class CountingKernel:
-    """The loaded kernel, counting its calls by entry point; ``pivots``
-    counts the interchanged rows of every ``gttrf``."""
+    """The loaded kernel, counting its calls by entry point."""
 
     def __init__(self, kernel):
-        self.kernel, self.calls, self.pivots = kernel, Counter(), 0
+        self.kernel, self.calls = kernel, Counter()
 
     def __getattr__(self, name):
         entry = getattr(self.kernel, name)
 
         def call(*args):
             self.calls[name] += 1
-            out = entry(*args)
-            if name == "gttrf":
-                self.pivots += np.count_nonzero(args[4] != np.arange(1, args[4].size + 1))
-            return out
+            return entry(*args)
 
         return call
 
 
-def test_a_noda_pass_is_one_call_and_a_newton_step_two(ldlt_kernel, monkeypatch):
+def test_a_noda_pass_is_one_call_and_a_newton_step_three(ldlt_kernel, monkeypatch):
     counting = CountingKernel(ldlt_kernel)
     monkeypatch.setattr(operators, "_ldlt", counting)
     grid = pc.build_grid(LAND, per_patch=60)
     ustar = pc.solve_resident_steady(LAND, ENV, RESIDENT, grid)
-    # one assembly, one residual before the first step, then one residual
-    # and one LU (factor and solve) per full Newton step
-    assert set(counting.calls) == {"species", "residual", "gttrf"}
-    assert counting.calls["species"] == 1
-    assert counting.calls["residual"] == counting.calls["gttrf"] + 1 >= 3
+    # one assembly and its couplings' similarity, one residual before the
+    # first step, then per full Newton step one residual and one LDLᵀ
+    # (factor and solve)
+    assert set(counting.calls) == {"species", "similarity", "residual", "factor", "solve"}
+    assert counting.calls["species"] == counting.calls["similarity"] == 1
+    assert counting.calls["factor"] == counting.calls["solve"]
+    assert counting.calls["residual"] == counting.calls["factor"] + 1 >= 3
     counting.calls.clear()
     pair = pc.invasion_fitness(LAND, ENV, RESIDENT, MUTANT, grid, ustar=ustar)
     # the mutant's assembly and its couplings' similarity, then every pass
@@ -259,9 +257,8 @@ def test_the_assembly_entries_refuse_wrong_buffers(ldlt_kernel, entry, buffers, 
                 call(*{**good, "offsets": np.array(offsets, np.intp)}.values())
 
 
-def test_the_figures_pivot_restart_and_stop_on_different_iterations(ldlt_kernel, monkeypatch):
-    counting = CountingKernel(ldlt_kernel)
-    monkeypatch.setattr(operators, "_ldlt", counting)
+def test_the_figures_stop_on_different_iterations_in_one_run(ldlt_kernel, monkeypatch):
+    monkeypatch.setattr(operators, "_ldlt", CountingKernel(ldlt_kernel))
     runs = []
     newton = steady.newton
 
@@ -272,23 +269,23 @@ def test_the_figures_pivot_restart_and_stop_on_different_iterations(ldlt_kernel,
 
     monkeypatch.setattr(steady, "newton", spy)
     grid = pc.build_grid(LAND, per_patch=60)
-    going = []  # the blocks of each stack that reaches the LU
-    factor = steady.factor_blocks
+    going = []  # the blocks of each stack that reaches the LDLᵀ
+    factor = steady.factor_symmetrized
 
-    def factor_going(lo, di, up, rhs):
-        going.append(len(rhs))
-        return factor(lo, di, up, rhs)
+    def factor_going(slope, off, alpha):
+        going.append(len(slope))
+        return factor(slope, off, alpha)
 
-    monkeypatch.setattr(steady, "factor_blocks", factor_going)
+    monkeypatch.setattr(steady, "factor_symmetrized", factor_going)
     pc.solve_resident_steady_states(LAND, ENV, STAGGERED, grid)
     # the four blocks stop on three different iterations: the stack of going
     # blocks shrinks twice from the whole stack
     assert len({len(STAGGERED), *going}) == 3
-    assert counting.pivots > 0 and runs == [[True] * 4]
-    counting.pivots, runs[:] = 0, []
+    assert runs == [[True] * 4]
+    runs[:] = []
     pc.solve_resident_steady(STALLING, STALLING_ENV, STALLING_TRAITS,
                              pc.build_grid(STALLING, per_patch=9))
-    assert counting.pivots > 0 and runs == [[False], [True]]
+    assert runs == [[True]]
 
 
 def test_the_kernel_keeps_scipy_off_the_import_path():

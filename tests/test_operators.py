@@ -7,7 +7,7 @@ import warnings
 
 from hypothesis import given, seed, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 import patchcomp as pc
 from patchcomp import operators
@@ -17,7 +17,6 @@ from patchcomp.operators import (
     checked_similarity,
     consistent_constant,
     expand_reduced,
-    factor_blocks,
     factor_symmetrized,
     restrict_cell_average,
     restrict_diagonal,
@@ -93,18 +92,6 @@ def reference_trace_fractions(grid, traits):
     left = mass[grid.kept_indices()[trace]] / w
     p2 = np.array([v**2 for v in traits.p_array])
     return left, p2 * mass[grid.right_trace_indices()] / w
-
-
-def reference_factor_shifted(op, alpha, beta: float = 1.0):
-    """LU-factor ``diag(alpha) + beta * A`` of one operator (LAPACK gttrf) and
-    return its O(N) solve (gttrs), checking ``alpha`` and every right-hand
-    side for finite values: the shifted solve the steady references use,
-    written out apart from the package's stacked LU."""
-    alpha = np.asarray_chkfinite(alpha, dtype=float)
-    dl, d, du, du2, ipiv, info = dgttrf(beta * op.lo[1:], alpha + beta * op.di, beta * op.up[:-1])
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    return lambda rhs: dgttrs(dl, d, du, du2, ipiv, np.asarray_chkfinite(rhs, dtype=float))[0]
 
 
 @st.composite
@@ -183,13 +170,11 @@ class TestSymmetryAndKernel:
 
 
 class TestFactorShifted:
-    # the package's one LU (``factor_blocks``) on shifted operators
+    # ``solve_shifted``: the package's one LDLᵀ on a shifted operator
     def test_no_flux_operator_is_singular(self):
         # the jump-consistent constants span the bare operator's kernel
         _, traits, grid = make([1.0, 1.0], [2.0])
         op = assemble_diffusion(grid, traits)
-        with pytest.raises(np.linalg.LinAlgError):
-            factor_blocks(op.lo, op.di, op.up, np.ones(op.size))
         with pytest.raises(np.linalg.LinAlgError):
             op.solve_shifted(0.0, np.ones(op.size))
 
@@ -290,8 +275,8 @@ def stack_of_operators(grid, count: int = 4):
 
 class TestOneConvention:
     """A stack of ``(M, N)`` bands with zero unused corners is one
-    block-diagonal matrix laid end to end: its product, its LU and its LDLᵀ
-    treat every block bit for bit as that operator on its own, and an
+    block-diagonal matrix laid end to end: its product and its LDLᵀ treat
+    every block bit for bit as that operator on its own, and an
     operator with M right-hand-side rows as M single solves."""
 
     GRID = pc.build_grid(pc.Landscape([0.0, 0.7, 1.9, 2.6]), per_patch=[6, 11, 5])
@@ -313,15 +298,6 @@ class TestOneConvention:
             row[1:] += lo[b, 1:] * x[b, :-1]
             assert np.array_equal(one, row)
 
-    def test_lu_stack_solves_each_operator_on_its_own(self):
-        lo, di, up = stack_of_operators(self.GRID)
-        dt = 0.3
-        rhs = np.random.default_rng(4).uniform(0.0, 1.5, di.shape)
-        got = factor_blocks(-dt * lo, 1.0 - dt * di, -dt * up, rhs)
-        for b in range(len(di)):
-            one = factor_blocks(-dt * lo[b], 1.0 - dt * di[b], -dt * up[b], rhs[b])
-            assert np.array_equal(got[b], one)
-
     def test_ldlt_stack_solves_each_operator_on_its_own(self):
         lo, di, up = stack_of_operators(self.GRID)
         s, _, off = symmetrizing_similarity(lo, up)
@@ -338,15 +314,18 @@ class TestOneConvention:
     def test_rows_of_one_operator_are_single_solves(self):
         lo, di, up = (band[1] for band in stack_of_operators(self.GRID))
         rows = np.random.default_rng(6).uniform(0.0, 1.5, (5, di.size))
-        def lu(rhs):
-            return factor_blocks(-0.3 * lo, 1.0 - 0.3 * di, -0.3 * up, rhs)
-
         s, _, off = symmetrizing_similarity(lo, up)
         ldlt = factor_symmetrized(di, off, 1.0, 0.3)
-        got_lu, got_ldlt = lu(rows), ldlt(s * rows)
-        for row, one_lu, one_ldlt in zip(rows, got_lu, got_ldlt):
-            assert np.array_equal(one_lu, lu(row))
-            assert np.array_equal(one_ldlt, ldlt(s * row))
+        for row, one in zip(rows, ldlt(s * rows)):
+            assert np.array_equal(one, ldlt(s * row))
+        # and through solve_shifted, the rows as their own solves
+        op = assemble_diffusion(self.GRID, pc.SpeciesTraits([1.0, 1.0, 1.0], [2.0, 0.5]))
+        sigma = 1.0 + np.abs(op.di).max() + np.abs(op.lo).max() + np.abs(op.up).max()
+        got = op.solve_shifted(sigma, rows)
+        for row, one in zip(rows, got):
+            assert np.array_equal(one, op.solve_shifted(sigma, row))
+        dense = sigma * np.eye(op.size) - op.dense()
+        assert np.abs(dense @ got.T - rows.T).max() <= 1e-12 * sigma
 
 
     def test_stack_chunks_cut_at_the_stack_cap(self, monkeypatch):
@@ -562,69 +541,6 @@ class TestInterleavedKernel:
         assert calls == ["factor", "solve"] * 3
 
 
-def lu_stack(rng, blocks: int, rows: int):
-    """Bands ``(lo, di, up)`` of a random ``(blocks, rows)`` stack in the one
-    convention (zero corners) whose LU pivots on most rows: the diagonal is
-    drawn smaller than the couplings."""
-    lo, up = (rng.uniform(-2.0, 2.0, (blocks, rows)) for _ in range(2))
-    di = rng.uniform(-1.0, 1.0, (blocks, rows)) * rng.choice([0.1, 1.0, 3.0], (blocks, 1))
-    lo[:, 0] = up[:, -1] = 0.0
-    return lo, di, up
-
-
-class TestKernelLU:
-    """The kernel's LU (``gttrf``) is reference LAPACK dgttrf and dgtts2:
-    scipy's factor, pivots and solves, bit for bit."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        blocks=st.integers(1, 3),
-        rows=st.integers(3, 600),
-        rhs=st.integers(1, 3),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_factor_pivots_and_solves_are_scipys(self, ldlt_kernel, blocks, rows, rhs, seed):
-        rng = np.random.default_rng(seed)
-        lo, di, up = lu_stack(rng, blocks, rows)
-        size = di.size
-        dl, d, du, du2, ipiv, info = dgttrf(lo.ravel()[1:], di.ravel(), up.ravel()[:-1])
-        factor, pivots = np.empty(4 * size), np.empty(size, np.intc)
-        b = rng.normal(size=(rhs, size))
-        x = b.copy()
-        regular = ldlt_kernel.gttrf(lo.ravel(), di.ravel(), up.ravel(), factor, pivots, x)
-        assert regular == (info == 0)
-        f = factor.reshape(4, size)
-        for got, want in ((f[0, :-1], dl), (f[1], d), (f[2, :-1], du), (f[3, :-2], du2),
-                          (pivots, ipiv)):
-            assert np.array_equal(got, want, equal_nan=True)
-        if not regular:
-            return
-        want = dgttrs(dl, d, du, du2, ipiv, b.T)[0].T
-        assert np.array_equal(x, want, equal_nan=True)
-        # and through factor_blocks, on both routes, as a stack and as rows
-        rows_rhs = b.reshape(rhs, blocks, rows)
-        got = factor_blocks(lo, di, up, rows_rhs)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(operators, "_ldlt", None)
-            lapack = factor_blocks(lo, di, up, rows_rhs)
-        assert np.array_equal(got, lapack, equal_nan=True)
-        assert np.array_equal(got.reshape(x.shape), x, equal_nan=True)
-
-    def test_the_draws_pivot(self, ldlt_kernel):
-        rng = np.random.default_rng(5)
-        lo, di, up = lu_stack(rng, 2, 300)
-        _, _, _, _, ipiv, _ = dgttrf(lo.ravel()[1:], di.ravel(), up.ravel()[:-1])
-        assert np.count_nonzero(ipiv != np.arange(1, ipiv.size + 1)) > ipiv.size // 4
-
-    def test_a_singular_matrix_raises_on_both_routes(self, ldlt_kernel, monkeypatch):
-        lo, up = np.zeros(3), np.zeros(3)
-        di = np.array([1.0, 0.0, 2.0])
-        for kernel in (ldlt_kernel, None):
-            monkeypatch.setattr(operators, "_ldlt", kernel)
-            with pytest.raises(np.linalg.LinAlgError):
-                factor_blocks(lo, di, up, np.ones(3))
-
-
 def noda_buffers(rng, blocks: int, rows: int):
     """The arguments of the kernel's ``noda`` for a random stack, up to
     ``n`` and its outputs: bands, similarity and a positive iterate."""
@@ -685,14 +601,12 @@ class TestKernelNodaAndResidual:
         with pytest.raises(TypeError):
             ldlt_kernel.noda(*arrays)
 
-    def test_residual_and_lu_refuse_wrong_buffers(self, ldlt_kernel):
+    def test_residual_refuses_wrong_buffers(self, ldlt_kernel):
         rng = np.random.default_rng(13)
-        lo, di, up = (a.ravel() for a in lu_stack(rng, 2, 4))
+        lo, di, up = (a.ravel() for a in noda_buffers(rng, 2, 4)[:3])
         a, b, u = (rng.uniform(0.5, 1.0, 8) for _ in range(3))
         res, slope = np.empty(8), np.empty(8)
         ldlt_kernel.residual(lo, di, up, a, b, u, res, slope)
-        factor, pivots, x = np.empty(32), np.empty(8, np.intc), np.ones(8)
-        assert ldlt_kernel.gttrf(lo, di, up, factor, pivots, x)
         read_only = np.empty(8)
         read_only.flags.writeable = False
         bad_residuals = [
@@ -701,22 +615,11 @@ class TestKernelNodaAndResidual:
             (lo, di, up, a, b, np.repeat(u, 2)[::2], res, slope),       # layout
             (lo, di, up, a, b, u, read_only, slope),                    # writability
         ]
-        bad_factors = [
-            (lo, di[:7], up, factor, pivots, x),
-            (lo, di, up, factor[:31], pivots, x),
-            (lo, di, up, factor, pivots[:7], x),
-            (lo, di, up, factor, pivots.astype(np.int64), x),
-            (lo, di, up, factor, pivots, np.ones(7)),                   # not whole rows
-            (lo, di, up, np.repeat(factor, 2)[::2], pivots, x),
-            (lo, di, up, factor, pivots, read_only),
-        ]
-        for entry, calls in ((ldlt_kernel.residual, bad_residuals),
-                             (ldlt_kernel.gttrf, bad_factors)):
-            for args in calls:
-                with pytest.raises(ValueError):
-                    entry(*args)
-            with pytest.raises(TypeError):
-                entry(*calls[0][:-1])
+        for args in bad_residuals:
+            with pytest.raises(ValueError):
+                ldlt_kernel.residual(*args)
+        with pytest.raises(TypeError):
+            ldlt_kernel.residual(*bad_residuals[0][:-1])
 
 
 def log_uniform(low: float, high: float):

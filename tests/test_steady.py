@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,20 +7,19 @@ from hypothesis import given, settings, strategies as st
 import patchcomp as pc
 import patchcomp.steady
 import patchcomp.transform
+from patchcomp.cli import run_command
 from patchcomp.operators import (
     assemble_diffusion,
     consistent_constant,
     env_on_dofs,
+    factor_symmetrized,
     restrict_cell_average,
     restrict_diagonal,
     restrict_values,
 )
-from patchcomp.steady import newton
-from test_operators import (
-    reference_expand_reduced,
-    reference_factor_shifted,
-    reference_trace_fractions,
-)
+from patchcomp.steady import newton, super_level
+from scipy.linalg.lapack import dpttrf, dpttrs
+from test_operators import reference_expand_reduced, reference_trace_fractions
 
 
 def reference_logistic(grid, env, traits):
@@ -43,63 +44,45 @@ def reference_logistic(grid, env, traits):
 
 
 def reference_steady(grid, env, traits, config, initial=None):
-    """The steady solve before the shared Newton driver: its own Newton (a
-    ``reference_factor_shifted`` LU solve per full step, stalled by a step
-    that does not lower ``max|F|`` by 1e-4 of it), started again from the
-    super-solution ``M c`` when it does not converge or ends at the trivial
-    root (``b u < a / 2`` everywhere), with the growth ``u (a - b u)`` and
-    its slope ``a - 2 b u`` in coefficient form (``reference_logistic``).
-    ``c`` is the jump-consistent constant, the products of the jump ratios
-    left of each patch, and ``M`` the largest ``k / c`` over the patches.
-    Returns the full field's values or raises SteadyConvergenceError."""
+    """The steady solve written out apart from the package's stacked Newton:
+    one run of full Newton steps from the start (the capacity profile
+    unless ``initial`` is given) lifted entrywise to at least ``a / b``,
+    each step solving ``-J step = F`` as ``S⁻¹ (-S J S⁻¹)⁻¹ S F`` by
+    LAPACK's pttrf and pttrs, with the growth ``u (a - b u)`` and its slope
+    ``a - 2 b u`` in coefficient form (``reference_logistic``) and ``S``
+    the similarity ``s[0] = 1``, ``s[i+1] = s[i] sqrt(up[i] / lo[i+1])`` of
+    the diffusion couplings, ``off = sqrt(lo[i+1] up[i])``.  Returns the
+    full field's values or raises SteadyConvergenceError."""
     op = assemble_diffusion(grid, traits)
     a, b = reference_logistic(grid, env, traits)
     k = env.k_array
     row_scale = float((np.abs(op.di) + np.abs(op.lo) + np.abs(op.up)).max())
-    floor = 1e-12 * k.min()
-
-    def growth(u):
-        return u * (a - b * u)
+    s = np.ones(op.size)
+    s[1:] = np.cumprod(np.sqrt(op.up[:-1] / op.lo[1:]))
+    off = np.sqrt(op.lo[1:] * op.up[:-1])
 
     def residual_and_slope(u):
-        return op.matvec(u) + growth(u), a - 2.0 * b * u
-
-    def unconverged(u, norm):
-        noise = 8.0 * np.finfo(float).eps * row_scale * max(float(np.abs(u).max()), k.max())
-        return norm > config.newton_tol + noise
-
-    def failed(u, norm):
-        return unconverged(u, norm) or not np.any(b * u >= 0.5 * a)
-
-    def newton(u0):
-        u = np.maximum(np.asarray(u0, dtype=float).copy(), floor)
-        res, slope = residual_and_slope(u)
-        for _ in range(config.max_newton_iters):
-            norm = float(np.abs(res).max())
-            if not unconverged(u, norm):
-                return u, norm
-            step = reference_factor_shifted(op, slope)(-res)
-            trial = np.maximum(u + step, floor)
-            trial_res, trial_slope = residual_and_slope(trial)
-            if not np.abs(trial_res).max() <= (1.0 - 1e-4) * norm:
-                return u, norm
-            u, res, slope = trial, trial_res, trial_slope
-        return u, float(np.abs(res).max())
+        return op.matvec(u) + u * (a - b * u), a - 2.0 * b * u + op.di
 
     if initial is None:
         initial = np.empty(grid.num_reduced)
         for i in range(grid.n):
             initial[grid.reduced_patch_slice(i)] = env.k[i]
-    u, norm = newton(initial)
-    if failed(u, norm):
-        scales = np.cumprod(np.concatenate(([1.0], traits.p_array)))
-        level = (k / scales).max()
-        top = np.empty(grid.num_reduced)
-        for i in range(grid.n):
-            top[grid.reduced_patch_slice(i)] = level * scales[i]
-        u, norm = newton(top)
-        if failed(u, norm):
-            raise pc.SteadyConvergenceError("reference solve failed", residual=norm)
+    u = np.maximum(initial, a / b)
+    res, slope = residual_and_slope(u)
+    for iteration in range(config.max_newton_iters + 1):
+        norm = float(np.abs(res).max())
+        noise = 8.0 * np.finfo(float).eps * row_scale * max(float(np.abs(u).max()), k.max())
+        bound = config.newton_tol + noise
+        if not (bound < norm < np.inf) or iteration == config.max_newton_iters:
+            break
+        d, e, info = dpttrf(-slope, -off)
+        if info:
+            raise pc.SteadyConvergenceError("reference Jacobian is indefinite", residual=norm)
+        u = u + dpttrs(d, e, s * res)[0] / s
+        res, slope = residual_and_slope(u)
+    if not norm <= bound:
+        raise pc.SteadyConvergenceError("reference solve failed", residual=norm)
     if u.min() <= 0:
         raise pc.SteadyConvergenceError("reference lost positivity", residual=norm)
     return reference_expand_reduced(grid, traits, u)
@@ -188,38 +171,21 @@ class TestSingleSpeciesSteady:
         )
         assert e1 / e2 == pytest.approx(4.0, rel=0.25)
 
-    def test_super_solution_restart_matches_default_solve(self, unit_two_patch, monkeypatch):
+    @pytest.mark.parametrize("p", [3.0, 1.2])
+    def test_super_solution_and_flat_starts_match_the_default_solve(self, unit_two_patch, p):
+        # every start is lifted to the folded capacity, so Newton from 2 M c
+        # (above the state) and from a flat 1e-6 (far below it) reaches the
+        # default start's state within the stop, each in one run
         land, env = unit_two_patch
-        traits = pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([3.0]))
+        traits = pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([p]))
         grid = pc.build_grid(land, per_patch=100)
         reference = pc.solve_resident_steady(land, env, traits, grid)
-        level = (env.k_array / traits.cumulative_scales()).max()
-        super_solution = level * consistent_constant(grid, traits)
-
-        runs = []
-        newton = patchcomp.steady._SteadyProblem.newton
-
-        def spy(self, u0, config):
-            out = newton(self, u0, config)
-            runs.append((u0, bool(out[2])))
-            return out
-
-        monkeypatch.setattr(patchcomp.steady._SteadyProblem, "newton", spy)
-        # the cap bounds each Newton run: one step is too few from either start
-        with pytest.raises(pc.SteadyConvergenceError):
-            pc.solve_resident_steady(
-                land, env, traits, grid, pc.SteadyConfig(max_newton_iters=1)
-            )
-        assert len(runs) == 2 and np.array_equal(runs[1][0], super_solution)
-        # from a flat start far below the state Newton falls to the floor,
-        # beside the trivial root, and stalls there; it starts again from M c
-        runs.clear()
-        start = np.full(grid.num_reduced, 0.05)
-        u = pc.solve_resident_steady(land, env, traits, grid, initial=start)
-        assert [converged for _, converged in runs] == [False, True]
-        assert np.array_equal(runs[0][0], start)
-        assert np.array_equal(runs[1][0], super_solution)
-        assert np.abs(u.values - reference.values).max() <= 1e-9
+        level = super_level(env.k_array, traits.cumulative_scales())
+        starts = [2.0 * level * consistent_constant(grid, traits),
+                  np.full(grid.num_reduced, 1e-6)]
+        for start in starts:
+            u = pc.solve_resident_steady(land, env, traits, grid, initial=start)
+            assert np.abs(u.values - reference.values).max() <= 1e-10 * reference.values.max()
 
     @given(
         patches=st.lists(
@@ -231,7 +197,7 @@ class TestSingleSpeciesSteady:
             max_size=6,
         ),
         per_patch=st.sampled_from([12, 40, 100]),
-        max_iters=st.sampled_from([50, 1, 2, 3]),  # 1-3 force the restart from M c
+        max_iters=st.sampled_from([50, 1, 2, 3]),  # 1-3 leave some runs unconverged
         start=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
     )
     @settings(max_examples=40, deadline=None)
@@ -287,7 +253,7 @@ class TestCoefficientForm:
             grid, env, residents[0] if species is None else residents
         )
         u = rng.uniform(0.0, 2.0, problem.layout.di.shape) * k.max()
-        res, (_, slope, _) = problem.residual(u)
+        res, (slope, _, _) = problem.residual(u)
         a, b = problem.a.reshape(-1, grid.num_reduced), problem.b.reshape(-1, grid.num_reduced)
         rows = zip(residents, u.reshape(a.shape), res.reshape(a.shape),
                    slope.reshape(a.shape), a, b)
@@ -342,9 +308,9 @@ class TestStackedSteady:
             pc.SpeciesTraits(d, pc.StrategyVector(p))
             for d, p in data.draw(st.lists(species, min_size=1, max_size=6))
         ]
-        # 1 and 2 force some blocks through the restart from M c
+        # 1 and 2 leave some blocks unconverged, and the stack raises
         config = pc.SteadyConfig(max_newton_iters=data.draw(st.sampled_from([50, 2, 1])))
-        # from starts far below the state some blocks stall at the floor
+        # starts far below the state, lifted to the folded capacity
         seed = data.draw(st.none() | st.integers(0, 2**32 - 1))
         starts = [None] * len(residents)
         if seed is not None:
@@ -371,50 +337,46 @@ class TestStackedSteady:
         for one, field in zip(singles, stack):
             assert np.array_equal(field.values, one.values)
 
-    def test_mixed_stack_stops_and_restarts_block_by_block(self, unit_two_patch, monkeypatch):
+    def test_mixed_stack_stops_block_by_block(self, unit_two_patch, monkeypatch):
         land, env = unit_two_patch
         grid = pc.build_grid(land, per_patch=100)
         kbar = float(pc.ifd_strategy(env).values[0])
-        # the capacity profile is p = kbar's exact steady state; from a flat
-        # start far below its state, p = 3 falls to the floor and stalls there
+        # the capacity profile is p = kbar's exact steady state, and its own
+        # folded capacity; p = 3 starts from a flat start far below its state
         residents = [pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([p])) for p in (kbar, 3.0)]
         starts = np.array([np.repeat(env.k_array, [grid.counts[0] + 1, grid.counts[1]]),
                            np.full(grid.num_reduced, 0.05)])
-        problem = patchcomp.steady._SteadyProblem
-        factored, started = [], []
-        factor, newton = patchcomp.steady.factor_blocks, problem.newton
+        factored, runs = [], []
+        factor, run = patchcomp.steady.factor_symmetrized, patchcomp.steady.newton
 
-        def spy_factor(lo, di, up, rhs):
-            factored.append(up.copy())
-            return factor(lo, di, up, rhs)
+        def spy_factor(slope, off, alpha):
+            factored.append(off.copy())
+            return factor(slope, off, alpha)
 
-        def spy_newton(self, u0, config):
-            started.append(u0)
-            return newton(self, u0, config)
+        def spy_newton(residual, u0, *args):
+            out = run(residual, u0, *args)
+            runs.append((u0, out[2].tolist()))
+            return out
 
-        monkeypatch.setattr(patchcomp.steady, "factor_blocks", spy_factor)
-        monkeypatch.setattr(problem, "newton", spy_newton)
+        monkeypatch.setattr(patchcomp.steady, "factor_symmetrized", spy_factor)
+        monkeypatch.setattr(patchcomp.steady, "newton", spy_newton)
         stack = pc.solve_resident_steady_states(land, env, residents, grid, initial=starts)
-        # p = kbar stops at iteration 0, so only p = 3's Jacobian is ever
-        # factored, and only p = 3 starts again, from its M c, while p = kbar
-        # starts the restart from the state it stopped at
-        whole = problem(grid, env, residents)
-        assert factored and all(np.array_equal(up, whole.layout.up[1:]) for up in factored)
-        level = (env.k_array / residents[1].cumulative_scales()).max()
-        assert len(started) == 2 and np.array_equal(started[0], starts)
-        assert np.array_equal(started[1][0], starts[0])
-        assert np.array_equal(started[1][1], level * consistent_constant(grid, residents[1]))
         monkeypatch.undo()
+        # p = kbar stops at iteration 0, so only p = 3's Jacobian is ever
+        # factored, in the one run, which starts p = 3 at its folded capacity
+        whole = patchcomp.steady._SteadyProblem(grid, env, residents)
+        assert factored and all(np.array_equal(off, whole.off[1:]) for off in factored)
+        assert len(runs) == 1 and runs[0][1] == [True, True]
+        assert np.array_equal(runs[0][0], np.maximum(starts, whole.a / whole.b))
         for resident, start, field in zip(residents, starts, stack):
             single = pc.solve_resident_steady(land, env, resident, grid, initial=start)
             assert np.array_equal(field.values, single.values)
         assert np.abs(stack[0].values - env.k_array[grid.patch_index_of_dofs()]).max() == 0.0
 
-    def test_far_below_block_stalls_and_restarts(self, unit_two_patch, monkeypatch):
-        # from far below its state a block's first full step falls to the
-        # floor, beside the trivial root, where the next one fails: the block
-        # stalls there and restarts from M c, while a block that starts from
-        # the capacity profile converges in the first run; no step is halved
+    def test_far_below_block_converges_in_one_run(self, unit_two_patch, monkeypatch):
+        # a block that starts far below its state and one that starts from
+        # the capacity profile both converge in the stack's one Newton run:
+        # one residual for its start and one per full step
         land, env = unit_two_patch
         grid = pc.build_grid(land, per_patch=40)
         residents = [pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([p])) for p in (3.0, 1.5)]
@@ -422,35 +384,29 @@ class TestStackedSteady:
                            np.repeat(env.k_array, [grid.counts[0] + 1, grid.counts[1]])])
         calls, runs = {"residual": 0, "factor": 0}, []
         problem = patchcomp.steady._SteadyProblem
-        residual, newton_run = problem.residual, problem.newton
-        factor = patchcomp.steady.factor_blocks
+        residual, run = problem.residual, patchcomp.steady.newton
+        factor = patchcomp.steady.factor_symmetrized
 
         def count_residual(self, u):
             calls["residual"] += 1
             return residual(self, u)
 
-        def count_factor(*bands):
+        def count_factor(*args):
             calls["factor"] += 1
-            return factor(*bands)
+            return factor(*args)
 
-        def spy_newton(self, u0, config):
-            out = newton_run(self, u0, config)
-            runs.append((u0, out))
+        def spy_newton(*args):
+            out = run(*args)
+            runs.append(out[2].tolist())
             return out
 
         monkeypatch.setattr(problem, "residual", count_residual)
-        monkeypatch.setattr(problem, "newton", spy_newton)
-        monkeypatch.setattr(patchcomp.steady, "factor_blocks", count_factor)
+        monkeypatch.setattr(patchcomp.steady, "newton", spy_newton)
+        monkeypatch.setattr(patchcomp.steady, "factor_symmetrized", count_factor)
         stack = pc.solve_resident_steady_states(land, env, residents, grid, initial=starts)
         monkeypatch.undo()
-        # one residual per run's start and per full step, and no other
-        assert calls["residual"] == calls["factor"] + len(runs)
-        (_, (first_u, _, first)), (restart, (_, _, again)) = runs
-        assert first.tolist() == [False, True] and again.tolist() == [True, True]
-        assert first_u[0].max() < 1e-10
-        level = (env.k_array / residents[0].cumulative_scales()).max()
-        assert np.array_equal(restart[0], level * consistent_constant(grid, residents[0]))
-        assert np.array_equal(restart[1], first_u[1])
+        assert runs == [[True, True]]
+        assert calls["residual"] == calls["factor"] + 1
         for resident, start, field in zip(residents, starts, stack):
             single = pc.solve_resident_steady(land, env, resident, grid, initial=start)
             assert np.array_equal(field.values, single.values)
@@ -467,20 +423,18 @@ class TestStackedSteady:
         config = pc.SteadyConfig()
         whole = pc.solve_resident_steady_states(land, env, residents, grid, config, starts)
         sizes = []
-        problem = patchcomp.steady._SteadyProblem
-        newton = problem.newton
+        run = patchcomp.steady.newton
 
-        def spy_newton(self, u0, config):
+        def spy_newton(residual, u0, *args):
             sizes.append(u0.shape[:-1])
-            return newton(self, u0, config)
+            return run(residual, u0, *args)
 
-        monkeypatch.setattr(problem, "newton", spy_newton)
+        monkeypatch.setattr(patchcomp.steady, "newton", spy_newton)
         monkeypatch.setattr(patchcomp.operators, "_STACK_DOFS", 2 * grid.num_reduced)
         chunked = pc.solve_resident_steady_states(land, env, residents, grid, config, starts)
-        # per stack, Newton and then its restart from M c (from these flat
-        # starts every block falls to the floor and stalls there); the last
-        # resident is solved on its own (N,) arrays
-        assert sizes == [(2,), (2,), (2,), (2,), (), ()]
+        # one Newton run per stack, from these flat starts below the states
+        # too; the last resident is solved on its own (N,) arrays
+        assert sizes == [(2,), (2,), ()]
         assert [a.values.tolist() for a in chunked] == [b.values.tolist() for b in whole]
 
     def test_initial_must_be_finite_and_one_row_per_resident(self, unit_two_patch):
@@ -506,9 +460,10 @@ class TestStackedSteady:
         assert pc.solve_resident_steady_states(land, env, [], grid) == []
 
 
-# Landscapes on which Newton from the capacity profile does not converge at
-# 9 subintervals per patch: (lengths, d, r, k, p), drawn log-uniformly over
-# d 0.01-30, r and k 0.1-10 and p 0.05-20
+# Landscapes on which Newton from the capacity profile, not lifted to the
+# folded capacity and clipped at a floor, stalls at 9 subintervals per
+# patch: (lengths, d, r, k, p), drawn log-uniformly over d 0.01-30, r and k
+# 0.1-10 and p 0.05-20
 STALLING_LANDSCAPES = {
     "three_patches": ([1.519, 1.308, 0.898], [0.388, 0.026, 15.799],
                       [0.116, 7.261, 2.038], [0.123, 3.786, 0.166], [2.331, 3.051]),
@@ -524,7 +479,8 @@ STALLING_LANDSCAPES = {
 
 
 # A wide draw on which Newton from a flat start of 0.0103, far below the
-# state (max 22.28), ended at the trivial root: (boundaries, r, k, d, p)
+# state (max 22.28), not lifted and clipped at a floor, ends at the trivial
+# root: (boundaries, r, k, d, p)
 TRIVIAL_ROOT_DRAW = (
     [0.0, 1.2477832752595082, 2.118012189372427, 3.2297652815886098, 4.690126856152936],
     [1.804698743869697, 16.209538008670044, 0.1106406343801893, 1.2778213796728894],
@@ -540,181 +496,283 @@ def stalling_landscape(name):
     return land, pc.PatchEnvironment(r=r, k=k), pc.SpeciesTraits(d, pc.StrategyVector(p))
 
 
-class TestSuperSolutionRestart:
+def spied_solve(monkeypatch, solve):
+    """``solve()``'s result, the converged flags of each Newton run it made
+    and the number of residual evaluations."""
+    runs, evaluations = [], []
+    run, residual = patchcomp.steady.newton, patchcomp.steady._SteadyProblem.residual
+
+    def spy_newton(*args):
+        out = run(*args)
+        runs.append(np.ravel(out[2]).tolist())
+        return out
+
+    def spy_residual(self, u):
+        evaluations.append(None)
+        return residual(self, u)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(patchcomp.steady, "newton", spy_newton)
+        mp.setattr(patchcomp.steady._SteadyProblem, "residual", spy_residual)
+        out = solve()
+    return out, runs, len(evaluations)
+
+
+class TestOneNewtonRun:
+    """Landscapes and starts on which Newton from the unlifted start,
+    clipped at a floor, stalls or ends at the trivial root converge in one
+    run from the lifted start."""
+
     @pytest.mark.parametrize("name", sorted(STALLING_LANDSCAPES))
-    def test_natural_stall_restarts_from_the_super_solution(self, name, monkeypatch):
+    def test_stalling_landscape_converges_in_one_run(self, name, monkeypatch):
         land, env, traits = stalling_landscape(name)
         grid = pc.build_grid(land, per_patch=9)
-        runs, factored = [], []
-        run, factor = patchcomp.steady.newton, patchcomp.steady.factor_blocks
-
-        def spy(residual, u0, floor, cap, row_scale, config):
-            # every point Newton evaluates, with its residual
-            points = []
-
-            def record(u):
-                out = residual(u)
-                points.append((u.copy(), out[0].copy()))
-                return out
-
-            factored.append([])
-            out = run(record, u0, floor, cap, row_scale, config)
-            runs.append((u0, points, row_scale, out))
-            return out
-
-        def spy_factor(lo, di, up, rhs):
-            factored[-1].append(len(rhs))
-            return factor(lo, di, up, rhs)
-
-        monkeypatch.setattr(patchcomp.steady, "newton", spy)
-        u = pc.solve_resident_steady(land, env, traits, grid)
-        monkeypatch.undo()
-        (_, _, _, (_, _, first)), (start, points, row_scale, (_, _, restart)) = runs
-        assert not first and restart
-        level = (env.k_array / traits.cumulative_scales()).max()
-        assert np.array_equal(start, level * consistent_constant(grid, traits))
+        u, runs, evaluations = spied_solve(
+            monkeypatch, lambda: pc.solve_resident_steady(land, env, traits, grid))
+        assert runs == [[True]] and evaluations <= 10
         assert u.min() > 0
-        # every point of the restart, trial steps included, is a
-        # super-solution (F <= 0) at or above the state, up to rounding
-        ustar = restrict_values(grid, u.values)
-        eps = np.finfo(float).eps
-        noise = 8.0 * eps * row_scale * max(ustar.max(), env.k_array.max())
-        for x, res in points:
-            assert res.max() <= noise
-            assert (x - ustar).min() >= -64.0 * eps * ustar.max()
-        # stacked behind a resident that converges from the capacity
-        # profile, only the stalled block starts again from M c and reaches
-        # the restart's factorisations; the other starts from its state
+        # stacked behind a resident that converges at once, the stack's one
+        # run converges both, each with the bits of its single solve
         easy = pc.SpeciesTraits(np.ones(grid.n), pc.StrategyVector(np.ones(grid.n - 1)))
-        runs.clear()
-        factored.clear()
-        monkeypatch.setattr(patchcomp.steady, "newton", spy)
-        monkeypatch.setattr(patchcomp.steady, "factor_blocks", spy_factor)
-        stack = pc.solve_resident_steady_states(land, env, [easy, traits], grid)
-        monkeypatch.undo()
-        (_, _, _, (first_u, _, first)), (start, _, _, (_, _, restart)) = runs
-        assert first.tolist() == [True, False] and restart.tolist() == [True, True]
-        assert np.array_equal(start[0], first_u[0])
-        assert np.array_equal(start[1], level * consistent_constant(grid, traits))
-        assert factored[1] and set(factored[1]) == {1}
+        stack, runs, _ = spied_solve(
+            monkeypatch, lambda: pc.solve_resident_steady_states(land, env, [easy, traits], grid))
+        assert runs == [[True, True]]
         assert np.array_equal(stack[1].values, u.values)
         single = pc.solve_resident_steady(land, env, easy, grid)
         assert np.array_equal(stack[0].values, single.values)
 
-
-    # W A is symmetric and A c = 0, so a positive steady state has b u >= a
-    # somewhere: a Newton run that ends with b u < a / 2 everywhere has found
-    # the trivial root, and the block starts again from M c
     @pytest.mark.parametrize("level", [1e-12, 1e-9])
-    def test_one_patch_flat_start_at_the_trivial_root_restarts(self, level):
+    def test_one_patch_flat_start_at_the_trivial_root_converges(self, level, monkeypatch):
         land = pc.Landscape([0.0, 1.0])
         env = pc.PatchEnvironment(r=[1.0], k=[1.0])
         traits = pc.SpeciesTraits([1.0], pc.StrategyVector([]))
         grid = pc.build_grid(land, per_patch=50)
         start = np.full(grid.num_reduced, level)
-        u = pc.solve_resident_steady(land, env, traits, grid, initial=start)
+        u, runs, _ = spied_solve(
+            monkeypatch, lambda: pc.solve_resident_steady(land, env, traits, grid, initial=start))
+        assert runs == [[True]]
         assert np.abs(u.values - 1.0).max() <= 1e-10
 
-    def test_two_patch_start_at_the_trivial_root_restarts(self, unit_two_patch):
+    def test_two_patch_start_at_the_trivial_root_converges(self, unit_two_patch, monkeypatch):
         land, env = unit_two_patch
         traits = pc.SpeciesTraits([1.0, 1.0], pc.ifd_strategy(env))
         grid = pc.build_grid(land, per_patch=100)
         start = 1e-11 * consistent_constant(grid, traits)
-        u = pc.solve_resident_steady(land, env, traits, grid, initial=start)
+        u, runs, _ = spied_solve(
+            monkeypatch, lambda: pc.solve_resident_steady(land, env, traits, grid, initial=start))
+        assert runs == [[True]]
         assert np.abs(u.values - env.k_array[grid.patch_index_of_dofs()]).max() <= 1e-10
 
-    def test_wide_draw_flat_start_reaches_the_capacity_start_state(self):
+    def test_wide_draw_flat_start_converges_in_one_run(self, monkeypatch):
         boundaries, r, k, d, p = TRIVIAL_ROOT_DRAW
         land = pc.Landscape(boundaries)
         env = pc.PatchEnvironment(r=r, k=k)
         traits = pc.SpeciesTraits(d, pc.StrategyVector(p))
         grid = pc.build_grid(land, per_patch=100)
         start = np.full(grid.num_reduced, 0.010318933431418275)
-        u = pc.solve_resident_steady(land, env, traits, grid, initial=start)
+        u, runs, evaluations = spied_solve(
+            monkeypatch, lambda: pc.solve_resident_steady(land, env, traits, grid, initial=start))
+        assert runs == [[True]] and evaluations <= 11
         reference = pc.solve_resident_steady(land, env, traits, grid)
-        assert np.abs(u.values - reference.values).max() <= 1e-9 * reference.values.max()
+        assert np.abs(u.values - reference.values).max() <= 1e-10 * reference.values.max()
+
+
+def log_uniform(low: float, high: float):
+    """Floats log-uniform on ``[low, high]``."""
+    return st.floats(np.log(low), np.log(high)).map(np.exp)
+
+
+@st.composite
+def residents(draw):
+    """A landscape of 2-6 patches, its environment and a resident on it, in
+    the tests' ranges (lengths 0.5-2, r and k 0.5-2, d 0.1-10 times 0.5-2, p
+    0.2-5 times 0.5-2) or in the wide ones (d 0.01-30, p 0.05-20, r and k
+    0.1-10, log-uniform)."""
+    n = draw(st.integers(2, 6))
+
+    def row(strategy, size):
+        return np.array(draw(st.lists(strategy, min_size=size, max_size=size)))
+
+    lengths = row(st.floats(0.5, 2.0), n)
+    if draw(st.booleans()):
+        r, k = row(st.floats(0.5, 2.0), n), row(st.floats(0.5, 2.0), n)
+        d = row(st.floats(0.1, 10.0), n) * row(st.floats(0.5, 2.0), n)
+        p = row(st.floats(0.2, 5.0), n - 1) * row(st.floats(0.5, 2.0), n - 1)
+    else:
+        r, k = row(log_uniform(0.1, 10.0), n), row(log_uniform(0.1, 10.0), n)
+        d, p = row(log_uniform(0.01, 30.0), n), row(log_uniform(0.05, 20.0), n - 1)
+    land = pc.Landscape(np.concatenate(([0.0], np.cumsum(lengths))))
+    return land, pc.PatchEnvironment(r=r, k=k), pc.SpeciesTraits(d, pc.StrategyVector(p))
+
+
+class TestMonotoneNewton:
+    @given(
+        drawn=residents(),
+        per_patch=st.sampled_from([9, 40, 100]),
+        start=st.sampled_from(["capacity", "twice M c", "flat"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_iterates_decrease_after_the_first_step(self, drawn, per_patch, start):
+        # from the lifted start, the first iterate is a super-solution at or
+        # above the state, and every later one lies at or below the one
+        # before, up to rounding: 64 eps max u, plus the step the rounding
+        # of the residual's summands alone makes, (-J)⁻¹ 4 eps (|A| u + a u
+        # + b u²), which near the state is what a step is made of (rises
+        # reach 18 times 64 eps max u on wide draws, and 0.6 % of this
+        # bound); every factorisation is positive definite (a failed one
+        # raises), and the one run converges
+        land, env, traits = drawn
+        grid = pc.build_grid(land, per_patch=per_patch)
+        problem = patchcomp.steady._SteadyProblem(grid, env, traits)
+        if start == "capacity":
+            u0 = problem.layout.fill(env.k_array)
+        elif start == "twice M c":
+            level = super_level(env.k_array, traits.cumulative_scales())
+            u0 = 2.0 * level * consistent_constant(grid, traits)
+        else:
+            u0 = np.full(grid.num_reduced, 1e-6)
+        iterates, residual = [], problem.residual
+
+        def record(u):
+            out = residual(u)
+            iterates.append((u.copy(), out))
+            return out
+
+        problem.residual = record
+        ustar = problem.solve(u0, pc.SteadyConfig())
+        eps = np.finfo(float).eps
+        lo, di, up = problem.layout.bands
+        a, b = problem.a, problem.b
+        row_scale = (np.abs(di) + np.abs(lo) + np.abs(up)).max()
+        noise = 8.0 * eps * row_scale * max(iterates[0][0].max(), env.k_array.max())
+        assert np.array_equal(iterates[0][0], np.maximum(u0, a / b))
+        for (before, (_, (slope, s, off))), (after, _) in zip(iterates[1:], iterates[2:]):
+            summands = (np.abs(di) + a + b * before) * before
+            summands[1:] += lo[1:] * before[:-1]
+            summands[:-1] += up[:-1] * before[1:]
+            rounding = factor_symmetrized(slope, off, 0.0)(s * 4.0 * eps * summands) / s
+            assert (after - before).max() <= rounding.max() + 64.0 * eps * before.max()
+        for _, (res, _) in iterates[1:]:
+            assert res.max() <= noise
+        assert ustar.min() > 0
+
+
+class TestTypedFailures:
+    def test_indefinite_jacobian_raises_steady_convergence_error(
+        self, unit_two_patch, monkeypatch, tmp_path
+    ):
+        # a Jacobian diagonal pushed up by twice its largest entry makes
+        # minus it indefinite: the solve and the CLI report a numerical
+        # failure, not a LinAlgError
+        land, env = unit_two_patch
+        traits = pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([3.0]))
+        grid = pc.build_grid(land, per_patch=40)
+        residual = patchcomp.steady._SteadyProblem.residual
+
+        def indefinite(self, u):
+            res, (slope, s, off) = residual(self, u)
+            return res, (slope + 2.0 * np.abs(slope).max(), s, off)
+
+        monkeypatch.setattr(patchcomp.steady._SteadyProblem, "residual", indefinite)
+        with pytest.raises(pc.SteadyConvergenceError, match="not negative definite") as got:
+            pc.solve_resident_steady(land, env, traits, grid)
+        assert got.value.residual > 0
+        config = Path(__file__).resolve().parents[1] / "configs" / "reference_two_patch.json"
+        assert run_command(["steady", "--config", str(config), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("kernel", [True, False])
+    def test_similarity_out_of_range_raises_steady_convergence_error(self, kernel, monkeypatch):
+        # weights from 5e-5 to 1e305: finite, but the square of the
+        # similarity, their ratio, is not
+        if not kernel:
+            monkeypatch.setattr(patchcomp.operators, "_ldlt", None)
+        land = pc.Landscape([0.0, 1e-3, 1.001, 2.001])
+        env = pc.PatchEnvironment(r=[1.0, 1.0, 1.0], k=[1.0, 1.0, 1.0])
+        traits = pc.SpeciesTraits([1.0, 1.0, 1.0], pc.StrategyVector([1e-153, 1e-153]))
+        grid = pc.build_grid(land, per_patch=10)
+        with pytest.raises(pc.SteadyConvergenceError, match="symmetric"):
+            pc.solve_resident_steady(land, env, traits, grid)
 
 
 class TestDampedNewton:
     @staticmethod
-    def shifted(sign):
-        # F(u) = u - 2 with the Jacobian's bands scaled by sign (1: exact)
+    def linear(slope):
+        # F(u) = 2 - u, handed the Jacobian diagonal ``slope`` (-1: exact)
         def residual(u):
-            return u - 2.0, (np.zeros_like(u), np.full_like(u, sign), np.zeros_like(u))
+            return 2.0 - u, (np.full_like(u, slope), np.ones_like(u), np.zeros_like(u))
         return residual
 
     def test_exact_jacobian_converges_in_one_step(self):
-        u, norm, converged = newton(
-            self.shifted(1.0), np.ones(3), 0.0, 1.0, 1.0, pc.SteadyConfig()
-        )
+        u, norm, converged = newton(self.linear(-1.0), np.ones(3), 1.0, 1.0, pc.SteadyConfig())
         assert converged and norm == 0.0 and np.array_equal(u, np.full(3, 2.0))
 
-    def test_failed_full_step_stalls_unconverged(self):
-        # the wrong-sign step doubles |F|, so the block keeps its start
-        u, norm, converged = newton(
-            self.shifted(-1.0), np.ones(3), 0.0, 1.0, 1.0, pc.SteadyConfig()
-        )
-        assert not converged and norm == 1.0 and np.array_equal(u, np.ones(3))
+    def test_indefinite_jacobian_raises(self):
+        # minus a positive Jacobian is not positive definite
+        with pytest.raises(pc.SteadyConvergenceError, match="not negative definite") as got:
+            newton(self.linear(1.0), np.ones(3), 1.0, 1.0, pc.SteadyConfig())
+        assert got.value.residual == 1.0
 
-    def test_stack_stops_each_block_on_its_own(self):
-        # block 0 has the exact Jacobian, block 1 one of the wrong sign: the
-        # first converges after one step, the second's first full step
-        # fails, so it stalls, and both stop on that pass
-        signs, calls = np.array([1.0, -1.0]), []
+    def test_stack_stops_each_block_on_its_own(self, monkeypatch):
+        # block 0 has the exact Jacobian and converges after one step; block
+        # 1 has twice it, so each step halves its error, and it goes on
+        # alone, factored on its own
+        slopes, calls, factored = np.array([-1.0, -2.0]), [], []
+        factor = patchcomp.steady.factor_symmetrized
 
         def residual(u):
             calls.append(u.shape)
-            return u - 2.0, (np.zeros_like(u), signs[:, None] * np.ones_like(u),
+            return 2.0 - u, (slopes[:, None] * np.ones_like(u), np.ones_like(u),
                              np.zeros_like(u))
 
-        u, norm, converged = newton(
-            residual, np.ones((2, 3)), 0.0, 1.0, np.ones(2), pc.SteadyConfig()
-        )
-        assert np.array_equal(u, [[2.0, 2.0, 2.0], [1.0, 1.0, 1.0]])
-        assert norm.tolist() == [0.0, 1.0] and converged.tolist() == [True, False]
+        def spy_factor(slope, off, alpha):
+            factored.append(slope.shape)
+            return factor(slope, off, alpha)
+
+        monkeypatch.setattr(patchcomp.steady, "factor_symmetrized", spy_factor)
+        u, norm, converged = newton(residual, np.ones((2, 3)), 1.0, np.ones(2), pc.SteadyConfig())
+        assert np.array_equal(u[0], [2.0, 2.0, 2.0]) and norm[0] == 0.0
+        assert converged.tolist() == [True, True] and 0.0 < norm[1] <= 1e-10
+        assert factored[0] == (2, 3) and set(factored[1:]) == {(1, 3)}
         assert set(calls) == {(2, 3)}
 
     def test_non_finite_residual_returns_unconverged(self, monkeypatch):
         def residual(u):
-            return np.full(3, np.nan), (np.zeros(3), np.ones(3), np.zeros(3))
+            return np.full(3, np.nan), (-np.ones(3), np.ones(3), np.zeros(3))
 
-        def refuse(*bands):
+        def refuse(*args):
             raise AssertionError("a non-finite residual reached the factorisation")
 
-        monkeypatch.setattr(patchcomp.steady, "factor_blocks", refuse)
-        _, norm, converged = newton(
-            residual, np.ones(3), 0.0, 1.0, 1.0, pc.SteadyConfig()
-        )
+        monkeypatch.setattr(patchcomp.steady, "factor_symmetrized", refuse)
+        _, norm, converged = newton(residual, np.ones(3), 1.0, 1.0, pc.SteadyConfig())
         assert not converged and np.isnan(norm)
 
     def test_non_finite_block_is_never_factored(self, monkeypatch):
-        # F(u) = u^2 - t per block, from u = 1 (where every full step lowers
-        # |F|): the middle block's residual and Jacobian turn NaN from the
-        # second evaluation on, so its first full step stalls and it stops,
-        # unconverged, while its neighbours go on to their roots with the
-        # bits of their own solves
+        # F(u) = t - u^2 per block, concave, from u = 1: the middle block's
+        # residual and Jacobian turn NaN from the second evaluation on, so
+        # it stops, unconverged, while its neighbours go on to their roots
+        # with the bits of their own solves
         def squares(targets, poisoned=None):
             evaluated = []
 
             def residual(u):
-                res, slope = u * u - targets, 2.0 * u
+                res, slope = targets - u * u, -2.0 * u
                 if evaluated and poisoned is not None:
                     res[poisoned] = slope[poisoned] = np.nan
                 evaluated.append(u)
-                return res, (np.zeros_like(u), slope, np.zeros_like(u))
+                return res, (slope, np.ones_like(u), np.zeros_like(u))
             return residual
 
-        factored, factor = [], patchcomp.steady.factor_blocks
+        factored, factor = [], patchcomp.steady.factor_symmetrized
 
-        def spy_factor(lo, di, up, rhs):
-            factored.append(len(rhs))
-            assert np.isfinite(di).all() and np.isfinite(rhs).all()
-            return factor(lo, di, up, rhs)
+        def spy_factor(slope, off, alpha):
+            factored.append(len(slope))
+            assert np.isfinite(slope).all()
+            return factor(slope, off, alpha)
 
-        monkeypatch.setattr(patchcomp.steady, "factor_blocks", spy_factor)
+        monkeypatch.setattr(patchcomp.steady, "factor_symmetrized", spy_factor)
         targets = np.array([2.0, 3.0, 4.0])
         u, norm, converged = newton(
-            squares(targets[:, None], poisoned=1), np.ones((3, 4)), 0.0, 1.0, np.ones(3),
+            squares(targets[:, None], poisoned=1), np.ones((3, 4)), 1.0, np.ones(3),
             pc.SteadyConfig(),
         )
         monkeypatch.undo()
@@ -722,7 +780,7 @@ class TestDampedNewton:
         assert converged.tolist() == [True, False, True] and np.isnan(norm[1])
         for block in (0, 2):
             w, w_norm, w_converged = newton(
-                squares(targets[block]), np.ones(4), 0.0, 1.0, 1.0, pc.SteadyConfig()
+                squares(targets[block]), np.ones(4), 1.0, 1.0, pc.SteadyConfig()
             )
             assert w_converged and np.array_equal(u[block], w) and norm[block] == w_norm
 
@@ -748,6 +806,23 @@ class TestTransformedOracle:
             patchcomp.transform, "ORACLE_CONFIG", pc.SteadyConfig(max_newton_iters=1)
         )
         with pytest.raises(pc.SteadyConvergenceError):
+            pc.solve_transformed_steady(land, env, traits, grid)
+
+
+    def test_non_positive_couplings_raise(self, unit_two_patch, monkeypatch):
+        # a reaction Jacobian that outweighs the diffusion couplings leaves
+        # no symmetric similarity for the LDLᵀ
+        land, env = unit_two_patch
+        traits = pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([3.0]))
+        grid = pc.build_grid(land, per_patch=60)
+        reaction = patchcomp.transform._fv_reaction
+
+        def heavy(*args):
+            out, (jlo, jdi, jup) = reaction(*args)
+            return out, (jlo - 1e9, jdi, jup - 1e9)
+
+        monkeypatch.setattr(patchcomp.transform, "_fv_reaction", heavy)
+        with pytest.raises(pc.SteadyConvergenceError, match="not positive"):
             pc.solve_transformed_steady(land, env, traits, grid)
 
 
