@@ -24,11 +24,13 @@ ratio 2).  The layers:
   and its bands (``diffusion_bands`` in trees before the layout held its
   bands) of the resident alone, ``(N,)`` (``bands_N``), of the mutant as a
   stack of one, ``(1, N)`` (``bands_1xN``), and of the pair, ``(2, N)``
-  (``bands_2xN``); ``symmetrizing_similarity`` of the pair's bands, as the
-  stepper's plan takes it; the coupling checks, similarity and scale of the
-  mutant's ``(1, N)`` bands (``checked_similarity``, ``eigen._couplings``
-  in trees before it moved to ``operators``); and ``MutantStack.assemble``
-  of the mutant (``mutant_stack``);
+  (``bands_2xN``); the same three layouts with the similarity of their
+  couplings, which the solvers read of them (``layout_N``, ``layout_1xN``,
+  ``layout_2xN``: a ``SpeciesLayout``, which writes it, or, in trees before
+  it did, a ``SpeciesLayout`` and ``symmetrizing_similarity`` of its
+  bands); and ``symmetrizing_similarity`` of the pair's bands, numpy's for
+  the operators no layout built (the stepper's plan took it in trees
+  before the layout wrote it);
 - ``steady``: the resident's Newton steady solve;
 - ``fitness``: on a grid built inside each timed call (its index arrays
   are built lazily, so their cost lands in the solves), as for a new
@@ -51,12 +53,12 @@ ratio 2).  The layers:
   ``_STACK_DOFS`` DOFs) and M = 16 at 801 (the benchmark's ``sweep``), per
   stack and per operator;
 - ``noda``: Noda's iteration alone (``eigen._stacked_solve``, from the
-  start vectors, the bands and their couplings built outside the timed
-  call) on one mutant's linearization and on a stack of 16, at 201, 1,601
-  and 8,001 reduced DOFs, and at 201 on the 100 pairs of ``pip_10x10``
-  (``pip_pairs_100``), whose blocks stop on different passes (21 after 3
-  solves, 79 after 4; the 16 all stop after 4), once per route as for
-  ``step``;
+  start vectors, the bands and their couplings, ``checked_similarity``'s or
+  the layouts', built outside the timed call) on one mutant's
+  linearization and on a stack of 16, at 201, 1,601 and 8,001 reduced DOFs,
+  and at 201 on the 100 pairs of ``pip_10x10`` (``pip_pairs_100``), whose
+  blocks stop on different passes (21 after 3 solves, 79 after 4; the 16
+  all stop after 4), once per route as for ``step``;
 - ``newton``: the steady Newton alone, ``_SteadyProblem.solve`` with the
   problem built outside the timed call (in trees with a restart from
   ``M c`` the restart is part of it), with the residual evaluations of one
@@ -155,9 +157,6 @@ from patchcomp.operators import (  # noqa: E402
     symmetrizing_similarity,
 )
 
-# the coupling checks, similarity and scale of Noda's stacks (in trees before
-# they moved to ``operators``, ``eigen._couplings``)
-CHECKED_SIMILARITY = getattr(operators, "checked_similarity", None) or eigen._couplings
 # a layout and its diffusion bands in one call (in trees before the layout
 # held its bands, ``diffusion_bands``)
 BANDS = getattr(operators, "diffusion_bands", None) or SpeciesLayout
@@ -246,21 +245,31 @@ def assembly(repeats: int) -> dict:
         # each species' operator is its row of a stack's bands, bit for bit
         pair = [assemble_diffusion(grid, traits) for traits in (RESIDENT, MUTANT)]
         lo, up = (np.array([getattr(op, band) for op in pair]) for band in ("lo", "up"))
-        mutant = [np.array([getattr(pair[1], band)]) for band in _BANDS]
         calls = {
             "assemble_diffusion": lambda: assemble_diffusion(grid, MUTANT),
             "bands_N": lambda: BANDS(grid, RESIDENT),
             "bands_1xN": lambda: BANDS(grid, [MUTANT]),
             "bands_2xN": lambda: BANDS(grid, [RESIDENT, MUTANT]),
+            "layout_N": lambda: _similar_layout(grid, RESIDENT),
+            "layout_1xN": lambda: _similar_layout(grid, [MUTANT]),
+            "layout_2xN": lambda: _similar_layout(grid, [RESIDENT, MUTANT]),
             "symmetrizing_similarity": lambda: symmetrizing_similarity(lo, up),
-            "checked_similarity": lambda: CHECKED_SIMILARITY(*mutant),
-            "mutant_stack": lambda: eigen.MutantStack.assemble(grid, [MUTANT]),
         }
         out[str(grid.num_reduced)] = {
             name: _routes(lambda: _per_call(call, ASSEMBLY_CALLS, repeats), fallback="numpy")
             for name, call in calls.items()
         }
     return out
+
+
+def _similar_layout(grid, traits) -> SpeciesLayout:
+    """The ``SpeciesLayout`` of ``traits`` and the similarity of its
+    couplings: the layout writes it, or, in trees before it did,
+    ``symmetrizing_similarity`` of its bands is taken after it."""
+    layout = SpeciesLayout(grid, traits)
+    if not hasattr(layout, "s"):
+        symmetrizing_similarity(layout.lo, layout.up)
+    return layout
 
 
 def _per_call(call, count: int, repeats: int) -> dict:
@@ -342,7 +351,7 @@ def inner_loops(repeats: int) -> dict:
         noda, newton = {}, {}
         for m in INNER_STACKS:
             lo, di, up = (np.array([getattr(op, band) for op in ops[:m]]) for band in _BANDS)
-            couplings = CHECKED_SIMILARITY(lo, di, up)
+            couplings = operators.checked_similarity(lo, di, up)
             start = eigen._start_vectors(SpeciesLayout(grid, [op.traits for op in ops[:m]]))
             noda[f"stack_{m}"] = _routes(lambda: timed(
                 lambda: eigen._stacked_solve(lo, di, up, couplings, start.copy()), repeats
@@ -398,14 +407,14 @@ def _pip_pairs(grid):
         [pc.SpeciesTraits([1.0, 1.0], [p]) for p in scan] for scan in _pip_scans(10)
     )
     context = eigen.ResidentContext(LAND, ENV, residents, grid)
-    stack = eigen.MutantStack.assemble(grid, mutants)
     rows, cols = np.divmod(np.arange(len(residents) * len(mutants)), len(mutants))
-    # the stack's own bands in trees before its layout held them
-    bands = (stack.lo, stack.di, stack.up) if hasattr(stack, "lo") else stack.layout.bands
-    lo, di, up, start = (a.take(cols, axis=0) for a in (*bands, stack.start))
-    couplings = tuple(a.take(cols, axis=0) for a in stack.couplings)
-    di += stack.layout[cols].restrict_diag(context.potential.take(rows, axis=0))
-    return lo, di, up, couplings, start
+    layout = SpeciesLayout(grid, mutants)[cols]
+    if hasattr(layout, "s"):
+        couplings = (layout.s, layout.s2, layout.off, layout.coupling_scale)
+    else:  # in trees before the layout wrote its similarity
+        couplings = operators.checked_similarity(*layout.bands)
+    di = layout.di + layout.restrict_diag(context.potential.take(rows, axis=0))
+    return layout.lo, di, layout.up, couplings, eigen._start_vectors(layout)
 
 
 def _fallback_problems() -> dict:
@@ -507,7 +516,7 @@ def ldlt(repeats: int) -> dict:
     for per_patch in FINE_PER_PATCH:
         grid = pc.build_grid(LAND, per_patch=per_patch)
         stepper = Stepper(LAND, ENV, RESIDENT, MUTANT, grid)
-        lo, di, up = stepper._bands
+        lo, di, up = stepper.layout.bands
         s, _, off = symmetrizing_similarity(lo, up)
         w0 = s * np.array(default_initial(grid, ENV))
         out[f"step_{grid.num_reduced}"] = {

@@ -41,7 +41,6 @@ from .steady import (
 )
 from .eigen import (
     EigenPair,
-    MutantStack,
     ResidentContext,
     SIGN_TOL,
     assemble_linearization,
@@ -89,7 +88,6 @@ __all__ = [
     "Landscape",
     "LinearOperator",
     "MonotonicityReport",
-    "MutantStack",
     "NumericalError",
     "OutcomeRecord",
     "PIPGrid",

@@ -36,17 +36,16 @@
  * band product; Newton solves its steps with factor and solve, on the
  * similarity that symmetrizes its Jacobian's couplings.
  *
- * species and similarity are the assembly of a stack of species
- * (patchcomp.operators.SpeciesLayout and checked_similarity): one pass
- * writes each species' reduced-DOF masses and weights and its diffusion
- * bands, with the checks that refuse weights that are not finite and
- * positive and bands that are not finite; another writes the similarity
- * that makes the bands symmetric, s, s squared and the symmetric couplings,
- * with the checks Noda needs (finite bands, positive couplings, s squared in
- * range) and the couplings' part of the band scale.  Each of their
- * operations is one correctly rounded operation, in numpy's order, so their
- * numbers are numpy's bit for bit; only the product that carries s runs
- * one row at a time.
+ * species is the assembly of a stack of species
+ * (patchcomp.operators.SpeciesLayout): one pass writes each species'
+ * reduced-DOF masses and weights, its diffusion bands and the similarity
+ * that makes them symmetric, s, s squared and the symmetric couplings, with
+ * the couplings' part of the band scale, and refuses, in this order, weights
+ * that are not finite and positive, bands that are not finite, couplings
+ * that are not positive and s squared out of range.  Each of its operations
+ * is one correctly rounded operation, in numpy's order, so its numbers are
+ * numpy's bit for bit; only the product that carries s runs one row at a
+ * time.
  *
  * Build: cc -O2 -fPIC -shared -ffp-contract=off -I<Python include>
  * (-ffp-contract=off keeps a*b - c from becoming a fused multiply-add), with
@@ -57,7 +56,6 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
-#include <stdint.h>
 #include <string.h>
 
 /* The two species at one row, lane 0 the first: each operation on both
@@ -737,8 +735,11 @@ residual(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     Py_RETURN_NONE;
 }
 
-/* species's outcomes: which check failed, the weights' before the bands'. */
-enum { ASSEMBLED = 0, WEIGHTS_NOT_POSITIVE = 1, BANDS_NOT_FINITE = 2 };
+/* species's outcomes: which check failed, in the order the checks come. */
+enum {
+    ASSEMBLED = 0, WEIGHTS_NOT_POSITIVE = 1, BANDS_NOT_FINITE = 2, COUPLING_NOT_POSITIVE = 3,
+    OUT_OF_RANGE = 4,
+};
 
 /* di, up and lo of reduced DOF j from the numerators -kd, -ku and -ku of
  * the DOF before: one division each, as numpy's -k / w rounds it. */
@@ -752,24 +753,87 @@ band_row(double *lo, double *di, double *up, const double *w, Py_ssize_t j, doub
     *bad += pair_of(di[j] - di[j], (up[j] - up[j]) + (lo[j] - lo[j]));
 }
 
-/* The layout and the diffusion bands of rows species on one grid of n
- * patches, patch i holding the full DOFs offsets[i] to offsets[i + 1] - 1.
- * Per row: scales and d one per patch, p and p2 one per interface; mass the
- * full DOFs long, w, lo, di and up the reduced ones.  The operations are
- * those of SpeciesLayout and _stiffness_bands, each correctly rounded, in
+/* The lane-wise square root, correctly rounded as sqrt is. */
+static inline pair
+root(pair x)
+{
+    return pair_of(sqrt(x[0]), sqrt(x[1]));
+}
+
+/* The larger of a and b, lane by lane (b where either is NaN). */
+static inline pair
+larger(pair a, pair b)
+{
+    lanes above = (lanes)(a > b);
+    return (pair)(((lanes)a & above) | ((lanes)b & ~above));
+}
+
+/* The similarity of one species' bands lo and up, n rows with zero corners:
+ * s[0] = 1 and s[i+1] = s[i] sqrt(up[i] / lo[i+1]), its square s2 and the
+ * symmetric couplings off[i] = sqrt(lo[i+1] up[i]) (0 in the last row);
+ * returns the largest coupling, at least 1, which is the largest |lo| and
+ * |up| once every coupling is positive.  A lane of low is set once a
+ * coupling is not positive, one of out once an s2 is not finite and
+ * positive.  Two couplings, (up[j], lo[j+1]) and (up[j+1], lo[j+2]), go at
+ * once, and only the product that carries s runs one row at a time. */
+static double
+similarity_rows(const double *lo, const double *up, Py_ssize_t n, double *s, double *s2,
+                double *off, lanes *low, lanes *out)
+{
+    const pair zero = pair_of(0.0, 0.0), inf = pair_of(INFINITY, INFINITY);
+    pair top = pair_of(1.0, 1.0);
+    lanes below = {0, 0}, outside = {0, 0};
+    double carry = 1.0;
+    Py_ssize_t j;
+
+    s[0] = s2[0] = 1.0;
+    for (j = 0; j + 1 < n; j += 2) {
+        /* the last coupling of an odd count pairs with itself */
+        const Py_ssize_t k = j + 2 < n ? j + 1 : j;
+        const pair uj = pair_of(up[j], up[k]), lj = pair_of(lo[j + 1], lo[k + 1]);
+        const pair r = root(quo(uj, lj)), o = root(mul(lj, uj));
+        pair sj, wj;
+        s[j + 1] = carry = carry * lane(r, 0);
+        s[k + 1] = carry = k > j ? carry * lane(r, 1) : carry;
+        sj = pair_of(s[j + 1], s[k + 1]);
+        wj = mul(sj, sj);
+        s2[j + 1] = lane(wj, 0);
+        s2[k + 1] = lane(wj, 1);
+        off[j] = lane(o, 0);
+        off[k] = lane(o, 1);
+        below |= (lanes)((uj <= zero) | (lj <= zero));
+        outside |= ~((lanes)(wj > zero) & (lanes)(wj < inf));
+        top = larger(uj, larger(lj, top));
+    }
+    off[n - 1] = 0.0;
+    *low |= below;
+    *out |= outside;
+    return lane(top, 0) > lane(top, 1) ? lane(top, 0) : lane(top, 1);
+}
+
+/* The layout, the diffusion bands and their similarity of rows species on
+ * one grid of n patches, patch i holding the full DOFs offsets[i] to
+ * offsets[i + 1] - 1.  Per row: scales and d one per patch, p and p2 one per
+ * interface; mass the full DOFs long, w, lo, di, up, s, s2 and off the
+ * reduced ones, and one scale.  The operations are those of SpeciesLayout,
+ * _stiffness_bands and symmetrizing_similarity, each correctly rounded, in
  * their order, the zeros the stiffness starts from included (0 + -0 is +0):
  * omega = 1 / scales and c = omega d / h per patch, the mass omega trap, the
- * weights, and each band entry one division of its stiffness by its
- * weight. */
-static int
+ * weights, each band entry one division of its stiffness by its weight, and
+ * the similarity of the finished bands.  Kept out of its wrapper, which
+ * would otherwise crowd its loops' registers: inlined there, the pass ran
+ * about a fifth slower. */
+static __attribute__((noinline)) int
 species_rows(const Py_ssize_t *offsets, Py_ssize_t n, const double *trap, const double *h,
              const double *scales, const double *d, const double *p, const double *p2,
-             Py_ssize_t rows, double *mass, double *w, double *lo, double *di, double *up)
+             Py_ssize_t rows, double *mass, double *w, double *lo, double *di, double *up,
+             double *s, double *s2, double *off, double *scale)
 {
     const Py_ssize_t full = offsets[n], size = full - (n - 1);
     pair bad = pair_of(0.0, 0.0);  /* a lane NaN once a band entry is not finite */
     double bad_weight = 0.0;       /* NaN once a weight is not finite */
-    int positive = 1;
+    double lowest = 1.0;           /* the least weight, once below 1 */
+    lanes low = {0, 0}, out = {0, 0};  /* similarity_rows's */
     Py_ssize_t b, i, f, j;
 
     for (b = 0; b < rows; b++) {
@@ -786,7 +850,7 @@ species_rows(const Py_ssize_t *offsets, Py_ssize_t n, const double *trap, const 
                 w[f - i] = mass[f];
         }
         for (j = 0; j < size; j++) {
-            positive &= w[j] > 0;
+            lowest = w[j] < lowest ? w[j] : lowest;
             bad_weight += w[j] - w[j];
         }
         /* the stiffness kd (diagonal) and ku (coupling of j and j + 1) of
@@ -821,6 +885,7 @@ species_rows(const Py_ssize_t *offsets, Py_ssize_t n, const double *trap, const 
         /* the last DOF: its up is the zero corner */
         band_row(lo, di, up, w, size - 1, 0.0 + c_before, 0.0, ku_before, &bad);
         up[size - 1] = 0.0;
+        scale[b] = similarity_rows(lo, up, size, s, s2, off, &low, &out);
         scales += n;
         d += n;
         p += n - 1;
@@ -830,43 +895,56 @@ species_rows(const Py_ssize_t *offsets, Py_ssize_t n, const double *trap, const 
         lo += size;
         di += size;
         up += size;
+        s += size;
+        s2 += size;
+        off += size;
     }
-    if (!positive || bad_weight != 0.0)
+    if (!(lowest > 0.0) || bad_weight != 0.0)
         return WEIGHTS_NOT_POSITIVE;
-    return lane(bad, 0) == 0.0 && lane(bad, 1) == 0.0 ? ASSEMBLED : BANDS_NOT_FINITE;
+    if (lane(bad, 0) != 0.0 || lane(bad, 1) != 0.0)
+        return BANDS_NOT_FINITE;
+    if (low[0] || low[1])
+        return COUPLING_NOT_POSITIVE;
+    return out[0] || out[1] ? OUT_OF_RANGE : ASSEMBLED;
 }
 
 PyDoc_STRVAR(species_doc,
-"species(offsets, trap, h, scales, d, p, p2, mass, w, lo, di, up) -> int\n\n"
-"The reduced-DOF layout and the diffusion bands of a stack of species on one\n"
-"grid: offsets (array indices) the full index where each of the n patches\n"
-"starts, then the full DOF count F; trap the F trapezoid weights and h the n\n"
-"patch spacings; per species its cumulative scales and diffusion rates d,\n"
-"one per patch, and its jump ratios p and their pow squares p2, one per\n"
-"interface.\n"
-"Writes per species the F full-DOF masses to mass and the N = F - (n - 1)\n"
-"reduced weights and bands lo, di, up (zero corners) to w, lo, di and up.\n"
-"Returns 0, or 1 when a weight is not finite and positive, else 2 when a\n"
-"band entry is not finite, with every output written.");
+"species(offsets, trap, h, scales, d, p, p2, mass, w, lo, di, up, s, s2, off, scale)\n"
+"-> int\n\n"
+"The reduced-DOF layout, the diffusion bands and their symmetrizing\n"
+"similarity of a stack of species on one grid: offsets (array indices) the\n"
+"full index where each of the n patches starts, then the full DOF count F;\n"
+"trap the F trapezoid weights and h the n patch spacings; per species its\n"
+"cumulative scales and diffusion rates d, one per patch, and its jump ratios\n"
+"p and their pow squares p2, one per interface.\n"
+"Writes per species the F full-DOF masses to mass, the N = F - (n - 1)\n"
+"reduced weights and bands lo, di, up (zero corners) to w, lo, di and up,\n"
+"the similarity to s, s2 and off (s[0] = 1 and s[i+1] = s[i] sqrt(up[i] /\n"
+"lo[i+1]), s2 = s * s and off[i] = sqrt(lo[i+1] up[i]), 0 in the last row),\n"
+"each N long, and the largest |lo| and |up| (at least 1) to scale.\n"
+"Returns 0, or the first failed check, with every output written: 1 a\n"
+"weight is not finite and positive, 2 a band entry is not finite, 3 a\n"
+"coupling is not positive, 4 an s2 is not finite and positive.");
 
 static PyObject *
 species(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     static const char *const names[] = {
         "offsets", "trap", "h", "scales", "d", "p", "p2", "mass", "w", "lo", "di", "up",
+        "s", "s2", "off", "scale",
     };
-    Py_buffer v[12];
+    Py_buffer v[16];
     Py_ssize_t n, full, size, rows, i, k;
     const Py_ssize_t *offsets;
     PyObject *result = NULL;
 
-    if (nargs != 12) {
+    if (nargs != 16) {
         PyErr_SetString(PyExc_TypeError,
-                        "species takes offsets, trap, h, scales, d, p, p2, mass, w, lo, di "
-                        "and up");
+                        "species takes offsets, trap, h, scales, d, p, p2, mass, w, lo, di, "
+                        "up, s, s2, off and scale");
         return NULL;
     }
-    if (get_buffers(args, v, "nddddddDDDDD", names) < 0)
+    if (get_buffers(args, v, "nddddddDDDDDDDDD", names) < 0)
         return NULL;
     offsets = v[0].buf;
     n = v[0].len / (Py_ssize_t)sizeof(Py_ssize_t) - 1;
@@ -875,7 +953,7 @@ species(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     if (n < 1 || i < n) {
         PyErr_SetString(PyExc_ValueError,
                         "offsets must start at 0 and give each patch at least two DOFs");
-        release(v, 12);
+        release(v, 16);
         return NULL;
     }
     full = offsets[n];
@@ -890,167 +968,24 @@ species(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                         "scales and d must hold one entry per patch, p and p2 one per "
                         "interface, of the same species");
     else {
-        for (k = 8; k < 12 && doubles(&v[k]) == rows * size; k++)
+        for (k = 8; k < 15 && doubles(&v[k]) == rows * size; k++)
             ;
-        if (doubles(&v[7]) != rows * full || k < 12)
+        if (doubles(&v[7]) != rows * full || k < 15 || doubles(&v[15]) != rows)
             PyErr_SetString(PyExc_ValueError,
-                            "mass must hold the full DOFs and w, lo, di and up the reduced "
-                            "ones of each species");
+                            "mass must hold the full DOFs, w, lo, di, up, s, s2 and off the "
+                            "reduced ones and scale one entry of each species");
         else
             result = PyLong_FromLong(species_rows(
                 offsets, n, v[1].buf, v[2].buf, v[3].buf, v[4].buf, v[5].buf, v[6].buf, rows,
-                v[7].buf, v[8].buf, v[9].buf, v[10].buf, v[11].buf));
+                v[7].buf, v[8].buf, v[9].buf, v[10].buf, v[11].buf, v[12].buf, v[13].buf,
+                v[14].buf, v[15].buf));
     }
-    release(v, 12);
-    return result;
-}
-
-/* similarity's outcomes, in the order its checks come. */
-enum { SIMILAR = 0, BANDS_INFINITE = 1, COUPLING_NOT_POSITIVE = 2, OUT_OF_RANGE = 3 };
-
-/* The lane-wise square root, correctly rounded as sqrt is. */
-static inline pair
-root(pair x)
-{
-    return pair_of(sqrt(x[0]), sqrt(x[1]));
-}
-
-/* |x| lane by lane, and the larger of a and b (b where either is NaN). */
-static inline pair
-magnitude(pair x)
-{
-    return (pair)((lanes)x & (lanes){INT64_MAX, INT64_MAX});
-}
-static inline pair
-larger(pair a, pair b)
-{
-    lanes above = (lanes)(a > b);
-    return (pair)(((lanes)a & above) | ((lanes)b & ~above));
-}
-
-/* similarity's arithmetic on a stack of blocks of n rows, size rows in all;
- * di and scale are NULL where only the range is checked.  Two couplings,
- * (up[j], lo[j+1]) and (up[j+1], lo[j+2]), go at once, and only the
- * product that carries s runs one row at a time. */
-static int
-similarity_blocks(const double *lo, const double *di, const double *up, Py_ssize_t n,
-                  Py_ssize_t size, double *s, double *w, double *off, double *scale)
-{
-    const pair zero = pair_of(0.0, 0.0);
-    pair bad = zero, range = zero;  /* a lane NaN once a band, a weight is not finite */
-    lanes low = {0, 0};             /* a lane set once a coupling, a weight is not positive */
-    lanes weightless = {0, 0};
-    Py_ssize_t b, j;
-
-    for (b = 0; b < size; b += n) {
-        const double *l = lo + b, *u = up + b;
-        double *sb = s + b, *wb = w + b, *ob = off + b, carry = 1.0;
-        pair top = pair_of(1.0, 1.0);
-        sb[0] = wb[0] = 1.0;
-        for (j = 0; j + 1 < n; j += 2) {
-            /* the last coupling of an odd count pairs with itself */
-            const Py_ssize_t k = j + 2 < n ? j + 1 : j;
-            const pair uj = pair_of(u[j], u[k]), lj = pair_of(l[j + 1], l[k + 1]);
-            const pair r = root(quo(uj, lj)), o = root(mul(lj, uj));
-            pair sj, wj;
-            sb[j + 1] = carry = carry * lane(r, 0);
-            sb[k + 1] = carry = k > j ? carry * lane(r, 1) : carry;
-            sj = pair_of(sb[j + 1], sb[k + 1]);
-            wj = mul(sj, sj);
-            wb[j + 1] = lane(wj, 0);
-            wb[k + 1] = lane(wj, 1);
-            ob[j] = lane(o, 0);
-            ob[k] = lane(o, 1);
-            range += sub(wj, wj);
-            weightless |= (lanes)(wj <= zero);
-            if (scale != NULL) {
-                bad += sub(uj, uj) + sub(lj, lj);
-                low |= (lanes)((uj <= zero) | (lj <= zero));
-                top = larger(magnitude(uj), larger(magnitude(lj), top));
-            }
-        }
-        ob[n - 1] = 0.0;
-        if (scale == NULL)
-            continue;
-        /* the corners, and di */
-        const pair corners = pair_of(l[0], u[n - 1]);
-        bad += sub(corners, corners);
-        top = larger(magnitude(corners), top);
-        for (j = 0; j < n; j++)
-            bad += pair_of(di[b + j] - di[b + j], 0.0);
-        scale[b / n] = lane(top, 0) > lane(top, 1) ? lane(top, 0) : lane(top, 1);
-    }
-    if (lane(bad, 0) != 0.0 || lane(bad, 1) != 0.0)
-        return BANDS_INFINITE;
-    if (low[0] || low[1])
-        return COUPLING_NOT_POSITIVE;
-    return range[0] == 0.0 && range[1] == 0.0 && !weightless[0] && !weightless[1]
-        ? SIMILAR : OUT_OF_RANGE;
-}
-
-PyDoc_STRVAR(similarity_doc,
-"similarity(lo, di, up, n, s, w, off, scale) -> int\n\n"
-"The diagonal similarity of a stack of blocks of n rows with bands lo, di and\n"
-"up: s[0] = 1 and s[i+1] = s[i] sqrt(up[i] / lo[i+1]) per block, w = s * s\n"
-"and off[i] = sqrt(lo[i+1] up[i]) (0 in each block's last row), each the\n"
-"length of lo, and scale, one entry per block, the largest |lo| and |up|\n"
-"(at least 1).  di and scale may be None: then only the range is checked.\n"
-"Returns 0, or the first failed check: 1 an entry of lo, di or up is not\n"
-"finite, 2 a coupling is not positive, 3 a w is not finite and positive.");
-
-static PyObject *
-similarity(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    static const char *const names[] = {"lo", "di", "up", "", "s", "w", "off", "scale"};
-    Py_buffer v[8];
-    Py_ssize_t n, size;
-    int checked;
-    PyObject *result = NULL;
-
-    if (nargs != 8) {
-        PyErr_SetString(PyExc_TypeError,
-                        "similarity takes lo, di, up, n, s, w, off and scale");
-        return NULL;
-    }
-    checked = args[1] != Py_None || args[7] != Py_None;
-    if (checked && (args[1] == Py_None || args[7] == Py_None)) {
-        PyErr_SetString(PyExc_ValueError, "di and scale must both be None or both buffers");
-        return NULL;
-    }
-    if (block_size(args[3], &n) < 0 || get_buffer(args[0], &v[0], 0, names[0], 'd') < 0)
-        return NULL;
-    if (get_buffer(args[2], &v[1], 0, names[2], 'd') < 0) {
-        release(v, 1);
-        return NULL;
-    }
-    if (get_buffers(args + 4, v + 2, "DDD", names + 4) < 0) {
-        release(v, 2);
-        return NULL;
-    }
-    if (checked && get_buffers(args + 1, v + 5, "d", names + 1) < 0) {
-        release(v, 5);
-        return NULL;
-    }
-    if (checked && get_buffers(args + 7, v + 6, "D", names + 7) < 0) {
-        release(v, 6);
-        return NULL;
-    }
-    size = doubles(&v[0]);
-    if (same_blocks(v, checked ? 6 : 5, n, "lo, di, up, s, w and off") < 0)
-        result = NULL;  /* with its ValueError */
-    else if (checked && doubles(&v[6]) != size / n)
-        PyErr_SetString(PyExc_ValueError, "scale must hold one entry per block");
-    else
-        result = PyLong_FromLong(similarity_blocks(
-            v[0].buf, checked ? v[5].buf : NULL, v[1].buf, n, size, v[2].buf, v[3].buf,
-            v[4].buf, checked ? v[6].buf : NULL));
-    release(v, checked ? 7 : 5);
+    release(v, 16);
     return result;
 }
 
 static PyMethodDef methods[] = {
     {"species", (PyCFunction)(void (*)(void))species, METH_FASTCALL, species_doc},
-    {"similarity", (PyCFunction)(void (*)(void))similarity, METH_FASTCALL, similarity_doc},
     {"factor", (PyCFunction)(void (*)(void))factor, METH_FASTCALL, factor_doc},
     {"solve", (PyCFunction)(void (*)(void))solve, METH_FASTCALL, solve_doc},
     {"step", (PyCFunction)(void (*)(void))step, METH_FASTCALL, step_doc},
@@ -1064,7 +999,8 @@ static struct PyModuleDef module_def = {
     "LAPACK's pttrf/pttrs (blocks interleaved) on a stack of tridiagonal\n"
     "blocks, the IMEX step of a two-species pair, a pass of Noda's\n"
     "iteration, the steady residual, and the assembly of a stack of species:\n"
-    "its layout and diffusion bands, and their symmetrizing similarity.", -1, methods, NULL, NULL, NULL, NULL,
+    "its layout, its diffusion bands and their symmetrizing similarity.", -1, methods, NULL,
+    NULL, NULL, NULL,
 };
 
 PyMODINIT_FUNC

@@ -8,9 +8,10 @@ competition term is explicit, in coefficient form on the reduced DOFs,
 other row), the eliminated right traces folded into the trace DOFs'
 coefficients once per stepper.  Diffusion is implicit: the stack's
 ``I - dt A``, symmetric positive definite in the weighted inner product, is
-LDLᵀ-factored once (``operators.factor_symmetrized``, on the similarity its
-couplings give), and the coefficients take in ``dt`` and that similarity, so
-a step is one expression and one LDLᵀ solve for both species and every run.
+LDLᵀ-factored once (``operators.factor_symmetrized``, on the similarity of
+its couplings that the stack's ``SpeciesLayout`` writes), and the
+coefficients take in ``dt`` and that similarity, so a step is one
+expression and one LDLᵀ solve for both species and every run.
 Where the interleaved kernel loaded, that whole step is one native call
 (``SymmetrizedFactor.pair_step``), the two species side by side; a
 right-hand side to be clipped or not finite, a state that is not a
@@ -37,7 +38,6 @@ from .operators import (
     env_on_dofs,
     factor_symmetrized,
     restrict_values,
-    symmetrizing_similarity,
     tridiagonal_matvec,
 )
 from .steady import SteadyConfig, solve_resident_steady_states, super_level
@@ -86,9 +86,9 @@ class Stepper:
 
     On the first step (a stepper that only evaluates residuals factors
     nothing) the stack's ``I - dt A`` is LDLᵀ-factored once in its
-    symmetrized form ``S (I - dt A) S⁻¹``, ``S = diag(s)`` the
-    ``symmetrizing_similarity`` (``s`` is proportional to ``sqrt(weights)``
-    per species), and the coefficients take in ``dt`` and ``s``: the step's
+    symmetrized form ``S (I - dt A) S⁻¹``, ``S = diag(s)`` the layout's
+    similarity (``s`` is proportional to ``sqrt(weights)`` per species),
+    and the coefficients take in ``dt`` and ``s``: the step's
     right-hand side ``S (w + dt f)`` is then ``w (sa - sb w - sc x)``.  The
     stack's zero corners keep the species apart, so each species of each run
     is bit for bit its own single solve.  A step is one call of the kernel
@@ -124,12 +124,11 @@ class Stepper:
         s``, the coefficients times ``s`` (``sa`` with the identity), ``sb``
         and ``sc`` times ``dt`` too, and ``s``; and the LDLᵀ factor of the
         stack's ``S (I - dt A) S⁻¹``."""
-        lo, di, up = self.layout.bands
+        layout = self.layout
         a, b, c = self._coefficients
-        s, _, off = symmetrizing_similarity(lo, up)
-        s_dt = s * self.dt
+        s, s_dt = layout.s, layout.s * self.dt
         coefficients = np.array([s + s_dt * a, s_dt * b, s_dt * c, s])
-        return coefficients, factor_symmetrized(di, off, 1.0, self.dt)
+        return coefficients, factor_symmetrized(layout.di, layout.off, 1.0, self.dt)
 
     def reaction(self, w: np.ndarray) -> np.ndarray:
         """Explicit competition terms of a ``(..., 2, N)`` state, on reduced

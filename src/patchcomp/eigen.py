@@ -11,7 +11,8 @@ upper bound, one tridiagonal solve per pass, quadratic convergence.  This
 needs the operator's couplings to be positive, as the assembled linearization's
 always are; an operator without them is rejected.  Positive couplings also
 make ``A`` diagonally similar to a symmetric tridiagonal ``S A S⁻¹``
-(``operators.symmetrizing_similarity``), and above the spectrum
+(the similarity a ``SpeciesLayout`` writes beside its bands, or
+``operators.checked_similarity``'s), and above the spectrum
 ``sigma I - S A S⁻¹`` is positive definite (B. Parlett, *The Symmetric
 Eigenvalue Problem*, ch. 7).  So every shifted solve is one factorisation
 and solve of that matrix by pttrf's and pttrs's arithmetic, and the Rayleigh
@@ -35,16 +36,17 @@ one.
 ``ResidentContext`` is the one route from residents to invasion fitness: it
 holds a stack of residents, solves their steady states in one stacked
 Newton call and their growth potentials once, and evaluates every
-(resident, mutant) pair of a ``MutantStack`` in stacked solves;
+(resident, mutant) pair of a sequence of mutants in stacked solves;
 ``invasion_fitness`` is its 1x1 case.  A scan pays per mutant for what
-depends on the mutant alone, once: its diffusion operator, its Noda start
-vector and what Noda needs of its couplings
-(``operators.checked_similarity``: the finite and positivity checks, the
-symmetrizing similarity and the couplings' part of the band scale, one
-kernel call), since a pair's couplings are its mutant's.  Per pair it pays
-only for restricting the resident's potential onto the mutant's diagonal and
-for Noda's passes.  ``principal_eigenpairs`` takes operators built by hand
-through the same ``checked_similarity``.
+depends on the mutant alone, once: its ``SpeciesLayout``, one kernel call
+that writes its diffusion operator and what Noda needs of its couplings
+(the checks that they are positive and their similarity in range, the
+symmetrizing similarity and the couplings' part of the band scale), since a
+pair's couplings are its mutant's, and its Noda start vector.  Per pair it
+pays only for restricting the resident's potential onto the mutant's
+diagonal and for Noda's passes.  ``principal_eigenpairs`` takes operators
+built by hand, whose bands no layout checked, through
+``operators.checked_similarity``, numpy's checks of the same.
 
 ``fitness_table`` is the one route from a set of (resident, mutant) pairs to
 their eigenvalues: one context for its residents, and every masked pair, in
@@ -56,7 +58,7 @@ turns eigenvalues into invasion signs.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,10 +177,11 @@ def _noda(lo, di, up, s, weights, off, scale, x):
 
 def _stacked_solve(lo, di, up, couplings, start):
     """Noda's iteration on the whole (M, N) stack (zero corners) at once;
-    ``couplings`` are the blocks' rows of ``operators.checked_similarity``,
-    and a non-finite ``di`` raises ValueError before any solve.  Returns per
-    block the eigenvalue, the reduced max-normalized eigenvector, the
-    residual and the number of solves."""
+    ``couplings`` are the blocks' ``(s, s², off, scale)``, from their
+    layouts or ``operators.checked_similarity``, and a non-finite ``di``
+    raises ValueError before any solve.  Returns per block the eigenvalue,
+    the reduced max-normalized eigenvector, the residual and the number of
+    solves."""
     s, weights, off, scale = couplings
     # max is exact, so this is the largest entry of all three bands
     scale = np.maximum(np.abs(di).max(axis=1), scale)
@@ -268,38 +271,6 @@ def growth_potential(
     return r_full * (1.0 - factor * values / k_full)
 
 
-@dataclass(frozen=True, eq=False)
-class MutantStack:
-    """Diffusion operators of M mutants on one grid, assembled once.
-
-    ``layout`` is the mutants' stacked ``SpeciesLayout`` (its weights and
-    bands are the operators'); row ``b`` of every array belongs to mutant
-    ``b``: its Noda start vector and what Noda needs of its
-    couplings (``couplings``: the ``(s, s², off)`` and the band-scale part of
-    ``operators.checked_similarity``, checked once here, since a pair's
-    couplings are its mutant's).  A scan builds the stack once and evaluates
-    it against every resident it meets (``ResidentContext.fitness``).
-    """
-
-    layout: SpeciesLayout
-    start: np.ndarray
-    couplings: tuple[np.ndarray, ...]
-
-    @classmethod
-    def assemble(cls, grid: Grid, mutants: Sequence[SpeciesTraits]) -> "MutantStack":
-        if not len(mutants):
-            raise ValidationError("mutants: must hold at least one mutant")
-        layout = SpeciesLayout(grid, mutants)
-        return cls(layout, _start_vectors(layout), checked_similarity(*layout.bands))
-
-    @classmethod
-    def chunks(cls, grid: Grid, mutants: Sequence[SpeciesTraits]) -> Iterator["MutantStack"]:
-        """Stacks of consecutive mutants, each one stacked solve's worth, for
-        scans too long to hold assembled at once."""
-        for part in stack_chunks(len(mutants), grid.num_reduced):
-            yield cls.assemble(grid, mutants[part])
-
-
 class ResidentContext:
     """Steady states and growth potentials of a stack of residents, solved once.
 
@@ -336,31 +307,38 @@ class ResidentContext:
         self.grid = grid
         self.potential = growth_potential(grid, env, np.array([u.values for u in self.ustar]))
 
-    def _solve(self, mutants: MutantStack, rows, cols):
-        """Solve the pairs (``rows[k]``, ``cols[k]``) of resident and mutant
-        indices one stacked solve's worth (``stack_chunks``) at a time, in
-        order; yields each chunk's layout and ``_stacked_solve`` arrays."""
-        if mutants.layout.grid != self.grid:
-            raise ValidationError("mutant stack lives on another grid")
-        for part in stack_chunks(len(rows), self.grid.num_reduced):
-            i, j = rows[part], cols[part]
-            layout = mutants.layout[j]  # the pairs' rows of the bands too
-            start = mutants.start.take(j, axis=0)
-            couplings = tuple(a.take(j, axis=0) for a in mutants.couplings)
-            di = layout.di + layout.restrict_diag(self.potential.take(i, axis=0))
-            yield layout, _stacked_solve(layout.lo, di, layout.up, couplings, start)
+    def _solve(self, mutants: Sequence[SpeciesTraits], solve: np.ndarray):
+        """Solve the (resident, mutant) pairs that the ``(R, M)`` mask
+        ``solve`` selects: the mutants are assembled one stacked solve's
+        worth (``stack_chunks``) at a time, each chunk's pairs solved in
+        row-major order, again one stacked solve's worth at a time.  Yields
+        per solve the pairs' resident and mutant indices, their layout and
+        the ``_stacked_solve`` arrays."""
+        for part in stack_chunks(len(mutants), self.grid.num_reduced):
+            layout = SpeciesLayout(self.grid, mutants[part])
+            start = _start_vectors(layout)
+            rows, cols = np.nonzero(solve[:, part])
+            for chunk in stack_chunks(len(rows), self.grid.num_reduced):
+                i, j = rows[chunk], cols[chunk]
+                pairs = layout[j]  # a pair's couplings are its mutant's
+                di = pairs.di + pairs.restrict_diag(self.potential.take(i, axis=0))
+                couplings = (pairs.s, pairs.s2, pairs.off, pairs.coupling_scale)
+                yield i, part.start + j, pairs, _stacked_solve(
+                    pairs.lo, di, pairs.up, couplings, start.take(j, axis=0)
+                )
 
-    def fitness(self, mutants: MutantStack) -> list[EigenPair]:
+    def fitness(self, mutants: Sequence[SpeciesTraits]) -> list[EigenPair]:
         """One EigenPair per (resident, mutant) pair, in row-major order (one
-        per mutant, in stack order, for one resident).  Each is bit for bit
+        per mutant, in order, for one resident).  Each is bit for bit
         ``principal_eigenpair(assemble_linearization(grid, mutant, potential))``."""
-        count = len(mutants.start)
-        rows, cols = np.divmod(np.arange(len(self.potential) * count), count)
-        return [
-            pair
-            for layout, solved in self._solve(mutants, rows, cols)
-            for pair in _eigenpairs(layout, *solved)
-        ]
+        if not len(mutants):
+            raise ValidationError("mutants: must hold at least one mutant")
+        shape = (len(self.potential), len(mutants))
+        out = [None] * (shape[0] * shape[1])
+        for i, j, layout, solved in self._solve(mutants, np.ones(shape, bool)):
+            for k, pair in zip(np.ravel_multi_index((i, j), shape), _eigenpairs(layout, *solved)):
+                out[k] = pair
+        return out
 
 
 def fitness_table(
@@ -391,13 +369,9 @@ def fitness_table(
     if not rows.size:
         return table
     context = ResidentContext(landscape, env, [residents[i] for i in rows], grid, steady_config)
-    done = 0
-    for stack in MutantStack.chunks(grid, [mutants[j] for j in cols]):
-        block = cols[done : done + len(stack.start)]
-        done += block.size
-        i, j = np.nonzero(solve[np.ix_(rows, block)])
-        theta = [solved[0] for _, solved in context._solve(stack, i, j)]
-        table[rows[i], block[j]] = np.concatenate(theta)
+    chosen = [mutants[j] for j in cols]
+    for i, j, _, solved in context._solve(chosen, solve[np.ix_(rows, cols)]):
+        table[rows[i], cols[j]] = solved[0]
     return table
 
 
@@ -418,7 +392,7 @@ def invasion_fitness(
     scans over many mutants; ``ResidentContext`` amortizes the rest.
     """
     context = ResidentContext(landscape, env, resident, grid, config, ustar)
-    return context.fitness(MutantStack.assemble(grid, [mutant]))[0]
+    return context.fitness([mutant])[0]
 
 
 def resident_self_eigenpair(

@@ -18,8 +18,11 @@ class NumericalError(RuntimeError):
 
 class SteadyConvergenceError(NumericalError):
     """Newton did not converge or met a Jacobian that is not negative
-    definite, the similarity that symmetrizes it is out of range, or the
-    state lost positivity; carries the last residual (NaN before any)."""
+    definite, the continuous-form oracle's moving Jacobian has couplings that
+    are not positive or a similarity out of range, or the state lost
+    positivity; carries the last residual.  (A species whose own couplings
+    fail those checks is refused by its layout, as ValidationError, before
+    any solve.)"""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)

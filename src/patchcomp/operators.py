@@ -6,14 +6,15 @@ rebuilds it as ``p`` times the left trace; the eliminated trace's mass is
 folded into its trace DOF, times ``p`` for cell averages and ``p²`` for
 coefficients.  ``SpeciesLayout`` is the one implementation of that format:
 per species, or per stack of species, it builds the masses, the weights and
-the diffusion bands once and expands and restricts with them, and it folds
-the eliminated traces into the logistic reaction's coefficients
-(``logistic_coefficients``), which the steady solve and the time step share.
-Weights that are not finite and positive, or bands that are not finite (jump
-ratios whose products or squares overflow), are refused there, before any
-solve.  ``expand_reduced``, the ``restrict_*`` helpers and
-``consistent_constant`` are one-call conveniences that build a layout for a
-single use.
+the diffusion bands and their symmetrizing similarity once and expands and
+restricts with them, and it folds the eliminated traces into the logistic
+reaction's coefficients (``logistic_coefficients``), which the steady solve
+and the time step share.  Weights that are not finite and positive, bands
+that are not finite (jump ratios whose products or squares overflow), and
+couplings that are not positive or too far from symmetric for the similarity
+are refused there, as ValidationError naming ``p``, before any solve.
+``expand_reduced``, the ``restrict_*`` helpers and ``consistent_constant``
+are one-call conveniences that build a layout for a single use.
 
 The operator acts on the reduced vector.  Interior rows are plain central
 differences.  Each interface row balances the one-sided fluxes over the dual
@@ -35,25 +36,25 @@ couplings, for the IMEX step, Newton's steps and ``solve_shifted``; and the
 solvers' inner loops, ``noda_pass``, one pass of Noda's shifted inverse
 iteration (on the same LDLᵀ), and ``logistic_residual``, the steady residual
 and its Jacobian's diagonal.  The similarity depends on the couplings alone,
-so its callers build it once per operator they hold: once per mutant of a
-scan (``checked_similarity``, with the checks Noda needs and the couplings'
-part of the band scale), once per stepper, once per steady problem.  The
-zero corners keep the blocks apart: each block's arithmetic is bit for bit
-that of its operator on its own, and the solves take M right-hand-side rows
-of one operator as M single solves.  ``stack_chunks``
-is the one cut of a long stack into stacked solves of at most
-``_STACK_DOFS`` reduced DOFs, for the steady states, the mutant stacks and
-the eigen pairs of a scan.
+so ``SpeciesLayout`` writes it beside the bands, with the couplings' part of
+the band scale, once per species, and every solver on an assembled operator
+reads it there: the steady problem, the stepper and each mutant of a scan.
+``checked_similarity`` runs the same checks, in numpy, on the operators built
+by hand that ``eigen.principal_eigenpairs`` takes.  The zero corners keep the
+blocks apart: each block's arithmetic is bit for bit that of its operator
+on its own, and the solves take M right-hand-side rows of one operator as M
+single solves.  ``stack_chunks`` is the one cut of a long stack into
+stacked solves of at most ``_STACK_DOFS`` reduced DOFs, for the steady
+states, the mutants' layouts and the eigen pairs of a scan.
 
 Each operation has two routes with the same arithmetic, bit for bit.  The
 native kernel ``_ldlt.c``, which ``_native`` builds on first import, runs
 each in one call, the assembly too: ``SpeciesLayout`` writes a stack's
-masses, weights and bands in one pass (``species``), and the similarity,
-with ``checked_similarity``'s checks and scale, is another (``similarity``),
-both with numpy's operations in numpy's order, each correctly rounded, so
-the serial ``cumprod`` and the ~60 small numpy calls of a species' numpy
-assembly are one call each.  The LDLᵀ does pttrf's and pttrs's operations on
-every element but walks the rows in its outer loop and the blocks (times the
+masses, weights, bands and similarity in one pass (``species``), with
+numpy's operations in numpy's order, each correctly rounded, so the ~60
+small numpy calls and the serial ``cumprod`` of a species' numpy assembly
+are one call.  The LDLᵀ does pttrf's and pttrs's operations on every
+element but walks the rows in its outer loop and the blocks (times the
 right-hand sides) in its inner one, so the blocks' recurrences overlap
 instead of running end to end as one chain; ``noda_pass`` and
 ``logistic_residual`` share its one band product, and the pass sums its
@@ -194,15 +195,10 @@ def symmetrizing_similarity(lo: np.ndarray, up: np.ndarray):
     ``sqrt(lo[i+1] up[i])`` and a 0 in each block's last column; for an
     operator symmetric in its weights ``s²`` is proportional to them.  When
     the couplings are far from symmetric over many rows ``s²`` leaves the
-    floating-point range, which raises ValueError.  One kernel call, or
-    numpy's serial ``cumprod``, bit for bit.
+    floating-point range, which raises ValueError.  numpy's serial
+    ``cumprod``: the kernel's ``species`` writes the same numbers for every
+    ``SpeciesLayout``, so this serves the operators no layout built.
     """
-    if _ldlt is not None:
-        lo, up = np.ascontiguousarray(lo, dtype=float), np.ascontiguousarray(up, dtype=float)
-        s, weights, off = np.empty(lo.shape), np.empty(lo.shape), np.empty(lo.shape)
-        if _ldlt.similarity(lo, None, up, lo.shape[-1], s, weights, off, None):
-            raise ValueError(_OUT_OF_RANGE)
-        return s, weights, off
     s = np.ones(lo.shape)
     with np.errstate(over="ignore"):  # checked below
         s[..., 1:] = np.cumprod(np.sqrt(up[..., :-1] / lo[..., 1:]), axis=-1)
@@ -224,6 +220,22 @@ _NOT_POSITIVE = (
 )
 
 
+def _similarity_checks(lo: np.ndarray, up: np.ndarray):
+    """The couplings' checks of a stack with finite bands, in the kernel's
+    order, and what Noda needs of them: ``(outcome, similarity)``, outcome 0
+    with ``(s, s², off, scale)``, ``scale`` per block the couplings' part of
+    the band scale (their largest entry, at least 1); or outcome 3 (a
+    coupling is not positive) or else 4 (``s²`` out of range) with None."""
+    if min(up[..., :-1].min(), lo[..., 1:].min()) <= 0:
+        return 3, None
+    try:
+        similarity = symmetrizing_similarity(lo, up)
+    except ValueError:
+        return 4, None
+    scale = np.maximum(1.0, np.maximum(np.abs(up).max(axis=-1), np.abs(lo).max(axis=-1)))
+    return 0, (*similarity, scale)
+
+
 def checked_similarity(lo: np.ndarray, di: np.ndarray, up: np.ndarray):
     """What Noda needs of an ``(M, N)`` stack's couplings, after the checks
     every block must pass: finite bands, positive couplings and a finite
@@ -232,28 +244,14 @@ def checked_similarity(lo: np.ndarray, di: np.ndarray, up: np.ndarray):
     ``di`` is only checked, so that a non-finite band fails before a
     coupling check.  A non-finite band raises ValueError, couplings that are
     not all positive or too far from symmetric EigenSolveError, in that
-    order over the whole stack.  One kernel call, or numpy's checks and
-    ``symmetrizing_similarity``, bit for bit."""
-    if _ldlt is not None:
-        s, weights, off = np.empty(lo.shape), np.empty(lo.shape), np.empty(lo.shape)
-        scale = np.empty(len(lo))
-        outcome = _ldlt.similarity(lo, di, up, lo.shape[-1], s, weights, off, scale)
-        if outcome == 1:
-            raise ValueError("operator bands must be finite")
-        if outcome:
-            raise EigenSolveError(_NOT_POSITIVE if outcome == 2 else _OUT_OF_RANGE)
-        return s, weights, off, scale
-    scale = np.maximum(1.0, np.maximum(np.abs(up).max(axis=1), np.abs(lo).max(axis=1)))
-    # NaN or inf in a band makes its block's scale non-finite
-    if not (np.isfinite(scale.max()) and np.isfinite(di).all()):
+    order over the whole stack.  numpy's checks, for operators built by hand:
+    a ``SpeciesLayout`` writes the same arrays and runs the same checks."""
+    if not all(np.isfinite(band).all() for band in (lo, di, up)):
         raise ValueError("operator bands must be finite")
-    if min(up[:, :-1].min(), lo[:, 1:].min()) <= 0:
-        raise EigenSolveError(_NOT_POSITIVE)
-    try:
-        s, weights, off = symmetrizing_similarity(lo, up)
-    except ValueError as err:
-        raise EigenSolveError(str(err)) from None
-    return s, weights, off, scale
+    outcome, similarity = _similarity_checks(lo, up)
+    if outcome:
+        raise EigenSolveError(_NOT_POSITIVE if outcome == 3 else _OUT_OF_RANGE)
+    return similarity
 
 
 def factor_symmetrized(di: np.ndarray, off: np.ndarray, alpha, beta: float = 1.0):
@@ -510,12 +508,16 @@ def _stiffness_bands(layout: "SpeciesLayout", d: np.ndarray):
     return lo, di, up
 
 
-# SpeciesLayout's refusals, for the kernel's outcomes 1 and 2
+# SpeciesLayout's refusals, for the kernel's outcomes 1 to 4
 _ASSEMBLY_FAILURES = {
     1: "p: the jump ratios' products and squares overflow floating point: the "
        "reduced weights are not all finite and positive",
     2: "p: with these jump ratios and diffusion rates the diffusion bands are "
        "not all finite",
+    3: "p: with these jump ratios and diffusion rates the diffusion couplings "
+       "are not all positive",
+    4: "p: with these jump ratios the diffusion couplings are too far from "
+       "symmetric for a symmetric similarity in floating point",
 }
 
 
@@ -527,21 +529,27 @@ class SpeciesLayout:
     Built once per species: the jump ratios ``p`` and their squares ``p2``,
     the cumulative ``scales``, the full-DOF trapezoid ``mass`` over the
     product of the ratios left of the patch, the reduced ``weights`` (each
-    right trace's mass folded into its trace DOF times p²) and the bands
+    right trace's mass folded into its trace DOF times p²), the bands
     ``lo``, ``di`` and ``up`` of ``assemble_diffusion`` in the stack
-    convention.  A single layout holds ``(N,)`` arrays, a stack ``(M, N)``
-    ones (``p`` is ``(M, n-1)``); every method maps either shape row by row,
-    and ``layout[b]`` is the layout of the species at ``b``.  A weight that
-    is not finite and positive, or then a band entry that is not finite
-    (jump ratios whose products or squares overflow), raises
-    ValidationError, before any solve.
+    convention, and what every solver on them needs of their couplings: the
+    ``symmetrizing_similarity`` ``s``, ``s2`` (``s²``) and ``off``, and the
+    couplings' part of the band scale, ``coupling_scale`` (their largest
+    entry, at least 1, one per species).  A single layout holds ``(N,)``
+    arrays, a stack ``(M, N)`` ones (``p`` is ``(M, n-1)``); every method
+    maps either shape row by row, and ``layout[b]`` is the layout of the
+    species at ``b``.  The first of these checks that fails raises
+    ValidationError naming ``p``, before any solve: weights finite and
+    positive, band entries finite (jump ratios whose products or squares
+    overflow fail these two), couplings positive, and ``s²`` finite and
+    positive (couplings too far from symmetric over many rows).
 
-    The kernel's ``species`` writes the masses, weights and bands in one
-    pass, from the species' ``scales``, ``d``, ``p`` and ``p2`` and the
-    grid's offsets, trapezoid weights and spacings (built once per grid);
-    each of its operations, ``1 / scales`` and ``c = (1 / scales) d / h``
-    per patch included, is one correctly rounded operation in numpy's order,
-    so numpy's twin, here and in ``_stiffness_bands``, gives the same
+    The kernel's ``species`` writes the masses, weights, bands and
+    similarity in one pass, from the species' ``scales``, ``d``, ``p`` and
+    ``p2`` and the grid's offsets, trapezoid weights and spacings (built
+    once per grid); each of its operations, ``1 / scales`` and
+    ``c = (1 / scales) d / h`` per patch included, is one correctly rounded
+    operation in numpy's order, so numpy's twin, here, in
+    ``_stiffness_bands`` and in ``symmetrizing_similarity``, gives the same
     numbers, bit for bit.
 
     ``p2`` is ``SpeciesTraits.p_squares``: each ratio squared by ``pow``,
@@ -552,7 +560,8 @@ class SpeciesLayout:
     """
 
     _PER_GRID = ("grid", "kept", "right", "trace", "reduced_sizes")
-    _PER_SPECIES = ("p", "p2", "scales", "mass", "weights", "lo", "di", "up")
+    _PER_SPECIES = ("p", "p2", "scales", "mass", "weights", "lo", "di", "up", "s", "s2", "off",
+                    "coupling_scale")
 
     def __init__(self, grid: Grid, traits):
         single = isinstance(traits, SpeciesTraits)
@@ -577,19 +586,21 @@ class SpeciesLayout:
             raise ValidationError(_ASSEMBLY_FAILURES[outcome])
 
     def _assemble(self, d: np.ndarray) -> int:
-        """Write ``mass``, ``weights`` and the bands of the species, whose
-        diffusion rates ``d`` are shaped as the scales; returns the kernel's
-        outcome (0, or the first failed check)."""
+        """Write ``mass``, ``weights``, the bands and their similarity of the
+        species, whose diffusion rates ``d`` are shaped as the scales;
+        returns the kernel's outcome (0, or the first failed check)."""
         grid = self.grid
         if _ldlt is not None:
             shape = self.scales.shape[:-1]
             self.mass = np.empty(shape + (grid.num_dofs,))
-            self.weights, self.lo, self.di, self.up = (
-                np.empty(shape + (grid.num_reduced,)) for _ in range(4)
+            self.weights, self.lo, self.di, self.up, self.s, self.s2, self.off = (
+                np.empty(shape + (grid.num_reduced,)) for _ in range(7)
             )
+            self.coupling_scale = np.empty(shape)
             return _ldlt.species(
                 grid.offsets(), grid.trapezoid_weights(), grid.spacings(), self.scales,
-                d, self.p, self.p2, self.mass, self.weights, self.lo, self.di, self.up,
+                d, self.p, self.p2, self.mass, self.weights, *self.bands, self.s, self.s2,
+                self.off, self.coupling_scale,
             )
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked here
             # halving the end weights commutes with the rounding of the product
@@ -600,7 +611,12 @@ class SpeciesLayout:
             if not (self.weights.min() > 0 and self.weights.max() < np.inf):
                 return 1
             self.lo, self.di, self.up = _stiffness_bands(self, d)
-        return 0 if all(np.isfinite(band).all() for band in self.bands) else 2
+            if not all(np.isfinite(band).all() for band in self.bands):
+                return 2
+            outcome, similarity = _similarity_checks(self.lo, self.up)
+            if not outcome:
+                self.s, self.s2, self.off, self.coupling_scale = similarity
+        return outcome
 
     @property
     def bands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -16,9 +16,9 @@ entrywise to at least ``a / b``, the folded capacity, where
 there, so the first iterate is a super-solution at or above the state, and
 so is every later one, where minus the Jacobian is at least its positive
 definite value at the state.  So every step is the package's one LDLᵀ,
-``factor_symmetrized`` on the couplings' ``symmetrizing_similarity``, and no
-step needs a line search, a floor, a guard against the trivial root or a
-restart.
+``factor_symmetrized`` on the couplings' similarity, which the species'
+``SpeciesLayout`` writes beside its bands, and no step needs a line search,
+a floor, a guard against the trivial root or a restart.
 
 ``newton`` is the package's one Newton loop, on one iterate or on a stack of
 R independent ones, each block with its own stop, the going blocks factored
@@ -49,7 +49,6 @@ from .operators import (
     factor_symmetrized,
     logistic_residual,
     stack_chunks,
-    symmetrizing_similarity,
 )
 
 
@@ -144,27 +143,23 @@ class _SteadyProblem:
     """The steady problem ``A u + u (a - b u) = 0`` of one species, on (N,)
     arrays, or of a stack of R species, on (R, N) ones, on one grid and
     environment.  What stays fixed during the solve is built once: the
-    diffusion bands, the logistic coefficients ``(a, b)`` of
+    ``SpeciesLayout``, with the diffusion bands and their couplings'
+    similarity, and the logistic coefficients ``(a, b)`` of
     ``SpeciesLayout.logistic_coefficients`` (the eliminated right traces
-    folded into the trace DOFs), so Newton never leaves the reduced DOFs,
-    and the couplings' ``symmetrizing_similarity``, whose range failure
-    raises SteadyConvergenceError.  The capacities ``k`` give the cap."""
+    folded into the trace DOFs), so Newton never leaves the reduced DOFs.
+    The capacities ``k`` give the cap."""
 
     def __init__(self, grid: Grid, env: PatchEnvironment, traits):
         self.layout = SpeciesLayout(grid, traits)
         self.a, self.b = self.layout.logistic_coefficients(env, self.layout.p)
         self.k = env.k_array
-        try:
-            self.s, _, self.off = symmetrizing_similarity(self.layout.lo, self.layout.up)
-        except ValueError as err:
-            raise SteadyConvergenceError(str(err), residual=float("nan")) from None
 
     def residual(self, u: np.ndarray):
         """``A u + u (a - b u)`` and its Jacobian for ``newton``: the
         diagonal ``di + a - 2 b u`` and the couplings' similarity."""
-        lo, di, up = self.layout.bands
-        res, slope = logistic_residual(lo, di, up, self.a, self.b, u)
-        return res, (slope, self.s, self.off)
+        layout = self.layout
+        res, slope = logistic_residual(*layout.bands, self.a, self.b, u)
+        return res, (slope, layout.s, layout.off)
 
     def solve(self, u0: np.ndarray, config: SteadyConfig) -> np.ndarray:
         """The reduced states: one Newton run from ``u0`` lifted entrywise

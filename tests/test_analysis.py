@@ -368,23 +368,23 @@ class TestFitnessTable:
         species = [pc.SpeciesTraits([1.0, 1.0], StrategyVector([p])) for p in (1.5, 2.5, 3.5)]
         # residents handed to the steady solve, mutants assembled, pairs solved
         counts = {"residents": 0, "mutants": 0, "pairs": 0}
-        steady, assemble = patchcomp.eigen.solve_resident_steady_states, pc.MutantStack.assemble
+        steady, layout = patchcomp.eigen.solve_resident_steady_states, patchcomp.eigen.SpeciesLayout
         solve_stack = patchcomp.eigen._stacked_solve
 
         def counting_steady(landscape, env, residents, *args, **kwargs):
             counts["residents"] += len(residents)
             return steady(landscape, env, residents, *args, **kwargs)
 
-        def counting_assemble(grid, mutants):
+        def counting_layout(grid, mutants):
             counts["mutants"] += len(mutants)
-            return assemble(grid, mutants)
+            return layout(grid, mutants)
 
         def counting_solve(lo, *args):
             counts["pairs"] += len(lo)
             return solve_stack(lo, *args)
 
         monkeypatch.setattr(patchcomp.eigen, "solve_resident_steady_states", counting_steady)
-        monkeypatch.setattr(pc.MutantStack, "assemble", staticmethod(counting_assemble))
+        monkeypatch.setattr(patchcomp.eigen, "SpeciesLayout", counting_layout)
         monkeypatch.setattr(patchcomp.eigen, "_stacked_solve", counting_solve)
         pc.fitness_table(land, env, grid, species, species)
         assert counts == {"residents": 3, "mutants": 3, "pairs": 9}
@@ -443,7 +443,7 @@ class TestFitnessTable:
             raise AssertionError("an empty table built or solved something")
 
         monkeypatch.setattr(patchcomp.eigen, "solve_resident_steady_states", refuse)
-        monkeypatch.setattr(pc.MutantStack, "assemble", refuse)
+        monkeypatch.setattr(patchcomp.eigen, "SpeciesLayout", refuse)
         nothing = np.zeros((residents, mutants), bool)
         table = pc.fitness_table(land, env, grid, [species] * residents,
                                  [species] * mutants, solve=nothing)

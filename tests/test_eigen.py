@@ -7,7 +7,6 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 import patchcomp as pc
 import patchcomp.eigen
 from patchcomp.eigen import (
-    MutantStack,
     ResidentContext,
     assemble_linearization,
     growth_potential,
@@ -18,6 +17,7 @@ from patchcomp.identities import (
 )
 from patchcomp.operators import (
     LinearOperator,
+    SpeciesLayout,
     assemble_diffusion,
     consistent_constant,
     expand_reduced,
@@ -471,7 +471,7 @@ class TestStackedNoda:
         context.potential = context.potential.copy()
         context.potential[0, -1] = np.inf  # one DOF of the one resident's row
         with pytest.raises(ValueError, match="finite"):
-            context.fitness(MutantStack.assemble(grid, [resident, mutant]))
+            context.fitness([resident, mutant])
         assert calls == []
 
     @pytest.mark.parametrize("per_patch", [100, 400])
@@ -488,19 +488,17 @@ class TestStackedNoda:
         ustar = pc.solve_resident_steady(land, env, resident, grid)
         potential = growth_potential(grid, env, ustar)
         context = ResidentContext(land, env, resident, grid)
-        stack = MutantStack.assemble(grid, mutants)
-        pairs = context.fitness(stack)
+        pairs = context.fitness(mutants)
         assert len(pairs) == len(mutants)
         for mutant, pair in zip(mutants, pairs):
             op = assemble_linearization(grid, mutant, potential)
             assert_same_pair(pair, reference_eigenpair(op))
         # sub-stacks, and stacks cut into solve-sized chunks, change nothing
         index = [7, 2, 11]
-        chosen = MutantStack.assemble(grid, [mutants[j] for j in index])
-        for j, pair in zip(index, context.fitness(chosen)):
+        for j, pair in zip(index, context.fitness([mutants[j] for j in index])):
             assert_same_pair(pair, reference_eigenpair(
                 assemble_linearization(grid, mutants[j], potential)))
-        chunked = [pair for s in MutantStack.chunks(grid, mutants) for pair in context.fitness(s)]
+        chunked = [pair for j in range(0, 12, 5) for pair in context.fitness(mutants[j : j + 5])]
         assert [p.lambda1 for p in chunked] == [p.lambda1 for p in pairs]
 
     def test_resident_stack_matches_per_pair_route(self):
@@ -518,14 +516,13 @@ class TestStackedNoda:
 
         residents, mutants = draw(3), draw(4)
         context = ResidentContext(land, env, residents, grid)
-        stack = MutantStack.assemble(grid, mutants)
         potentials = [
             growth_potential(grid, env, pc.solve_resident_steady(land, env, r, grid))
             for r in residents
         ]
         assert np.array_equal(context.potential, np.array(potentials))
         # every pair, row-major; a masked table reads the same eigenvalues
-        pairs = context.fitness(stack)
+        pairs = context.fitness(mutants)
         assert len(pairs) == 12
         for (i, j), pair in zip(np.ndindex(3, 4), pairs):
             op = assemble_linearization(grid, mutants[j], potentials[i])
@@ -556,14 +553,22 @@ class TestStackedNoda:
             sizes.append(bands[1].size // grid.num_reduced)
             return one_pass(bands, *args)
 
+        layouts = []  # the species of each layout the context assembles
+        layout = patchcomp.eigen.SpeciesLayout
+
+        def recording_layout(grid, traits):
+            layouts.append(len(traits))
+            return layout(grid, traits)
+
         monkeypatch.setattr(patchcomp.eigen, "noda_pass", recording)
         mutants = [
             pc.SpeciesTraits([0.6, 1.1], pc.StrategyVector([p])) for p in (1.2, 1.9, 2.6, 3.3, 4.0)
         ]
         context = ResidentContext(land, env, resident, grid)
-        pairs = context.fitness(MutantStack.assemble(grid, mutants))
+        monkeypatch.setattr(patchcomp.eigen, "SpeciesLayout", recording_layout)
+        pairs = context.fitness(mutants)
         assert max(sizes) == 2
-        assert [len(s.start) for s in MutantStack.chunks(grid, mutants)] == [2, 2, 1]
+        assert layouts == [2, 2, 1]
         for mutant, pair in zip(mutants, pairs):
             assert pair.lambda1 == pc.invasion_fitness(land, env, resident, mutant, grid).lambda1
 
@@ -594,7 +599,8 @@ class TestStackedNoda:
     def test_stack_couplings_are_each_mutants_own(self, patches, count, seed):
         land, env, mutants = drawn_species(patches, np.random.default_rng(seed), count)
         grid = pc.build_grid(land, per_patch=12)
-        s, weights, off, scale = MutantStack.assemble(grid, mutants).couplings
+        layout = SpeciesLayout(grid, mutants)
+        s, weights, off, scale = layout.s, layout.s2, layout.off, layout.coupling_scale
         for b, mutant in enumerate(mutants):
             op = assemble_diffusion(grid, mutant)
             for row, alone in zip((s, weights, off), symmetrizing_similarity(op.lo, op.up)):
@@ -612,9 +618,11 @@ class TestEmptyInputs:
             pc.principal_eigenpairs([])
 
     def test_no_mutants(self, unit_two_patch):
-        grid = pc.build_grid(unit_two_patch[0], per_patch=10)
+        land, env = unit_two_patch
+        grid = pc.build_grid(land, per_patch=10)
+        context = ResidentContext(land, env, pc.SpeciesTraits([1.0, 1.0], [2.0]), grid)
         with pytest.raises(pc.ValidationError, match="mutants"):
-            MutantStack.assemble(grid, [])
+            context.fitness([])
 
     def test_no_residents(self, unit_two_patch):
         land, env = unit_two_patch

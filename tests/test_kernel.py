@@ -169,19 +169,19 @@ def test_a_noda_pass_is_one_call_and_a_newton_step_three(ldlt_kernel, monkeypatc
     monkeypatch.setattr(operators, "_ldlt", counting)
     grid = pc.build_grid(LAND, per_patch=60)
     ustar = pc.solve_resident_steady(LAND, ENV, RESIDENT, grid)
-    # one assembly and its couplings' similarity, one residual before the
+    # one assembly, with its couplings' similarity, one residual before the
     # first step, then per full Newton step one residual and one LDLᵀ
     # (factor and solve)
-    assert set(counting.calls) == {"species", "similarity", "residual", "factor", "solve"}
-    assert counting.calls["species"] == counting.calls["similarity"] == 1
+    assert set(counting.calls) == {"species", "residual", "factor", "solve"}
+    assert counting.calls["species"] == 1
     assert counting.calls["factor"] == counting.calls["solve"]
     assert counting.calls["residual"] == counting.calls["factor"] + 1 >= 3
     counting.calls.clear()
     pair = pc.invasion_fitness(LAND, ENV, RESIDENT, MUTANT, grid, ustar=ustar)
-    # the mutant's assembly and its couplings' similarity, then every pass
+    # the mutant's assembly, with its couplings' similarity, then every pass
     # is one call, the last one only tests the stop
     assert pair.iterations >= 2
-    assert counting.calls == {"species": 1, "similarity": 1, "noda": pair.iterations + 1}
+    assert counting.calls == {"species": 1, "noda": pair.iterations + 1}
 
 
 def species_buffers():
@@ -199,20 +199,9 @@ def species_buffers():
         "p": np.array([one.p_array for one in species]),
         "p2": np.array([one.p_squares for one in species]),
         "mass": np.empty((rows, full)),
-        **{name: np.empty((rows, size)) for name in ("w", "lo", "di", "up")},
+        **{name: np.empty((rows, size)) for name in ("w", "lo", "di", "up", "s", "s2", "off")},
+        "scale": np.empty(rows),
     }
-
-
-def similarity_buffers():
-    """The arguments of the kernel's ``similarity`` for a stack of two
-    blocks of five rows, by name, in order."""
-    lo, di, up = operators.SpeciesLayout(
-        pc.build_grid(pc.Landscape([0.0, 1.0]), per_patch=4),
-        [pc.SpeciesTraits([1.0], []), pc.SpeciesTraits([2.0], [])],
-    ).bands
-    return {"lo": lo, "di": di, "up": up, "n": 5,
-            **{name: np.empty((2, 5)) for name in ("s", "w", "off")},
-            "scale": np.empty(2)}
 
 
 def _spoiled(good: np.ndarray):
@@ -224,16 +213,14 @@ def _spoiled(good: np.ndarray):
 
 @pytest.mark.parametrize(
     "entry,buffers,outputs",
-    [("species", species_buffers, ("mass", "w", "lo", "di", "up")),
-     ("similarity", similarity_buffers, ("s", "w", "off", "scale"))],
+    [("species", species_buffers,
+      ("mass", "w", "lo", "di", "up", "s", "s2", "off", "scale"))],
 )
 def test_the_assembly_entries_refuse_wrong_buffers(ldlt_kernel, entry, buffers, outputs):
     call = getattr(ldlt_kernel, entry)
     good = buffers()
     assert call(*good.values()) == 0
     for name, value in good.items():
-        if name == "n":
-            continue
         for bad in _spoiled(value):
             with pytest.raises(ValueError):
                 call(*{**good, name: bad}.values())
@@ -242,19 +229,16 @@ def test_the_assembly_entries_refuse_wrong_buffers(ldlt_kernel, entry, buffers, 
         frozen.flags.writeable = False
         with pytest.raises(ValueError):
             call(*{**good, name: frozen}.values())
+        # one species' worth too many
+        longer = np.empty((len(good[name]) + 1,) + good[name].shape[1:])
+        with pytest.raises(ValueError):
+            call(*{**good, name: longer}.values())
     with pytest.raises(TypeError):
         call(*list(good.values())[:-1])
-    if entry == "similarity":
-        # no block size, not whole blocks; di and scale are None together
-        for bad in ({"n": 0}, {"n": 3}, {"di": None}, {"scale": None}):
-            with pytest.raises(ValueError):
-                call(*{**good, **bad}.values())
-        assert call(*{**good, "di": None, "scale": None}.values()) == 0
-    else:
-        # offsets that do not start at 0 or give a patch a single DOF
-        for offsets in ([1, 6, 10, 16], [0, 5, 6, 16]):
-            with pytest.raises(ValueError):
-                call(*{**good, "offsets": np.array(offsets, np.intp)}.values())
+    # offsets that do not start at 0 or give a patch a single DOF
+    for offsets in ([1, 6, 10, 16], [0, 5, 6, 16]):
+        with pytest.raises(ValueError):
+            call(*{**good, "offsets": np.array(offsets, np.intp)}.values())
 
 
 def test_the_figures_stop_on_different_iterations_in_one_run(ldlt_kernel, monkeypatch):

@@ -14,7 +14,6 @@ from patchcomp import operators
 from patchcomp.operators import (
     SpeciesLayout,
     assemble_diffusion,
-    checked_similarity,
     consistent_constant,
     expand_reduced,
     factor_symmetrized,
@@ -631,8 +630,7 @@ def log_uniform(low: float, high: float):
 def assemblies(draw):
     """A grid of 1-6 patches of 4-60 cells each and one species (``(N,)``
     arrays) or a stack of 1-4, ``d`` in [0.01, 30] and ``p`` in [0.05, 20]
-    log-uniform; and a way to spoil the stack's bands for the coupling
-    checks, or none."""
+    log-uniform."""
     n = draw(st.integers(1, 6))
     lengths = draw(st.lists(st.floats(0.2, 3.0), min_size=n, max_size=n))
     counts = draw(st.lists(st.integers(4, 60), min_size=n, max_size=n))
@@ -645,10 +643,7 @@ def assemblies(draw):
         return pc.SpeciesTraits(d, pc.StrategyVector(p))
 
     count = draw(st.integers(0, 4))  # 0: a single species
-    traits = one() if count == 0 else [one() for _ in range(count)]
-    spoil = draw(st.sampled_from([None, 0.0, -1.0, np.nan, np.inf, 1e300]))
-    band = draw(st.sampled_from(["lo", "di", "up"]))
-    return grid, traits, spoil, band, draw(st.integers(0, 2**32 - 1))
+    return grid, one() if count == 0 else [one() for _ in range(count)]
 
 
 def both_routes(compute):
@@ -680,9 +675,9 @@ def assert_same_outcome(kernel, numpy):
 
 
 class TestKernelAssembly:
-    """The kernel's ``species`` and ``similarity`` are their numpy twins bit
-    for bit: the layout's masses and weights, the bands, the similarity and
-    the coupling scale, and the same refusals."""
+    """The kernel's ``species`` is its numpy twin bit for bit: the layout's
+    masses and weights, the bands, their similarity and the coupling scale,
+    and the same refusals."""
 
     @pytest.mark.parametrize("hypothesis_seed", [1, 2, 3])
     def test_kernel_route_is_numpys(self, ldlt_kernel, hypothesis_seed):
@@ -690,45 +685,42 @@ class TestKernelAssembly:
         @settings(max_examples=60, deadline=None, database=None)
         @given(assemblies())
         def check(drawn):
-            grid, traits, spoil, band, where = drawn
+            grid, traits = drawn
 
             def layout():
                 built = SpeciesLayout(grid, traits)
-                return {name: getattr(built, name) for name in ("mass", "weights", *_BANDS)}
+                return {name: getattr(built, name) for name in _ASSEMBLED}
 
-            kernel, numpy = both_routes(layout)
-            assert_same_outcome(kernel, numpy)
-            bands = {name: np.atleast_2d(kernel[name]).copy() for name in _BANDS}
-            if spoil is not None:
-                bands[band].flat[where % bands[band].size] = spoil
-            lo, di, up = (bands[name] for name in _BANDS)
-            for compute in (
-                lambda: dict(zip(("s", "s2", "off"), symmetrizing_similarity(lo, up))),
-                lambda: dict(zip(("s", "s2", "off", "scale"), checked_similarity(lo, di, up))),
-            ):
-                assert_same_outcome(*both_routes(compute))
+            assert_same_outcome(*both_routes(layout))
 
         check()
 
 
 _BANDS = ("lo", "di", "up")
+# what the assembly writes, compared bit for bit between the routes
+_ASSEMBLED = ("mass", "weights", *_BANDS, "s", "s2", "off", "coupling_scale")
 # The reference pair's landscape with one jump ratio whose square overflows,
 # and one of four patches whose cumulative scale does: every p² is finite,
-# but the last patch's weights are 0 and its bands are not finite.
+# but the last patch's weights are 0 and its bands are not finite.  Then
+# three patches, the first 1e-3 long, with ratios of 1e-153: weights and
+# bands are finite, but weights from about 2.5e-5 to 2.5e304 make the square
+# of the similarity, their ratio, overflow.
 OVERFLOWS = [
     ([0.0, 1.0, 2.3], [1.0, 0.7], [1e160]),
     ([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 0.7, 1.2, 0.9], [1e120, 1e120, 1e120]),
+    ([0.0, 1e-3, 1.001, 2.001], [1.0, 1.0, 1.0], [1e-153, 1e-153]),
 ]
 
 
 class TestAssemblyRefusesOverflow:
-    """Jump ratios whose weights or bands overflow are refused by the
-    assembly, as ValidationError naming ``p`` and with no RuntimeWarning, on
-    both routes, for a single species (the resident) and a stack (the
-    mutant), before any solve."""
+    """Jump ratios whose weights, bands or couplings' similarity overflow are
+    refused by the assembly, as ValidationError naming ``p`` and with no
+    RuntimeWarning, on both routes, for a single species (the resident) and a
+    stack (the mutant), before any solve."""
 
     @pytest.mark.parametrize("kernel", ["kernel", "numpy"])
-    @pytest.mark.parametrize("bounds,d,p", OVERFLOWS, ids=["p_squared", "four_patches"])
+    @pytest.mark.parametrize("bounds,d,p", OVERFLOWS,
+                             ids=["p_squared", "four_patches", "similarity"])
     def test_layouts_and_bands_refuse(self, request, monkeypatch, kernel, bounds, d, p):
         # the numpy route runs with or without a compiler
         route = request.getfixturevalue("ldlt_kernel") if kernel == "kernel" else None
@@ -760,6 +752,18 @@ class TestAssemblyRefusesOverflow:
         bad = pc.SpeciesTraits(OVERFLOWS[1][1], pc.StrategyVector(OVERFLOWS[1][2]))
         kernel, numpy = both_routes(lambda: SpeciesLayout(grid, bad))
         assert kernel == numpy and "weights" in kernel[1]
+
+    @pytest.mark.parametrize("bounds,d,p,named", [
+        (*OVERFLOWS[2], "symmetric"),
+        # 4 cells of 2.5e5 and d = 5e-324: c = d / h underflows to 0 in the
+        # first patch, whose couplings are then 0, with finite bands
+        ([0.0, 1e6, 2e6], [5e-324, 1.0], [1.0], "positive"),
+    ], ids=["similarity", "couplings"])
+    def test_couplings_fail_after_the_bands(self, ldlt_kernel, bounds, d, p, named):
+        grid = pc.build_grid(pc.Landscape(bounds), per_patch=4)
+        bad = pc.SpeciesTraits(d, pc.StrategyVector(p))
+        kernel, numpy = both_routes(lambda: SpeciesLayout(grid, bad))
+        assert kernel == numpy and kernel[0] is pc.ValidationError and named in kernel[1]
 
 
 class TestReductionMaps:

@@ -365,7 +365,7 @@ class TestStackedSteady:
         # p = kbar stops at iteration 0, so only p = 3's Jacobian is ever
         # factored, in the one run, which starts p = 3 at its folded capacity
         whole = patchcomp.steady._SteadyProblem(grid, env, residents)
-        assert factored and all(np.array_equal(off, whole.off[1:]) for off in factored)
+        assert factored and all(np.array_equal(off, whole.layout.off[1:]) for off in factored)
         assert len(runs) == 1 and runs[0][1] == [True, True]
         assert np.array_equal(runs[0][0], np.maximum(starts, whole.a / whole.b))
         for resident, start, field in zip(residents, starts, stack):
@@ -679,19 +679,6 @@ class TestTypedFailures:
         assert got.value.residual > 0
         config = Path(__file__).resolve().parents[1] / "configs" / "reference_two_patch.json"
         assert run_command(["steady", "--config", str(config), "--out", str(tmp_path)]) == 2
-
-    @pytest.mark.parametrize("kernel", [True, False])
-    def test_similarity_out_of_range_raises_steady_convergence_error(self, kernel, monkeypatch):
-        # weights from 5e-5 to 1e305: finite, but the square of the
-        # similarity, their ratio, is not
-        if not kernel:
-            monkeypatch.setattr(patchcomp.operators, "_ldlt", None)
-        land = pc.Landscape([0.0, 1e-3, 1.001, 2.001])
-        env = pc.PatchEnvironment(r=[1.0, 1.0, 1.0], k=[1.0, 1.0, 1.0])
-        traits = pc.SpeciesTraits([1.0, 1.0, 1.0], pc.StrategyVector([1e-153, 1e-153]))
-        grid = pc.build_grid(land, per_patch=10)
-        with pytest.raises(pc.SteadyConvergenceError, match="symmetric"):
-            pc.solve_resident_steady(land, env, traits, grid)
 
 
 class TestDampedNewton:
