@@ -63,11 +63,14 @@ ratio 2).  The layers:
   problem built outside the timed call (in trees with a restart from
   ``M c`` the restart is part of it), with the residual evaluations of one
   solve (``residuals``), once per route: from the capacity start, of the
-  resident on its own ``(N,)`` arrays and of a stack of 16 residents
-  (strategies spread over 1.2-4), at the same three sizes; the resident's
-  from a flat start of 0.05, below its state (``flat_start``), at 201 and
-  1,601 reduced DOFs; and from the capacity start on the ``steady_fallback``
-  landscapes at 9 subintervals per patch (``stalling``, by landscape);
+  resident as a stack of one (on its own ``(N,)`` arrays in trees that
+  still had that path) and of a stack of 16 residents (strategies spread
+  over 1.2-4), at the same three sizes; the resident's from a flat start of
+  0.05, below its state (``flat_start``), at 201 and 1,601 reduced DOFs; and
+  from the capacity start on the ``steady_fallback`` landscapes at 9
+  subintervals per patch (``stalling``, by landscape).  On the kernel's
+  route each ``noda`` and ``newton`` figure is one kernel call, the whole
+  loop, in trees that have the one-call loops;
 - ``oracle``: the resident's steady solve through the continuous-form route
   (``solve_transformed_steady``), at 201, 2,001 and 8,001 reduced DOFs;
 - ``step``: one ``Stepper.step`` of the resident/mutant pair at the default
@@ -344,6 +347,8 @@ def inner_loops(repeats: int) -> dict:
     """The ``noda`` and ``newton`` layers."""
     out = {"noda": {}, "newton": {}}
     config = pc.SteadyConfig()
+    # a single resident: a stack of one where Newton takes stacks only
+    single = (lambda t: [t]) if hasattr(steady._SteadyProblem, "run") else (lambda t: t)
     for per_patch in INNER_PER_PATCH:
         grid = pc.build_grid(LAND, per_patch=per_patch)
         ops = _linearizations(grid, max(INNER_STACKS))
@@ -356,12 +361,13 @@ def inner_loops(repeats: int) -> dict:
             noda[f"stack_{m}"] = _routes(lambda: timed(
                 lambda: eigen._stacked_solve(lo, di, up, couplings, start.copy()), repeats
             ))
-            problem = steady._SteadyProblem(grid, ENV, RESIDENT if m == 1 else residents[:m])
+            traits = single(RESIDENT) if m == 1 else residents[:m]
+            problem = steady._SteadyProblem(grid, ENV, traits)
             u0 = np.empty(problem.a.shape)
             u0[...] = problem.layout.fill(ENV.k_array)
             newton[f"stack_{m}"] = _routes(lambda: _counted_solve(problem, u0, config, repeats))
         if per_patch in FLAT_PER_PATCH:
-            problem = steady._SteadyProblem(grid, ENV, RESIDENT)
+            problem = steady._SteadyProblem(grid, ENV, single(RESIDENT))
             flat = np.full(grid.num_reduced, FLAT_START)
             newton["flat_start"] = _routes(lambda: _counted_solve(problem, flat, config, repeats))
         if per_patch == PIP_PER_PATCH:
@@ -374,7 +380,7 @@ def inner_loops(repeats: int) -> dict:
     out["newton"]["stalling"] = {}
     for name, (land, env, traits) in _fallback_problems().items():
         grid = pc.build_grid(land, per_patch=FALLBACK_PER_PATCH)
-        problem = steady._SteadyProblem(grid, env, traits)
+        problem = steady._SteadyProblem(grid, env, single(traits))
         u0 = problem.layout.fill(env.k_array)
         out["newton"]["stalling"][name] = _routes(
             lambda: _counted_solve(problem, u0, config, repeats)
@@ -384,7 +390,13 @@ def inner_loops(repeats: int) -> dict:
 
 def _counted_solve(problem, start, config, repeats: int) -> dict:
     """``timed`` for ``problem.solve`` from ``start``, with the residual
-    evaluations of one solve."""
+    evaluations of one solve: one per pass of its run, its most steps plus
+    one (in trees whose run did not return its steps, counted by wrapping
+    ``problem.residual``)."""
+    out = timed(lambda: problem.solve(start, config), repeats)
+    if hasattr(problem, "run"):
+        out["residuals"] = int(problem.run(start, config)[3].max()) + 1
+        return out
     residual, evaluations = problem.residual, []
 
     def counted(u):
@@ -394,7 +406,6 @@ def _counted_solve(problem, start, config, repeats: int) -> dict:
     problem.residual = counted
     problem.solve(start, config)
     del problem.residual
-    out = timed(lambda: problem.solve(start, config), repeats)
     out["residuals"] = len(evaluations)
     return out
 

@@ -26,15 +26,21 @@
  * time, their sweep carries in registers, so their number is unbounded and
  * needs no allocation.
  *
- * noda is one pass of Noda's shifted inverse iteration on a stack of
- * operators (patchcomp.operators.noda_pass): the band product, the weighted
+ * noda and newton are whole solver loops, one call each, on a stack of
+ * operators, every block with its own stop; both solve with one shifted
+ * LDLT of the similarity that symmetrizes the couplings, factor's and
+ * solve's forward sweeps fused into one, then the back sweep, on the blocks
+ * still going (shifted_solve), and both form A x with one band product.
+ * noda is Noda's shifted inverse iteration (patchcomp.eigen): each pass is
+ * that of patchcomp.operators.noda_pass, the band product, the weighted
  * Rayleigh quotient (its two sums in numpy's pairwise order), the residual
  * and the stop test, then, for the blocks still going, the Collatz-Wielandt
- * shift, factor's and solve's forward sweeps fused into one, the back sweep,
- * the positivity check and the max-normalisation.  residual is the steady
- * problem's A u + u (a - b u) and its Jacobian's diagonal, through the same
- * band product; Newton solves its steps with factor and solve, on the
- * similarity that symmetrizes its Jacobian's couplings.
+ * shift, the shifted solve, the positivity check and the max-normalisation,
+ * repeated until every block stops or the pass cap is reached.  newton is
+ * the monotone Newton run of patchcomp.steady.newton on the steady problem
+ * A u + u (a - b u) = 0: per pass its residual and its Jacobian's diagonal,
+ * each block's stop test, and for the blocks still going the full step,
+ * the shifted solve at shift 0 of minus the Jacobian.
  *
  * species is the assembly of a stack of species
  * (patchcomp.operators.SpeciesLayout): one pass writes each species'
@@ -55,6 +61,7 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <float.h>
 #include <math.h>
 #include <string.h>
 
@@ -141,8 +148,8 @@ release(Py_buffer *views, Py_ssize_t count)
 }
 
 /* The buffers of args[0], args[1], ..., one per character of kinds: 'd' for
- * float64, '?' for bool and 'n' for Py_ssize_t, read-only, or 'D', 'B' for
- * the first two writable; names[k] names args[k] in errors.  -1 with an
+ * float64, '?' for bool and 'n' for Py_ssize_t, read-only, or 'D', 'B', 'N'
+ * for the same writable; names[k] names args[k] in errors.  -1 with an
  * exception, and no buffer held, otherwise. */
 static int
 get_buffers(PyObject *const *args, Py_buffer *views, const char *kinds,
@@ -152,8 +159,8 @@ get_buffers(PyObject *const *args, Py_buffer *views, const char *kinds,
 
     for (k = 0; kinds[k]; k++) {
         char kind = kinds[k];
-        int writable = kind == 'D' || kind == 'B';
-        char base = kind == 'D' ? 'd' : kind == 'B' ? '?' : kind;
+        int writable = kind == 'D' || kind == 'B' || kind == 'N';
+        char base = kind == 'D' ? 'd' : kind == 'B' ? '?' : kind == 'N' ? 'n' : kind;
         if (get_buffer(args[k], &views[k], writable, names[k], base) < 0) {
             release(views, k);
             return -1;
@@ -447,14 +454,14 @@ band_product(const double *lo, const double *di, const double *up, const double 
 {
     Py_ssize_t j;
 
-    for (j = 0; j < size; j++) {
-        double v = di[j] * x[j];
-        if (j + 1 < size)
-            v = v + up[j] * x[j + 1];
-        if (j > 0)
-            v = v + lo[j] * x[j - 1];
-        y[j] = v;
+    if (size == 1) {
+        y[0] = di[0] * x[0];
+        return;
     }
+    y[0] = di[0] * x[0] + up[0] * x[1];
+    for (j = 1; j < size - 1; j++)
+        y[j] = (di[j] * x[j] + up[j] * x[j + 1]) + lo[j] * x[j - 1];
+    y[j] = di[j] * x[j] + lo[j] * x[j - 1];
 }
 
 /* The sums of (w x) y and of (w x) x over n entries, each in numpy's
@@ -518,11 +525,151 @@ max_of(double top, double v)
     return v > top || v != v ? v : top;
 }
 
+/* The largest of initial and |x[j]| for count entries, NaN once any is NaN,
+ * as numpy's max: four running maxima keep the compares apart, and a NaN
+ * is flagged on its own. */
+static double
+abs_max(const double *x, Py_ssize_t count, double initial)
+{
+    double top[4] = {initial, initial, initial, initial};
+    int nan = initial != initial;
+    Py_ssize_t j, k;
+
+    for (j = 0; j + 4 <= count; j += 4) {
+        for (k = 0; k < 4; k++) {
+            double v = fabs(x[j + k]);
+            nan |= v != v;
+            top[k] = v > top[k] ? v : top[k];
+        }
+    }
+    for (; j < count; j++) {
+        double v = fabs(x[j]);
+        nan |= v != v;
+        top[0] = v > top[0] ? v : top[0];
+    }
+    top[0] = top[1] > top[0] ? top[1] : top[0];
+    top[2] = top[3] > top[2] ? top[3] : top[2];
+    return nan ? NAN : top[2] > top[0] ? top[2] : top[0];
+}
+
+/* shifted_solve's arithmetic on WIDTH (1, 2 or 4) of its blocks side by
+ * side, block k starting at row start[k].  Always inlined where WIDTH is a
+ * constant, so that each block's pivot and sweep carry stay in registers. */
+static inline __attribute__((always_inline)) int
+shifted_blocks(const double *restrict di, const double *restrict off,
+               const double *restrict s, const double *restrict shift,
+               const Py_ssize_t *restrict start, Py_ssize_t n, double *restrict v,
+               double *restrict d, double *restrict l, const int WIDTH)
+{
+    double pivot[4], carry[4];
+    Py_ssize_t i, j, k;
+
+    for (k = 0; k < WIDTH; k++) {
+        j = start[k];
+        d[j] = pivot[k] = shift[k] - di[j];
+        v[j] = carry[k] = s[j] * v[j];
+    }
+    for (i = 0; i < n - 1; i++) {
+        for (k = 0; k < WIDTH; k++) {
+            double ej, lj;
+            if (pivot[k] <= 0)
+                return 0;
+            j = start[k] + i;
+            ej = -off[j];
+            lj = ej / pivot[k];
+            l[j] = lj;
+            d[j + 1] = pivot[k] = (shift[k] - di[j + 1]) - lj * ej;
+            v[j + 1] = carry[k] = s[j + 1] * v[j + 1] - carry[k] * lj;
+        }
+    }
+    for (k = 0; k < WIDTH; k++) {
+        if (pivot[k] <= 0)
+            return 0;
+    }
+    /* the back sweep carries the solve before its division by s */
+    for (k = 0; k < WIDTH; k++) {
+        j = start[k] + n - 1;
+        carry[k] = v[j] / d[j];
+        v[j] = carry[k] / s[j];
+    }
+    for (i = n - 2; i >= 0; i--) {
+        for (k = 0; k < WIDTH; k++) {
+            j = start[k] + i;
+            carry[k] = v[j] / d[j] - carry[k] * l[j];
+            v[j] = carry[k] / s[j];
+        }
+    }
+    return 1;
+}
+
+/* The solve of (shift - S A S^-1) y = s v, over s, in the going blocks of a
+ * stack of blocks of n rows, block k starting at row start[k], with its own
+ * shift[k]: di is A's main diagonal, off the couplings of the symmetric
+ * S A S^-1 (zero corners), S = diag(s).  pttrf on shift - di and -off, fused
+ * with pttrs's forward sweep on s v, one row of four blocks at a time, then
+ * the back sweep and the division by s: the operations on each element are
+ * those of factor, of solve and of numpy's s * v and y / s.  The result
+ * replaces v in the going blocks; d and l take the pivots and the
+ * multipliers.  0, with v partly written, when a pivot is not positive
+ * (pttrf's test, d <= 0, which a NaN pivot passes). */
+static int
+shifted_solve(const double *di, const double *off, const double *s, const double *shift,
+              const Py_ssize_t *start, Py_ssize_t going, Py_ssize_t n, double *v, double *d,
+              double *l)
+{
+    Py_ssize_t k = 0;
+
+    for (; k + 4 <= going; k += 4) {
+        if (!shifted_blocks(di, off, s, shift + k, start + k, n, v, d, l, 4))
+            return 0;
+    }
+    for (; k + 2 <= going; k += 2) {
+        if (!shifted_blocks(di, off, s, shift + k, start + k, n, v, d, l, 2))
+            return 0;
+    }
+    return k == going || shifted_blocks(di, off, s, shift + k, start + k, n, v, d, l, 1);
+}
+
+/* The tolerance tol and the cap max_iters (at least 0) of a solver loop;
+ * -1 with an exception otherwise. */
+static int
+loop_limits(PyObject *tol_arg, PyObject *cap_arg, double *tol, Py_ssize_t *max_iters)
+{
+    *tol = PyFloat_AsDouble(tol_arg);
+    if (*tol == -1.0 && PyErr_Occurred())
+        return -1;
+    *max_iters = PyNumber_AsSsize_t(cap_arg, PyExc_OverflowError);
+    if (*max_iters == -1 && PyErr_Occurred())
+        return -1;
+    if (*max_iters < 0) {
+        PyErr_SetString(PyExc_ValueError, "max_iters must be at least 0");
+        return -1;
+    }
+    return 0;
+}
+
+/* 0 if each of the count buffers of views holds one item per block; -1 with
+ * ValueError naming them as what otherwise. */
+static int
+one_per_block(const Py_buffer *views, Py_ssize_t count, Py_ssize_t blocks, const char *what)
+{
+    Py_ssize_t k;
+
+    for (k = 0; k < count; k++) {
+        if (views[k].len != blocks * views[k].itemsize) {
+            PyErr_Format(PyExc_ValueError, "%s must hold one entry per block", what);
+            return -1;
+        }
+    }
+    return 0;
+}
+
 /* noda's outcomes besides the number of blocks that stopped. */
 enum { NOT_POSITIVE_DEFINITE = -1, NOT_POSITIVE = -2, SHIFT_NOT_FINITE = -3 };
 
-/* noda's arithmetic on a stack of blocks of n rows, size rows in all; work
- * holds 2 size + blocks doubles and start blocks offsets. */
+/* One pass of noda on a stack of blocks of n rows, size rows in all, which
+ * solves when solve is true; work holds 2 size + blocks doubles and start
+ * blocks offsets.  The number of blocks that stopped, or an outcome. */
 static Py_ssize_t
 noda_pass(const double *restrict lo, const double *restrict di, const double *restrict up,
           const double *restrict s, const double *restrict w, const double *restrict off,
@@ -530,14 +677,14 @@ noda_pass(const double *restrict lo, const double *restrict di, const double *re
           const double *least, double tol, int solve, double *theta, double *res,
           char *done, double *restrict work, Py_ssize_t *restrict start)
 {
-    /* ax, then the shifted matrix's pivots; l the factor's multipliers */
-    double *restrict d = work, *restrict l = work + size, *restrict sigma = work + 2 * size;
-    Py_ssize_t blocks = size / n, going = 0, stopped = 0, b, i, k, j;
+    /* ax, then the shifted matrix's pivots; l the multipliers */
+    double *restrict ax = work, *restrict l = work + size, *restrict sigma = work + 2 * size;
+    Py_ssize_t blocks = size / n, going = 0, stopped = 0, b, k, j;
     int positive = 1;
 
-    band_product(lo, di, up, x, d, size);
+    band_product(lo, di, up, x, ax, size);
     for (b = 0; b < blocks; b++) {
-        const double *xb = x + b * n, *ab = d + b * n;
+        const double *xb = x + b * n, *ab = ax + b * n;
         double sum_y, sum_x, t, r, bound;
         pairwise(w + b * n, xb, ab, n, &sum_y, &sum_x);
         t = (0.0 + sum_y) / (0.0 + sum_x);
@@ -567,52 +714,15 @@ noda_pass(const double *restrict lo, const double *restrict di, const double *re
         if (!isfinite(sigma[k]))
             return SHIFT_NOT_FINITE;
     }
-    /* pttrf on sigma - di and -off, and pttrs's forward sweep on s x, one
-     * row of every going block at a time; pttrf's test is d <= 0 */
+    if (!shifted_solve(di, off, s, sigma, start, going, n, x, ax, l))
+        return NOT_POSITIVE_DEFINITE;
+    /* positive in every going block, then over its max */
     for (k = 0; k < going; k++) {
-        j = start[k];
-        d[j] = sigma[k] - di[j];
-        x[j] = s[j] * x[j];
-    }
-    for (i = 0; i < n - 1; i++) {
-        for (k = 0; k < going; k++) {
-            double pivot, ej, lj;
-            j = start[k] + i;
-            pivot = d[j];
-            if (pivot <= 0)
-                return NOT_POSITIVE_DEFINITE;
-            ej = -off[j];
-            lj = ej / pivot;
-            l[j] = lj;
-            d[j + 1] = (sigma[k] - di[j + 1]) - lj * ej;
-            x[j + 1] = s[j + 1] * x[j + 1] - x[j] * lj;
-        }
-    }
-    for (k = 0; k < going; k++) {
-        if (d[start[k] + n - 1] <= 0)
-            return NOT_POSITIVE_DEFINITE;
-    }
-    /* the back sweep */
-    for (k = 0; k < going; k++) {
-        j = start[k] + n - 1;
-        x[j] = x[j] / d[j];
-    }
-    for (i = n - 2; i >= 0; i--) {
-        for (k = 0; k < going; k++) {
-            j = start[k] + i;
-            x[j] = x[j] / d[j] - x[j + 1] * l[j];
-        }
-    }
-    /* x / s, positive in every going block, then over its max */
-    for (k = 0; k < going; k++) {
-        double *xb = x + start[k];
-        const double *sb = s + start[k];
+        const double *xb = x + start[k];
         double top = 0.0;
         for (j = 0; j < n; j++) {
-            double v = xb[j] / sb[j];
-            positive &= v > 0;
-            top = v > top ? v : top;
-            xb[j] = v;
+            positive &= xb[j] > 0;
+            top = xb[j] > top ? xb[j] : top;
         }
         sigma[k] = top;
     }
@@ -626,113 +736,228 @@ noda_pass(const double *restrict lo, const double *restrict di, const double *re
     return stopped;
 }
 
+/* noda's passes until every block stops or max_iters solves, the last pass
+ * only testing; counts[b] takes the pass on which block b first stopped. */
+static Py_ssize_t
+noda_loop(const double *lo, const double *di, const double *up, const double *s,
+          const double *w, const double *off, double *x, Py_ssize_t n, Py_ssize_t size,
+          const double *margin, const double *least, double tol, Py_ssize_t max_iters,
+          double *theta, double *res, char *done, Py_ssize_t *counts, double *work,
+          Py_ssize_t *start)
+{
+    Py_ssize_t blocks = size / n, iterations, stopped, b;
+
+    for (b = 0; b < blocks; b++)
+        counts[b] = max_iters;
+    for (iterations = 0;; iterations++) {
+        int last = iterations == max_iters;
+        stopped = noda_pass(lo, di, up, s, w, off, x, n, size, margin, least, tol, !last, theta,
+                            res, done, work, start);
+        if (stopped < 0)
+            return stopped;
+        for (b = 0; b < blocks; b++) {
+            if (done[b] && iterations < counts[b])
+                counts[b] = iterations;
+        }
+        if (stopped == blocks || last)
+            return stopped;
+    }
+}
+
 PyDoc_STRVAR(noda_doc,
-"noda(lo, di, up, s, w, off, x, n, margin, least, theta, res, done, tol, solve)\n"
-"-> int\n\n"
-"One pass of Noda's iteration on a stack of blocks of n rows: lo, di, up, s,\n"
-"w (s squared), off and x the length of d; margin, least and the outputs\n"
-"theta, res and done (bools) one entry per block.  Writes each block's\n"
-"Rayleigh quotient theta = sum((w x) A x) / sum((w x) x) and residual\n"
-"max |A x - theta x|, and done where the residual is at most\n"
-"max(tol |theta|, least).  When solve is true, each block not done has x\n"
-"replaced by the max-normalised solve of (sigma - S A S^-1) y = s x over s,\n"
-"sigma the largest (A x) / x plus margin.  Returns the number of blocks\n"
-"done, or -3 when a shift is not finite, -1 when a shifted matrix is not\n"
-"positive definite and -2 when a solve is not positive, the last two with x\n"
-"partly written.");
+"noda(lo, di, up, s, w, off, x, n, margin, least, theta, res, done, counts,\n"
+"tol, max_iters) -> int\n\n"
+"Noda's iteration on a stack of blocks of n rows: lo, di, up, s, w (s\n"
+"squared), off and x, the start, the length of d; margin, least and the\n"
+"outputs theta, res, done (bools) and counts (array indices) one entry per\n"
+"block.  Each pass writes each block's Rayleigh quotient\n"
+"theta = sum((w x) A x) / sum((w x) x) and residual max |A x - theta x|, and\n"
+"done where the residual is at most max(tol |theta|, least); then each\n"
+"block not done has x replaced by the max-normalised solve of\n"
+"(sigma - S A S^-1) y = s x over s, sigma the largest (A x) / x plus\n"
+"margin.  The passes go on until every block is done or max_iters have\n"
+"solved, and one more then only tests.  counts holds the solves before\n"
+"each block was first done (max_iters for one that was not).  Returns the\n"
+"number of blocks done on the last pass, or -3 when a shift is not finite,\n"
+"-1 when a shifted matrix is not positive definite and -2 when a solve is\n"
+"not positive, the last two with x partly written.");
 
 static PyObject *
 noda(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     static const char *const names[] = {
         "lo", "di", "up", "s", "w", "off", "x", "n", "margin", "least", "theta", "res", "done",
+        "counts",
     };
-    Py_buffer v[13];
-    Py_ssize_t n, size, blocks;
+    Py_buffer v[14];
+    Py_ssize_t n, size, blocks, max_iters;
     double tol;
-    int solve;
+    double *work = NULL;
+    Py_ssize_t *start = NULL;
+    PyObject *result = NULL;
+
+    if (nargs != 16) {
+        PyErr_SetString(PyExc_TypeError,
+                        "noda takes lo, di, up, s, w, off, x, n, margin, least, theta, res, "
+                        "done, counts, tol and max_iters");
+        return NULL;
+    }
+    if (loop_limits(args[14], args[15], &tol, &max_iters) < 0 || block_size(args[7], &n) < 0)
+        return NULL;
+    /* n, args[7], takes the place of a buffer: it is skipped below */
+    if (get_buffers(args, v, "ddddddD", names) < 0)
+        return NULL;
+    if (get_buffers(args + 8, v + 8, "ddDDBN", names + 8) < 0) {
+        release(v, 7);
+        return NULL;
+    }
+    size = doubles(&v[0]);
+    blocks = size / n;
+    if (same_blocks(v, 7, n, "lo, di, up, s, w, off and x") < 0
+        || one_per_block(v + 8, 6, blocks, "margin, least, theta, res, done and counts") < 0)
+        result = NULL;  /* with its ValueError */
+    else if (!(work = PyMem_Malloc((2 * size + blocks + 1) * sizeof(double)))
+             || !(start = PyMem_Malloc((blocks + 1) * sizeof(Py_ssize_t))))
+        PyErr_NoMemory();
+    else
+        result = PyLong_FromSsize_t(noda_loop(
+            v[0].buf, v[1].buf, v[2].buf, v[3].buf, v[4].buf, v[5].buf, v[6].buf, n, size,
+            v[8].buf, v[9].buf, tol, max_iters, v[10].buf, v[11].buf, v[12].buf, v[13].buf, work,
+            start));
+    PyMem_Free(work);
+    PyMem_Free(start);
+    release(v, 7);
+    release(v + 8, 6);
+    return result;
+}
+
+/* newton's arithmetic on a stack of blocks of n rows, size rows in all;
+ * work holds 4 size + 3 blocks doubles and start blocks offsets.  0, or 1 +
+ * the first going block of a pass whose shifted solve failed. */
+static Py_ssize_t
+newton_run(const double *restrict lo, const double *restrict di, const double *restrict up,
+           const double *restrict s, const double *restrict off, const double *restrict a,
+           const double *restrict b, double *restrict u, Py_ssize_t n, Py_ssize_t size,
+           double cap, double tol, Py_ssize_t max_iters, double *restrict norm,
+           char *restrict converged, Py_ssize_t *restrict steps, double *restrict work,
+           Py_ssize_t *restrict start)
+{
+    const Py_ssize_t blocks = size / n;
+    /* F, the Jacobian's diagonal, the pivots and the multipliers; per block
+     * the noise, the bound and the shift, 0 */
+    double *restrict res = work, *restrict slope = work + size, *restrict d = work + 2 * size,
+           *restrict l = work + 3 * size, *restrict noise = work + 4 * size,
+           *restrict bound = noise + blocks, *restrict zero = bound + blocks;
+    Py_ssize_t iteration, going, blk, j, k;
+
+    /* 8 eps times the block's largest row sum (|di| + |lo|) + |up| */
+    for (blk = 0; blk < blocks; blk++) {
+        const Py_ssize_t first = blk * n;
+        double top = (fabs(di[first]) + fabs(lo[first])) + fabs(up[first]);
+        for (j = first + 1; j < first + n; j++)
+            top = max_of(top, (fabs(di[j]) + fabs(lo[j])) + fabs(up[j]));
+        noise[blk] = 8.0 * DBL_EPSILON * top;
+        zero[blk] = 0.0;
+        steps[blk] = 0;
+    }
+    for (iteration = 0;; iteration++) {
+        /* F = A u + u (a - b u) and the Jacobian's diagonal (a - 2 b u) + di */
+        band_product(lo, di, up, u, res, size);
+        for (j = 0; j < size; j++) {
+            double bu = b[j] * u[j];
+            res[j] = res[j] + u[j] * (a[j] - bu);
+            slope[j] = (a[j] - 2.0 * bu) + di[j];
+        }
+        /* the stop, max |F| <= tol + noise max(max |u|, cap); NaN fails both
+         * tests, so a non-finite residual stops its block */
+        going = 0;
+        for (blk = 0; blk < blocks; blk++) {
+            norm[blk] = abs_max(res + blk * n, n, 0.0);
+            bound[blk] = tol + noise[blk] * abs_max(u + blk * n, n, cap);
+            if (norm[blk] > bound[blk] && norm[blk] < INFINITY)
+                start[going++] = blk * n;
+        }
+        if (!going || iteration == max_iters)
+            break;
+        /* the full step, the solve of -J y = F on the similarity */
+        if (!shifted_solve(slope, off, s, zero, start, going, n, res, d, l))
+            return 1 + start[0] / n;
+        for (k = 0; k < going; k++) {
+            for (j = start[k]; j < start[k] + n; j++)
+                u[j] = u[j] + res[j];
+            steps[start[k] / n]++;
+        }
+    }
+    for (blk = 0; blk < blocks; blk++)
+        converged[blk] = norm[blk] <= bound[blk];
+    return 0;
+}
+
+PyDoc_STRVAR(newton_doc,
+"newton(lo, di, up, s, off, a, b, u, n, norm, converged, steps, cap, tol,\n"
+"max_iters) -> int\n\n"
+"A monotone Newton run for A u + u (a - b u) = 0 on a stack of blocks of n\n"
+"rows: the bands lo, di, up, the similarity s and off that symmetrizes\n"
+"their couplings, a, b and u, the start, all the length of d; u is\n"
+"overwritten by the iterate, and the outputs norm, converged (bools) and\n"
+"steps (array indices) hold one entry per block.  Each pass forms the\n"
+"residual F and the Jacobian's diagonal J = di + a - 2 b u, and stops each\n"
+"block whose max |F| is at most tol + 8 eps scale max(max |u|, cap), scale\n"
+"its largest row sum |lo| + |di| + |up|, or not finite; each block still\n"
+"going takes the full step, the solve of (-S J S^-1) y = s F over s.  The\n"
+"run ends when no block goes or after max_iters steps.  Writes each block's\n"
+"last max |F| to norm, whether it met the stop to converged and its steps\n"
+"to steps.  Returns 0, or 1 + b when minus the Jacobian is not positive\n"
+"definite on a pass whose first going block is b (u then partly\n"
+"written).");
+
+static PyObject *
+newton(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    static const char *const names[] = {
+        "lo", "di", "up", "s", "off", "a", "b", "u", "n", "norm", "converged", "steps",
+    };
+    Py_buffer v[12];
+    Py_ssize_t n, size, blocks, max_iters;
+    double cap, tol;
     double *work = NULL;
     Py_ssize_t *start = NULL;
     PyObject *result = NULL;
 
     if (nargs != 15) {
         PyErr_SetString(PyExc_TypeError,
-                        "noda takes lo, di, up, s, w, off, x, n, margin, least, theta, res, "
-                        "done, tol and solve");
+                        "newton takes lo, di, up, s, off, a, b, u, n, norm, converged, "
+                        "steps, cap, tol and max_iters");
         return NULL;
     }
-    tol = PyFloat_AsDouble(args[13]);
-    if (tol == -1.0 && PyErr_Occurred())
+    cap = PyFloat_AsDouble(args[12]);
+    if ((cap == -1.0 && PyErr_Occurred()) || loop_limits(args[13], args[14], &tol, &max_iters) < 0
+        || block_size(args[8], &n) < 0)
         return NULL;
-    solve = PyObject_IsTrue(args[14]);
-    if (solve < 0 || block_size(args[7], &n) < 0)
+    /* n, args[8], takes the place of a buffer: it is skipped below */
+    if (get_buffers(args, v, "dddddddD", names) < 0)
         return NULL;
-    /* n, args[7], takes the place of a buffer: it is skipped below */
-    if (get_buffers(args, v, "ddddddD", names) < 0)
-        return NULL;
-    if (get_buffers(args + 8, v + 8, "ddDDB", names + 8) < 0) {
-        release(v, 7);
+    if (get_buffers(args + 9, v + 9, "DBN", names + 9) < 0) {
+        release(v, 8);
         return NULL;
     }
     size = doubles(&v[0]);
     blocks = size / n;
-    if (same_blocks(v, 7, n, "lo, di, up, s, w, off and x") < 0)
+    if (same_blocks(v, 8, n, "lo, di, up, s, off, a, b and u") < 0
+        || one_per_block(v + 9, 3, blocks, "norm, converged and steps") < 0)
         result = NULL;  /* with its ValueError */
-    else if (doubles(&v[8]) != blocks || doubles(&v[9]) != blocks || doubles(&v[10]) != blocks
-             || doubles(&v[11]) != blocks || v[12].len != blocks)
-        PyErr_SetString(PyExc_ValueError,
-                        "margin, least, theta, res and done must hold one entry per block");
-    else if (!(work = PyMem_Malloc((2 * size + blocks + 1) * sizeof(double)))
+    else if (!(work = PyMem_Malloc((4 * size + 3 * blocks + 1) * sizeof(double)))
              || !(start = PyMem_Malloc((blocks + 1) * sizeof(Py_ssize_t))))
         PyErr_NoMemory();
     else
-        result = PyLong_FromSsize_t(noda_pass(
-            v[0].buf, v[1].buf, v[2].buf, v[3].buf, v[4].buf, v[5].buf, v[6].buf, n, size,
-            v[8].buf, v[9].buf, tol, solve, v[10].buf, v[11].buf, v[12].buf, work, start));
+        result = PyLong_FromSsize_t(newton_run(
+            v[0].buf, v[1].buf, v[2].buf, v[3].buf, v[4].buf, v[5].buf, v[6].buf, v[7].buf, n,
+            size, cap, tol, max_iters, v[9].buf, v[10].buf, v[11].buf, work, start));
     PyMem_Free(work);
     PyMem_Free(start);
-    release(v, 7);
-    release(v + 8, 5);
-    return result;
-}
-
-PyDoc_STRVAR(residual_doc,
-"residual(lo, di, up, a, b, u, res, slope) -> None\n\n"
-"The steady residual A u + u (a - b u) of a stack laid end to end into res,\n"
-"and its Jacobian's diagonal di + a - 2 b u into slope; all eight the same\n"
-"length.");
-
-static PyObject *
-residual(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    static const char *const names[] = {"lo", "di", "up", "a", "b", "u", "res", "slope"};
-    Py_buffer v[8];
-    Py_ssize_t size, j, k;
-
-    if (nargs != 8) {
-        PyErr_SetString(PyExc_TypeError, "residual takes lo, di, up, a, b, u, res and slope");
-        return NULL;
-    }
-    if (get_buffers(args, v, "ddddddDD", names) < 0)
-        return NULL;
-    size = doubles(&v[0]);
-    for (k = 1; k < 8; k++) {
-        if (doubles(&v[k]) != size) {
-            PyErr_SetString(PyExc_ValueError, "every buffer must have the length of lo");
-            release(v, 8);
-            return NULL;
-        }
-    }
-    const double *di = v[1].buf, *a = v[3].buf, *b = v[4].buf, *u = v[5].buf;
-    double *res = v[6].buf, *slope = v[7].buf;
-    band_product(v[0].buf, di, v[2].buf, u, res, size);
-    for (j = 0; j < size; j++) {
-        double bu = b[j] * u[j];
-        res[j] = res[j] + u[j] * (a[j] - bu);
-        slope[j] = (a[j] - 2.0 * bu) + di[j];
-    }
     release(v, 8);
-    Py_RETURN_NONE;
+    release(v + 9, 3);
+    return result;
 }
 
 /* species's outcomes: which check failed, in the order the checks come. */
@@ -990,15 +1215,15 @@ static PyMethodDef methods[] = {
     {"solve", (PyCFunction)(void (*)(void))solve, METH_FASTCALL, solve_doc},
     {"step", (PyCFunction)(void (*)(void))step, METH_FASTCALL, step_doc},
     {"noda", (PyCFunction)(void (*)(void))noda, METH_FASTCALL, noda_doc},
-    {"residual", (PyCFunction)(void (*)(void))residual, METH_FASTCALL, residual_doc},
+    {"newton", (PyCFunction)(void (*)(void))newton, METH_FASTCALL, newton_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module_def = {
     PyModuleDef_HEAD_INIT, "_ldlt",
     "LAPACK's pttrf/pttrs (blocks interleaved) on a stack of tridiagonal\n"
-    "blocks, the IMEX step of a two-species pair, a pass of Noda's\n"
-    "iteration, the steady residual, and the assembly of a stack of species:\n"
+    "blocks, the IMEX step of a two-species pair, Noda's iteration and the\n"
+    "steady Newton run, each whole, and the assembly of a stack of species:\n"
     "its layout, its diffusion bands and their symmetrizing similarity.", -1, methods, NULL,
     NULL, NULL, NULL,
 };

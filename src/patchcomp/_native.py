@@ -1,7 +1,7 @@
 """Build and load the native kernel, ``_ldlt.c``: the interleaved LDLᵀ,
-the IMEX step, Noda's pass, the steady residual and the assembly of
-``operators``, one pass that writes a stack's layout, its diffusion bands
-and their symmetrizing similarity.
+the IMEX step, Noda's iteration and the steady Newton run, each whole, and
+the assembly of ``operators``, one pass that writes a stack's layout, its
+diffusion bands and their symmetrizing similarity.
 
 ``load_ldlt`` compiles the kernel once with the interpreter's own C compiler
 (``sysconfig``'s ``CC``) into the package's ``__pycache__``, under a name

@@ -18,20 +18,22 @@ Eigenvalue Problem*, ch. 7).  So every shifted solve is one factorisation
 and solve of that matrix by pttrf's and pttrs's arithmetic, and the Rayleigh
 quotient is weighted by ``s²``, for operators symmetric in their weights or
 not alike.  Its two sums run in numpy's pairwise order (``np.add.reduce``
-along a row), on both routes of ``operators.noda_pass``.
+along a row), on both routes.
 
 The iteration runs on a stack of M same-size operators at once, held as
 (M, N) bands in the stack convention of ``operators``: laid end to end they
 form one block-diagonal tridiagonal matrix (zero corners part the last row
 of a block from the first of the next; ``principal_eigenpairs`` zeroes those
-of operators built by hand), so one ``operators.noda_pass`` per pass serves
-every block: one kernel call that takes the product, the quotients, the
-residuals and stop tests, and the shifted LDLᵀ factor and solve of every
-block still going, side by side.  Each block's arithmetic is bit for bit
-that of its operator on its own.  Every block keeps its own shift, stop test
-and iteration count; a block that stops stays in the stack, unsolved, so it
-reads the same stop on every later pass.  A single operator is the stack of
-one.
+of operators built by hand), so one kernel call, ``operators.noda_loop``,
+runs the whole iteration on every block: per pass the product, the
+quotients, the residuals and stop tests, and the shifted LDLᵀ factor and
+solve of every block still going, side by side, until every block stops.
+Where the kernel did not load, one ``operators.noda_pass`` per pass does the
+same in numpy and LAPACK, bit for bit.  Each block's arithmetic is bit for
+bit that of its operator on its own.  Every block keeps its own shift, stop
+test and iteration count; a block that stops stays in the stack, unsolved,
+so it reads the same stop on every later pass.  A single operator is the
+stack of one.
 
 ``ResidentContext`` is the one route from residents to invasion fitness: it
 holds a stack of residents, solves their steady states in one stacked
@@ -72,6 +74,7 @@ from .operators import (
     assemble_diffusion,
     checked_similarity,
     env_on_dofs,
+    noda_loop,
     noda_pass,
     stack_chunks,
 )
@@ -138,17 +141,21 @@ def _noda(lo, di, up, s, weights, off, scale, x):
     ``symmetrizing_similarity``, ``weights`` is ``s²`` (the Rayleigh
     quotient of ``S x`` for the symmetric ``S A S⁻¹``) and ``scale`` the
     largest band entry (at least 1) of each block; ``x``, the start, is
-    overwritten.  Each pass is one ``operators.noda_pass``, one kernel call.
-    Returns per block the eigenvalue, the reduced max-normalized
-    eigenvector, the residual and the number of solves."""
+    overwritten.  The whole loop is one kernel call,
+    ``operators.noda_loop``, or, where the kernel did not load, one
+    ``operators.noda_pass`` per pass, bit for bit the same.  Returns per
+    block the eigenvalue, the reduced max-normalized eigenvector, the
+    residual and the number of solves."""
     # keeps the rounded Collatz-Wielandt bound above the top eigenvalue
     margin = 8.0 * _EPS * scale
     # max(RESIDUAL_TOL * max(1, |theta|), 5e-15 * scale) is
     # max(RESIDUAL_TOL * |theta|, least)
     least = np.maximum(RESIDUAL_TOL, 5e-15 * scale)
-    iterations, stopped_before = 0, 0
+    bands, similarity = (lo, di, up), (s, weights, off)
+    solved = noda_loop(bands, similarity, margin, least, RESIDUAL_TOL, x, MAX_ITERS)
+    iterations = 0
     counts = np.full(len(x), MAX_ITERS)  # each block's solves, once it has stopped
-    while True:
+    while solved is None:  # without the kernel, one noda_pass per pass
         # the stop test comes before any factorisation, so an exact
         # eigenvector never factors a singular sigma I - A.  The LDLᵀ solves
         # take a solved iterate's residual to a few eps * scale at any size,
@@ -158,21 +165,18 @@ def _noda(lo, di, up, s, weights, off, scale, x):
         # they were, so a stopped block reads the same theta, residual and
         # stop on every later pass.
         last = iterations == MAX_ITERS
-        theta, res, done = noda_pass(
-            (lo, di, up), (s, weights, off), margin, least, RESIDUAL_TOL, x, not last
-        )
-        stopped = np.count_nonzero(done)
-        if stopped > stopped_before:
-            np.minimum(counts, iterations, out=counts, where=done)
-            if stopped == len(x):
-                return theta, x, res, counts
-            stopped_before = stopped
-        if last:
-            raise EigenSolveError(
-                "principal eigen iteration did not converge; the operator may "
-                "have a clustered leading spectrum"
-            )
+        theta, res, done = noda_pass(bands, similarity, margin, least, RESIDUAL_TOL, x, not last)
+        np.minimum(counts, iterations, out=counts, where=done)
+        if done.all() or last:
+            solved = theta, res, done, counts
         iterations += 1
+    theta, res, done, counts = solved
+    if not done.all():
+        raise EigenSolveError(
+            "principal eigen iteration did not converge; the operator may "
+            "have a clustered leading spectrum"
+        )
+    return theta, x, res, counts
 
 
 def _stacked_solve(lo, di, up, couplings, start):

@@ -33,40 +33,43 @@ These operations on it serve the package: ``tridiagonal_matvec``, the
 product; ``factor_symmetrized``, the one factorisation, an LDLᵀ of
 ``alpha - beta S A S⁻¹`` on the ``symmetrizing_similarity`` of the
 couplings, for the IMEX step, Newton's steps and ``solve_shifted``; and the
-solvers' inner loops, ``noda_pass``, one pass of Noda's shifted inverse
-iteration (on the same LDLᵀ), and ``logistic_residual``, the steady residual
-and its Jacobian's diagonal.  The similarity depends on the couplings alone,
-so ``SpeciesLayout`` writes it beside the bands, with the couplings' part of
-the band scale, once per species, and every solver on an assembled operator
-reads it there: the steady problem, the stepper and each mutant of a scan.
-``checked_similarity`` runs the same checks, in numpy, on the operators built
-by hand that ``eigen.principal_eigenpairs`` takes.  The zero corners keep the
-blocks apart: each block's arithmetic is bit for bit that of its operator
-on its own, and the solves take M right-hand-side rows of one operator as M
-single solves.  ``stack_chunks`` is the one cut of a long stack into
-stacked solves of at most ``_STACK_DOFS`` reduced DOFs, for the steady
-states, the mutants' layouts and the eigen pairs of a scan.
+solvers' loops, one kernel call each, ``noda_loop``, Noda's shifted inverse
+iteration (on the same LDLᵀ), and ``logistic_newton``, the steady Newton
+run, which return None where the kernel did not load: their callers then run
+``noda_pass``, one pass in numpy, and ``steady.newton`` instead.  The
+similarity depends on the couplings alone, so ``SpeciesLayout`` writes it
+beside the bands, with the couplings' part of the band scale, once per
+species, and every solver on an assembled operator reads it there: the
+steady problem, the stepper and each mutant of a scan.
+``checked_similarity`` runs the same checks, in numpy, on the operators
+built by hand that ``eigen.principal_eigenpairs`` takes.  The zero corners
+keep the blocks apart: each block's arithmetic is bit for bit that of its
+operator on its own, and the solves take M right-hand-side rows of one
+operator as M single solves.  ``stack_chunks`` is the one cut of a long
+stack into stacked solves of at most ``_STACK_DOFS`` reduced DOFs, for the
+steady states, the mutants' layouts and the eigen pairs of a scan.
 
 Each operation has two routes with the same arithmetic, bit for bit.  The
 native kernel ``_ldlt.c``, which ``_native`` builds on first import, runs
-each in one call, the assembly too: ``SpeciesLayout`` writes a stack's
-masses, weights, bands and similarity in one pass (``species``), with
-numpy's operations in numpy's order, each correctly rounded, so the ~60
-small numpy calls and the serial ``cumprod`` of a species' numpy assembly
-are one call.  The LDLᵀ does pttrf's and pttrs's operations on every
-element but walks the rows in its outer loop and the blocks (times the
-right-hand sides) in its inner one, so the blocks' recurrences overlap
-instead of running end to end as one chain; ``noda_pass`` and
-``logistic_residual`` share its one band product, and the pass sums its
-Rayleigh quotient in numpy's pairwise order.  Where the kernel cannot be
-built or loaded (``_ldlt`` is then None), LAPACK, imported from scipy on
-first use, and numpy run instead.  ``factor_symmetrized`` returns a
-``SymmetrizedFactor``, whose call is the solve; on the kernel's factor of a
-two-species stack its ``pair_step`` is the whole IMEX step of
-``dynamics.Stepper`` in one kernel call: the competition right-hand side,
-both sweeps of the solve and the division by the similarity's scale, with
-the two species as the two lanes of one vector.  This module is the only one
-that calls LAPACK or the kernel.
+each, a whole solver loop included, in one call, the assembly too:
+``SpeciesLayout`` writes a stack's masses, weights, bands and similarity in
+one pass (``species``), with numpy's operations in numpy's order, each
+correctly rounded, so the ~60 small numpy calls and the serial ``cumprod``
+of a species' numpy assembly are one call.  The LDLᵀ does pttrf's and
+pttrs's operations on every element but walks the rows in its outer loop and
+the blocks (times the right-hand sides) in its inner one, so the blocks'
+recurrences overlap instead of running end to end as one chain.  The two
+loops share the kernel's one band product and its one shifted solve, pttrf
+fused with pttrs's forward sweep, and Noda's sums its Rayleigh quotient in
+numpy's pairwise order.  Where the kernel cannot be built or loaded
+(``_ldlt`` is then None), LAPACK, imported from scipy on first use, and
+numpy run instead.
+``factor_symmetrized`` returns a ``SymmetrizedFactor``, whose call is the
+solve; on the kernel's factor of a two-species stack its ``pair_step`` is
+the whole IMEX step of ``dynamics.Stepper`` in one kernel call: the
+competition right-hand side, both sweeps of the solve and the division by
+the similarity's scale, with the two species as the two lanes of one vector.
+This module is the only one that calls LAPACK or the kernel.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from ._native import load_ldlt
-from .errors import EigenSolveError, ValidationError
+from .errors import EigenSolveError, SteadyConvergenceError, ValidationError
 from .grid import Grid
 from .landscape import PatchEnvironment, SpeciesTraits
 
@@ -168,22 +171,29 @@ def _columns(rhs: np.ndarray, size: int) -> np.ndarray:
     return rhs.reshape(-1, size).T
 
 
-def logistic_residual(lo, di, up, a, b, u):
-    """The steady residual ``A u + u (a - b u)`` of a stack in the one
-    convention and its Jacobian's diagonal ``di + a - 2 b u``: one kernel
-    call, or numpy's with the same operations, bit for bit.  Every argument
-    has ``u``'s shape; ``u`` is unchecked."""
+# the refusal of a Newton step, on both routes
+NOT_NEGATIVE_DEFINITE = "Newton's Jacobian is not negative definite"
+
+
+def logistic_newton(bands, similarity, a, b, u: np.ndarray, cap: float, tol: float,
+                    max_iters: int):
+    """``steady.newton``'s whole run for ``A u + u (a - b u) = 0`` on an
+    ``(R, N)`` stack in one kernel call, bit for bit: ``bands`` are
+    ``(lo, di, up)``, ``similarity`` their couplings' ``(s, off)`` and ``u``
+    the C-contiguous start, overwritten; the kernel takes each block's
+    ``row_scale`` of ``steady.newton`` from the bands, its largest
+    ``|di| + |lo| + |up|``.  Returns ``(u, max|F|, converged, steps)``, or
+    None where the kernel did not load, and raises as ``steady.newton``."""
     if _ldlt is None:
-        bu = b * u
-        res = tridiagonal_matvec(lo, di, up, u)
-        res += u * (a - bu)
-        slope = a - 2.0 * bu
-        slope += di
-        return res, slope
-    u = np.ascontiguousarray(u, dtype=float)
-    res, slope = np.empty(u.shape), np.empty(u.shape)
-    _ldlt.residual(lo, di, up, a, b, u, res, slope)
-    return res, slope
+        return None
+    lo, di, up = bands
+    s, off = similarity
+    norm, converged, steps = np.empty(len(u)), np.empty(len(u), bool), np.empty(len(u), np.intp)
+    failed = _ldlt.newton(lo, di, up, s, off, a, b, u, u.shape[-1], norm, converged, steps, cap,
+                          tol, max_iters)
+    if failed:
+        raise SteadyConvergenceError(NOT_NEGATIVE_DEFINITE, residual=float(norm[failed - 1]))
+    return u, norm, converged, steps
 
 
 def symmetrizing_similarity(lo: np.ndarray, up: np.ndarray):
@@ -325,12 +335,34 @@ class SymmetrizedFactor:
         return out if self.kernel.step(self.d, self.e, self.n, coefficients, w, out) else None
 
 
-# noda_pass's kernel outcomes that are not a count of stopped blocks
+# the kernel's Noda outcomes that are not a count of stopped blocks
 _NODA_FAILURES = {
     -1: "shifted operator is not positive definite; the principal eigenpair is "
         "not isolated at this resolution; refine grid",
     -2: "principal eigenpair not isolated at this resolution; refine grid",
 }
+
+
+def noda_loop(bands, similarity, margin, least, tol: float, x: np.ndarray, max_iters: int):
+    """``noda_pass`` repeated in one kernel call, bit for bit, until every
+    block stops or ``max_iters`` passes have solved, one more pass then only
+    testing: per block the last pass's ``theta``, residual and stop, and the
+    solves before the block first stopped (``max_iters`` for one that did
+    not).  None where the kernel did not load; raises as ``noda_pass``."""
+    if _ldlt is None:
+        return None
+    lo, di, up = bands
+    s, weights, off = similarity
+    m = len(x)
+    theta, res, done = np.empty(m), np.empty(m), np.empty(m, bool)
+    counts = np.empty(m, np.intp)
+    outcome = _ldlt.noda(lo, di, up, s, weights, off, x, x.shape[-1], margin, least, theta, res,
+                         done, counts, tol, max_iters)
+    if outcome == -3:
+        raise ValueError("shift must be finite")
+    if outcome < 0:
+        raise EigenSolveError(_NODA_FAILURES[outcome])
+    return theta, res, done, counts
 
 
 def noda_pass(bands, similarity, margin, least, tol: float, x: np.ndarray, solve: bool = True):
@@ -348,23 +380,14 @@ def noda_pass(bands, similarity, margin, least, tol: float, x: np.ndarray, solve
 
     ``bands`` are ``(lo, di, up)``, ``similarity`` their
     ``symmetrizing_similarity`` ``(s, s², off)``, and ``x`` is C-contiguous.
-    One kernel call, or numpy's and LAPACK's with the same operations, bit
-    for bit: both sum the quotient's two dots in numpy's pairwise order
+    numpy's and LAPACK's operations, those of the kernel's pass, bit for
+    bit: both sum the quotient's two dots in numpy's pairwise order
     (``np.add.reduce`` along a row).  A non-finite shift raises ValueError;
     a shifted matrix that is not positive definite, or a next iterate that
     is not positive, EigenSolveError.
     """
     lo, di, up = bands
     s, weights, off = similarity
-    if _ldlt is not None:
-        theta, res, done = np.empty(len(x)), np.empty(len(x)), np.empty(len(x), bool)
-        outcome = _ldlt.noda(lo, di, up, s, weights, off, x, x.shape[-1], margin, least,
-                             theta, res, done, tol, solve)
-        if outcome == -3:
-            raise ValueError("shift must be finite")
-        if outcome < 0:
-            raise EigenSolveError(_NODA_FAILURES[outcome])
-        return theta, res, done
     ax = tridiagonal_matvec(lo, di, up, x)
     wx = weights * x
     theta = np.add.reduce(wx * ax, axis=-1) / np.add.reduce(wx * x, axis=-1)

@@ -15,18 +15,20 @@ entrywise to at least ``a / b``, the folded capacity, where
 ``a - 2 b u <= -a < 0``: minus the Jacobian is a positive definite M-matrix
 there, so the first iterate is a super-solution at or above the state, and
 so is every later one, where minus the Jacobian is at least its positive
-definite value at the state.  So every step is the package's one LDLᵀ,
-``factor_symmetrized`` on the couplings' similarity, which the species'
+definite value at the state.  So every step is one LDLᵀ of pttrf's and
+pttrs's arithmetic on the couplings' similarity, which the species'
 ``SpeciesLayout`` writes beside its bands, and no step needs a line search,
 a floor, a guard against the trivial root or a restart.
 
-``newton`` is the package's one Newton loop, on one iterate or on a stack of
-R independent ones, each block with its own stop, the going blocks factored
-together.  ``solve_resident_steady_states`` solves R residents that share a
-grid and an environment as the stacks of ``operators.stack_chunks``, in one
-Newton run per stack; ``solve_resident_steady`` is its R = 1 case, and a
-stack of one runs on its own (N,) arrays.  The continuous-form oracle in
-``transform`` drives its own discretization through the same loop.
+``newton`` is the package's one Newton loop, on a stack of R independent
+iterates, each block with its own stop, the going blocks factored together.
+``solve_resident_steady_states`` solves R residents that share a grid and an
+environment as the stacks of ``operators.stack_chunks``, in one Newton run
+per stack; ``solve_resident_steady`` is its R = 1 case, a stack of one.  On
+the kernel's route a run is one call, ``operators.logistic_newton``, which
+runs ``newton``'s arithmetic on ``_SteadyProblem.residual``'s, bit for bit;
+where the kernel did not load, ``newton`` runs.  The continuous-form oracle
+in ``transform`` drives its own discretization through ``newton``.
 """
 
 from __future__ import annotations
@@ -45,10 +47,12 @@ from .landscape import (
     strict_dominates,
 )
 from .operators import (
+    NOT_NEGATIVE_DEFINITE,
     SpeciesLayout,
     factor_symmetrized,
-    logistic_residual,
+    logistic_newton,
     stack_chunks,
+    tridiagonal_matvec,
 )
 
 
@@ -75,15 +79,14 @@ def super_level(k, scales):
 
 
 def _block_max(a: np.ndarray, initial=None):
-    """``max|a|`` (and ``initial``) per block (row) of a stack, or of one block."""
+    """``max|a|`` (and ``initial``) per block (row) of a stack."""
     return np.maximum.reduce(np.abs(a), axis=-1, initial=initial)
 
 
 def newton(residual, u0, cap: float, row_scale, config: SteadyConfig):
-    """Newton for ``F(u) = 0`` on one iterate ``u0`` of shape (N,) or on a
-    stack of R independent ones, (R, N), for a tridiagonal Jacobian ``J``
-    whose negative is symmetric positive definite under a diagonal
-    similarity ``S = diag(s)``.
+    """Newton for ``F(u) = 0`` on a stack of R independent iterates ``u0``,
+    shaped (R, N), for a tridiagonal Jacobian ``J`` whose negative is
+    symmetric positive definite under a diagonal similarity ``S = diag(s)``.
 
     ``residual(u)`` returns ``F(u)`` and ``(slope, s, off)``: ``J``'s main
     diagonal, and ``s`` and the off-diagonal ``off`` of its couplings'
@@ -101,12 +104,13 @@ def newton(residual, u0, cap: float, row_scale, config: SteadyConfig):
     residual evaluation (``row_scale`` is one value, or one per block of a
     stack); a non-finite residual stops its block, unconverged.  Each step is
     the full one, and ``max_newton_iters`` caps the run.  Returns
-    ``(u, max|F|, converged)``, one norm and flag per block (scalars for one
-    iterate).  A ``-S J S⁻¹`` that is not positive definite raises
-    SteadyConvergenceError.
+    ``(u, max|F|, converged, steps)``, one norm, flag and step count per
+    block.  A ``-S J S⁻¹`` that is not positive definite raises
+    SteadyConvergenceError with the norm of the first block still going.
     """
     u = np.array(u0, dtype=float)
     noise = 8.0 * np.finfo(float).eps * np.asarray(row_scale, dtype=float)
+    steps = np.zeros(len(u), np.intp)
     res, jacobian = residual(u)
     norm = _block_max(res)
     for iteration in range(config.max_newton_iters + 1):
@@ -117,7 +121,7 @@ def newton(residual, u0, cap: float, row_scale, config: SteadyConfig):
         going = (norm > bound) & (norm < np.inf)
         count = np.count_nonzero(going)
         if not count or iteration == config.max_newton_iters:
-            return u, norm, norm <= bound
+            return u, norm, norm <= bound, steps
         slope, s, off, f = (*jacobian, res)
         if count < going.size:
             slope, s, off, f = (a[going] for a in (slope, s, off, f))
@@ -125,8 +129,7 @@ def newton(residual, u0, cap: float, row_scale, config: SteadyConfig):
             factor = factor_symmetrized(slope, off, 0.0)
         except np.linalg.LinAlgError:
             raise SteadyConvergenceError(
-                "Newton's Jacobian is not negative definite",
-                residual=float(np.ravel(norm)[np.ravel(going)][0]),
+                NOT_NEGATIVE_DEFINITE, residual=float(norm[going][0])
             ) from None
         step = factor(s * f)
         step /= s
@@ -134,20 +137,20 @@ def newton(residual, u0, cap: float, row_scale, config: SteadyConfig):
             u[going] += step
         else:
             u += step
+        steps += going
         res, jacobian = residual(u)
         norm = _block_max(res)
     raise AssertionError("unreachable: the last pass stops every block")
 
 
 class _SteadyProblem:
-    """The steady problem ``A u + u (a - b u) = 0`` of one species, on (N,)
-    arrays, or of a stack of R species, on (R, N) ones, on one grid and
-    environment.  What stays fixed during the solve is built once: the
-    ``SpeciesLayout``, with the diffusion bands and their couplings'
-    similarity, and the logistic coefficients ``(a, b)`` of
-    ``SpeciesLayout.logistic_coefficients`` (the eliminated right traces
-    folded into the trace DOFs), so Newton never leaves the reduced DOFs.
-    The capacities ``k`` give the cap."""
+    """The steady problem ``A u + u (a - b u) = 0`` of a stack of R species,
+    on (R, N) arrays, on one grid and environment.  What stays fixed during
+    the solve is built once: the ``SpeciesLayout``, with the diffusion bands
+    and their couplings' similarity, and the logistic coefficients
+    ``(a, b)`` of ``SpeciesLayout.logistic_coefficients`` (the eliminated
+    right traces folded into the trace DOFs), so Newton never leaves the
+    reduced DOFs.  The capacities ``k`` give the cap."""
 
     def __init__(self, grid: Grid, env: PatchEnvironment, traits):
         self.layout = SpeciesLayout(grid, traits)
@@ -156,29 +159,43 @@ class _SteadyProblem:
 
     def residual(self, u: np.ndarray):
         """``A u + u (a - b u)`` and its Jacobian for ``newton``: the
-        diagonal ``di + a - 2 b u`` and the couplings' similarity."""
+        diagonal ``di + a - 2 b u`` and the couplings' similarity, by the
+        operations of the kernel's ``newton``, bit for bit."""
+        lo, di, up = self.layout.bands
+        bu = self.b * u
+        res = tridiagonal_matvec(lo, di, up, u)
+        res += u * (self.a - bu)
+        slope = self.a - 2.0 * bu
+        slope += di
+        return res, (slope, self.layout.s, self.layout.off)
+
+    def run(self, u0: np.ndarray, config: SteadyConfig):
+        """One Newton run from ``u0`` lifted entrywise to at least ``a / b``:
+        ``(u, max|F|, converged, steps)`` per block, from one kernel call
+        (``operators.logistic_newton``) or, where the kernel did not load,
+        ``newton`` on ``residual``, bit for bit the same."""
         layout = self.layout
-        res, slope = logistic_residual(*layout.bands, self.a, self.b, u)
-        return res, (slope, layout.s, layout.off)
+        u, cap = np.maximum(u0, self.a / self.b), self.k.max()
+        out = logistic_newton(layout.bands, (layout.s, layout.off), self.a, self.b, u, cap,
+                              config.newton_tol, config.max_newton_iters)
+        if out is None:
+            lo, di, up = layout.bands
+            row_scale = (np.abs(di) + np.abs(lo) + np.abs(up)).max(axis=-1)
+            out = newton(self.residual, u, cap, row_scale, config)
+        return out
 
     def solve(self, u0: np.ndarray, config: SteadyConfig) -> np.ndarray:
-        """The reduced states: one Newton run from ``u0`` lifted entrywise
-        to at least ``a / b``; a block it leaves unconverged, or a state that
-        is not positive, raises SteadyConvergenceError."""
-        lo, di, up = self.layout.bands
-        row_scale = (np.abs(di) + np.abs(lo) + np.abs(up)).max(axis=-1)
-        u, norm, converged = newton(
-            self.residual, np.maximum(u0, self.a / self.b), self.k.max(), row_scale, config
-        )
-        if np.count_nonzero(converged) < converged.size:
+        """The reduced states of ``run``; a block it leaves unconverged, or a
+        state that is not positive, raises SteadyConvergenceError."""
+        u, norm, converged, _ = self.run(u0, config)
+        if not converged.all():
             raise SteadyConvergenceError(
-                "steady Newton did not converge",
-                residual=float(np.ravel(norm)[~np.ravel(converged)][0]),
+                "steady Newton did not converge", residual=float(norm[~converged][0])
             )
         if u.min() <= 0:
-            lost = np.ravel(u.min(axis=-1) <= 0)
+            lost = u.min(axis=-1) <= 0
             raise SteadyConvergenceError(
-                "steady state lost positivity", residual=float(np.ravel(norm)[lost][0])
+                "steady state lost positivity", residual=float(norm[lost][0])
             )
         return u
 
@@ -200,8 +217,7 @@ def solve_resident_steady_states(
     per resident, shaped (R, N), else ValidationError), each lifted
     entrywise to at least the folded capacity ``a / b``.  A block that does
     not converge, or a state that is not positive, raises
-    SteadyConvergenceError for the call.  A stack of one is solved on its
-    own (N,) arrays, where it costs what a single solve does.
+    SteadyConvergenceError for the call.
     """
     residents = list(residents)
     config = config or SteadyConfig()
@@ -212,15 +228,10 @@ def solve_resident_steady_states(
             raise ValidationError(f"initial: must be finite and shaped {shape}")
     states = []
     for part in stack_chunks(len(residents), grid.num_reduced):
-        chunk = residents[part]
-        problem = _SteadyProblem(grid, env, chunk[0] if len(chunk) == 1 else chunk)
-        if initial is None:
-            u0 = problem.layout.fill(env.k_array)
-        else:
-            u0 = initial[part].reshape(problem.a.shape)
+        problem = _SteadyProblem(grid, env, residents[part])
+        u0 = problem.layout.fill(env.k_array) if initial is None else initial[part]
         u = problem.solve(u0, config)
-        full = problem.layout.expand(u).reshape(-1, grid.num_dofs)
-        states.extend(PiecewiseField(grid, values) for values in full)
+        states.extend(PiecewiseField(grid, values) for values in problem.layout.expand(u))
     return states
 
 

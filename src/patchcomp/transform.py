@@ -173,7 +173,8 @@ def solve_transformed_steady(
     for i in range(grid.n):
         w[offsets[i] : offsets[i + 1] + 1] = kt[i]
 
-    def residual(wv):
+    def residual(stack):
+        wv = stack[0]  # newton's stack of one
         react, (jlo, jdi, jup) = _fv_reaction(problem, grid, wv, vol, h)
         y = tridiagonal_matvec(lo, di, up, wv)
         y += react
@@ -188,12 +189,12 @@ def solve_transformed_steady(
             raise SteadyConvergenceError(
                 f"continuous-form Newton: {err}", residual=float(np.abs(y).max())
             ) from None
-        return y, (di + jdi, s, off)
+        return y[None], ((di + jdi)[None], s[None], off[None])
 
     row_scale = float((np.abs(di) + np.abs(lo) + np.abs(up)).max())
-    w, norm, converged = newton(residual, w, kt.max(), row_scale, ORACLE_CONFIG)
-    if not converged:
+    w, norm, converged, _ = newton(residual, w[None], kt.max(), row_scale, ORACLE_CONFIG)
+    if not converged[0]:
         raise SteadyConvergenceError(
-            "continuous-form Newton did not converge", residual=norm
+            "continuous-form Newton did not converge", residual=float(norm[0])
         )
-    return pull_back(w, problem, grid)
+    return pull_back(w[0], problem, grid)

@@ -426,7 +426,7 @@ class TestStackedNoda:
         op = assemble_linearization(grid, traits, 0.3)
         setattr(op, band, getattr(op, band) * 10.0)
         calls = []
-        monkeypatch.setattr(patchcomp.eigen, "noda_pass", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(patchcomp.eigen, "_noda", lambda *a: calls.append(a))
         with pytest.raises(pc.EigenSolveError, match="symmetric"):
             pc.principal_eigenpairs([assemble_linearization(grid, traits, 0.1), op])
         assert calls == []
@@ -462,7 +462,7 @@ class TestStackedNoda:
             LinearOperator(grid, mutant, op.lo, poisoned, op.up, op.weights)
 
         calls = []
-        monkeypatch.setattr(patchcomp.eigen, "noda_pass", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(patchcomp.eigen, "_noda", lambda *a: calls.append(a))
         ops = [assemble_linearization(grid, t, 0.2) for t in (resident, mutant, resident)]
         ops[2].di = poisoned  # set after construction, so only the stack sees it
         with pytest.raises(ValueError, match="finite"):
@@ -547,11 +547,11 @@ class TestStackedNoda:
         grid = pc.build_grid(land, per_patch=40)
         monkeypatch.setattr(patchcomp.operators, "_STACK_DOFS", 2 * grid.num_reduced)
         sizes = []
-        one_pass = patchcomp.eigen.noda_pass
+        noda = patchcomp.eigen._noda
 
-        def recording(bands, *args):
-            sizes.append(bands[1].size // grid.num_reduced)
-            return one_pass(bands, *args)
+        def recording(lo, di, *args):
+            sizes.append(len(di))
+            return noda(lo, di, *args)
 
         layouts = []  # the species of each layout the context assembles
         layout = patchcomp.eigen.SpeciesLayout
@@ -560,7 +560,7 @@ class TestStackedNoda:
             layouts.append(len(traits))
             return layout(grid, traits)
 
-        monkeypatch.setattr(patchcomp.eigen, "noda_pass", recording)
+        monkeypatch.setattr(patchcomp.eigen, "_noda", recording)
         mutants = [
             pc.SpeciesTraits([0.6, 1.1], pc.StrategyVector([p])) for p in (1.2, 1.9, 2.6, 3.3, 4.0)
         ]

@@ -17,10 +17,11 @@ import pytest
 
 import patchcomp as pc
 from conftest import c_compiler
-from patchcomp import _native, operators, steady
+from patchcomp import _native, eigen, operators, steady
 from patchcomp.config import RunConfig
 from patchcomp.dynamics import default_initial
 from patchcomp.eigen import assemble_linearization, growth_potential
+from patchcomp.operators import symmetrizing_similarity
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -164,24 +165,25 @@ class CountingKernel:
         return call
 
 
-def test_a_noda_pass_is_one_call_and_a_newton_step_three(ldlt_kernel, monkeypatch):
+def test_a_steady_solve_and_an_eigen_solve_are_one_call_each(ldlt_kernel, monkeypatch):
     counting = CountingKernel(ldlt_kernel)
     monkeypatch.setattr(operators, "_ldlt", counting)
     grid = pc.build_grid(LAND, per_patch=60)
     ustar = pc.solve_resident_steady(LAND, ENV, RESIDENT, grid)
-    # one assembly, with its couplings' similarity, one residual before the
-    # first step, then per full Newton step one residual and one LDLᵀ
-    # (factor and solve)
-    assert set(counting.calls) == {"species", "residual", "factor", "solve"}
-    assert counting.calls["species"] == 1
-    assert counting.calls["factor"] == counting.calls["solve"]
-    assert counting.calls["residual"] == counting.calls["factor"] + 1 >= 3
+    # one assembly, with its couplings' similarity, and the whole Newton run
+    assert counting.calls == {"species": 1, "newton": 1}
     counting.calls.clear()
     pair = pc.invasion_fitness(LAND, ENV, RESIDENT, MUTANT, grid, ustar=ustar)
-    # the mutant's assembly, with its couplings' similarity, then every pass
-    # is one call, the last one only tests the stop
+    # the mutant's assembly, with its couplings' similarity, and Noda's
+    # whole iteration
     assert pair.iterations >= 2
-    assert counting.calls == {"species": 1, "noda": pair.iterations + 1}
+    assert counting.calls == {"species": 1, "noda": 1}
+    counting.calls.clear()
+    # five residents cut by _STACK_DOFS into stacks of 2, 2 and 1: one
+    # assembly and one run per stack
+    monkeypatch.setattr(operators, "_STACK_DOFS", 2 * grid.num_reduced)
+    pc.solve_resident_steady_states(LAND, ENV, [*STAGGERED, RESIDENT], grid)
+    assert counting.calls == {"species": 3, "newton": 3}
 
 
 def species_buffers():
@@ -204,6 +206,36 @@ def species_buffers():
     }
 
 
+def newton_buffers():
+    """The arguments of the kernel's ``newton`` for a stack of two residents
+    on a small grid, from their capacity start, by name, in order."""
+    grid = pc.build_grid(LAND, per_patch=6)
+    problem = steady._SteadyProblem(grid, ENV, [RESIDENT, MUTANT])
+    layout, rows = problem.layout, len(problem.a)
+    return {
+        "lo": layout.lo, "di": layout.di, "up": layout.up, "s": layout.s, "off": layout.off,
+        "a": problem.a, "b": problem.b,
+        "u": np.maximum(layout.fill(ENV.k_array), problem.a / problem.b),
+        "n": grid.num_reduced, "norm": np.empty(rows), "converged": np.empty(rows, bool),
+        "steps": np.empty(rows, np.intp), "cap": 2.0, "tol": 1e-10, "max_iters": 50,
+    }
+
+
+def noda_buffers():
+    """The arguments of the kernel's ``noda`` for the linearizations of two
+    mutants on a small grid, from their start vectors, by name, in order."""
+    grid = pc.build_grid(LAND, per_patch=6)
+    layout = operators.SpeciesLayout(grid, [RESIDENT, MUTANT])
+    di = layout.di + layout.restrict_diag(np.full((2, grid.num_dofs), 0.3))
+    return {
+        "lo": layout.lo, "di": di, "up": layout.up, "s": layout.s, "w": layout.s2,
+        "off": layout.off, "x": eigen._start_vectors(layout), "n": grid.num_reduced,
+        "margin": np.full(2, 1e-14), "least": np.full(2, 1e-13), "theta": np.empty(2),
+        "res": np.empty(2), "done": np.empty(2, bool), "counts": np.empty(2, np.intp),
+        "tol": 1e-13, "max_iters": 50,
+    }
+
+
 def _spoiled(good: np.ndarray):
     """Buffers like ``good`` that the kernel refuses: too short, of another
     dtype and not C-contiguous."""
@@ -214,13 +246,19 @@ def _spoiled(good: np.ndarray):
 @pytest.mark.parametrize(
     "entry,buffers,outputs",
     [("species", species_buffers,
-      ("mass", "w", "lo", "di", "up", "s", "s2", "off", "scale"))],
+      ("mass", "w", "lo", "di", "up", "s", "s2", "off", "scale")),
+     ("newton", newton_buffers, ("u", "norm", "converged", "steps")),
+     ("noda", noda_buffers, ("x", "theta", "res", "done", "counts"))],
 )
 def test_the_assembly_entries_refuse_wrong_buffers(ldlt_kernel, entry, buffers, outputs):
+    # the assembly and the two solver loops, each on a stack of two species
     call = getattr(ldlt_kernel, entry)
     good = buffers()
-    assert call(*good.values()) == 0
+    # noda returns the blocks that stopped, the others 0
+    assert call(*good.values()) == (2 if entry == "noda" else 0)
     for name, value in good.items():
+        if not isinstance(value, np.ndarray):
+            continue
         for bad in _spoiled(value):
             with pytest.raises(ValueError):
                 call(*{**good, name: bad}.values())
@@ -230,46 +268,101 @@ def test_the_assembly_entries_refuse_wrong_buffers(ldlt_kernel, entry, buffers, 
         with pytest.raises(ValueError):
             call(*{**good, name: frozen}.values())
         # one species' worth too many
-        longer = np.empty((len(good[name]) + 1,) + good[name].shape[1:])
+        longer = np.empty((len(good[name]) + 1,) + good[name].shape[1:], good[name].dtype)
         with pytest.raises(ValueError):
             call(*{**good, name: longer}.values())
     with pytest.raises(TypeError):
         call(*list(good.values())[:-1])
-    # offsets that do not start at 0 or give a patch a single DOF
-    for offsets in ([1, 6, 10, 16], [0, 5, 6, 16]):
-        with pytest.raises(ValueError):
-            call(*{**good, "offsets": np.array(offsets, np.intp)}.values())
+    if entry == "species":
+        # offsets that do not start at 0 or give a patch a single DOF
+        for offsets in ([1, 6, 10, 16], [0, 5, 6, 16]):
+            with pytest.raises(ValueError):
+                call(*{**good, "offsets": np.array(offsets, np.intp)}.values())
+    else:
+        # no block size, not whole blocks, a negative cap
+        for name, value in (("n", 0), ("n", 4), ("max_iters", -1)):
+            with pytest.raises(ValueError):
+                call(*{**good, name: value}.values())
 
 
 def test_the_figures_stop_on_different_iterations_in_one_run(ldlt_kernel, monkeypatch):
-    monkeypatch.setattr(operators, "_ldlt", CountingKernel(ldlt_kernel))
-    runs = []
-    newton = steady.newton
-
-    def spy(residual, u0, *args):
-        out = newton(residual, u0, *args)
-        runs.append(np.ravel(out[2]).tolist())
-        return out
-
-    monkeypatch.setattr(steady, "newton", spy)
+    # each run's own step counts, the same on both routes
     grid = pc.build_grid(LAND, per_patch=60)
-    going = []  # the blocks of each stack that reaches the LDLᵀ
-    factor = steady.factor_symmetrized
+    stalling_grid = pc.build_grid(STALLING, per_patch=9)
+    run = steady._SteadyProblem.run
+    routes = []
+    for kernel in (ldlt_kernel, None):
+        monkeypatch.setattr(operators, "_ldlt", kernel)
+        runs = []
 
-    def factor_going(slope, off, alpha):
-        going.append(len(slope))
-        return factor(slope, off, alpha)
+        def spy(self, u0, config):
+            out = run(self, u0, config)
+            runs.append((out[2].tolist(), out[3].tolist()))
+            return out
 
-    monkeypatch.setattr(steady, "factor_symmetrized", factor_going)
-    pc.solve_resident_steady_states(LAND, ENV, STAGGERED, grid)
-    # the four blocks stop on three different iterations: the stack of going
-    # blocks shrinks twice from the whole stack
-    assert len({len(STAGGERED), *going}) == 3
-    assert runs == [[True] * 4]
-    runs[:] = []
-    pc.solve_resident_steady(STALLING, STALLING_ENV, STALLING_TRAITS,
-                             pc.build_grid(STALLING, per_patch=9))
-    assert runs == [[True]]
+        monkeypatch.setattr(steady._SteadyProblem, "run", spy)
+        pc.solve_resident_steady_states(LAND, ENV, STAGGERED, grid)
+        pc.solve_resident_steady(STALLING, STALLING_ENV, STALLING_TRAITS, stalling_grid)
+        routes.append(runs)
+    (converged, steps), (stalling, _) = routes[0]
+    # the four blocks stop on three different iterations, all converged
+    assert converged == [True] * 4 and len(set(steps)) == 3
+    assert stalling == [True]
+    assert routes[0] == routes[1]
+
+
+class TestTypedLoopFailures:
+    """Each refusal of the two solver loops reaches its typed error through
+    a real input, on both routes: a stack of one operator ``tridiag(1, -2,
+    1)`` from a linear start, solved by ``eigen._stacked_solve``."""
+
+    @pytest.fixture(params=["kernel", "numpy"])
+    def route(self, request, monkeypatch):
+        if request.param == "kernel":
+            request.getfixturevalue("ldlt_kernel")
+        else:
+            monkeypatch.setattr(operators, "_ldlt", None)
+
+    @staticmethod
+    def solve(off_factor: float = 1.0, tiny: int | None = None):
+        """The solve with the couplings of the similarity times
+        ``off_factor`` and the start's entry ``tiny``, if any, 1e-310."""
+        n = 8
+        lo, up = np.ones((1, n)), np.ones((1, n))
+        lo[:, 0] = up[:, -1] = 0.0
+        di = np.full((1, n), -2.0)
+        s, w, off = symmetrizing_similarity(lo, up)
+        x = np.linspace(0.5, 1.0, n)[None]
+        if tiny is not None:
+            x[0, tiny] = 1e-310
+        with np.errstate(over="ignore"):
+            return eigen._stacked_solve(lo, di, up, (s, w, off_factor * off, np.ones(1)), x)
+
+    def test_a_shift_that_is_not_finite_raises_value_error(self, route):
+        # (A x) / x overflows at the tiny entry
+        with pytest.raises(ValueError, match="shift must be finite"):
+            self.solve(tiny=3)
+
+    def test_an_indefinite_shifted_matrix_raises_eigen_solve_error(self, route):
+        # couplings ten times the operator's: sigma - S A S⁻¹ as factored is
+        # indefinite
+        with pytest.raises(pc.EigenSolveError, match="shifted operator is not positive definite"):
+            self.solve(off_factor=10.0)
+
+    def test_a_solve_that_is_not_positive_raises_eigen_solve_error(self, route):
+        # couplings of the wrong sign: the factor is positive definite, its
+        # solve of a positive right-hand side changes sign
+        with pytest.raises(pc.EigenSolveError, match="^principal eigenpair not isolated"):
+            self.solve(off_factor=-1.0)
+
+    def test_the_solve_cap_raises_did_not_converge(self, route, monkeypatch):
+        assert self.solve()[3][0] >= 2
+        monkeypatch.setattr(eigen, "MAX_ITERS", 1)
+        with pytest.raises(pc.EigenSolveError, match="did not converge"):
+            self.solve()
+        monkeypatch.setattr(eigen, "MAX_ITERS", 0)
+        with pytest.raises(pc.EigenSolveError, match="did not converge"):
+            self.solve()
 
 
 def test_the_kernel_keeps_scipy_off_the_import_path():

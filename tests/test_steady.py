@@ -9,6 +9,7 @@ import patchcomp.steady
 import patchcomp.transform
 from patchcomp.cli import run_command
 from patchcomp.operators import (
+    SpeciesLayout,
     assemble_diffusion,
     consistent_constant,
     env_on_dofs,
@@ -346,28 +347,15 @@ class TestStackedSteady:
         residents = [pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([p])) for p in (kbar, 3.0)]
         starts = np.array([np.repeat(env.k_array, [grid.counts[0] + 1, grid.counts[1]]),
                            np.full(grid.num_reduced, 0.05)])
-        factored, runs = [], []
-        factor, run = patchcomp.steady.factor_symmetrized, patchcomp.steady.newton
-
-        def spy_factor(slope, off, alpha):
-            factored.append(off.copy())
-            return factor(slope, off, alpha)
-
-        def spy_newton(residual, u0, *args):
-            out = run(residual, u0, *args)
-            runs.append((u0, out[2].tolist()))
-            return out
-
-        monkeypatch.setattr(patchcomp.steady, "factor_symmetrized", spy_factor)
-        monkeypatch.setattr(patchcomp.steady, "newton", spy_newton)
-        stack = pc.solve_resident_steady_states(land, env, residents, grid, initial=starts)
-        monkeypatch.undo()
-        # p = kbar stops at iteration 0, so only p = 3's Jacobian is ever
-        # factored, in the one run, which starts p = 3 at its folded capacity
+        stack, runs = spied_solve(monkeypatch, lambda: pc.solve_resident_steady_states(
+            land, env, residents, grid, initial=starts))
+        # p = kbar stops at iteration 0, its own folded capacity, so only p =
+        # 3 steps, in the one run
         whole = patchcomp.steady._SteadyProblem(grid, env, residents)
-        assert factored and all(np.array_equal(off, whole.layout.off[1:]) for off in factored)
-        assert len(runs) == 1 and runs[0][1] == [True, True]
-        assert np.array_equal(runs[0][0], np.maximum(starts, whole.a / whole.b))
+        (converged, steps), = runs
+        assert converged == [True, True] and steps[0] == 0 < steps[1]
+        assert np.array_equal(whole.layout.expand(np.maximum(starts, whole.a / whole.b))[0],
+                              stack[0].values)
         for resident, start, field in zip(residents, starts, stack):
             single = pc.solve_resident_steady(land, env, resident, grid, initial=start)
             assert np.array_equal(field.values, single.values)
@@ -375,40 +363,21 @@ class TestStackedSteady:
 
     def test_far_below_block_converges_in_one_run(self, unit_two_patch, monkeypatch):
         # a block that starts far below its state and one that starts from
-        # the capacity profile both converge in the stack's one Newton run:
-        # one residual for its start and one per full step
+        # the capacity profile both converge in the stack's one Newton run,
+        # each in the steps and with the bits of its own single run
         land, env = unit_two_patch
         grid = pc.build_grid(land, per_patch=40)
         residents = [pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([p])) for p in (3.0, 1.5)]
         starts = np.array([np.full(grid.num_reduced, 1e-5),
                            np.repeat(env.k_array, [grid.counts[0] + 1, grid.counts[1]])])
-        calls, runs = {"residual": 0, "factor": 0}, []
-        problem = patchcomp.steady._SteadyProblem
-        residual, run = problem.residual, patchcomp.steady.newton
-        factor = patchcomp.steady.factor_symmetrized
-
-        def count_residual(self, u):
-            calls["residual"] += 1
-            return residual(self, u)
-
-        def count_factor(*args):
-            calls["factor"] += 1
-            return factor(*args)
-
-        def spy_newton(*args):
-            out = run(*args)
-            runs.append(out[2].tolist())
-            return out
-
-        monkeypatch.setattr(problem, "residual", count_residual)
-        monkeypatch.setattr(patchcomp.steady, "newton", spy_newton)
-        monkeypatch.setattr(patchcomp.steady, "factor_symmetrized", count_factor)
-        stack = pc.solve_resident_steady_states(land, env, residents, grid, initial=starts)
-        monkeypatch.undo()
-        assert runs == [[True, True]]
-        assert calls["residual"] == calls["factor"] + 1
-        for resident, start, field in zip(residents, starts, stack):
-            single = pc.solve_resident_steady(land, env, resident, grid, initial=start)
+        stack, runs = spied_solve(monkeypatch, lambda: pc.solve_resident_steady_states(
+            land, env, residents, grid, initial=starts))
+        (converged, steps), = runs
+        assert converged == [True, True] and min(steps) >= 1
+        for resident, start, field, block_steps in zip(residents, starts, stack, steps):
+            single, single_runs = spied_solve(monkeypatch, lambda: pc.solve_resident_steady(
+                land, env, resident, grid, initial=start))
+            assert single_runs == [([True], [block_steps])]
             assert np.array_equal(field.values, single.values)
 
     def test_residents_cut_into_chunks(self, unit_two_patch, monkeypatch):
@@ -421,20 +390,15 @@ class TestStackedSteady:
         ]
         starts = np.linspace(0.1, 0.5, 5)[:, None] * np.ones(grid.num_reduced)
         config = pc.SteadyConfig()
-        whole = pc.solve_resident_steady_states(land, env, residents, grid, config, starts)
-        sizes = []
-        run = patchcomp.steady.newton
-
-        def spy_newton(residual, u0, *args):
-            sizes.append(u0.shape[:-1])
-            return run(residual, u0, *args)
-
-        monkeypatch.setattr(patchcomp.steady, "newton", spy_newton)
+        whole, whole_runs = spied_solve(monkeypatch, lambda: pc.solve_resident_steady_states(
+            land, env, residents, grid, config, starts))
         monkeypatch.setattr(patchcomp.operators, "_STACK_DOFS", 2 * grid.num_reduced)
-        chunked = pc.solve_resident_steady_states(land, env, residents, grid, config, starts)
+        chunked, runs = spied_solve(monkeypatch, lambda: pc.solve_resident_steady_states(
+            land, env, residents, grid, config, starts))
         # one Newton run per stack, from these flat starts below the states
-        # too; the last resident is solved on its own (N,) arrays
-        assert sizes == [(2,), (2,), ()]
+        # too, each block in the steps it takes in the one stack of 5
+        assert [len(steps) for _, steps in runs] == [2, 2, 1]
+        assert [s for _, steps in runs for s in steps] == whole_runs[0][1]
         assert [a.values.tolist() for a in chunked] == [b.values.tolist() for b in whole]
 
     def test_initial_must_be_finite_and_one_row_per_resident(self, unit_two_patch):
@@ -497,25 +461,31 @@ def stalling_landscape(name):
 
 
 def spied_solve(monkeypatch, solve):
-    """``solve()``'s result, the converged flags of each Newton run it made
-    and the number of residual evaluations."""
-    runs, evaluations = [], []
-    run, residual = patchcomp.steady.newton, patchcomp.steady._SteadyProblem.residual
+    """``solve()``'s result and, per Newton run it made, the run's own
+    converged flags and step counts, one per block, as lists.  A run
+    evaluates the residual once per pass: its most steps plus one times.
+    ``solve`` runs on both routes, the kernel's where it loaded and numpy's,
+    which must give the same states bit for bit and the same runs."""
+    run = patchcomp.steady._SteadyProblem.run
+    routes = []
+    for kernel in dict.fromkeys([patchcomp.operators._ldlt, None]):
+        runs = []
 
-    def spy_newton(*args):
-        out = run(*args)
-        runs.append(np.ravel(out[2]).tolist())
-        return out
+        def spy(self, u0, config):
+            out = run(self, u0, config)
+            runs.append((out[2].tolist(), out[3].tolist()))
+            return out
 
-    def spy_residual(self, u):
-        evaluations.append(None)
-        return residual(self, u)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(patchcomp.steady, "newton", spy_newton)
-        mp.setattr(patchcomp.steady._SteadyProblem, "residual", spy_residual)
-        out = solve()
-    return out, runs, len(evaluations)
+        with monkeypatch.context() as mp:
+            mp.setattr(patchcomp.operators, "_ldlt", kernel)
+            mp.setattr(patchcomp.steady._SteadyProblem, "run", spy)
+            out = solve()
+        fields = out if isinstance(out, list) else [out]
+        routes.append((out, runs, np.array([field.values for field in fields])))
+    (out, runs, values), *others = routes
+    for _, other_runs, other_values in others:
+        assert other_runs == runs and np.array_equal(other_values, values)
+    return out, runs
 
 
 class TestOneNewtonRun:
@@ -527,18 +497,20 @@ class TestOneNewtonRun:
     def test_stalling_landscape_converges_in_one_run(self, name, monkeypatch):
         land, env, traits = stalling_landscape(name)
         grid = pc.build_grid(land, per_patch=9)
-        u, runs, evaluations = spied_solve(
+        u, runs = spied_solve(
             monkeypatch, lambda: pc.solve_resident_steady(land, env, traits, grid))
-        assert runs == [[True]] and evaluations <= 10
+        (converged, steps), = runs
+        assert converged == [True] and steps[0] + 1 <= 10
         assert u.min() > 0
-        # stacked behind a resident that converges at once, the stack's one
-        # run converges both, each with the bits of its single solve
+        # stacked behind an easier resident, the stack's one run converges
+        # both, each with the bits and steps of its single solve
         easy = pc.SpeciesTraits(np.ones(grid.n), pc.StrategyVector(np.ones(grid.n - 1)))
-        stack, runs, _ = spied_solve(
+        stack, runs = spied_solve(
             monkeypatch, lambda: pc.solve_resident_steady_states(land, env, [easy, traits], grid))
-        assert runs == [[True, True]]
+        single, easy_runs = spied_solve(
+            monkeypatch, lambda: pc.solve_resident_steady(land, env, easy, grid))
+        assert runs == [([True, True], [easy_runs[0][1][0], steps[0]])]
         assert np.array_equal(stack[1].values, u.values)
-        single = pc.solve_resident_steady(land, env, easy, grid)
         assert np.array_equal(stack[0].values, single.values)
 
     @pytest.mark.parametrize("level", [1e-12, 1e-9])
@@ -548,9 +520,9 @@ class TestOneNewtonRun:
         traits = pc.SpeciesTraits([1.0], pc.StrategyVector([]))
         grid = pc.build_grid(land, per_patch=50)
         start = np.full(grid.num_reduced, level)
-        u, runs, _ = spied_solve(
+        u, runs = spied_solve(
             monkeypatch, lambda: pc.solve_resident_steady(land, env, traits, grid, initial=start))
-        assert runs == [[True]]
+        assert [converged for converged, _ in runs] == [[True]]
         assert np.abs(u.values - 1.0).max() <= 1e-10
 
     def test_two_patch_start_at_the_trivial_root_converges(self, unit_two_patch, monkeypatch):
@@ -558,9 +530,9 @@ class TestOneNewtonRun:
         traits = pc.SpeciesTraits([1.0, 1.0], pc.ifd_strategy(env))
         grid = pc.build_grid(land, per_patch=100)
         start = 1e-11 * consistent_constant(grid, traits)
-        u, runs, _ = spied_solve(
+        u, runs = spied_solve(
             monkeypatch, lambda: pc.solve_resident_steady(land, env, traits, grid, initial=start))
-        assert runs == [[True]]
+        assert [converged for converged, _ in runs] == [[True]]
         assert np.abs(u.values - env.k_array[grid.patch_index_of_dofs()]).max() <= 1e-10
 
     def test_wide_draw_flat_start_converges_in_one_run(self, monkeypatch):
@@ -570,9 +542,10 @@ class TestOneNewtonRun:
         traits = pc.SpeciesTraits(d, pc.StrategyVector(p))
         grid = pc.build_grid(land, per_patch=100)
         start = np.full(grid.num_reduced, 0.010318933431418275)
-        u, runs, evaluations = spied_solve(
+        u, runs = spied_solve(
             monkeypatch, lambda: pc.solve_resident_steady(land, env, traits, grid, initial=start))
-        assert runs == [[True]] and evaluations <= 11
+        (converged, steps), = runs
+        assert converged == [True] and steps[0] + 1 <= 11
         reference = pc.solve_resident_steady(land, env, traits, grid)
         assert np.abs(u.values - reference.values).max() <= 1e-10 * reference.values.max()
 
@@ -620,10 +593,12 @@ class TestMonotoneNewton:
         # + b u²), which near the state is what a step is made of (rises
         # reach 18 times 64 eps max u on wide draws, and 0.6 % of this
         # bound); every factorisation is positive definite (a failed one
-        # raises), and the one run converges
+        # raises), and the one run converges.  The iterates are recorded on
+        # numpy's route, whose ``newton`` calls the residual; the kernel's
+        # run is the same arithmetic, bit for bit
         land, env, traits = drawn
         grid = pc.build_grid(land, per_patch=per_patch)
-        problem = patchcomp.steady._SteadyProblem(grid, env, traits)
+        problem = patchcomp.steady._SteadyProblem(grid, env, [traits])
         if start == "capacity":
             u0 = problem.layout.fill(env.k_array)
         elif start == "twice M c":
@@ -634,15 +609,17 @@ class TestMonotoneNewton:
         iterates, residual = [], problem.residual
 
         def record(u):
-            out = residual(u)
-            iterates.append((u.copy(), out))
-            return out
+            res, (slope, s, off) = residual(u)
+            iterates.append((u[0].copy(), (res[0], (slope, s, off))))
+            return res, (slope, s, off)
 
         problem.residual = record
-        ustar = problem.solve(u0, pc.SteadyConfig())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(patchcomp.operators, "_ldlt", None)
+            ustar = problem.solve(u0, pc.SteadyConfig())
         eps = np.finfo(float).eps
-        lo, di, up = problem.layout.bands
-        a, b = problem.a, problem.b
+        lo, di, up = (band[0] for band in problem.layout.bands)
+        a, b = problem.a[0], problem.b[0]
         row_scale = (np.abs(di) + np.abs(lo) + np.abs(up)).max()
         noise = 8.0 * eps * row_scale * max(iterates[0][0].max(), env.k_array.max())
         assert np.array_equal(iterates[0][0], np.maximum(u0, a / b))
@@ -651,6 +628,7 @@ class TestMonotoneNewton:
             summands[1:] += lo[1:] * before[:-1]
             summands[:-1] += up[:-1] * before[1:]
             rounding = factor_symmetrized(slope, off, 0.0)(s * 4.0 * eps * summands) / s
+            rounding = rounding[0]
             assert (after - before).max() <= rounding.max() + 64.0 * eps * before.max()
         for _, (res, _) in iterates[1:]:
             assert res.max() <= noise
@@ -661,24 +639,30 @@ class TestTypedFailures:
     def test_indefinite_jacobian_raises_steady_convergence_error(
         self, unit_two_patch, monkeypatch, tmp_path
     ):
-        # a Jacobian diagonal pushed up by twice its largest entry makes
-        # minus it indefinite: the solve and the CLI report a numerical
-        # failure, not a LinAlgError
+        # a reaction u (a - b u) with a and b negative, a 10^4 times the
+        # logistic one: the start is lifted to a / b > 0, where the
+        # Jacobian's diagonal, -a + di, is positive, so minus the Jacobian is
+        # indefinite; on both routes the solve and the CLI report a
+        # numerical failure, not a LinAlgError, with the same residual
         land, env = unit_two_patch
         traits = pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([3.0]))
         grid = pc.build_grid(land, per_patch=40)
-        residual = patchcomp.steady._SteadyProblem.residual
+        coefficients = SpeciesLayout.logistic_coefficients
 
-        def indefinite(self, u):
-            res, (slope, s, off) = residual(self, u)
-            return res, (slope + 2.0 * np.abs(slope).max(), s, off)
+        def inverted(self, *args):
+            a, b = coefficients(self, *args)
+            return -1e4 * a, -b
 
-        monkeypatch.setattr(patchcomp.steady._SteadyProblem, "residual", indefinite)
-        with pytest.raises(pc.SteadyConvergenceError, match="not negative definite") as got:
-            pc.solve_resident_steady(land, env, traits, grid)
-        assert got.value.residual > 0
+        monkeypatch.setattr(SpeciesLayout, "logistic_coefficients", inverted)
         config = Path(__file__).resolve().parents[1] / "configs" / "reference_two_patch.json"
-        assert run_command(["steady", "--config", str(config), "--out", str(tmp_path)]) == 2
+        residuals = []
+        for kernel in (patchcomp.operators._ldlt, None):
+            monkeypatch.setattr(patchcomp.operators, "_ldlt", kernel)
+            with pytest.raises(pc.SteadyConvergenceError, match="not negative definite") as got:
+                pc.solve_resident_steady(land, env, traits, grid)
+            residuals.append(got.value.residual)
+            assert run_command(["steady", "--config", str(config), "--out", str(tmp_path)]) == 2
+        assert residuals[0] == residuals[1] > 0
 
 
 class TestDampedNewton:
@@ -690,13 +674,16 @@ class TestDampedNewton:
         return residual
 
     def test_exact_jacobian_converges_in_one_step(self):
-        u, norm, converged = newton(self.linear(-1.0), np.ones(3), 1.0, 1.0, pc.SteadyConfig())
-        assert converged and norm == 0.0 and np.array_equal(u, np.full(3, 2.0))
+        u, norm, converged, steps = newton(
+            self.linear(-1.0), np.ones((1, 3)), 1.0, 1.0, pc.SteadyConfig()
+        )
+        assert converged.tolist() == [True] and norm.tolist() == [0.0]
+        assert np.array_equal(u, np.full((1, 3), 2.0)) and steps.tolist() == [1]
 
     def test_indefinite_jacobian_raises(self):
         # minus a positive Jacobian is not positive definite
         with pytest.raises(pc.SteadyConvergenceError, match="not negative definite") as got:
-            newton(self.linear(1.0), np.ones(3), 1.0, 1.0, pc.SteadyConfig())
+            newton(self.linear(1.0), np.ones((1, 3)), 1.0, 1.0, pc.SteadyConfig())
         assert got.value.residual == 1.0
 
     def test_stack_stops_each_block_on_its_own(self, monkeypatch):
@@ -716,22 +703,25 @@ class TestDampedNewton:
             return factor(slope, off, alpha)
 
         monkeypatch.setattr(patchcomp.steady, "factor_symmetrized", spy_factor)
-        u, norm, converged = newton(residual, np.ones((2, 3)), 1.0, np.ones(2), pc.SteadyConfig())
+        u, norm, converged, steps = newton(
+            residual, np.ones((2, 3)), 1.0, np.ones(2), pc.SteadyConfig()
+        )
         assert np.array_equal(u[0], [2.0, 2.0, 2.0]) and norm[0] == 0.0
         assert converged.tolist() == [True, True] and 0.0 < norm[1] <= 1e-10
         assert factored[0] == (2, 3) and set(factored[1:]) == {(1, 3)}
+        assert steps[0] == 1 and steps[1] == len(factored)
         assert set(calls) == {(2, 3)}
 
     def test_non_finite_residual_returns_unconverged(self, monkeypatch):
         def residual(u):
-            return np.full(3, np.nan), (-np.ones(3), np.ones(3), np.zeros(3))
+            return np.full((1, 3), np.nan), (-np.ones((1, 3)), np.ones((1, 3)), np.zeros((1, 3)))
 
         def refuse(*args):
             raise AssertionError("a non-finite residual reached the factorisation")
 
         monkeypatch.setattr(patchcomp.steady, "factor_symmetrized", refuse)
-        _, norm, converged = newton(residual, np.ones(3), 1.0, 1.0, pc.SteadyConfig())
-        assert not converged and np.isnan(norm)
+        _, norm, converged, steps = newton(residual, np.ones((1, 3)), 1.0, 1.0, pc.SteadyConfig())
+        assert converged.tolist() == [False] and np.isnan(norm[0]) and steps.tolist() == [0]
 
     def test_non_finite_block_is_never_factored(self, monkeypatch):
         # F(u) = t - u^2 per block, concave, from u = 1: the middle block's
@@ -758,18 +748,20 @@ class TestDampedNewton:
 
         monkeypatch.setattr(patchcomp.steady, "factor_symmetrized", spy_factor)
         targets = np.array([2.0, 3.0, 4.0])
-        u, norm, converged = newton(
+        u, norm, converged, steps = newton(
             squares(targets[:, None], poisoned=1), np.ones((3, 4)), 1.0, np.ones(3),
             pc.SteadyConfig(),
         )
         monkeypatch.undo()
         assert factored[0] == 3 and max(factored[1:]) == 2
         assert converged.tolist() == [True, False, True] and np.isnan(norm[1])
+        assert steps[1] == 1
         for block in (0, 2):
-            w, w_norm, w_converged = newton(
-                squares(targets[block]), np.ones(4), 1.0, 1.0, pc.SteadyConfig()
+            w, w_norm, w_converged, w_steps = newton(
+                squares(targets[block]), np.ones((1, 4)), 1.0, 1.0, pc.SteadyConfig()
             )
-            assert w_converged and np.array_equal(u[block], w) and norm[block] == w_norm
+            assert w_converged.tolist() == [True] and np.array_equal(u[block], w[0])
+            assert norm[block] == w_norm[0] and steps[block] == w_steps[0]
 
     @pytest.mark.parametrize("value", [0, 2.5, True, "50"])
     def test_iteration_cap_must_be_a_positive_integer(self, value):
