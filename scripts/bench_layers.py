@@ -52,9 +52,10 @@ ratio 2).  The layers:
   M = 81 linearizations at 201 reduced DOFs (one ``pip`` chunk, about
   ``_STACK_DOFS`` DOFs) and M = 16 at 801 (the benchmark's ``sweep``), per
   stack and per operator;
-- ``noda``: Noda's iteration alone (``eigen._stacked_solve``, from the
-  start vectors, the bands and their couplings, ``checked_similarity``'s or
-  the layouts', built outside the timed call) on one mutant's
+- ``noda``: Noda's iteration alone (``eigen._noda``, or
+  ``eigen._stacked_solve`` in trees that had it, from the start vectors, the
+  bands and their couplings' similarity, ``checked_similarity``'s or the
+  layouts', built outside the timed call) on one mutant's
   linearization and on a stack of 16, at 201, 1,601 and 8,001 reduced DOFs,
   and at 201 on the 100 pairs of ``pip_10x10`` (``pip_pairs_100``), whose
   blocks stop on different passes (21 after 3 solves, 79 after 4; the 16
@@ -358,9 +359,8 @@ def inner_loops(repeats: int) -> dict:
             lo, di, up = (np.array([getattr(op, band) for op in ops[:m]]) for band in _BANDS)
             couplings = operators.checked_similarity(lo, di, up)
             start = eigen._start_vectors(SpeciesLayout(grid, [op.traits for op in ops[:m]]))
-            noda[f"stack_{m}"] = _routes(lambda: timed(
-                lambda: eigen._stacked_solve(lo, di, up, couplings, start.copy()), repeats
-            ))
+            solve = _noda_solve(lo, di, up, couplings, start)
+            noda[f"stack_{m}"] = _routes(lambda: timed(solve, repeats))
             traits = single(RESIDENT) if m == 1 else residents[:m]
             problem = steady._SteadyProblem(grid, ENV, traits)
             u0 = np.empty(problem.a.shape)
@@ -372,9 +372,8 @@ def inner_loops(repeats: int) -> dict:
             newton["flat_start"] = _routes(lambda: _counted_solve(problem, flat, config, repeats))
         if per_patch == PIP_PER_PATCH:
             lo, di, up, couplings, start = _pip_pairs(grid)
-            noda[f"pip_pairs_{len(di)}"] = _routes(lambda: timed(
-                lambda: eigen._stacked_solve(lo, di, up, couplings, start.copy()), repeats
-            ))
+            solve = _noda_solve(lo, di, up, couplings, start)
+            noda[f"pip_pairs_{len(di)}"] = _routes(lambda: timed(solve, repeats))
         out["noda"][str(grid.num_reduced)] = noda
         out["newton"][str(grid.num_reduced)] = newton
     out["newton"]["stalling"] = {}
@@ -386,6 +385,16 @@ def inner_loops(repeats: int) -> dict:
             lambda: _counted_solve(problem, u0, config, repeats)
         )
     return out
+
+
+def _noda_solve(lo, di, up, couplings, start):
+    """Noda's iteration on the bands from a copy of ``start``, as a callable:
+    ``eigen._noda`` on the similarity ``couplings``, or, in trees that had
+    it, ``eigen._stacked_solve``, whose couplings also held their part of
+    the band scale."""
+    if hasattr(eigen, "_stacked_solve"):
+        return lambda: eigen._stacked_solve(lo, di, up, couplings, start.copy())
+    return lambda: eigen._noda(lo, di, up, *couplings, start.copy())
 
 
 def _counted_solve(problem, start, config, repeats: int) -> dict:
@@ -413,15 +422,18 @@ def _counted_solve(problem, start, config, repeats: int) -> dict:
 def _pip_pairs(grid):
     """The bands, couplings and start vectors of every (resident, mutant)
     pair of ``pip_square(10)``, in its order, as ``fitness_table`` builds
-    them."""
+    them: the couplings are the layout's similarity, with its
+    ``coupling_scale`` in trees whose layout wrote one."""
     residents, mutants = (
         [pc.SpeciesTraits([1.0, 1.0], [p]) for p in scan] for scan in _pip_scans(10)
     )
     context = eigen.ResidentContext(LAND, ENV, residents, grid)
     rows, cols = np.divmod(np.arange(len(residents) * len(mutants)), len(mutants))
     layout = SpeciesLayout(grid, mutants)[cols]
-    if hasattr(layout, "s"):
+    if hasattr(layout, "coupling_scale"):
         couplings = (layout.s, layout.s2, layout.off, layout.coupling_scale)
+    elif hasattr(layout, "s"):
+        couplings = (layout.s, layout.s2, layout.off)
     else:  # in trees before the layout wrote its similarity
         couplings = operators.checked_similarity(*layout.bands)
     di = layout.di + layout.restrict_diag(context.potential.take(rows, axis=0))

@@ -36,7 +36,9 @@
  * Rayleigh quotient (its two sums in numpy's pairwise order), the residual
  * and the stop test, then, for the blocks still going, the Collatz-Wielandt
  * shift, the shifted solve, the positivity check and the max-normalisation,
- * repeated until every block stops or the pass cap is reached.  newton is
+ * repeated until every block stops or the pass cap is reached; each block's
+ * margin and least stop bound come from its scale, its largest band entry
+ * (at least 1), as newton's noise comes from its largest row sum.  newton is
  * the monotone Newton run of patchcomp.steady.newton on the steady problem
  * A u + u (a - b u) = 0: per pass its residual and its Jacobian's diagonal,
  * each block's stop test, and for the blocks still going the full step,
@@ -45,13 +47,12 @@
  * species is the assembly of a stack of species
  * (patchcomp.operators.SpeciesLayout): one pass writes each species'
  * reduced-DOF masses and weights, its diffusion bands and the similarity
- * that makes them symmetric, s, s squared and the symmetric couplings, with
- * the couplings' part of the band scale, and refuses, in this order, weights
- * that are not finite and positive, bands that are not finite, couplings
- * that are not positive and s squared out of range.  Each of its operations
- * is one correctly rounded operation, in numpy's order, so its numbers are
- * numpy's bit for bit; only the product that carries s runs one row at a
- * time.
+ * that makes them symmetric, s, s squared and the symmetric couplings, and
+ * refuses, in this order, weights that are not finite and positive, bands
+ * that are not finite, couplings that are not positive and s squared out of
+ * range.  Each of its operations is one correctly rounded operation, in
+ * numpy's order, so its numbers are numpy's bit for bit; only the product
+ * that carries s runs one row at a time.
  *
  * Build: cc -O2 -fPIC -shared -ffp-contract=off -I<Python include>
  * (-ffp-contract=off keeps a*b - c from becoming a fused multiply-add), with
@@ -737,18 +738,29 @@ noda_pass(const double *restrict lo, const double *restrict di, const double *re
 }
 
 /* noda's passes until every block stops or max_iters solves, the last pass
- * only testing; counts[b] takes the pass on which block b first stopped. */
+ * only testing; counts[b] takes the pass on which block b first stopped.
+ * work holds 2 size + 3 blocks doubles and start blocks offsets. */
 static Py_ssize_t
 noda_loop(const double *lo, const double *di, const double *up, const double *s,
           const double *w, const double *off, double *x, Py_ssize_t n, Py_ssize_t size,
-          const double *margin, const double *least, double tol, Py_ssize_t max_iters,
-          double *theta, double *res, char *done, Py_ssize_t *counts, double *work,
-          Py_ssize_t *start)
+          double tol, Py_ssize_t max_iters, double *theta, double *res, char *done,
+          Py_ssize_t *counts, double *work, Py_ssize_t *start)
 {
     Py_ssize_t blocks = size / n, iterations, stopped, b;
+    /* per block the margin that keeps the rounded Collatz-Wielandt bound
+     * above the top eigenvalue, 8 eps scale, and the least stop bound,
+     * max(tol, 5e-15 scale), scale the largest band entry, at least 1 */
+    double *margin = work + 2 * size + blocks, *least = margin + blocks;
 
-    for (b = 0; b < blocks; b++)
+    for (b = 0; b < blocks; b++) {
+        const Py_ssize_t first = b * n;
+        double scale = abs_max(lo + first, n, 1.0);
+        scale = abs_max(di + first, n, scale);
+        scale = abs_max(up + first, n, scale);
+        margin[b] = 8.0 * DBL_EPSILON * scale;
+        least[b] = max_of(tol, 5e-15 * scale);
         counts[b] = max_iters;
+    }
     for (iterations = 0;; iterations++) {
         int last = iterations == max_iters;
         stopped = noda_pass(lo, di, up, s, w, off, x, n, size, margin, least, tol, !last, theta,
@@ -765,69 +777,68 @@ noda_loop(const double *lo, const double *di, const double *up, const double *s,
 }
 
 PyDoc_STRVAR(noda_doc,
-"noda(lo, di, up, s, w, off, x, n, margin, least, theta, res, done, counts,\n"
-"tol, max_iters) -> int\n\n"
+"noda(lo, di, up, s, w, off, x, n, theta, res, done, counts, tol, max_iters)\n"
+"-> int\n\n"
 "Noda's iteration on a stack of blocks of n rows: lo, di, up, s, w (s\n"
-"squared), off and x, the start, the length of d; margin, least and the\n"
-"outputs theta, res, done (bools) and counts (array indices) one entry per\n"
-"block.  Each pass writes each block's Rayleigh quotient\n"
-"theta = sum((w x) A x) / sum((w x) x) and residual max |A x - theta x|, and\n"
-"done where the residual is at most max(tol |theta|, least); then each\n"
-"block not done has x replaced by the max-normalised solve of\n"
-"(sigma - S A S^-1) y = s x over s, sigma the largest (A x) / x plus\n"
-"margin.  The passes go on until every block is done or max_iters have\n"
-"solved, and one more then only tests.  counts holds the solves before\n"
-"each block was first done (max_iters for one that was not).  Returns the\n"
-"number of blocks done on the last pass, or -3 when a shift is not finite,\n"
-"-1 when a shifted matrix is not positive definite and -2 when a solve is\n"
-"not positive, the last two with x partly written.");
+"squared), off and x, the start, the length of d; the outputs theta, res,\n"
+"done (bools) and counts (array indices) one entry per block.  With scale\n"
+"a block's largest |lo|, |di| and |up|, at least 1, each pass writes each\n"
+"block's Rayleigh quotient theta = sum((w x) A x) / sum((w x) x) and\n"
+"residual max |A x - theta x|, and done where the residual is at most\n"
+"max(tol |theta|, tol, 5e-15 scale); then each block not done has x\n"
+"replaced by the max-normalised solve of (sigma - S A S^-1) y = s x over s,\n"
+"sigma the largest (A x) / x plus 8 eps scale.  The passes go on until\n"
+"every block is done or max_iters have solved, and one more then only\n"
+"tests.  counts holds the solves before each block was first done\n"
+"(max_iters for one that was not).  Returns the number of blocks done on\n"
+"the last pass, or -3 when a shift is not finite, -1 when a shifted matrix\n"
+"is not positive definite and -2 when a solve is not positive, the last two\n"
+"with x partly written.");
 
 static PyObject *
 noda(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     static const char *const names[] = {
-        "lo", "di", "up", "s", "w", "off", "x", "n", "margin", "least", "theta", "res", "done",
-        "counts",
+        "lo", "di", "up", "s", "w", "off", "x", "n", "theta", "res", "done", "counts",
     };
-    Py_buffer v[14];
+    Py_buffer v[12];
     Py_ssize_t n, size, blocks, max_iters;
     double tol;
     double *work = NULL;
     Py_ssize_t *start = NULL;
     PyObject *result = NULL;
 
-    if (nargs != 16) {
+    if (nargs != 14) {
         PyErr_SetString(PyExc_TypeError,
-                        "noda takes lo, di, up, s, w, off, x, n, margin, least, theta, res, "
-                        "done, counts, tol and max_iters");
+                        "noda takes lo, di, up, s, w, off, x, n, theta, res, done, counts, tol "
+                        "and max_iters");
         return NULL;
     }
-    if (loop_limits(args[14], args[15], &tol, &max_iters) < 0 || block_size(args[7], &n) < 0)
+    if (loop_limits(args[12], args[13], &tol, &max_iters) < 0 || block_size(args[7], &n) < 0)
         return NULL;
     /* n, args[7], takes the place of a buffer: it is skipped below */
     if (get_buffers(args, v, "ddddddD", names) < 0)
         return NULL;
-    if (get_buffers(args + 8, v + 8, "ddDDBN", names + 8) < 0) {
+    if (get_buffers(args + 8, v + 8, "DDBN", names + 8) < 0) {
         release(v, 7);
         return NULL;
     }
     size = doubles(&v[0]);
     blocks = size / n;
     if (same_blocks(v, 7, n, "lo, di, up, s, w, off and x") < 0
-        || one_per_block(v + 8, 6, blocks, "margin, least, theta, res, done and counts") < 0)
+        || one_per_block(v + 8, 4, blocks, "theta, res, done and counts") < 0)
         result = NULL;  /* with its ValueError */
-    else if (!(work = PyMem_Malloc((2 * size + blocks + 1) * sizeof(double)))
+    else if (!(work = PyMem_Malloc((2 * size + 3 * blocks + 1) * sizeof(double)))
              || !(start = PyMem_Malloc((blocks + 1) * sizeof(Py_ssize_t))))
         PyErr_NoMemory();
     else
         result = PyLong_FromSsize_t(noda_loop(
-            v[0].buf, v[1].buf, v[2].buf, v[3].buf, v[4].buf, v[5].buf, v[6].buf, n, size,
-            v[8].buf, v[9].buf, tol, max_iters, v[10].buf, v[11].buf, v[12].buf, v[13].buf, work,
-            start));
+            v[0].buf, v[1].buf, v[2].buf, v[3].buf, v[4].buf, v[5].buf, v[6].buf, n, size, tol,
+            max_iters, v[8].buf, v[9].buf, v[10].buf, v[11].buf, work, start));
     PyMem_Free(work);
     PyMem_Free(start);
     release(v, 7);
-    release(v + 8, 6);
+    release(v + 8, 4);
     return result;
 }
 
@@ -985,28 +996,18 @@ root(pair x)
     return pair_of(sqrt(x[0]), sqrt(x[1]));
 }
 
-/* The larger of a and b, lane by lane (b where either is NaN). */
-static inline pair
-larger(pair a, pair b)
-{
-    lanes above = (lanes)(a > b);
-    return (pair)(((lanes)a & above) | ((lanes)b & ~above));
-}
-
 /* The similarity of one species' bands lo and up, n rows with zero corners:
  * s[0] = 1 and s[i+1] = s[i] sqrt(up[i] / lo[i+1]), its square s2 and the
- * symmetric couplings off[i] = sqrt(lo[i+1] up[i]) (0 in the last row);
- * returns the largest coupling, at least 1, which is the largest |lo| and
- * |up| once every coupling is positive.  A lane of low is set once a
- * coupling is not positive, one of out once an s2 is not finite and
- * positive.  Two couplings, (up[j], lo[j+1]) and (up[j+1], lo[j+2]), go at
- * once, and only the product that carries s runs one row at a time. */
-static double
+ * symmetric couplings off[i] = sqrt(lo[i+1] up[i]) (0 in the last row).  A
+ * lane of low is set once a coupling is not positive, one of out once an s2
+ * is not finite and positive.  Two couplings, (up[j], lo[j+1]) and
+ * (up[j+1], lo[j+2]), go at once, and only the product that carries s runs
+ * one row at a time. */
+static void
 similarity_rows(const double *lo, const double *up, Py_ssize_t n, double *s, double *s2,
                 double *off, lanes *low, lanes *out)
 {
     const pair zero = pair_of(0.0, 0.0), inf = pair_of(INFINITY, INFINITY);
-    pair top = pair_of(1.0, 1.0);
     lanes below = {0, 0}, outside = {0, 0};
     double carry = 1.0;
     Py_ssize_t j;
@@ -1028,31 +1029,29 @@ similarity_rows(const double *lo, const double *up, Py_ssize_t n, double *s, dou
         off[k] = lane(o, 1);
         below |= (lanes)((uj <= zero) | (lj <= zero));
         outside |= ~((lanes)(wj > zero) & (lanes)(wj < inf));
-        top = larger(uj, larger(lj, top));
     }
     off[n - 1] = 0.0;
     *low |= below;
     *out |= outside;
-    return lane(top, 0) > lane(top, 1) ? lane(top, 0) : lane(top, 1);
 }
 
 /* The layout, the diffusion bands and their similarity of rows species on
  * one grid of n patches, patch i holding the full DOFs offsets[i] to
  * offsets[i + 1] - 1.  Per row: scales and d one per patch, p and p2 one per
  * interface; mass the full DOFs long, w, lo, di, up, s, s2 and off the
- * reduced ones, and one scale.  The operations are those of SpeciesLayout,
- * _stiffness_bands and symmetrizing_similarity, each correctly rounded, in
- * their order, the zeros the stiffness starts from included (0 + -0 is +0):
- * omega = 1 / scales and c = omega d / h per patch, the mass omega trap, the
- * weights, each band entry one division of its stiffness by its weight, and
- * the similarity of the finished bands.  Kept out of its wrapper, which
+ * reduced ones.  The operations are those of SpeciesLayout, _stiffness_bands
+ * and symmetrizing_similarity, each correctly rounded, in their order, the
+ * zeros the stiffness starts from included (0 + -0 is +0): omega = 1 /
+ * scales and c = omega d / h per patch, the mass omega trap, the weights,
+ * each band entry one division of its stiffness by its weight, and the
+ * similarity of the finished bands.  Kept out of its wrapper, which
  * would otherwise crowd its loops' registers: inlined there, the pass ran
  * about a fifth slower. */
 static __attribute__((noinline)) int
 species_rows(const Py_ssize_t *offsets, Py_ssize_t n, const double *trap, const double *h,
              const double *scales, const double *d, const double *p, const double *p2,
              Py_ssize_t rows, double *mass, double *w, double *lo, double *di, double *up,
-             double *s, double *s2, double *off, double *scale)
+             double *s, double *s2, double *off)
 {
     const Py_ssize_t full = offsets[n], size = full - (n - 1);
     pair bad = pair_of(0.0, 0.0);  /* a lane NaN once a band entry is not finite */
@@ -1110,7 +1109,7 @@ species_rows(const Py_ssize_t *offsets, Py_ssize_t n, const double *trap, const 
         /* the last DOF: its up is the zero corner */
         band_row(lo, di, up, w, size - 1, 0.0 + c_before, 0.0, ku_before, &bad);
         up[size - 1] = 0.0;
-        scale[b] = similarity_rows(lo, up, size, s, s2, off, &low, &out);
+        similarity_rows(lo, up, size, s, s2, off, &low, &out);
         scales += n;
         d += n;
         p += n - 1;
@@ -1134,8 +1133,7 @@ species_rows(const Py_ssize_t *offsets, Py_ssize_t n, const double *trap, const 
 }
 
 PyDoc_STRVAR(species_doc,
-"species(offsets, trap, h, scales, d, p, p2, mass, w, lo, di, up, s, s2, off, scale)\n"
-"-> int\n\n"
+"species(offsets, trap, h, scales, d, p, p2, mass, w, lo, di, up, s, s2, off) -> int\n\n"
 "The reduced-DOF layout, the diffusion bands and their symmetrizing\n"
 "similarity of a stack of species on one grid: offsets (array indices) the\n"
 "full index where each of the n patches starts, then the full DOF count F;\n"
@@ -1146,7 +1144,7 @@ PyDoc_STRVAR(species_doc,
 "reduced weights and bands lo, di, up (zero corners) to w, lo, di and up,\n"
 "the similarity to s, s2 and off (s[0] = 1 and s[i+1] = s[i] sqrt(up[i] /\n"
 "lo[i+1]), s2 = s * s and off[i] = sqrt(lo[i+1] up[i]), 0 in the last row),\n"
-"each N long, and the largest |lo| and |up| (at least 1) to scale.\n"
+"each N long.\n"
 "Returns 0, or the first failed check, with every output written: 1 a\n"
 "weight is not finite and positive, 2 a band entry is not finite, 3 a\n"
 "coupling is not positive, 4 an s2 is not finite and positive.");
@@ -1156,20 +1154,20 @@ species(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     static const char *const names[] = {
         "offsets", "trap", "h", "scales", "d", "p", "p2", "mass", "w", "lo", "di", "up",
-        "s", "s2", "off", "scale",
+        "s", "s2", "off",
     };
-    Py_buffer v[16];
+    Py_buffer v[15];
     Py_ssize_t n, full, size, rows, i, k;
     const Py_ssize_t *offsets;
     PyObject *result = NULL;
 
-    if (nargs != 16) {
+    if (nargs != 15) {
         PyErr_SetString(PyExc_TypeError,
                         "species takes offsets, trap, h, scales, d, p, p2, mass, w, lo, di, "
-                        "up, s, s2, off and scale");
+                        "up, s, s2 and off");
         return NULL;
     }
-    if (get_buffers(args, v, "nddddddDDDDDDDDD", names) < 0)
+    if (get_buffers(args, v, "nddddddDDDDDDDD", names) < 0)
         return NULL;
     offsets = v[0].buf;
     n = v[0].len / (Py_ssize_t)sizeof(Py_ssize_t) - 1;
@@ -1178,7 +1176,7 @@ species(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     if (n < 1 || i < n) {
         PyErr_SetString(PyExc_ValueError,
                         "offsets must start at 0 and give each patch at least two DOFs");
-        release(v, 16);
+        release(v, 15);
         return NULL;
     }
     full = offsets[n];
@@ -1195,17 +1193,17 @@ species(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     else {
         for (k = 8; k < 15 && doubles(&v[k]) == rows * size; k++)
             ;
-        if (doubles(&v[7]) != rows * full || k < 15 || doubles(&v[15]) != rows)
+        if (doubles(&v[7]) != rows * full || k < 15)
             PyErr_SetString(PyExc_ValueError,
-                            "mass must hold the full DOFs, w, lo, di, up, s, s2 and off the "
-                            "reduced ones and scale one entry of each species");
+                            "mass must hold the full DOFs and w, lo, di, up, s, s2 and off the "
+                            "reduced ones of each species");
         else
             result = PyLong_FromLong(species_rows(
                 offsets, n, v[1].buf, v[2].buf, v[3].buf, v[4].buf, v[5].buf, v[6].buf, rows,
                 v[7].buf, v[8].buf, v[9].buf, v[10].buf, v[11].buf, v[12].buf, v[13].buf,
-                v[14].buf, v[15].buf));
+                v[14].buf));
     }
-    release(v, 16);
+    release(v, 15);
     return result;
 }
 

@@ -115,8 +115,7 @@ class Stepper:
         # (a, b, c) of the reaction w (a - b w - c x): b crowded by the
         # species' own p, c by the competitor's
         p = self.layout.p
-        a, b = self.layout.logistic_coefficients(env, p)
-        self._coefficients = (a, b, self.layout.logistic_coefficients(env, p[::-1])[1])
+        self._coefficients = self.layout.logistic_coefficients(env, p, p[::-1])
 
     @cached_property
     def _plan(self):

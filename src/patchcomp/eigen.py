@@ -25,15 +25,16 @@ The iteration runs on a stack of M same-size operators at once, held as
 form one block-diagonal tridiagonal matrix (zero corners part the last row
 of a block from the first of the next; ``principal_eigenpairs`` zeroes those
 of operators built by hand), so one kernel call, ``operators.noda_loop``,
-runs the whole iteration on every block: per pass the product, the
-quotients, the residuals and stop tests, and the shifted LDLᵀ factor and
-solve of every block still going, side by side, until every block stops.
-Where the kernel did not load, one ``operators.noda_pass`` per pass does the
-same in numpy and LAPACK, bit for bit.  Each block's arithmetic is bit for
-bit that of its operator on its own.  Every block keeps its own shift, stop
-test and iteration count; a block that stops stays in the stack, unsolved,
-so it reads the same stop on every later pass.  A single operator is the
-stack of one.
+runs the whole iteration on every block: it takes each block's band scale
+from the bands, then per pass the product, the quotients, the residuals and
+stop tests, and the shifted LDLᵀ factor and solve of every block still
+going, side by side, until every block stops.  Where the kernel did not
+load, ``_noda`` takes the same scale in numpy and one
+``operators.noda_pass`` per pass does the rest in numpy and LAPACK, bit for
+bit.  Each block's arithmetic is bit for bit that of its operator on its
+own.  Every block keeps its own shift, stop test and iteration count; a
+block that stops stays in the stack, unsolved, so it reads the same stop on
+every later pass.  A single operator is the stack of one.
 
 ``ResidentContext`` is the one route from residents to invasion fitness: it
 holds a stack of residents, solves their steady states in one stacked
@@ -42,13 +43,13 @@ Newton call and their growth potentials once, and evaluates every
 ``invasion_fitness`` is its 1x1 case.  A scan pays per mutant for what
 depends on the mutant alone, once: its ``SpeciesLayout``, one kernel call
 that writes its diffusion operator and what Noda needs of its couplings
-(the checks that they are positive and their similarity in range, the
-symmetrizing similarity and the couplings' part of the band scale), since a
-pair's couplings are its mutant's, and its Noda start vector.  Per pair it
-pays only for restricting the resident's potential onto the mutant's
-diagonal and for Noda's passes.  ``principal_eigenpairs`` takes operators
-built by hand, whose bands no layout checked, through
-``operators.checked_similarity``, numpy's checks of the same.
+(the checks that they are positive and their similarity in range, and the
+symmetrizing similarity), since a pair's couplings are its mutant's, and its
+Noda start vector.  Per pair it pays only for restricting the resident's
+potential onto the mutant's diagonal and for Noda's passes.
+``principal_eigenpairs`` takes operators built by hand, whose bands no
+layout checked, through ``operators.checked_similarity``, numpy's checks of
+the same.
 
 ``fitness_table`` is the one route from a set of (resident, mutant) pairs to
 their eigenvalues: one context for its residents, and every masked pair, in
@@ -135,27 +136,29 @@ def _start_vectors(layout: SpeciesLayout) -> np.ndarray:
     return x / x.max(axis=-1, keepdims=True)
 
 
-def _noda(lo, di, up, s, weights, off, scale, x):
-    """Noda's inverse iteration on the stack of (M, N) bands; see
-    ``principal_eigenpair``.  ``s`` and ``off`` are the bands'
-    ``symmetrizing_similarity``, ``weights`` is ``s²`` (the Rayleigh
-    quotient of ``S x`` for the symmetric ``S A S⁻¹``) and ``scale`` the
-    largest band entry (at least 1) of each block; ``x``, the start, is
-    overwritten.  The whole loop is one kernel call,
-    ``operators.noda_loop``, or, where the kernel did not load, one
-    ``operators.noda_pass`` per pass, bit for bit the same.  Returns per
-    block the eigenvalue, the reduced max-normalized eigenvector, the
-    residual and the number of solves."""
-    # keeps the rounded Collatz-Wielandt bound above the top eigenvalue
-    margin = 8.0 * _EPS * scale
-    # max(RESIDUAL_TOL * max(1, |theta|), 5e-15 * scale) is
-    # max(RESIDUAL_TOL * |theta|, least)
-    least = np.maximum(RESIDUAL_TOL, 5e-15 * scale)
+def _noda(lo, di, up, s, weights, off, x):
+    """Noda's inverse iteration on the stack of (M, N) bands (zero corners);
+    see ``principal_eigenpair``.  ``s`` and ``off`` are the bands'
+    ``symmetrizing_similarity`` and ``weights`` is ``s²`` (the Rayleigh
+    quotient of ``S x`` for the symmetric ``S A S⁻¹``), from their layouts
+    or ``operators.checked_similarity``; ``x``, the start, is overwritten.
+    The whole loop is one kernel call, ``operators.noda_loop``, or, where
+    the kernel did not load, one ``operators.noda_pass`` per pass, bit for
+    bit the same.  A non-finite band raises ValueError, as a shift that is
+    not finite, before any solve.  Returns per block the eigenvalue, the
+    reduced max-normalized eigenvector, the residual and the number of
+    solves."""
     bands, similarity = (lo, di, up), (s, weights, off)
-    solved = noda_loop(bands, similarity, margin, least, RESIDUAL_TOL, x, MAX_ITERS)
-    iterations = 0
-    counts = np.full(len(x), MAX_ITERS)  # each block's solves, once it has stopped
-    while solved is None:  # without the kernel, one noda_pass per pass
+    solved = noda_loop(bands, similarity, RESIDUAL_TOL, x, MAX_ITERS)
+    if solved is None:  # without the kernel, one noda_pass per pass
+        # the kernel's scale: each block's largest band entry, at least 1
+        scale = np.maximum(1.0, np.abs(bands).max(axis=(0, 2)))
+        # keeps the rounded Collatz-Wielandt bound above the top eigenvalue
+        margin = 8.0 * _EPS * scale
+        # max(RESIDUAL_TOL * max(1, |theta|), 5e-15 * scale) is
+        # max(RESIDUAL_TOL * |theta|, least)
+        least = np.maximum(RESIDUAL_TOL, 5e-15 * scale)
+        counts = np.full(len(x), MAX_ITERS)  # each block's solves, once it has stopped
         # the stop test comes before any factorisation, so an exact
         # eigenvector never factors a singular sigma I - A.  The LDLᵀ solves
         # take a solved iterate's residual to a few eps * scale at any size,
@@ -164,12 +167,14 @@ def _noda(lo, di, up, s, weights, off, scale, x):
         # solves only the blocks still going and leaves the others' rows as
         # they were, so a stopped block reads the same theta, residual and
         # stop on every later pass.
-        last = iterations == MAX_ITERS
-        theta, res, done = noda_pass(bands, similarity, margin, least, RESIDUAL_TOL, x, not last)
-        np.minimum(counts, iterations, out=counts, where=done)
-        if done.all() or last:
-            solved = theta, res, done, counts
-        iterations += 1
+        for iterations in range(MAX_ITERS + 1):
+            last = iterations == MAX_ITERS
+            theta, res, done = noda_pass(bands, similarity, margin, least, RESIDUAL_TOL, x,
+                                         not last)
+            np.minimum(counts, iterations, out=counts, where=done)
+            if done.all():
+                break
+        solved = theta, res, done, counts
     theta, res, done, counts = solved
     if not done.all():
         raise EigenSolveError(
@@ -177,21 +182,6 @@ def _noda(lo, di, up, s, weights, off, scale, x):
             "have a clustered leading spectrum"
         )
     return theta, x, res, counts
-
-
-def _stacked_solve(lo, di, up, couplings, start):
-    """Noda's iteration on the whole (M, N) stack (zero corners) at once;
-    ``couplings`` are the blocks' ``(s, s², off, scale)``, from their
-    layouts or ``operators.checked_similarity``, and a non-finite ``di``
-    raises ValueError before any solve.  Returns per block the eigenvalue,
-    the reduced max-normalized eigenvector, the residual and the number of
-    solves."""
-    s, weights, off, scale = couplings
-    # max is exact, so this is the largest entry of all three bands
-    scale = np.maximum(np.abs(di).max(axis=1), scale)
-    if not np.isfinite(scale.max()):
-        raise ValueError("operator bands must be finite")
-    return _noda(lo, di, up, s, weights, off, scale, start)
 
 
 def _eigenpairs(layout: SpeciesLayout, theta, x, res, iterations) -> list[EigenPair]:
@@ -225,8 +215,8 @@ def principal_eigenpairs(ops: Sequence[LinearOperator]) -> list[EigenPair]:
     # the entries outside each matrix are zeroed once, here, where operators
     # built by hand enter: the stack is then one block-diagonal matrix
     lo[:, 0] = up[:, -1] = 0.0
-    couplings = checked_similarity(lo, di, up)
-    return _eigenpairs(layout, *_stacked_solve(lo, di, up, couplings, _start_vectors(layout)))
+    similarity = checked_similarity(lo, di, up)
+    return _eigenpairs(layout, *_noda(lo, di, up, *similarity, _start_vectors(layout)))
 
 
 def principal_eigenpair(op: LinearOperator) -> EigenPair:
@@ -304,10 +294,13 @@ class ResidentContext:
             self.ustar = solve_resident_steady_states(
                 landscape, env, residents, grid, steady_config
             )
-        elif len(residents) == 1:
-            self.ustar = [ustar]
-        else:
+        elif len(residents) > 1:
             raise ValidationError("ustar gives the steady state of a single resident")
+        elif not np.isfinite(ustar.values).all():
+            # the one way a non-finite potential could reach Noda
+            raise ValidationError("ustar must be finite")
+        else:
+            self.ustar = [ustar]
         self.grid = grid
         self.potential = growth_potential(grid, env, np.array([u.values for u in self.ustar]))
 
@@ -317,7 +310,7 @@ class ResidentContext:
         worth (``stack_chunks``) at a time, each chunk's pairs solved in
         row-major order, again one stacked solve's worth at a time.  Yields
         per solve the pairs' resident and mutant indices, their layout and
-        the ``_stacked_solve`` arrays."""
+        the ``_noda`` arrays."""
         for part in stack_chunks(len(mutants), self.grid.num_reduced):
             layout = SpeciesLayout(self.grid, mutants[part])
             start = _start_vectors(layout)
@@ -326,9 +319,8 @@ class ResidentContext:
                 i, j = rows[chunk], cols[chunk]
                 pairs = layout[j]  # a pair's couplings are its mutant's
                 di = pairs.di + pairs.restrict_diag(self.potential.take(i, axis=0))
-                couplings = (pairs.s, pairs.s2, pairs.off, pairs.coupling_scale)
-                yield i, part.start + j, pairs, _stacked_solve(
-                    pairs.lo, di, pairs.up, couplings, start.take(j, axis=0)
+                yield i, part.start + j, pairs, _noda(
+                    pairs.lo, di, pairs.up, pairs.s, pairs.s2, pairs.off, start.take(j, axis=0)
                 )
 
     def fitness(self, mutants: Sequence[SpeciesTraits]) -> list[EigenPair]:

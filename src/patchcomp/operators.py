@@ -38,16 +38,17 @@ iteration (on the same LDLᵀ), and ``logistic_newton``, the steady Newton
 run, which return None where the kernel did not load: their callers then run
 ``noda_pass``, one pass in numpy, and ``steady.newton`` instead.  The
 similarity depends on the couplings alone, so ``SpeciesLayout`` writes it
-beside the bands, with the couplings' part of the band scale, once per
-species, and every solver on an assembled operator reads it there: the
-steady problem, the stepper and each mutant of a scan.
+beside the bands, once per species, and every solver on an assembled
+operator reads it there: the steady problem, the stepper and each mutant of
+a scan.  Each loop takes its band scale from the bands it is given.
 ``checked_similarity`` runs the same checks, in numpy, on the operators
-built by hand that ``eigen.principal_eigenpairs`` takes.  The zero corners
-keep the blocks apart: each block's arithmetic is bit for bit that of its
-operator on its own, and the solves take M right-hand-side rows of one
-operator as M single solves.  ``stack_chunks`` is the one cut of a long
-stack into stacked solves of at most ``_STACK_DOFS`` reduced DOFs, for the
-steady states, the mutants' layouts and the eigen pairs of a scan.
+built by hand that ``eigen.principal_eigenpairs`` takes, and
+``LinearOperator.solve_shifted`` the coupling checks on its own bands.  The
+zero corners keep the blocks apart: each block's arithmetic is bit for bit
+that of its operator on its own, and the solves take M right-hand-side rows
+of one operator as M single solves.  ``stack_chunks`` is the one cut of a
+long stack into stacked solves of at most ``_STACK_DOFS`` reduced DOFs, for
+the steady states, the mutants' layouts and the eigen pairs of a scan.
 
 Each operation has two routes with the same arithmetic, bit for bit.  The
 native kernel ``_ldlt.c``, which ``_native`` builds on first import, runs
@@ -224,43 +225,37 @@ _OUT_OF_RANGE = (
     "operator couplings are too far from symmetric for a symmetric similarity in "
     "floating point"
 )
-_NOT_POSITIVE = (
-    "operator couplings are not all positive, so the principal eigenpair is not "
-    "certified; refine grid"
-)
+_NOT_POSITIVE = "operator couplings are not all positive"
+_UNCERTIFIED = ", so the principal eigenpair is not certified; refine grid"
 
 
 def _similarity_checks(lo: np.ndarray, up: np.ndarray):
     """The couplings' checks of a stack with finite bands, in the kernel's
-    order, and what Noda needs of them: ``(outcome, similarity)``, outcome 0
-    with ``(s, s², off, scale)``, ``scale`` per block the couplings' part of
-    the band scale (their largest entry, at least 1); or outcome 3 (a
-    coupling is not positive) or else 4 (``s²`` out of range) with None."""
+    order: ``(outcome, similarity)``, outcome 0 with the
+    ``symmetrizing_similarity`` ``(s, s², off)``; or outcome 3 (a coupling
+    is not positive) or else 4 (``s²`` out of range) with None."""
     if min(up[..., :-1].min(), lo[..., 1:].min()) <= 0:
         return 3, None
     try:
-        similarity = symmetrizing_similarity(lo, up)
+        return 0, symmetrizing_similarity(lo, up)
     except ValueError:
         return 4, None
-    scale = np.maximum(1.0, np.maximum(np.abs(up).max(axis=-1), np.abs(lo).max(axis=-1)))
-    return 0, (*similarity, scale)
 
 
 def checked_similarity(lo: np.ndarray, di: np.ndarray, up: np.ndarray):
-    """What Noda needs of an ``(M, N)`` stack's couplings, after the checks
-    every block must pass: finite bands, positive couplings and a finite
-    ``symmetrizing_similarity``.  Returns ``(s, s², off)`` and per block the
-    couplings' part of the band scale (their largest entry, at least 1);
-    ``di`` is only checked, so that a non-finite band fails before a
-    coupling check.  A non-finite band raises ValueError, couplings that are
-    not all positive or too far from symmetric EigenSolveError, in that
-    order over the whole stack.  numpy's checks, for operators built by hand:
-    a ``SpeciesLayout`` writes the same arrays and runs the same checks."""
+    """The ``symmetrizing_similarity`` ``(s, s², off)`` of an ``(M, N)``
+    stack's couplings, after the checks every block must pass: finite bands,
+    positive couplings and a finite similarity; ``di`` is only checked, so
+    that a non-finite band fails before a coupling check.  A non-finite band
+    raises ValueError, couplings that are not all positive or too far from
+    symmetric EigenSolveError, in that order over the whole stack.  numpy's
+    checks, for operators built by hand: a ``SpeciesLayout`` writes the same
+    arrays and runs the same checks."""
     if not all(np.isfinite(band).all() for band in (lo, di, up)):
         raise ValueError("operator bands must be finite")
     outcome, similarity = _similarity_checks(lo, up)
     if outcome:
-        raise EigenSolveError(_NOT_POSITIVE if outcome == 3 else _OUT_OF_RANGE)
+        raise EigenSolveError(_NOT_POSITIVE + _UNCERTIFIED if outcome == 3 else _OUT_OF_RANGE)
     return similarity
 
 
@@ -343,12 +338,15 @@ _NODA_FAILURES = {
 }
 
 
-def noda_loop(bands, similarity, margin, least, tol: float, x: np.ndarray, max_iters: int):
+def noda_loop(bands, similarity, tol: float, x: np.ndarray, max_iters: int):
     """``noda_pass`` repeated in one kernel call, bit for bit, until every
     block stops or ``max_iters`` passes have solved, one more pass then only
     testing: per block the last pass's ``theta``, residual and stop, and the
     solves before the block first stopped (``max_iters`` for one that did
-    not).  None where the kernel did not load; raises as ``noda_pass``."""
+    not).  The kernel takes each block's ``margin`` and ``least`` of
+    ``noda_pass`` from its scale, its largest band entry (at least 1):
+    ``8 eps scale`` and ``max(tol, 5e-15 scale)``.  None where the kernel did
+    not load; raises as ``noda_pass``."""
     if _ldlt is None:
         return None
     lo, di, up = bands
@@ -356,8 +354,8 @@ def noda_loop(bands, similarity, margin, least, tol: float, x: np.ndarray, max_i
     m = len(x)
     theta, res, done = np.empty(m), np.empty(m), np.empty(m, bool)
     counts = np.empty(m, np.intp)
-    outcome = _ldlt.noda(lo, di, up, s, weights, off, x, x.shape[-1], margin, least, theta, res,
-                         done, counts, tol, max_iters)
+    outcome = _ldlt.noda(lo, di, up, s, weights, off, x, x.shape[-1], theta, res, done, counts,
+                         tol, max_iters)
     if outcome == -3:
         raise ValueError("shift must be finite")
     if outcome < 0:
@@ -457,11 +455,15 @@ class LinearOperator:
         """Solve (sigma * I - A) x = rhs by the one LDLᵀ, on the couplings'
         ``symmetrizing_similarity``: ``sigma`` must lie above A's spectrum,
         else the matrix is not positive definite and LinAlgError is raised.
-        ``rhs`` is one right-hand side or rows of them; a non-finite
-        ``sigma`` or ``rhs`` raises ValueError."""
+        ``rhs`` is one right-hand side or rows of them.  A non-finite
+        ``sigma`` or ``rhs``, and couplings that are not all positive or too
+        far from symmetric for the similarity, raise ValueError."""
         sigma = np.asarray_chkfinite(sigma, dtype=float)
         rhs = np.asarray_chkfinite(rhs, dtype=float)
-        s, _, off = symmetrizing_similarity(self.lo, self.up)
+        outcome, similarity = _similarity_checks(self.lo, self.up)
+        if outcome:
+            raise ValueError(_NOT_POSITIVE if outcome == 3 else _OUT_OF_RANGE)
+        s, _, off = similarity
         return factor_symmetrized(self.di, off, sigma)(s * rhs) / s
 
     def dense(self) -> np.ndarray:
@@ -555,16 +557,15 @@ class SpeciesLayout:
     right trace's mass folded into its trace DOF times p²), the bands
     ``lo``, ``di`` and ``up`` of ``assemble_diffusion`` in the stack
     convention, and what every solver on them needs of their couplings: the
-    ``symmetrizing_similarity`` ``s``, ``s2`` (``s²``) and ``off``, and the
-    couplings' part of the band scale, ``coupling_scale`` (their largest
-    entry, at least 1, one per species).  A single layout holds ``(N,)``
-    arrays, a stack ``(M, N)`` ones (``p`` is ``(M, n-1)``); every method
-    maps either shape row by row, and ``layout[b]`` is the layout of the
-    species at ``b``.  The first of these checks that fails raises
-    ValidationError naming ``p``, before any solve: weights finite and
-    positive, band entries finite (jump ratios whose products or squares
-    overflow fail these two), couplings positive, and ``s²`` finite and
-    positive (couplings too far from symmetric over many rows).
+    ``symmetrizing_similarity`` ``s``, ``s2`` (``s²``) and ``off``.  A
+    single layout holds ``(N,)`` arrays, a stack ``(M, N)`` ones (``p`` is
+    ``(M, n-1)``); every method maps either shape row by row, and
+    ``layout[b]`` is the layout of the species at ``b``.  The first of these
+    checks that fails raises ValidationError naming ``p``, before any solve:
+    weights finite and positive, band entries finite (jump ratios whose
+    products or squares overflow fail these two), couplings positive, and
+    ``s²`` finite and positive (couplings too far from symmetric over many
+    rows).
 
     The kernel's ``species`` writes the masses, weights, bands and
     similarity in one pass, from the species' ``scales``, ``d``, ``p`` and
@@ -583,8 +584,7 @@ class SpeciesLayout:
     """
 
     _PER_GRID = ("grid", "kept", "right", "trace", "reduced_sizes")
-    _PER_SPECIES = ("p", "p2", "scales", "mass", "weights", "lo", "di", "up", "s", "s2", "off",
-                    "coupling_scale")
+    _PER_SPECIES = ("p", "p2", "scales", "mass", "weights", "lo", "di", "up", "s", "s2", "off")
 
     def __init__(self, grid: Grid, traits):
         single = isinstance(traits, SpeciesTraits)
@@ -619,11 +619,10 @@ class SpeciesLayout:
             self.weights, self.lo, self.di, self.up, self.s, self.s2, self.off = (
                 np.empty(shape + (grid.num_reduced,)) for _ in range(7)
             )
-            self.coupling_scale = np.empty(shape)
             return _ldlt.species(
                 grid.offsets(), grid.trapezoid_weights(), grid.spacings(), self.scales,
                 d, self.p, self.p2, self.mass, self.weights, *self.bands, self.s, self.s2,
-                self.off, self.coupling_scale,
+                self.off,
             )
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked here
             # halving the end weights commutes with the rounding of the product
@@ -638,7 +637,7 @@ class SpeciesLayout:
                 return 2
             outcome, similarity = _similarity_checks(self.lo, self.up)
             if not outcome:
-                self.s, self.s2, self.off, self.coupling_scale = similarity
+                self.s, self.s2, self.off = similarity
         return outcome
 
     @property
@@ -669,26 +668,30 @@ class SpeciesLayout:
         w = self.weights.take(self.trace, axis=-1)
         return self.p2 * self.mass.take(self.right, axis=-1) / w
 
-    def logistic_coefficients(
-        self, env: PatchEnvironment, p_crowd
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(a, b)`` of the logistic reaction ``w (a - b x)`` on the reduced
-        DOFs, shaped as the weights, for the species' own ``w`` crowded by a
-        field ``x`` whose eliminated right traces are ``p_crowd`` times its
-        left ones (``self.p`` for self-crowding).  It is the
-        ``restrict_avg`` of ``w r (1 - x / k)`` on the expanded fields: off
-        the traces ``a = r`` and ``b = r / k``; at the trace DOF of
-        interface m, ``a = a_left r_m + a_right r_{m+1}`` and
+    def logistic_coefficients(self, env: PatchEnvironment, *p_crowds) -> tuple[np.ndarray, ...]:
+        """``(a, b, ...)``, one ``b`` per ratio of ``p_crowds``, of the
+        logistic reaction ``w (a - b x)`` on the reduced DOFs, shaped as the
+        weights, for the species' own ``w`` crowded by a field ``x`` whose
+        eliminated right traces are ``p_crowd`` times its left ones
+        (``self.p`` for self-crowding).  It is the ``restrict_avg`` of
+        ``w r (1 - x / k)`` on the expanded fields: off the traces ``a = r``
+        and ``b = r / k``; at the trace DOF of interface m,
+        ``a = a_left r_m + a_right r_{m+1}`` and
         ``b = a_left r_m / k_m + a_right r_{m+1} p_crowd / k_{m+1}``."""
         r, k = env.r_array, env.k_array
-        a, b = np.empty(self.weights.shape), np.empty(self.weights.shape)
+        a = np.empty(self.weights.shape)
         a[...] = self.fill(r)
-        b[...] = self.fill(r / k)
         left = self.a_left * r[:-1]
         right = self.a_right * r[1:]
         a.T[self.trace] = (left + right).T
-        b.T[self.trace] = (left / k[:-1] + right * p_crowd / k[1:]).T
-        return a, b
+        off_trace, own = self.fill(r / k), left / k[:-1]
+        out = [a]
+        for p_crowd in p_crowds:
+            b = np.empty(self.weights.shape)
+            b[...] = off_trace
+            b.T[self.trace] = (own + right * p_crowd / k[1:]).T
+            out.append(b)
+        return tuple(out)
 
     def fill(self, values) -> np.ndarray:
         """Per-patch ``values`` (last axis one per patch) on the reduced DOFs."""

@@ -369,7 +369,7 @@ class TestFitnessTable:
         # residents handed to the steady solve, mutants assembled, pairs solved
         counts = {"residents": 0, "mutants": 0, "pairs": 0}
         steady, layout = patchcomp.eigen.solve_resident_steady_states, patchcomp.eigen.SpeciesLayout
-        solve_stack = patchcomp.eigen._stacked_solve
+        solve_stack = patchcomp.eigen._noda
 
         def counting_steady(landscape, env, residents, *args, **kwargs):
             counts["residents"] += len(residents)
@@ -385,7 +385,7 @@ class TestFitnessTable:
 
         monkeypatch.setattr(patchcomp.eigen, "solve_resident_steady_states", counting_steady)
         monkeypatch.setattr(patchcomp.eigen, "SpeciesLayout", counting_layout)
-        monkeypatch.setattr(patchcomp.eigen, "_stacked_solve", counting_solve)
+        monkeypatch.setattr(patchcomp.eigen, "_noda", counting_solve)
         pc.fitness_table(land, env, grid, species, species)
         assert counts == {"residents": 3, "mutants": 3, "pairs": 9}
         solve = np.array([[False, True, True], [False, False, False], [False, True, False]])
@@ -419,14 +419,14 @@ class TestFitnessTable:
         solve[1, 2] = False
         whole = pc.fitness_table(land, env, grid, residents, mutants, solve=solve)
         sizes = []
-        solve_stack = patchcomp.eigen._stacked_solve
+        solve_stack = patchcomp.eigen._noda
 
         def recording(lo, *args):
             sizes.append(len(lo))
             return solve_stack(lo, *args)
 
         monkeypatch.setattr(patchcomp.operators, "_STACK_DOFS", 3 * grid.num_reduced)
-        monkeypatch.setattr(patchcomp.eigen, "_stacked_solve", recording)
+        monkeypatch.setattr(patchcomp.eigen, "_noda", recording)
         chunked = pc.fitness_table(land, env, grid, residents, mutants, solve=solve)
         assert sizes == [3, 3, 3, 2]
         assert np.array_equal(chunked, whole, equal_nan=True)

@@ -367,17 +367,27 @@ class TestStackedNoda:
         # entries outside the matrix, which no block may pass to its neighbour
         lo[0], up[-1] = rng.uniform(0.1, 1.0, 2)
         ops.append(LinearOperator(grid, asym.traits, lo, asym.di, up, asym.weights))
+        # a block whose largest band entry is a coupling, and one whose
+        # entries are all below 1: with the others, each term of the band
+        # scale, max(1, |di|, |up|, |lo|), is some block's largest
+        ops.append(asym.add_diagonal(-asym.di))
+        top = max(np.abs(band).max() for band in (asym.lo, asym.di, asym.up))
+        ops.append(LinearOperator(grid, asym.traits, *(0.5 / top * band for band in
+                                                       (asym.lo, asym.di, asym.up)), asym.weights))
         # a constant potential: the start is already the eigenvector
         ops.append(assemble_linearization(grid, asym.traits, float(rng.uniform(-1.0, 1.0))))
         order = rng.permutation(len(ops))
         ops = [ops[i] for i in order]
 
-        pairs = pc.principal_eigenpairs(ops)
-        for op, pair in zip(ops, pairs):
-            ref = reference_eigenpair(op)
-            assert_same_pair(pair, ref)
-            assert_same_pair(pc.principal_eigenpair(op), ref)
-        assert pairs[list(order).index(len(ops) - 1)].iterations == 0
+        refs = [reference_eigenpair(op) for op in ops]
+        for kernel in dict.fromkeys([patchcomp.operators._ldlt, None]):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(patchcomp.operators, "_ldlt", kernel)
+                pairs = pc.principal_eigenpairs(ops)
+                for op, pair, ref in zip(ops, pairs, refs):
+                    assert_same_pair(pair, ref)
+                    assert_same_pair(pc.principal_eigenpair(op), ref)
+            assert pairs[list(order).index(len(ops) - 1)].iterations == 0
 
     @given(
         patches=PATCHES,
@@ -467,11 +477,11 @@ class TestStackedNoda:
         ops[2].di = poisoned  # set after construction, so only the stack sees it
         with pytest.raises(ValueError, match="finite"):
             pc.principal_eigenpairs(ops)
-        context = ResidentContext(land, env, resident, grid)
-        context.potential = context.potential.copy()
-        context.potential[0, -1] = np.inf  # one DOF of the one resident's row
+        # a caller's state is the one way a non-finite potential reaches Noda
+        ustar = pc.solve_resident_steady(land, env, resident, grid)
+        ustar.values[-1] = np.inf
         with pytest.raises(ValueError, match="finite"):
-            context.fitness([resident, mutant])
+            pc.invasion_fitness(land, env, resident, mutant, grid, ustar=ustar)
         assert calls == []
 
     @pytest.mark.parametrize("per_patch", [100, 400])
@@ -600,12 +610,11 @@ class TestStackedNoda:
         land, env, mutants = drawn_species(patches, np.random.default_rng(seed), count)
         grid = pc.build_grid(land, per_patch=12)
         layout = SpeciesLayout(grid, mutants)
-        s, weights, off, scale = layout.s, layout.s2, layout.off, layout.coupling_scale
         for b, mutant in enumerate(mutants):
             op = assemble_diffusion(grid, mutant)
-            for row, alone in zip((s, weights, off), symmetrizing_similarity(op.lo, op.up)):
+            for row, alone in zip((layout.s, layout.s2, layout.off),
+                                  symmetrizing_similarity(op.lo, op.up)):
                 assert np.array_equal(row[b], alone)
-            assert scale[b] == max(1.0, np.abs(op.lo).max(), np.abs(op.up).max())
 
 
 class TestEmptyInputs:

@@ -202,7 +202,6 @@ def species_buffers():
         "p2": np.array([one.p_squares for one in species]),
         "mass": np.empty((rows, full)),
         **{name: np.empty((rows, size)) for name in ("w", "lo", "di", "up", "s", "s2", "off")},
-        "scale": np.empty(rows),
     }
 
 
@@ -230,9 +229,8 @@ def noda_buffers():
     return {
         "lo": layout.lo, "di": di, "up": layout.up, "s": layout.s, "w": layout.s2,
         "off": layout.off, "x": eigen._start_vectors(layout), "n": grid.num_reduced,
-        "margin": np.full(2, 1e-14), "least": np.full(2, 1e-13), "theta": np.empty(2),
-        "res": np.empty(2), "done": np.empty(2, bool), "counts": np.empty(2, np.intp),
-        "tol": 1e-13, "max_iters": 50,
+        "theta": np.empty(2), "res": np.empty(2), "done": np.empty(2, bool),
+        "counts": np.empty(2, np.intp), "tol": 1e-13, "max_iters": 50,
     }
 
 
@@ -246,7 +244,7 @@ def _spoiled(good: np.ndarray):
 @pytest.mark.parametrize(
     "entry,buffers,outputs",
     [("species", species_buffers,
-      ("mass", "w", "lo", "di", "up", "s", "s2", "off", "scale")),
+      ("mass", "w", "lo", "di", "up", "s", "s2", "off")),
      ("newton", newton_buffers, ("u", "norm", "converged", "steps")),
      ("noda", noda_buffers, ("x", "theta", "res", "done", "counts"))],
 )
@@ -314,7 +312,7 @@ def test_the_figures_stop_on_different_iterations_in_one_run(ldlt_kernel, monkey
 class TestTypedLoopFailures:
     """Each refusal of the two solver loops reaches its typed error through
     a real input, on both routes: a stack of one operator ``tridiag(1, -2,
-    1)`` from a linear start, solved by ``eigen._stacked_solve``."""
+    1)`` from a linear start, solved by ``eigen._noda``."""
 
     @pytest.fixture(params=["kernel", "numpy"])
     def route(self, request, monkeypatch):
@@ -336,7 +334,7 @@ class TestTypedLoopFailures:
         if tiny is not None:
             x[0, tiny] = 1e-310
         with np.errstate(over="ignore"):
-            return eigen._stacked_solve(lo, di, up, (s, w, off_factor * off, np.ones(1)), x)
+            return eigen._noda(lo, di, up, s, w, off_factor * off, x)
 
     def test_a_shift_that_is_not_finite_raises_value_error(self, route):
         # (A x) / x overflows at the tiny entry

@@ -177,6 +177,24 @@ class TestFactorShifted:
         with pytest.raises(np.linalg.LinAlgError):
             op.solve_shifted(0.0, np.ones(op.size))
 
+    @pytest.mark.parametrize("negated", [("up",), ("up", "lo")], ids=["one", "matching"])
+    def test_couplings_not_all_positive_raise(self, negated):
+        # one coupling of the wrong sign, or the two of one row pair, whose
+        # product and ratio are positive: the similarity's square roots
+        # would take both as positive and solve another matrix
+        land = pc.Landscape([0.0, 1.0, 2.0])
+        grid = pc.build_grid(land, per_patch=6)
+        op = assemble_diffusion(grid, pc.SpeciesTraits([1.0, 1.0], pc.StrategyVector([2.0])))
+        for band, row in zip(negated, (4, 5)):
+            flipped = getattr(op, band).copy()
+            flipped[row] = -flipped[row]
+            setattr(op, band, flipped)
+        sigma = 1.0 + (np.abs(op.di) + np.abs(op.lo) + np.abs(op.up)).max()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not all positive"):
+                op.solve_shifted(sigma, np.linspace(1.0, 2.0, op.size))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_raises(self, bad):
         _, traits, grid = make([1.0, 1.0], [2.0])
@@ -561,8 +579,8 @@ class TestKernelNodaAndResidual:
             counts = np.empty(1, np.intp)
             kept = x.copy()
             # a cap of 0 solves: one pass that only tests
-            stopped = ldlt_kernel.noda(lo, di, up, s, weights, off, x, rows, np.zeros(1),
-                                       np.zeros(1), theta, res, done, counts, 1e-13, 0)
+            stopped = ldlt_kernel.noda(lo, di, up, s, weights, off, x, rows, theta, res, done,
+                                       counts, 1e-13, 0)
             ax = tridiagonal_matvec(lo, di, up, x)
             wx = weights * x
             want = np.add.reduce(wx * ax, axis=-1) / np.add.reduce(wx * x, axis=-1)
@@ -626,8 +644,8 @@ def assert_same_outcome(kernel, numpy):
 
 class TestKernelAssembly:
     """The kernel's ``species`` is its numpy twin bit for bit: the layout's
-    masses and weights, the bands, their similarity and the coupling scale,
-    and the same refusals."""
+    masses and weights, the bands and their similarity, and the same
+    refusals."""
 
     @pytest.mark.parametrize("hypothesis_seed", [1, 2, 3])
     def test_kernel_route_is_numpys(self, ldlt_kernel, hypothesis_seed):
@@ -648,7 +666,7 @@ class TestKernelAssembly:
 
 _BANDS = ("lo", "di", "up")
 # what the assembly writes, compared bit for bit between the routes
-_ASSEMBLED = ("mass", "weights", *_BANDS, "s", "s2", "off", "coupling_scale")
+_ASSEMBLED = ("mass", "weights", *_BANDS, "s", "s2", "off")
 # The reference pair's landscape with one jump ratio whose square overflows,
 # and one of four patches whose cumulative scale does: every p² is finite,
 # but the last patch's weights are 0 and its bands are not finite.  Then
